@@ -15,11 +15,10 @@ against the conditional-expectation computation whenever both apply.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import binom
 
 from .channels import Channel, Support, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
@@ -32,9 +31,6 @@ DEFAULT_ATOM_CAP = 5_000_000
 # merged into one.
 MERGE_REL_TOL = 1e-12
 
-# Switch binomial curve accumulation to log space above this n.
-_LOGSPACE_MIN_N = 150
-
 _LOG2 = math.log(2.0)
 
 
@@ -46,8 +42,11 @@ class Composition:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.k, int)):
-            raise ValidationError("composition entries must be integers")
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError("composition entries must be integers")
+            object.__setattr__(self, name, int(value))
         if self.n < 0:
             raise ValidationError(f"need n >= 0, got n={self.n}")
         if not (0 <= self.k <= self.n):
@@ -240,20 +239,25 @@ def _merge_atoms(lr, p_null, p_alt, rel_tol: float = MERGE_REL_TOL):
     return rep, mn, ma
 
 
-def _lr_table(channel: Channel, comp: Composition, cap: int):
-    """Null masses and ratios on the support of T_{n,k}, unmerged.
-
-    Returns (histograms, p_null, p_alt) as parallel lists/arrays, built from
-    the shared intermediate T_{n-1,k} law.
-    """
+def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
+    """Preconditions of the adjacent pair (T_{n,k}, T_{n,k+1})."""
     if channel.support is Support.SINGULAR:
-        raise ValidationError(
-            "likelihood-ratio atoms need min(W0) > 0; channel is SINGULAR"
-        )
+        raise ValidationError(f"{what} needs min(W0) > 0; channel is SINGULAR")
     if comp.k > comp.n - 1:
         raise ValidationError(
             f"the pair (k, k+1) needs k <= n-1; got k={comp.k}, n={comp.n}"
         )
+
+
+def _lr_table(channel: Channel, comp: Composition, cap: int):
+    """Null masses and ratios on the support of T_{n,k}, unmerged.
+
+    Returns (histograms, p_null, p_alt) as parallel lists/arrays, built from
+    the shared intermediate T_{n-1,k} law.  Histograms whose null mass
+    underflowed below the smallest normal double are dropped: their ratio
+    p_alt / p_null is 0/0 or a quotient of subnormals, off by O(1).
+    """
+    _check_pair(channel, comp, "likelihood-ratio atoms")
     _check_cap(comp.n, channel.d, cap)
     base = histogram_law(channel, Composition(comp.n - 1, comp.k), cap=cap).atoms
     null: dict[tuple[int, ...], float] = {}
@@ -264,7 +268,8 @@ def _lr_table(channel: Channel, comp: Composition, cap: int):
             for y, p in support:
                 h2 = h[:y] + (h[y] + 1,) + h[y + 1 :]
                 acc[h2] = acc.get(h2, 0.0) + mass * p
-    hists = list(null.keys())
+    tiny = np.finfo(np.float64).tiny
+    hists = [h for h, p in null.items() if p >= tiny]
     p_null = np.array([null[h] for h in hists])
     p_alt = np.array([alt.get(h, 0.0) for h in hists])
     return hists, p_null, p_alt
@@ -290,7 +295,7 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
         H = np.array(hists, dtype=np.float64)
         affine = H @ w / comp.n
         err = float(np.max(np.abs(affine - lr)))
-        if err > 1e-10:
+        if not (err <= 1e-10):
             raise InternalInvariantError(
                 f"affine likelihood-ratio identity violated by {err:.3e} at k=0"
             )
@@ -307,6 +312,12 @@ def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
     law, and the ratio is affine in K; this scales to n in the thousands
     where the generic enumeration is unnecessary.
     """
+    # Imported here: scipy.stats dominates the import time and memory of the
+    # package, and only this function needs it.  Its pmf keeps the masses
+    # summing to 1 within the atomization tolerance at large n, which a
+    # log-gamma formula does not.
+    from scipy.stats import binom
+
     if channel.d != 2:
         raise ValidationError(f"binomial atoms need d=2, got d={channel.d}")
     if channel.support is Support.SINGULAR:
@@ -355,11 +366,14 @@ def reverse_atomization(atoms: LrAtomization) -> LrAtomization:
 
 
 def _check_atomization(atoms: LrAtomization, tol: float = 1e-9) -> None:
+    for label, arr in (("ratio", atoms.lr), ("null mass", atoms.p_null), ("alt mass", atoms.p_alt)):
+        if not np.all(np.isfinite(arr)):
+            raise InternalInvariantError(f"atomization has a non-finite {label}")
     total_null = float(atoms.p_null.sum())
     total_alt = float(atoms.p_alt.sum()) + atoms.alt_singular_mass
     mean_lr = float(np.dot(atoms.lr, atoms.p_null)) + atoms.alt_singular_mass
     for label, value in (("null", total_null), ("alt", total_alt), ("E_null[L]", mean_lr)):
-        if abs(value - 1.0) > tol:
+        if not (abs(value - 1.0) <= tol):
             raise InternalInvariantError(
                 f"atomization {label} mass is {value!r}, off 1 by more than {tol}"
             )
@@ -379,10 +393,25 @@ def _check_eps_grid(eps) -> np.ndarray:
 
 
 def _hockey_stick(lr, weights, singular: float, eps: np.ndarray) -> np.ndarray:
-    """delta(eps) = sum weights * (lr - e^eps)_+ + singular, clipped to [0,1]."""
-    excess = lr[None, :] - np.exp(eps)[:, None]
-    delta = np.sum(np.where(excess > 0.0, excess, 0.0) * weights[None, :], axis=1)
-    return np.clip(delta + singular, 0.0, 1.0)
+    """delta(eps) = sum weights * (lr - e^eps)_+ + singular, clipped to [0,1].
+
+    `lr` must be sorted increasing.  With tail masses P_i = sum_{j>=i} w_j
+    and D_i = sum_{l>i} (lr_l - lr_{l-1}) P_l, the sum over atoms above a
+    threshold t is D_i + (lr_i - t) P_i at the first atom i with lr_i > t.
+    Every term is nonnegative, so far-tail values keep full relative
+    accuracy, and the cost is O(atoms + grid) time and memory.
+    """
+    delta = np.full(eps.size, float(singular))
+    if lr.size:
+        tail = np.cumsum(weights[::-1])[::-1]
+        steps = np.diff(lr) * tail[1:]
+        above = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
+        t = np.exp(eps)
+        first = np.searchsorted(lr, t, side="right")
+        hit = first < lr.size
+        i = first[hit]
+        delta[hit] += above[i] + (lr[i] - t[hit]) * tail[i]
+    return np.clip(delta, 0.0, 1.0)
 
 
 def privacy_curve(
@@ -392,7 +421,9 @@ def privacy_curve(
 
     FORWARD is E_null[(L - e^eps)_+] plus any alt-singular mass; REVERSE
     applies the same formula to the reversed atomization; TWO_SIDED is their
-    pointwise maximum.  Values are clipped into [0, 1].
+    pointwise maximum.  Values are clipped into [0, 1].  This is the one
+    place curves are summed: the binomial and m-message curves are this
+    function on their atoms.
     """
     grid = _check_eps_grid(eps)
     if sidedness is Sidedness.FORWARD:
@@ -412,55 +443,12 @@ def privacy_curve(
 
 
 def binomial_curve(channel: Channel, n: int, eps) -> PrivacyCurve:
-    """Forward curve of the k=0 pair for d=2, straight from the binomial sum.
+    """Forward curve of the k=0 pair for d=2, from the binomial atoms.
 
     delta(eps) = sum_K C(n,K) p0^K (1-p0)^(n-K) (L(K) - e^eps)_+ with the
-    affine ratio L(K).  Above n = 150 the sum is accumulated in log space
-    (log binomial weights via log-gamma, combined with log-sum-exp) so that
-    far-tail weights do not underflow; below, terms are summed directly with
-    compensated summation.
+    affine ratio L(K), i.e. `privacy_curve` of `binomial_lr_atoms`.
     """
-    if channel.d != 2:
-        raise ValidationError(f"binomial curve needs d=2, got d={channel.d}")
-    if channel.support is Support.SINGULAR:
-        raise ValidationError("binomial curve needs min(W0) > 0; channel is SINGULAR")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    grid = _check_eps_grid(eps)
-    p0 = float(channel.W0[1])
-    w = score_stats(channel).w
-    K = np.arange(n + 1, dtype=np.float64)
-    lr = ((n - K) / n) * w[0] + (K / n) * w[1]
-    if n <= _LOGSPACE_MIN_N:
-        pmf = binom.pmf(np.arange(n + 1), n, p0)
-        delta = np.array(
-            [
-                math.fsum(
-                    p * (l - t) for l, p in zip(lr, pmf) if l > t
-                )
-                for t in np.exp(grid)
-            ]
-        )
-    else:
-        log_pmf = (
-            gammaln(n + 1)
-            - gammaln(K + 1)
-            - gammaln(n - K + 1)
-            + K * math.log(p0)
-            + (n - K) * math.log1p(-p0)
-        )
-        delta = np.empty(grid.size)
-        for i, t in enumerate(np.exp(grid)):
-            active = lr > t
-            if not np.any(active):
-                delta[i] = 0.0
-                continue
-            delta[i] = math.exp(
-                logsumexp(log_pmf[active] + np.log(lr[active] - t))
-            )
-    return PrivacyCurve(
-        eps=grid, delta=np.clip(delta, 0.0, 1.0), sidedness=Sidedness.FORWARD
-    )
+    return privacy_curve(binomial_lr_atoms(channel, n), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +507,7 @@ def tradeoff_curve(atoms: LrAtomization) -> TradeoffCurve:
     pa = atoms.p_alt[order]
     alpha = np.concatenate(([0.0], np.cumsum(pn)))
     beta = np.concatenate(([1.0 - atoms.alt_singular_mass], 1.0 - atoms.alt_singular_mass - np.cumsum(pa)))
-    if abs(alpha[-1] - 1.0) > 1e-9 or abs(beta[-1]) > 1e-9:
+    if not (abs(alpha[-1] - 1.0) <= 1e-9 and abs(beta[-1]) <= 1e-9):
         raise InternalInvariantError(
             f"trade-off sweep ended at ({alpha[-1]!r}, {beta[-1]!r}), not (1, 0)"
         )
@@ -540,10 +528,7 @@ def conditional_score(channel: Channel, comp: Composition, histogram, cap: int =
         ValidationError: histogram of wrong shape/mass, or null probability
             zero at N (the score is undefined off the support).
     """
-    if channel.support is Support.SINGULAR:
-        raise ValidationError("conditional score needs min(W0) > 0; channel is SINGULAR")
-    if comp.k > comp.n - 1:
-        raise ValidationError(f"the pair (k, k+1) needs k <= n-1; got k={comp.k}, n={comp.n}")
+    _check_pair(channel, comp, "conditional score")
     h = tuple(int(x) for x in histogram)
     if len(h) != channel.d:
         raise ValidationError(f"histogram has {len(h)} cells, channel has d={channel.d}")

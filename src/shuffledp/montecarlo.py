@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .channels import Channel, Support, score_stats
+from .channels import Channel, score_stats
 from .errors import ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _lr_table
+from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_pair, _lr_table
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -175,10 +175,7 @@ def sample_privacy_loss(
     table inherits the enumeration cap).  Returns `config.reps` values in
     draw order, independent of `config.workers`.
     """
-    if channel.support is Support.SINGULAR:
-        raise ValidationError("privacy-loss sampling needs min(W0) > 0; channel is SINGULAR")
-    if comp.k > comp.n - 1:
-        raise ValidationError(f"the pair (k, k+1) needs k <= n-1; got k={comp.k}, n={comp.n}")
+    _check_pair(channel, comp, "privacy-loss sampling")
     n, k = comp.n, comp.k
     ones = k + (1 if hypothesis is Hypothesis.ALT else 0)
     w = score_stats(channel).w

@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shuffledp
 from shuffledp import (
     Composition,
     EnumerationCapError,
+    InternalInvariantError,
+    LrAtomization,
     Sidedness,
     ValidationError,
     binomial_curve,
@@ -27,6 +34,7 @@ from shuffledp import (
     tradeoff_curve,
     validate_channel,
 )
+from shuffledp.exact_dist import _check_atomization
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -76,6 +84,16 @@ def test_composition_validation():
         Composition(3, 4)
     with pytest.raises(ValidationError):
         Composition(3.0, 1)
+
+
+def test_composition_accepts_numpy_integers():
+    comp = Composition(np.int64(5), np.uint8(2))
+    assert comp == Composition(5, 2)
+    assert type(comp.n) is int and type(comp.k) is int
+    with pytest.raises(ValidationError):
+        Composition(True, 0)
+    with pytest.raises(ValidationError):
+        Composition(3, np.bool_(False))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +163,36 @@ def test_binomial_atoms_match_generic():
     assert a.p_null == pytest.approx(b.p_null, rel=1e-12)
 
 
+def test_generic_atoms_stay_finite_where_masses_underflow():
+    # at n=600 the far-tail histogram masses underflow below the smallest
+    # normal double; those cells are dropped instead of dividing 0 by 0
+    atoms = lr_atoms(RR3, Composition(600, 0))
+    assert np.all(np.isfinite(atoms.lr))
+    assert divergences(atoms).jsd == pytest.approx(
+        divergences(binomial_lr_atoms(RR3, 600)).jsd, rel=1e-12
+    )
+
+
+def test_atomization_check_rejects_nan():
+    atoms = lr_atoms(RR3, Composition(2, 0))
+    atoms.lr[1] = np.nan
+    with pytest.raises(InternalInvariantError, match="non-finite"):
+        _check_atomization(atoms)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, shuffledp; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(shuffledp.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_binomial_atoms_reject_d3():
     ch = full_channel(np.random.default_rng(1), 3)
     with pytest.raises(ValidationError, match="d=2"):
@@ -193,18 +241,75 @@ def test_curve_rejects_bad_grid():
         privacy_curve(atoms, [])
 
 
-def test_binomial_curve_matches_exact_across_logspace_switch():
-    # n=160 exercises the log-space branch; the d=2 enumeration still works
+def test_binomial_curve_matches_exact_enumeration():
+    # at n=600 the generic enumeration drops underflowed cells
     ch = full_channel(np.random.default_rng(31), 2)
     eps = np.geomspace(1e-3, 5.0, 40)
-    direct = privacy_curve(lr_atoms(ch, Composition(160, 0)), eps).delta
-    logged = binomial_curve(ch, 160, eps).delta
-    np.testing.assert_allclose(logged, direct, rtol=1e-10, atol=1e-300)
+    for n in (160, 600):
+        direct = privacy_curve(lr_atoms(ch, Composition(n, 0)), eps).delta
+        binomial = binomial_curve(ch, n, eps).delta
+        np.testing.assert_allclose(binomial, direct, rtol=1e-10, atol=1e-300)
 
 
 def test_binomial_curve_deep_tail_value():
     v = binomial_curve(RR3, 1000, np.array([0.5])).delta[0]
     assert v == pytest.approx(2.917049432432106e-64, rel=1e-10)
+
+
+def test_binomial_curve_large_n_pins():
+    # reference values: the binomial sum in 40-digit arithmetic (mpmath)
+    delta = binomial_curve(rr_channel(1.1), 950_000, [0.002, 0.0045]).delta
+    np.testing.assert_allclose(
+        delta, [2.2400965128680424e-5, 2.0308922909592553e-8], rtol=1e-11
+    )
+
+
+def _brute_hockey_stick(p, q, singular, t):
+    """sum_x (p(x) - t q(x))_+ plus mass p puts where q has none."""
+    return math.fsum(max(a - t * b, 0.0) for a, b in zip(p, q)) + singular
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_curve_matches_brute_force_sum(seed):
+    rng = np.random.default_rng(seed)
+    eps = np.concatenate(([0.0, math.log(2.0)], rng.uniform(0.0, 2.0, 30)))
+    thresholds = np.exp(eps)
+    assert thresholds[1] == 2.0
+    # ratios include 0, exact thresholds (2 forward, 1/2 reversed) and ties
+    lr = np.sort(np.concatenate(
+        (rng.uniform(0.0, 8.0, 60), [0.0, 0.5, 2.0], thresholds[2:6])
+    ))
+    p_null = rng.uniform(0.0, 1.0, lr.size)
+    p_null /= p_null.sum()
+    singular = 0.05
+    p_alt = lr * p_null
+    atoms = LrAtomization(n=1, k=0, lr=lr, p_null=p_null, p_alt=p_alt, alt_singular_mass=singular)
+    fwd = [min(1.0, _brute_hockey_stick(p_alt, p_null, singular, t)) for t in thresholds]
+    rev = [min(1.0, _brute_hockey_stick(p_null, p_alt, 0.0, t)) for t in thresholds]
+    expected = {
+        Sidedness.FORWARD: fwd,
+        Sidedness.REVERSE: rev,
+        Sidedness.TWO_SIDED: np.maximum(fwd, rev),
+    }
+    for sidedness, want in expected.items():
+        got = privacy_curve(atoms, eps, sidedness).delta
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_curve_memory_is_linear_in_atoms_and_grid():
+    rng = np.random.default_rng(5)
+    lr = np.sort(rng.uniform(0.0, 3.0, 200_000))
+    p_null = rng.uniform(0.0, 1.0, lr.size)
+    p_null /= p_null.sum()
+    atoms = LrAtomization(n=1, k=0, lr=lr, p_null=p_null, p_alt=lr * p_null)
+    eps = np.linspace(0.0, 1.2, 64)
+    tracemalloc.start()
+    try:
+        privacy_curve(atoms, eps, Sidedness.TWO_SIDED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
