@@ -17,7 +17,7 @@ from scipy.special import ndtr, ndtri
 
 from .channels import Channel, score_stats
 from .errors import ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, Composition, _atom_count, binomial_lr_atoms, divergences, lr_atoms
+from .exact_dist import DEFAULT_ATOM_CAP, Composition, _atom_count, _cell_count, binomial_lr_atoms, divergences, lr_atoms
 from .simplex_linalg import fisher_constant
 
 
@@ -138,7 +138,8 @@ _AUTO_EXACT_CAP = 200_000
 def _exact_canonical_jsd(channel: Channel, n: int) -> float | None:
     if channel.d == 2:
         return divergences(binomial_lr_atoms(channel, n)).jsd
-    if _atom_count(n, channel.d) <= _AUTO_EXACT_CAP:
+    # at d >= 7 the dense law of a small support can still exceed the cap
+    if _atom_count(n, channel.d) <= _AUTO_EXACT_CAP and _cell_count(n, channel.d) <= DEFAULT_ATOM_CAP:
         return divergences(lr_atoms(channel, Composition(n, 0), cap=DEFAULT_ATOM_CAP)).jsd
     return None
 

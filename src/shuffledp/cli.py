@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=int,
             default=DEFAULT_ATOM_CAP,
-            help="enumeration cap on histogram atoms",
+            help="cap on the cells of a dense histogram law, (n+1)^(d-1)",
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (default: stdout)")

@@ -24,12 +24,19 @@ from .channels import Channel, Support, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
 from .simplex_linalg import fisher_constant
 
-# Refuse exact enumeration beyond this many histogram atoms.
-DEFAULT_ATOM_CAP = 5_000_000
+# Refuse exact enumeration beyond this many dense histogram-law cells.
+DEFAULT_ATOM_CAP = 30_000_000
 
 # Atoms whose likelihood ratios agree within this relative tolerance are
 # merged into one.
 MERGE_REL_TOL = 1e-12
+
+# A ratio within this relative distance above a threshold e^eps counts as a
+# tie and adds nothing to delta(eps).  Computed ratios carry a few ulps of
+# rounding (a quotient of two folded sums, or W1/W0 of the channel), so the
+# excess of such an atom is rounding noise: at the largest ratio of shuffled
+# randomized response, e^eps0, delta(eps0) is exactly 0, not ~1e-17.
+TIE_REL_TOL = 16 * np.finfo(np.float64).eps
 
 _LOG2 = math.log(2.0)
 
@@ -168,47 +175,74 @@ def _atom_count(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
 
+def _cell_count(n: int, d: int) -> int:
+    return (n + 1) ** (d - 1)
+
+
 def _check_cap(n: int, d: int, cap: int) -> None:
-    count = _atom_count(n, d)
+    count = _cell_count(n, d)
     if count > cap:
         raise EnumerationCapError(
-            f"histogram support for n={n}, d={d} has {count} atoms "
+            f"dense histogram law for {n} messages, d={d} has {count} cells "
             f"> cap {cap}; use montecarlo.sample_privacy_loss instead"
         )
 
 
-def _convolve_user(law: dict, W: np.ndarray) -> dict:
-    """One more user's message folded into a histogram law."""
-    out: dict[tuple[int, ...], float] = {}
-    support = [(y, float(p)) for y, p in enumerate(W) if p > 0.0]
-    for h, mass in law.items():
-        for y, p in support:
-            h2 = h[:y] + (h[y] + 1,) + h[y + 1 :]
-            out[h2] = out.get(h2, 0.0) + mass * p
+def _fold(law: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """One more message drawn from W added to a dense histogram law.
+
+    A law of N messages is an array of shape (N+1,)*(d-1) indexed by the
+    counts of symbols 0..d-2; the count of symbol d-1 is implied.  The
+    result has shape (N+2,)*(d-1).  Terms are added with y = d-1 first and
+    then downwards, which makes every cell the same floating-point sum as a
+    fold over histograms taken in descending lexicographic order.
+    """
+    out = np.zeros(tuple(s + 1 for s in law.shape))
+    inner = [slice(0, s) for s in law.shape]
+    out[tuple(inner)] = W[-1] * law
+    for y in range(W.size - 2, -1, -1):
+        shifted = list(inner)
+        shifted[y] = slice(1, None)
+        out[tuple(shifted)] += W[y] * law
     return out
+
+
+def _dense_law(channel: Channel, zeros: int, ones: int) -> tuple[np.ndarray, float]:
+    """Dense law of `zeros` W0- then `ones` W1-messages and its renormalizing factor."""
+    law = np.ones((1,) * (channel.d - 1))
+    for _ in range(zeros):
+        law = _fold(law, channel.W0)
+    for _ in range(ones):
+        law = _fold(law, channel.W1)
+    factor = 1.0 / math.fsum(law.ravel())
+    law *= factor
+    return law, factor
+
+
+def _descending_cells(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and full count vectors of the cells where `keep` holds,
+    in descending lexicographic order (the reverse of C order)."""
+    pos = keep.size - 1 - np.flatnonzero(keep.ravel()[::-1])
+    head = np.unravel_index(pos, keep.shape)
+    counts = np.column_stack(head + (keep.shape[0] - 1 - sum(head),))
+    return pos, counts
 
 
 def histogram_law(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -> HistogramLaw:
     """Exact law of the histogram for n users of which k have input one.
 
     Users are folded in one at a time, all input-0 users first (the law only
-    depends on (n, k) by exchangeability; the canonical order lets callers
-    reuse the (n-1, k) law as an intermediate).
+    depends on (n, k) by exchangeability).  The atoms are the histograms of
+    positive mass, in descending lexicographic order.
 
     Raises:
-        EnumerationCapError: the support would exceed `cap` atoms.
+        EnumerationCapError: the dense law would exceed `cap` cells.
     """
     _check_cap(comp.n, channel.d, cap)
-    law: dict[tuple[int, ...], float] = {(0,) * channel.d: 1.0}
-    for _ in range(comp.n - comp.k):
-        law = _convolve_user(law, channel.W0)
-    for _ in range(comp.k):
-        law = _convolve_user(law, channel.W1)
-    total = math.fsum(law.values())
-    factor = 1.0 / total
-    if factor != 1.0:
-        law = {h: m * factor for h, m in law.items()}
-    return HistogramLaw(n=comp.n, d=channel.d, atoms=law, renormalized_by=factor)
+    law, factor = _dense_law(channel, comp.n - comp.k, comp.k)
+    pos, counts = _descending_cells(law > 0.0)
+    atoms = dict(zip(map(tuple, counts.tolist()), law.ravel()[pos].tolist()))
+    return HistogramLaw(n=comp.n, d=channel.d, atoms=atoms, renormalized_by=factor)
 
 
 def mean_histogram(channel: Channel, comp: Composition) -> np.ndarray:
@@ -249,30 +283,21 @@ def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
         )
 
 
-def _lr_table(channel: Channel, comp: Composition, cap: int):
-    """Null masses and ratios on the support of T_{n,k}, unmerged.
+def _pair_table(channel: Channel, zeros: int, ones: int, m: int, cap: int):
+    """(counts, p_null, p_alt) of the pair base + m W0- vs base + m W1-messages.
 
-    Returns (histograms, p_null, p_alt) as parallel lists/arrays, built from
-    the shared intermediate T_{n-1,k} law.  Histograms whose null mass
+    The base law holds `zeros` W0- and `ones` W1-messages.  Rows are full
+    count vectors in descending lexicographic order.  Cells whose null mass
     underflowed below the smallest normal double are dropped: their ratio
     p_alt / p_null is 0/0 or a quotient of subnormals, off by O(1).
     """
-    _check_pair(channel, comp, "likelihood-ratio atoms")
-    _check_cap(comp.n, channel.d, cap)
-    base = histogram_law(channel, Composition(comp.n - 1, comp.k), cap=cap).atoms
-    null: dict[tuple[int, ...], float] = {}
-    alt: dict[tuple[int, ...], float] = {}
-    for which, W, acc in ((0, channel.W0, null), (1, channel.W1, alt)):
-        support = [(y, float(p)) for y, p in enumerate(W) if p > 0.0]
-        for h, mass in base.items():
-            for y, p in support:
-                h2 = h[:y] + (h[y] + 1,) + h[y + 1 :]
-                acc[h2] = acc.get(h2, 0.0) + mass * p
-    tiny = np.finfo(np.float64).tiny
-    hists = [h for h, p in null.items() if p >= tiny]
-    p_null = np.array([null[h] for h in hists])
-    p_alt = np.array([alt.get(h, 0.0) for h in hists])
-    return hists, p_null, p_alt
+    _check_cap(zeros + ones + m, channel.d, cap)
+    null = alt = _dense_law(channel, zeros, ones)[0]
+    for _ in range(m):
+        null = _fold(null, channel.W0)
+        alt = _fold(alt, channel.W1)
+    pos, counts = _descending_cells(null >= np.finfo(np.float64).tiny)
+    return counts, null.ravel()[pos], alt.ravel()[pos]
 
 
 def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -> LrAtomization:
@@ -286,14 +311,14 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
 
     Raises:
         ValidationError: SINGULAR channel or k > n-1.
-        EnumerationCapError: support larger than `cap`.
+        EnumerationCapError: dense law larger than `cap` cells.
     """
-    hists, p_null, p_alt = _lr_table(channel, comp, cap)
+    _check_pair(channel, comp, "likelihood-ratio atoms")
+    counts, p_null, p_alt = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
     lr = p_alt / p_null
     if comp.k == 0:
         w = score_stats(channel).w
-        H = np.array(hists, dtype=np.float64)
-        affine = H @ w / comp.n
+        affine = counts @ w / comp.n
         err = float(np.max(np.abs(affine - lr)))
         if not (err <= 1e-10):
             raise InternalInvariantError(
@@ -320,10 +345,7 @@ def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
 
     if channel.d != 2:
         raise ValidationError(f"binomial atoms need d=2, got d={channel.d}")
-    if channel.support is Support.SINGULAR:
-        raise ValidationError("binomial atoms need min(W0) > 0; channel is SINGULAR")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    _check_pair(channel, Composition(n, 0), "binomial atoms")
     p0 = float(channel.W0[1])
     w = score_stats(channel).w
     K = np.arange(n + 1, dtype=np.float64)
@@ -399,7 +421,8 @@ def _hockey_stick(lr, weights, singular: float, eps: np.ndarray) -> np.ndarray:
     and D_i = sum_{l>i} (lr_l - lr_{l-1}) P_l, the sum over atoms above a
     threshold t is D_i + (lr_i - t) P_i at the first atom i with lr_i > t.
     Every term is nonnegative, so far-tail values keep full relative
-    accuracy, and the cost is O(atoms + grid) time and memory.
+    accuracy, and the cost is O(atoms + grid) time and memory.  Atoms with
+    lr <= t * (1 + TIE_REL_TOL) are ties and contribute nothing.
     """
     delta = np.full(eps.size, float(singular))
     if lr.size:
@@ -407,7 +430,7 @@ def _hockey_stick(lr, weights, singular: float, eps: np.ndarray) -> np.ndarray:
         steps = np.diff(lr) * tail[1:]
         above = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
         t = np.exp(eps)
-        first = np.searchsorted(lr, t, side="right")
+        first = np.searchsorted(lr, t * (1.0 + TIE_REL_TOL), side="right")
         hit = first < lr.size
         i = first[hit]
         delta[hit] += above[i] + (lr[i] - t[hit]) * tail[i]
@@ -455,11 +478,11 @@ def binomial_curve(channel: Channel, n: int, eps) -> PrivacyCurve:
 # divergences and trade-off
 
 
-def _jsd_kernel(t: float) -> float:
+def _jsd_kernel(t: np.ndarray) -> np.ndarray:
     """Per-atom Jensen-Shannon integrand D(t); D(0) = (log 2)/2."""
-    if t == 0.0:
-        return 0.5 * _LOG2
-    return 0.5 * math.log(2.0 / (1.0 + t)) + 0.5 * t * math.log(2.0 * t / (1.0 + t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = 0.5 * np.log(2.0 / (1.0 + t)) + 0.5 * t * np.log(2.0 * t / (1.0 + t))
+    return np.where(t == 0.0, 0.5 * _LOG2, value)
 
 
 def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
@@ -468,18 +491,21 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     JSD and TV tolerate one-sided support loss (zero-ratio atoms and
     alt-singular mass); the chi-square and KL divergences are infinite when
     alt mass sits outside the null support.  Renyi orders must exceed 1 and
-    additionally require full support in both directions.
+    additionally require full support in both directions.  Each is an
+    exactly rounded sum (`math.fsum`) of per-atom terms.
     """
     lr, p_null = atoms.lr, atoms.p_null
     sing = atoms.alt_singular_mass
-    jsd = math.fsum(p * _jsd_kernel(l) for l, p in zip(lr, p_null)) + sing * 0.5 * _LOG2
-    tv = math.fsum(p * (l - 1.0) for l, p in zip(lr, p_null) if l > 1.0) + sing
+    jsd = math.fsum(p_null * _jsd_kernel(lr)) + sing * 0.5 * _LOG2
+    above = lr > 1.0
+    tv = math.fsum(p_null[above] * (lr[above] - 1.0)) + sing
     if sing > 0.0:
         chi2 = math.inf
         kl = math.inf
     else:
-        chi2 = math.fsum(p * (l - 1.0) ** 2 for l, p in zip(lr, p_null))
-        kl = math.fsum(p * l * math.log(l) for l, p in zip(lr, p_null) if l > 0.0)
+        chi2 = math.fsum(p_null * (lr - 1.0) ** 2)
+        pos = lr > 0.0
+        kl = math.fsum(p_null[pos] * lr[pos] * np.log(lr[pos]))
     renyi: dict[float, float] = {}
     for alpha in renyi_orders:
         alpha = float(alpha)
@@ -489,7 +515,7 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
             raise ValidationError(
                 "Renyi divergence needs full support in both directions"
             )
-        moment = math.fsum(p * l**alpha for l, p in zip(lr, p_null))
+        moment = math.fsum(p_null * lr**alpha)
         renyi[alpha] = math.log(moment) / (alpha - 1.0)
     return DivergenceReport(jsd=jsd, tv=tv, chi2=chi2, kl=kl, renyi=renyi)
 
@@ -534,16 +560,15 @@ def conditional_score(channel: Channel, comp: Composition, histogram, cap: int =
         raise ValidationError(f"histogram has {len(h)} cells, channel has d={channel.d}")
     if any(x < 0 for x in h) or sum(h) != comp.n:
         raise ValidationError(f"histogram {h} is not a size-{comp.n} count vector")
-    base = histogram_law(channel, Composition(comp.n - 1, comp.k), cap=cap).atoms
+    _check_cap(comp.n - 1, channel.d, cap)
+    base = _dense_law(channel, comp.n - 1 - comp.k, comp.k)[0]
     num = 0.0
     den = 0.0
     for y in range(channel.d):
         if h[y] == 0:
             continue
         prev = h[:y] + (h[y] - 1,) + h[y + 1 :]
-        mass = base.get(prev)
-        if mass is None:
-            continue
+        mass = float(base[prev[:-1]])
         den += float(channel.W0[y]) * mass
         num += float(channel.W1[y]) * mass
     if den <= 0.0:
@@ -577,10 +602,11 @@ def linearization_residual(
     if window_mult <= 0.0:
         raise ValidationError(f"window_mult must be positive, got {window_mult!r}")
     s = fisher_constant(channel, pi).s
-    hists, p_null, p_alt = _lr_table(channel, comp, cap)
+    _check_pair(channel, comp, "linearization residual")
+    counts, p_null, p_alt = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
     U = p_alt / p_null - 1.0
     center = mean_histogram(channel, comp)
-    dev = np.array(hists, dtype=np.float64) - center
+    dev = counts - center
     half = window_mult * math.sqrt(comp.n * math.log(comp.n))
     inside = np.max(np.abs(dev), axis=1) <= half
     residual = np.abs(U - (dev @ s) / comp.n)

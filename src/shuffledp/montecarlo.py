@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .channels import Channel, score_stats
-from .errors import ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_pair, _lr_table
+from .errors import InternalInvariantError, ValidationError
+from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_pair, _pair_table
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -171,20 +171,21 @@ def sample_privacy_loss(
 
     Draw g simulates all n users (input-0 users first), builds the message
     histogram and evaluates the exact pair ratio at it: through the affine
-    identity for k = 0, through the enumerated ratio table otherwise (the
-    table inherits the enumeration cap).  Returns `config.reps` values in
-    draw order, independent of `config.workers`.
+    identity for k = 0, through a dense table of the exact log ratios
+    otherwise (the table inherits the enumeration cap; a draw on a cell
+    dropped from it raises InternalInvariantError).  Returns
+    `config.reps` values in draw order, independent of `config.workers`.
     """
     _check_pair(channel, comp, "privacy-loss sampling")
     n, k = comp.n, comp.k
     ones = k + (1 if hypothesis is Hypothesis.ALT else 0)
     w = score_stats(channel).w
-    lam_map = None
     if k > 0:
-        hists, p_null, p_alt = _lr_table(channel, comp, cap)
+        table, p_null, p_alt = _pair_table(channel, n - 1 - k, k, 1, cap)
+        # NaN marks the cells dropped from the table
+        lam = np.full((n + 1,) * (channel.d - 1), np.nan)
         with np.errstate(divide="ignore"):
-            lam_vals = np.log(p_alt / p_null)
-        lam_map = {h: float(l) for h, l in zip(hists, lam_vals)}
+            lam[tuple(table[:, :-1].T)] = np.log(p_alt / p_null)
     cdf0 = np.cumsum(channel.W0)
     cdf1 = np.cumsum(channel.W1)
     out = np.empty(config.reps, dtype=np.float64)
@@ -206,7 +207,9 @@ def sample_privacy_loss(
                 with np.errstate(divide="ignore"):
                     out[lo:hi] = np.log(lr)
             else:
-                out[lo:hi] = [lam_map[tuple(row)] for row in counts.tolist()]
+                out[lo:hi] = lam[tuple(counts[:, :-1].T)]
+                if np.isnan(out[lo:hi]).any():
+                    raise InternalInvariantError("sampled a histogram whose null mass underflowed")
 
     _run_blocks(config.reps, config.workers, block)
     return out

@@ -7,7 +7,8 @@ elementary symmetric function of the ratios w(y):
 
     L(N) = [t^m] prod_y (1 + w(y) t)^{N_y}  /  C(nm, m),
 
-computed below by truncated polynomial multiplication.  Bundling the m
+computed below by truncated polynomial multiplication; the atoms divide the
+two exact histogram laws instead.  Bundling the m
 messages into one super-symbol instead multiplies chi-squares, so the
 bundled Gaussian parameter dominates the unbundled one; `mm_gdp_compare`
 quantifies the gap.
@@ -21,15 +22,17 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .channels import Channel, Support, score_stats
-from .errors import EnumerationCapError, InternalInvariantError, ValidationError
+from .errors import InternalInvariantError, ValidationError
 from .exact_dist import (
     DEFAULT_ATOM_CAP,
+    Composition,
     LrAtomization,
     PrivacyCurve,
     Sidedness,
-    _atom_count,
     _check_atomization,
+    _check_pair,
     _merge_atoms,
+    _pair_table,
     privacy_curve,
 )
 
@@ -108,23 +111,21 @@ def _coef_log(w: np.ndarray, counts, m: int) -> float:
     return float(log_coef[m])
 
 
-def unbundled_lr(channel: Channel, n: int, m: int, histogram, use_log: bool | None = None) -> float:
+def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     """Exact m-message likelihood ratio at a histogram of nm messages.
 
     Args:
         channel: validated channel with min(W0) > 0.
         n: number of users; m: messages per user.
         histogram: counts per symbol, summing to n*m.
-        use_log: force the log-space coefficient path (None = automatic
-            overflow-based choice).
 
-    For m = 1 the value is checked against the affine single-message
-    identity (1/n) sum_y N_y w(y).
+    The coefficient is computed in log space when plain floats could
+    overflow.  For m = 1 the value is checked against the affine
+    single-message identity (1/n) sum_y N_y w(y).
     """
-    if channel.support is Support.SINGULAR:
-        raise ValidationError("unbundled ratio needs min(W0) > 0; channel is SINGULAR")
-    if n < 1 or m < 1:
-        raise ValidationError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    _check_pair(channel, Composition(n, 0), "unbundled ratio")
+    if m < 1:
+        raise ValidationError(f"need m >= 1, got m={m}")
     counts = tuple(int(x) for x in histogram)
     if len(counts) != channel.d:
         raise ValidationError(f"histogram has {len(counts)} cells, channel has d={channel.d}")
@@ -132,9 +133,7 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram, use_log: bool | No
         raise ValidationError(f"histogram {counts} is not a size-{n * m} count vector")
     w = score_stats(channel).w
     log_denom = float(gammaln(n * m + 1) - gammaln(m + 1) - gammaln(n * m - m + 1))
-    if use_log is None:
-        use_log = _use_log_space(channel, n, m)
-    if use_log:
+    if _use_log_space(channel, n, m):
         log_num = _coef_log(w, counts, m)
         value = 0.0 if log_num == -np.inf else math.exp(log_num - log_denom)
     else:
@@ -149,52 +148,21 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram, use_log: bool | No
     return value
 
 
-def _multinomial_histograms(total: int, d: int):
-    """All count vectors of length d summing to total, lexicographic."""
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _multinomial_histograms(total - first, d - 1):
-            yield (first,) + rest
-
-
 def unbundled_lr_atoms(
     channel: Channel, n: int, m: int, cap: int = DEFAULT_ATOM_CAP
 ) -> LrAtomization:
-    """Atomize the m-message pair over the full multinomial null law.
+    """Atomize the m-message pair over the exact nm-message histogram laws.
 
-    The null law of the nm-message histogram is Multinomial(nm, W0); alt
-    masses follow from the martingale relation p_alt = L * p_null.
+    Both laws share (n-1)m W0-messages; the null law adds m more W0-messages,
+    the alt law the changed user's m W1-messages.  Their quotient is the
+    ratio `unbundled_lr` computes one histogram at a time.
     """
-    if channel.support is Support.SINGULAR:
-        raise ValidationError("unbundled atoms need min(W0) > 0; channel is SINGULAR")
-    if n < 1 or m < 1:
-        raise ValidationError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    total = n * m
-    count = _atom_count(total, channel.d)
-    if count > cap:
-        raise EnumerationCapError(
-            f"multinomial support for nm={total}, d={channel.d} has {count} atoms "
-            f"> cap {cap}; use montecarlo.sample_privacy_loss instead"
-        )
-    log_w0 = np.where(channel.W0 > 0.0, np.log(channel.W0), -np.inf)
-    use_log = _use_log_space(channel, n, m)
-    lr_vals = []
-    p_null = []
-    base = float(gammaln(total + 1))
-    for h in _multinomial_histograms(total, channel.d):
-        arr = np.asarray(h, dtype=np.float64)
-        log_p = base - float(np.sum(gammaln(arr + 1.0))) + float(np.dot(arr, log_w0))
-        if log_p == -np.inf:
-            continue
-        lr_vals.append(unbundled_lr(channel, n, m, h, use_log=use_log))
-        p_null.append(math.exp(log_p))
-    lr_arr = np.asarray(lr_vals)
-    p_arr = np.asarray(p_null)
-    p_arr = p_arr / p_arr.sum()
-    lr_arr, p_n, p_a = _merge_atoms(lr_arr, p_arr, lr_arr * p_arr)
-    atoms = LrAtomization(n=n, k=0, lr=lr_arr, p_null=p_n, p_alt=p_a)
+    _check_pair(channel, Composition(n, 0), "unbundled atoms")
+    if m < 1:
+        raise ValidationError(f"need m >= 1, got m={m}")
+    _, p_null, p_alt = _pair_table(channel, (n - 1) * m, 0, m, cap)
+    lr, p_null, p_alt = _merge_atoms(p_alt / p_null, p_null, p_alt)
+    atoms = LrAtomization(n=n, k=0, lr=lr, p_null=p_null, p_alt=p_alt)
     _check_atomization(atoms)
     return atoms
 

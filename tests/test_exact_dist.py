@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shuffledp
@@ -34,7 +34,7 @@ from shuffledp import (
     tradeoff_curve,
     validate_channel,
 )
-from shuffledp.exact_dist import _check_atomization
+from shuffledp.exact_dist import _check_atomization, _merge_atoms
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -73,8 +73,66 @@ def test_mean_histogram():
 
 def test_enumeration_cap_trips():
     ch = full_channel(np.random.default_rng(9), 5)
-    with pytest.raises(EnumerationCapError, match="cap"):
+    with pytest.raises(EnumerationCapError, match="cells > cap"):
         histogram_law(ch, Composition(100, 0), cap=1000)
+
+
+# Reference engine: the histogram law as a dict, folded one message at a time
+# over the histograms in insertion order.
+
+
+def _dict_fold(law, W):
+    support = [(y, float(p)) for y, p in enumerate(W) if p > 0.0]
+    out = {}
+    for h, mass in law.items():
+        for y, p in support:
+            h2 = h[:y] + (h[y] + 1,) + h[y + 1 :]
+            out[h2] = out.get(h2, 0.0) + mass * p
+    return out
+
+
+def _dict_pair(ch, comp):
+    """Renormalized base law T_{n-1,k} and the merged atoms of the pair."""
+    base = {(0,) * ch.d: 1.0}
+    for W in [ch.W0] * (comp.n - 1 - comp.k) + [ch.W1] * comp.k:
+        base = _dict_fold(base, W)
+    factor = 1.0 / math.fsum(base.values())
+    base = {h: m * factor for h, m in base.items()}
+    null, alt = _dict_fold(base, ch.W0), _dict_fold(base, ch.W1)
+    hists = [h for h, p in null.items() if p >= np.finfo(np.float64).tiny]
+    p_null = np.array([null[h] for h in hists])
+    p_alt = np.array([alt.get(h, 0.0) for h in hists])
+    return base, _merge_atoms(p_alt / p_null, p_null, p_alt)
+
+
+@pytest.mark.parametrize(
+    "d, n, k", [(2, 1900, 0), (2, 300, 100), (3, 60, 0), (3, 60, 25), (4, 20, 7)]
+)
+def test_dense_engine_is_bit_identical_to_dict_fold(d, n, k):
+    ch = full_channel(np.random.default_rng(100 + d), d)
+    base, (lr, p_null, p_alt) = _dict_pair(ch, Composition(n, k))
+    law = histogram_law(ch, Composition(n - 1, k)).atoms
+    # same histograms in the same (descending lexicographic) order, same bits
+    assert list(law.items()) == [(h, m) for h, m in base.items() if m > 0.0]
+    atoms = lr_atoms(ch, Composition(n, k))
+    assert np.array_equal(atoms.lr, lr)
+    assert np.array_equal(atoms.p_null, p_null)
+    assert np.array_equal(atoms.p_alt, p_alt)
+
+
+def test_dense_engine_matches_dict_fold_on_null_support_channel():
+    # W1 misses symbol 2: the dict adds the terms of a cell in another order
+    ch = validate_channel([0.3, 0.3, 0.4], [0.5, 0.5, 0.0])
+    comp = Composition(40, 9)
+    base, (lr, p_null, p_alt) = _dict_pair(ch, comp)
+    law = histogram_law(ch, Composition(39, 9)).atoms
+    assert law.keys() == base.keys()
+    np.testing.assert_allclose(
+        [law[h] for h in base], list(base.values()), rtol=1e-15, atol=0.0
+    )
+    atoms = lr_atoms(ch, comp)
+    for got, want in ((atoms.lr, lr), (atoms.p_null, p_null), (atoms.p_alt, p_alt)):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_composition_validation():
@@ -173,6 +231,18 @@ def test_generic_atoms_stay_finite_where_masses_underflow():
     )
 
 
+def test_lr_atoms_memory_is_linear_in_cells():
+    ch = full_channel(np.random.default_rng(7), 3)
+    n = 400
+    tracemalloc.start()
+    try:
+        lr_atoms(ch, Composition(n, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * (n + 1) ** 2
+
+
 def test_atomization_check_rejects_nan():
     atoms = lr_atoms(RR3, Composition(2, 0))
     atoms.lr[1] = np.nan
@@ -197,6 +267,13 @@ def test_binomial_atoms_reject_d3():
     ch = full_channel(np.random.default_rng(1), 3)
     with pytest.raises(ValidationError, match="d=2"):
         binomial_lr_atoms(ch, 5)
+
+
+def test_binomial_atoms_pair_preconditions():
+    with pytest.raises(ValidationError, match="k <= n-1"):
+        binomial_lr_atoms(RR3, 0)
+    with pytest.raises(ValidationError, match="SINGULAR"):
+        binomial_lr_atoms(validate_channel([0.0, 1.0], [0.5, 0.5]), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +399,31 @@ def test_divergences_n1_oracles():
     assert report.chi2 == pytest.approx(4 / 3, rel=1e-12)
     assert report.renyi[2.0] == pytest.approx(math.log(7 / 3), rel=1e-12)
     assert report.tv == pytest.approx(0.5, rel=1e-12)  # (3-1)*0.25
+
+
+def test_divergences_match_per_atom_sums():
+    atoms = binomial_lr_atoms(rr_channel(1.1), 950_000)
+    pairs = list(zip(atoms.lr.tolist(), atoms.p_null.tolist()))
+    report = divergences(atoms, renyi_orders=(1.5, 2.0))
+
+    def jsd_term(t):
+        if t == 0.0:
+            return 0.5 * LN2
+        return 0.5 * math.log(2.0 / (1.0 + t)) + 0.5 * t * math.log(2.0 * t / (1.0 + t))
+
+    want = {
+        "jsd": math.fsum(p * jsd_term(l) for l, p in pairs),
+        "tv": math.fsum(p * (l - 1.0) for l, p in pairs if l > 1.0),
+        "chi2": math.fsum(p * (l - 1.0) ** 2 for l, p in pairs),
+        "kl": math.fsum(p * l * math.log(l) for l, p in pairs if l > 0.0),
+    }
+    for name, value in want.items():
+        assert getattr(report, name) == pytest.approx(value, rel=1e-13), name
+    for alpha in (1.5, 2.0):
+        moment = math.fsum(p * l**alpha for l, p in pairs)
+        assert report.renyi[alpha] == pytest.approx(
+            math.log(moment) / (alpha - 1.0), rel=1e-13
+        )
 
 
 def test_chi2_contracts_exactly_like_one_over_n():
@@ -466,6 +568,35 @@ def test_parse_csv_requires_header():
 
 # ---------------------------------------------------------------------------
 # randomized cross-checks
+
+
+@settings(max_examples=10)
+@given(st.floats(0.5, 2.0), st.integers(1, 3000))
+@example(0.5, 3000)
+@example(2.0, 3000)
+@example(1.0, 2)
+def test_generic_matches_binomial_in_underflow_regime(eps0, n):
+    ch = rr_channel(eps0)
+    atoms = lr_atoms(ch, Composition(n, 0))
+    for arr in (atoms.lr, atoms.p_null, atoms.p_alt):
+        assert np.all(np.isfinite(arr))
+    eps = np.linspace(0.0, eps0, 64)
+    forward = privacy_curve(atoms, eps).delta
+    np.testing.assert_allclose(
+        forward, binomial_curve(ch, n, eps).delta, rtol=1e-10, atol=1e-300
+    )
+    assert np.all(privacy_curve(atoms, eps, Sidedness.TWO_SIDED).delta >= forward)
+
+
+@pytest.mark.parametrize("eps0, n", [(1.0, 2), (0.5, 3), (2.0, 40)])
+def test_delta_is_zero_at_the_largest_ratio_of_rr(eps0, n):
+    # the top atom is e^eps0 up to a few ulps in both engines; its excess
+    # over the threshold e^eps0 is a tie, not a positive delta
+    ch = rr_channel(eps0)
+    for atoms in (lr_atoms(ch, Composition(n, 0)), binomial_lr_atoms(ch, n)):
+        assert atoms.lr[-1] == pytest.approx(math.exp(eps0), rel=1e-15)
+        assert privacy_curve(atoms, [eps0]).delta[0] == 0.0
+        assert privacy_curve(atoms, [0.999 * eps0]).delta[0] > 0.0
 
 
 @settings(max_examples=25)

@@ -7,6 +7,7 @@ from shuffledp import (
     Composition,
     EnumerationCapError,
     Hypothesis,
+    InternalInvariantError,
     Regime,
     SimConfig,
     ValidationError,
@@ -89,6 +90,21 @@ def test_sampling_validation_and_cap():
         sample_privacy_loss(RR3, Composition(5, 5), Hypothesis.NULL, SimConfig(seed=0, reps=10))
     with pytest.raises(EnumerationCapError):
         sample_privacy_loss(RR3, Composition(300, 2), Hypothesis.NULL, SimConfig(seed=0, reps=10), cap=50)
+
+
+def test_sampling_raises_on_a_histogram_missing_from_the_table(monkeypatch):
+    from shuffledp import montecarlo
+
+    real = montecarlo._pair_table
+
+    def without_modal_cell(*args):
+        counts, p_null, p_alt = real(*args)
+        keep = np.arange(p_null.size) != np.argmax(p_null)
+        return counts[keep], p_null[keep], p_alt[keep]
+
+    monkeypatch.setattr(montecarlo, "_pair_table", without_modal_cell)
+    with pytest.raises(InternalInvariantError, match="underflowed"):
+        sample_privacy_loss(RR3, Composition(8, 3), Hypothesis.NULL, SimConfig(seed=0, reps=200))
 
 
 def test_kolmogorov_exact_atoms_oracle():

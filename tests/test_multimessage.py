@@ -18,6 +18,7 @@ from shuffledp import (
     unbundled_lr_atoms,
     validate_channel,
 )
+from shuffledp.multimessage import _coef_direct, _coef_log
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -57,10 +58,10 @@ def test_unbundled_matches_brute_force():
 
 
 def test_log_and_direct_paths_agree():
-    ch = full_channel(np.random.default_rng(47), 3)
+    w = score_stats(full_channel(np.random.default_rng(47), 3)).w
     for h in _histograms(6, 3):
-        a = unbundled_lr(ch, 3, 2, h, use_log=False)
-        b = unbundled_lr(ch, 3, 2, h, use_log=True)
+        a = _coef_direct(w, h, 2)
+        b = math.exp(_coef_log(w, h, 2))
         assert a == pytest.approx(b, rel=1e-11)
 
 
@@ -83,12 +84,50 @@ def test_unbundled_atoms_are_a_valid_atomization():
     assert np.all(np.diff(atoms.lr) > 0)
 
 
+def test_unbundled_atoms_are_the_coefficient_ratios():
+    # the quotient of the two dense laws is the per-histogram ratio
+    ch = full_channel(np.random.default_rng(61), 3)
+    n, m = 4, 2
+    atoms = unbundled_lr_atoms(ch, n, m)
+    ratios = np.array([unbundled_lr(ch, n, m, h) for h in _histograms(n * m, 3)])
+    gap = np.abs(atoms.lr[None, :] - ratios[:, None])
+    assert np.all(gap.min(axis=1) <= 1e-12 * ratios)
+    assert np.all(gap.min(axis=0) <= 1e-12 * atoms.lr)
+
+
 def test_unbundled_m1_atoms_match_single_message():
     ch = full_channel(np.random.default_rng(53), 2)
     a = unbundled_lr_atoms(ch, 6, 1)
     b = lr_atoms(ch, Composition(6, 0))
     assert a.lr == pytest.approx(b.lr, rel=1e-10)
     assert a.p_null == pytest.approx(b.p_null, rel=1e-10)
+
+
+def test_unbundled_curve_matches_high_precision_sum():
+    # d = 2: the count K of symbol 1 is Binomial(nm, W0[1]) under the null,
+    # and L(K) = sum_j C(nm-K, j) C(K, m-j) w0^j w1^(m-j) / C(nm, m)
+    mpmath = pytest.importorskip("mpmath")
+    n, m = 200, 4
+    eps = [0.0, 0.05, 0.1, 0.2, 0.3]
+    got = unbundled_exact_curve(RR3, n, m, eps).delta
+    comb = math.comb
+    with mpmath.workdps(50):
+        w0, w1 = (mpmath.mpf(float(x)) for x in score_stats(RR3).w)
+        p1 = mpmath.mpf(float(RR3.W0[1]))
+        total = n * m
+        terms = []
+        for K in range(total + 1):
+            coef = mpmath.fsum(
+                comb(total - K, j) * comb(K, m - j) * w0**j * w1 ** (m - j)
+                for j in range(m + 1)
+            )
+            mass = comb(total, K) * p1**K * (1 - p1) ** (total - K)
+            terms.append((coef / comb(total, m), mass))
+        want = []
+        for e in eps:
+            t = mpmath.exp(e)
+            want.append(float(mpmath.fsum(p * (L - t) for L, p in terms if L > t)))
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
 
 def test_unbundled_atoms_cap():
