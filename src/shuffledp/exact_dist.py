@@ -19,6 +19,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special._ufuncs import _binom_pmf
 
 from .channels import Channel, Support, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
@@ -37,6 +38,11 @@ MERGE_REL_TOL = 1e-12
 # excess of such an atom is rounding noise: at the largest ratio of shuffled
 # randomized response, e^eps0, delta(eps0) is exactly 0, not ~1e-17.
 TIE_REL_TOL = 16 * np.finfo(np.float64).eps
+
+# Cells whose null mass is below the smallest normal double are dropped: their
+# ratio p_alt / p_null, or a merged atom's null-weighted mean ratio, is a
+# quotient of subnormals (or 0/0) and off by O(1).
+MIN_NULL_MASS = np.finfo(np.float64).tiny
 
 _LOG2 = math.log(2.0)
 
@@ -188,32 +194,54 @@ def _check_cap(n: int, d: int, cap: int) -> None:
         )
 
 
-def _fold(law: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _fold(law: np.ndarray, W: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """One more message drawn from W added to a dense histogram law.
 
     A law of N messages is an array of shape (N+1,)*(d-1) indexed by the
     counts of symbols 0..d-2; the count of symbol d-1 is implied.  The
-    result has shape (N+2,)*(d-1).  Terms are added with y = d-1 first and
-    then downwards, which makes every cell the same floating-point sum as a
-    fold over histograms taken in descending lexicographic order.
+    result, of shape (N+2,)*(d-1), is written to the front of the flat
+    buffer `out` and returned as a view of it; the flat buffer `scratch`
+    holds the products W[y] * law.  Both need room for the result and must
+    not overlap `law`.  Terms are added with y = d-1 first and then
+    downwards, which makes every cell the same floating-point sum as a fold
+    over histograms taken in descending lexicographic order.
     """
-    out = np.zeros(tuple(s + 1 for s in law.shape))
-    inner = [slice(0, s) for s in law.shape]
-    out[tuple(inner)] = W[-1] * law
+    shape = tuple(s + 1 for s in law.shape)
+    res = out[: math.prod(shape)].reshape(shape)
+    # `out` holds an earlier law: zero the cells the shifted adds start from
+    for axis, s in enumerate(law.shape):
+        res[(slice(None),) * axis + (s,)] = 0.0
+    inner = tuple(slice(0, s) for s in law.shape)
+    np.multiply(law, W[-1], out=res[inner])
+    product = scratch[: law.size].reshape(law.shape)
     for y in range(W.size - 2, -1, -1):
         shifted = list(inner)
         shifted[y] = slice(1, None)
-        out[tuple(shifted)] += W[y] * law
-    return out
+        np.multiply(law, W[y], out=product)
+        res[tuple(shifted)] += product
+    return res
+
+
+def _fold_messages(law: np.ndarray, messages: list[np.ndarray]) -> np.ndarray:
+    """`law` with one message drawn from each of `messages` added, in order.
+
+    The folds alternate between two buffers the size of the result and share
+    one scratch buffer, so no step allocates; `law` itself is not modified.
+    """
+    if not messages:
+        return law
+    size = math.prod(s + len(messages) for s in law.shape)
+    buffers = [np.empty(size) for _ in range(min(2, len(messages)))]
+    scratch = np.empty(size)
+    for i, W in enumerate(messages):
+        law = _fold(law, W, buffers[i % 2], scratch)
+    return law
 
 
 def _dense_law(channel: Channel, zeros: int, ones: int) -> tuple[np.ndarray, float]:
     """Dense law of `zeros` W0- then `ones` W1-messages and its renormalizing factor."""
     law = np.ones((1,) * (channel.d - 1))
-    for _ in range(zeros):
-        law = _fold(law, channel.W0)
-    for _ in range(ones):
-        law = _fold(law, channel.W1)
+    law = _fold_messages(law, [channel.W0] * zeros + [channel.W1] * ones)
     factor = 1.0 / math.fsum(law.ravel())
     law *= factor
     return law, factor
@@ -288,15 +316,14 @@ def _pair_table(channel: Channel, zeros: int, ones: int, m: int, cap: int):
 
     The base law holds `zeros` W0- and `ones` W1-messages.  Rows are full
     count vectors in descending lexicographic order.  Cells whose null mass
-    underflowed below the smallest normal double are dropped: their ratio
-    p_alt / p_null is 0/0 or a quotient of subnormals, off by O(1).
+    is below MIN_NULL_MASS are dropped.
     """
     _check_cap(zeros + ones + m, channel.d, cap)
-    null = alt = _dense_law(channel, zeros, ones)[0]
-    for _ in range(m):
-        null = _fold(null, channel.W0)
-        alt = _fold(alt, channel.W1)
-    pos, counts = _descending_cells(null >= np.finfo(np.float64).tiny)
+    base = _dense_law(channel, zeros, ones)[0]
+    null = _fold_messages(base, [channel.W0] * m)
+    alt = _fold_messages(base, [channel.W1] * m)
+    del base  # freed before the kept cells are indexed, to bound the peak
+    pos, counts = _descending_cells(null >= MIN_NULL_MASS)
     return counts, null.ravel()[pos], alt.ravel()[pos]
 
 
@@ -330,29 +357,37 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
     return atoms
 
 
+def _binomial_window(n: int, p0: float) -> np.ndarray:
+    """The counts K in [n p0 - sqrt(400 n), n p0 + sqrt(400 n)] and [0, n], as floats."""
+    half = math.sqrt(400.0 * n)
+    lo = max(0, math.floor(n * p0 - half))
+    hi = min(n, math.ceil(n * p0 + half))
+    return np.arange(lo, hi + 1, dtype=np.float64)
+
+
 def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
     """Atoms of the k=0 pair for a two-symbol channel, via the binomial law.
 
-    The histogram reduces to the count K ~ Binomial(n, W0[1]) under the null
-    law, and the ratio is affine in K; this scales to n in the thousands
-    where the generic enumeration is unnecessary.
+    The histogram reduces to the count K ~ Binomial(n, p0), p0 = W0[1],
+    under the null law, and the ratio is affine in K; this scales to n in
+    the millions where the generic enumeration cannot go.  The pmf is
+    scipy's Boost kernel (the one `scipy.stats.binom.pmf` calls), evaluated
+    only on the window |K - n p0| <= sqrt(400 n): by Hoeffding's inequality
+    P(K = k) <= exp(-2 (k - n p0)^2 / n) < e^-800 outside it, far below the
+    smallest subnormal double, so every count outside has mass 0 anyway.
+    Counts whose null mass is below MIN_NULL_MASS are dropped, as in the
+    generic engine.
     """
-    # Imported here: scipy.stats dominates the import time and memory of the
-    # package, and only this function needs it.  Its pmf keeps the masses
-    # summing to 1 within the atomization tolerance at large n, which a
-    # log-gamma formula does not.
-    from scipy.stats import binom
-
     if channel.d != 2:
         raise ValidationError(f"binomial atoms need d=2, got d={channel.d}")
     _check_pair(channel, Composition(n, 0), "binomial atoms")
     p0 = float(channel.W0[1])
     w = score_stats(channel).w
-    K = np.arange(n + 1, dtype=np.float64)
-    p_null = binom.pmf(np.arange(n + 1), n, p0)
+    K = _binomial_window(n, p0)
+    p_null = _binom_pmf(K, n, p0)
     lr = ((n - K) / n) * w[0] + (K / n) * w[1]
     p_alt = lr * p_null
-    keep = p_null > 0.0
+    keep = p_null >= MIN_NULL_MASS
     lr, p_null, p_alt = _merge_atoms(lr[keep], p_null[keep], p_alt[keep])
     atoms = LrAtomization(n=n, k=0, lr=lr, p_null=p_null, p_alt=p_alt)
     _check_atomization(atoms)
@@ -391,6 +426,8 @@ def _check_atomization(atoms: LrAtomization, tol: float = 1e-9) -> None:
     for label, arr in (("ratio", atoms.lr), ("null mass", atoms.p_null), ("alt mass", atoms.p_alt)):
         if not np.all(np.isfinite(arr)):
             raise InternalInvariantError(f"atomization has a non-finite {label}")
+    if not np.all(np.diff(atoms.lr) > 0.0):
+        raise InternalInvariantError("atomization ratios are not strictly increasing")
     total_null = float(atoms.p_null.sum())
     total_alt = float(atoms.p_alt.sum()) + atoms.alt_singular_mass
     mean_lr = float(np.dot(atoms.lr, atoms.p_null)) + atoms.alt_singular_mass
@@ -485,6 +522,16 @@ def _jsd_kernel(t: np.ndarray) -> np.ndarray:
     return np.where(t == 0.0, 0.5 * _LOG2, value)
 
 
+def _fsum(terms: np.ndarray) -> float:
+    """Exactly rounded sum, fed to `math.fsum` in decreasing order.
+
+    The result does not depend on the order; sorted terms keep fsum's list
+    of partials short, which makes it much faster on terms spanning hundreds
+    of decades (the far-tail atoms of a large-n binomial pair).
+    """
+    return math.fsum(np.sort(terms)[::-1])
+
+
 def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     """Standard divergences of the alt law from the null law.
 
@@ -496,16 +543,16 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     """
     lr, p_null = atoms.lr, atoms.p_null
     sing = atoms.alt_singular_mass
-    jsd = math.fsum(p_null * _jsd_kernel(lr)) + sing * 0.5 * _LOG2
+    jsd = _fsum(p_null * _jsd_kernel(lr)) + sing * 0.5 * _LOG2
     above = lr > 1.0
-    tv = math.fsum(p_null[above] * (lr[above] - 1.0)) + sing
+    tv = _fsum(p_null[above] * (lr[above] - 1.0)) + sing
     if sing > 0.0:
         chi2 = math.inf
         kl = math.inf
     else:
-        chi2 = math.fsum(p_null * (lr - 1.0) ** 2)
+        chi2 = _fsum(p_null * (lr - 1.0) ** 2)
         pos = lr > 0.0
-        kl = math.fsum(p_null[pos] * lr[pos] * np.log(lr[pos]))
+        kl = _fsum(p_null[pos] * lr[pos] * np.log(lr[pos]))
     renyi: dict[float, float] = {}
     for alpha in renyi_orders:
         alpha = float(alpha)
@@ -515,7 +562,7 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
             raise ValidationError(
                 "Renyi divergence needs full support in both directions"
             )
-        moment = math.fsum(p_null * lr**alpha)
+        moment = _fsum(p_null * lr**alpha)
         renyi[alpha] = math.log(moment) / (alpha - 1.0)
     return DivergenceReport(jsd=jsd, tv=tv, chi2=chi2, kl=kl, renyi=renyi)
 

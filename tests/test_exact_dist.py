@@ -34,7 +34,13 @@ from shuffledp import (
     tradeoff_curve,
     validate_channel,
 )
-from shuffledp.exact_dist import _check_atomization, _merge_atoms
+from shuffledp.exact_dist import (
+    _binom_pmf,
+    _binomial_window,
+    _check_atomization,
+    _jsd_kernel,
+    _merge_atoms,
+)
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -251,7 +257,13 @@ def test_atomization_check_rejects_nan():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, shuffledp; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, shuffledp\n"
+        "ch = shuffledp.rr_channel(1.1)\n"
+        "shuffledp.binomial_curve(ch, 100_000, [0.01, 0.1])\n"
+        "shuffledp.jsd_canonical_asymptotic(ch, 100_000)\n"
+        "print('scipy.stats' in sys.modules)"
+    )
     src = os.path.dirname(os.path.dirname(shuffledp.__file__))
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -261,6 +273,42 @@ def test_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("eps0", [0.05, 1.1, 3.0, 8.0])
+@pytest.mark.parametrize("n", [1, 2, 57, 2001, 950_000])
+def test_boost_pmf_is_binom_pmf_on_the_window_and_zero_outside(eps0, n):
+    from scipy.stats import binom  # the oracle only; the package never imports it
+
+    p0 = float(rr_channel(eps0).W0[1])
+    K = _binomial_window(n, p0)
+    full = binom.pmf(np.arange(n + 1), n, p0)
+    inside = K.astype(np.int64)
+    assert _binom_pmf(K, n, p0).tobytes() == full[inside].tobytes()
+    outside = np.ones(n + 1, dtype=bool)
+    outside[inside] = False
+    assert not np.any(full[outside])
+
+
+def test_binomial_atoms_drop_subnormal_null_mass():
+    # at rr eps0=3, n=30000 the far tail holds ~70 counts of subnormal null
+    # mass; merged, their ratios came out as 0.0, 1/6, 2.125, ... instead of
+    # the affine L(K) in [e^-3, e^3]
+    eps0 = 3.0
+    atoms = binomial_lr_atoms(rr_channel(eps0), 30_000)
+    assert np.all(atoms.p_null >= np.finfo(np.float64).tiny)
+    assert np.all(np.diff(atoms.lr) > 0.0)
+    assert atoms.lr[0] >= math.exp(-eps0) * (1.0 - 1e-12)
+    assert atoms.lr[-1] <= math.exp(eps0) * (1.0 + 1e-12)
+    assert reverse_atomization(atoms).alt_singular_mass == 0.0
+    assert math.isfinite(divergences(atoms, renyi_orders=(2.0,)).renyi[2.0])
+
+
+def test_atomization_check_rejects_unsorted_ratios():
+    atoms = lr_atoms(RR3, Composition(3, 0))
+    atoms.lr[[0, 1]] = atoms.lr[[1, 0]]
+    with pytest.raises(InternalInvariantError, match="strictly increasing"):
+        _check_atomization(atoms)
 
 
 def test_binomial_atoms_reject_d3():
@@ -424,6 +472,29 @@ def test_divergences_match_per_atom_sums():
         assert report.renyi[alpha] == pytest.approx(
             math.log(moment) / (alpha - 1.0), rel=1e-13
         )
+
+
+@pytest.mark.parametrize(
+    "make_atoms",
+    [
+        lambda: binomial_lr_atoms(rr_channel(1.1), 950_000),
+        lambda: lr_atoms(full_channel(np.random.default_rng(3), 3), Composition(60, 0)),
+    ],
+    ids=["binomial-950k", "d3-n60"],
+)
+def test_divergences_equal_fsum_of_unsorted_terms(make_atoms):
+    # math.fsum is exactly rounded, so summing in decreasing order changes
+    # no bit of any divergence
+    atoms = make_atoms()
+    lr, p = atoms.lr, atoms.p_null
+    report = divergences(atoms, renyi_orders=(1.5, 2.0))
+    above, pos = lr > 1.0, lr > 0.0
+    assert report.jsd == math.fsum(p * _jsd_kernel(lr))
+    assert report.tv == math.fsum(p[above] * (lr[above] - 1.0))
+    assert report.chi2 == math.fsum(p * (lr - 1.0) ** 2)
+    assert report.kl == math.fsum(p[pos] * lr[pos] * np.log(lr[pos]))
+    for alpha in (1.5, 2.0):
+        assert report.renyi[alpha] == math.log(math.fsum(p * lr**alpha)) / (alpha - 1.0)
 
 
 def test_chi2_contracts_exactly_like_one_over_n():
