@@ -11,14 +11,34 @@ functional-specific factor.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .channels import Channel, score_stats
 from .errors import ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, _atom_count, _cell_count, binomial_lr_atoms, divergences, lr_atoms
 from .simplex_linalg import fisher_constant
+
+
+_SQRT_HALF = math.sqrt(0.5)
+_STD_NORMAL = NormalDist()
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF, as 0.5 erfc(-x / sqrt 2).
+
+    The complementary error function keeps full relative accuracy in the
+    lower tail, where 0.5 (1 + erf(x / sqrt 2)) cancels to 0 (below
+    x ~ -8.3) and the Gaussian curve's second term needs values down to
+    ~1e-300.
+    """
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _ndtr_array(x: np.ndarray) -> np.ndarray:
+    """`_ndtr` elementwise over a 1-d array."""
+    return np.array([_ndtr(v) for v in x.tolist()], dtype=np.float64)
 
 
 class GdpSource(Enum):
@@ -86,7 +106,7 @@ def gdp_delta(eps: float, mu: float) -> float:
         raise ValidationError(f"eps must be >= 0, got {eps!r}")
     if mu == 0.0:
         return 0.0
-    value = ndtr(-eps / mu + mu / 2.0) - math.exp(eps) * ndtr(-eps / mu - mu / 2.0)
+    value = _ndtr(-eps / mu + mu / 2.0) - math.exp(eps) * _ndtr(-eps / mu - mu / 2.0)
     return min(1.0, max(0.0, float(value)))
 
 
@@ -100,8 +120,12 @@ def gaussian_tradeoff(mu: float, alpha):
     a = np.asarray(alpha, dtype=np.float64)
     if np.any((a < 0.0) | (a > 1.0)):
         raise ValidationError("alpha must lie in [0, 1]")
-    with np.errstate(invalid="ignore"):
-        out = ndtr(ndtri(1.0 - a) - mu)
+    p = np.atleast_1d(1.0 - a).ravel()
+    # Phi^{-1} is +-inf at 1 and 0, where NormalDist.inv_cdf raises
+    z = np.where(p >= 1.0, np.inf, np.where(p <= 0.0, -np.inf, np.nan))
+    inner = (p > 0.0) & (p < 1.0)
+    z[inner] = [_STD_NORMAL.inv_cdf(v) for v in p[inner].tolist()]
+    out = _ndtr_array(z - mu).reshape(a.shape)
     out = np.where(a == 0.0, 1.0, np.where(a == 1.0, 0.0, out))
     return float(out) if np.isscalar(alpha) else out
 

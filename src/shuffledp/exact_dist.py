@@ -19,7 +19,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special._ufuncs import _binom_pmf
 
 from .channels import Channel, Support, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
@@ -101,6 +100,9 @@ class LrAtomization:
     the two laws.  `alt_singular_mass` is alt mass on null-null sets; it is
     zero for every atomization produced in this module (construction refuses
     SINGULAR channels) but participates in curve formulas for completeness.
+    `dropped_null_mass` and `dropped_alt_mass` record the masses (summed
+    with `math.fsum`) of the cells left out because their null mass was
+    below MIN_NULL_MASS; they enter no curve or divergence.
     """
 
     n: int
@@ -109,6 +111,8 @@ class LrAtomization:
     p_null: np.ndarray
     p_alt: np.ndarray
     alt_singular_mass: float = 0.0
+    dropped_null_mass: float = 0.0
+    dropped_alt_mass: float = 0.0
 
 
 @dataclass
@@ -296,8 +300,11 @@ def _merge_atoms(lr, p_null, p_alt, rel_tol: float = MERGE_REL_TOL):
     mn = np.add.reduceat(p_null, starts)
     ma = np.add.reduceat(p_alt, starts)
     weighted = np.add.reduceat(lr * p_null, starts)
-    # null-mass-weighted representative; plain mean for (unreachable) empty groups
-    rep = np.where(mn > 0.0, weighted / np.where(mn > 0.0, mn, 1.0), lr[starts])
+    # null-mass-weighted representative; a group of one keeps its ratio
+    # (the quotient (lr p) / p is off by an ulp for about 1 in 8), and so
+    # does an (unreachable) group without null mass
+    own = (np.diff(np.append(starts, lr.size)) == 1) | (mn <= 0.0)
+    rep = np.where(own, lr[starts], weighted / np.where(own, 1.0, mn))
     return rep, mn, ma
 
 
@@ -311,20 +318,32 @@ def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
         )
 
 
+def _dropped_masses(p_null: np.ndarray, p_alt: np.ndarray, keep: np.ndarray) -> dict[str, float]:
+    """The `LrAtomization` fields of the cells where `keep` fails."""
+    drop = ~keep
+    return {
+        "dropped_null_mass": _fsum(p_null[drop & (p_null > 0.0)]),
+        "dropped_alt_mass": _fsum(p_alt[drop & (p_alt > 0.0)]),
+    }
+
+
 def _pair_table(channel: Channel, zeros: int, ones: int, m: int, cap: int):
-    """(counts, p_null, p_alt) of the pair base + m W0- vs base + m W1-messages.
+    """(counts, p_null, p_alt, dropped) of the pair base + m W0- vs base + m W1-messages.
 
     The base law holds `zeros` W0- and `ones` W1-messages.  Rows are full
     count vectors in descending lexicographic order.  Cells whose null mass
-    is below MIN_NULL_MASS are dropped.
+    is below MIN_NULL_MASS are dropped; `dropped` holds their total null and
+    alt masses as `LrAtomization` keyword arguments.
     """
     _check_cap(zeros + ones + m, channel.d, cap)
     base = _dense_law(channel, zeros, ones)[0]
     null = _fold_messages(base, [channel.W0] * m)
     alt = _fold_messages(base, [channel.W1] * m)
     del base  # freed before the kept cells are indexed, to bound the peak
-    pos, counts = _descending_cells(null >= MIN_NULL_MASS)
-    return counts, null.ravel()[pos], alt.ravel()[pos]
+    keep = null >= MIN_NULL_MASS
+    pos, counts = _descending_cells(keep)
+    null, alt = null.ravel(), alt.ravel()
+    return counts, null[pos], alt[pos], _dropped_masses(null, alt, keep.ravel())
 
 
 def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -> LrAtomization:
@@ -341,7 +360,7 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
         EnumerationCapError: dense law larger than `cap` cells.
     """
     _check_pair(channel, comp, "likelihood-ratio atoms")
-    counts, p_null, p_alt = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
+    counts, p_null, p_alt, dropped = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
     lr = p_alt / p_null
     if comp.k == 0:
         w = score_stats(channel).w
@@ -352,9 +371,88 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
                 f"affine likelihood-ratio identity violated by {err:.3e} at k=0"
             )
     lr, p_null, p_alt = _merge_atoms(lr, p_null, p_alt)
-    atoms = LrAtomization(n=comp.n, k=comp.k, lr=lr, p_null=p_null, p_alt=p_alt)
+    atoms = LrAtomization(n=comp.n, k=comp.k, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
     _check_atomization(atoms)
     return atoms
+
+
+# stirlerr(x) = ln x! - (x + 1/2) ln x + x - ln sqrt(2 pi), the error of
+# Stirling's formula, at x = 0..15 (from 50-digit mpmath; 0 at x = 0 by
+# convention, where it is never used), and the coefficients of its
+# asymptotic series 1/12, 1/360, 1/1260, 1/1680, 1/1188 above 15.
+_STIRLERR_SMALL = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_S0, _S1, _S2, _S3, _S4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _stirlerr(x: np.ndarray) -> np.ndarray:
+    """Stirling-formula error at the nonnegative integer-valued floats x."""
+    out = np.empty_like(x)
+    small = x <= 15.0
+    out[small] = _STIRLERR_SMALL[x[small].astype(np.intp)]
+    big = x[~small]
+    nn = big * big
+    out[~small] = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / big
+    return out
+
+
+def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
+    """Deviance term x ln(x / mean) + mean - x, for x > 0 and mean > 0.
+
+    Within 10% of the mean the direct form cancels, so there it is the
+    series (x - mean) v + 2 x sum_{j>=1} v^(2j+1) / (2j+1) with
+    v = (x - mean) / (x + mean), |v| < 0.1, summed until it stops changing.
+    """
+    out = x * np.log(x / mean) + mean - x
+    near = np.abs(x - mean) < 0.1 * (x + mean)
+    xs = x[near]
+    v = (xs - mean) / (xs + mean)
+    s = (xs - mean) * v
+    ej = 2.0 * xs * v
+    v *= v
+    for j in range(1, 1000):  # |v| < 0.1: at most ~8 terms change a double
+        ej *= v
+        nxt = s + ej / (2 * j + 1)
+        if np.array_equal(nxt, s):
+            break
+        s = nxt
+    out[near] = s
+    return out
+
+
+def _binom_pmf(K: np.ndarray, n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) masses at the integer-valued floats K in [0, n], 0 < p < 1.
+
+    Loader's saddle-point form (C. Loader, "Fast and accurate computation of
+    binomial probabilities", 2000; the algorithm of R's dbinom):
+    P(K) = exp(stirlerr(n) - stirlerr(K) - stirlerr(n - K) - bd0(K, n p)
+    - bd0(n - K, n q)) / sqrt(2 pi K (n - K) / n), whose terms are small and
+    do not cancel, so the relative accuracy holds far into the tails.  The
+    end counts are q^n and p^n.
+    """
+    q = 1.0 - p
+    out = np.empty_like(K)
+    first, last = K == 0.0, K == n
+    out[first] = math.exp(n * math.log1p(-p))
+    out[last] = math.exp(n * math.log(p))
+    inner = ~(first | last)
+    x = K[inner]
+    lc = (
+        _stirlerr(np.array([float(n)]))[0]
+        - _stirlerr(x)
+        - _stirlerr(n - x)
+        - _bd0(x, n * p)
+        - _bd0(n - x, n * q)
+    )
+    lf = _LOG_2PI + np.log(x) + np.log1p(-x / n)
+    out[inner] = np.exp(lc - 0.5 * lf)
+    return out
 
 
 def _binomial_window(n: int, p0: float) -> np.ndarray:
@@ -371,10 +469,10 @@ def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
     The histogram reduces to the count K ~ Binomial(n, p0), p0 = W0[1],
     under the null law, and the ratio is affine in K; this scales to n in
     the millions where the generic enumeration cannot go.  The pmf is
-    scipy's Boost kernel (the one `scipy.stats.binom.pmf` calls), evaluated
-    only on the window |K - n p0| <= sqrt(400 n): by Hoeffding's inequality
-    P(K = k) <= exp(-2 (k - n p0)^2 / n) < e^-800 outside it, far below the
-    smallest subnormal double, so every count outside has mass 0 anyway.
+    `_binom_pmf`, evaluated only on the window |K - n p0| <= sqrt(400 n):
+    by Hoeffding's inequality P(K = k) <= exp(-2 (k - n p0)^2 / n) < e^-800
+    outside it, far below the smallest subnormal double, so every count
+    outside has mass 0 anyway.
     Counts whose null mass is below MIN_NULL_MASS are dropped, as in the
     generic engine.
     """
@@ -388,8 +486,9 @@ def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
     lr = ((n - K) / n) * w[0] + (K / n) * w[1]
     p_alt = lr * p_null
     keep = p_null >= MIN_NULL_MASS
+    dropped = _dropped_masses(p_null, p_alt, keep)
     lr, p_null, p_alt = _merge_atoms(lr[keep], p_null[keep], p_alt[keep])
-    atoms = LrAtomization(n=n, k=0, lr=lr, p_null=p_null, p_alt=p_alt)
+    atoms = LrAtomization(n=n, k=0, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
     _check_atomization(atoms)
     return atoms
 
@@ -399,7 +498,8 @@ def reverse_atomization(atoms: LrAtomization) -> LrAtomization:
 
     Null mass on zero-ratio atoms becomes singular mass of the reversed
     direction (the reversed ratio is infinite there), and vice versa, so
-    reversing twice gives back the original atomization.
+    reversing twice gives back the original atomization.  The dropped
+    masses swap too.
     """
     zero = atoms.lr == 0.0
     singular = float(atoms.p_null[zero].sum())
@@ -419,6 +519,8 @@ def reverse_atomization(atoms: LrAtomization) -> LrAtomization:
         p_null=p_null[order],
         p_alt=p_alt[order],
         alt_singular_mass=singular,
+        dropped_null_mass=atoms.dropped_alt_mass,
+        dropped_alt_mass=atoms.dropped_null_mass,
     )
 
 
@@ -650,7 +752,7 @@ def linearization_residual(
         raise ValidationError(f"window_mult must be positive, got {window_mult!r}")
     s = fisher_constant(channel, pi).s
     _check_pair(channel, comp, "linearization residual")
-    counts, p_null, p_alt = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
+    counts, p_null, p_alt, _ = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
     U = p_alt / p_null - 1.0
     center = mean_histogram(channel, comp)
     dev = counts - center

@@ -14,8 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from .asymptotics import _ndtr_array
 from .channels import Channel, score_stats
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_pair, _pair_table
@@ -181,7 +181,7 @@ def sample_privacy_loss(
     ones = k + (1 if hypothesis is Hypothesis.ALT else 0)
     w = score_stats(channel).w
     if k > 0:
-        table, p_null, p_alt = _pair_table(channel, n - 1 - k, k, 1, cap)
+        table, p_null, p_alt, _ = _pair_table(channel, n - 1 - k, k, 1, cap)
         # NaN marks the cells dropped from the table
         lam = np.full((n + 1,) * (channel.d - 1), np.nan)
         with np.errstate(divide="ignore"):
@@ -242,14 +242,14 @@ def kolmogorov_to_gaussian(data, mu: float, hypothesis: Hypothesis) -> float:
         t, weights = t[order], np.asarray(weights)[order]
         cdf = np.cumsum(weights)
         cdf = cdf / cdf[-1]
-        gauss = ndtr(t)
+        gauss = _ndtr_array(t)
         before = np.concatenate(([0.0], cdf[:-1]))
         return float(np.max(np.maximum(np.abs(cdf - gauss), np.abs(before - gauss))))
     samples = np.asarray(data, dtype=np.float64)
     if samples.ndim != 1 or samples.size == 0:
         raise ValidationError("need a nonempty 1-d array of sampled values")
     t = np.sort((samples + shift) / mu)
-    gauss = ndtr(t)
+    gauss = _ndtr_array(t)
     m = samples.size
     upper = np.arange(1, m + 1) / m - gauss
     lower = gauss - np.arange(0, m) / m

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .channels import Channel, Support, score_stats
 from .errors import InternalInvariantError, ValidationError
@@ -106,7 +105,8 @@ def _coef_log(w: np.ndarray, counts, m: int) -> float:
             terms = log_coef[: deg + 1] + log_row[deg::-1]
             finite = terms[np.isfinite(terms)]
             if finite.size:
-                out[deg] = logsumexp(finite)
+                top = finite.max()
+                out[deg] = top + math.log(np.sum(np.exp(finite - top)))
         log_coef = out
     return float(log_coef[m])
 
@@ -132,7 +132,7 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     if any(c < 0 for c in counts) or sum(counts) != n * m:
         raise ValidationError(f"histogram {counts} is not a size-{n * m} count vector")
     w = score_stats(channel).w
-    log_denom = float(gammaln(n * m + 1) - gammaln(m + 1) - gammaln(n * m - m + 1))
+    log_denom = math.lgamma(n * m + 1) - math.lgamma(m + 1) - math.lgamma(n * m - m + 1)
     if _use_log_space(channel, n, m):
         log_num = _coef_log(w, counts, m)
         value = 0.0 if log_num == -np.inf else math.exp(log_num - log_denom)
@@ -160,9 +160,9 @@ def unbundled_lr_atoms(
     _check_pair(channel, Composition(n, 0), "unbundled atoms")
     if m < 1:
         raise ValidationError(f"need m >= 1, got m={m}")
-    _, p_null, p_alt = _pair_table(channel, (n - 1) * m, 0, m, cap)
+    _, p_null, p_alt, dropped = _pair_table(channel, (n - 1) * m, 0, m, cap)
     lr, p_null, p_alt = _merge_atoms(p_alt / p_null, p_null, p_alt)
-    atoms = LrAtomization(n=n, k=0, lr=lr, p_null=p_null, p_alt=p_alt)
+    atoms = LrAtomization(n=n, k=0, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
     _check_atomization(atoms)
     return atoms
 

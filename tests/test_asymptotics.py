@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import gammaln, ndtr, ndtri
 
 from shuffledp import (
     Composition,
@@ -20,6 +20,7 @@ from shuffledp import (
     rr_channel,
     score_stats,
 )
+from shuffledp.asymptotics import _STD_NORMAL, _ndtr_array
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -71,6 +72,56 @@ def test_gaussian_tradeoff_vectorized():
     out = gaussian_tradeoff(1.0, np.array([0.0, 0.5, 1.0]))
     assert out.shape == (3,)
     assert out[0] == 1.0 and out[2] == 0.0
+
+
+# The stdlib kernels that replaced scipy.special, pinned to the scipy
+# oracles (test-only) on the ranges the package uses.
+
+
+def test_ndtr_matches_scipy_down_to_the_far_lower_tail():
+    x = np.linspace(-37.5, 8.5, 20_001)
+    oracle = ndtr(x)
+    assert np.all(np.abs(_ndtr_array(x) - oracle) <= 1e-13 * oracle)
+
+
+def test_inverse_normal_cdf_matches_scipy_ndtri():
+    p = np.concatenate((
+        np.logspace(-300.0, math.log10(0.5), 2000),
+        1.0 - np.logspace(-16.0, math.log10(0.5), 2000),
+    ))
+    got = np.array([_STD_NORMAL.inv_cdf(v) for v in p.tolist()])
+    oracle = ndtri(p)
+    assert np.all(np.abs(got - oracle) <= 1e-14 * np.abs(oracle))
+
+
+def test_lgamma_matches_scipy_gammaln_up_to_a_million():
+    x = np.concatenate((np.arange(3.0, 2000.0), np.linspace(2000.0, 1e6, 2001)))
+    got = np.array([math.lgamma(v) for v in x.tolist()])
+    oracle = gammaln(x)
+    assert np.all(np.abs(got - oracle) <= 1e-15 * oracle)
+
+
+def test_gaussian_tradeoff_matches_the_scipy_formula():
+    mu = 1.3
+    alpha = np.array([0.0, 1e-300, 1e-20, 1e-9, 0.05, 0.5, 0.9, 1.0 - 1e-10, 1.0])
+    with np.errstate(invalid="ignore"):
+        oracle = ndtr(ndtri(1.0 - alpha) - mu)
+    oracle = np.where(alpha == 0.0, 1.0, np.where(alpha == 1.0, 0.0, oracle))
+    got = gaussian_tradeoff(mu, alpha)
+    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+    assert gaussian_tradeoff(mu, 0.0) == 1.0 and gaussian_tradeoff(mu, 1.0) == 0.0
+    grid = gaussian_tradeoff(mu, alpha.reshape(3, 3))
+    assert grid.shape == (3, 3) and np.array_equal(grid.ravel(), got)
+
+
+@pytest.mark.parametrize("eps, mu", [(8.0, 0.5), (10.0, 0.8)])
+def test_gdp_delta_deep_tail_against_mpmath(eps, mu):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    e, m = mpmath.mpf(eps), mpmath.mpf(mu)
+    exact = mpmath.ncdf(-e / m + m / 2) - mpmath.exp(e) * mpmath.ncdf(-e / m - m / 2)
+    assert exact < 1e-30
+    assert float(abs(gdp_delta(eps, mu) - exact) / exact) <= 1e-11
 
 
 def test_gdp_mu_values_and_sources():

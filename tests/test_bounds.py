@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shuffledp import (
     Composition,
@@ -41,6 +43,21 @@ def test_chernoff_dominates_exact_curve():
         exact = binomial_curve(RR3, n, eps).delta
         for e, x in zip(eps, exact):
             assert chernoff_delta(RR3, n, e).bound >= x - 1e-12
+
+
+@settings(max_examples=15)
+@given(st.floats(0.5, 2.0), st.integers(1, 3000))
+@example(0.5, 3000)
+@example(2.0, 3000)
+@example(2.0, 1)
+def test_chernoff_dominates_binomial_curve_in_underflow_regime(eps0, n):
+    # at n in the thousands the far-tail binomial masses reach the subnormal
+    # range, so this also exercises the pmf where it underflows
+    ch = rr_channel(eps0)
+    eps = np.linspace(0.0, eps0, 16)
+    exact = binomial_curve(ch, n, eps).delta
+    for e, x in zip(eps, exact):
+        assert chernoff_delta(ch, n, float(e)).bound >= x - 1e-12
 
 
 def test_chernoff_decays_exponentially_in_n():

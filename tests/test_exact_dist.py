@@ -35,6 +35,7 @@ from shuffledp import (
     validate_channel,
 )
 from shuffledp.exact_dist import (
+    MIN_NULL_MASS,
     _binom_pmf,
     _binomial_window,
     _check_atomization,
@@ -257,12 +258,23 @@ def test_atomization_check_rejects_nan():
 
 
 def test_import_leaves_scipy_stats_unloaded():
+    # every public path that once called a scipy kernel runs, and no scipy
+    # module (scipy.stats included) is loaded afterwards
     code = (
-        "import sys, shuffledp\n"
-        "ch = shuffledp.rr_channel(1.1)\n"
-        "shuffledp.binomial_curve(ch, 100_000, [0.01, 0.1])\n"
-        "shuffledp.jsd_canonical_asymptotic(ch, 100_000)\n"
-        "print('scipy.stats' in sys.modules)"
+        "import sys, numpy as np, shuffledp as s\n"
+        "ch = s.rr_channel(1.1)\n"
+        "s.binomial_curve(ch, 100_000, [0.01, 0.1])\n"
+        "s.jsd_canonical_asymptotic(ch, 100_000)\n"
+        "mu = s.gdp_mu(ch, 400).mu\n"
+        "s.gdp_delta(0.5, mu)\n"
+        "s.gaussian_tradeoff(mu, np.linspace(0.0, 1.0, 5))\n"
+        "s.kolmogorov_to_gaussian(s.binomial_lr_atoms(ch, 400), mu, s.Hypothesis.NULL)\n"
+        "s.unbundled_lr(ch, 30, 2, (20, 40))\n"
+        "s.chernoff_delta(ch, 400, 0.2)\n"
+        "lam = s.sample_privacy_loss(ch, s.Composition(40, 7), s.Hypothesis.ALT,"
+        " s.SimConfig(seed=1, reps=100))\n"
+        "s.kolmogorov_to_gaussian(lam, mu, s.Hypothesis.ALT)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     src = os.path.dirname(os.path.dirname(shuffledp.__file__))
     out = subprocess.run(
@@ -272,19 +284,48 @@ def test_import_leaves_scipy_stats_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("eps0", [0.05, 1.1, 3.0, 8.0])
-@pytest.mark.parametrize("n", [1, 2, 57, 2001, 950_000])
-def test_boost_pmf_is_binom_pmf_on_the_window_and_zero_outside(eps0, n):
-    from scipy.stats import binom  # the oracle only; the package never imports it
+PMF_EPS0 = [0.05, 1.1, 3.0, 8.0]
+PMF_N = [1, 2, 57, 2001, 950_000, 2_000_000]
 
+
+def _kept_window(eps0, n):
     p0 = float(rr_channel(eps0).W0[1])
     K = _binomial_window(n, p0)
+    return p0, K, _binom_pmf(K, n, p0)
+
+
+@pytest.mark.parametrize("eps0", PMF_EPS0)
+@pytest.mark.parametrize("n", PMF_N)
+def test_pmf_matches_mpmath_at_the_mode_and_in_the_tails(eps0, n):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    p0, K, pmf = _kept_window(eps0, n)
+    kept = K[pmf >= MIN_NULL_MASS]
+    lo, hi = int(kept[0]), int(kept[-1])
+    mean, sd = n * p0, math.sqrt(n * p0 * (1.0 - p0))
+    points = {math.floor((n + 1) * p0), lo, hi}
+    points |= {round(mean + z * sd) for z in (-8, -3, 3, 8)}
+    p = mpmath.mpf(p0)
+    for k in sorted(min(max(x, lo), hi) for x in points):
+        exact = mpmath.binomial(n, k) * p**k * (1 - p) ** (n - k)
+        got = pmf[k - int(K[0])]
+        assert float(abs(got - exact) / exact) <= 1e-11, (k, got, exact)
+
+
+@pytest.mark.parametrize("eps0", PMF_EPS0)
+@pytest.mark.parametrize("n", PMF_N)
+def test_pmf_matches_scipy_binom_pmf_on_the_window_and_zero_outside(eps0, n):
+    binom = pytest.importorskip("scipy.stats").binom  # the oracle only
+    p0, K, pmf = _kept_window(eps0, n)
     full = binom.pmf(np.arange(n + 1), n, p0)
     inside = K.astype(np.int64)
-    assert _binom_pmf(K, n, p0).tobytes() == full[inside].tobytes()
+    oracle = full[inside]
+    big = oracle >= 1e-300
+    assert np.all(np.abs(pmf[big] - oracle[big]) <= 1e-10 * oracle[big])
+    assert abs(math.fsum(pmf) - 1.0) <= 1e-14
     outside = np.ones(n + 1, dtype=bool)
     outside[inside] = False
     assert not np.any(full[outside])
@@ -302,6 +343,26 @@ def test_binomial_atoms_drop_subnormal_null_mass():
     assert atoms.lr[-1] <= math.exp(eps0) * (1.0 + 1e-12)
     assert reverse_atomization(atoms).alt_singular_mass == 0.0
     assert math.isfinite(divergences(atoms, renyi_orders=(2.0,)).renyi[2.0])
+
+
+def test_dropped_mass_is_recorded():
+    # rr eps0=3, n=30000 drops 67 counts of subnormal null mass; each holds
+    # null mass below MIN_NULL_MASS and alt mass below max w times that
+    ch = rr_channel(3.0)
+    atoms = binomial_lr_atoms(ch, 30_000)
+    bound = 67 * MIN_NULL_MASS * float(score_stats(ch).w.max())
+    assert 0.0 < atoms.dropped_null_mass <= bound
+    assert 0.0 < atoms.dropped_alt_mass <= bound
+    rev = reverse_atomization(atoms)
+    assert (rev.dropped_null_mass, rev.dropped_alt_mass) == (
+        atoms.dropped_alt_mass,
+        atoms.dropped_null_mass,
+    )
+    # the generic engine: at most n+1 cells, ratios at most max w = 3
+    generic = lr_atoms(RR3, Composition(2000, 500))
+    assert 0.0 < generic.dropped_null_mass <= 2001 * MIN_NULL_MASS
+    assert 0.0 < generic.dropped_alt_mass <= 3 * 2001 * MIN_NULL_MASS
+    assert lr_atoms(RR3, Composition(30, 0)).dropped_null_mass == 0.0
 
 
 def test_atomization_check_rejects_unsorted_ratios():

@@ -98,9 +98,9 @@ def test_sampling_raises_on_a_histogram_missing_from_the_table(monkeypatch):
     real = montecarlo._pair_table
 
     def without_modal_cell(*args):
-        counts, p_null, p_alt = real(*args)
+        counts, p_null, p_alt, dropped = real(*args)
         keep = np.arange(p_null.size) != np.argmax(p_null)
-        return counts[keep], p_null[keep], p_alt[keep]
+        return counts[keep], p_null[keep], p_alt[keep], dropped
 
     monkeypatch.setattr(montecarlo, "_pair_table", without_modal_cell)
     with pytest.raises(InternalInvariantError, match="underflowed"):
