@@ -317,7 +317,9 @@ def test_pmf_matches_mpmath_at_the_mode_and_in_the_tails(eps0, n):
 
 @pytest.mark.parametrize("eps0", PMF_EPS0)
 @pytest.mark.parametrize("n", PMF_N)
-def test_pmf_matches_scipy_binom_pmf_on_the_window_and_zero_outside(eps0, n):
+def test_boost_pmf_is_binom_pmf_on_the_window_and_zero_outside(eps0, n):
+    # scipy.stats.binom.pmf evaluates Boost's binomial pmf: _binom_pmf agrees
+    # with it to 1e-10 relative on the window, and Boost's mass outside is 0
     binom = pytest.importorskip("scipy.stats").binom  # the oracle only
     p0, K, pmf = _kept_window(eps0, n)
     full = binom.pmf(np.arange(n + 1), n, p0)
