@@ -1,16 +1,23 @@
 """Deterministic Monte Carlo fallbacks and scaling diagnostics.
 
-Sampling uses a counter-based generator: every uniform is a pure hash of
-(seed, draw index, step index), so runs are bit-identical for equal seeds
-and independent of how draws are split across workers or chunks.  On top of
-the sampler sit empirical/exact Kolmogorov distances to the Gaussian limit,
-log-log rate fitting, the randomized-response boundary diagnostics, and the
-frequency-estimation error study.
+Sampling uses a counter-based generator: every 64-bit word h is a pure
+SplitMix64 hash of (seed, draw index, step index), so runs are
+bit-identical for equal seeds and independent of how draws are split across
+workers or blocks.  The uniform of a word is u = (h >> 11) * 2^-53, but it
+is never formed: u < c holds exactly when h < ceil(c * 2^53) << 11 (always
+when c >= 1), so a categorical draw or a coin flip is an integer compare on
+the word.  Each worker hashes its draws in blocks of at most 2^16 words (one
+draw per block when n is larger) into buffers it reuses, so its working
+set is O(max(n, 2^16)) words; only the d counts and the value of each draw
+are kept per draw.
+
+On top of the sampler sit empirical/exact Kolmogorov distances to the
+Gaussian limit, log-log rate fitting, the randomized-response boundary
+diagnostics, and the frequency-estimation error study.
 """
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +31,13 @@ _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_U11 = np.uint64(11)
+_S27 = np.uint64(27)
+_S30 = np.uint64(30)
+_S31 = np.uint64(31)
 
-# Cap on uniforms materialized per chunk (draws are split to stay under it).
-_CHUNK_UNIFORMS = 1 << 22
+# Hash words per block buffer: a block holds max(1, _BLOCK // n) draws of n
+# steps, so a worker's buffers stay cache-sized unless one draw is larger.
+_BLOCK = 1 << 16
 
 
 class Hypothesis(enum.Enum):
@@ -102,18 +112,24 @@ class FrequencyMseReport:
 
 
 # ---------------------------------------------------------------------------
-# counter-based uniforms
+# counter-based hash words
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer; bijective on 64-bit words, vectorized.
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of the uint64 array `x`, in place; bijective.
 
-    Callers pass uint64 arrays: array arithmetic wraps silently, whereas the
-    numpy scalar path would raise overflow warnings.
+    `tmp` is scratch of x's shape.  Array arithmetic wraps silently, whereas
+    the numpy scalar path would raise overflow warnings.
     """
-    x = (x ^ (x >> np.uint64(30))) * _M1
-    x = (x ^ (x >> np.uint64(27))) * _M2
-    return x ^ (x >> np.uint64(31))
+    np.right_shift(x, _S30, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+    np.multiply(x, _M1, out=x)
+    np.right_shift(x, _S27, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+    np.multiply(x, _M2, out=x)
+    np.right_shift(x, _S31, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+    return x
 
 
 def _seed_word(seed: int) -> np.uint64:
@@ -124,24 +140,40 @@ def _seed_word(seed: int) -> np.uint64:
     return np.uint64(x ^ (x >> 31))
 
 
-def _uniforms(seed: int, draw_start: int, draw_count: int, n_steps: int) -> np.ndarray:
-    """Uniform[0,1) block of shape (draw_count, n_steps).
+def _hash_blocks(seed: int, n: int, start: int, stop: int):
+    """Yield (lo, hi, h, mask) over draws [start, stop), max(1, _BLOCK // n) at a time.
 
-    Entry (i, j) depends only on (seed, draw_start + i, j): the stream is a
-    pure function of global draw and step indices.
+    h[i, j] is the hash word of (seed, draw lo + i, step j); its uniform is
+    u = (h >> 11) * 2^-53.  `mask` is bool scratch of h's shape.  Every block
+    reuses the same buffers, so the working set is O(max(n, _BLOCK)) words
+    however many draws the range holds.
     """
+    rows = max(1, _BLOCK // n)
+    buf = np.empty(rows * n, dtype=np.uint64)
+    tmp = np.empty_like(buf)
+    scratch = np.empty(rows * n, dtype=bool)
+    j = np.arange(n, dtype=np.uint64)
+    steps = _mix64(j * _M2 + _GOLDEN, j)
     sw = _seed_word(seed)
-    g = np.arange(draw_start, draw_start + draw_count, dtype=np.uint64)
-    j = np.arange(n_steps, dtype=np.uint64)
-    b = _mix64(g * _GOLDEN + sw)
-    s = _mix64(j * _M2 + _GOLDEN)
-    h = _mix64(b[:, None] ^ s[None, :])
-    return (h >> _U11).astype(np.float64) * 2.0**-53
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
+        shape = (hi - lo, n)
+        h = buf[: shape[0] * n].reshape(shape)
+        g = np.arange(lo, hi, dtype=np.uint64)
+        np.bitwise_xor(_mix64(g * _GOLDEN + sw, g)[:, None], steps, out=h)
+        _mix64(h, tmp[: h.size].reshape(shape))
+        yield lo, hi, h, scratch[: h.size].reshape(shape)
 
 
-def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.size - 1)
+def _below(c: float):
+    """The word t with h < t <=> (h >> 11) * 2^-53 < c, or None if that always holds.
+
+    For the integer m = h >> 11 < 2^53, m * 2^-53 < c <=> m < T = ceil(c * 2^53)
+    (c * 2^53 is exact), and m < T <=> h < T << 11.  T >= 2^53 (c >= 1)
+    admits every word.
+    """
+    t = math.ceil(c * 2.0**53)
+    return None if t >= 1 << 53 else np.uint64(t << 11)
 
 
 def _run_blocks(reps: int, workers: int, block_fn) -> None:
@@ -152,6 +184,10 @@ def _run_blocks(reps: int, workers: int, block_fn) -> None:
         for a, b in ranges:
             block_fn(a, b)
         return
+    # imported here: concurrent.futures pulls in logging, which no other
+    # path of the package needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(lambda ab: block_fn(*ab), ranges))
 
@@ -175,43 +211,56 @@ def sample_privacy_loss(
     otherwise (the table inherits the enumeration cap; a draw on a cell
     dropped from it raises InternalInvariantError).  Returns
     `config.reps` values in draw order, independent of `config.workers`.
+
+    User j of draw g sends the symbol searchsorted(cdf, u, side="right"),
+    clamped to d - 1, for its uniform u and the cumulative law cdf of its
+    input; so "symbol <= y" is u < cdf[y], which `_below` turns into one
+    integer compare on the hash word.  A k = 0 draw whose histogram has
+    zero probability under the alt law (a symbol W1 never sends) has ratio
+    0 and returns -inf by design; a NaN raises InternalInvariantError.
     """
     _check_pair(channel, comp, "privacy-loss sampling")
-    n, k = comp.n, comp.k
-    ones = k + (1 if hypothesis is Hypothesis.ALT else 0)
-    w = score_stats(channel).w
+    n, k, d = comp.n, comp.k, channel.d
+    zeros = n - k - (1 if hypothesis is Hypothesis.ALT else 0)
     if k > 0:
         table, p_null, p_alt, _ = _pair_table(channel, n - 1 - k, k, 1, cap)
         # NaN marks the cells dropped from the table
-        lam = np.full((n + 1,) * (channel.d - 1), np.nan)
+        lam = np.full((n + 1,) * (d - 1), np.nan)
         with np.errstate(divide="ignore"):
             lam[tuple(table[:, :-1].T)] = np.log(p_alt / p_null)
-    cdf0 = np.cumsum(channel.W0)
-    cdf1 = np.cumsum(channel.W1)
-    out = np.empty(config.reps, dtype=np.float64)
-    chunk = max(1, _CHUNK_UNIFORMS // max(n, 1))
+    limits = [
+        (_below(c0), _below(c1))
+        for c0, c1 in zip(np.cumsum(channel.W0)[:-1], np.cumsum(channel.W1)[:-1])
+    ]
+    counts = np.empty((config.reps, d), dtype=np.int64)
 
     def block(start: int, stop: int) -> None:
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            u = _uniforms(config.seed, lo, hi - lo, n)
-            sym = np.empty((hi - lo, n), dtype=np.int64)
-            sym[:, : n - ones] = _categorical(cdf0, u[:, : n - ones])
-            if ones:
-                sym[:, n - ones :] = _categorical(cdf1, u[:, n - ones :])
-            counts = np.stack(
-                [(sym == y).sum(axis=1) for y in range(channel.d)], axis=1
-            )
-            if k == 0:
-                lr = counts @ w / n
-                with np.errstate(divide="ignore"):
-                    out[lo:hi] = np.log(lr)
-            else:
-                out[lo:hi] = lam[tuple(counts[:, :-1].T)]
-                if np.isnan(out[lo:hi]).any():
-                    raise InternalInvariantError("sampled a histogram whose null mass underflowed")
+        for lo, hi, h, mask in _hash_blocks(config.seed, n, start, stop):
+            c = counts[lo:hi]
+            # c[:, y] counts the users whose symbol is <= y
+            for y, (limit0, limit1) in enumerate(limits):
+                for cols, limit in ((np.s_[:, :zeros], limit0), (np.s_[:, zeros:], limit1)):
+                    if limit is None:
+                        mask[cols] = True
+                    else:
+                        np.less(h[cols], limit, out=mask[cols])
+                mask.sum(axis=1, out=c[:, y])
+            c[:, -1] = n
+            c[:, 1:] = np.diff(c, axis=1)
 
     _run_blocks(config.reps, config.workers, block)
+    if k == 0:
+        # one product over all draws: numpy rounds a one-row matmul
+        # differently from a multi-row one, so per-block products would make
+        # values depend on the blocking
+        with np.errstate(divide="ignore"):
+            out = np.log(counts @ score_stats(channel).w / n)
+        if np.isnan(out).any():
+            raise InternalInvariantError("sampled a NaN affine likelihood ratio")
+    else:
+        out = lam[tuple(counts[:, :-1].T)]
+        if np.isnan(out).any():
+            raise InternalInvariantError("sampled a histogram whose null mass underflowed")
     return out
 
 
@@ -233,13 +282,12 @@ def kolmogorov_to_gaussian(data, mu: float, hypothesis: Hypothesis) -> float:
     if isinstance(data, LrAtomization):
         with np.errstate(divide="ignore"):
             lam = np.log(data.lr)
+        # increasing ratios give nondecreasing t; alt-singular mass sits at +inf
         t = (lam + shift) / mu
         weights = data.p_null if hypothesis is Hypothesis.NULL else data.p_alt
         if hypothesis is Hypothesis.ALT and data.alt_singular_mass > 0.0:
             t = np.append(t, np.inf)
             weights = np.append(weights, data.alt_singular_mass)
-        order = np.argsort(t)
-        t, weights = t[order], np.asarray(weights)[order]
         cdf = np.cumsum(weights)
         cdf = cdf / cdf[-1]
         gauss = _ndtr_array(t)
@@ -363,18 +411,15 @@ def frequency_mse(eps0: float, n: int, p_true: float, config: SimConfig) -> Freq
     q = 1.0 / (1.0 + math.exp(eps0))
     denom = 1.0 - 2.0 * q
     errors = np.empty(config.reps, dtype=np.float64)
-    chunk = max(1, _CHUNK_UNIFORMS // n)
+    zeros = n - n_ones
+    flip = _below(q)  # a bit flips where u < q; q < 1/2, so never None
 
     def block(start: int, stop: int) -> None:
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            u = _uniforms(config.seed, lo, hi - lo, n)
-            flips = u < q
+        for lo, hi, h, mask in _hash_blocks(config.seed, n, start, stop):
             # reported one = bit XOR flip; bits are 0 for the first n-n_ones users
-            k_reported = flips[:, : n - n_ones].sum(axis=1) + (
-                (~flips[:, n - n_ones :]).sum(axis=1)
-            )
-            p_hat = (k_reported / n - q) / denom
+            np.less(h[:, :zeros], flip, out=mask[:, :zeros])
+            np.greater_equal(h[:, zeros:], flip, out=mask[:, zeros:])
+            p_hat = (mask.sum(axis=1) / n - q) / denom
             errors[lo:hi] = p_hat - p_realized
 
     _run_blocks(config.reps, config.workers, block)

@@ -171,6 +171,18 @@ def test_jsd_expansion_residual_is_small():
     assert abs(report.residual) < report.terms[0] / 1000
 
 
+def test_jsd_expansion_remainder_is_third_order_up_to_a_million():
+    # the remainder of rr eps0 = 1.1 is ~-0.0245 / n^3, about 1e-13 of the JSD
+    # at n = 1e6: only a per-atom kernel without cancellation near ratio 1
+    # resolves it (the direct form gave n^3 residual = -1.92 there)
+    coeffs = [
+        n**3 * jsd_canonical_asymptotic(rr_channel(1.1), n).residual
+        for n in (10_000, 30_000, 100_000, 300_000, 1_000_000)
+    ]
+    assert all(-0.026 < c < -0.023 for c in coeffs), coeffs
+    assert max(coeffs) - min(coeffs) < 0.01 * abs(coeffs[0]), coeffs
+
+
 def test_leading_divergence_forms():
     n, pi = 50, 0.3
     fisher = fisher_constant(RR3, pi).fisher

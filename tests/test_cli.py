@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -203,6 +204,23 @@ def test_simulate_deterministic_across_workers(rr3_file, tmp_path):
     b1 = open(out1, "rb").read()
     assert b1 == open(out4, "rb").read()
     assert b"workers" not in b1  # concurrency must not mark the artifact
+
+
+def test_simulate_csv_bytes_are_pinned(tmp_path, monkeypatch):
+    # SHA-256 of the CSV written by the sampler that drew symbols with
+    # searchsorted on float uniforms (h >> 11) 2^-53, on x86-64 (AVX-512)
+    # with numpy 2.4; the channel path is relative so the header is fixed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ch.json").write_text(
+        channel_to_json(validate_channel([0.5, 0.3, 0.2], [0.22, 0.33, 0.45]))
+    )
+    for workers in ("1", "2"):
+        assert main(
+            ["simulate", "--channel", "ch.json", "--n", "190", "--k", "70", "--hypothesis", "alt",
+             "--seed", "11", "--reps", "10000", "--workers", workers, "--out", "lam.csv"]
+        ) == 0
+        digest = hashlib.sha256((tmp_path / "lam.csv").read_bytes()).hexdigest()
+        assert digest == "78e71167b5f05409209c2ca3ea30bd2687097e482d329a6863744c163a278a0d"
 
 
 def test_simulate_summary_and_samples(rr3_file, tmp_path, capsys):

@@ -520,6 +520,9 @@ def test_divergences_match_per_atom_sums():
     def jsd_term(t):
         if t == 0.0:
             return 0.5 * LN2
+        u = (t - 1.0) / (t + 1.0)
+        if abs(u) <= 0.5:
+            return (2.0 * u * math.atanh(u) + math.log1p(-u * u)) * (1.0 + t) / 4.0
         return 0.5 * math.log(2.0 / (1.0 + t)) + 0.5 * t * math.log(2.0 * t / (1.0 + t))
 
     want = {
@@ -535,6 +538,26 @@ def test_divergences_match_per_atom_sums():
         assert report.renyi[alpha] == pytest.approx(
             math.log(moment) / (alpha - 1.0), rel=1e-13
         )
+
+
+def test_jsd_kernel_matches_mpmath_near_and_far_from_ratio_one():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(12)
+    t = np.concatenate(
+        [
+            [0.0, 1.0, 1.0 / 3.0, 3.0],
+            1.0 + rng.uniform(-1e-6, 1e-6, 100),
+            1.0 + rng.uniform(-1e-3, 1e-3, 100),
+            1.0 + rng.uniform(-0.5, 0.5, 100),
+            10.0 ** rng.uniform(-8.0, 8.0, 200),
+        ]
+    )
+    got = _jsd_kernel(t)
+    for ti, gi in zip(t.tolist(), got.tolist()):
+        x = mpmath.mpf(ti)
+        want = mpmath.log(2) / 2 if x == 0 else (mpmath.log(2 / (1 + x)) + x * mpmath.log(2 * x / (1 + x))) / 2
+        assert gi == (0.0 if want == 0 else pytest.approx(float(want), rel=4e-15)), ti
 
 
 @pytest.mark.parametrize(

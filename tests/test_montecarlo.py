@@ -1,8 +1,14 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import shuffledp
 from shuffledp import (
     Composition,
     EnumerationCapError,
@@ -22,8 +28,200 @@ from shuffledp import (
     sample_privacy_loss,
     validate_channel,
 )
+from shuffledp.channels import score_stats
+from shuffledp.exact_dist import DEFAULT_ATOM_CAP, _pair_table
+from shuffledp.montecarlo import _BLOCK, _below
+
+from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
+
+
+# ---------------------------------------------------------------------------
+# reference sampler: float uniforms, searchsorted and the clamp
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def _ref_mix64(x):
+    x = (x ^ (x >> np.uint64(30))) * _M1
+    x = (x ^ (x >> np.uint64(27))) * _M2
+    return x ^ (x >> np.uint64(31))
+
+
+def _ref_uniforms(seed, reps, n):
+    """Uniform[0,1) matrix (reps, n): entry (g, j) hashes (seed, draw g, step j)."""
+    x = (seed ^ 0x5DEECE66D) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    sw = np.uint64(x ^ (x >> 31))
+    g = np.arange(reps, dtype=np.uint64)
+    j = np.arange(n, dtype=np.uint64)
+    h = _ref_mix64(_ref_mix64(g * _GOLDEN + sw)[:, None] ^ _ref_mix64(j * _M2 + _GOLDEN)[None, :])
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _ref_sample(channel, comp, hypothesis, seed, reps):
+    n, k, d = comp.n, comp.k, channel.d
+    ones = k + (1 if hypothesis is Hypothesis.ALT else 0)
+    u = _ref_uniforms(seed, reps, n)
+    sym = np.empty((reps, n), dtype=np.int64)
+    for cols, W in ((np.s_[:, : n - ones], channel.W0), (np.s_[:, n - ones :], channel.W1)):
+        sym[cols] = np.minimum(np.searchsorted(np.cumsum(W), u[cols], side="right"), d - 1)
+    counts = np.stack([(sym == y).sum(axis=1) for y in range(d)], axis=1)
+    if k == 0:
+        with np.errstate(divide="ignore"):
+            return np.log(counts @ score_stats(channel).w / n)
+    table, p_null, p_alt, _ = _pair_table(channel, n - 1 - k, k, 1, DEFAULT_ATOM_CAP)
+    lam = np.full((n + 1,) * (d - 1), np.nan)
+    with np.errstate(divide="ignore"):
+        lam[tuple(table[:, :-1].T)] = np.log(p_alt / p_null)
+    return lam[tuple(counts[:, :-1].T)]
+
+
+def _ref_frequency_mse(eps0, n, p_true, seed, reps):
+    n_ones = int(math.floor(p_true * n + 0.5))
+    q = 1.0 / (1.0 + math.exp(eps0))
+    flips = _ref_uniforms(seed, reps, n) < q
+    k_reported = flips[:, : n - n_ones].sum(axis=1) + (~flips[:, n - n_ones :]).sum(axis=1)
+    errors = (k_reported / n - q) / (1.0 - 2.0 * q) - n_ones / n
+    return (
+        float(np.mean(errors**2)),
+        float(np.mean(errors)),
+        float(np.std(errors, ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf,
+    )
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+# the cumulative laws reach 1.0 before the last symbol: "symbol <= 1" always holds
+ROUNDS_TO_ONE = validate_channel([0.5, 0.5, 1e-17], [0.25, 0.75, 1e-17])
+# W1 never sends symbol 0, so a k = 0 histogram of symbol 0 only has ratio 0
+NO_ZERO_IN_W1 = validate_channel([0.2, 0.3, 0.5], [0.0, 0.6, 0.4])
+
+
+def _channel(name, d):
+    if name == "random":
+        return full_channel(np.random.default_rng(100 + d), d)
+    return {"rounds-to-one": ROUNDS_TO_ONE, "no-zero-in-w1": NO_ZERO_IN_W1}[name]
+
+
+# (channel, d, n, k); reps exceed one block and are no multiple of it
+SAMPLER_CASES = (
+    [("random", d, n, 0) for d in (2, 3, 4, 5) for n in (1, 47, 190, 70_000)]
+    + [("random", d, n, k) for d, n, k in ((2, 47, 20), (2, 190, 70), (3, 47, 46), (3, 190, 70), (4, 47, 20), (5, 20, 7))]
+    + [("rounds-to-one", 3, 190, 0), ("rounds-to-one", 3, 190, 70)]
+    + [("no-zero-in-w1", 3, 1, 0), ("no-zero-in-w1", 3, 47, 0), ("no-zero-in-w1", 3, 47, 20)]
+)
+
+
+def _reps(n):
+    return max(1, _BLOCK // n) * 2 + 7 if n <= 190 else 3
+
+
+@pytest.mark.parametrize("hypothesis", list(Hypothesis))
+@pytest.mark.parametrize("name,d,n,k", SAMPLER_CASES)
+def test_samples_match_the_float_reference_bit_for_bit(name, d, n, k, hypothesis):
+    channel = _channel(name, d)
+    comp = Composition(n, k)
+    want = _bits(_ref_sample(channel, comp, hypothesis, 29, _reps(n)))
+    for workers in (1, 2, 3):
+        got = sample_privacy_loss(channel, comp, hypothesis, SimConfig(seed=29, reps=_reps(n), workers=workers))
+        assert np.array_equal(_bits(got), want), workers
+
+
+@pytest.mark.parametrize(
+    "c", [0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 0.5, 0.7, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52]
+)
+def test_threshold_word_agrees_with_the_float_compare_at_the_boundary(c):
+    # random words almost never land next to the threshold, so check the
+    # words with m = h >> 11 at T - 1 and T (T = ceil(c 2^53)), with the low
+    # 11 bits all clear and all set, plus the smallest and largest words
+    limit = _below(c)
+    t = math.ceil(c * 2.0**53)
+    ms = [m for m in (0, t - 1, t, 2**53 - 1) if 0 <= m < 2**53]
+    for m in ms:
+        for low in (0, 2**11 - 1):
+            h = np.uint64((m << 11) | low)
+            want = float(h >> np.uint64(11)) * 2.0**-53 < c
+            assert (True if limit is None else bool(h < limit)) == want, (m, low)
+
+
+def test_reference_cases_reach_both_threshold_branches():
+    # "symbol <= y" always holds once the cumulative law rounds to 1.0
+    assert _below(float(np.cumsum(ROUNDS_TO_ONE.W0)[1])) is None
+    assert _below(float(np.cumsum(ROUNDS_TO_ONE.W1)[1])) is None
+    assert _below(float(np.cumsum(NO_ZERO_IN_W1.W1)[0])) == 0
+    lam = sample_privacy_loss(NO_ZERO_IN_W1, Composition(1, 0), Hypothesis.NULL, SimConfig(seed=29, reps=_reps(1)))
+    assert np.isneginf(lam).any() and np.isfinite(lam).any()
+
+
+@pytest.mark.parametrize(
+    "eps0,n,p_true", [(1.1, 1, 1.0), (math.log(3.0), 47, 0.33), (0.3, 190, 0.0), (2.0, 70_000, 0.2)]
+)
+def test_frequency_mse_matches_the_float_reference_bit_for_bit(eps0, n, p_true):
+    want = _ref_frequency_mse(eps0, n, p_true, 31, _reps(n))
+    for workers in (1, 2, 3):
+        rep = frequency_mse(eps0, n, p_true, SimConfig(seed=31, reps=_reps(n), workers=workers))
+        assert (rep.mse_estimate, rep.bias, rep.bias_se) == want, workers
+
+
+@pytest.mark.parametrize(
+    "channel,comp",
+    [(full_channel(np.random.default_rng(8), 3), Composition(190, 70)), (RR3, Composition(1900, 0))],
+    ids=["d3-n190-k70", "d2-n1900-k0"],
+)
+def test_sampler_working_set_is_bounded(channel, comp):
+    # the sampler keeps a few O(max(n, _BLOCK))-word buffers per worker, not
+    # the reps x n draw matrix; the returned array and the k > 0 ratio table
+    # are the only allocations that grow with reps or with the law
+    config = SimConfig(seed=3, reps=10_000, workers=2)
+    sample_privacy_loss(channel, comp, Hypothesis.NULL, config)  # imports the thread pool
+    tracemalloc.start()
+    try:
+        lam = sample_privacy_loss(channel, comp, Hypothesis.NULL, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 8 * (comp.n + 1) ** (channel.d - 1) if comp.k > 0 else 0
+    assert peak - lam.nbytes - table < 8e6
+
+
+def test_k0_sampling_raises_on_a_nan_ratio(monkeypatch):
+    from shuffledp import montecarlo
+
+    real = montecarlo.score_stats
+
+    def nan_ratio(channel):
+        stats = real(channel)
+        return dataclasses.replace(stats, w=np.append(np.nan, stats.w[1:]))
+
+    monkeypatch.setattr(montecarlo, "score_stats", nan_ratio)
+    with pytest.raises(InternalInvariantError, match="NaN"):
+        sample_privacy_loss(RR3, Composition(8, 0), Hypothesis.NULL, SimConfig(seed=0, reps=200))
+
+
+def test_import_loads_neither_the_thread_pool_nor_logging():
+    code = (
+        "import sys, shuffledp as s\n"
+        "s.sample_privacy_loss(s.rr_channel(1.0), s.Composition(30, 0), s.Hypothesis.NULL,"
+        " s.SimConfig(seed=1, reps=100))\n"
+        "print(sorted(m for m in sys.modules if m == 'logging' or m.startswith('concurrent')))"
+    )
+    src = os.path.dirname(os.path.dirname(shuffledp.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sim_config_validation():
@@ -43,6 +241,18 @@ def test_samples_independent_of_workers():
     ]
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
+
+
+def test_samples_independent_of_workers_when_a_worker_gets_one_draw():
+    # reps = 3 over 2 workers leaves a one-draw range; numpy rounds a one-row
+    # matmul differently, so k = 0 ratios must come from one product over all draws
+    ch = validate_channel([0.5, 0.3, 0.2], [0.22, 0.33, 0.45])
+    for seed in range(100):
+        runs = [
+            sample_privacy_loss(ch, Composition(190, 0), Hypothesis.NULL, SimConfig(seed=seed, reps=3, workers=w))
+            for w in (1, 2, 3)
+        ]
+        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2]), seed
 
 
 def test_samples_are_draw_indexed():
