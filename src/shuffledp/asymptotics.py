@@ -17,7 +17,8 @@ import numpy as np
 
 from .channels import Channel, score_stats
 from .errors import ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, Composition, _atom_count, _cell_count, binomial_lr_atoms, divergences, lr_atoms
+from .exact_dist import DEFAULT_ATOM_CAP, Composition, _atom_count, _cell_count, _check_eps
+from .exact_dist import binomial_lr_atoms, divergences, lr_atoms
 from .simplex_linalg import fisher_constant
 
 
@@ -100,10 +101,9 @@ def gdp_delta(eps: float, mu: float) -> float:
     delta(eps) = Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2); the
     degenerate mu = 0 pair is perfectly private (delta = 0).
     """
-    if mu < 0.0:
+    if not (mu >= 0.0):
         raise ValidationError(f"mu must be >= 0, got {mu!r}")
-    if eps < 0.0:
-        raise ValidationError(f"eps must be >= 0, got {eps!r}")
+    _check_eps(eps)
     if mu == 0.0:
         return 0.0
     value = _ndtr(-eps / mu + mu / 2.0) - math.exp(eps) * _ndtr(-eps / mu - mu / 2.0)
@@ -115,10 +115,10 @@ def gaussian_tradeoff(mu: float, alpha):
 
     Vectorized over alpha; endpoints map to beta(0) = 1 and beta(1) = 0.
     """
-    if mu < 0.0:
+    if not (mu >= 0.0):
         raise ValidationError(f"mu must be >= 0, got {mu!r}")
     a = np.asarray(alpha, dtype=np.float64)
-    if np.any((a < 0.0) | (a > 1.0)):
+    if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValidationError("alpha must lie in [0, 1]")
     p = np.atleast_1d(1.0 - a).ravel()
     # Phi^{-1} is +-inf at 1 and 0, where NormalDist.inv_cdf raises

@@ -15,6 +15,7 @@ import numpy as np
 
 from .channels import Channel, score_stats
 from .errors import ValidationError
+from .exact_dist import _check_eps
 
 # Stop expanding the bracket once lambda * max|r| would overflow exp().
 _EXP_ARG_CAP = 700.0
@@ -65,8 +66,7 @@ def chernoff_delta(channel: Channel, n: int, eps: float) -> ChernoffEvaluation:
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps)) or eps < 0.0:
-        raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
+    _check_eps(eps)
     stats = score_stats(channel)
     tau = math.expm1(eps)
     r_max = float(stats.r.max())
@@ -133,8 +133,7 @@ def unbundled_hoeffding_delta(channel: Channel, n: int, m: int, eps: float) -> f
     """
     if n < 1 or m < 1:
         raise ValidationError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps)) or eps < 0.0:
-        raise ValidationError(f"eps must be finite and >= 0, got {eps!r}")
+    _check_eps(eps)
     w_max = score_stats(channel).w_max
     if eps == 0.0:
         warnings.warn(

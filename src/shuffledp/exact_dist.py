@@ -544,6 +544,12 @@ def _check_atomization(atoms: LrAtomization, tol: float = 1e-9) -> None:
 # privacy curves
 
 
+def _check_eps(eps, name: str = "eps") -> None:
+    """One privacy level must be a finite real >= 0 (NaN fails the test)."""
+    if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps >= 0.0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {eps!r}")
+
+
 def _check_eps_grid(eps) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
     if arr.size == 0:

@@ -25,7 +25,7 @@ import numpy as np
 from .asymptotics import _ndtr_array
 from .channels import Channel, score_stats
 from .errors import InternalInvariantError, ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_pair, _pair_table
+from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_eps, _check_pair, _pair_table
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -276,7 +276,7 @@ def kolmogorov_to_gaussian(data, mu: float, hypothesis: Hypothesis) -> float:
     array of sampled Lambda values (empirical CDF) or an `LrAtomization`
     (exact atom masses under the requested hypothesis).
     """
-    if mu <= 0.0:
+    if not (mu > 0.0):
         raise ValidationError(f"mu must be positive, got {mu!r}")
     shift = 0.5 * mu * mu if hypothesis is Hypothesis.NULL else -0.5 * mu * mu
     if isinstance(data, LrAtomization):
@@ -349,8 +349,7 @@ def rr_boundary(
     absolute moments under the input-0 law.  The regime is decided by
     a_n = e^{eps0}/n against the supplied thresholds.
     """
-    if not (isinstance(eps0, (int, float)) and math.isfinite(eps0)) or eps0 < 0.0:
-        raise ValidationError(f"eps0 must be finite and >= 0, got {eps0!r}")
+    _check_eps(eps0, "eps0")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     if not 0.0 < sub_threshold < super_threshold:

@@ -7,11 +7,11 @@ elementary symmetric function of the ratios w(y):
 
     L(N) = [t^m] prod_y (1 + w(y) t)^{N_y}  /  C(nm, m),
 
-computed below by truncated polynomial multiplication; the atoms divide the
-two exact histogram laws instead.  Bundling the m
-messages into one super-symbol instead multiplies chi-squares, so the
-bundled Gaussian parameter dominates the unbundled one; `mm_gdp_compare`
-quantifies the gap.
+computed below exactly for the double ratios w, in integers, with one
+rounding at the end; the atoms divide the two exact histogram laws instead.
+Bundling the m messages into one super-symbol instead multiplies
+chi-squares, so the bundled Gaussian parameter dominates the unbundled one;
+`mm_gdp_compare` quantifies the gap.
 """
 
 import itertools
@@ -35,12 +35,6 @@ from .exact_dist import (
     privacy_curve,
 )
 
-# Beyond this, coefficient magnitudes threaten double overflow and the
-# polynomial arithmetic moves to log space.  All coefficients are
-# nonnegative (the ratios w(y) are), so no sign tracking is needed.
-_LOG_SPACE_THRESHOLD = 600.0
-
-
 @dataclass(frozen=True)
 class MmComparison:
     """Bundled versus unbundled Gaussian accounting at message count m.
@@ -61,56 +55,6 @@ class MmComparison:
     degenerate: bool
 
 
-def _use_log_space(channel: Channel, n: int, m: int) -> bool:
-    w_max = score_stats(channel).w_max
-    return (
-        n * m * math.log(max(w_max, 1.0)) > _LOG_SPACE_THRESHOLD
-        or m * math.log(n * m + 1.0) > _LOG_SPACE_THRESHOLD
-    )
-
-
-def _coef_direct(w: np.ndarray, counts, m: int) -> float:
-    """[t^m] prod_y (1 + w_y t)^{c_y} by truncated products, plain floats."""
-    coef = np.zeros(m + 1)
-    coef[0] = 1.0
-    for wy, c in zip(w, counts):
-        if c == 0:
-            continue
-        top = min(m, c)
-        binom_row = np.zeros(m + 1)
-        binom_row[0] = 1.0
-        val = 1.0
-        for j in range(1, top + 1):
-            val *= wy * (c - j + 1) / j
-            binom_row[j] = val
-        coef = np.convolve(coef, binom_row)[: m + 1]
-    return float(coef[m])
-
-
-def _coef_log(w: np.ndarray, counts, m: int) -> float:
-    """log [t^m] prod_y (1 + w_y t)^{c_y}; -inf when the coefficient is 0."""
-    log_coef = np.full(m + 1, -np.inf)
-    log_coef[0] = 0.0
-    for wy, c in zip(w, counts):
-        if c == 0:
-            continue
-        top = min(m, c)
-        log_row = np.full(m + 1, -np.inf)
-        log_row[0] = 0.0
-        if wy > 0.0:
-            j = np.arange(1, top + 1, dtype=np.float64)
-            log_row[1 : top + 1] = np.cumsum(np.log(wy) + np.log(c - j + 1.0) - np.log(j))
-        out = np.full(m + 1, -np.inf)
-        for deg in range(m + 1):
-            terms = log_coef[: deg + 1] + log_row[deg::-1]
-            finite = terms[np.isfinite(terms)]
-            if finite.size:
-                top = finite.max()
-                out[deg] = top + math.log(np.sum(np.exp(finite - top)))
-        log_coef = out
-    return float(log_coef[m])
-
-
 def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     """Exact m-message likelihood ratio at a histogram of nm messages.
 
@@ -119,9 +63,14 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
         n: number of users; m: messages per user.
         histogram: counts per symbol, summing to n*m.
 
-    The coefficient is computed in log space when plain floats could
-    overflow.  For m = 1 the value is checked against the affine
-    single-message identity (1/n) sum_y N_y w(y).
+    Exact for the double ratios w: each w(y) is a dyadic rational
+    A_y / 2^E over one common E, so the coefficient is 2^(-Em) times the
+    integer [t^m] prod_y (1 + A_y t)^{N_y}, a truncated product of the rows
+    C(N_y, j) A_y^j.  One correctly rounded integer division gives the
+    ratio: 0.0 for a symbol W1 never sends, the rounded subnormal or 0.0 on
+    underflow, and a ValidationError when it exceeds the double range.  For
+    m = 1 the value is checked against the affine single-message identity
+    (1/n) sum_y N_y w(y).
     """
     _check_pair(channel, Composition(n, 0), "unbundled ratio")
     if m < 1:
@@ -132,13 +81,22 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     if any(c < 0 for c in counts) or sum(counts) != n * m:
         raise ValidationError(f"histogram {counts} is not a size-{n * m} count vector")
     w = score_stats(channel).w
-    log_denom = math.lgamma(n * m + 1) - math.lgamma(m + 1) - math.lgamma(n * m - m + 1)
-    if _use_log_space(channel, n, m):
-        log_num = _coef_log(w, counts, m)
-        value = 0.0 if log_num == -np.inf else math.exp(log_num - log_denom)
-    else:
-        num = _coef_direct(w, counts, m)
-        value = 0.0 if num == 0.0 else math.exp(math.log(num) - log_denom)
+    ratios = [x.as_integer_ratio() for x in w.tolist()]
+    scale = max(den for _, den in ratios)  # 2^E
+    coef = [1] + [0] * m
+    for (num, den), c in zip(ratios, counts):
+        a = num * (scale // den)
+        row = [math.comb(c, j) * a**j for j in range(min(m, c) + 1)]
+        coef = [
+            sum(coef[k - j] * row[j] for j in range(min(k, len(row) - 1) + 1))
+            for k in range(m + 1)
+        ]
+    try:
+        value = coef[m] / (math.comb(n * m, m) * scale**m)
+    except OverflowError:
+        raise ValidationError(
+            f"m-message ratio at histogram {counts} exceeds the double range"
+        ) from None
     if m == 1:
         affine = float(np.dot(np.asarray(counts, dtype=np.float64), w)) / n
         if abs(value - affine) > 1e-10 * max(1.0, affine):

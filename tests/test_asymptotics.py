@@ -55,6 +55,20 @@ def test_gdp_delta_validation():
         gdp_delta(0.1, -1.0)
 
 
+@pytest.mark.parametrize("eps, mu", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+def test_gdp_delta_rejects_nan_and_infinite_eps(eps, mu):
+    # max(0.0, nan) is 0.0, so an unchecked NaN would read as perfect privacy
+    with pytest.raises(ValidationError):
+        gdp_delta(eps, mu)
+
+
+def test_gaussian_tradeoff_rejects_nan():
+    with pytest.raises(ValidationError):
+        gaussian_tradeoff(math.nan, 0.05)
+    with pytest.raises(ValidationError):
+        gaussian_tradeoff(1.0, [0.05, math.nan])
+
+
 def test_gaussian_tradeoff_oracle():
     assert gaussian_tradeoff(1.0, 0.05) == pytest.approx(0.74048897715855592935, abs=1e-15)
 

@@ -84,6 +84,8 @@ def test_chernoff_validation():
         chernoff_delta(RR3, 5, -0.5)
     with pytest.raises(ValidationError):
         chernoff_delta(RR3, 5, math.inf)
+    with pytest.raises(ValidationError):
+        chernoff_delta(RR3, 5, math.nan)
 
 
 def test_hoeffding_formula():
@@ -120,3 +122,5 @@ def test_hoeffding_validation():
         unbundled_hoeffding_delta(RR3, 5, 0, 0.5)
     with pytest.raises(ValidationError):
         unbundled_hoeffding_delta(RR3, 5, 1, -1.0)
+    with pytest.raises(ValidationError):
+        unbundled_hoeffding_delta(RR3, 5, 1, math.nan)

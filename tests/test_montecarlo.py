@@ -342,6 +342,8 @@ def test_kolmogorov_validation():
     with pytest.raises(ValidationError):
         kolmogorov_to_gaussian(np.array([0.1, 0.2]), 0.0, Hypothesis.NULL)
     with pytest.raises(ValidationError):
+        kolmogorov_to_gaussian(np.array([0.1, 0.2]), math.nan, Hypothesis.NULL)
+    with pytest.raises(ValidationError):
         kolmogorov_to_gaussian(np.array([]), 1.0, Hypothesis.NULL)
 
 

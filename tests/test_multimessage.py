@@ -18,7 +18,6 @@ from shuffledp import (
     unbundled_lr_atoms,
     validate_channel,
 )
-from shuffledp.multimessage import _coef_direct, _coef_log
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -57,12 +56,46 @@ def test_unbundled_matches_brute_force():
             assert direct == pytest.approx(brute, rel=1e-10)
 
 
-def test_log_and_direct_paths_agree():
-    w = score_stats(full_channel(np.random.default_rng(47), 3)).w
-    for h in _histograms(6, 3):
-        a = _coef_direct(w, h, 2)
-        b = math.exp(_coef_log(w, h, 2))
-        assert a == pytest.approx(b, rel=1e-11)
+@pytest.mark.parametrize("n, m", [(200, 4), (1000, 10), (250, 40)])
+def test_unbundled_lr_is_the_correctly_rounded_exact_ratio(n, m):
+    # d = 2 at K messages of symbol 1: L(K) = sum_j C(nm-K, j) C(K, m-j)
+    # w0^j w1^(m-j) / C(nm, m), for the same double ratios w
+    mpmath = pytest.importorskip("mpmath")
+    total = n * m
+    comb = math.comb
+    for ch in (RR3, full_channel(np.random.default_rng(67), 2)):
+        p1 = float(ch.W0[1])
+        mean, sd = total * p1, math.sqrt(total * p1 * (1.0 - p1))
+        mode = math.floor((total + 1) * p1)
+        for K in (0, mode, round(mean - 3 * sd), round(mean + 3 * sd), total):
+            with mpmath.workdps(50):
+                w0, w1 = (mpmath.mpf(float(x)) for x in score_stats(ch).w)
+                coef = mpmath.fsum(
+                    comb(total - K, j) * comb(K, m - j) * w0**j * w1 ** (m - j)
+                    for j in range(m + 1)
+                )
+                # float(mpf) truncates; round to the nearest double instead
+                want = mpmath.libmp.to_float(
+                    (coef / comb(total, m))._mpf_, rnd=mpmath.libmp.round_nearest
+                )
+            assert unbundled_lr(ch, n, m, (total - K, K)) == want, (n, m, K)
+
+
+def test_unbundled_lr_underflows_and_zeros_exactly():
+    ch = validate_channel([1 - 1e-3, 1e-3], [1e-3, 1 - 1e-3])
+    # w0^m with w0 ~ 1e-3 is below the smallest subnormal at m = 110
+    assert unbundled_lr(ch, 300, 110, (33000, 0)) == 0.0
+    # W1 never sends symbol 0, so a histogram without symbol 1 has ratio 0
+    never = validate_channel([0.5, 0.5], [0.0, 1.0])
+    assert unbundled_lr(never, 3, 2, (6, 0)) == 0.0
+    assert unbundled_lr(never, 3, 2, (4, 2)) == 4 / 15
+
+
+def test_unbundled_lr_out_of_range_raises_validation_error():
+    # w1 ~ 999, so L = w1^110 ~ 1e330 exceeds the double range
+    ch = validate_channel([1 - 1e-3, 1e-3], [1e-3, 1 - 1e-3])
+    with pytest.raises(ValidationError, match="double range"):
+        unbundled_lr(ch, 300, 110, (0, 33000))
 
 
 def test_unbundled_lr_validation():
@@ -85,14 +118,20 @@ def test_unbundled_atoms_are_a_valid_atomization():
 
 
 def test_unbundled_atoms_are_the_coefficient_ratios():
-    # the quotient of the two dense laws is the per-histogram ratio
-    ch = full_channel(np.random.default_rng(61), 3)
-    n, m = 4, 2
-    atoms = unbundled_lr_atoms(ch, n, m)
-    ratios = np.array([unbundled_lr(ch, n, m, h) for h in _histograms(n * m, 3)])
-    gap = np.abs(atoms.lr[None, :] - ratios[:, None])
-    assert np.all(gap.min(axis=1) <= 1e-12 * ratios)
-    assert np.all(gap.min(axis=0) <= 1e-12 * atoms.lr)
+    # the quotient of the two dense laws is the per-histogram ratio.  At d = 2
+    # the cells dropped for a null mass below MIN_NULL_MASS are the extreme
+    # counts, whose ratios lie outside the atoms' range; each histogram
+    # inside it has an atom of its own.
+    for d, n, m in [(3, 4, 2), (2, 150, 4), (3, 20, 3)]:
+        ch = full_channel(np.random.default_rng(61), d)
+        atoms = unbundled_lr_atoms(ch, n, m)
+        ratios = np.array([unbundled_lr(ch, n, m, h) for h in _histograms(n * m, d)])
+        lo, hi = atoms.lr[0] * (1 - 1e-14), atoms.lr[-1] * (1 + 1e-14)
+        inside = ratios[(ratios >= lo) & (ratios <= hi)]
+        assert inside.size == atoms.lr.size, (d, n, m)
+        gap = np.abs(atoms.lr[None, :] - inside[:, None])
+        assert np.all(gap.min(axis=1) <= 1e-14 * inside), (d, n, m)
+        assert np.all(gap.min(axis=0) <= 1e-14 * atoms.lr), (d, n, m)
 
 
 def test_unbundled_m1_atoms_match_single_message():
