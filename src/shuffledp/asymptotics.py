@@ -16,9 +16,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .channels import Channel, score_stats
-from .errors import ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, Composition, _atom_count, _cell_count, _check_eps
-from .exact_dist import binomial_lr_atoms, divergences, lr_atoms
+from .errors import EnumerationCapError, ValidationError
+from .exact_dist import Composition, _check_count, _check_eps, divergences, lr_atoms
 from .simplex_linalg import fisher_constant
 
 
@@ -80,10 +79,8 @@ def gdp_mu(channel: Channel, n: int, pi: float = 0.0, m: int = 1) -> GdpParams:
     pi = 0 gives the canonical pair (I_0 is the chi-square of the channel);
     m > 1 accounts for users sending m unbundled messages each.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if m < 1:
-        raise ValidationError(f"need m >= 1, got {m}")
+    n = _check_count("n", n)
+    m = _check_count("m", m)
     fisher = fisher_constant(channel, pi).fisher
     mu = math.sqrt(m * fisher / n)
     if m > 1:
@@ -140,8 +137,7 @@ def jsd_canonical_asymptotic(
     the channel is small enough to enumerate (always for d = 2), or can be
     supplied by the caller.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    n = _check_count("n", n)
     stats = score_stats(channel)
     terms = (
         stats.chi2 / (8.0 * n),
@@ -160,12 +156,12 @@ _AUTO_EXACT_CAP = 200_000
 
 
 def _exact_canonical_jsd(channel: Channel, n: int) -> float | None:
-    if channel.d == 2:
-        return divergences(binomial_lr_atoms(channel, n)).jsd
-    # at d >= 7 the dense law of a small support can still exceed the cap
-    if _atom_count(n, channel.d) <= _AUTO_EXACT_CAP and _cell_count(n, channel.d) <= DEFAULT_ATOM_CAP:
-        return divergences(lr_atoms(channel, Composition(n, 0), cap=DEFAULT_ATOM_CAP)).jsd
-    return None
+    if channel.d > 2 and math.comb(n + channel.d - 1, channel.d - 1) > _AUTO_EXACT_CAP:
+        return None
+    try:
+        return divergences(lr_atoms(channel, Composition(n, 0))).jsd
+    except EnumerationCapError:
+        return None
 
 
 def leading_divergence(
@@ -183,8 +179,7 @@ def leading_divergence(
     smooth f-divergence with f''(1) = curvature; kind "renyi" gives
     order * I_pi / (2n).
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    n = _check_count("n", n)
     fisher = fisher_constant(channel, pi).fisher
     if kind == "jsd":
         return fisher / (8.0 * n)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, score_stats
-from .errors import ValidationError
-from .exact_dist import _check_eps
+from .exact_dist import _check_count, _check_eps
 
 # Stop expanding the bracket once lambda * max|r| would overflow exp().
 _EXP_ARG_CAP = 700.0
@@ -64,8 +63,7 @@ def chernoff_delta(channel: Channel, n: int, eps: float) -> ChernoffEvaluation:
 
     The result is clamped into [0, 1].
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    n = _check_count("n", n)
     _check_eps(eps)
     stats = score_stats(channel)
     tau = math.expm1(eps)
@@ -131,8 +129,8 @@ def unbundled_hoeffding_delta(channel: Channel, n: int, m: int, eps: float) -> f
     The value is clamped into [0, 1]; at eps = 0 the formula degenerates to
     w_max^m >= 1 and a RuntimeWarning flags the vacuous clamp.
     """
-    if n < 1 or m < 1:
-        raise ValidationError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    n = _check_count("n", n)
+    m = _check_count("m", m)
     _check_eps(eps)
     w_max = score_stats(channel).w_max
     if eps == 0.0:

@@ -292,26 +292,20 @@ def cmd_curve(args) -> int:
     eps = parse_eps_grid(args.eps)
     sidedness = _SIDEDNESS[args.sidedness]
     extra: list = []
+    if args.engine != "exact" and sidedness is not Sidedness.FORWARD:
+        raise ValidationError(f"engine={args.engine} computes the forward curve only")
+    if args.engine in ("binomial", "chernoff") and args.k != 0:
+        raise ValidationError(f"engine={args.engine} handles the canonical pair k=0 only")
     if args.engine == "exact":
         curve = privacy_curve(lr_atoms(channel, comp, cap=args.cap), eps, sidedness)
     elif args.engine == "binomial":
-        if sidedness is not Sidedness.FORWARD:
-            raise ValidationError("engine=binomial computes the forward curve only")
-        if args.k != 0:
-            raise ValidationError("engine=binomial handles the canonical pair k=0 only")
         curve = binomial_curve(channel, args.n, eps)
     elif args.engine == "gdp":
-        if sidedness is not Sidedness.FORWARD:
-            raise ValidationError("engine=gdp computes the forward curve only")
         params = gdp_mu(channel, args.n, pi=_default_pi(args.n, args.k))
         delta = np.array([gdp_delta(e, params.mu) for e in eps])
         curve = PrivacyCurve(eps, delta, Sidedness.FORWARD)
         extra = [f"gdp-mu: {_fmt(params.mu)}", f"gdp-source: {params.source.value}"]
     elif args.engine == "chernoff":
-        if sidedness is not Sidedness.FORWARD:
-            raise ValidationError("engine=chernoff bounds the forward curve only")
-        if args.k != 0:
-            raise ValidationError("engine=chernoff handles the canonical pair k=0 only")
         delta = np.array([chernoff_delta(channel, args.n, e).bound for e in eps])
         curve = PrivacyCurve(eps, delta, Sidedness.FORWARD)
     else:  # pragma: no cover - argparse restricts choices
@@ -489,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=int,
             default=DEFAULT_ATOM_CAP,
-            help="cap on the cells of a dense histogram law, (n+1)^(d-1)",
+            help="cap on enumerated cells: for k=0 the box of per-symbol count windows "
+            "(up to (n+1)^(d-1)), else the dense histogram law's (n+1)^(d-1)",
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (default: stdout)")

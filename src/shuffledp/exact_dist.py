@@ -8,9 +8,10 @@ ratio, privacy curve, trade-off curve and divergences are computed here,
 exactly, atom by atom.
 
 Conventions: the "null" hypothesis is T_{n,k} (k ones), the "alt" hypothesis
-is T_{n,k+1} (one more one).  For k = 0 the likelihood ratio is affine in
-the histogram: L(N) = (1/n) sum_y N_y w(y) with w = W1/W0, which is checked
-against the conditional-expectation computation whenever both apply.
+is T_{n,k+1} (one more one).  For k = 0 the null law is the multinomial
+Mult(n, W0), built in closed form from conditional binomial masses, and the
+likelihood ratio is affine in the histogram: L(N) = (1/n) sum_y N_y w(y)
+with w = W1/W0.  Every other law is folded one message at a time.
 """
 
 import enum
@@ -55,13 +56,8 @@ class Composition:
 
     def __post_init__(self):
         for name in ("n", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError("composition entries must be integers")
-            object.__setattr__(self, name, int(value))
-        if self.n < 0:
-            raise ValidationError(f"need n >= 0, got n={self.n}")
-        if not (0 <= self.k <= self.n):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 0))
+        if self.k > self.n:
             raise ValidationError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
 
 
@@ -181,16 +177,18 @@ class ResidualSummary:
 # histogram laws
 
 
-def _atom_count(n: int, d: int) -> int:
-    return math.comb(n + d - 1, d - 1)
+def _check_count(name: str, value, minimum: int = 1) -> int:
+    """A count must be an integer (not a bool) >= minimum; NaN and 2.5 fail.
 
-
-def _cell_count(n: int, d: int) -> int:
-    return (n + 1) ** (d - 1)
+    Returns it as a Python int, so numpy integers cannot overflow later.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _check_cap(n: int, d: int, cap: int) -> None:
-    count = _cell_count(n, d)
+    count = (n + 1) ** (d - 1)
     if count > cap:
         raise EnumerationCapError(
             f"dense histogram law for {n} messages, d={d} has {count} cells "
@@ -349,28 +347,27 @@ def _pair_table(channel: Channel, zeros: int, ones: int, m: int, cap: int):
 def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -> LrAtomization:
     """Exact likelihood-ratio atoms of T_{n,k+1} against T_{n,k}.
 
-    Both laws are derived from the single intermediate T_{n-1,k}: appending
+    For k = 0 they come in closed form (`_canonical_cells`).  Otherwise
+    both laws are derived from the single intermediate T_{n-1,k}: appending
     one input-0 user gives the null law, one input-1 user the alt law, and
     their ratio at a histogram N is the posterior mean of w(Y) for the
-    appended message.  For k = 0 the result is cross-checked against the
-    affine identity L(N) = (1/n) sum_y N_y w(y).
+    appended message.
 
     Raises:
         ValidationError: SINGULAR channel or k > n-1.
-        EnumerationCapError: dense law larger than `cap` cells.
+        EnumerationCapError: more than `cap` cells (for k = 0 the cells of
+            the window box, otherwise of the dense law).
     """
     _check_pair(channel, comp, "likelihood-ratio atoms")
-    counts, p_null, p_alt, dropped = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
-    lr = p_alt / p_null
     if comp.k == 0:
-        w = score_stats(channel).w
-        affine = counts @ w / comp.n
-        err = float(np.max(np.abs(affine - lr)))
-        if not (err <= 1e-10):
-            raise InternalInvariantError(
-                f"affine likelihood-ratio identity violated by {err:.3e} at k=0"
-            )
-    lr, p_null, p_alt = _merge_atoms(lr, p_null, p_alt)
+        p_null, lr = _canonical_cells(channel, comp.n, cap)
+        p_alt = lr * p_null
+        keep = p_null >= MIN_NULL_MASS
+        dropped = _dropped_masses(p_null, p_alt, keep)
+        lr, p_null, p_alt = _merge_atoms(lr[keep], p_null[keep], p_alt[keep])
+    else:
+        _, p_null, p_alt, dropped = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
+        lr, p_null, p_alt = _merge_atoms(p_alt / p_null, p_null, p_alt)
     atoms = LrAtomization(n=comp.n, k=comp.k, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
     _check_atomization(atoms)
     return atoms
@@ -402,8 +399,8 @@ def _stirlerr(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
-    """Deviance term x ln(x / mean) + mean - x, for x > 0 and mean > 0.
+def _bd0(x: np.ndarray, mean) -> np.ndarray:
+    """Deviance term x ln(x / mean) + mean - x for x > 0, with mean > 0 a float or an array like x.
 
     Within 10% of the mean the direct form cancels, so there it is the
     series (x - mean) v + 2 x sum_{j>=1} v^(2j+1) / (2j+1) with
@@ -412,6 +409,8 @@ def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
     out = x * np.log(x / mean) + mean - x
     near = np.abs(x - mean) < 0.1 * (x + mean)
     xs = x[near]
+    if np.ndim(mean):
+        mean = mean[near]
     v = (xs - mean) / (xs + mean)
     s = (xs - mean) * v
     ej = 2.0 * xs * v
@@ -426,25 +425,31 @@ def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
     return out
 
 
-def _binom_pmf(K: np.ndarray, n: int, p: float) -> np.ndarray:
+def _binom_pmf(K: np.ndarray, n, p: float) -> np.ndarray:
     """Binomial(n, p) masses at the integer-valued floats K in [0, n], 0 < p < 1.
 
-    Loader's saddle-point form (C. Loader, "Fast and accurate computation of
-    binomial probabilities", 2000; the algorithm of R's dbinom):
-    P(K) = exp(stirlerr(n) - stirlerr(K) - stirlerr(n - K) - bd0(K, n p)
-    - bd0(n - K, n q)) / sqrt(2 pi K (n - K) / n), whose terms are small and
-    do not cancel, so the relative accuracy holds far into the tails.  The
-    end counts are q^n and p^n.
+    `n` is an int, or an array of integer-valued floats shaped like K (one
+    binomial per entry).  Loader's saddle-point form (C. Loader, "Fast and
+    accurate computation of binomial probabilities", 2000; the algorithm of
+    R's dbinom): P(K) = exp(stirlerr(n) - stirlerr(K) - stirlerr(n - K)
+    - bd0(K, n p) - bd0(n - K, n q)) / sqrt(2 pi K (n - K) / n), whose terms
+    are small and do not cancel, so the relative accuracy holds far into the
+    tails.  The end counts are q^n and p^n.
     """
     q = 1.0 - p
     out = np.empty_like(K)
     first, last = K == 0.0, K == n
-    out[first] = math.exp(n * math.log1p(-p))
-    out[last] = math.exp(n * math.log(p))
     inner = ~(first | last)
+    if np.ndim(n):
+        out[first] = np.exp(n[first] * math.log1p(-p))
+        out[last] = np.exp(n[last] * math.log(p))
+        n = n[inner]
+    else:
+        out[first] = math.exp(n * math.log1p(-p))
+        out[last] = math.exp(n * math.log(p))
     x = K[inner]
     lc = (
-        _stirlerr(np.array([float(n)]))[0]
+        _stirlerr(np.atleast_1d(np.asarray(n, dtype=np.float64)))
         - _stirlerr(x)
         - _stirlerr(n - x)
         - _bd0(x, n * p)
@@ -463,34 +468,51 @@ def _binomial_window(n: int, p0: float) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=np.float64)
 
 
-def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
-    """Atoms of the k=0 pair for a two-symbol channel, via the binomial law.
+def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Null masses and ratios L(N) = (1/n) sum_y N_y w(y) of the k=0 pair.
 
-    The histogram reduces to the count K ~ Binomial(n, p0), p0 = W0[1],
-    under the null law, and the ratio is affine in K; this scales to n in
-    the millions where the generic enumeration cannot go.  The pmf is
-    `_binom_pmf`, evaluated only on the window |K - n p0| <= sqrt(400 n):
-    by Hoeffding's inequality P(K = k) <= exp(-2 (k - n p0)^2 / n) < e^-800
-    outside it, far below the smallest subnormal double, so every count
-    outside has mass 0 anyway.
-    Counts whose null mass is below MIN_NULL_MASS are dropped, as in the
-    generic engine.
+    With the symbols relabelled by decreasing W0, the null law Mult(n, W0)
+    is a product of conditional binomials,
+    P(N) = prod_{j=d-1..1} Bin(N_j; n - sum_{i>j} N_i, W0_j / sum_{i<=j} W0_i),
+    with N_0 what remains; every share is at most 1/2, so 1 - p does not
+    cancel.  Each factor is `_binom_pmf`, vectorized over the cells built so
+    far.  N_j runs only over the window of its marginal Bin(n, W0_j)
+    (`_binomial_window`), outside of which Hoeffding's inequality puts
+    mass < e^-800, far below the smallest subnormal double.
     """
+    order = np.argsort(-channel.W0, kind="stable")
+    d, W0, w = channel.d, channel.W0[order], score_stats(channel).w[order]
+    windows = [_binomial_window(n, float(W0[j])) for j in range(d - 1, 0, -1)]
+    box = math.prod(window.size for window in windows)
+    if box > cap:
+        raise EnumerationCapError(
+            f"k=0 window box for n={n}, d={d} has {box} cells > cap {cap}; "
+            "use montecarlo.sample_privacy_loss instead"
+        )
+    share = W0 / np.cumsum(W0)
+    K = windows[0]
+    p_null = _binom_pmf(K, n, float(W0[d - 1]))
+    lr = (K / n) * w[d - 1]
+    rest = n - K
+    for j, window in zip(range(d - 2, 0, -1), windows[1:]):
+        # each cell so far spawns the window counts that fit in what remains
+        lo = window[0]
+        length = np.clip(np.minimum(rest, window[-1]) - lo + 1.0, 0.0, None).astype(np.intp)
+        row = np.repeat(np.arange(rest.size), length)
+        K = lo + (np.arange(row.size) - np.repeat(np.cumsum(length) - length, length))
+        rest = rest[row]
+        p_null = p_null[row] * _binom_pmf(K, rest, float(share[j]))
+        lr = lr[row] + (K / n) * w[j]
+        rest -= K
+    return p_null, (rest / n) * w[0] + lr
+
+
+def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
+    """Atoms of the k=0 pair for a two-symbol channel: `lr_atoms` at k=0, whose
+    count window |K - n W0[1]| <= sqrt(400 n) scales to n in the millions."""
     if channel.d != 2:
         raise ValidationError(f"binomial atoms need d=2, got d={channel.d}")
-    _check_pair(channel, Composition(n, 0), "binomial atoms")
-    p0 = float(channel.W0[1])
-    w = score_stats(channel).w
-    K = _binomial_window(n, p0)
-    p_null = _binom_pmf(K, n, p0)
-    lr = ((n - K) / n) * w[0] + (K / n) * w[1]
-    p_alt = lr * p_null
-    keep = p_null >= MIN_NULL_MASS
-    dropped = _dropped_masses(p_null, p_alt, keep)
-    lr, p_null, p_alt = _merge_atoms(lr[keep], p_null[keep], p_alt[keep])
-    atoms = LrAtomization(n=n, k=0, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
-    _check_atomization(atoms)
-    return atoms
+    return lr_atoms(channel, Composition(n, 0))
 
 
 def reverse_atomization(atoms: LrAtomization) -> LrAtomization:

@@ -25,7 +25,8 @@ import numpy as np
 from .asymptotics import _ndtr_array
 from .channels import Channel, score_stats
 from .errors import InternalInvariantError, ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_eps, _check_pair, _pair_table
+from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count, _check_eps
+from .exact_dist import _check_pair, _pair_table
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -350,8 +351,7 @@ def rr_boundary(
     a_n = e^{eps0}/n against the supplied thresholds.
     """
     _check_eps(eps0, "eps0")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    n = _check_count("n", n)
     if not 0.0 < sub_threshold < super_threshold:
         raise ValidationError(
             f"need 0 < sub_threshold < super_threshold, got {sub_threshold!r}, {super_threshold!r}"
@@ -399,8 +399,7 @@ def frequency_mse(eps0: float, n: int, p_true: float, config: SimConfig) -> Freq
     """
     if not (isinstance(eps0, (int, float)) and math.isfinite(eps0)) or eps0 <= 0.0:
         raise ValidationError(f"eps0 must be finite and > 0, got {eps0!r}")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    n = _check_count("n", n)
     if not 0.0 <= p_true <= 1.0:
         raise ValidationError(f"p_true must lie in [0, 1], got {p_true!r}")
     if config.reps < 1:

@@ -18,10 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channels import Channel, Support, score_stats
-from .errors import InternalInvariantError, ValidationError
+from .errors import ValidationError
 from .exact_dist import (
     DEFAULT_ATOM_CAP,
     Composition,
@@ -29,6 +27,7 @@ from .exact_dist import (
     PrivacyCurve,
     Sidedness,
     _check_atomization,
+    _check_count,
     _check_pair,
     _merge_atoms,
     _pair_table,
@@ -68,13 +67,10 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     integer [t^m] prod_y (1 + A_y t)^{N_y}, a truncated product of the rows
     C(N_y, j) A_y^j.  One correctly rounded integer division gives the
     ratio: 0.0 for a symbol W1 never sends, the rounded subnormal or 0.0 on
-    underflow, and a ValidationError when it exceeds the double range.  For
-    m = 1 the value is checked against the affine single-message identity
-    (1/n) sum_y N_y w(y).
+    underflow, and a ValidationError when it exceeds the double range.
     """
     _check_pair(channel, Composition(n, 0), "unbundled ratio")
-    if m < 1:
-        raise ValidationError(f"need m >= 1, got m={m}")
+    m = _check_count("m", m)
     counts = tuple(int(x) for x in histogram)
     if len(counts) != channel.d:
         raise ValidationError(f"histogram has {len(counts)} cells, channel has d={channel.d}")
@@ -97,12 +93,6 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
         raise ValidationError(
             f"m-message ratio at histogram {counts} exceeds the double range"
         ) from None
-    if m == 1:
-        affine = float(np.dot(np.asarray(counts, dtype=np.float64), w)) / n
-        if abs(value - affine) > 1e-10 * max(1.0, affine):
-            raise InternalInvariantError(
-                f"m=1 ratio {value!r} disagrees with affine identity {affine!r}"
-            )
     return value
 
 
@@ -116,8 +106,7 @@ def unbundled_lr_atoms(
     ratio `unbundled_lr` computes one histogram at a time.
     """
     _check_pair(channel, Composition(n, 0), "unbundled atoms")
-    if m < 1:
-        raise ValidationError(f"need m >= 1, got m={m}")
+    m = _check_count("m", m)
     _, p_null, p_alt, dropped = _pair_table(channel, (n - 1) * m, 0, m, cap)
     lr, p_null, p_alt = _merge_atoms(p_alt / p_null, p_null, p_alt)
     atoms = LrAtomization(n=n, k=0, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
@@ -142,8 +131,7 @@ def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
     algebraic lower bound floor 1 + (m-1) chi2 / 2 >= ... >= 1, with
     equality of bound and ratio at m = 2.
     """
-    if m < 1:
-        raise ValidationError(f"need m >= 1, got {m}")
+    m = _check_count("m", m)
     if channel.support is not Support.FULL:
         raise ValidationError(
             f"bundled comparison needs a FULL channel; support is {channel.support.value}"

@@ -1,7 +1,8 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from shuffledp import Channel, validate_channel
+from shuffledp import Channel, Composition, LrAtomization, validate_channel
+from shuffledp.exact_dist import DEFAULT_ATOM_CAP, _merge_atoms, _pair_table
 
 settings.register_profile(
     "local",
@@ -16,3 +17,16 @@ def full_channel(rng: np.random.Generator, d: int) -> Channel:
     W0 = 0.8 * rng.dirichlet([2.0] * d) + 0.2 / d
     W1 = 0.8 * rng.dirichlet([2.0] * d) + 0.2 / d
     return validate_channel(W0, W1)
+
+
+def fold_atoms(channel: Channel, comp: Composition) -> LrAtomization:
+    """Atoms of the pair (T_{n,k}, T_{n,k+1}) from the dense fold, at every k.
+
+    The fold derives both laws from T_{n-1,k}; at k = 0 it is an oracle for
+    `lr_atoms`, which builds that pair in closed form instead.
+    """
+    _, p_null, p_alt, dropped = _pair_table(
+        channel, comp.n - 1 - comp.k, comp.k, 1, DEFAULT_ATOM_CAP
+    )
+    lr, p_null, p_alt = _merge_atoms(p_alt / p_null, p_null, p_alt)
+    return LrAtomization(n=comp.n, k=comp.k, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)

@@ -39,7 +39,7 @@ from shuffledp import (
 from shuffledp.channels import channel_to_json
 from shuffledp.cli import DEFAULT_EPS_SPEC, main, parse_eps_grid
 
-from conftest import full_channel
+from conftest import fold_atoms, full_channel
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -56,13 +56,14 @@ class _Clock:
 
 
 def test_criterion_01_binomial_matches_generic_enumeration():
+    # the generic enumeration is the dense fold of n messages
     clock = _Clock(5.0)
     rng = np.random.default_rng(101)
     channels = [rr_channel(LN3), full_channel(rng, 2), full_channel(np.random.default_rng(202), 2)]
     eps = parse_eps_grid(DEFAULT_EPS_SPEC)
     for ch in channels:
         for n in range(1, 21):
-            exact = privacy_curve(lr_atoms(ch, Composition(n, 0)), eps).delta
+            exact = privacy_curve(fold_atoms(ch, Composition(n, 0)), eps).delta
             fast = binomial_curve(ch, n, eps).delta
             assert np.max(np.abs(exact - fast)) <= 1e-12
     anchors = privacy_curve(

@@ -75,9 +75,11 @@ def test_curve_exact_vs_binomial_payload(rr3_file, tmp_path):
                 "--engine", engine, "--out", str(tmp_path / name),
             ]
         ) == 0
-    _, a = parse_csv((tmp_path / "a.csv").read_text())
-    _, b = parse_csv((tmp_path / "b.csv").read_text())
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    # both engines take the one k=0 path: only the manifest's engine line differs
+    a = (tmp_path / "a.csv").read_text().splitlines()
+    b = (tmp_path / "b.csv").read_text().splitlines()
+    assert [x for x, y in zip(a, b) if x != y] == ["# engine: exact"]
+    assert len(a) == len(b)
 
 
 def test_curve_gdp_reports_mu(rr3_file, capsys):
@@ -123,14 +125,17 @@ def test_curve_svg(rr3_file, tmp_path):
 
 
 def test_curve_engine_restrictions(rr3_file, capsys):
-    assert main(
-        ["curve", "--channel", rr3_file, "--n", "5", "--engine", "binomial",
-         "--sidedness", "reverse"]
-    ) == 2
-    assert main(
-        ["curve", "--channel", rr3_file, "--n", "5", "--k", "1", "--engine", "chernoff"]
-    ) == 2
-    assert "error:" in capsys.readouterr().err
+    # every engine but exact is forward only; binomial and chernoff are k=0 only
+    for extra, message in (
+        (["--engine", "binomial", "--sidedness", "reverse"], "forward curve only"),
+        (["--engine", "gdp", "--sidedness", "reverse"], "forward curve only"),
+        (["--engine", "chernoff", "--sidedness", "two-sided"], "forward curve only"),
+        (["--engine", "binomial", "--k", "1"], "k=0 only"),
+        (["--engine", "chernoff", "--k", "1"], "k=0 only"),
+    ):
+        assert main(["curve", "--channel", rr3_file, "--n", "5"] + extra) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err, (extra, err)
 
 
 def test_exit_codes(rr3_file, tmp_path, capsys):

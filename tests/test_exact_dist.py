@@ -35,14 +35,16 @@ from shuffledp import (
     validate_channel,
 )
 from shuffledp.exact_dist import (
+    DEFAULT_ATOM_CAP,
     MIN_NULL_MASS,
     _binom_pmf,
     _binomial_window,
+    _canonical_cells,
     _check_atomization,
     _jsd_kernel,
     _merge_atoms,
 )
-from conftest import full_channel
+from conftest import fold_atoms, full_channel
 
 RR3 = rr_channel(math.log(3.0))
 LN2 = math.log(2.0)
@@ -112,9 +114,7 @@ def _dict_pair(ch, comp):
     return base, _merge_atoms(p_alt / p_null, p_null, p_alt)
 
 
-@pytest.mark.parametrize(
-    "d, n, k", [(2, 1900, 0), (2, 300, 100), (3, 60, 0), (3, 60, 25), (4, 20, 7)]
-)
+@pytest.mark.parametrize("d, n, k", [(2, 300, 100), (3, 60, 25), (4, 20, 7)])
 def test_dense_engine_is_bit_identical_to_dict_fold(d, n, k):
     ch = full_channel(np.random.default_rng(100 + d), d)
     base, (lr, p_null, p_alt) = _dict_pair(ch, Composition(n, k))
@@ -125,6 +125,72 @@ def test_dense_engine_is_bit_identical_to_dict_fold(d, n, k):
     assert np.array_equal(atoms.lr, lr)
     assert np.array_equal(atoms.p_null, p_null)
     assert np.array_equal(atoms.p_alt, p_alt)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1900), (3, 60)])
+def test_closed_form_k0_atoms_match_dict_fold(d, n):
+    # the k = 0 atoms come from Mult(n, W0) in closed form, not from a fold:
+    # the affine ratios agree to rounding, the masses to the pmf's 1e-11
+    ch = full_channel(np.random.default_rng(100 + d), d)
+    base, (lr, p_null, p_alt) = _dict_pair(ch, Composition(n, 0))
+    law = histogram_law(ch, Composition(n - 1, 0)).atoms
+    assert list(law.items()) == [(h, m) for h, m in base.items() if m > 0.0]
+    atoms = lr_atoms(ch, Composition(n, 0))
+    np.testing.assert_allclose(atoms.lr, lr, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(atoms.p_null, p_null, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(atoms.p_alt, p_alt, rtol=1e-11, atol=0.0)
+
+
+def test_closed_form_k0_handles_shares_below_rounding():
+    # W0[0] is below an ulp of the other shares: a chain that left symbol 1
+    # to be split from {0, 1} would get p = 0.5 / (0.5 + 1e-20) = 1.0 and
+    # 1 - p = 0; the closed form leaves the largest share implied instead
+    ch = validate_channel([1e-20, 0.5, 0.5], [0.3, 0.3, 0.4])
+    eps = np.linspace(0.0, 50.0, 11)
+    for n in (5, 40):
+        np.testing.assert_allclose(
+            privacy_curve(lr_atoms(ch, Composition(n, 0)), eps).delta,
+            privacy_curve(fold_atoms(ch, Composition(n, 0)), eps).delta,
+            rtol=1e-10,
+            atol=0.0,
+        )
+
+
+def _box_cells(channel, n):
+    """The histograms of `_canonical_cells` in its order: with symbols y_0,
+    y_1, ... by decreasing W0, (N_{y_{d-1}}, ..., N_{y_1}) lexicographic over
+    the box of windows, N_{y_0} what remains."""
+    order = np.argsort(-channel.W0, kind="stable")
+    cells = np.zeros((1, 0), dtype=np.int64)
+    for y in order[:0:-1]:
+        window = _binomial_window(n, float(channel.W0[y])).astype(np.int64)
+        cells = np.column_stack(
+            (np.repeat(cells, window.size, axis=0), np.tile(window, len(cells)))
+        )
+        cells = cells[cells.sum(axis=1) <= n]
+    hist = np.empty((len(cells), channel.d), dtype=np.int64)
+    hist[:, order[:0:-1]] = cells
+    hist[:, order[0]] = n - cells.sum(axis=1)
+    return hist
+
+
+@pytest.mark.parametrize("d, n", [(3, 1000), (4, 100)])
+def test_closed_form_masses_match_mpmath_out_to_the_tails(d, n):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    ch = full_channel(np.random.default_rng(40 + d), d)
+    p_null, _ = _canonical_cells(ch, n, DEFAULT_ATOM_CAP)
+    hists = _box_cells(ch, n)
+    assert len(hists) == p_null.size
+    kept = np.flatnonzero(p_null >= 1e-280)
+    picks = set(np.random.default_rng(7).choice(kept, 40, replace=False).tolist())
+    picks |= {int(kept[np.argmin(p_null[kept])]), int(np.argmax(p_null))}
+    W = [mpmath.mpf(float(x)) for x in ch.W0]
+    for i in sorted(picks):
+        exact = mpmath.factorial(n) * mpmath.fprod(
+            W[y] ** c / mpmath.factorial(c) for y, c in enumerate(hists[i].tolist())
+        )
+        assert float(abs(p_null[i] - exact) / exact) <= 1e-11, (hists[i], p_null[i], exact)
 
 
 def test_dense_engine_matches_dict_fold_on_null_support_channel():
@@ -159,6 +225,32 @@ def test_composition_accepts_numpy_integers():
         Composition(True, 0)
     with pytest.raises(ValidationError):
         Composition(3, np.bool_(False))
+
+
+_SMALL_RUN = shuffledp.SimConfig(seed=0, reps=2)
+COUNT_ARGUMENTS = {
+    "gdp_mu-n": lambda v: shuffledp.gdp_mu(RR3, v),
+    "gdp_mu-m": lambda v: shuffledp.gdp_mu(RR3, 10, m=v),
+    "jsd_canonical_asymptotic-n": lambda v: shuffledp.jsd_canonical_asymptotic(RR3, v),
+    "leading_divergence-n": lambda v: shuffledp.leading_divergence(RR3, v, 0.0),
+    "chernoff_delta-n": lambda v: shuffledp.chernoff_delta(RR3, v, 0.5),
+    "unbundled_hoeffding_delta-n": lambda v: shuffledp.unbundled_hoeffding_delta(RR3, v, 2, 0.5),
+    "unbundled_hoeffding_delta-m": lambda v: shuffledp.unbundled_hoeffding_delta(RR3, 10, v, 0.5),
+    "rr_boundary-n": lambda v: shuffledp.rr_boundary(1.0, v),
+    "frequency_mse-n": lambda v: shuffledp.frequency_mse(1.0, v, 0.5, _SMALL_RUN),
+    "unbundled_lr-m": lambda v: shuffledp.unbundled_lr(RR3, 1, v, (v, 0)),
+    "unbundled_lr_atoms-m": lambda v: shuffledp.unbundled_lr_atoms(RR3, 2, v),
+    "mm_gdp_compare-m": lambda v: shuffledp.mm_gdp_compare(RR3, v),
+}
+
+
+@pytest.mark.parametrize("call", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS)
+def test_counts_must_be_integers(call):
+    for bad in (math.nan, 2.5, True):
+        with pytest.raises(ValidationError):
+            call(bad)
+    call(np.int64(3))
+    call(np.uint8(3))
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +315,15 @@ def test_reverse_twice_is_identity():
 def test_binomial_atoms_match_generic():
     ch = full_channel(np.random.default_rng(21), 2)
     a = binomial_lr_atoms(ch, 12)
-    b = lr_atoms(ch, Composition(12, 0))
+    b = fold_atoms(ch, Composition(12, 0))
     assert a.lr == pytest.approx(b.lr, rel=1e-12)
     assert a.p_null == pytest.approx(b.p_null, rel=1e-12)
 
 
 def test_generic_atoms_stay_finite_where_masses_underflow():
-    # at n=600 the far-tail histogram masses underflow below the smallest
-    # normal double; those cells are dropped instead of dividing 0 by 0
-    atoms = lr_atoms(RR3, Composition(600, 0))
+    # at n=600 the far-tail histogram masses of the fold underflow below the
+    # smallest normal double; those cells are dropped instead of dividing 0 by 0
+    atoms = fold_atoms(RR3, Composition(600, 0))
     assert np.all(np.isfinite(atoms.lr))
     assert divergences(atoms).jsd == pytest.approx(
         divergences(binomial_lr_atoms(RR3, 600)).jsd, rel=1e-12
@@ -434,7 +526,7 @@ def test_binomial_curve_matches_exact_enumeration():
     ch = full_channel(np.random.default_rng(31), 2)
     eps = np.geomspace(1e-3, 5.0, 40)
     for n in (160, 600):
-        direct = privacy_curve(lr_atoms(ch, Composition(n, 0)), eps).delta
+        direct = privacy_curve(fold_atoms(ch, Composition(n, 0)), eps).delta
         binomial = binomial_curve(ch, n, eps).delta
         np.testing.assert_allclose(binomial, direct, rtol=1e-10, atol=1e-300)
 
@@ -734,7 +826,7 @@ def test_parse_csv_requires_header():
 @example(1.0, 2)
 def test_generic_matches_binomial_in_underflow_regime(eps0, n):
     ch = rr_channel(eps0)
-    atoms = lr_atoms(ch, Composition(n, 0))
+    atoms = fold_atoms(ch, Composition(n, 0))
     for arr in (atoms.lr, atoms.p_null, atoms.p_alt):
         assert np.all(np.isfinite(arr))
     eps = np.linspace(0.0, eps0, 64)
@@ -747,10 +839,10 @@ def test_generic_matches_binomial_in_underflow_regime(eps0, n):
 
 @pytest.mark.parametrize("eps0, n", [(1.0, 2), (0.5, 3), (2.0, 40)])
 def test_delta_is_zero_at_the_largest_ratio_of_rr(eps0, n):
-    # the top atom is e^eps0 up to a few ulps in both engines; its excess
-    # over the threshold e^eps0 is a tie, not a positive delta
+    # the top atom is e^eps0 up to a few ulps in the fold and in the closed
+    # form; its excess over the threshold e^eps0 is a tie, not a positive delta
     ch = rr_channel(eps0)
-    for atoms in (lr_atoms(ch, Composition(n, 0)), binomial_lr_atoms(ch, n)):
+    for atoms in (fold_atoms(ch, Composition(n, 0)), binomial_lr_atoms(ch, n)):
         assert atoms.lr[-1] == pytest.approx(math.exp(eps0), rel=1e-15)
         assert privacy_curve(atoms, [eps0]).delta[0] == 0.0
         assert privacy_curve(atoms, [0.999 * eps0]).delta[0] > 0.0
