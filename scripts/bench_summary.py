@@ -15,7 +15,8 @@ For every workload and end-to-end metric of BENCHMARK.json the summary
 gives each side's median and quartiles, the pairs the change won (ties
 count for neither), and the medians' gap against the parent's quartile
 spread.  The sweeps are the outputs of `scripts/sampler_sweep.py` on the
-two checkouts, joined cell by cell.
+two checkouts, joined cell by cell; leave both out for a change that does
+not touch the sampler.
 """
 
 import argparse
@@ -89,21 +90,19 @@ def join_sweeps(before, after):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pairs", nargs="+", required=True)
-    ap.add_argument("--sweep-before", required=True)
-    ap.add_argument("--sweep-after", required=True)
+    ap.add_argument("--sweep-before")
+    ap.add_argument("--sweep-after")
     ap.add_argument("--benchmark", default="BENCHMARK.json")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
+    if (args.sweep_before is None) != (args.sweep_after is None):
+        ap.error("give both --sweep-before and --sweep-after, or neither")
     with open(args.benchmark) as f:
         metrics = json.load(f)["end_to_end"]
     lines = []
     for path in args.pairs:
         with open(path) as f:
             lines.extend(json.loads(line) for line in f if line.strip())
-    with open(args.sweep_before) as f:
-        before = json.load(f)
-    with open(args.sweep_after) as f:
-        after = json.load(f)
     report = {
         "machine": {
             "platform": platform.platform(),
@@ -116,8 +115,13 @@ def main() -> int:
             "order": "parent first in even-numbered pairs, change first in odd-numbered pairs",
             "workloads": summarize_pairs(lines, metrics),
         },
-        "sampler_sweep": join_sweeps(before, after),
     }
+    if args.sweep_before is not None:
+        with open(args.sweep_before) as f:
+            before = json.load(f)
+        with open(args.sweep_after) as f:
+            after = json.load(f)
+        report["sampler_sweep"] = join_sweeps(before, after)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
         f.write("\n")

@@ -6,149 +6,112 @@ atomization and its (eps, delta) / trade-off / divergence consequences, the
 Fisher-constant Gaussian (GDP) limit with its convergence diagnostics,
 closed-form Chernoff-style bounds, the unbundled multi-message extension,
 and deterministic Monte Carlo fallbacks.
+
+`import shuffledp` loads neither numpy nor any engine module: each public
+name is looked up in the submodule that defines it on first access (PEP 562
+module `__getattr__`), so a job loads only the engines it calls.  The value
+is not cached here, so `shuffledp.f` is always what `shuffledp.<module>.f`
+holds at that moment.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
-from .channels import (
-    Channel,
-    ScoreStats,
-    Support,
-    channel_from_json,
-    channel_to_json,
-    rr_channel,
-    score_stats,
-    validate_channel,
-)
-from .simplex_linalg import (
-    FisherReport,
-    fisher_constant,
-    fisher_via_mixture,
-    one_hot_cov,
-    sigma_pi,
-)
-from .exact_dist import (
-    Composition,
-    DivergenceReport,
-    HistogramLaw,
-    LrAtomization,
-    PrivacyCurve,
-    ResidualSummary,
-    Sidedness,
-    TradeoffCurve,
-    binomial_curve,
-    binomial_lr_atoms,
-    conditional_score,
-    divergences,
-    histogram_law,
-    law_to_csv,
-    linearization_residual,
-    lr_atoms,
-    mean_histogram,
-    parse_csv,
-    privacy_curve,
-    reverse_atomization,
-    tradeoff_curve,
-)
-from .asymptotics import (
-    ExpansionReport,
-    GdpParams,
-    GdpSource,
-    gaussian_tradeoff,
-    gdp_delta,
-    gdp_mu,
-    jsd_canonical_asymptotic,
-    leading_divergence,
-)
-from .bounds import ChernoffEvaluation, chernoff_delta, unbundled_hoeffding_delta
-from .multimessage import (
-    MmComparison,
-    brute_force_lr,
-    mm_gdp_compare,
-    unbundled_exact_curve,
-    unbundled_lr,
-    unbundled_lr_atoms,
-)
-from .montecarlo import (
-    FrequencyMseReport,
-    Hypothesis,
-    Regime,
-    RrBoundary,
-    SimConfig,
-    dkw_radius,
-    frequency_mse,
-    kolmogorov_to_gaussian,
-    rate_exponent,
-    rr_boundary,
-    sample_privacy_loss,
-)
+
+# Public names by the submodule that defines them.
+_EXPORTS = {
+    "channels": (
+        "Channel",
+        "ScoreStats",
+        "Support",
+        "validate_channel",
+        "rr_channel",
+        "score_stats",
+        "channel_to_json",
+        "channel_from_json",
+    ),
+    "simplex_linalg": (
+        "FisherReport",
+        "one_hot_cov",
+        "sigma_pi",
+        "fisher_constant",
+        "fisher_via_mixture",
+    ),
+    "exact_dist": (
+        "Composition",
+        "HistogramLaw",
+        "LrAtomization",
+        "PrivacyCurve",
+        "TradeoffCurve",
+        "DivergenceReport",
+        "ResidualSummary",
+        "Sidedness",
+        "histogram_law",
+        "mean_histogram",
+        "lr_atoms",
+        "binomial_lr_atoms",
+        "binomial_curve",
+        "reverse_atomization",
+        "privacy_curve",
+        "tradeoff_curve",
+        "divergences",
+        "conditional_score",
+        "linearization_residual",
+        "law_to_csv",
+        "parse_csv",
+    ),
+    "asymptotics": (
+        "ExpansionReport",
+        "GdpParams",
+        "GdpSource",
+        "gdp_mu",
+        "gdp_delta",
+        "gaussian_tradeoff",
+        "jsd_canonical_asymptotic",
+        "leading_divergence",
+    ),
+    "bounds": ("ChernoffEvaluation", "chernoff_delta", "unbundled_hoeffding_delta"),
+    "multimessage": (
+        "MmComparison",
+        "unbundled_lr",
+        "unbundled_lr_atoms",
+        "unbundled_exact_curve",
+        "mm_gdp_compare",
+        "brute_force_lr",
+    ),
+    "montecarlo": (
+        "FrequencyMseReport",
+        "Hypothesis",
+        "Regime",
+        "RrBoundary",
+        "SimConfig",
+        "sample_privacy_loss",
+        "kolmogorov_to_gaussian",
+        "dkw_radius",
+        "rate_exponent",
+        "rr_boundary",
+        "frequency_mse",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "__version__",
     "ValidationError",
     "EnumerationCapError",
     "InternalInvariantError",
-    "Channel",
-    "ScoreStats",
-    "Support",
-    "validate_channel",
-    "rr_channel",
-    "score_stats",
-    "channel_to_json",
-    "channel_from_json",
-    "FisherReport",
-    "one_hot_cov",
-    "sigma_pi",
-    "fisher_constant",
-    "fisher_via_mixture",
-    "Composition",
-    "HistogramLaw",
-    "LrAtomization",
-    "PrivacyCurve",
-    "TradeoffCurve",
-    "DivergenceReport",
-    "ResidualSummary",
-    "Sidedness",
-    "histogram_law",
-    "mean_histogram",
-    "lr_atoms",
-    "binomial_lr_atoms",
-    "binomial_curve",
-    "reverse_atomization",
-    "privacy_curve",
-    "tradeoff_curve",
-    "divergences",
-    "conditional_score",
-    "linearization_residual",
-    "law_to_csv",
-    "parse_csv",
-    "ExpansionReport",
-    "GdpParams",
-    "GdpSource",
-    "gdp_mu",
-    "gdp_delta",
-    "gaussian_tradeoff",
-    "jsd_canonical_asymptotic",
-    "leading_divergence",
-    "ChernoffEvaluation",
-    "chernoff_delta",
-    "unbundled_hoeffding_delta",
-    "MmComparison",
-    "unbundled_lr",
-    "unbundled_lr_atoms",
-    "unbundled_exact_curve",
-    "mm_gdp_compare",
-    "brute_force_lr",
-    "FrequencyMseReport",
-    "Hypothesis",
-    "Regime",
-    "RrBoundary",
-    "SimConfig",
-    "sample_privacy_loss",
-    "kolmogorov_to_gaussian",
-    "dkw_radius",
-    "rate_exponent",
-    "rr_boundary",
-    "frequency_mse",
+    *_OWNER,
 ]
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -11,7 +11,6 @@ functional-specific factor.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from statistics import NormalDist
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .simplex_linalg import fisher_constant
 
 
 _SQRT_HALF = math.sqrt(0.5)
-_STD_NORMAL = NormalDist()
 
 
 def _ndtr(x: float) -> float:
@@ -112,6 +110,8 @@ def gaussian_tradeoff(mu: float, alpha):
 
     Vectorized over alpha; endpoints map to beta(0) = 1 and beta(1) = 0.
     """
+    from statistics import NormalDist  # also loads fractions, decimal and random
+
     if not (mu >= 0.0):
         raise ValidationError(f"mu must be >= 0, got {mu!r}")
     a = np.asarray(alpha, dtype=np.float64)
@@ -121,7 +121,8 @@ def gaussian_tradeoff(mu: float, alpha):
     # Phi^{-1} is +-inf at 1 and 0, where NormalDist.inv_cdf raises
     z = np.where(p >= 1.0, np.inf, np.where(p <= 0.0, -np.inf, np.nan))
     inner = (p > 0.0) & (p < 1.0)
-    z[inner] = [_STD_NORMAL.inv_cdf(v) for v in p[inner].tolist()]
+    inv_cdf = NormalDist().inv_cdf
+    z[inner] = [inv_cdf(v) for v in p[inner].tolist()]
     out = _ndtr_array(z - mu).reshape(a.shape)
     out = np.where(a == 0.0, 1.0, np.where(a == 1.0, 0.0, out))
     return float(out) if np.isscalar(alpha) else out

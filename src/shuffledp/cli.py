@@ -10,7 +10,6 @@ record them anyway).
 
 import argparse
 import dataclasses
-import datetime
 import enum
 import hashlib
 import json
@@ -20,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Only what every subcommand needs is imported here; each subcommand imports
+# the engines it calls, so a job loads no module it does not run.
 from . import __version__
-from .asymptotics import gdp_mu, gdp_delta, jsd_canonical_asymptotic
-from .bounds import chernoff_delta
 from .channels import Channel, Support, channel_from_json, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
 from .exact_dist import (
@@ -35,16 +34,6 @@ from .exact_dist import (
     lr_atoms,
     privacy_curve,
 )
-from .montecarlo import (
-    Hypothesis,
-    SimConfig,
-    dkw_radius,
-    kolmogorov_to_gaussian,
-    rr_boundary,
-    sample_privacy_loss,
-)
-from .multimessage import mm_gdp_compare
-from .simplex_linalg import fisher_constant, fisher_via_mixture
 
 DEFAULT_EPS_SPEC = "log:1e-3:10:64"
 
@@ -301,11 +290,15 @@ def cmd_curve(args) -> int:
     elif args.engine == "binomial":
         curve = binomial_curve(channel, args.n, eps)
     elif args.engine == "gdp":
+        from .asymptotics import gdp_delta, gdp_mu
+
         params = gdp_mu(channel, args.n, pi=_default_pi(args.n, args.k))
         delta = np.array([gdp_delta(e, params.mu) for e in eps])
         curve = PrivacyCurve(eps, delta, Sidedness.FORWARD)
         extra = [f"gdp-mu: {_fmt(params.mu)}", f"gdp-source: {params.source.value}"]
     elif args.engine == "chernoff":
+        from .bounds import chernoff_delta
+
         delta = np.array([chernoff_delta(channel, args.n, e).bound for e in eps])
         curve = PrivacyCurve(eps, delta, Sidedness.FORWARD)
     else:  # pragma: no cover - argparse restricts choices
@@ -354,6 +347,11 @@ def cmd_curve(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .asymptotics import gdp_mu, jsd_canonical_asymptotic
+    from .montecarlo import rr_boundary
+    from .multimessage import mm_gdp_compare
+    from .simplex_linalg import fisher_constant, fisher_via_mixture
+
     channel = _load_channel(args.channel)
     if args.k is not None and args.pi is not None:
         raise ValidationError("give at most one of --k / --pi")
@@ -405,6 +403,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .asymptotics import gdp_mu
+    from .montecarlo import (
+        Hypothesis,
+        SimConfig,
+        dkw_radius,
+        kolmogorov_to_gaussian,
+        sample_privacy_loss,
+    )
+
     channel = _load_channel(args.channel)
     if channel.support is not Support.FULL:
         raise ValidationError("simulate needs a FULL channel (strictly positive W0 and W1)")
@@ -460,6 +467,8 @@ def cmd_simulate(args) -> int:
 
 
 def _now() -> str:
+    import datetime
+
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 

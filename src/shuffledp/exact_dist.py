@@ -23,7 +23,6 @@ import numpy as np
 
 from .channels import Channel, Support, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
-from .simplex_linalg import fisher_constant
 
 # Refuse exact enumeration beyond this many dense histogram-law cells.
 DEFAULT_ATOM_CAP = 30_000_000
@@ -425,7 +424,7 @@ def _bd0(x: np.ndarray, mean) -> np.ndarray:
     return out
 
 
-def _binom_pmf(K: np.ndarray, n, p: float) -> np.ndarray:
+def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None) -> np.ndarray:
     """Binomial(n, p) masses at the integer-valued floats K in [0, n], 0 < p < 1.
 
     `n` is an int, or an array of integer-valued floats shaped like K (one
@@ -434,7 +433,8 @@ def _binom_pmf(K: np.ndarray, n, p: float) -> np.ndarray:
     R's dbinom): P(K) = exp(stirlerr(n) - stirlerr(K) - stirlerr(n - K)
     - bd0(K, n p) - bd0(n - K, n q)) / sqrt(2 pi K (n - K) / n), whose terms
     are small and do not cancel, so the relative accuracy holds far into the
-    tails.  The end counts are q^n and p^n.
+    tails.  The end counts are q^n and p^n.  `stirlerr_table`, if given,
+    holds `_stirlerr` at 0, 1, ..., max(n) and is indexed instead.
     """
     q = 1.0 - p
     out = np.empty_like(K)
@@ -448,10 +448,14 @@ def _binom_pmf(K: np.ndarray, n, p: float) -> np.ndarray:
         out[first] = math.exp(n * math.log1p(-p))
         out[last] = math.exp(n * math.log(p))
     x = K[inner]
+    if stirlerr_table is None:
+        stirlerr = _stirlerr
+    else:
+        stirlerr = lambda v: stirlerr_table[v.astype(np.intp)]  # noqa: E731
     lc = (
-        _stirlerr(np.atleast_1d(np.asarray(n, dtype=np.float64)))
-        - _stirlerr(x)
-        - _stirlerr(n - x)
+        stirlerr(np.atleast_1d(np.asarray(n, dtype=np.float64)))
+        - stirlerr(x)
+        - stirlerr(n - x)
         - _bd0(x, n * p)
         - _bd0(n - x, n * q)
     )
@@ -490,8 +494,10 @@ def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np
             "use montecarlo.sample_privacy_loss instead"
         )
     share = W0 / np.cumsum(W0)
+    # at d >= 3 the cells far outnumber the n + 1 values stirlerr is taken at
+    table = _stirlerr(np.arange(n + 1.0)) if d > 2 else None
     K = windows[0]
-    p_null = _binom_pmf(K, n, float(W0[d - 1]))
+    p_null = _binom_pmf(K, n, float(W0[d - 1]), table)
     lr = (K / n) * w[d - 1]
     rest = n - K
     for j, window in zip(range(d - 2, 0, -1), windows[1:]):
@@ -501,7 +507,7 @@ def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np
         row = np.repeat(np.arange(rest.size), length)
         K = lo + (np.arange(row.size) - np.repeat(np.cumsum(length) - length, length))
         rest = rest[row]
-        p_null = p_null[row] * _binom_pmf(K, rest, float(share[j]))
+        p_null = p_null[row] * _binom_pmf(K, rest, float(share[j]), table)
         lr = lr[row] + (K / n) * w[j]
         rest -= K
     return p_null, (rest / n) * w[0] + lr
@@ -529,11 +535,14 @@ def reverse_atomization(atoms: LrAtomization) -> LrAtomization:
     lr = 1.0 / atoms.lr[keep]
     p_null = atoms.p_alt[keep]
     p_alt = atoms.p_null[keep]
+    # the ratios increase strictly, so their inverses come in reverse order,
+    # and the appended zero-ratio atom goes first
+    order = np.arange(lr.size - 1, -1, -1)
     if atoms.alt_singular_mass > 0.0:
+        order = np.append(lr.size, order)
         lr = np.append(lr, 0.0)
         p_null = np.append(p_null, atoms.alt_singular_mass)
         p_alt = np.append(p_alt, 0.0)
-    order = np.argsort(lr)
     return LrAtomization(
         n=atoms.n,
         k=atoms.k,
@@ -786,8 +795,10 @@ def linearization_residual(
         pi = comp.k / comp.n
     else:
         raise ValidationError(f"unknown pi convention {pi_convention!r}")
-    if window_mult <= 0.0:
+    if not (window_mult > 0.0):
         raise ValidationError(f"window_mult must be positive, got {window_mult!r}")
+    from .simplex_linalg import fisher_constant
+
     s = fisher_constant(channel, pi).s
     _check_pair(channel, comp, "linearization residual")
     counts, p_null, p_alt, _ = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)

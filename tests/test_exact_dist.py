@@ -312,6 +312,30 @@ def test_reverse_twice_is_identity():
     assert back.alt_singular_mass == atoms.alt_singular_mass
 
 
+def _sorted_reversal(atoms):
+    """Arrays of `reverse_atomization` as a sort of the reversed atoms orders them."""
+    keep = atoms.lr != 0.0
+    lr, p_null, p_alt = 1.0 / atoms.lr[keep], atoms.p_alt[keep], atoms.p_null[keep]
+    if atoms.alt_singular_mass > 0.0:
+        lr = np.append(lr, 0.0)
+        p_null = np.append(p_null, atoms.alt_singular_mass)
+        p_alt = np.append(p_alt, 0.0)
+    order = np.argsort(lr)
+    return lr[order], p_null[order], p_alt[order]
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_reverse_atomization_orders_as_a_sort_would(k):
+    # with and without zero-ratio atoms and alt-singular mass
+    for ch in (validate_channel([0.5, 0.5], [0.0, 1.0]), full_channel(np.random.default_rng(3), 3)):
+        atoms = lr_atoms(ch, Composition(12, k))
+        for source in (atoms, reverse_atomization(atoms)):
+            got = reverse_atomization(source)
+            for array, expected in zip((got.lr, got.p_null, got.p_alt), _sorted_reversal(source)):
+                assert np.array_equal(array, expected)
+            assert got.alt_singular_mass == float(source.p_null[source.lr == 0.0].sum())
+
+
 def test_binomial_atoms_match_generic():
     ch = full_channel(np.random.default_rng(21), 2)
     a = binomial_lr_atoms(ch, 12)
@@ -780,6 +804,9 @@ def test_linearization_residual_validation():
         # k=3 keeps the mean histogram off the integer lattice, so a tiny
         # window really is empty (at k=4 the mean (4,4) is itself an atom)
         linearization_residual(RR3, Composition(8, 3), window_mult=1e-9)
+    for window_mult in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError, match="window_mult must be positive"):
+            linearization_residual(RR3, Composition(8, 4), window_mult=window_mult)
 
 
 def test_linearization_pi_conventions_differ():
