@@ -185,11 +185,11 @@ def leading_divergence(
     if kind == "jsd":
         return fisher / (8.0 * n)
     if kind == "f":
-        if curvature is None or curvature < 0.0:
-            raise ValidationError("kind='f' needs curvature = f''(1) >= 0")
+        if curvature is None or not (0.0 <= curvature < math.inf):
+            raise ValidationError("kind='f' needs a finite curvature = f''(1) >= 0")
         return 0.5 * curvature * fisher / n
     if kind == "renyi":
-        if order is None or order < 1.0:
-            raise ValidationError("kind='renyi' needs order >= 1")
+        if order is None or not (1.0 <= order < math.inf):
+            raise ValidationError("kind='renyi' needs a finite order >= 1")
         return order * fisher / (2.0 * n)
     raise ValidationError(f"unknown divergence kind {kind!r}")

@@ -11,7 +11,8 @@ Conventions: the "null" hypothesis is T_{n,k} (k ones), the "alt" hypothesis
 is T_{n,k+1} (one more one).  For k = 0 the null law is the multinomial
 Mult(n, W0), built in closed form from conditional binomial masses, and the
 likelihood ratio is affine in the histogram: L(N) = (1/n) sum_y N_y w(y)
-with w = W1/W0.  Every other law is folded one message at a time.
+with w = W1/W0.  Every other pair is folded one message at a time
+(`_pair_laws`), and every atomization ends in `_atomize`.
 """
 
 import enum
@@ -186,13 +187,22 @@ def _check_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
-def _check_cap(n: int, d: int, cap: int) -> None:
-    count = (n + 1) ** (d - 1)
-    if count > cap:
+def _check_cap(cells: int, what: str, cap: int) -> None:
+    """Refuse to enumerate `what`, which has `cells` cells, beyond `cap` cells."""
+    if cells > cap:
         raise EnumerationCapError(
-            f"dense histogram law for {n} messages, d={d} has {count} cells "
-            f"> cap {cap}; use montecarlo.sample_privacy_loss instead"
+            f"{what} has {cells} cells > cap {cap}; use montecarlo.sample_privacy_loss instead"
         )
+
+
+def _check_histogram(channel: Channel, histogram, total: int) -> tuple[int, ...]:
+    """A histogram must hold d nonnegative integer counts summing to `total`."""
+    h = tuple(_check_count("histogram count", x, 0) for x in histogram)
+    if len(h) != channel.d:
+        raise ValidationError(f"histogram has {len(h)} cells, channel has d={channel.d}")
+    if sum(h) != total:
+        raise ValidationError(f"histogram {h} is not a size-{total} count vector")
+    return h
 
 
 def _fold(law: np.ndarray, W: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -267,8 +277,9 @@ def histogram_law(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_C
     Raises:
         EnumerationCapError: the dense law would exceed `cap` cells.
     """
-    _check_cap(comp.n, channel.d, cap)
-    law, factor = _dense_law(channel, comp.n - comp.k, comp.k)
+    n, d = comp.n, channel.d
+    _check_cap((n + 1) ** (d - 1), f"dense histogram law for {n} messages, d={d}", cap)
+    law, factor = _dense_law(channel, n - comp.k, comp.k)
     pos, counts = _descending_cells(law > 0.0)
     atoms = dict(zip(map(tuple, counts.tolist()), law.ravel()[pos].tolist()))
     return HistogramLaw(n=comp.n, d=channel.d, atoms=atoms, renormalized_by=factor)
@@ -324,23 +335,39 @@ def _dropped_masses(p_null: np.ndarray, p_alt: np.ndarray, keep: np.ndarray) -> 
     }
 
 
-def _pair_table(channel: Channel, zeros: int, ones: int, m: int, cap: int):
-    """(counts, p_null, p_alt, dropped) of the pair base + m W0- vs base + m W1-messages.
+def _pair_laws(channel: Channel, zeros: int, ones: int, m: int, cap: int):
+    """Dense laws (null, alt) of base + m W0- and base + m W1-messages.
 
-    The base law holds `zeros` W0- and `ones` W1-messages.  Rows are full
-    count vectors in descending lexicographic order.  Cells whose null mass
-    is below MIN_NULL_MASS are dropped; `dropped` holds their total null and
-    alt masses as `LrAtomization` keyword arguments.
+    The renormalized base law holds `zeros` W0- and `ones` W1-messages; alt /
+    null is the pair ratio.  Raises EnumerationCapError beyond `cap` cells.
     """
-    _check_cap(zeros + ones + m, channel.d, cap)
+    n, d = zeros + ones + m, channel.d
+    _check_cap((n + 1) ** (d - 1), f"dense histogram law for {n} messages, d={d}", cap)
     base = _dense_law(channel, zeros, ones)[0]
-    null = _fold_messages(base, [channel.W0] * m)
-    alt = _fold_messages(base, [channel.W1] * m)
-    del base  # freed before the kept cells are indexed, to bound the peak
+    return _fold_messages(base, [channel.W0] * m), _fold_messages(base, [channel.W1] * m)
+
+
+def _atomize(n: int, k: int, lr, p_null, p_alt, dropped: dict[str, float]) -> LrAtomization:
+    """The merged, checked atomization of the kept cells; `dropped` is `_dropped_masses`."""
+    lr, p_null, p_alt = _merge_atoms(lr, p_null, p_alt)
+    atoms = LrAtomization(n=n, k=k, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
+    _check_atomization(atoms)
+    return atoms
+
+
+def _fold_atoms(channel: Channel, comp: Composition, m: int, cap: int) -> LrAtomization:
+    """Atoms of the m-message pair at (n, k): base (n-1-k) m W0- and k m W1-messages.
+
+    Cells with null mass below MIN_NULL_MASS are dropped; the kept cells
+    enter the merge in descending lexicographic order (reversed C order).
+    """
+    n, k = comp.n, comp.k
+    null, alt = _pair_laws(channel, (n - 1 - k) * m, k * m, m, cap)
+    null, alt = null.ravel()[::-1], alt.ravel()[::-1]
     keep = null >= MIN_NULL_MASS
-    pos, counts = _descending_cells(keep)
-    null, alt = null.ravel(), alt.ravel()
-    return counts, null[pos], alt[pos], _dropped_masses(null, alt, keep.ravel())
+    p_null, p_alt, dropped = null[keep], alt[keep], _dropped_masses(null, alt, keep)
+    del null, alt, keep  # the dense laws are freed before the merge, to bound the peak
+    return _atomize(n, k, p_alt / p_null, p_null, p_alt, dropped)
 
 
 def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -> LrAtomization:
@@ -358,18 +385,14 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
             the window box, otherwise of the dense law).
     """
     _check_pair(channel, comp, "likelihood-ratio atoms")
-    if comp.k == 0:
-        p_null, lr = _canonical_cells(channel, comp.n, cap)
-        p_alt = lr * p_null
-        keep = p_null >= MIN_NULL_MASS
-        dropped = _dropped_masses(p_null, p_alt, keep)
-        lr, p_null, p_alt = _merge_atoms(lr[keep], p_null[keep], p_alt[keep])
-    else:
-        _, p_null, p_alt, dropped = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
-        lr, p_null, p_alt = _merge_atoms(p_alt / p_null, p_null, p_alt)
-    atoms = LrAtomization(n=comp.n, k=comp.k, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
-    _check_atomization(atoms)
-    return atoms
+    if comp.k > 0:
+        return _fold_atoms(channel, comp, 1, cap)
+    p_null, lr = _canonical_cells(channel, comp.n, cap)
+    p_alt = lr * p_null
+    keep = p_null >= MIN_NULL_MASS
+    dropped = _dropped_masses(p_null, p_alt, keep)
+    lr, p_null, p_alt = lr[keep], p_null[keep], p_alt[keep]  # frees the full arrays before the merge
+    return _atomize(comp.n, 0, lr, p_null, p_alt, dropped)
 
 
 # stirlerr(x) = ln x! - (x + 1/2) ln x + x - ln sqrt(2 pi), the error of
@@ -487,12 +510,7 @@ def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np
     order = np.argsort(-channel.W0, kind="stable")
     d, W0, w = channel.d, channel.W0[order], score_stats(channel).w[order]
     windows = [_binomial_window(n, float(W0[j])) for j in range(d - 1, 0, -1)]
-    box = math.prod(window.size for window in windows)
-    if box > cap:
-        raise EnumerationCapError(
-            f"k=0 window box for n={n}, d={d} has {box} cells > cap {cap}; "
-            "use montecarlo.sample_privacy_loss instead"
-        )
+    _check_cap(math.prod(window.size for window in windows), f"k=0 window box for n={n}, d={d}", cap)
     share = W0 / np.cumsum(W0)
     # at d >= 3 the cells far outnumber the n + 1 values stirlerr is taken at
     table = _stirlerr(np.arange(n + 1.0)) if d > 2 else None
@@ -706,8 +724,8 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     renyi: dict[float, float] = {}
     for alpha in renyi_orders:
         alpha = float(alpha)
-        if alpha <= 1.0:
-            raise ValidationError(f"Renyi order must exceed 1, got {alpha}")
+        if not (1.0 < alpha < math.inf):
+            raise ValidationError(f"Renyi order must be finite and exceed 1, got {alpha}")
         if sing > 0.0 or np.any(lr == 0.0):
             raise ValidationError(
                 "Renyi divergence needs full support in both directions"
@@ -746,30 +764,19 @@ def tradeoff_curve(atoms: LrAtomization) -> TradeoffCurve:
 def conditional_score(channel: Channel, comp: Composition, histogram, cap: int = DEFAULT_ATOM_CAP) -> float:
     """Conditional mean score U(N) = L_{n,k}(N) - 1 at a single histogram.
 
+    L is alt / null of `_pair_laws`, the ratio the atoms and the sampler use.
+
     Raises:
-        ValidationError: histogram of wrong shape/mass, or null probability
-            zero at N (the score is undefined off the support).
+        ValidationError: histogram of wrong shape/mass, or null mass below
+            MIN_NULL_MASS at N (off the support; the atoms drop such cells).
     """
     _check_pair(channel, comp, "conditional score")
-    h = tuple(int(x) for x in histogram)
-    if len(h) != channel.d:
-        raise ValidationError(f"histogram has {len(h)} cells, channel has d={channel.d}")
-    if any(x < 0 for x in h) or sum(h) != comp.n:
-        raise ValidationError(f"histogram {h} is not a size-{comp.n} count vector")
-    _check_cap(comp.n - 1, channel.d, cap)
-    base = _dense_law(channel, comp.n - 1 - comp.k, comp.k)[0]
-    num = 0.0
-    den = 0.0
-    for y in range(channel.d):
-        if h[y] == 0:
-            continue
-        prev = h[:y] + (h[y] - 1,) + h[y + 1 :]
-        mass = float(base[prev[:-1]])
-        den += float(channel.W0[y]) * mass
-        num += float(channel.W1[y]) * mass
-    if den <= 0.0:
-        raise ValidationError(f"histogram {h} has zero null probability")
-    return num / den - 1.0
+    h = _check_histogram(channel, histogram, comp.n)
+    null, alt = _pair_laws(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
+    p_null, p_alt = float(null[h[:-1]]), float(alt[h[:-1]])
+    if not (p_null >= MIN_NULL_MASS):
+        raise ValidationError(f"histogram {h} has null mass {p_null!r} below MIN_NULL_MASS")
+    return p_alt / p_null - 1.0
 
 
 def linearization_residual(
@@ -801,7 +808,9 @@ def linearization_residual(
 
     s = fisher_constant(channel, pi).s
     _check_pair(channel, comp, "linearization residual")
-    counts, p_null, p_alt, _ = _pair_table(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
+    null, alt = _pair_laws(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
+    pos, counts = _descending_cells(null >= MIN_NULL_MASS)
+    p_null, p_alt = null.ravel()[pos], alt.ravel()[pos]
     U = p_alt / p_null - 1.0
     center = mean_histogram(channel, comp)
     dev = counts - center

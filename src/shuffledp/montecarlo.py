@@ -18,6 +18,7 @@ diagnostics, and the frequency-estimation error study.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ import numpy as np
 from .asymptotics import _ndtr_array
 from .channels import Channel, score_stats
 from .errors import InternalInvariantError, ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count, _check_eps
-from .exact_dist import _check_pair, _pair_table
+from .exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, Composition, LrAtomization, _check_count
+from .exact_dist import _check_eps, _check_pair, _pair_laws
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -62,12 +63,11 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        if self.reps < 0:
-            raise ValidationError(f"reps must be >= 0, got {self.reps}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "reps", _check_count("reps", self.reps, 0))
+        object.__setattr__(self, "workers", _check_count("workers", self.workers, 1))
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,10 @@ def sample_privacy_loss(
 
     Draw g simulates all n users (input-0 users first), builds the message
     histogram and evaluates the exact pair ratio at it: through the affine
-    identity for k = 0, through a dense table of the exact log ratios
-    otherwise (the table inherits the enumeration cap; a draw on a cell
-    dropped from it raises InternalInvariantError).  Returns
+    identity for k = 0, otherwise through the dense table log(alt / null)
+    of the two laws of `_pair_laws` (the table inherits the enumeration cap;
+    a draw on a cell whose null mass is below MIN_NULL_MASS raises
+    InternalInvariantError).  Returns
     `config.reps` values in draw order, independent of `config.workers`.
 
     User j of draw g sends the symbol searchsorted(cdf, u, side="right"),
@@ -224,11 +225,12 @@ def sample_privacy_loss(
     n, k, d = comp.n, comp.k, channel.d
     zeros = n - k - (1 if hypothesis is Hypothesis.ALT else 0)
     if k > 0:
-        table, p_null, p_alt, _ = _pair_table(channel, n - 1 - k, k, 1, cap)
-        # NaN marks the cells dropped from the table
-        lam = np.full((n + 1,) * (d - 1), np.nan)
-        with np.errstate(divide="ignore"):
-            lam[tuple(table[:, :-1].T)] = np.log(p_alt / p_null)
+        null, lam = _pair_laws(channel, n - 1 - k, k, 1, cap)
+        # log(alt / null), in place of alt; NaN marks the cells below MIN_NULL_MASS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(np.divide(lam, null, out=lam), out=lam)
+        lam[null < MIN_NULL_MASS] = np.nan
+        del null
     limits = [
         (_below(c0), _below(c1))
         for c0, c1 in zip(np.cumsum(channel.W0)[:-1], np.cumsum(channel.W1)[:-1])
@@ -307,8 +309,7 @@ def kolmogorov_to_gaussian(data, mu: float, hypothesis: Hypothesis) -> float:
 
 def dkw_radius(reps: int, gamma: float = 0.05) -> float:
     """Dvoretzky-Kiefer-Wolfowitz radius sqrt(log(2/gamma) / (2 reps))."""
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    reps = _check_count("reps", reps)
     if not 0.0 < gamma < 1.0:
         raise ValidationError(f"gamma must be in (0, 1), got {gamma!r}")
     return math.sqrt(math.log(2.0 / gamma) / (2.0 * reps))
@@ -327,8 +328,8 @@ def rate_exponent(points) -> float:
     vs = [p[1] for p in pts]
     if len(set(ns)) != len(ns):
         raise ValidationError("rate fit needs distinct n values")
-    if any(n <= 0 for n in ns) or any(v <= 0 for v in vs):
-        raise ValidationError("rate fit needs positive n and values")
+    if not all(0.0 < x < math.inf for x in ns + vs):
+        raise ValidationError("rate fit needs positive finite n and values")
     slope, _ = np.polyfit(np.log(ns), np.log(vs), 1)
     return float(slope)
 

@@ -26,11 +26,10 @@ from .exact_dist import (
     LrAtomization,
     PrivacyCurve,
     Sidedness,
-    _check_atomization,
     _check_count,
+    _check_histogram,
     _check_pair,
-    _merge_atoms,
-    _pair_table,
+    _fold_atoms,
     privacy_curve,
 )
 
@@ -71,11 +70,7 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     """
     _check_pair(channel, Composition(n, 0), "unbundled ratio")
     m = _check_count("m", m)
-    counts = tuple(int(x) for x in histogram)
-    if len(counts) != channel.d:
-        raise ValidationError(f"histogram has {len(counts)} cells, channel has d={channel.d}")
-    if any(c < 0 for c in counts) or sum(counts) != n * m:
-        raise ValidationError(f"histogram {counts} is not a size-{n * m} count vector")
+    counts = _check_histogram(channel, histogram, n * m)
     w = score_stats(channel).w
     ratios = [x.as_integer_ratio() for x in w.tolist()]
     scale = max(den for _, den in ratios)  # 2^E
@@ -107,11 +102,7 @@ def unbundled_lr_atoms(
     """
     _check_pair(channel, Composition(n, 0), "unbundled atoms")
     m = _check_count("m", m)
-    _, p_null, p_alt, dropped = _pair_table(channel, (n - 1) * m, 0, m, cap)
-    lr, p_null, p_alt = _merge_atoms(p_alt / p_null, p_null, p_alt)
-    atoms = LrAtomization(n=n, k=0, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
-    _check_atomization(atoms)
-    return atoms
+    return _fold_atoms(channel, Composition(n, 0), m, cap)
 
 
 def unbundled_exact_curve(
@@ -167,10 +158,8 @@ def brute_force_lr(channel: Channel, n: int, m: int, histogram) -> float:
     prod_{j in S} w(y_j) over the C(nm, m) position subsets S.  Exponential
     in nm; intended for cross-checking small cases in tests.
     """
-    counts = tuple(int(x) for x in histogram)
     total = n * m
-    if sum(counts) != total:
-        raise ValidationError(f"histogram {counts} is not a size-{total} count vector")
+    counts = _check_histogram(channel, histogram, total)
     if total > 16:
         raise ValidationError("brute-force reference limited to nm <= 16")
     w = score_stats(channel).w

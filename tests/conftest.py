@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from shuffledp import Channel, Composition, LrAtomization, validate_channel
-from shuffledp.exact_dist import DEFAULT_ATOM_CAP, _merge_atoms, _pair_table
+from shuffledp.exact_dist import DEFAULT_ATOM_CAP, _fold_atoms
 
 settings.register_profile(
     "local",
@@ -25,8 +25,4 @@ def fold_atoms(channel: Channel, comp: Composition) -> LrAtomization:
     The fold derives both laws from T_{n-1,k}; at k = 0 it is an oracle for
     `lr_atoms`, which builds that pair in closed form instead.
     """
-    _, p_null, p_alt, dropped = _pair_table(
-        channel, comp.n - 1 - comp.k, comp.k, 1, DEFAULT_ATOM_CAP
-    )
-    lr, p_null, p_alt = _merge_atoms(p_alt / p_null, p_null, p_alt)
-    return LrAtomization(n=comp.n, k=comp.k, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
+    return _fold_atoms(channel, comp, 1, DEFAULT_ATOM_CAP)

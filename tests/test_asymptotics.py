@@ -227,6 +227,11 @@ def test_leading_divergence_validation():
         leading_divergence(RR3, 10, 0.0, "renyi", order=0.5)
     with pytest.raises(ValidationError):
         leading_divergence(RR3, 10, 0.0, "nope")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            leading_divergence(RR3, 10, 0.0, "f", curvature=bad)
+        with pytest.raises(ValidationError, match="finite"):
+            leading_divergence(RR3, 10, 0.0, "renyi", order=bad)
 
 
 def test_uniform_sharpness_matches_fisher_scaling():

@@ -84,6 +84,12 @@ def test_enumeration_cap_trips():
     ch = full_channel(np.random.default_rng(9), 5)
     with pytest.raises(EnumerationCapError, match="cells > cap"):
         histogram_law(ch, Composition(100, 0), cap=1000)
+    # one check, naming the cells it counts: the k = 0 window box or the dense law
+    ch = full_channel(np.random.default_rng(9), 3)
+    with pytest.raises(EnumerationCapError, match=r"k=0 window box for n=100, d=3 has \d+ cells > cap 50;"):
+        lr_atoms(ch, Composition(100, 0), cap=50)
+    with pytest.raises(EnumerationCapError, match="dense histogram law for 100 messages, d=3 has 10201 cells > cap 50;"):
+        lr_atoms(ch, Composition(100, 4), cap=50)
 
 
 # Reference engine: the histogram law as a dict, folded one message at a time
@@ -354,16 +360,23 @@ def test_generic_atoms_stay_finite_where_masses_underflow():
     )
 
 
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_lr_atoms_memory_is_linear_in_cells():
     ch = full_channel(np.random.default_rng(7), 3)
     n = 400
-    tracemalloc.start()
-    try:
-        lr_atoms(ch, Composition(n, 0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100 * (n + 1) ** 2
+    assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 0))) < 100 * (n + 1) ** 2
+    # k > 0: the fold holds four float64 arrays of the dense cells (the base,
+    # both laws and one scratch buffer); the laws are freed before the merge
+    ch, n = full_channel(np.random.default_rng(7), 4), 59
+    assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 20))) < 4 * 8 * (n + 1) ** 3 + 500_000
 
 
 def test_atomization_check_rejects_nan():
@@ -723,6 +736,9 @@ def test_renyi_order_validation():
     atoms = lr_atoms(RR3, Composition(2, 0))
     with pytest.raises(ValidationError, match="exceed 1"):
         divergences(atoms, renyi_orders=(1.0,))
+    for order in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            divergences(atoms, renyi_orders=(order,))
 
 
 def test_tradeoff_vertices_n1():
@@ -785,6 +801,12 @@ def test_conditional_score_validation():
         conditional_score(RR3, Composition(4, 1), (2, 1))
     with pytest.raises(ValidationError, match="k <= n-1"):
         conditional_score(RR3, Composition(4, 4), (2, 2))
+    with pytest.raises(ValidationError, match="count"):
+        conditional_score(RR3, Composition(4, 1), (2.5, 1.5))
+    # the null mass of (0, 2) is W0[1]^2 ~ 1e-310, a subnormal
+    tiny = validate_channel([1.0 - 1e-155, 1e-155], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="MIN_NULL_MASS"):
+        conditional_score(tiny, Composition(2, 0), (0, 2))
 
 
 def test_linearization_residual_shrinks():

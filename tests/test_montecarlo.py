@@ -18,6 +18,7 @@ from shuffledp import (
     SimConfig,
     ValidationError,
     binomial_lr_atoms,
+    conditional_score,
     dkw_radius,
     frequency_mse,
     gdp_mu,
@@ -29,7 +30,7 @@ from shuffledp import (
     validate_channel,
 )
 from shuffledp.channels import score_stats
-from shuffledp.exact_dist import DEFAULT_ATOM_CAP, _pair_table
+from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, _pair_laws
 from shuffledp.montecarlo import _BLOCK, _below
 
 from conftest import full_channel
@@ -64,21 +65,28 @@ def _ref_uniforms(seed, reps, n):
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _ref_sample(channel, comp, hypothesis, seed, reps):
-    n, k, d = comp.n, comp.k, channel.d
-    ones = k + (1 if hypothesis is Hypothesis.ALT else 0)
+def _ref_histograms(channel, comp, hypothesis, seed, reps):
+    """The (reps, d) message histograms of the draws, input-0 users first."""
+    n, d = comp.n, channel.d
+    ones = comp.k + (1 if hypothesis is Hypothesis.ALT else 0)
     u = _ref_uniforms(seed, reps, n)
     sym = np.empty((reps, n), dtype=np.int64)
     for cols, W in ((np.s_[:, : n - ones], channel.W0), (np.s_[:, n - ones :], channel.W1)):
         sym[cols] = np.minimum(np.searchsorted(np.cumsum(W), u[cols], side="right"), d - 1)
-    counts = np.stack([(sym == y).sum(axis=1) for y in range(d)], axis=1)
+    return np.stack([(sym == y).sum(axis=1) for y in range(d)], axis=1)
+
+
+def _ref_sample(channel, comp, hypothesis, seed, reps):
+    n, k = comp.n, comp.k
+    counts = _ref_histograms(channel, comp, hypothesis, seed, reps)
     if k == 0:
         with np.errstate(divide="ignore"):
             return np.log(counts @ score_stats(channel).w / n)
-    table, p_null, p_alt, _ = _pair_table(channel, n - 1 - k, k, 1, DEFAULT_ATOM_CAP)
-    lam = np.full((n + 1,) * (d - 1), np.nan)
+    null, alt = _pair_laws(channel, n - 1 - k, k, 1, DEFAULT_ATOM_CAP)
+    lam = np.full(null.shape, np.nan)
+    keep = null >= MIN_NULL_MASS
     with np.errstate(divide="ignore"):
-        lam[tuple(table[:, :-1].T)] = np.log(p_alt / p_null)
+        lam[keep] = np.log(alt[keep] / null[keep])
     return lam[tuple(counts[:, :-1].T)]
 
 
@@ -231,6 +239,27 @@ def test_sim_config_validation():
         SimConfig(seed=1, reps=-1)
     with pytest.raises(ValidationError):
         SimConfig(seed=1, reps=10, workers=0)
+    for bad in (
+        {"reps": math.nan},
+        {"reps": 2.5},
+        {"workers": 1.5},
+        {"workers": True},
+        {"seed": True},
+        {"seed": 1.0},
+    ):
+        with pytest.raises(ValidationError):
+            SimConfig(**{"seed": 1, "reps": 10, **bad})
+
+
+def test_sim_config_takes_numpy_integers_as_python_ints():
+    config = SimConfig(seed=np.int64(3), reps=np.int32(500), workers=np.int64(2))
+    assert (config.seed, config.reps, config.workers) == (3, 500, 2)
+    assert all(type(v) is int for v in (config.seed, config.reps, config.workers))
+    comp = Composition(40, 7)
+    assert np.array_equal(
+        sample_privacy_loss(RR3, comp, Hypothesis.ALT, config),
+        sample_privacy_loss(RR3, comp, Hypothesis.ALT, SimConfig(seed=3, reps=500)),
+    )
 
 
 def test_samples_independent_of_workers():
@@ -305,16 +334,30 @@ def test_sampling_validation_and_cap():
 def test_sampling_raises_on_a_histogram_missing_from_the_table(monkeypatch):
     from shuffledp import montecarlo
 
-    real = montecarlo._pair_table
+    real = montecarlo._pair_laws
 
     def without_modal_cell(*args):
-        counts, p_null, p_alt, dropped = real(*args)
-        keep = np.arange(p_null.size) != np.argmax(p_null)
-        return counts[keep], p_null[keep], p_alt[keep], dropped
+        null, alt = real(*args)
+        null.ravel()[np.argmax(null)] = 0.0
+        return null, alt
 
-    monkeypatch.setattr(montecarlo, "_pair_table", without_modal_cell)
+    monkeypatch.setattr(montecarlo, "_pair_laws", without_modal_cell)
     with pytest.raises(InternalInvariantError, match="underflowed"):
         sample_privacy_loss(RR3, Composition(8, 3), Hypothesis.NULL, SimConfig(seed=0, reps=200))
+
+
+@pytest.mark.parametrize("d, n, k", [(2, 60, 20), (3, 30, 11), (4, 14, 5)])
+@pytest.mark.parametrize("hypothesis", list(Hypothesis))
+def test_sampled_losses_are_the_log_of_the_conditional_score(d, n, k, hypothesis):
+    # the sampler's table and conditional_score read the same pair ratio, at
+    # every histogram drawn (the reference sampler recovers the histograms)
+    ch = full_channel(np.random.default_rng(200 + d), d)
+    comp = Composition(n, k)
+    lam = sample_privacy_loss(ch, comp, hypothesis, SimConfig(seed=41, reps=300))
+    hists = _ref_histograms(ch, comp, hypothesis, 41, 300)
+    scores = np.array([conditional_score(ch, comp, h) for h in hists])
+    eps = np.finfo(np.float64).eps
+    np.testing.assert_allclose(lam, np.log1p(scores), rtol=4 * eps, atol=4 * eps)
 
 
 def test_kolmogorov_exact_atoms_oracle():
@@ -355,6 +398,9 @@ def test_dkw_radius():
         dkw_radius(0)
     with pytest.raises(ValidationError):
         dkw_radius(100, 1.5)
+    for reps in (math.nan, 2.5, True):
+        with pytest.raises(ValidationError):
+            dkw_radius(reps)
 
 
 def test_rate_exponent_recovers_power_law():
@@ -369,6 +415,9 @@ def test_rate_exponent_validation():
         rate_exponent([(100, 1.0), (100, 0.5), (200, 0.2)])
     with pytest.raises(ValidationError):
         rate_exponent([(100, 1.0), (200, -0.5), (400, 0.2)])
+    for bad in ((math.nan, 0.5), (math.inf, 0.5), (200, math.nan), (200, math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            rate_exponent([(100, 1.0), bad, (400, 0.25)])
 
 
 def test_rr_boundary_moments_rr3():

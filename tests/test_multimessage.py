@@ -56,6 +56,14 @@ def test_unbundled_matches_brute_force():
             assert direct == pytest.approx(brute, rel=1e-10)
 
 
+def test_brute_force_checks_its_histogram_like_unbundled_lr():
+    # a negative count that keeps the sum, and a histogram longer than d
+    for bad, match in (((5, -1), "integer >= 0"), ((1, 1, 2), "cells")):
+        for fn in (brute_force_lr, unbundled_lr):
+            with pytest.raises(ValidationError, match=match):
+                fn(RR3, 2, 2, bad)
+
+
 @pytest.mark.parametrize("n, m", [(200, 4), (1000, 10), (250, 40)])
 def test_unbundled_lr_is_the_correctly_rounded_exact_ratio(n, m):
     # d = 2 at K messages of symbol 1: L(K) = sum_j C(nm-K, j) C(K, m-j)
