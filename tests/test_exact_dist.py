@@ -620,13 +620,7 @@ def test_curve_memory_is_linear_in_atoms_and_grid():
     p_null /= p_null.sum()
     atoms = LrAtomization(n=1, k=0, lr=lr, p_null=p_null, p_alt=lr * p_null)
     eps = np.linspace(0.0, 1.2, 64)
-    tracemalloc.start()
-    try:
-        privacy_curve(atoms, eps, Sidedness.TWO_SIDED)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert _peak_bytes(lambda: privacy_curve(atoms, eps, Sidedness.TWO_SIDED)) < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
