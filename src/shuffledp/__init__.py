@@ -79,7 +79,6 @@ _EXPORTS = {
         "unbundled_lr_atoms",
         "unbundled_exact_curve",
         "mm_gdp_compare",
-        "brute_force_lr",
     ),
     "montecarlo": (
         "FrequencyMseReport",

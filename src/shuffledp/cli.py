@@ -30,7 +30,6 @@ from .exact_dist import (
     PrivacyCurve,
     Sidedness,
     _fmt,
-    binomial_curve,
     lr_atoms,
     privacy_curve,
 )
@@ -285,10 +284,10 @@ def cmd_curve(args) -> int:
         raise ValidationError(f"engine={args.engine} computes the forward curve only")
     if args.engine in ("binomial", "chernoff") and args.k != 0:
         raise ValidationError(f"engine={args.engine} handles the canonical pair k=0 only")
-    if args.engine == "exact":
+    if args.engine == "binomial" and channel.d != 2:
+        raise ValidationError(f"engine=binomial needs d=2, got d={channel.d}")
+    if args.engine in ("exact", "binomial"):
         curve = privacy_curve(lr_atoms(channel, comp, cap=args.cap), eps, sidedness)
-    elif args.engine == "binomial":
-        curve = binomial_curve(channel, args.n, eps)
     elif args.engine == "gdp":
         from .asymptotics import gdp_delta, gdp_mu
 

@@ -63,16 +63,22 @@ class Composition:
 
 @dataclass
 class HistogramLaw:
-    """Exact law of the message histogram, as a dict from tuples to masses.
+    """Exact law of the message histogram, as a dense array.
 
-    `renormalized_by` is the factor applied to make the masses sum to one
-    after the convolution (it stays within ~1e-12 of 1 in double precision).
+    `mass[h_0, ..., h_{d-2}]` is the mass of the histogram whose last count
+    is n minus the others.  `renormalized_by` is the factor applied to make
+    the masses sum to one after the convolution (within ~1e-12 of 1).
     """
 
     n: int
     d: int
-    atoms: dict[tuple[int, ...], float]
+    mass: np.ndarray
     renormalized_by: float = 1.0
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Count vectors (rows) and masses of the positive cells, in descending lexicographic order."""
+        pos, counts = _descending_cells(self.mass > 0.0)
+        return counts, self.mass.ravel()[pos]
 
 
 class Sidedness(enum.Enum):
@@ -271,8 +277,8 @@ def histogram_law(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_C
     """Exact law of the histogram for n users of which k have input one.
 
     Users are folded in one at a time, all input-0 users first (the law only
-    depends on (n, k) by exchangeability).  The atoms are the histograms of
-    positive mass, in descending lexicographic order.
+    depends on (n, k) by exchangeability).  `HistogramLaw.cells` lists the
+    histograms of positive mass.
 
     Raises:
         EnumerationCapError: the dense law would exceed `cap` cells.
@@ -280,9 +286,7 @@ def histogram_law(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_C
     n, d = comp.n, channel.d
     _check_cap((n + 1) ** (d - 1), f"dense histogram law for {n} messages, d={d}", cap)
     law, factor = _dense_law(channel, n - comp.k, comp.k)
-    pos, counts = _descending_cells(law > 0.0)
-    atoms = dict(zip(map(tuple, counts.tolist()), law.ravel()[pos].tolist()))
-    return HistogramLaw(n=comp.n, d=channel.d, atoms=atoms, renormalized_by=factor)
+    return HistogramLaw(n=comp.n, d=channel.d, mass=law, renormalized_by=factor)
 
 
 def mean_histogram(channel: Channel, comp: Composition) -> np.ndarray:
@@ -345,6 +349,18 @@ def _pair_laws(channel: Channel, zeros: int, ones: int, m: int, cap: int):
     _check_cap((n + 1) ** (d - 1), f"dense histogram law for {n} messages, d={d}", cap)
     base = _dense_law(channel, zeros, ones)[0]
     return _fold_messages(base, [channel.W0] * m), _fold_messages(base, [channel.W1] * m)
+
+
+def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense null law of the pair at (n, k) and its ratio L = alt / null, the
+    one table read at single histograms; L is NaN where the null mass is
+    below MIN_NULL_MASS (the cells the atoms drop)."""
+    _check_pair(channel, comp, "pair ratio")
+    null, ratio = _pair_laws(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(ratio, null, out=ratio)
+    ratio[null < MIN_NULL_MASS] = np.nan
+    return null, ratio
 
 
 def _atomize(n: int, k: int, lr, p_null, p_alt, dropped: dict[str, float]) -> LrAtomization:
@@ -761,22 +777,32 @@ def tradeoff_curve(atoms: LrAtomization) -> TradeoffCurve:
 # conditional score and its linearization
 
 
-def conditional_score(channel: Channel, comp: Composition, histogram, cap: int = DEFAULT_ATOM_CAP) -> float:
-    """Conditional mean score U(N) = L_{n,k}(N) - 1 at a single histogram.
+def conditional_score(channel: Channel, comp: Composition, histogram, cap: int = DEFAULT_ATOM_CAP):
+    """Conditional mean score U(N) = L_{n,k}(N) - 1 at one histogram or a batch.
 
-    L is alt / null of `_pair_laws`, the ratio the atoms and the sampler use.
+    One count vector gives a float; a sequence of them, such as an (r, d)
+    array, gives an array of r scores.  All are read from one `_ratio_table`,
+    the ratio the atoms and the sampler use.
 
     Raises:
-        ValidationError: histogram of wrong shape/mass, or null mass below
-            MIN_NULL_MASS at N (off the support; the atoms drop such cells).
+        ValidationError: a histogram of wrong shape/mass, or null mass below
+            MIN_NULL_MASS at N (off the support; the atoms drop such cells);
+            in a batch the message names the row.
     """
-    _check_pair(channel, comp, "conditional score")
-    h = _check_histogram(channel, histogram, comp.n)
-    null, alt = _pair_laws(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
-    p_null, p_alt = float(null[h[:-1]]), float(alt[h[:-1]])
-    if not (p_null >= MIN_NULL_MASS):
-        raise ValidationError(f"histogram {h} has null mass {p_null!r} below MIN_NULL_MASS")
-    return p_alt / p_null - 1.0
+    batch = any(np.ndim(row) for row in histogram) or np.ndim(histogram) == 2
+    rows = list(histogram) if batch else [histogram]
+    for i, row in enumerate(rows):
+        try:
+            rows[i] = _check_histogram(channel, row, comp.n)
+        except ValidationError as exc:
+            raise ValidationError(f"batch row {i}: {exc}") if batch else exc
+    null, ratio = _ratio_table(channel, comp, cap)
+    cell = tuple(np.array(rows, dtype=np.intp).reshape(len(rows), channel.d)[:, :-1].T)
+    score = ratio[cell] - 1.0
+    for i in np.flatnonzero(np.isnan(score))[:1]:
+        where = f"batch row {i}: " if batch else ""
+        raise ValidationError(f"{where}histogram {rows[i]} has null mass {float(null[cell][i])!r} below MIN_NULL_MASS")
+    return score if batch else float(score[0])
 
 
 def linearization_residual(
@@ -807,11 +833,9 @@ def linearization_residual(
     from .simplex_linalg import fisher_constant
 
     s = fisher_constant(channel, pi).s
-    _check_pair(channel, comp, "linearization residual")
-    null, alt = _pair_laws(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
-    pos, counts = _descending_cells(null >= MIN_NULL_MASS)
-    p_null, p_alt = null.ravel()[pos], alt.ravel()[pos]
-    U = p_alt / p_null - 1.0
+    null, ratio = _ratio_table(channel, comp, cap)
+    pos, counts = _descending_cells(~np.isnan(ratio))
+    p_null, U = null.ravel()[pos], ratio.ravel()[pos] - 1.0
     center = mean_histogram(channel, comp)
     dev = counts - center
     half = window_mult * math.sqrt(comp.n * math.log(comp.n))
@@ -850,8 +874,8 @@ def _table_to_csv(columns, rows, header_lines=()) -> str:
 def law_to_csv(law: HistogramLaw, header_lines: tuple[str, ...] = ()) -> str:
     """Serialize a histogram law with columns h_0,...,h_{d-1},prob."""
     columns = tuple(f"h_{i}" for i in range(law.d)) + ("prob",)
-    rows = (h + (p,) for h, p in sorted(law.atoms.items()))
-    return _table_to_csv(columns, rows, header_lines)
+    counts, mass = law.cells()
+    return _table_to_csv(columns, np.column_stack((counts, mass))[::-1], header_lines)
 
 
 def parse_csv(text: str) -> tuple[list[str], np.ndarray]:

@@ -26,8 +26,8 @@ import numpy as np
 from .asymptotics import _ndtr_array
 from .channels import Channel, score_stats
 from .errors import InternalInvariantError, ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, Composition, LrAtomization, _check_count
-from .exact_dist import _check_eps, _check_pair, _pair_laws
+from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
+from .exact_dist import _check_eps, _check_pair, _ratio_table
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -208,11 +208,11 @@ def sample_privacy_loss(
 
     Draw g simulates all n users (input-0 users first), builds the message
     histogram and evaluates the exact pair ratio at it: through the affine
-    identity for k = 0, otherwise through the dense table log(alt / null)
-    of the two laws of `_pair_laws` (the table inherits the enumeration cap;
-    a draw on a cell whose null mass is below MIN_NULL_MASS raises
-    InternalInvariantError).  Returns
-    `config.reps` values in draw order, independent of `config.workers`.
+    identity for k = 0, otherwise through the log, taken in place, of the
+    ratio table `exact_dist._ratio_table` (it inherits the enumeration cap,
+    and a draw on its NaN cells, off the support, raises
+    InternalInvariantError).  Returns `config.reps` values in draw order,
+    independent of `config.workers`.
 
     User j of draw g sends the symbol searchsorted(cdf, u, side="right"),
     clamped to d - 1, for its uniform u and the cumulative law cdf of its
@@ -225,12 +225,9 @@ def sample_privacy_loss(
     n, k, d = comp.n, comp.k, channel.d
     zeros = n - k - (1 if hypothesis is Hypothesis.ALT else 0)
     if k > 0:
-        null, lam = _pair_laws(channel, n - 1 - k, k, 1, cap)
-        # log(alt / null), in place of alt; NaN marks the cells below MIN_NULL_MASS
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(np.divide(lam, null, out=lam), out=lam)
-        lam[null < MIN_NULL_MASS] = np.nan
-        del null
+        lam = _ratio_table(channel, comp, cap)[1]
+        with np.errstate(divide="ignore"):
+            np.log(lam, out=lam)
     limits = [
         (_below(c0), _below(c1))
         for c0, c1 in zip(np.cumsum(channel.W0)[:-1], np.cumsum(channel.W1)[:-1])

@@ -14,7 +14,6 @@ chi-squares, so the bundled Gaussian parameter dominates the unbundled one;
 `mm_gdp_compare` quantifies the gap.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -150,22 +149,3 @@ def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
         degenerate=False,
     )
 
-
-def brute_force_lr(channel: Channel, n: int, m: int, histogram) -> float:
-    """Reference ratio by averaging products of w over all m-subsets.
-
-    Expands the histogram into an explicit message list and averages
-    prod_{j in S} w(y_j) over the C(nm, m) position subsets S.  Exponential
-    in nm; intended for cross-checking small cases in tests.
-    """
-    total = n * m
-    counts = _check_histogram(channel, histogram, total)
-    if total > 16:
-        raise ValidationError("brute-force reference limited to nm <= 16")
-    w = score_stats(channel).w
-    messages = [y for y, c in enumerate(counts) for _ in range(c)]
-    acc = math.fsum(
-        math.prod(w[y] for y in subset)
-        for subset in itertools.combinations(messages, m)
-    )
-    return acc / math.comb(total, m)

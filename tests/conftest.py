@@ -1,8 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from shuffledp import Channel, Composition, LrAtomization, validate_channel
-from shuffledp.exact_dist import DEFAULT_ATOM_CAP, _fold_atoms
+from shuffledp import Channel, Composition, LrAtomization, ValidationError, score_stats, validate_channel
+from shuffledp.exact_dist import DEFAULT_ATOM_CAP, _check_histogram, _fold_atoms
 
 settings.register_profile(
     "local",
@@ -26,3 +29,23 @@ def fold_atoms(channel: Channel, comp: Composition) -> LrAtomization:
     `lr_atoms`, which builds that pair in closed form instead.
     """
     return _fold_atoms(channel, comp, 1, DEFAULT_ATOM_CAP)
+
+
+def brute_force_lr(channel: Channel, n: int, m: int, histogram) -> float:
+    """Reference m-message ratio by averaging products of w over all m-subsets.
+
+    Expands the histogram into an explicit message list and averages
+    prod_{j in S} w(y_j) over the C(nm, m) position subsets S.  Exponential
+    in nm; an oracle for `unbundled_lr` on small cases.
+    """
+    total = n * m
+    counts = _check_histogram(channel, histogram, total)
+    if total > 16:
+        raise ValidationError("brute-force reference limited to nm <= 16")
+    w = score_stats(channel).w
+    messages = [y for y, c in enumerate(counts) for _ in range(c)]
+    acc = math.fsum(
+        math.prod(w[y] for y in subset)
+        for subset in itertools.combinations(messages, m)
+    )
+    return acc / math.comb(total, m)

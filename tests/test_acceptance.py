@@ -18,7 +18,6 @@ from shuffledp import (
     SimConfig,
     binomial_curve,
     binomial_lr_atoms,
-    brute_force_lr,
     chernoff_delta,
     divergences,
     fisher_constant,
@@ -39,7 +38,7 @@ from shuffledp import (
 from shuffledp.channels import channel_to_json
 from shuffledp.cli import DEFAULT_EPS_SPEC, main, parse_eps_grid
 
-from conftest import fold_atoms, full_channel
+from conftest import brute_force_lr, fold_atoms, full_channel
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)

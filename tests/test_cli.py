@@ -82,6 +82,20 @@ def test_curve_exact_vs_binomial_payload(rr3_file, tmp_path):
     assert len(a) == len(b)
 
 
+def test_curve_binomial_and_exact_share_the_cap(tmp_path, capsys):
+    # binomial is the exact engine at d = 2, k = 0: the same cap refuses both
+    path = tmp_path / "rr.json"
+    path.write_text(channel_to_json(rr_channel(1.1)))
+    for engine in ("exact", "binomial"):
+        args = ["curve", "--channel", str(path), "--n", "2000", "--engine", engine]
+        assert main(args + ["--cap", "10"]) == 3
+        assert "cells > cap 10" in capsys.readouterr().err
+    # and binomial still refuses a channel with more than two symbols
+    path.write_text(channel_to_json(validate_channel([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])))
+    assert main(["curve", "--channel", str(path), "--n", "20", "--engine", "binomial"]) == 2
+    assert "needs d=2, got d=3" in capsys.readouterr().err
+
+
 def test_curve_gdp_reports_mu(rr3_file, capsys):
     assert main(
         ["curve", "--channel", rr3_file, "--n", "100", "--engine", "gdp", "--eps", "0.1,1"]

@@ -55,24 +55,31 @@ LN3 = math.log(3.0)
 # histogram laws
 
 
+def _law_dict(law):
+    """The positive cells of a histogram law, as an ordered dict from tuples to masses."""
+    counts, mass = law.cells()
+    return dict(zip(map(tuple, counts.tolist()), mass.tolist()))
+
+
 def test_histogram_law_rr3_n2():
     law = histogram_law(RR3, Composition(2, 0))
-    assert law.atoms[(2, 0)] == pytest.approx(9 / 16, rel=1e-12)
-    assert law.atoms[(1, 1)] == pytest.approx(6 / 16, rel=1e-12)
-    assert law.atoms[(0, 2)] == pytest.approx(1 / 16, rel=1e-12)
+    atoms = _law_dict(law)
+    assert atoms[(2, 0)] == pytest.approx(9 / 16, rel=1e-12)
+    assert atoms[(1, 1)] == pytest.approx(6 / 16, rel=1e-12)
+    assert atoms[(0, 2)] == pytest.approx(1 / 16, rel=1e-12)
     assert law.renormalized_by == pytest.approx(1.0, abs=1e-12)
 
 
 def test_histogram_law_zero_users():
     law = histogram_law(RR3, Composition(0, 0))
-    assert law.atoms == {(0, 0): 1.0}
+    assert _law_dict(law) == {(0, 0): 1.0}
 
 
 def test_histogram_law_masses_sum_to_one():
     ch = full_channel(np.random.default_rng(3), 4)
-    law = histogram_law(ch, Composition(7, 3))
-    assert math.fsum(law.atoms.values()) == pytest.approx(1.0, abs=1e-12)
-    assert all(sum(h) == 7 for h in law.atoms)
+    atoms = _law_dict(histogram_law(ch, Composition(7, 3)))
+    assert math.fsum(atoms.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(sum(h) == 7 for h in atoms)
 
 
 def test_mean_histogram():
@@ -124,7 +131,7 @@ def _dict_pair(ch, comp):
 def test_dense_engine_is_bit_identical_to_dict_fold(d, n, k):
     ch = full_channel(np.random.default_rng(100 + d), d)
     base, (lr, p_null, p_alt) = _dict_pair(ch, Composition(n, k))
-    law = histogram_law(ch, Composition(n - 1, k)).atoms
+    law = _law_dict(histogram_law(ch, Composition(n - 1, k)))
     # same histograms in the same (descending lexicographic) order, same bits
     assert list(law.items()) == [(h, m) for h, m in base.items() if m > 0.0]
     atoms = lr_atoms(ch, Composition(n, k))
@@ -139,7 +146,7 @@ def test_closed_form_k0_atoms_match_dict_fold(d, n):
     # the affine ratios agree to rounding, the masses to the pmf's 1e-11
     ch = full_channel(np.random.default_rng(100 + d), d)
     base, (lr, p_null, p_alt) = _dict_pair(ch, Composition(n, 0))
-    law = histogram_law(ch, Composition(n - 1, 0)).atoms
+    law = _law_dict(histogram_law(ch, Composition(n - 1, 0)))
     assert list(law.items()) == [(h, m) for h, m in base.items() if m > 0.0]
     atoms = lr_atoms(ch, Composition(n, 0))
     np.testing.assert_allclose(atoms.lr, lr, rtol=1e-14, atol=0.0)
@@ -204,7 +211,7 @@ def test_dense_engine_matches_dict_fold_on_null_support_channel():
     ch = validate_channel([0.3, 0.3, 0.4], [0.5, 0.5, 0.0])
     comp = Composition(40, 9)
     base, (lr, p_null, p_alt) = _dict_pair(ch, comp)
-    law = histogram_law(ch, Composition(39, 9)).atoms
+    law = _law_dict(histogram_law(ch, Composition(39, 9)))
     assert law.keys() == base.keys()
     np.testing.assert_allclose(
         [law[h] for h in base], list(base.values()), rtol=1e-15, atol=0.0
@@ -377,6 +384,13 @@ def test_lr_atoms_memory_is_linear_in_cells():
     # both laws and one scratch buffer); the laws are freed before the merge
     ch, n = full_channel(np.random.default_rng(7), 4), 59
     assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 20))) < 4 * 8 * (n + 1) ** 3 + 500_000
+
+
+def test_histogram_law_memory_is_the_dense_fold():
+    # the law is the fold's dense array, with no per-histogram objects: the
+    # peak is the fold's two buffers and its scratch
+    ch, n = full_channel(np.random.default_rng(5), 3), 400
+    assert _peak_bytes(lambda: histogram_law(ch, Composition(n, 133))) < 3 * 8 * (n + 1) ** 2 + 500_000
 
 
 def test_atomization_check_rejects_nan():
@@ -781,11 +795,23 @@ def test_conditional_score_is_martingale_increment():
     # E_null[U(N)] = 0 summed over the whole support
     ch = full_channel(np.random.default_rng(19), 3)
     comp = Composition(6, 2)
-    law = histogram_law(ch, comp)
-    total = math.fsum(
-        mass * conditional_score(ch, comp, h) for h, mass in law.atoms.items()
-    )
+    counts, mass = histogram_law(ch, comp).cells()
+    total = math.fsum(mass * conditional_score(ch, comp, counts))
     assert total == pytest.approx(0.0, abs=1e-10)
+
+
+def test_conditional_score_batch_is_bit_identical_to_single_calls():
+    ch = full_channel(np.random.default_rng(23), 3)
+    comp = Composition(12, 5)
+    counts, _ = histogram_law(ch, comp).cells()
+    batch = conditional_score(ch, comp, counts)
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(counts),)
+    singles = [conditional_score(ch, comp, h) for h in counts.tolist()]
+    assert all(isinstance(x, float) for x in singles)
+    assert np.array_equal(batch, singles)
+    # a list of tuples is a batch too, and an empty batch scores nothing
+    assert np.array_equal(conditional_score(ch, comp, list(map(tuple, counts.tolist()))), batch)
+    assert conditional_score(ch, comp, np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
 def test_conditional_score_validation():
@@ -801,6 +827,16 @@ def test_conditional_score_validation():
     tiny = validate_channel([1.0 - 1e-155, 1e-155], [0.5, 0.5])
     with pytest.raises(ValidationError, match="MIN_NULL_MASS"):
         conditional_score(tiny, Composition(2, 0), (0, 2))
+
+
+def test_conditional_score_batch_validation_names_the_row():
+    tiny = validate_channel([1.0 - 1e-155, 1e-155], [0.5, 0.5])
+    with pytest.raises(ValidationError, match=r"batch row 2: histogram \(0, 2\) has null mass .* below MIN_NULL_MASS"):
+        conditional_score(tiny, Composition(2, 0), [(2, 0), (1, 1), (0, 2)])
+    with pytest.raises(ValidationError, match="batch row 1: histogram has 3 cells, channel has d=2"):
+        conditional_score(RR3, Composition(4, 1), [(2, 2), (2, 1, 1)])
+    with pytest.raises(ValidationError, match=r"batch row 1: histogram \(3, 0\) is not a size-4 count vector"):
+        conditional_score(RR3, Composition(4, 1), np.array([[2, 2], [3, 0], [1, 3]]))
 
 
 def test_linearization_residual_shrinks():
@@ -851,6 +887,18 @@ def test_law_csv_round_trip():
     assert cols == ["h_0", "h_1", "prob"]
     assert vals.shape == (3, 3)
     assert math.fsum(vals[:, 2]) == pytest.approx(1.0, abs=1e-12)
+    # the rows are the positive cells in ascending order, exactly
+    counts, mass = law.cells()
+    np.testing.assert_array_equal(vals[::-1], np.column_stack((counts, mass)))
+
+
+@pytest.mark.parametrize("d, n, k", [(2, 30, 10), (3, 12, 4), (4, 6, 2)])
+def test_law_csv_lists_the_dict_fold_law_in_ascending_order(d, n, k):
+    ch = full_channel(np.random.default_rng(110 + d), d)
+    base, _ = _dict_pair(ch, Composition(n + 1, k))
+    want = [",".join([f"h_{i}" for i in range(d)] + ["prob"])]
+    want += [",".join(map(str, h)) + ",%.17g" % m for h, m in sorted(base.items()) if m > 0.0]
+    assert law_to_csv(histogram_law(ch, Composition(n, k)), ("x",)) == "# x\n" + "\n".join(want) + "\n"
 
 
 def test_parse_csv_requires_header():

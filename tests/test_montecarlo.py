@@ -332,21 +332,21 @@ def test_sampling_validation_and_cap():
 
 
 def test_sampling_raises_on_a_histogram_missing_from_the_table(monkeypatch):
-    from shuffledp import montecarlo
+    from shuffledp import exact_dist
 
-    real = montecarlo._pair_laws
+    real = exact_dist._pair_laws
 
     def without_modal_cell(*args):
         null, alt = real(*args)
         null.ravel()[np.argmax(null)] = 0.0
         return null, alt
 
-    monkeypatch.setattr(montecarlo, "_pair_laws", without_modal_cell)
+    monkeypatch.setattr(exact_dist, "_pair_laws", without_modal_cell)
     with pytest.raises(InternalInvariantError, match="underflowed"):
         sample_privacy_loss(RR3, Composition(8, 3), Hypothesis.NULL, SimConfig(seed=0, reps=200))
 
 
-@pytest.mark.parametrize("d, n, k", [(2, 60, 20), (3, 30, 11), (4, 14, 5)])
+@pytest.mark.parametrize("d, n, k", [(2, 60, 20), (3, 30, 11), (4, 14, 5), (3, 190, 70)])
 @pytest.mark.parametrize("hypothesis", list(Hypothesis))
 def test_sampled_losses_are_the_log_of_the_conditional_score(d, n, k, hypothesis):
     # the sampler's table and conditional_score read the same pair ratio, at
@@ -355,7 +355,7 @@ def test_sampled_losses_are_the_log_of_the_conditional_score(d, n, k, hypothesis
     comp = Composition(n, k)
     lam = sample_privacy_loss(ch, comp, hypothesis, SimConfig(seed=41, reps=300))
     hists = _ref_histograms(ch, comp, hypothesis, 41, 300)
-    scores = np.array([conditional_score(ch, comp, h) for h in hists])
+    scores = conditional_score(ch, comp, hists)
     eps = np.finfo(np.float64).eps
     np.testing.assert_allclose(lam, np.log1p(scores), rtol=4 * eps, atol=4 * eps)
 

@@ -8,7 +8,6 @@ from shuffledp import (
     Composition,
     EnumerationCapError,
     ValidationError,
-    brute_force_lr,
     lr_atoms,
     mm_gdp_compare,
     rr_channel,
@@ -18,7 +17,7 @@ from shuffledp import (
     unbundled_lr_atoms,
     validate_channel,
 )
-from conftest import full_channel
+from conftest import brute_force_lr, full_channel
 
 RR3 = rr_channel(math.log(3.0))
 
