@@ -6,11 +6,12 @@ Usage (from the repository root, against the checkout on PYTHONPATH):
     PYTHONPATH=src python3 scripts/sampler_sweep.py > sweep.json
 
 For every (d, n, k, workers) cell it reports the minimum of five wall times
-of one call and the `tracemalloc` peak of one further call (after a warm-up
-call, so lazily imported modules are not counted).  k > 0 cells build the
-exact pair table inside the call; cells whose table is over the default cap
-or takes more than a few seconds to fold (d = 3 beyond n = 190, d = 4 beyond
-n = 47) are listed as skipped.  Channels are fixed: FULL channels drawn from
+of one call and the minimum `tracemalloc` peak of five further calls, all
+after a warm-up call, so lazily imported modules are not counted.  (At two
+workers the peak of one call depends on how the threads interleave.)  k > 0
+cells build the exact pair table inside the call; cells whose table is over
+the default cap or takes more than a few seconds to fold (d = 3 beyond
+n = 190, d = 4 beyond n = 47) are listed as skipped.  Channels are fixed: FULL channels drawn from
 seeded Dirichlet laws, the same for every run of the script.
 """
 
@@ -49,13 +50,15 @@ def measure(ch, comp: Composition, config: SimConfig) -> dict:
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"min_s": min(times), "peak_mb": peak / 1e6}
+    peaks = []
+    for _ in range(REPEATS):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return {"min_s": min(times), "peak_mb": min(peaks) / 1e6}
 
 
 def main() -> int:

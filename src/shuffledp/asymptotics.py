@@ -135,8 +135,10 @@ def jsd_canonical_asymptotic(
 
     terms = (chi2/(8n), -mu3/(16 n^2), (7/64) chi2^2 / n^2); the remainder
     is third order in 1/n.  The exact value is filled in automatically when
-    the channel is small enough to enumerate (always for d = 2), or can be
-    supplied by the caller.
+    the k = 0 atoms take at most `_AUTO_EXACT_CAP` built cells (about
+    40 sqrt(n) at d = 2, so up to n ~ 6e8; for channels with masses near
+    1/d, d = 3 up to n ~ 1400 and d = 4 up to n ~ 180), or can be supplied
+    by the caller.
     """
     n = _check_count("n", n)
     stats = score_stats(channel)
@@ -153,14 +155,13 @@ def jsd_canonical_asymptotic(
     )
 
 
-_AUTO_EXACT_CAP = 200_000
+# Cells the automatic exact JSD may build (`lr_atoms`'s cap at k = 0).
+_AUTO_EXACT_CAP = 1_000_000
 
 
 def _exact_canonical_jsd(channel: Channel, n: int) -> float | None:
-    if channel.d > 2 and math.comb(n + channel.d - 1, channel.d - 1) > _AUTO_EXACT_CAP:
-        return None
     try:
-        return divergences(lr_atoms(channel, Composition(n, 0))).jsd
+        return divergences(lr_atoms(channel, Composition(n, 0), cap=_AUTO_EXACT_CAP)).jsd
     except EnumerationCapError:
         return None
 

@@ -9,6 +9,7 @@ consumes the validated `Channel` produced here.
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,7 @@ def rr_channel(eps0: float) -> Channel:
     Input b is reported faithfully with probability exp(eps0)/(1+exp(eps0)),
     flipped otherwise; eps0 = 0 gives the uniform (fully private) channel.
     """
-    if not (isinstance(eps0, (int, float)) and math.isfinite(eps0)):
+    if not (isinstance(eps0, numbers.Real) and math.isfinite(eps0)):
         raise ValidationError(f"eps0 must be finite, got {eps0!r}")
     if eps0 < 0:
         raise ValidationError(f"eps0 must be nonnegative, got {eps0!r}")

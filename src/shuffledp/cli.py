@@ -30,6 +30,7 @@ from .exact_dist import (
     PrivacyCurve,
     Sidedness,
     _fmt,
+    _table_to_csv,
     lr_atoms,
     privacy_curve,
 )
@@ -447,13 +448,10 @@ def cmd_simulate(args) -> int:
             "kolmogorov_to_gaussian": kolmogorov_to_gaussian(lam, params.mu, hypothesis),
             "dkw_radius_95": dkw_radius(args.reps),
         }
-    lines = [f"# {line}" for line in manifest.header_lines()]
     if args.format == "csv":
-        lines.append("lambda")
-        lines.extend(_fmt(v) for v in lam)
+        text = _table_to_csv(("lambda",), ((v,) for v in lam), manifest.header_lines())
         if summary is not None:
-            lines.append("# summary " + json.dumps(summary, separators=(",", ":")))
-        text = "\n".join(lines) + "\n"
+            text += "# summary " + json.dumps(summary, separators=(",", ":")) + "\n"
     else:
         text = json.dumps(
             {"manifest": manifest.as_dict(), "lambda": lam.tolist(), "summary": summary},
@@ -491,8 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=int,
             default=DEFAULT_ATOM_CAP,
-            help="cap on enumerated cells: for k=0 the box of per-symbol count windows "
-            "(up to (n+1)^(d-1)), else the dense histogram law's (n+1)^(d-1)",
+            help="cap on the cells an exact engine builds: for k=0 the histograms "
+            "inside the per-symbol count windows (at most C(n+d-1, d-1), about "
+            "(40 sqrt(n))^(d-1) at large n), else the dense histogram law's (n+1)^(d-1)",
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (default: stdout)")

@@ -397,8 +397,9 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
 
     Raises:
         ValidationError: SINGULAR channel or k > n-1.
-        EnumerationCapError: more than `cap` cells (for k = 0 the cells of
-            the window box, otherwise of the dense law).
+        EnumerationCapError: more than `cap` built cells (for k = 0 the
+            windowed cells of any level of `_canonical_cells`, otherwise the
+            dense law's (n+1)^(d-1)).
     """
     _check_pair(channel, comp, "likelihood-ratio atoms")
     if comp.k > 0:
@@ -521,16 +522,19 @@ def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np
     cancel.  Each factor is `_binom_pmf`, vectorized over the cells built so
     far.  N_j runs only over the window of its marginal Bin(n, W0_j)
     (`_binomial_window`), outside of which Hoeffding's inequality puts
-    mass < e^-800, far below the smallest subnormal double.
+    mass < e^-800, far below the smallest subnormal double.  Each level's
+    cells are counted from the window lengths before its masses are
+    evaluated, and EnumerationCapError is raised once they exceed `cap`.
     """
     order = np.argsort(-channel.W0, kind="stable")
     d, W0, w = channel.d, channel.W0[order], score_stats(channel).w[order]
     windows = [_binomial_window(n, float(W0[j])) for j in range(d - 1, 0, -1)]
-    _check_cap(math.prod(window.size for window in windows), f"k=0 window box for n={n}, d={d}", cap)
+    what = f"k=0 law for n={n}, d={d}"
     share = W0 / np.cumsum(W0)
+    K = windows[0]
+    _check_cap(K.size, what, cap)
     # at d >= 3 the cells far outnumber the n + 1 values stirlerr is taken at
     table = _stirlerr(np.arange(n + 1.0)) if d > 2 else None
-    K = windows[0]
     p_null = _binom_pmf(K, n, float(W0[d - 1]), table)
     lr = (K / n) * w[d - 1]
     rest = n - K
@@ -538,6 +542,7 @@ def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np
         # each cell so far spawns the window counts that fit in what remains
         lo = window[0]
         length = np.clip(np.minimum(rest, window[-1]) - lo + 1.0, 0.0, None).astype(np.intp)
+        _check_cap(int(length.sum()), what, cap)
         row = np.repeat(np.arange(rest.size), length)
         K = lo + (np.arange(row.size) - np.repeat(np.cumsum(length) - length, length))
         rest = rest[row]

@@ -133,14 +133,6 @@ def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
-def _seed_word(seed: int) -> np.uint64:
-    # Same finalizer in plain-int arithmetic (scalar uint64 ops warn on wrap).
-    x = (seed ^ 0x5DEECE66D) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return np.uint64(x ^ (x >> 31))
-
-
 def _hash_blocks(seed: int, n: int, start: int, stop: int):
     """Yield (lo, hi, h, mask) over draws [start, stop), max(1, _BLOCK // n) at a time.
 
@@ -155,7 +147,8 @@ def _hash_blocks(seed: int, n: int, start: int, stop: int):
     scratch = np.empty(rows * n, dtype=bool)
     j = np.arange(n, dtype=np.uint64)
     steps = _mix64(j * _M2 + _GOLDEN, j)
-    sw = _seed_word(seed)
+    sw = np.array([(seed ^ 0x5DEECE66D) & _MASK64], dtype=np.uint64)
+    sw = _mix64(sw, np.empty_like(sw))[0]
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
         shape = (hi - lo, n)
@@ -290,18 +283,15 @@ def kolmogorov_to_gaussian(data, mu: float, hypothesis: Hypothesis) -> float:
             weights = np.append(weights, data.alt_singular_mass)
         cdf = np.cumsum(weights)
         cdf = cdf / cdf[-1]
-        gauss = _ndtr_array(t)
-        before = np.concatenate(([0.0], cdf[:-1]))
-        return float(np.max(np.maximum(np.abs(cdf - gauss), np.abs(before - gauss))))
-    samples = np.asarray(data, dtype=np.float64)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValidationError("need a nonempty 1-d array of sampled values")
-    t = np.sort((samples + shift) / mu)
+    else:
+        samples = np.asarray(data, dtype=np.float64)
+        if samples.ndim != 1 or samples.size == 0:
+            raise ValidationError("need a nonempty 1-d array of sampled values")
+        t = np.sort((samples + shift) / mu)
+        cdf = np.arange(1, samples.size + 1) / samples.size
     gauss = _ndtr_array(t)
-    m = samples.size
-    upper = np.arange(1, m + 1) / m - gauss
-    lower = gauss - np.arange(0, m) / m
-    return float(max(upper.max(), lower.max()))
+    before = np.concatenate(([0.0], cdf[:-1]))
+    return float(np.max(np.maximum(np.abs(cdf - gauss), np.abs(before - gauss))))
 
 
 def dkw_radius(reps: int, gamma: float = 0.05) -> float:
@@ -395,8 +385,9 @@ def frequency_mse(eps0: float, n: int, p_true: float, config: SimConfig) -> Freq
     realized frequency, and the worst-case variance bound
     1/(4 n (1 - 2q)^2) is reported alongside.
     """
-    if not (isinstance(eps0, (int, float)) and math.isfinite(eps0)) or eps0 <= 0.0:
-        raise ValidationError(f"eps0 must be finite and > 0, got {eps0!r}")
+    _check_eps(eps0, "eps0")
+    if eps0 == 0.0:
+        raise ValidationError("eps0 must be > 0: at eps0 = 0 the estimator divides by 1 - 2q = 0")
     n = _check_count("n", n)
     if not 0.0 <= p_true <= 1.0:
         raise ValidationError(f"p_true must lie in [0, 1], got {p_true!r}")

@@ -168,10 +168,12 @@ def test_jsd_expansion_rr3_n10():
 
 
 def test_jsd_expansion_auto_exact_path_selection():
-    # d = 2 always enumerates; a large d = 3 instance has no exact fill-in
-    small = jsd_canonical_asymptotic(full_channel(np.random.default_rng(0), 3), 20)
-    assert small.exact is not None
-    big = jsd_canonical_asymptotic(full_channel(np.random.default_rng(0), 3), 5000)
+    # the fill-in is lr_atoms under a budget of built cells: d = 3 at n = 1000
+    # builds 490140 of them, n = 5000 about 7e6, over the budget
+    ch = full_channel(np.random.default_rng(0), 3)
+    for n in (20, 1000):
+        assert jsd_canonical_asymptotic(ch, n).exact is not None
+    big = jsd_canonical_asymptotic(ch, 5000)
     assert big.exact is None and big.residual is None
 
 

@@ -29,8 +29,9 @@ def test_rr_channel_ln3():
     assert ch.W1[1] == pytest.approx(ch.W0[0], abs=0.0)
 
 
-def test_rr_channel_zero_is_uniform():
-    ch = rr_channel(0.0)
+@pytest.mark.parametrize("zero", [0, 0.0, np.float32(0.0)])  # any finite real
+def test_rr_channel_zero_is_uniform(zero):
+    ch = rr_channel(zero)
     assert np.array_equal(ch.W0, ch.W1)
     assert ch.W0[0] == 0.5
 

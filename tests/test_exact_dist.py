@@ -91,12 +91,24 @@ def test_enumeration_cap_trips():
     ch = full_channel(np.random.default_rng(9), 5)
     with pytest.raises(EnumerationCapError, match="cells > cap"):
         histogram_law(ch, Composition(100, 0), cap=1000)
-    # one check, naming the cells it counts: the k = 0 window box or the dense law
+    # one check, naming the cells it counts: the built k = 0 cells or the dense law
     ch = full_channel(np.random.default_rng(9), 3)
-    with pytest.raises(EnumerationCapError, match=r"k=0 window box for n=100, d=3 has \d+ cells > cap 50;"):
+    with pytest.raises(EnumerationCapError, match=r"k=0 law for n=100, d=3 has \d+ cells > cap 50;"):
         lr_atoms(ch, Composition(100, 0), cap=50)
     with pytest.raises(EnumerationCapError, match="dense histogram law for 100 messages, d=3 has 10201 cells > cap 50;"):
         lr_atoms(ch, Composition(100, 4), cap=50)
+
+
+def test_k0_cap_counts_the_built_cells_not_the_window_box():
+    # at n = 59 every window is [0, 59]: the box holds 60^3 = 216000 cells,
+    # the simplex only C(62, 3) = 37820, and the cap is checked on those
+    ch = full_channel(np.random.default_rng(9), 4)
+    capped = lr_atoms(ch, Composition(59, 0), cap=100_000)
+    full = lr_atoms(ch, Composition(59, 0))
+    for name in ("lr", "p_null", "p_alt"):
+        np.testing.assert_array_equal(getattr(capped, name), getattr(full, name))
+    with pytest.raises(EnumerationCapError, match="k=0 law for n=59, d=4 has 37820 cells > cap 37819;"):
+        lr_atoms(ch, Composition(59, 0), cap=37_819)
 
 
 # Reference engine: the histogram law as a dict, folded one message at a time

@@ -482,3 +482,9 @@ def test_frequency_mse_validation():
         frequency_mse(1.0, 0, 0.5, cfg)
     with pytest.raises(ValidationError):
         frequency_mse(1.0, 100, 0.5, SimConfig(seed=0, reps=0))
+    for bad in (-0.1, math.inf, math.nan, "x", None):
+        with pytest.raises(ValidationError):
+            frequency_mse(bad, 100, 0.5, cfg)
+    # any finite real is accepted, as by rr_boundary
+    eps0 = np.float32(1.1)
+    assert frequency_mse(eps0, 100, 0.5, cfg) == frequency_mse(float(eps0), 100, 0.5, cfg)
