@@ -11,11 +11,13 @@ Conventions: the "null" hypothesis is T_{n,k} (k ones), the "alt" hypothesis
 is T_{n,k+1} (one more one).  For k = 0 the null law is the multinomial
 Mult(n, W0), built in closed form from conditional binomial masses, and the
 likelihood ratio is affine in the histogram: L(N) = (1/n) sum_y N_y w(y)
-with w = W1/W0.  Every other pair is folded one message at a time
-(`_pair_laws`), and every atomization ends in `_atomize`.
+with w = W1/W0.  Every other pair is folded one message at a time, in
+place in one array per law (`_fold`), and every atomization ends in
+`_atomize`.
 """
 
 import enum
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -211,55 +213,97 @@ def _check_histogram(channel: Channel, histogram, total: int) -> tuple[int, ...]
     return h
 
 
-def _fold(law: np.ndarray, W: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """One more message drawn from W added to a dense histogram law.
+# Cells per block of the in-place fold (`_blocks`): each message is added
+# one block of axis-0 slabs at a time, so its scratch is of this size.
+_FOLD_BLOCK = 1 << 14
 
-    A law of N messages is an array of shape (N+1,)*(d-1) indexed by the
-    counts of symbols 0..d-2; the count of symbol d-1 is implied.  The
-    result, of shape (N+2,)*(d-1), is written to the front of the flat
-    buffer `out` and returned as a view of it; the flat buffer `scratch`
-    holds the products W[y] * law.  Both need room for the result and must
-    not overlap `law`.  Terms are added with y = d-1 first and then
-    downwards, which makes every cell the same floating-point sum as a fold
-    over histograms taken in descending lexicographic order.
+
+def _fold_block(law: np.ndarray, W: np.ndarray, box: tuple, out: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """The cells `box` of `law` with one message drawn from W added.
+
+    A law of N messages is held in an array of its final shape (S,)*(d-1),
+    indexed by the counts of symbols 0..d-2 (the count of symbol d-1 is
+    implied), and is zero at counts summing beyond N.  `box` (from `_blocks`)
+    is a run of axis-0 slabs lo..hi-1 trimmed, on the other axes, to the
+    counts below N+2-lo, which hold every cell of those slabs after the
+    message.  The block reads slabs lo-1..hi-1 of `law` in that trim; its
+    new cells are written to the front of the flat buffer `out` and returned
+    as a view of it, and the flat buffer `product` holds the products
+    W[y] * law.  Terms are added with y = d-1 first and then downwards,
+    which makes every cell the same floating-point sum as a fold over
+    histograms taken in descending lexicographic order; a term from off the
+    support adds an exact +0.0.
     """
-    shape = tuple(s + 1 for s in law.shape)
-    res = out[: math.prod(shape)].reshape(shape)
-    # `out` holds an earlier law: zero the cells the shifted adds start from
-    for axis, s in enumerate(law.shape):
-        res[(slice(None),) * axis + (s,)] = 0.0
-    inner = tuple(slice(0, s) for s in law.shape)
-    np.multiply(law, W[-1], out=res[inner])
-    product = scratch[: law.size].reshape(law.shape)
-    for y in range(W.size - 2, -1, -1):
-        shifted = list(inner)
-        shifted[y] = slice(1, None)
-        np.multiply(law, W[y], out=product)
-        res[tuple(shifted)] += product
+    src = law[box]
+    res = out[: src.size].reshape(src.shape)
+    prod = product[: src.size].reshape(src.shape)
+    np.multiply(src, W[-1], out=res)
+    for y in range(W.size - 2, 0, -1):
+        lower = (slice(None),) * y + (slice(None, -1),)
+        upper = res[(slice(None),) * y + (slice(1, None),)]
+        np.add(upper, np.multiply(src[lower], W[y], out=prod[lower]), out=upper)
+    # symbol 0 raises count 0: slab a takes the old slab a-1
+    lo, hi = box[0].start, box[0].stop
+    first = 1 if lo == 0 else 0
+    below = law[(slice(lo + first - 1, hi - 1),) + box[1:]]
+    upper = res[first:]
+    np.add(upper, np.multiply(below, W[0], out=prod[first:]), out=upper)
     return res
 
 
-def _fold_messages(law: np.ndarray, messages: list[np.ndarray]) -> np.ndarray:
-    """`law` with one message drawn from each of `messages` added, in order.
+def _blocks(law: np.ndarray, N: int):
+    """The boxes that fold one message into `law`, a law of N messages, top slab first.
 
-    The folds alternate between two buffers the size of the result and share
-    one scratch buffer, so no step allocates; `law` itself is not modified.
+    Each is a run of axis-0 slabs holding about _FOLD_BLOCK cells (at least
+    one slab), trimmed on the other axes as `_fold_block` describes.  Walked
+    in this order, a block in place reads only slabs not yet overwritten.
     """
-    if not messages:
-        return law
-    size = math.prod(s + len(messages) for s in law.shape)
-    buffers = [np.empty(size) for _ in range(min(2, len(messages)))]
-    scratch = np.empty(size)
-    for i, W in enumerate(messages):
-        law = _fold(law, W, buffers[i % 2], scratch)
-    return law
+    rows = max(1, _FOLD_BLOCK // (N + 2) ** (law.ndim - 1))
+    for hi in range(N + 2, 0, -rows):
+        lo = max(0, hi - rows)
+        yield (slice(lo, hi),) + (slice(0, N + 2 - lo),) * (law.ndim - 1)
 
 
-def _dense_law(channel: Channel, zeros: int, ones: int) -> tuple[np.ndarray, float]:
-    """Dense law of `zeros` W0- then `ones` W1-messages and its renormalizing factor."""
-    law = np.ones((1,) * (channel.d - 1))
-    law = _fold_messages(law, [channel.W0] * zeros + [channel.W1] * ones)
-    factor = 1.0 / math.fsum(law.ravel())
+def _block_buffers(law: np.ndarray, count: int) -> list:
+    """`count` flat buffers with room for any block of a fold into `law`."""
+    size = min(law.size, max(_FOLD_BLOCK, law.shape[0] ** (law.ndim - 1)))
+    return [np.empty(size) for _ in range(count)]
+
+
+def _fold(law: np.ndarray, N: int, messages) -> None:
+    """Add one message drawn from each of `messages`, in order, to `law` (a
+    law of N messages in an array of its final shape), in place."""
+    out, product = _block_buffers(law, 2)
+    for N, W in enumerate(messages, N):
+        for box in _blocks(law, N):
+            law[box] = _fold_block(law, W, box, out, product)
+
+
+def _law_sum(law: np.ndarray) -> float:
+    """Exactly rounded sum of the cells of `law`, read _FOLD_BLOCK cells at a time.
+
+    Each block's positive cells go to one `math.fsum` in decreasing order,
+    which keeps its partials short (see `_fsum`); the sum does not depend on
+    the order, and no temporary is larger than a block.
+    """
+    flat = law.ravel()
+    blocks = (flat[i : i + _FOLD_BLOCK] for i in range(0, flat.size, _FOLD_BLOCK))
+    return math.fsum(itertools.chain.from_iterable(np.sort(b[b > 0.0])[::-1] for b in blocks))
+
+
+def _base_law(channel: Channel, zeros: int, ones: int, room: int, cap: int) -> tuple[np.ndarray, float]:
+    """Renormalized dense law of `zeros` W0- then `ones` W1-messages and its factor.
+
+    The law is held in an array with room for `room` more messages, so that
+    they can be folded in place.  Raises EnumerationCapError when that array
+    has more than `cap` cells.
+    """
+    n, d = zeros + ones + room, channel.d
+    _check_cap((n + 1) ** (d - 1), f"dense histogram law for {n} messages, d={d}", cap)
+    law = np.zeros((n + 1,) * (d - 1))
+    law[(0,) * (d - 1)] = 1.0
+    _fold(law, 0, [channel.W0] * zeros + [channel.W1] * ones)
+    factor = 1.0 / _law_sum(law)
     law *= factor
     return law, factor
 
@@ -277,15 +321,13 @@ def histogram_law(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_C
     """Exact law of the histogram for n users of which k have input one.
 
     Users are folded in one at a time, all input-0 users first (the law only
-    depends on (n, k) by exchangeability).  `HistogramLaw.cells` lists the
-    histograms of positive mass.
+    depends on (n, k) by exchangeability), in place in the one array of the
+    law.  `HistogramLaw.cells` lists the histograms of positive mass.
 
     Raises:
         EnumerationCapError: the dense law would exceed `cap` cells.
     """
-    n, d = comp.n, channel.d
-    _check_cap((n + 1) ** (d - 1), f"dense histogram law for {n} messages, d={d}", cap)
-    law, factor = _dense_law(channel, n - comp.k, comp.k)
+    law, factor = _base_law(channel, comp.n - comp.k, comp.k, 0, cap)
     return HistogramLaw(n=comp.n, d=channel.d, mass=law, renormalized_by=factor)
 
 
@@ -299,16 +341,27 @@ def mean_histogram(channel: Channel, comp: Composition) -> np.ndarray:
 
 
 def _merge_atoms(lr, p_null, p_alt, rel_tol: float = MERGE_REL_TOL):
-    """Sort by ratio value and coalesce values equal up to rel_tol."""
+    """Sort by ratio value and coalesce values equal up to rel_tol.
+
+    The permutation and the temporaries are freed as soon as they are used.
+    When no two neighbouring sorted ratios are within rel_tol, every group
+    has one atom, and the sorted arrays are the result as they are.
+    """
     lr = np.asarray(lr, dtype=np.float64)
-    p_null = np.asarray(p_null, dtype=np.float64)
-    p_alt = np.asarray(p_alt, dtype=np.float64)
     order = np.argsort(lr, kind="stable")
-    lr, p_null, p_alt = lr[order], p_null[order], p_alt[order]
-    if lr.size == 0:
+    lr = lr[order]
+    tol = np.abs(lr[1:])
+    np.maximum(tol, 1.0, out=tol)
+    tol *= rel_tol
+    gaps = np.diff(lr) > tol
+    del tol
+    p_null = np.asarray(p_null, dtype=np.float64)[order]
+    p_alt = np.asarray(p_alt, dtype=np.float64)[order]
+    del order
+    if gaps.all():
         return lr, p_null, p_alt
-    gaps = np.diff(lr) > rel_tol * np.maximum(1.0, np.abs(lr[1:]))
-    starts = np.concatenate(([0], np.nonzero(gaps)[0] + 1))
+    starts = np.concatenate(([0], np.flatnonzero(gaps) + 1))
+    del gaps
     mn = np.add.reduceat(p_null, starts)
     ma = np.add.reduceat(p_alt, starts)
     weighted = np.add.reduceat(lr * p_null, starts)
@@ -330,25 +383,29 @@ def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
         )
 
 
-def _dropped_masses(p_null: np.ndarray, p_alt: np.ndarray, keep: np.ndarray) -> dict[str, float]:
-    """The `LrAtomization` fields of the cells where `keep` fails."""
-    drop = ~keep
-    return {
-        "dropped_null_mass": _fsum(p_null[drop & (p_null > 0.0)]),
-        "dropped_alt_mass": _fsum(p_alt[drop & (p_alt > 0.0)]),
-    }
+def _dropped_cells(mass: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The positive masses of the cells where `keep` fails."""
+    return mass[~keep & (mass > 0.0)]
+
+
+def _dropped_masses(null: np.ndarray, alt: np.ndarray) -> dict[str, float]:
+    """The `LrAtomization` fields of the dropped cells, from `_dropped_cells`."""
+    return {"dropped_null_mass": _fsum(null), "dropped_alt_mass": _fsum(alt)}
 
 
 def _pair_laws(channel: Channel, zeros: int, ones: int, m: int, cap: int):
     """Dense laws (null, alt) of base + m W0- and base + m W1-messages.
 
     The renormalized base law holds `zeros` W0- and `ones` W1-messages; alt /
-    null is the pair ratio.  Raises EnumerationCapError beyond `cap` cells.
+    null is the pair ratio.  The null law is folded in place in the base
+    law's array and the alt law in one copy of it, so the pair holds two
+    dense arrays.  Raises EnumerationCapError beyond `cap` cells.
     """
-    n, d = zeros + ones + m, channel.d
-    _check_cap((n + 1) ** (d - 1), f"dense histogram law for {n} messages, d={d}", cap)
-    base = _dense_law(channel, zeros, ones)[0]
-    return _fold_messages(base, [channel.W0] * m), _fold_messages(base, [channel.W1] * m)
+    null = _base_law(channel, zeros, ones, m, cap)[0]
+    alt = null.copy()
+    _fold(alt, zeros + ones, [channel.W1] * m)
+    _fold(null, zeros + ones, [channel.W0] * m)
+    return null, alt
 
 
 def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,18 +428,52 @@ def _atomize(n: int, k: int, lr, p_null, p_alt, dropped: dict[str, float]) -> Lr
     return atoms
 
 
+def _pair_cells(channel: Channel, zeros: int, ones: int, m: int, cap: int):
+    """The kept and dropped cells of the pair base + m W0- against base + m W1-messages.
+
+    The first m-1 messages of each law are folded in place, into the base
+    law's array (null) and one copy of it (alt; for m = 1 both read the
+    base law).  The last message is folded block by block (`_blocks`) from
+    those arrays and never written back, so no dense law of the pair itself
+    exists.  Each block's cells with null mass below MIN_NULL_MASS are
+    dropped, and its kept cells are collected in descending lexicographic
+    order (reversed C order).  Returns one tuple per block: the null and alt
+    masses of its kept cells and the null and alt `_dropped_cells`; the
+    dense arrays are freed on return.
+    """
+    W0, W1 = channel.W0, channel.W1
+    null = _base_law(channel, zeros, ones, m, cap)[0]
+    alt = null
+    if m > 1:
+        alt = null.copy()
+        _fold(alt, zeros + ones, [W1] * (m - 1))
+        _fold(null, zeros + ones, [W0] * (m - 1))
+    out, product = _block_buffers(null, 2)
+    parts = []
+    for box in _blocks(null, zeros + ones + m - 1):
+        # one buffer serves both laws: the null block's cells are taken out
+        # before the alt block overwrites them
+        p_null = _fold_block(null, W0, box, out, product).ravel()[::-1]
+        keep = p_null >= MIN_NULL_MASS
+        kept_null, dropped_null = p_null[keep], _dropped_cells(p_null, keep)
+        p_alt = _fold_block(alt, W1, box, out, product).ravel()[::-1]
+        parts.append((kept_null, p_alt[keep], dropped_null, _dropped_cells(p_alt, keep)))
+    return parts
+
+
 def _fold_atoms(channel: Channel, comp: Composition, m: int, cap: int) -> LrAtomization:
     """Atoms of the m-message pair at (n, k): base (n-1-k) m W0- and k m W1-messages.
 
     Cells with null mass below MIN_NULL_MASS are dropped; the kept cells
     enter the merge in descending lexicographic order (reversed C order).
+    The dense laws are freed before the kept cells are joined and merged,
+    to bound the peak.
     """
     n, k = comp.n, comp.k
-    null, alt = _pair_laws(channel, (n - 1 - k) * m, k * m, m, cap)
-    null, alt = null.ravel()[::-1], alt.ravel()[::-1]
-    keep = null >= MIN_NULL_MASS
-    p_null, p_alt, dropped = null[keep], alt[keep], _dropped_masses(null, alt, keep)
-    del null, alt, keep  # the dense laws are freed before the merge, to bound the peak
+    parts = _pair_cells(channel, (n - 1 - k) * m, k * m, m, cap)
+    p_null, p_alt, dropped_null, dropped_alt = (np.concatenate(cells) for cells in zip(*parts))
+    del parts
+    dropped = _dropped_masses(dropped_null, dropped_alt)
     return _atomize(n, k, p_alt / p_null, p_null, p_alt, dropped)
 
 
@@ -407,7 +498,7 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
     p_null, lr = _canonical_cells(channel, comp.n, cap)
     p_alt = lr * p_null
     keep = p_null >= MIN_NULL_MASS
-    dropped = _dropped_masses(p_null, p_alt, keep)
+    dropped = _dropped_masses(_dropped_cells(p_null, keep), _dropped_cells(p_alt, keep))
     lr, p_null, p_alt = lr[keep], p_null[keep], p_alt[keep]  # frees the full arrays before the merge
     return _atomize(comp.n, 0, lr, p_null, p_alt, dropped)
 

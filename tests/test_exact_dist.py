@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shuffledp
+from shuffledp import exact_dist
 from shuffledp import (
     Composition,
     EnumerationCapError,
@@ -32,17 +33,23 @@ from shuffledp import (
     rr_channel,
     score_stats,
     tradeoff_curve,
+    unbundled_lr_atoms,
     validate_channel,
 )
 from shuffledp.exact_dist import (
     DEFAULT_ATOM_CAP,
+    MERGE_REL_TOL,
     MIN_NULL_MASS,
+    HistogramLaw,
     _binom_pmf,
     _binomial_window,
     _canonical_cells,
     _check_atomization,
+    _fsum,
     _jsd_kernel,
     _merge_atoms,
+    _pair_laws,
+    _ratio_table,
 )
 from conftest import fold_atoms, full_channel
 
@@ -125,18 +132,35 @@ def _dict_fold(law, W):
     return out
 
 
-def _dict_pair(ch, comp):
-    """Renormalized base law T_{n-1,k} and the merged atoms of the pair."""
+def _dict_laws(ch, zeros, ones, m):
+    """Renormalized base law of `zeros` W0- and `ones` W1-messages and the
+    laws with m more W0- (null) or W1-messages (alt), as dicts."""
     base = {(0,) * ch.d: 1.0}
-    for W in [ch.W0] * (comp.n - 1 - comp.k) + [ch.W1] * comp.k:
+    for W in [ch.W0] * zeros + [ch.W1] * ones:
         base = _dict_fold(base, W)
     factor = 1.0 / math.fsum(base.values())
-    base = {h: m * factor for h, m in base.items()}
-    null, alt = _dict_fold(base, ch.W0), _dict_fold(base, ch.W1)
-    hists = [h for h, p in null.items() if p >= np.finfo(np.float64).tiny]
+    base = {h: mass * factor for h, mass in base.items()}
+    null = alt = base
+    for _ in range(m):
+        null, alt = _dict_fold(null, ch.W0), _dict_fold(alt, ch.W1)
+    return base, null, alt
+
+
+def _dict_atoms(null, alt):
+    """Merged atoms and dropped (null, alt) masses of the dict laws."""
+    tiny = MIN_NULL_MASS
+    hists = [h for h, p in null.items() if p >= tiny]
     p_null = np.array([null[h] for h in hists])
     p_alt = np.array([alt.get(h, 0.0) for h in hists])
-    return base, _merge_atoms(p_alt / p_null, p_null, p_alt)
+    dropped_null = np.array([p for p in null.values() if 0.0 < p < tiny])
+    dropped_alt = np.array([p for h, p in alt.items() if p > 0.0 and null.get(h, 0.0) < tiny])
+    return _merge_atoms(p_alt / p_null, p_null, p_alt), _fsum(dropped_null), _fsum(dropped_alt)
+
+
+def _dict_pair(ch, comp):
+    """Renormalized base law T_{n-1,k} and the merged atoms of the pair."""
+    base, null, alt = _dict_laws(ch, comp.n - 1 - comp.k, comp.k, 1)
+    return base, _dict_atoms(null, alt)[0]
 
 
 @pytest.mark.parametrize("d, n, k", [(2, 300, 100), (3, 60, 25), (4, 20, 7)])
@@ -231,6 +255,111 @@ def test_dense_engine_matches_dict_fold_on_null_support_channel():
     atoms = lr_atoms(ch, comp)
     for got, want in ((atoms.lr, lr), (atoms.p_null, p_null), (atoms.p_alt, p_alt)):
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+# Block sizes that put block boundaries everywhere: one cell (every block one
+# axis-0 slab), odd sizes that split the slabs unevenly, and the default.
+BLOCK_SIZES = (1, 7, 100, 1009, exact_dist._FOLD_BLOCK)
+
+
+def _skewed_channel(d):
+    """A FULL channel whose far-tail cells underflow at small n, so some are dropped."""
+    W0 = np.full(d, 1e-12)
+    W0[0] = 1.0 - W0[1:].sum()
+    return validate_channel(W0, np.full(d, 1.0 / d))
+
+
+def _assert_atoms_equal(atoms, reference):
+    (lr, p_null, p_alt), dropped_null, dropped_alt = reference
+    assert np.array_equal(atoms.lr, lr)
+    assert np.array_equal(atoms.p_null, p_null)
+    assert np.array_equal(atoms.p_alt, p_alt)
+    assert (atoms.dropped_null_mass, atoms.dropped_alt_mass) == (dropped_null, dropped_alt)
+
+
+@pytest.mark.parametrize(
+    "d, n, k, skewed",
+    [
+        (2, 40, 39, False), (2, 31, 9, False), (2, 30, 1, True),
+        (3, 14, 13, False), (3, 17, 6, False), (3, 30, 2, True),
+        (4, 9, 8, False), (4, 11, 4, False), (4, 30, 1, True),
+        (5, 6, 5, False), (5, 8, 3, False),
+    ],
+)
+def test_block_boundaries_keep_the_dict_fold_bits(monkeypatch, d, n, k, skewed):
+    # the fold, the pair's streamed last message and the dense pair give the
+    # dict fold's bits, whatever the block size; the skewed channels drop cells
+    ch = _skewed_channel(d) if skewed else full_channel(np.random.default_rng(100 + d), d)
+    base, null, alt = _dict_laws(ch, n - 1 - k, k, 1)
+    reference = _dict_atoms(null, alt)
+    assert (reference[1] > 0.0) == skewed
+    comp = Composition(n, k)
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(exact_dist, "_FOLD_BLOCK", block)
+        law = _law_dict(histogram_law(ch, Composition(n - 1, k)))
+        assert list(law.items()) == [(h, m) for h, m in base.items() if m > 0.0], block
+        _assert_atoms_equal(lr_atoms(ch, comp), reference)
+        dense = _pair_laws(ch, n - 1 - k, k, 1, DEFAULT_ATOM_CAP)
+        for got, want in zip(dense, (null, alt)):
+            assert _law_dict(HistogramLaw(n=n, d=d, mass=got)) == {h: m for h, m in want.items() if m > 0.0}
+        table, ratio = _ratio_table(ch, comp, DEFAULT_ATOM_CAP)
+        assert np.array_equal(table, dense[0])
+        kept = [h for h, p in null.items() if p >= MIN_NULL_MASS]
+        assert np.array_equal(ratio[tuple(np.array(kept).T[:-1])], [alt[h] / null[h] for h in kept])
+        assert int(np.isnan(ratio).sum()) == ratio.size - len(kept)
+
+
+@pytest.mark.parametrize(
+    "d, n, m, skewed",
+    [(2, 13, 2, False), (2, 9, 3, False), (2, 15, 2, True), (3, 7, 2, False), (3, 5, 3, False), (4, 4, 3, False), (5, 3, 2, False)],
+)
+def test_block_boundaries_keep_the_unbundled_dict_fold_bits(monkeypatch, d, n, m, skewed):
+    ch = _skewed_channel(d) if skewed else full_channel(np.random.default_rng(300 + d), d)
+    reference = _dict_atoms(*_dict_laws(ch, (n - 1) * m, 0, m)[1:])
+    assert (reference[1] > 0.0) == skewed
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(exact_dist, "_FOLD_BLOCK", block)
+        _assert_atoms_equal(unbundled_lr_atoms(ch, n, m), reference)
+
+
+def _merge_atoms_reference(lr, p_null, p_alt, rel_tol=MERGE_REL_TOL):
+    """`_merge_atoms` before its tie-free exit, kept as the reference."""
+    lr = np.asarray(lr, dtype=np.float64)
+    p_null = np.asarray(p_null, dtype=np.float64)
+    p_alt = np.asarray(p_alt, dtype=np.float64)
+    order = np.argsort(lr, kind="stable")
+    lr, p_null, p_alt = lr[order], p_null[order], p_alt[order]
+    if lr.size == 0:
+        return lr, p_null, p_alt
+    gaps = np.diff(lr) > rel_tol * np.maximum(1.0, np.abs(lr[1:]))
+    starts = np.concatenate(([0], np.nonzero(gaps)[0] + 1))
+    mn = np.add.reduceat(p_null, starts)
+    ma = np.add.reduceat(p_alt, starts)
+    weighted = np.add.reduceat(lr * p_null, starts)
+    own = (np.diff(np.append(starts, lr.size)) == 1) | (mn <= 0.0)
+    rep = np.where(own, lr[starts], weighted / np.where(own, 1.0, mn))
+    return rep, mn, ma
+
+
+def test_merge_gives_the_reference_bits():
+    rng = np.random.default_rng(17)
+    lr = rng.uniform(0.05, 20.0, 3000)  # ratios below and above 1, where the tolerance is absolute and relative
+    p_null = rng.dirichlet(np.ones(lr.size))
+    cases = {"tie-free": lr}
+    ties = lr.copy()
+    picks = rng.choice(lr.size, 120, replace=False)
+    ties[picks[:40]] = lr[picks[40:80]] + MERGE_REL_TOL * np.maximum(1.0, lr[picks[40:80]])  # at the tolerance
+    ties[picks[80:]] = lr[picks[40:80]] * (1.0 + 0.5 * MERGE_REL_TOL)  # just inside
+    cases["ties"] = ties
+    cases["empty"] = lr[:0]
+    for name, ratios in cases.items():
+        masses = p_null[: ratios.size]
+        got = _merge_atoms(ratios, masses, ratios * masses)
+        want = _merge_atoms_reference(ratios, masses, ratios * masses)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert _merge_atoms(lr, p_null, lr * p_null)[0].size == lr.size  # the tie-free input has no tie
+    assert _merge_atoms(ties, p_null, ties * p_null)[0].size == lr.size - 80  # 40 groups of three
 
 
 def test_composition_validation():
@@ -388,21 +517,47 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
+# The fold's scratch: at most three flat buffers of _FOLD_BLOCK float64 cells
+# (at these sizes no axis-0 slab is larger).
+BLOCK_SCRATCH = 3 * 8 * exact_dist._FOLD_BLOCK
+
+
 def test_lr_atoms_memory_is_linear_in_cells():
     ch = full_channel(np.random.default_rng(7), 3)
     n = 400
     assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 0))) < 100 * (n + 1) ** 2
-    # k > 0: the fold holds four float64 arrays of the dense cells (the base,
-    # both laws and one scratch buffer); the laws are freed before the merge
+    # k > 0: one float64 array of the dense cells (the base law, from which
+    # the last message is folded block by block), 32 bytes for each of the
+    # C(n+3, 3) cells that can hold mass (the kept masses, and the merge's
+    # copies once the dense array is freed) and the block scratch
     ch, n = full_channel(np.random.default_rng(7), 4), 59
-    assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 20))) < 4 * 8 * (n + 1) ** 3 + 500_000
+    cells = math.comb(n + 3, 3)
+    bound = 8 * (n + 1) ** 3 + 32 * cells + BLOCK_SCRATCH + 500_000
+    assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 20))) < bound
 
 
 def test_histogram_law_memory_is_the_dense_fold():
-    # the law is the fold's dense array, with no per-histogram objects: the
-    # peak is the fold's two buffers and its scratch
+    # the law is one dense array, folded in place, with no per-histogram
+    # objects: the peak is that array and the block scratch
     ch, n = full_channel(np.random.default_rng(5), 3), 400
-    assert _peak_bytes(lambda: histogram_law(ch, Composition(n, 133))) < 3 * 8 * (n + 1) ** 2 + 500_000
+    assert _peak_bytes(lambda: histogram_law(ch, Composition(n, 133))) < 8 * (n + 1) ** 2 + BLOCK_SCRATCH + 500_000
+
+
+def test_ratio_table_memory_is_two_dense_arrays():
+    # the null law in place in the base law's array, the alt law and then the
+    # ratio in one more
+    ch, n = full_channel(np.random.default_rng(7), 4), 59
+    peak = _peak_bytes(lambda: _ratio_table(ch, Composition(n, 20), DEFAULT_ATOM_CAP))
+    assert peak < 2 * 8 * (n + 1) ** 3 + BLOCK_SCRATCH + 500_000
+
+
+def test_unbundled_memory_is_two_dense_arrays():
+    # m > 1: the null and alt laws of the first m - 1 messages, each in one
+    # array; the last message is streamed as for lr_atoms
+    ch, n, m = full_channel(np.random.default_rng(7), 4), 15, 3
+    size, cells = n * m + 1, math.comb(n * m + 3, 3)
+    peak = _peak_bytes(lambda: unbundled_lr_atoms(ch, n, m))
+    assert peak < 2 * 8 * size**3 + 32 * cells + BLOCK_SCRATCH + 500_000
 
 
 def test_atomization_check_rejects_nan():

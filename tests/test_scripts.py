@@ -28,6 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
             ["--n", "30", "--points", "4"],
             ["chernoff/exact", "# chi-square accounting per message count"],
         ),
+        (
+            "pair_sweep.py",
+            ["--smallest"],
+            ['"layer": "lr_atoms"', '"n": 190', '"k": 63', '"min_s"', '"peak_mb"'],
+        ),
     ],
 )
 def test_study_script_prints_its_tables(script, args, headers):
@@ -43,3 +48,4 @@ def test_study_script_prints_its_tables(script, args, headers):
     assert out.returncode == 0, out.stderr
     for header in headers:
         assert header in out.stdout, (header, out.stdout)
+
