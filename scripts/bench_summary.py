@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Summarize parent/change benchmark pairs and layer sweeps as one JSON file.
+"""Summarize parent/change benchmark pairs and a layer sweep as one JSON file.
 
 Usage (from the repository root):
 
     python3 scripts/bench_summary.py --pairs exact.jsonl large.jsonl \\
         --sweep-before sweep_parent.json --sweep-after sweep_change.json \\
-        --pair-sweep-before pair_parent.json --pair-sweep-after pair_change.json \\
-        --out BENCH_13.json
+        --out BENCH_<pr>.json
 
 Each line of a pairs file is {"side": "parent" | "change", "seed": S,
 "workload": W, "result": R}, where R is the last stdout line of
@@ -15,12 +14,13 @@ run in a checkout of that side; the two sides of one seed form a pair.
 For every workload and end-to-end metric of BENCHMARK.json the summary
 gives each side's median and quartiles, the pairs the change won (ties
 count for neither), and the medians' gap against the parent's quartile
-spread.  The sweeps are the outputs of `scripts/sampler_sweep.py` and
-`scripts/pair_sweep.py` on the two checkouts, each joined cell by cell;
-leave out both sides of a sweep for a change that does not touch its layer.
-A side may list several runs of a sweep (alternate them with the other
-side's, since the machine's speed drifts): each cell then keeps its minimum
-time and minimum peak over the runs.
+spread.  The sweep sides are outputs of `scripts/layer_sweep.py`, run with
+the parent's and the change's `src` on PYTHONPATH so both measure the same
+cells; they are joined cell by cell into `layer_sweep` (leave out both
+sides for a change that touches no swept layer).  A side may list several
+runs of the sweep (alternate them with the other side's, since the
+machine's speed drifts): each cell then keeps its minimum time and minimum
+peak over the runs.
 """
 
 import argparse
@@ -74,17 +74,16 @@ MEASURED = ("min_s", "peak_mb")
 
 
 def _key(cell):
-    return tuple((k, v) for k, v in cell.items() if k not in MEASURED + ("skipped",))
+    return tuple((k, v) for k, v in cell.items() if k not in MEASURED)
 
 
 def min_sweeps(runs):
     """One sweep from several runs of it: each cell's minimum time and minimum peak."""
     cells = [dict(c) for c in runs[0]["cells"]]
     for cell in cells:
-        if "skipped" not in cell:
-            same = [c for run in runs for c in run["cells"] if _key(c) == _key(cell)]
-            for m in MEASURED:
-                cell[m] = min(c[m] for c in same)
+        same = [c for run in runs for c in run["cells"] if _key(c) == _key(cell)]
+        for m in MEASURED:
+            cell[m] = min(c[m] for c in same)
     return {**runs[0], "repeats": sum(r["repeats"] for r in runs), "runs": len(runs), "cells": cells}
 
 
@@ -93,16 +92,16 @@ def join_sweeps(before, after):
     parent = {_key(c): c for c in before["cells"]}
     cells = []
     for cell in after["cells"]:
-        row = {k: v for k, v in cell.items() if k not in MEASURED}
-        if "skipped" not in cell:
-            old = parent[_key(cell)]
-            row.update(
+        old = parent[_key(cell)]
+        cells.append(
+            dict(
+                _key(cell),
                 parent_min_s=old["min_s"],
                 change_min_s=cell["min_s"],
                 parent_peak_mb=old["peak_mb"],
                 change_peak_mb=cell["peak_mb"],
             )
-        cells.append(row)
+        )
     meta = {k: v for k, v in after.items() if k not in ("package", "cells")}
     return {**meta, "cells": cells}
 
@@ -112,23 +111,16 @@ def _load(path):
         return json.load(f)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pairs", nargs="+", required=True)
     ap.add_argument("--sweep-before", nargs="+", default=())
     ap.add_argument("--sweep-after", nargs="+", default=())
-    ap.add_argument("--pair-sweep-before", nargs="+", default=())
-    ap.add_argument("--pair-sweep-after", nargs="+", default=())
     ap.add_argument("--benchmark", default="BENCHMARK.json")
     ap.add_argument("--out", required=True)
-    args = ap.parse_args()
-    sweeps = {
-        "sampler_sweep": (args.sweep_before, args.sweep_after),
-        "pair_sweep": (args.pair_sweep_before, args.pair_sweep_after),
-    }
-    for before, after in sweeps.values():
-        if bool(before) != bool(after):
-            ap.error("give both sides of a sweep (--...-before and --...-after), or neither")
+    args = ap.parse_args(argv)
+    if bool(args.sweep_before) != bool(args.sweep_after):
+        ap.error("give both --sweep-before and --sweep-after, or neither")
     metrics = _load(args.benchmark)["end_to_end"]
     lines = []
     for path in args.pairs:
@@ -147,9 +139,9 @@ def main() -> int:
             "workloads": summarize_pairs(lines, metrics),
         },
     }
-    for name, sides in sweeps.items():
-        if sides[0]:
-            report[name] = join_sweeps(*(min_sweeps([_load(path) for path in paths]) for paths in sides))
+    if args.sweep_before:
+        sides = (args.sweep_before, args.sweep_after)
+        report["layer_sweep"] = join_sweeps(*(min_sweeps([_load(path) for path in paths]) for paths in sides))
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
         f.write("\n")

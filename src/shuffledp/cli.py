@@ -29,6 +29,7 @@ from .exact_dist import (
     Composition,
     PrivacyCurve,
     Sidedness,
+    _check_count,
     _fmt,
     _table_to_csv,
     lr_atoms,
@@ -256,6 +257,10 @@ def _jsonable(obj):
 
 
 def _default_pi(n: int, k: int) -> float:
+    """pi = k / (n-1) of the pair (k, k+1), which needs 0 <= k <= n-1."""
+    _check_count("n", n)
+    if not 0 <= k <= n - 1:
+        raise ValidationError(f"the pair (k, k+1) needs k <= n-1; got k={k}, n={n}")
     return k / (n - 1) if n > 1 else 0.0
 
 
@@ -353,6 +358,7 @@ def cmd_report(args) -> int:
     from .simplex_linalg import fisher_constant, fisher_via_mixture
 
     channel = _load_channel(args.channel)
+    _check_count("m", args.m)
     if args.k is not None and args.pi is not None:
         raise ValidationError("give at most one of --k / --pi")
     pi = args.pi if args.pi is not None else _default_pi(args.n, args.k or 0)

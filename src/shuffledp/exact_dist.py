@@ -393,27 +393,20 @@ def _dropped_masses(null: np.ndarray, alt: np.ndarray) -> dict[str, float]:
     return {"dropped_null_mass": _fsum(null), "dropped_alt_mass": _fsum(alt)}
 
 
-def _pair_laws(channel: Channel, zeros: int, ones: int, m: int, cap: int):
-    """Dense laws (null, alt) of base + m W0- and base + m W1-messages.
-
-    The renormalized base law holds `zeros` W0- and `ones` W1-messages; alt /
-    null is the pair ratio.  The null law is folded in place in the base
-    law's array and the alt law in one copy of it, so the pair holds two
-    dense arrays.  Raises EnumerationCapError beyond `cap` cells.
-    """
-    null = _base_law(channel, zeros, ones, m, cap)[0]
-    alt = null.copy()
-    _fold(alt, zeros + ones, [channel.W1] * m)
-    _fold(null, zeros + ones, [channel.W0] * m)
-    return null, alt
-
-
 def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense null law of the pair at (n, k) and its ratio L = alt / null, the
     one table read at single histograms; L is NaN where the null mass is
-    below MIN_NULL_MASS (the cells the atoms drop)."""
+    below MIN_NULL_MASS (the cells the atoms drop).
+
+    The null law is folded in place in the array of the base law T_{n-1,k}
+    and the alt law in one copy of it, which then holds the ratio, so the
+    table holds two dense arrays.
+    """
     _check_pair(channel, comp, "pair ratio")
-    null, ratio = _pair_laws(channel, comp.n - 1 - comp.k, comp.k, 1, cap)
+    null = _base_law(channel, comp.n - 1 - comp.k, comp.k, 1, cap)[0]
+    ratio = null.copy()
+    _fold(ratio, comp.n - 1, [channel.W1])
+    _fold(null, comp.n - 1, [channel.W0])
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(ratio, null, out=ratio)
     ratio[null < MIN_NULL_MASS] = np.nan

@@ -210,6 +210,27 @@ def test_report_rejects_both_k_and_pi(rr3_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["curve", "--engine", "gdp", "--n", "100", "--k", "100"], "the pair (k, k+1) needs k <= n-1; got k=100, n=100"),
+        (["report", "--n", "100", "--k", "100"], "the pair (k, k+1) needs k <= n-1; got k=100, n=100"),
+        (["report", "--n", "100", "--k", "-1"], "the pair (k, k+1) needs k <= n-1; got k=-1, n=100"),
+        (["report", "--n", "0"], "n must be an integer >= 1, got 0"),
+        (["report", "--n", "10", "--m", "0"], "m must be an integer >= 1, got 0"),
+        (["report", "--n", "10", "--m", "-3"], "m must be an integer >= 1, got -3"),
+    ],
+)
+def test_out_of_range_k_and_m_exit_2(rr3_file, capsys, argv, message):
+    assert main([argv[0], "--channel", rr3_file, *argv[1:]]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_report_single_user_has_pi_zero(rr3_file, capsys):
+    assert main(["report", "--channel", rr3_file, "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["fisher"]["pi"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -48,7 +48,6 @@ from shuffledp.exact_dist import (
     _fsum,
     _jsd_kernel,
     _merge_atoms,
-    _pair_laws,
     _ratio_table,
 )
 from conftest import fold_atoms, full_channel
@@ -287,7 +286,7 @@ def _assert_atoms_equal(atoms, reference):
     ],
 )
 def test_block_boundaries_keep_the_dict_fold_bits(monkeypatch, d, n, k, skewed):
-    # the fold, the pair's streamed last message and the dense pair give the
+    # the fold, the pair's streamed last message and the ratio table give the
     # dict fold's bits, whatever the block size; the skewed channels drop cells
     ch = _skewed_channel(d) if skewed else full_channel(np.random.default_rng(100 + d), d)
     base, null, alt = _dict_laws(ch, n - 1 - k, k, 1)
@@ -299,11 +298,8 @@ def test_block_boundaries_keep_the_dict_fold_bits(monkeypatch, d, n, k, skewed):
         law = _law_dict(histogram_law(ch, Composition(n - 1, k)))
         assert list(law.items()) == [(h, m) for h, m in base.items() if m > 0.0], block
         _assert_atoms_equal(lr_atoms(ch, comp), reference)
-        dense = _pair_laws(ch, n - 1 - k, k, 1, DEFAULT_ATOM_CAP)
-        for got, want in zip(dense, (null, alt)):
-            assert _law_dict(HistogramLaw(n=n, d=d, mass=got)) == {h: m for h, m in want.items() if m > 0.0}
         table, ratio = _ratio_table(ch, comp, DEFAULT_ATOM_CAP)
-        assert np.array_equal(table, dense[0])
+        assert _law_dict(HistogramLaw(n=n, d=d, mass=table)) == {h: m for h, m in null.items() if m > 0.0}
         kept = [h for h, p in null.items() if p >= MIN_NULL_MASS]
         assert np.array_equal(ratio[tuple(np.array(kept).T[:-1])], [alt[h] / null[h] for h in kept])
         assert int(np.isnan(ratio).sum()) == ratio.size - len(kept)

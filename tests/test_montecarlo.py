@@ -30,7 +30,7 @@ from shuffledp import (
     validate_channel,
 )
 from shuffledp.channels import score_stats
-from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, _pair_laws
+from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, _base_law, _fold
 from shuffledp.montecarlo import _BLOCK, _below
 
 from conftest import full_channel
@@ -82,7 +82,10 @@ def _ref_sample(channel, comp, hypothesis, seed, reps):
     if k == 0:
         with np.errstate(divide="ignore"):
             return np.log(counts @ score_stats(channel).w / n)
-    null, alt = _pair_laws(channel, n - 1 - k, k, 1, DEFAULT_ATOM_CAP)
+    null = _base_law(channel, n - 1 - k, k, 1, DEFAULT_ATOM_CAP)[0]
+    alt = null.copy()
+    _fold(alt, n - 1, [channel.W1])
+    _fold(null, n - 1, [channel.W0])
     lam = np.full(null.shape, np.nan)
     keep = null >= MIN_NULL_MASS
     with np.errstate(divide="ignore"):
@@ -332,16 +335,16 @@ def test_sampling_validation_and_cap():
 
 
 def test_sampling_raises_on_a_histogram_missing_from_the_table(monkeypatch):
-    from shuffledp import exact_dist
+    from shuffledp import montecarlo
 
-    real = exact_dist._pair_laws
+    real = montecarlo._ratio_table
 
     def without_modal_cell(*args):
-        null, alt = real(*args)
-        null.ravel()[np.argmax(null)] = 0.0
-        return null, alt
+        null, ratio = real(*args)
+        ratio.ravel()[np.argmax(null)] = np.nan
+        return null, ratio
 
-    monkeypatch.setattr(exact_dist, "_pair_laws", without_modal_cell)
+    monkeypatch.setattr(montecarlo, "_ratio_table", without_modal_cell)
     with pytest.raises(InternalInvariantError, match="underflowed"):
         sample_privacy_loss(RR3, Composition(8, 3), Hypothesis.NULL, SimConfig(seed=0, reps=200))
 

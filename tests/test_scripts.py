@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
             ["chernoff/exact", "# chi-square accounting per message count"],
         ),
         (
-            "pair_sweep.py",
+            "layer_sweep.py",
             ["--smallest"],
             ['"layer": "lr_atoms"', '"n": 190', '"k": 63', '"min_s"', '"peak_mb"'],
         ),
