@@ -13,25 +13,26 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
+# shuffledp first: importing it before numpy caps numpy's BLAS pool at one thread
 from shuffledp import (
     binomial_curve,
-    chernoff_delta,
+    chernoff_curve,
     gdp_delta,
     gdp_mu,
     mm_gdp_compare,
     rr_channel,
 )
 
+import numpy as np
+
 
 def delta_table(channel, n: int, eps_grid) -> None:
     mu = gdp_mu(channel, n).mu
     exact = binomial_curve(channel, n, eps_grid).delta
+    chernoff = chernoff_curve(channel, n, eps_grid).delta
     print(f"# n={n}, mu={mu:.6f}")
     print(f"{'eps':>8} {'exact':>12} {'chernoff':>12} {'gdp':>12} {'chernoff/exact':>15}")
-    for eps, dx in zip(eps_grid, exact):
-        ch = chernoff_delta(channel, n, eps).bound
+    for eps, dx, ch in zip(eps_grid, exact, chernoff):
         gauss = gdp_delta(eps, mu)
         ratio = ch / dx if dx > 0 else math.inf
         print(f"{eps:>8.4f} {dx:>12.4e} {ch:>12.4e} {gauss:>12.4e} {ratio:>15.3f}")

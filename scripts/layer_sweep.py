@@ -9,7 +9,8 @@ Usage (from the repository root, against the checkout on PYTHONPATH):
 
 Each cell times one call of its layer: `lr_atoms` at (n, k) (k = 0 in
 closed form, k > 0 through the dense pair), `unbundled_lr_atoms` at m
-messages per user, or `sample_privacy_loss` of `reps` draws under the alt
+messages per user, `divergences` of the `lr_atoms` atoms at (n, k) (built
+before the timing), or `sample_privacy_loss` of `reps` draws under the alt
 law with seed 7 on `workers` threads.  For each it reports the minimum of
 five wall times of one call and the minimum `tracemalloc` peak of five
 further calls, all after a warm-up call, so lazily imported modules and
@@ -35,6 +36,7 @@ from shuffledp import (
     Composition,
     Hypothesis,
     SimConfig,
+    divergences,
     lr_atoms,
     sample_privacy_loss,
     unbundled_lr_atoms,
@@ -61,6 +63,8 @@ CELLS = (
     ("lr_atoms", 5, 40, 0, 1, None, None),
     ("unbundled_lr_atoms", 2, 150, 0, 4, None, None),
     ("unbundled_lr_atoms", 3, 20, 0, 3, None, None),
+    ("divergences", 2, 950000, 0, 1, None, None),
+    ("divergences", 3, 1000, 0, 1, None, None),
 ) + tuple(
     ("sample_privacy_loss", d, n, k, 1, 10_000 if n <= 1900 else 1_000, workers)
     for d in (2, 3, 4)
@@ -69,10 +73,19 @@ CELLS = (
     for workers in (1, 2)
     if k == 0 or n <= MAX_TABLE_N[d]
 )
+
+
+def _divergences(ch, n, k, m, reps, workers):
+    atoms = lr_atoms(ch, Composition(n, k))
+    return lambda: divergences(atoms)
+
+
+# layer -> the cell's timed call; what the call reads is built before the timing
 LAYERS = {
-    "lr_atoms": lambda ch, n, k, m, reps, workers: lr_atoms(ch, Composition(n, k)),
-    "unbundled_lr_atoms": lambda ch, n, k, m, reps, workers: unbundled_lr_atoms(ch, n, m),
-    "sample_privacy_loss": lambda ch, n, k, m, reps, workers: sample_privacy_loss(
+    "lr_atoms": lambda ch, n, k, m, reps, workers: lambda: lr_atoms(ch, Composition(n, k)),
+    "unbundled_lr_atoms": lambda ch, n, k, m, reps, workers: lambda: unbundled_lr_atoms(ch, n, m),
+    "divergences": _divergences,
+    "sample_privacy_loss": lambda ch, n, k, m, reps, workers: lambda: sample_privacy_loss(
         ch, Composition(n, k), Hypothesis.ALT, SimConfig(seed=SEED, reps=reps, workers=workers)
     ),
 }
@@ -109,10 +122,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     cells = []
     for layer, d, n, k, m, reps, workers in CELLS[:1] if args.smallest else CELLS:
-        ch = channel(d)
-        call = LAYERS[layer]
         cell = {"layer": layer, "d": d, "n": n, "k": k, "m": m, "reps": reps, "workers": workers}
-        cell.update(measure(lambda: call(ch, n, k, m, reps, workers)))
+        cell.update(measure(LAYERS[layer](channel(d), n, k, m, reps, workers)))
         cells.append(cell)
         print(json.dumps(cell), file=sys.stderr, flush=True)
     print(

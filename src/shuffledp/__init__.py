@@ -12,9 +12,20 @@ name is looked up in the submodule that defines it on first access (PEP 562
 module `__getattr__`), so a job loads only the engines it calls.  The value
 is not cached here, so `shuffledp.f` is always what `shuffledp.<module>.f`
 holds at that moment.
+
+Importing the package before numpy caps numpy's bundled OpenBLAS at one
+thread (`OPENBLAS_NUM_THREADS=1`, unless the caller set a value).  Every
+BLAS call here is a length-d dot or a row-wise product, so a pool gains
+nothing, and its idle workers spin at `import numpy` and burn CPU in every
+short job.  Child processes inherit the variable.
 """
 
 import importlib
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
@@ -72,7 +83,12 @@ _EXPORTS = {
         "jsd_canonical_asymptotic",
         "leading_divergence",
     ),
-    "bounds": ("ChernoffEvaluation", "chernoff_delta", "unbundled_hoeffding_delta"),
+    "bounds": (
+        "ChernoffEvaluation",
+        "chernoff_curve",
+        "chernoff_delta",
+        "unbundled_hoeffding_delta",
+    ),
     "multimessage": (
         "MmComparison",
         "unbundled_lr",

@@ -35,8 +35,8 @@ def _ndtr(x: float) -> float:
 
 
 def _ndtr_array(x: np.ndarray) -> np.ndarray:
-    """`_ndtr` elementwise over a 1-d array."""
-    return np.array([_ndtr(v) for v in x.tolist()], dtype=np.float64)
+    """`_ndtr` elementwise over a 1-d array, bit for bit."""
+    return 0.5 * np.fromiter(map(math.erfc, (-x * _SQRT_HALF).tolist()), np.float64, x.size)
 
 
 class GdpSource(Enum):

@@ -302,10 +302,9 @@ def cmd_curve(args) -> int:
         curve = PrivacyCurve(eps, delta, Sidedness.FORWARD)
         extra = [f"gdp-mu: {_fmt(params.mu)}", f"gdp-source: {params.source.value}"]
     elif args.engine == "chernoff":
-        from .bounds import chernoff_delta
+        from .bounds import chernoff_curve
 
-        delta = np.array([chernoff_delta(channel, args.n, e).bound for e in eps])
-        curve = PrivacyCurve(eps, delta, Sidedness.FORWARD)
+        curve = chernoff_curve(channel, args.n, eps)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown engine {args.engine!r}")
 

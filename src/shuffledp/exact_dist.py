@@ -796,13 +796,18 @@ def _jsd_kernel(t: np.ndarray) -> np.ndarray:
 
 
 def _fsum(terms: np.ndarray) -> float:
-    """Exactly rounded sum, fed to `math.fsum` in decreasing order.
+    """Exactly rounded sum, fed to `math.fsum` in decreasing magnitude per sign.
 
-    The result does not depend on the order; sorted terms keep fsum's list
-    of partials short, which makes it much faster on terms spanning hundreds
-    of decades (the far-tail atoms of a large-n binomial pair).
+    The result does not depend on the order.  The nonnegative terms go in
+    largest first, then the negative ones most negative first: terms of
+    decreasing magnitude keep fsum's list of partials short, which makes it
+    much faster on terms spanning hundreds of decades (the far-tail atoms of
+    a large-n binomial pair, and KL's negative terms).  One sorted copy is
+    the only temporary.
     """
-    return math.fsum(np.sort(terms)[::-1])
+    s = np.sort(terms)
+    neg = int(np.searchsorted(s, 0.0))
+    return math.fsum(itertools.chain(s[neg:][::-1], s[:neg]))
 
 
 def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:

@@ -21,7 +21,7 @@ from shuffledp import (
     rr_channel,
     score_stats,
 )
-from shuffledp.asymptotics import _ndtr_array
+from shuffledp.asymptotics import _ndtr, _ndtr_array
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -97,6 +97,13 @@ def test_ndtr_matches_scipy_down_to_the_far_lower_tail():
     x = np.linspace(-37.5, 8.5, 20_001)
     oracle = ndtr(x)
     assert np.all(np.abs(_ndtr_array(x) - oracle) <= 1e-13 * oracle)
+
+
+def test_ndtr_array_is_the_scalar_ndtr_bit_for_bit():
+    x = np.concatenate([np.linspace(-37.5, 8.5, 2001), [0.0, -0.0, -1e-300, 40.0, -40.0]])
+    want = np.array([_ndtr(v) for v in x.tolist()])
+    assert np.array_equal(_ndtr_array(x).view(np.int64), want.view(np.int64))
+    assert _ndtr_array(np.array([])).size == 0
 
 
 def test_inverse_normal_cdf_matches_scipy_ndtri():

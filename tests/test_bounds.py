@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from shuffledp import (
     Composition,
+    Sidedness,
     ValidationError,
     binomial_curve,
+    chernoff_curve,
     chernoff_delta,
     lr_atoms,
     privacy_curve,
@@ -16,9 +18,70 @@ from shuffledp import (
     unbundled_exact_curve,
     unbundled_hoeffding_delta,
 )
+from shuffledp.bounds import _EXP_ARG_CAP, _GOLDEN_WIDTH, _INV_PHI
+from shuffledp.channels import score_stats
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
+
+
+def _lse(a: np.ndarray) -> float:
+    m = a.max()
+    return float(m) + math.log(float(np.exp(a - m).sum()))
+
+
+def scalar_chernoff(channel, n: int, eps: float) -> tuple:
+    """Reference search for one eps: (lam, log_bound, bound, hit_cap).
+
+    The one-eps-at-a-time form of the lockstep search in `bounds`: the
+    bracket doubles lam from 1 until g has increased on three consecutive
+    doublings or reaches the overflow guard, then a golden-section search
+    refines to width 1e-10.  `hit_cap` tells whether the guard cut the
+    bracket.
+    """
+    stats = score_stats(channel)
+    tau = math.expm1(eps)
+    r_max = float(stats.r.max())
+    if tau >= r_max - 1e-12 * max(1.0, r_max):
+        return math.nan, -math.inf, 0.0, False
+    r = stats.r
+    log_w0 = np.log(channel.W0)
+    pos = channel.W1 > 0.0
+    log_w1_pos = np.log(channel.W1[pos])
+    r_pos = r[pos]
+
+    def g(lam: float) -> float:
+        log_m = _lse(log_w0 + lam * r)
+        log_m_plus = _lse(log_w1_pos + lam * r_pos)
+        return -lam * n * tau + (n - 1) * log_m + log_m_plus
+
+    lam_cap = _EXP_ARG_CAP / max(float(np.max(np.abs(r))), 1e-300)
+    hi = 1.0
+    prev = g(hi)
+    increases = 0
+    while increases < 3 and hi < lam_cap:
+        hi = min(2.0 * hi, lam_cap)
+        cur = g(hi)
+        increases = increases + 1 if cur > prev else 0
+        prev = cur
+    hit_cap = increases < 3
+
+    a, b = 0.0, hi
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1, f2 = g(x1), g(x2)
+    while b - a > _GOLDEN_WIDTH:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = g(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = g(x2)
+    lam_star = 0.5 * (a + b)
+    log_bound = min(g(lam_star), 0.0)
+    return lam_star, log_bound, min(1.0, math.exp(log_bound)), hit_cap
 
 
 def test_chernoff_trivial_at_eps_zero():
@@ -56,8 +119,7 @@ def test_chernoff_dominates_binomial_curve_in_underflow_regime(eps0, n):
     ch = rr_channel(eps0)
     eps = np.linspace(0.0, eps0, 16)
     exact = binomial_curve(ch, n, eps).delta
-    for e, x in zip(eps, exact):
-        assert chernoff_delta(ch, n, float(e)).bound >= x - 1e-12
+    assert np.all(chernoff_curve(ch, n, eps).delta >= exact - 1e-12)
 
 
 def test_chernoff_decays_exponentially_in_n():
@@ -75,6 +137,55 @@ def test_chernoff_on_random_full_channels():
         exact = privacy_curve(lr_atoms(ch, Composition(12, 0)), eps).delta
         for e, x in zip(eps, exact):
             assert chernoff_delta(ch, 12, e).bound >= x - 1e-12
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_chernoff_curve_is_the_scalar_search_bit_for_bit(seed):
+    # random FULL channels (d = 2, 3, 4 and 9; d >= 8 takes numpy's unrolled
+    # row sum)
+    # and rr channels whose lam cap is below 2 or even 1, at n from 1 to 2e6,
+    # on grids that run past log w_max and hit it exactly
+    rng = np.random.default_rng(500 + seed)
+    cases = [(full_channel(rng, d), n) for d in (2, 3, 4, 9) for n in (1, 37, 950000)]
+    cases += [(rr_channel(eps0), n) for eps0 in (0.05, 1.1, 6.0, 7.5) for n in (2, 2_000_000)]
+    caps = zeros = 0
+    for ch, n in cases:
+        top = math.log(score_stats(ch).w_max)
+        eps = np.append(np.linspace(0.0, 1.2 * top, 22), [top, top * (1.0 - 1e-13)])
+        ref = [scalar_chernoff(ch, n, float(e)) for e in eps]
+        got = chernoff_curve(ch, n, eps)
+        assert np.array_equal(_bits(got.delta), _bits([r[2] for r in ref]))
+        assert np.array_equal(got.eps, eps) and got.sidedness is Sidedness.FORWARD
+        for e, r in zip(eps[::5], ref[::5]):
+            ev = chernoff_delta(ch, n, float(e))
+            assert np.array_equal(_bits([ev.lam, ev.log_bound, ev.bound]), _bits(r[:3]))
+            assert ev.tau == math.expm1(e)
+        caps += sum(r[3] for r in ref)
+        zeros += sum(r[2] == 0.0 and math.isnan(r[0]) for r in ref)
+    assert caps > 0 and zeros > 0
+
+
+def test_chernoff_curve_on_a_grid_past_the_support():
+    # every entry at or above log w_max is zero, and there is no search at all
+    eps = np.array([math.log(3.0), 2.0, 4.0])
+    got = chernoff_curve(RR3, 10, eps)
+    assert got.delta.tolist() == [0.0, 0.0, 0.0]
+    assert chernoff_curve(RR3, 10, 0.0).delta.tolist() == [1.0]
+
+
+def test_chernoff_curve_validation():
+    with pytest.raises(ValidationError):
+        chernoff_curve(RR3, 0, [0.5])
+    with pytest.raises(ValidationError):
+        chernoff_curve(RR3, 5, [0.5, -0.5])
+    with pytest.raises(ValidationError):
+        chernoff_curve(RR3, 5, [0.5, math.nan])
+    with pytest.raises(ValidationError):
+        chernoff_curve(RR3, 5, [])
 
 
 def test_chernoff_validation():

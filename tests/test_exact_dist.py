@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -881,6 +882,21 @@ def test_divergences_equal_fsum_of_unsorted_terms(make_atoms):
     assert report.kl == math.fsum(p[pos] * lr[pos] * np.log(lr[pos]))
     for alpha in (1.5, 2.0):
         assert report.renyi[alpha] == math.log(math.fsum(p * lr**alpha)) / (alpha - 1.0)
+
+
+def test_fsum_is_the_exact_sum_in_any_order():
+    # mixed signs over 600 decades, with exact cancellations: every order
+    # gives the correctly rounded sum, which Fraction arithmetic computes
+    rng = np.random.default_rng(11)
+    mags = 10.0 ** rng.uniform(-300.0, 300.0, 400)
+    terms = np.concatenate([mags * rng.choice([-1.0, 1.0], mags.size), -mags[:50], [0.0, -0.0]])
+    exact = float(sum(map(Fraction, terms.tolist()), Fraction(0)))
+    assert _fsum(terms) == exact
+    assert _fsum(np.sort(terms)) == exact
+    assert _fsum(np.sort(terms)[::-1]) == exact
+    for _ in range(5):
+        assert _fsum(rng.permutation(terms)) == exact
+    assert _fsum(np.array([])) == 0.0
 
 
 def test_chi2_contracts_exactly_like_one_over_n():

@@ -19,13 +19,15 @@ from shuffledp.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _python(*args) -> subprocess.CompletedProcess:
+def _python(*args, env=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter; `env` overrides variables, and a None value unsets one."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    child = {**os.environ, "PYTHONPATH": path, **(env or {})}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={k: v for k, v in child.items() if v is not None},
         timeout=120,
     )
 
@@ -41,6 +43,46 @@ def test_import_loads_neither_numpy_nor_an_engine():
     loaded = _loaded_after("import shuffledp")
     assert "numpy" not in loaded
     assert {m for m in loaded if m.startswith("shuffledp")} == {"shuffledp", "shuffledp.errors"}
+
+
+# This test process imported shuffledp, so its own environment already
+# carries the variable; each child below starts from a caller that set none.
+NO_BLAS_THREADS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+SHOW_BLAS = "import os\nprint(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+needs_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or _CPUS < 2,
+    reason="needs /proc/self/task and at least two CPUs",
+)
+
+
+def test_import_caps_blas_at_one_thread_and_loads_no_numpy():
+    code = "import os, sys, shuffledp\nprint(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
+    out = _python("-c", code, env=NO_BLAS_THREADS)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "False"]
+
+
+@needs_threads
+def test_cli_import_runs_in_one_thread():
+    out = _python("-c", "import shuffledp.cli\n" + SHOW_BLAS, env=NO_BLAS_THREADS)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "1"]
+
+
+@needs_threads
+def test_a_blas_thread_count_set_by_the_caller_is_kept():
+    env = {**NO_BLAS_THREADS, "OPENBLAS_NUM_THREADS": "2"}
+    out = _python("-c", "import shuffledp.cli\n" + SHOW_BLAS, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2", "2"]
+
+
+def test_numpy_imported_first_keeps_its_blas_pool():
+    code = "import os, numpy, shuffledp\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = _python("-c", code, env=NO_BLAS_THREADS)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["None"]
 
 
 def test_every_public_name_resolves_and_star_import_binds_it():
