@@ -9,6 +9,11 @@ bundled-vs-unbundled chi-square ratio over message counts m.
     python3 scripts/bound_gap_table.py --eps0 1.0986 --n 60
 """
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # import with no collections; the heap is frozen before main runs
+
 import argparse
 import math
 import sys
@@ -67,4 +72,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()
     sys.exit(main())

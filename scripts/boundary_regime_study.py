@@ -11,6 +11,11 @@ the moment diagnostics on an (eps0, n) grid.
     python3 scripts/boundary_regime_study.py --alpha 0.5
 """
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # import with no collections; the heap is frozen before main runs
+
 import argparse
 import math
 import sys
@@ -73,4 +78,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()
     sys.exit(main())

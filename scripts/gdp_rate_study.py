@@ -9,6 +9,11 @@ the decay exponent.  Berry-Esseen predicts a slope of about -1/2.
     python3 scripts/gdp_rate_study.py --eps0 1.0 --n 100,400,1600,6400
 """
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # import with no collections; the heap is frozen before main runs
+
 import argparse
 import sys
 
@@ -64,4 +69,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()
     sys.exit(main())

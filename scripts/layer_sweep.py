@@ -19,13 +19,26 @@ depends on how the threads' per-block temporaries overlap: repeats of the
 minimum spread by a few percent (2.56-2.65 MB at d=2 n=47 k=15), so only a
 one-worker peak can show a small change.  Channels are fixed: FULL channels
 drawn from seeded Dirichlet laws, the same for every run of the script.
-`scripts/bench_summary.py` joins the sweeps of two checkouts cell by cell.
+
+The `process` cells (left out by --smallest) time what in-process cells
+cannot: interpreter start-up, imports and exit.  Each runs one command in
+fresh interpreters, which inherit this process's environment (so the
+package on PYTHONPATH is the one they load): the bare interpreter
+(`-c pass`), `-c "import shuffledp.cli"`, and `python -m shuffledp.cli
+curve` on the d = 3 channel at n = 190, k = 63.  A cell reports the
+minimum wall time of five processes after a warm-up one, and the minimum
+of their peak RSS (`ru_maxrss`, in MiB as perfbench reports it) as
+`peak_mb`.  `scripts/bench_summary.py` joins the sweeps of two checkouts
+cell by cell.
 """
 
 import argparse
 import json
+import os
 import platform
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -36,6 +49,7 @@ from shuffledp import (
     Composition,
     Hypothesis,
     SimConfig,
+    channel_to_json,
     divergences,
     lr_atoms,
     sample_privacy_loss,
@@ -73,6 +87,15 @@ CELLS = (
     for workers in (1, 2)
     if k == 0 or n <= MAX_TABLE_N[d]
 )
+
+# command -> interpreter arguments of the `process` cells; {channel} is the d = 3 channel file
+PROCESSES = {
+    "python -c pass": ["-c", "pass"],
+    "python -c 'import shuffledp.cli'": ["-c", "import shuffledp.cli"],
+    "python -m shuffledp.cli curve d=3 n=190 k=63": [
+        "-m", "shuffledp.cli", "curve", "--channel", "{channel}", "--n", "190", "--k", "63"
+    ],
+}
 
 
 def _divergences(ch, n, k, m, reps, workers):
@@ -116,6 +139,46 @@ def measure(call) -> dict:
     return {"min_s": min(times), "peak_mb": min(peaks) / 1e6}
 
 
+# Runs the `process` cells' commands.  A child's ru_maxrss counts the memory of
+# the process that spawned it, so they are spawned from this bare interpreter
+# (-S: no site, about 9 MB; a bare `python -c pass` peaks at about 13 MB), not
+# from the sweep.  Prints wall seconds, peak RSS in KiB and exit code per run.
+_LAUNCHER = """
+import os, sys, time
+runs, argv = int(sys.argv[1]), sys.argv[2:]
+quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+for _ in range(runs):
+    start = time.perf_counter()
+    pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    print(time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def measure_process(args) -> dict:
+    """Minimum wall seconds and peak RSS of fresh `python *args` processes, after a warm-up."""
+    cmd = [sys.executable, "-S", "-c", _LAUNCHER, str(1 + REPEATS), sys.executable, *args]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    runs = [line.split() for line in out.stdout.splitlines()[1:]]
+    if any(rc != "0" for _, _, rc in runs):
+        raise RuntimeError(f"python {' '.join(args)} failed: {out.stderr}")
+    return {"min_s": min(float(t) for t, _, _ in runs), "peak_mb": min(int(kb) for _, kb, _ in runs) / 1024.0}
+
+
+def process_cells() -> list:
+    cells = []
+    with tempfile.TemporaryDirectory() as tmp:
+        channel_file = os.path.join(tmp, "channel.json")
+        with open(channel_file, "w") as f:
+            f.write(channel_to_json(channel(3)))
+        for command, args in PROCESSES.items():
+            cell = {"layer": "process", "command": command}
+            cell.update(measure_process([a.format(channel=channel_file) for a in args]))
+            cells.append(cell)
+            print(json.dumps(cell), file=sys.stderr, flush=True)
+    return cells
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smallest", action="store_true", help="measure only the first (smallest) cell")
@@ -126,6 +189,8 @@ def main(argv=None) -> int:
         cell.update(measure(LAYERS[layer](channel(d), n, k, m, reps, workers)))
         cells.append(cell)
         print(json.dumps(cell), file=sys.stderr, flush=True)
+    if not args.smallest:
+        cells += process_cells()
     print(
         json.dumps(
             {

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import Channel, score_stats
 from .errors import EnumerationCapError, ValidationError
-from .exact_dist import Composition, _check_count, _check_eps, divergences, lr_atoms
+from .exact_dist import Composition, _check_count, _check_eps, _jsd, lr_atoms
 from .simplex_linalg import fisher_constant
 
 
@@ -161,7 +161,7 @@ _AUTO_EXACT_CAP = 1_000_000
 
 def _exact_canonical_jsd(channel: Channel, n: int) -> float | None:
     try:
-        return divergences(lr_atoms(channel, Composition(n, 0), cap=_AUTO_EXACT_CAP)).jsd
+        return _jsd(lr_atoms(channel, Composition(n, 0), cap=_AUTO_EXACT_CAP))
     except EnumerationCapError:
         return None
 

@@ -6,7 +6,18 @@ to their inputs.  Worker count and wall-clock time are deliberately left
 out of the default manifest: files produced with the same seed must be
 byte-identical no matter how the work was parallelized (pass --stamp to
 record them anyway).
+
+Run as a program, the module imports with the cyclic garbage collector off
+and freezes the import heap (`gc.freeze`) before the command runs; importing
+it, or calling `main(argv)`, leaves the collector as it is.
 """
+
+import gc
+
+if __name__ == "__main__":
+    # No collections while the stdlib, numpy and the engines load: their
+    # objects live until exit, so a pass over them finds nothing.
+    gc.disable()
 
 import argparse
 import dataclasses
@@ -454,7 +465,7 @@ def cmd_simulate(args) -> int:
             "dkw_radius_95": dkw_radius(args.reps),
         }
     if args.format == "csv":
-        text = _table_to_csv(("lambda",), ((v,) for v in lam), manifest.header_lines())
+        text = _table_to_csv(("lambda",), lam.reshape(-1, 1), manifest.header_lines())
         if summary is not None:
             text += "# summary " + json.dumps(summary, separators=(",", ":")) + "\n"
     else:
@@ -563,6 +574,10 @@ def main(argv=None) -> int:
 
 
 def console_entry() -> None:
+    """Program entry: move the import heap out of all later collections
+    (shutdown's included), then run the command with the collector on."""
+    gc.freeze()
+    gc.enable()
     sys.exit(main())
 
 

@@ -128,7 +128,7 @@ class PrivacyCurve:
     sidedness: Sidedness
 
     def to_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        return _table_to_csv(("epsilon", "delta"), zip(self.eps, self.delta), header_lines)
+        return _table_to_csv(("epsilon", "delta"), np.column_stack((self.eps, self.delta)), header_lines)
 
 
 @dataclass
@@ -150,7 +150,7 @@ class TradeoffCurve:
         return float(out) if np.isscalar(alpha) else out
 
     def to_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        return _table_to_csv(("alpha", "beta"), zip(self.alpha, self.beta), header_lines)
+        return _table_to_csv(("alpha", "beta"), np.column_stack((self.alpha, self.beta)), header_lines)
 
 
 @dataclass
@@ -810,6 +810,11 @@ def _fsum(terms: np.ndarray) -> float:
     return math.fsum(itertools.chain(s[neg:][::-1], s[:neg]))
 
 
+def _jsd(atoms: LrAtomization) -> float:
+    """Jensen-Shannon divergence of the pair, the `jsd` of `divergences`."""
+    return _fsum(atoms.p_null * _jsd_kernel(atoms.lr)) + atoms.alt_singular_mass * 0.5 * _LOG2
+
+
 def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     """Standard divergences of the alt law from the null law.
 
@@ -821,7 +826,7 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     """
     lr, p_null = atoms.lr, atoms.p_null
     sing = atoms.alt_singular_mass
-    jsd = _fsum(p_null * _jsd_kernel(lr)) + sing * 0.5 * _LOG2
+    jsd = _jsd(atoms)
     above = lr > 1.0
     tv = _fsum(p_null[above] * (lr[above] - 1.0)) + sing
     if sing > 0.0:
@@ -953,16 +958,24 @@ def linearization_residual(
 # CSV serialization (17 significant digits; round-trips exactly)
 
 
+_FLOAT_FORMAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+    return _FLOAT_FORMAT % float(x)
 
 
-def _table_to_csv(columns, rows, header_lines=()) -> str:
+def _table_to_csv(columns, table, header_lines=()) -> str:
+    """CSV of a 2-D array with one column per name; each value as `_fmt` writes it.
+
+    One `%` formats every row from one flat list of floats, which is faster
+    and holds fewer temporaries than a string per cell or per row.
+    """
+    table = np.asarray(table, dtype=np.float64)
     lines = [line if line.startswith("#") else f"# {line}" for line in header_lines]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    row = "\n" + ",".join([_FLOAT_FORMAT] * len(columns))
+    return "\n".join(lines) + (row * len(table)) % tuple(table.ravel().tolist()) + "\n"
 
 
 def law_to_csv(law: HistogramLaw, header_lines: tuple[str, ...] = ()) -> str:

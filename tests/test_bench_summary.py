@@ -56,6 +56,7 @@ def _sweep(cells, repeats=5):
 
 SAMPLER = {"layer": "sample_privacy_loss", "d": 2, "n": 47, "k": 15, "m": 1, "reps": 100, "workers": 1}
 ATOMS = {**SAMPLER, "layer": "lr_atoms"}  # only the layer tells the two apart
+PROCESS = {"layer": "process", "command": "python -c pass"}  # layer_sweep's fresh-process cells
 
 
 def test_min_sweeps_keeps_each_cells_minimum():
@@ -88,3 +89,16 @@ def test_one_sided_sweep_is_an_argparse_error(tmp_path, capsys):
         bench_summary.main(argv)
     assert exit_info.value.code == 2
     assert "give both --sweep-before and --sweep-after, or neither" in capsys.readouterr().err
+
+
+def test_process_cells_join_and_min_like_any_cell():
+    runs = [
+        _sweep([{**ATOMS, "min_s": 0.5, "peak_mb": 3.0}, {**PROCESS, "min_s": 0.06, "peak_mb": 13.5}]),
+        _sweep([{**ATOMS, "min_s": 0.4, "peak_mb": 3.1}, {**PROCESS, "min_s": 0.05, "peak_mb": 13.6}]),
+    ]
+    after = _sweep([{**PROCESS, "min_s": 0.04, "peak_mb": 13.4}, {**ATOMS, "min_s": 0.3, "peak_mb": 2.9}])
+    joined = bench_summary.join_sweeps(bench_summary.min_sweeps(runs), after)
+    assert joined["cells"] == [
+        {**PROCESS, "parent_min_s": 0.05, "change_min_s": 0.04, "parent_peak_mb": 13.5, "change_peak_mb": 13.4},
+        {**ATOMS, "parent_min_s": 0.4, "change_min_s": 0.3, "parent_peak_mb": 3.0, "change_peak_mb": 2.9},
+    ]

@@ -5,6 +5,7 @@ every module, so a missing import inside a subcommand would pass them.  Each
 test here starts a new Python process.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -156,3 +157,90 @@ def test_subcommand_runs_in_a_fresh_interpreter_as_in_process(job, channel_files
     assert fresh.stdout == here
     if writes_file:
         assert (tmp_path / "fresh.out").read_bytes() == (tmp_path / "here.out").read_bytes()
+
+
+# The programs (`python -m shuffledp.cli`, the `shuffledp` console script and
+# the study scripts) import with the cyclic collector off and freeze the import
+# heap before the command runs; the library itself never touches the collector.
+GC_PROBE = """
+import atexit, gc, json, runpy, sys
+early = [0, 0, 0]  # collections per generation once numpy loads, before any freeze
+
+def count(phase, info):
+    if phase == "start" and "numpy" in sys.modules and not gc.get_freeze_count():
+        early[info["generation"]] += 1
+
+def show():
+    gc.callbacks.remove(count)
+    print(json.dumps({"early": early, "frozen": gc.get_freeze_count(), "enabled": gc.isenabled()}))
+
+gc.callbacks.append(count)
+atexit.register(show)
+target, sys.argv = sys.argv[1], sys.argv[1:]
+if target == "console":
+    from shuffledp.cli import console_entry
+    console_entry()
+elif target.endswith(".py"):
+    runpy.run_path(target, run_name="__main__")
+else:
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+"""
+
+
+def _gc_at_exit(*argv) -> dict:
+    out = _python("-c", GC_PROBE, *argv)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_program_imports_without_collections_and_runs_frozen(channel_files, tmp_path):
+    argv = ["curve", "--channel", channel_files["d3"], "--n", "40", "--k", "7",
+            "--out", str(tmp_path / "c.csv")]
+    state = _gc_at_exit("shuffledp.cli", *argv)
+    assert state["early"] == [0, 0, 0]
+    assert state["frozen"] > 1000
+    assert state["enabled"]
+
+
+def test_console_script_entry_runs_frozen(channel_files, tmp_path):
+    argv = ["curve", "--channel", channel_files["d3"], "--n", "40", "--out", str(tmp_path / "c.csv")]
+    state = _gc_at_exit("console", *argv)
+    assert state["frozen"] > 1000
+    assert state["enabled"]
+
+
+def test_study_script_imports_without_collections_and_runs_frozen():
+    state = _gc_at_exit(str(ROOT / "scripts" / "gdp_rate_study.py"), "--n", "100,200,400")
+    assert state["early"] == [0, 0, 0]
+    assert state["frozen"] > 1000
+    assert state["enabled"]
+
+
+@pytest.mark.parametrize("disabled", [False, True])
+def test_cli_import_leaves_the_collector_alone(disabled):
+    code = (
+        "import gc\n"
+        + ("gc.disable()\n" if disabled else "")
+        + "before = (gc.isenabled(), gc.get_freeze_count())\n"
+        "import shuffledp.cli\n"
+        f"assert (gc.isenabled(), gc.get_freeze_count()) == before == ({not disabled}, 0), before"
+    )
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("disabled", [False, True])
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_in_process_main_leaves_the_collector_alone(job, disabled, channel_files, tmp_path, capsys):
+    argv = [channel_files.get(a, a) for a in JOBS[job]]
+    if argv[0] != "report":
+        argv += ["--out", str(tmp_path / "job.out")]
+    frozen = gc.get_freeze_count()
+    if disabled:
+        gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.isenabled() is not disabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.enable()

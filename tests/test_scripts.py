@@ -1,5 +1,6 @@
 """Smoke tests: the study scripts run to completion and print their tables."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -49,3 +50,34 @@ def test_study_script_prints_its_tables(script, args, headers):
     for header in headers:
         assert header in out.stdout, (header, out.stdout)
 
+
+
+def _layer_sweep():
+    spec = importlib.util.spec_from_file_location("layer_sweep", ROOT / "scripts" / "layer_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_process_cell_times_fresh_interpreters_and_reads_their_own_peak():
+    cell = _layer_sweep().measure_process(["-c", "pass"])
+    assert set(cell) == {"min_s", "peak_mb"}
+    assert 0.0 < cell["min_s"] < 60.0
+    # this test process holds numpy; a child spawned from it would report that peak
+    assert 1.0 < cell["peak_mb"] < 30.0
+
+
+def test_process_cell_raises_on_a_failing_command():
+    with pytest.raises(RuntimeError, match="failed"):
+        _layer_sweep().measure_process(["-c", "raise SystemExit(3)"])
+
+
+def test_process_cell_curve_command_is_a_valid_cli_call(tmp_path, capsys):
+    from shuffledp.cli import main
+
+    sweep = _layer_sweep()
+    channel_file = tmp_path / "channel.json"
+    channel_file.write_text(sweep.channel_to_json(sweep.channel(3)))
+    (args,) = [a for a in sweep.PROCESSES.values() if a[:2] == ["-m", "shuffledp.cli"]]
+    assert main([a.format(channel=channel_file) for a in args[2:]]) == 0
+    assert capsys.readouterr().out.count("\n") > 64
