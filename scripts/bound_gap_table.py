@@ -35,10 +35,10 @@ def delta_table(channel, n: int, eps_grid) -> None:
     mu = gdp_mu(channel, n).mu
     exact = binomial_curve(channel, n, eps_grid).delta
     chernoff = chernoff_curve(channel, n, eps_grid).delta
+    gdp = gdp_delta(eps_grid, mu)
     print(f"# n={n}, mu={mu:.6f}")
     print(f"{'eps':>8} {'exact':>12} {'chernoff':>12} {'gdp':>12} {'chernoff/exact':>15}")
-    for eps, dx, ch in zip(eps_grid, exact, chernoff):
-        gauss = gdp_delta(eps, mu)
+    for eps, dx, ch, gauss in zip(eps_grid, exact, chernoff, gdp):
         ratio = ch / dx if dx > 0 else math.inf
         print(f"{eps:>8.4f} {dx:>12.4e} {ch:>12.4e} {gauss:>12.4e} {ratio:>15.3f}")
 

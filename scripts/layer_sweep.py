@@ -24,12 +24,13 @@ The `process` cells (left out by --smallest) time what in-process cells
 cannot: interpreter start-up, imports and exit.  Each runs one command in
 fresh interpreters, which inherit this process's environment (so the
 package on PYTHONPATH is the one they load): the bare interpreter
-(`-c pass`), `-c "import shuffledp.cli"`, and `python -m shuffledp.cli
-curve` on the d = 3 channel at n = 190, k = 63.  A cell reports the
-minimum wall time of five processes after a warm-up one, and the minimum
-of their peak RSS (`ru_maxrss`, in MiB as perfbench reports it) as
-`peak_mb`.  `scripts/bench_summary.py` joins the sweeps of two checkouts
-cell by cell.
+(`-c pass`), `-c "import shuffledp.cli"`, and three `python -m
+shuffledp.cli` jobs on the d = 3 channel: the exact `curve` at n = 190,
+k = 63, `report` at n = 190, and `curve --engine gdp` at n = 950000.  A
+cell reports the minimum wall time of five processes after a warm-up one,
+and the minimum of their peak RSS (`ru_maxrss`, in MiB as perfbench
+reports it) as `peak_mb`.  `scripts/bench_summary.py` joins the sweeps of
+two checkouts cell by cell.
 """
 
 import argparse
@@ -94,6 +95,12 @@ PROCESSES = {
     "python -c 'import shuffledp.cli'": ["-c", "import shuffledp.cli"],
     "python -m shuffledp.cli curve d=3 n=190 k=63": [
         "-m", "shuffledp.cli", "curve", "--channel", "{channel}", "--n", "190", "--k", "63"
+    ],
+    "python -m shuffledp.cli report d=3 n=190": [
+        "-m", "shuffledp.cli", "report", "--channel", "{channel}", "--n", "190"
+    ],
+    "python -m shuffledp.cli curve --engine gdp d=3 n=950000": [
+        "-m", "shuffledp.cli", "curve", "--channel", "{channel}", "--n", "950000", "--engine", "gdp"
     ],
 }
 

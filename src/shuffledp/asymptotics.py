@@ -16,26 +16,21 @@ import numpy as np
 
 from .channels import Channel, score_stats
 from .errors import EnumerationCapError, ValidationError
-from .exact_dist import Composition, _check_count, _check_eps, _jsd, lr_atoms
+from .exact_dist import Composition, _check_count, _check_eps, _check_eps_grid, _jsd, lr_atoms
 from .simplex_linalg import fisher_constant
 
 
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _ndtr(x: float) -> float:
-    """Standard normal CDF, as 0.5 erfc(-x / sqrt 2).
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF over a 1-d array, as 0.5 erfc(-x / sqrt 2).
 
     The complementary error function keeps full relative accuracy in the
     lower tail, where 0.5 (1 + erf(x / sqrt 2)) cancels to 0 (below
     x ~ -8.3) and the Gaussian curve's second term needs values down to
     ~1e-300.
     """
-    return 0.5 * math.erfc(-x * _SQRT_HALF)
-
-
-def _ndtr_array(x: np.ndarray) -> np.ndarray:
-    """`_ndtr` elementwise over a 1-d array, bit for bit."""
     return 0.5 * np.fromiter(map(math.erfc, (-x * _SQRT_HALF).tolist()), np.float64, x.size)
 
 
@@ -90,19 +85,26 @@ def gdp_mu(channel: Channel, n: int, pi: float = 0.0, m: int = 1) -> GdpParams:
     return GdpParams(mu=mu, n=n, pi=float(pi), m=m, source=source)
 
 
-def gdp_delta(eps: float, mu: float) -> float:
+def gdp_delta(eps, mu: float):
     """Privacy curve of the unit-variance Gaussian pair at shift mu.
 
     delta(eps) = Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2); the
-    degenerate mu = 0 pair is perfectly private (delta = 0).
+    degenerate mu = 0 pair is perfectly private (delta = 0).  Takes one eps
+    (float out) or an eps grid (array out).
     """
     if not (mu >= 0.0):
         raise ValidationError(f"mu must be >= 0, got {mu!r}")
-    _check_eps(eps)
+    scalar = np.isscalar(eps)
+    if scalar:
+        _check_eps(eps)  # the scalar error message
+    e = _check_eps_grid(eps).ravel()
     if mu == 0.0:
-        return 0.0
-    value = _ndtr(-eps / mu + mu / 2.0) - math.exp(eps) * _ndtr(-eps / mu - mu / 2.0)
-    return min(1.0, max(0.0, float(value)))
+        delta = np.zeros(e.size)
+    else:
+        # libm's exp per eps, as a scalar call gets: numpy's SIMD exp can differ in the last bit
+        growth = np.fromiter(map(math.exp, e.tolist()), np.float64, e.size)
+        delta = np.clip(_ndtr(-e / mu + mu / 2.0) - growth * _ndtr(-e / mu - mu / 2.0), 0.0, 1.0)
+    return float(delta[0]) if scalar else delta.reshape(np.shape(eps))
 
 
 def gaussian_tradeoff(mu: float, alpha):
@@ -123,7 +125,7 @@ def gaussian_tradeoff(mu: float, alpha):
     inner = (p > 0.0) & (p < 1.0)
     inv_cdf = NormalDist().inv_cdf
     z[inner] = [inv_cdf(v) for v in p[inner].tolist()]
-    out = _ndtr_array(z - mu).reshape(a.shape)
+    out = _ndtr(z - mu).reshape(a.shape)
     out = np.where(a == 0.0, 1.0, np.where(a == 1.0, 0.0, out))
     return float(out) if np.isscalar(alpha) else out
 

@@ -26,7 +26,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,47 +55,33 @@ _SIDEDNESS = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance header embedded in every output file.
+# manifest keys the CSV header spells differently from the JSON manifest
+_CSV_KEYS = {"version": "shuffledp-version", "channel_sha256": "channel-sha256"}
 
-    `params` lists the result-determining parameters only; timestamp and
-    workers are optional stamps that change bytes run-to-run and are off by
-    default.
+
+def _manifest(args, channel: Channel, *keys: str) -> list:
+    """Provenance of one output file as ordered (key, value) pairs.
+
+    `keys` name the result-determining arguments of the command.  The worker
+    count and the clock change bytes run to run, so they are recorded only
+    with --stamp.  A CSV file carries the pairs as `# key: value` lines
+    (`_header_lines`), a JSON file as its "manifest" object.
     """
+    fields = [
+        ("version", __version__),
+        ("command", args.command),
+        ("channel_sha256", channel_fingerprint(channel)),
+    ]
+    fields += [(key, getattr(args, key)) for key in keys]
+    if args.stamp:
+        if "workers" in args:
+            fields.append(("workers", args.workers))
+        fields.append(("timestamp", _now()))
+    return fields
 
-    command: str
-    params: tuple
-    fingerprint: str
-    version: str
-    timestamp: str | None = None
-    workers: int | None = None
 
-    def header_lines(self) -> tuple:
-        lines = [
-            f"shuffledp-version: {self.version}",
-            f"command: {self.command}",
-            f"channel-sha256: {self.fingerprint}",
-        ]
-        lines += [f"{key}: {value}" for key, value in self.params]
-        if self.workers is not None:
-            lines.append(f"workers: {self.workers}")
-        if self.timestamp is not None:
-            lines.append(f"timestamp: {self.timestamp}")
-        return tuple(lines)
-
-    def as_dict(self) -> dict:
-        out = {
-            "version": self.version,
-            "command": self.command,
-            "channel_sha256": self.fingerprint,
-        }
-        out.update({key: value for key, value in self.params})
-        if self.workers is not None:
-            out["workers"] = self.workers
-        if self.timestamp is not None:
-            out["timestamp"] = self.timestamp
-        return out
+def _header_lines(manifest: list) -> list:
+    return [f"{_CSV_KEYS.get(key, key)}: {value}" for key, value in manifest]
 
 
 def canonical_channel_json(channel: Channel) -> str:
@@ -147,16 +132,12 @@ def parse_eps_grid(spec: str) -> np.ndarray:
 # minimal SVG line chart (no plotting dependency)
 
 
-def svg_line_chart(
-    x,
-    y,
-    xlabel: str = "epsilon",
-    ylabel: str = "delta",
-    log_x: bool = False,
-    log_y: bool = False,
-    width: int = 640,
-    height: int = 440,
-) -> str:
+# the chart's fixed axis titles and size in pixels
+_SVG_XLABEL, _SVG_YLABEL = "epsilon", "delta"
+_SVG_WIDTH, _SVG_HEIGHT = 640, 440
+
+
+def svg_line_chart(x, y, log_x: bool = False, log_y: bool = False) -> str:
     """Render one polyline with axes and tick labels as a standalone SVG.
 
     Log axes silently drop nonpositive points (a privacy curve hits exactly
@@ -173,7 +154,7 @@ def svg_line_chart(
     tx = np.log10(x) if log_x else x
     ty = np.log10(y) if log_y else y
     left, right, top, bottom = 70.0, 20.0, 20.0, 50.0
-    pw, ph = width - left - right, height - top - bottom
+    pw, ph = _SVG_WIDTH - left - right, _SVG_HEIGHT - top - bottom
 
     def span(t):
         if t.size == 0:
@@ -188,12 +169,12 @@ def svg_line_chart(
     px = left + (tx - x0) / (x1 - x0) * pw
     py = top + (y1 - ty) / (y1 - y0) * ph
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-        f'y2="{height - bottom}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="black"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
+        f'<line x1="{left}" y1="{_SVG_HEIGHT - bottom}" x2="{_SVG_WIDTH - right}" '
+        f'y2="{_SVG_HEIGHT - bottom}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{_SVG_HEIGHT - bottom}" stroke="black"/>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         gx = left + frac * pw
@@ -203,9 +184,9 @@ def svg_line_chart(
         lx = 10.0**vx if log_x else vx
         ly = 10.0**vy if log_y else vy
         parts.append(
-            f'<line x1="{gx:.2f}" y1="{height - bottom}" x2="{gx:.2f}" '
-            f'y2="{height - bottom + 5}" stroke="black"/>'
-            f'<text x="{gx:.2f}" y="{height - bottom + 18}" font-size="11" '
+            f'<line x1="{gx:.2f}" y1="{_SVG_HEIGHT - bottom}" x2="{gx:.2f}" '
+            f'y2="{_SVG_HEIGHT - bottom + 5}" stroke="black"/>'
+            f'<text x="{gx:.2f}" y="{_SVG_HEIGHT - bottom + 18}" font-size="11" '
             f'text-anchor="middle">{lx:.3g}</text>'
         )
         parts.append(
@@ -214,12 +195,13 @@ def svg_line_chart(
             f'text-anchor="end">{ly:.3g}</text>'
         )
     parts.append(
-        f'<text x="{left + pw / 2:.2f}" y="{height - 10}" font-size="13" '
-        f'text-anchor="middle">{xlabel}{" (log)" if log_x else ""}</text>'
+        f'<text x="{left + pw / 2:.2f}" y="{_SVG_HEIGHT - 10}" font-size="13" '
+        f'text-anchor="middle">{_SVG_XLABEL}{" (log)" if log_x else ""}</text>'
     )
     parts.append(
         f'<text x="16" y="{top + ph / 2:.2f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {top + ph / 2:.2f})">{ylabel}{" (log)" if log_y else ""}</text>'
+        f'transform="rotate(-90 16 {top + ph / 2:.2f})">'
+        f'{_SVG_YLABEL}{" (log)" if log_y else ""}</text>'
     )
     if x.size >= 2:
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
@@ -251,20 +233,17 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+def _json_default(obj):
+    """`json.dumps` hook for the engines' results: an enum gives its value, a
+    numpy array or scalar its `tolist()`, a result record its fields in
+    declaration order."""
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _default_pi(n: int, k: int) -> float:
@@ -309,8 +288,7 @@ def cmd_curve(args) -> int:
         from .asymptotics import gdp_delta, gdp_mu
 
         params = gdp_mu(channel, args.n, pi=_default_pi(args.n, args.k))
-        delta = np.array([gdp_delta(e, params.mu) for e in eps])
-        curve = PrivacyCurve(eps, delta, Sidedness.FORWARD)
+        curve = PrivacyCurve(eps, gdp_delta(eps, params.mu), Sidedness.FORWARD)
         extra = [f"gdp-mu: {_fmt(params.mu)}", f"gdp-source: {params.source.value}"]
     elif args.engine == "chernoff":
         from .bounds import chernoff_curve
@@ -319,27 +297,13 @@ def cmd_curve(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown engine {args.engine!r}")
 
-    manifest = RunManifest(
-        command="curve",
-        params=(
-            ("channel", args.channel),
-            ("n", args.n),
-            ("k", args.k),
-            ("engine", args.engine),
-            ("sidedness", args.sidedness),
-            ("eps", args.eps),
-        ),
-        fingerprint=channel_fingerprint(channel),
-        version=__version__,
-        timestamp=_now() if args.stamp else None,
-    )
-    headers = manifest.header_lines() + tuple(extra)
+    manifest = _manifest(args, channel, "channel", "n", "k", "engine", "sidedness", "eps")
     if args.format == "csv":
-        text = curve.to_csv(header_lines=headers)
+        text = curve.to_csv(header_lines=_header_lines(manifest) + extra)
     else:
         text = json.dumps(
             {
-                "manifest": manifest.as_dict(),
+                "manifest": dict(manifest),
                 "extra": extra,
                 "epsilon": curve.eps.tolist(),
                 "delta": curve.delta.tolist(),
@@ -365,15 +329,13 @@ def cmd_report(args) -> int:
     from .asymptotics import gdp_mu, jsd_canonical_asymptotic
     from .montecarlo import rr_boundary
     from .multimessage import mm_gdp_compare
-    from .simplex_linalg import fisher_constant, fisher_via_mixture
+    from .simplex_linalg import _check_pi, fisher_constant, fisher_via_mixture
 
     channel = _load_channel(args.channel)
     _check_count("m", args.m)
     if args.k is not None and args.pi is not None:
         raise ValidationError("give at most one of --k / --pi")
-    pi = args.pi if args.pi is not None else _default_pi(args.n, args.k or 0)
-    if not 0.0 <= pi <= 1.0:
-        raise ValidationError(f"pi must lie in [0, 1], got {pi!r}")
+    pi = _check_pi(args.pi if args.pi is not None else _default_pi(args.n, args.k or 0))
     stats = score_stats(channel)
     report: dict = {
         "version": __version__,
@@ -406,15 +368,15 @@ def cmd_report(args) -> int:
             gdp["m"] = args.m
         report["gdp"] = gdp
         if args.m > 1:
-            report["multimessage"] = _jsonable(mm_gdp_compare(channel, args.m))
+            report["multimessage"] = mm_gdp_compare(channel, args.m)
     else:
         report["fisher"] = None
         report["gdp"] = None
-    report["jsd_canonical"] = _jsonable(jsd_canonical_asymptotic(channel, args.n))
+    report["jsd_canonical"] = jsd_canonical_asymptotic(channel, args.n)
     eps0 = _is_rr(channel)
     if eps0 is not None:
-        report["rr_boundary"] = _jsonable(rr_boundary(eps0, args.n))
-    print(json.dumps(_jsonable(report), indent=2))
+        report["rr_boundary"] = rr_boundary(eps0, args.n)
+    print(json.dumps(report, indent=2, default=_json_default))
     return 0
 
 
@@ -427,29 +389,15 @@ def cmd_simulate(args) -> int:
         kolmogorov_to_gaussian,
         sample_privacy_loss,
     )
+    from .simplex_linalg import _require_full
 
     channel = _load_channel(args.channel)
-    if channel.support is not Support.FULL:
-        raise ValidationError("simulate needs a FULL channel (strictly positive W0 and W1)")
+    _require_full(channel, "simulate")
     comp = Composition(args.n, args.k)
     hypothesis = Hypothesis.NULL if args.hypothesis == "null" else Hypothesis.ALT
     config = SimConfig(seed=args.seed, reps=args.reps, workers=args.workers)
     lam = sample_privacy_loss(channel, comp, hypothesis, config, cap=args.cap)
-    manifest = RunManifest(
-        command="simulate",
-        params=(
-            ("channel", args.channel),
-            ("n", args.n),
-            ("k", args.k),
-            ("hypothesis", args.hypothesis),
-            ("seed", args.seed),
-            ("reps", args.reps),
-        ),
-        fingerprint=channel_fingerprint(channel),
-        version=__version__,
-        timestamp=_now() if args.stamp else None,
-        workers=args.workers if args.stamp else None,
-    )
+    manifest = _manifest(args, channel, "channel", "n", "k", "hypothesis", "seed", "reps")
     summary = None
     if args.reps > 0:
         params = gdp_mu(channel, args.n, pi=_default_pi(args.n, args.k))
@@ -465,12 +413,12 @@ def cmd_simulate(args) -> int:
             "dkw_radius_95": dkw_radius(args.reps),
         }
     if args.format == "csv":
-        text = _table_to_csv(("lambda",), lam.reshape(-1, 1), manifest.header_lines())
+        text = _table_to_csv(("lambda",), lam.reshape(-1, 1), _header_lines(manifest))
         if summary is not None:
             text += "# summary " + json.dumps(summary, separators=(",", ":")) + "\n"
     else:
         text = json.dumps(
-            {"manifest": manifest.as_dict(), "lambda": lam.tolist(), "summary": summary},
+            {"manifest": dict(manifest), "lambda": lam.tolist(), "summary": summary},
             indent=2,
         ) + "\n"
     _write_output(text, args.out)

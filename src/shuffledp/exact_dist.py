@@ -101,9 +101,12 @@ class LrAtomization:
 
     Parallel arrays: `lr` holds the distinct ratio values (sorted
     increasing), `p_null` and `p_alt` the masses each value carries under
-    the two laws.  `alt_singular_mass` is alt mass on null-null sets; it is
-    zero for every atomization produced in this module (construction refuses
-    SINGULAR channels) but participates in curve formulas for completeness.
+    the two laws.  `alt_singular_mass` is alt mass on null-null sets.  It is
+    zero for the atoms `lr_atoms` builds (construction refuses SINGULAR
+    channels), but `reverse_atomization` moves the null mass of zero-ratio
+    atoms there: on a NULL_SUPPORT channel such as W0 = [.5, .5],
+    W1 = [0, 1] at n = 6 the reversed pair has 1/64 of it, which the
+    reverse curve adds to every delta.
     `dropped_null_mass` and `dropped_alt_mass` record the masses (summed
     with `math.fsum`) of the cells left out because their null mass was
     below MIN_NULL_MASS; they enter no curve or divergence.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _ndtr_array
+from .asymptotics import _ndtr
 from .channels import Channel, score_stats
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
@@ -289,7 +289,7 @@ def kolmogorov_to_gaussian(data, mu: float, hypothesis: Hypothesis) -> float:
             raise ValidationError("need a nonempty 1-d array of sampled values")
         t = np.sort((samples + shift) / mu)
         cdf = np.arange(1, samples.size + 1) / samples.size
-    gauss = _ndtr_array(t)
+    gauss = _ndtr(t)
     before = np.concatenate(([0.0], cdf[:-1]))
     return float(np.max(np.maximum(np.abs(cdf - gauss), np.abs(before - gauss))))
 

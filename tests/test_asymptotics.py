@@ -21,7 +21,7 @@ from shuffledp import (
     rr_channel,
     score_stats,
 )
-from shuffledp.asymptotics import _ndtr, _ndtr_array
+from shuffledp.asymptotics import _ndtr
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -63,6 +63,37 @@ def test_gdp_delta_rejects_nan_and_infinite_eps(eps, mu):
         gdp_delta(eps, mu)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -0.1, math.inf])
+def test_gdp_delta_rejects_a_bad_grid_entry(bad):
+    with pytest.raises(ValidationError):
+        gdp_delta(np.array([0.0, 0.5, bad, 2.0]), 1.3)
+
+
+def _gdp_delta_one_eps(eps: float, mu: float) -> float:
+    """The Gaussian curve at one eps in Python floats: the grid form's oracle."""
+    if mu == 0.0:
+        return 0.0
+
+    def ndtr(x):
+        return 0.5 * math.erfc(-x * math.sqrt(0.5))
+
+    value = ndtr(-eps / mu + mu / 2.0) - math.exp(eps) * ndtr(-eps / mu - mu / 2.0)
+    return min(1.0, max(0.0, value))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 1.3, 7.0])
+def test_gdp_delta_grid_is_the_one_eps_formula_bit_for_bit(mu):
+    # from 0 into the deep tail, where delta underflows to 0
+    eps = np.concatenate(([0.0, 1e-300, 1e-12], np.linspace(0.0, 1.0, 101), np.geomspace(1.0, 300.0, 200)))
+    want = np.array([_gdp_delta_one_eps(e, mu) for e in eps.tolist()])
+    got = gdp_delta(eps, mu)
+    assert isinstance(got, np.ndarray) and got.shape == eps.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    one = [gdp_delta(e, mu) for e in eps.tolist()]
+    assert all(type(v) is float for v in one)
+    assert np.array_equal(np.array(one).view(np.int64), want.view(np.int64))
+
+
 def test_gaussian_tradeoff_rejects_nan():
     with pytest.raises(ValidationError):
         gaussian_tradeoff(math.nan, 0.05)
@@ -96,14 +127,8 @@ def test_gaussian_tradeoff_vectorized():
 def test_ndtr_matches_scipy_down_to_the_far_lower_tail():
     x = np.linspace(-37.5, 8.5, 20_001)
     oracle = ndtr(x)
-    assert np.all(np.abs(_ndtr_array(x) - oracle) <= 1e-13 * oracle)
-
-
-def test_ndtr_array_is_the_scalar_ndtr_bit_for_bit():
-    x = np.concatenate([np.linspace(-37.5, 8.5, 2001), [0.0, -0.0, -1e-300, 40.0, -40.0]])
-    want = np.array([_ndtr(v) for v in x.tolist()])
-    assert np.array_equal(_ndtr_array(x).view(np.int64), want.view(np.int64))
-    assert _ndtr_array(np.array([])).size == 0
+    assert np.all(np.abs(_ndtr(x) - oracle) <= 1e-13 * oracle)
+    assert _ndtr(np.array([])).size == 0
 
 
 def test_inverse_normal_cdf_matches_scipy_ndtri():

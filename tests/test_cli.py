@@ -295,11 +295,33 @@ def test_simulate_stamp_adds_metadata(rr3_file, tmp_path):
     assert "# timestamp: " in text
 
 
+def test_stamped_csv_header_and_json_manifest_list_the_same_fields(rr3_file, tmp_path):
+    base = ["simulate", "--channel", rr3_file, "--n", "10", "--reps", "5", "--workers", "2", "--stamp"]
+    assert main(base + ["--out", str(tmp_path / "s.csv")]) == 0
+    assert main(base + ["--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+    csv_keys = [
+        line[2:].split(": ", 1)[0]
+        for line in (tmp_path / "s.csv").read_text().splitlines()
+        if line.startswith("# ") and not line.startswith("# summary ")
+    ]
+    json_keys = list(json.loads((tmp_path / "s.json").read_text())["manifest"])
+    assert csv_keys == ["shuffledp-version", "command", "channel-sha256", "channel", "n", "k",
+                        "hypothesis", "seed", "reps", "workers", "timestamp"]
+    assert json_keys == ["version", "command", "channel_sha256"] + csv_keys[3:]
+
+
+def test_json_default_refuses_unknown_objects():
+    from shuffledp.cli import _json_default
+
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps({"x": object()}, default=_json_default)
+
+
 def test_simulate_requires_full_channel(tmp_path, capsys):
     path = tmp_path / "ns.json"
     path.write_text(channel_to_json(validate_channel([0.5, 0.5], [0.0, 1.0])))
     assert main(["simulate", "--channel", str(path), "--n", "5", "--reps", "10"]) == 2
-    capsys.readouterr()
+    assert "simulate needs a FULL channel" in capsys.readouterr().err
 
 
 def test_simulate_json_format(rr3_file, capsys):
@@ -320,3 +342,107 @@ def test_svg_handles_log_axes_and_zeros():
     chart = svg_line_chart([0.0, 0.1, 1.0], [0.5, 0.2, 0.0], log_x=True, log_y=True)
     root = ET.fromstring(chart)
     assert root.tag.endswith("svg")  # zero points dropped, chart still valid
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+
+# SHA-256 of each call's exit code, stdout, stderr and every file it writes,
+# on x86-64 with numpy 2.4.  Channel paths are relative so the manifests are
+# fixed; no call passes --stamp, so every byte is a function of the inputs.
+PINNED_CHANNELS = {
+    "rr.json": ([0.75, 0.25], [0.25, 0.75]),
+    "d3.json": ([0.5, 0.3, 0.2], [0.22, 0.33, 0.45]),
+    "ns.json": ([0.5, 0.5], [0.0, 1.0]),
+}
+PINNED = {
+    "curve-exact-csv": (
+        ["curve", "--channel", "rr.json", "--n", "2000"],
+        "1e161afa4400179ba5802bec17761a6907227459490cb3ca90844d46f25daad8",
+    ),
+    "curve-exact-json": (
+        ["curve", "--channel", "rr.json", "--n", "2000", "--format", "json"],
+        "cdc8ff2a9189aa536b3fbffbd46afc60cd4e1d26718a78ceed1b36596d8760cb",
+    ),
+    "curve-binomial-csv": (
+        ["curve", "--channel", "rr.json", "--n", "950000", "--engine", "binomial"],
+        "37577620902691b1a8374816e600f55c1733d84f0256f3c2401b1db01d2cc904",
+    ),
+    "curve-binomial-json": (
+        ["curve", "--channel", "rr.json", "--n", "2000", "--engine", "binomial", "--format",
+         "json"],
+        "9b57a6973290c09715e04bf7d000d7b8e245d446224d87130deccc3fff7009f3",
+    ),
+    "curve-gdp-csv": (
+        ["curve", "--channel", "d3.json", "--n", "950000", "--engine", "gdp"],
+        "e8a6e40e4a962ae8b029dc71c68c2a8bcfe1a0d485f3b5946071c3d90509acd4",
+    ),
+    "curve-gdp-json": (
+        ["curve", "--channel", "rr.json", "--n", "2000", "--k", "600", "--engine", "gdp",
+         "--eps", "lin:0:12:40", "--format", "json"],
+        "e3b7fb18044470988911c8b7d8bc49654b26c8e6851c04c16c064cd9775df81b",
+    ),
+    "curve-gdp-out": (
+        ["curve", "--channel", "rr.json", "--n", "2000", "--engine", "gdp", "--out", "gdp.csv"],
+        "38f102f47292aa2a39e40aaa19757a2a25820e369b05853b5d5cbfebb5b67b7b",
+    ),
+    "curve-chernoff-csv": (
+        ["curve", "--channel", "rr.json", "--n", "950000", "--engine", "chernoff"],
+        "40b090b7b11e38bea65119717357d2ef3a5d123cb9ceac6900f7ea4f7ea7ac47",
+    ),
+    "curve-chernoff-json": (
+        ["curve", "--channel", "d3.json", "--n", "2000", "--engine", "chernoff", "--format",
+         "json"],
+        "c3f80bdb90dd5d62fc348f06499977991a2f3cc60bf1b020690c70d231990b40",
+    ),
+    "curve-reverse-null-support": (
+        ["curve", "--channel", "ns.json", "--n", "6", "--sidedness", "reverse", "--eps",
+         "lin:0:3:13"],
+        "e06010fb822081195349207bf385958ee49935e4b971b4a5e3a413c74ea8279d",
+    ),
+    "curve-two-sided-d3": (
+        ["curve", "--channel", "d3.json", "--n", "40", "--k", "7", "--sidedness", "two-sided",
+         "--format", "json"],
+        "a1e48e8456cd411a998767363bb7d4c0b7eaeccde5f23b304e8a3b298fdbf203",
+    ),
+    "curve-svg": (
+        ["curve", "--channel", "rr.json", "--n", "200", "--out", "c.csv", "--svg", "c.svg",
+         "--svg-log", "xy"],
+        "799deeb0085e4bcad7f5ced4e7e0b792a11306d7518431269936623811f9d6e6",
+    ),
+    "report-rr": (
+        ["report", "--channel", "rr.json", "--n", "100", "--pi", "0.5", "--m", "2"],
+        "9dee04b140f8ecec9b5c8eabb6002073d9909026a304abc29c0bba0a8b149242",
+    ),
+    "report-d3": (
+        ["report", "--channel", "d3.json", "--n", "190", "--k", "63", "--m", "4"],
+        "943bcf99373d5a2da08be73b95404cf70869c1849fa775ac575865c9a436a668",
+    ),
+    "report-null-support": (
+        ["report", "--channel", "ns.json", "--n", "20"],
+        "956960ad5fcbb0035a8ff070ec8f3eea02239bd3f2ee286dd2380f81d8b27bf8",
+    ),
+    "report-pi-out-of-range": (
+        ["report", "--channel", "rr.json", "--n", "20", "--pi", "1.5"],
+        "1548a30957dda9b8e4041b47a6ee15ca32a0095ef229469d8a382d62bccdcadb",
+    ),
+    "simulate-json": (
+        ["simulate", "--channel", "d3.json", "--n", "30", "--k", "9", "--seed", "3", "--reps",
+         "300", "--format", "json"],
+        "52cad30cd316c4765f6bcb4890186a7850d883740de50ced7962e00c0bf6feb0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_cli_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for file, (w0, w1) in PINNED_CHANNELS.items():
+        (tmp_path / file).write_text(channel_to_json(validate_channel(w0, w1)))
+    argv, digest = PINNED[name]
+    code = main(argv)
+    captured = capsys.readouterr()
+    written = [a for flag, a in zip(argv, argv[1:]) if flag in ("--out", "--svg")]
+    blob = f"{code}\0{captured.out}\0{captured.err}".encode()
+    blob += b"".join(b"\0" + (tmp_path / f).read_bytes() for f in written)
+    assert hashlib.sha256(blob).hexdigest() == digest

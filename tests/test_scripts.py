@@ -1,5 +1,6 @@
 """Smoke tests: the study scripts run to completion and print their tables."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -9,6 +10,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(script, *args) -> str:
+    """Stdout of one run of a script under scripts/, with this checkout's src first."""
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 @pytest.mark.parametrize(
@@ -37,18 +53,26 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_study_script_prints_its_tables(script, args, headers):
-    src = str(ROOT / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
+    out = _run_script(script, *args)
     for header in headers:
-        assert header in out.stdout, (header, out.stdout)
+        assert header in out, (header, out)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ([], "aad85be8867e237b5df9f41bc13e4094e876fe7fbf978ed48a687ed7f4d5ee7d"),
+        (
+            ["--n", "2000", "--eps-max", "3", "--points", "25"],
+            "029484dacde28534680d27811aa28d59fa5cc55322da7ecdceb05c7aeade6689",
+        ),
+    ],
+)
+def test_bound_gap_table_stdout_is_pinned(args, digest):
+    # SHA-256 of the printed tables on x86-64 with numpy 2.4; the second grid
+    # runs the Gaussian column into its deep tail
+    out = _run_script("bound_gap_table.py", *args)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 
@@ -72,12 +96,15 @@ def test_process_cell_raises_on_a_failing_command():
         _layer_sweep().measure_process(["-c", "raise SystemExit(3)"])
 
 
-def test_process_cell_curve_command_is_a_valid_cli_call(tmp_path, capsys):
+def test_process_cells_cli_commands_are_valid_cli_calls(tmp_path, capsys):
     from shuffledp.cli import main
 
     sweep = _layer_sweep()
     channel_file = tmp_path / "channel.json"
     channel_file.write_text(sweep.channel_to_json(sweep.channel(3)))
-    (args,) = [a for a in sweep.PROCESSES.values() if a[:2] == ["-m", "shuffledp.cli"]]
-    assert main([a.format(channel=channel_file) for a in args[2:]]) == 0
-    assert capsys.readouterr().out.count("\n") > 64
+    calls = [a[2:] for a in sweep.PROCESSES.values() if a[:2] == ["-m", "shuffledp.cli"]]
+    assert sorted(args[0] for args in calls) == ["curve", "curve", "report"]
+    for args in calls:
+        assert main([a.format(channel=channel_file) for a in args]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") > (64 if args[0] == "curve" else 10), args
