@@ -10,7 +10,9 @@ Usage (from the repository root, against the checkout on PYTHONPATH):
 Each cell times one call of its layer: `lr_atoms` at (n, k) (k = 0 in
 closed form, k > 0 through the dense pair), `unbundled_lr_atoms` at m
 messages per user, `divergences` of the `lr_atoms` atoms at (n, k) (built
-before the timing), or `sample_privacy_loss` of `reps` draws under the alt
+before the timing), `conditional_score` at one histogram (the mean
+histogram rounded down, its last count what remains), which builds the
+pair's ratio table, or `sample_privacy_loss` of `reps` draws under the alt
 law with seed 7 on `workers` threads.  For each it reports the minimum of
 five wall times of one call and the minimum `tracemalloc` peak of five
 further calls, all after a warm-up call, so lazily imported modules and
@@ -51,8 +53,10 @@ from shuffledp import (
     Hypothesis,
     SimConfig,
     channel_to_json,
+    conditional_score,
     divergences,
     lr_atoms,
+    mean_histogram,
     sample_privacy_loss,
     unbundled_lr_atoms,
     validate_channel,
@@ -72,14 +76,19 @@ CELLS = (
     ("lr_atoms", 4, 20, 6, 1, None, None),
     ("lr_atoms", 4, 59, 19, 1, None, None),
     ("lr_atoms", 4, 90, 30, 1, None, None),
+    ("lr_atoms", 2, 20000, 6666, 1, None, None),
     ("lr_atoms", 2, 950000, 0, 1, None, None),
     ("lr_atoms", 3, 1000, 0, 1, None, None),
     ("lr_atoms", 4, 120, 0, 1, None, None),
     ("lr_atoms", 5, 40, 0, 1, None, None),
     ("unbundled_lr_atoms", 2, 150, 0, 4, None, None),
     ("unbundled_lr_atoms", 3, 20, 0, 3, None, None),
+    ("unbundled_lr_atoms", 4, 8, 0, 3, None, None),
     ("divergences", 2, 950000, 0, 1, None, None),
     ("divergences", 3, 1000, 0, 1, None, None),
+    ("conditional_score", 3, 190, 63, 1, None, None),
+    ("conditional_score", 4, 59, 19, 1, None, None),
+    ("conditional_score", 2, 20000, 6666, 1, None, None),
 ) + tuple(
     ("sample_privacy_loss", d, n, k, 1, 10_000 if n <= 1900 else 1_000, workers)
     for d in (2, 3, 4)
@@ -110,11 +119,19 @@ def _divergences(ch, n, k, m, reps, workers):
     return lambda: divergences(atoms)
 
 
+def _conditional_score(ch, n, k, m, reps, workers):
+    comp = Composition(n, k)
+    histogram = np.floor(mean_histogram(ch, comp)).astype(int)
+    histogram[-1] = n - histogram[:-1].sum()
+    return lambda: conditional_score(ch, comp, histogram.tolist())
+
+
 # layer -> the cell's timed call; what the call reads is built before the timing
 LAYERS = {
     "lr_atoms": lambda ch, n, k, m, reps, workers: lambda: lr_atoms(ch, Composition(n, k)),
     "unbundled_lr_atoms": lambda ch, n, k, m, reps, workers: lambda: unbundled_lr_atoms(ch, n, m),
     "divergences": _divergences,
+    "conditional_score": _conditional_score,
     "sample_privacy_loss": lambda ch, n, k, m, reps, workers: lambda: sample_privacy_loss(
         ch, Composition(n, k), Hypothesis.ALT, SimConfig(seed=SEED, reps=reps, workers=workers)
     ),

@@ -22,6 +22,9 @@ from .simplex_linalg import fisher_constant
 
 _SQRT_HALF = math.sqrt(0.5)
 
+# e^eps overflows above the log of the largest double, ~709.78.
+_MAX_EPS = math.log(np.finfo(np.float64).max)
+
 
 def _ndtr(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF over a 1-d array, as 0.5 erfc(-x / sqrt 2).
@@ -90,7 +93,8 @@ def gdp_delta(eps, mu: float):
 
     delta(eps) = Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2); the
     degenerate mu = 0 pair is perfectly private (delta = 0).  Takes one eps
-    (float out) or an eps grid (array out).
+    (float out) or an eps grid (array out).  For mu > 0 an eps above
+    log(DBL_MAX) ~ 709.78, where e^eps overflows, raises ValidationError.
     """
     if not (mu >= 0.0):
         raise ValidationError(f"mu must be >= 0, got {mu!r}")
@@ -101,6 +105,10 @@ def gdp_delta(eps, mu: float):
     if mu == 0.0:
         delta = np.zeros(e.size)
     else:
+        if e.max() > _MAX_EPS:
+            raise ValidationError(
+                f"gdp_delta needs eps <= {_MAX_EPS!r} (the log of the largest double), got {float(e.max())!r}"
+            )
         # libm's exp per eps, as a scalar call gets: numpy's SIMD exp can differ in the last bit
         growth = np.fromiter(map(math.exp, e.tolist()), np.float64, e.size)
         delta = np.clip(_ndtr(-e / mu + mu / 2.0) - growth * _ndtr(-e / mu - mu / 2.0), 0.0, 1.0)

@@ -126,6 +126,14 @@ def _chernoff_search(channel: Channel, n: int, tau: np.ndarray) -> tuple[np.ndar
     return lam, log_bound
 
 
+def _tau(eps: float) -> float:
+    """e^eps - 1, or inf above eps = log(DBL_MAX) ~ 709.78, where every bound here is 0."""
+    try:
+        return math.expm1(eps)
+    except OverflowError:
+        return math.inf
+
+
 def _bounds(log_bound: np.ndarray) -> list:
     """exp of each exponent, clamped at 1."""
     return [min(1.0, math.exp(v)) for v in log_bound.tolist()]
@@ -145,7 +153,7 @@ def chernoff_curve(channel: Channel, n: int, eps) -> PrivacyCurve:
     """
     n = _check_count("n", n)
     grid = _check_eps_grid(eps)
-    tau = np.array([math.expm1(e) for e in grid.tolist()])
+    tau = np.array([_tau(e) for e in grid.tolist()])
     _, log_bound = _chernoff_search(channel, n, tau)
     return PrivacyCurve(eps=grid, delta=np.array(_bounds(log_bound)), sidedness=Sidedness.FORWARD)
 
@@ -154,7 +162,7 @@ def chernoff_delta(channel: Channel, n: int, eps: float) -> ChernoffEvaluation:
     """`chernoff_curve` at one eps, with the minimizer and the raw exponent."""
     n = _check_count("n", n)
     _check_eps(eps)
-    tau = math.expm1(eps)
+    tau = _tau(eps)
     lam, log_bound = _chernoff_search(channel, n, np.array([tau]))
     return ChernoffEvaluation(
         eps=eps,
@@ -184,6 +192,6 @@ def unbundled_hoeffding_delta(channel: Channel, n: int, m: int, eps: float) -> f
             stacklevel=2,
         )
         return 1.0
-    tau = math.expm1(eps)
+    tau = _tau(eps)
     log_bound = m * math.log(w_max) - 2.0 * n * tau * tau / w_max ** (2 * m)
     return min(1.0, math.exp(min(log_bound, 0.0)))

@@ -46,6 +46,9 @@ TIE_REL_TOL = 16 * np.finfo(np.float64).eps
 # quotient of subnormals (or 0/0) and off by O(1).
 MIN_NULL_MASS = np.finfo(np.float64).tiny
 
+# Atomization totals (and the trade-off sweep's end) must be 1 within this.
+_MASS_TOL = 1e-9
+
 _LOG2 = math.log(2.0)
 
 
@@ -343,19 +346,19 @@ def mean_histogram(channel: Channel, comp: Composition) -> np.ndarray:
 # likelihood-ratio atomizations
 
 
-def _merge_atoms(lr, p_null, p_alt, rel_tol: float = MERGE_REL_TOL):
-    """Sort by ratio value and coalesce values equal up to rel_tol.
+def _merge_atoms(lr, p_null, p_alt):
+    """Sort by ratio value and coalesce values equal up to MERGE_REL_TOL.
 
     The permutation and the temporaries are freed as soon as they are used.
-    When no two neighbouring sorted ratios are within rel_tol, every group
-    has one atom, and the sorted arrays are the result as they are.
+    When no two neighbouring sorted ratios are within the tolerance, every
+    group has one atom, and the sorted arrays are the result as they are.
     """
     lr = np.asarray(lr, dtype=np.float64)
     order = np.argsort(lr, kind="stable")
     lr = lr[order]
     tol = np.abs(lr[1:])
     np.maximum(tol, 1.0, out=tol)
-    tol *= rel_tol
+    tol *= MERGE_REL_TOL
     gaps = np.diff(lr) > tol
     del tol
     p_null = np.asarray(p_null, dtype=np.float64)[order]
@@ -386,56 +389,15 @@ def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
         )
 
 
-def _dropped_cells(mass: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The positive masses of the cells where `keep` fails."""
-    return mass[~keep & (mass > 0.0)]
-
-
-def _dropped_masses(null: np.ndarray, alt: np.ndarray) -> dict[str, float]:
-    """The `LrAtomization` fields of the dropped cells, from `_dropped_cells`."""
-    return {"dropped_null_mass": _fsum(null), "dropped_alt_mass": _fsum(alt)}
-
-
-def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense null law of the pair at (n, k) and its ratio L = alt / null, the
-    one table read at single histograms; L is NaN where the null mass is
-    below MIN_NULL_MASS (the cells the atoms drop).
-
-    The null law is folded in place in the array of the base law T_{n-1,k}
-    and the alt law in one copy of it, which then holds the ratio, so the
-    table holds two dense arrays.
-    """
-    _check_pair(channel, comp, "pair ratio")
-    null = _base_law(channel, comp.n - 1 - comp.k, comp.k, 1, cap)[0]
-    ratio = null.copy()
-    _fold(ratio, comp.n - 1, [channel.W1])
-    _fold(null, comp.n - 1, [channel.W0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(ratio, null, out=ratio)
-    ratio[null < MIN_NULL_MASS] = np.nan
-    return null, ratio
-
-
-def _atomize(n: int, k: int, lr, p_null, p_alt, dropped: dict[str, float]) -> LrAtomization:
-    """The merged, checked atomization of the kept cells; `dropped` is `_dropped_masses`."""
-    lr, p_null, p_alt = _merge_atoms(lr, p_null, p_alt)
-    atoms = LrAtomization(n=n, k=k, lr=lr, p_null=p_null, p_alt=p_alt, **dropped)
-    _check_atomization(atoms)
-    return atoms
-
-
-def _pair_cells(channel: Channel, zeros: int, ones: int, m: int, cap: int):
-    """The kept and dropped cells of the pair base + m W0- against base + m W1-messages.
+def _pair_blocks(channel: Channel, zeros: int, ones: int, m: int, cap: int):
+    """The pair base + m W0- against base + m W1-messages, one block of the last message at a time.
 
     The first m-1 messages of each law are folded in place, into the base
     law's array (null) and one copy of it (alt; for m = 1 both read the
-    base law).  The last message is folded block by block (`_blocks`) from
-    those arrays and never written back, so no dense law of the pair itself
-    exists.  Each block's cells with null mass below MIN_NULL_MASS are
-    dropped, and its kept cells are collected in descending lexicographic
-    order (reversed C order).  Returns one tuple per block: the null and alt
-    masses of its kept cells and the null and alt `_dropped_cells`; the
-    dense arrays are freed on return.
+    base law).  The last message, and no other fold of it, runs over the
+    boxes of `_blocks`, yielding (null array, box, null block, alt block)
+    (`_fold_block`; the blocks are scratch, overwritten by the next ones).
+    A reader may write the null block into `null[box]`, as `_fold` does.
     """
     W0, W1 = channel.W0, channel.W1
     null = _base_law(channel, zeros, ones, m, cap)[0]
@@ -444,33 +406,63 @@ def _pair_cells(channel: Channel, zeros: int, ones: int, m: int, cap: int):
         alt = null.copy()
         _fold(alt, zeros + ones, [W1] * (m - 1))
         _fold(null, zeros + ones, [W0] * (m - 1))
-    out, product = _block_buffers(null, 2)
-    parts = []
+    null_out, alt_out, product = _block_buffers(null, 3)
     for box in _blocks(null, zeros + ones + m - 1):
-        # one buffer serves both laws: the null block's cells are taken out
-        # before the alt block overwrites them
-        p_null = _fold_block(null, W0, box, out, product).ravel()[::-1]
-        keep = p_null >= MIN_NULL_MASS
-        kept_null, dropped_null = p_null[keep], _dropped_cells(p_null, keep)
-        p_alt = _fold_block(alt, W1, box, out, product).ravel()[::-1]
-        parts.append((kept_null, p_alt[keep], dropped_null, _dropped_cells(p_alt, keep)))
-    return parts
+        yield null, box, _fold_block(null, W0, box, null_out, product), _fold_block(alt, W1, box, alt_out, product)
+
+
+def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense null law of the pair at (n, k) and its ratio L = alt / null, the
+    one table read at single histograms; L is NaN where the null mass is
+    below MIN_NULL_MASS (the cells the atoms drop).
+
+    The null law is completed in place in the array of the base law
+    T_{n-1,k}, and each block's ratio is written into one more array, so
+    the table holds two dense arrays and no dense alt law.
+    """
+    _check_pair(channel, comp, "pair ratio")
+    ratio = None
+    for null, box, p_null, p_alt in _pair_blocks(channel, comp.n - 1 - comp.k, comp.k, 1, cap):
+        if ratio is None:
+            ratio = np.full(null.shape, np.nan)
+        null[box] = p_null
+        np.divide(p_alt, p_null, out=ratio[box], where=p_null >= MIN_NULL_MASS)
+    return null, ratio
+
+
+def _atomize(n: int, k: int, blocks) -> LrAtomization:
+    """The merged, checked atomization of the cells of `blocks`, in their order.
+
+    A block holds the null and alt masses of its cells and, for the
+    closed-form k = 0 cells, their ratios.  The one drop rule: cells with
+    null mass below MIN_NULL_MASS are left out, their positive masses summed
+    (`_fsum`).  Folded cells get alt / null after the join, so they take
+    16 B each until the merge, which holds the only reference to the ratios.
+    """
+    kept, dropped = [], []
+    for block in blocks:
+        keep = block[0] >= MIN_NULL_MASS
+        kept.append([cells[keep] for cells in block])
+        dropped.append([mass[~keep & (mass > 0.0)] for mass in block[:2]])
+    del block, keep  # the last block's views would keep the scratch buffers alive
+    p_null, p_alt, *lr = (np.concatenate(cells) for cells in zip(*kept))
+    del kept
+    dropped_null, dropped_alt = (_fsum(np.concatenate(masses)) for masses in zip(*dropped))
+    lr, p_null, p_alt = _merge_atoms(lr.pop() if lr else p_alt / p_null, p_null, p_alt)
+    atoms = LrAtomization(n, k, lr, p_null, p_alt, dropped_null_mass=dropped_null, dropped_alt_mass=dropped_alt)
+    _check_atomization(atoms)
+    return atoms
 
 
 def _fold_atoms(channel: Channel, comp: Composition, m: int, cap: int) -> LrAtomization:
     """Atoms of the m-message pair at (n, k): base (n-1-k) m W0- and k m W1-messages.
 
-    Cells with null mass below MIN_NULL_MASS are dropped; the kept cells
-    enter the merge in descending lexicographic order (reversed C order).
-    The dense laws are freed before the kept cells are joined and merged,
-    to bound the peak.
+    The cells enter `_atomize` in descending lexicographic order (reversed
+    C order), and the dense laws are freed before they are merged.
     """
     n, k = comp.n, comp.k
-    parts = _pair_cells(channel, (n - 1 - k) * m, k * m, m, cap)
-    p_null, p_alt, dropped_null, dropped_alt = (np.concatenate(cells) for cells in zip(*parts))
-    del parts
-    dropped = _dropped_masses(dropped_null, dropped_alt)
-    return _atomize(n, k, p_alt / p_null, p_null, p_alt, dropped)
+    blocks = _pair_blocks(channel, (n - 1 - k) * m, k * m, m, cap)
+    return _atomize(n, k, ((p_null.ravel()[::-1], p_alt.ravel()[::-1]) for _, _, p_null, p_alt in blocks))
 
 
 def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -> LrAtomization:
@@ -492,11 +484,7 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
     if comp.k > 0:
         return _fold_atoms(channel, comp, 1, cap)
     p_null, lr = _canonical_cells(channel, comp.n, cap)
-    p_alt = lr * p_null
-    keep = p_null >= MIN_NULL_MASS
-    dropped = _dropped_masses(_dropped_cells(p_null, keep), _dropped_cells(p_alt, keep))
-    lr, p_null, p_alt = lr[keep], p_null[keep], p_alt[keep]  # frees the full arrays before the merge
-    return _atomize(comp.n, 0, lr, p_null, p_alt, dropped)
+    return _atomize(comp.n, 0, [(p_null, lr * p_null, lr)])
 
 
 # stirlerr(x) = ln x! - (x + 1/2) ln x + x - ln sqrt(2 pi), the error of
@@ -681,7 +669,7 @@ def reverse_atomization(atoms: LrAtomization) -> LrAtomization:
     )
 
 
-def _check_atomization(atoms: LrAtomization, tol: float = 1e-9) -> None:
+def _check_atomization(atoms: LrAtomization) -> None:
     for label, arr in (("ratio", atoms.lr), ("null mass", atoms.p_null), ("alt mass", atoms.p_alt)):
         if not np.all(np.isfinite(arr)):
             raise InternalInvariantError(f"atomization has a non-finite {label}")
@@ -691,9 +679,9 @@ def _check_atomization(atoms: LrAtomization, tol: float = 1e-9) -> None:
     total_alt = float(atoms.p_alt.sum()) + atoms.alt_singular_mass
     mean_lr = float(np.dot(atoms.lr, atoms.p_null)) + atoms.alt_singular_mass
     for label, value in (("null", total_null), ("alt", total_alt), ("E_null[L]", mean_lr)):
-        if not (abs(value - 1.0) <= tol):
+        if not (abs(value - 1.0) <= _MASS_TOL):
             raise InternalInvariantError(
-                f"atomization {label} mass is {value!r}, off 1 by more than {tol}"
+                f"atomization {label} mass is {value!r}, off 1 by more than {_MASS_TOL}"
             )
 
 
@@ -731,7 +719,8 @@ def _hockey_stick(lr, weights, singular: float, eps: np.ndarray) -> np.ndarray:
         tail = np.cumsum(weights[::-1])[::-1]
         steps = np.diff(lr) * tail[1:]
         above = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
-        t = np.exp(eps)
+        with np.errstate(over="ignore"):  # t = inf above eps ~ 709.78: no atom lies above it
+            t = np.exp(eps)
         first = np.searchsorted(lr, t * (1.0 + TIE_REL_TOL), side="right")
         hit = first < lr.size
         i = first[hit]
@@ -865,7 +854,7 @@ def tradeoff_curve(atoms: LrAtomization) -> TradeoffCurve:
     pa = atoms.p_alt[::-1]
     alpha = np.concatenate(([0.0], np.cumsum(pn)))
     beta = np.concatenate(([1.0 - atoms.alt_singular_mass], 1.0 - atoms.alt_singular_mass - np.cumsum(pa)))
-    if not (abs(alpha[-1] - 1.0) <= 1e-9 and abs(beta[-1]) <= 1e-9):
+    if not (abs(alpha[-1] - 1.0) <= _MASS_TOL and abs(beta[-1]) <= _MASS_TOL):
         raise InternalInvariantError(
             f"trade-off sweep ended at ({alpha[-1]!r}, {beta[-1]!r}), not (1, 0)"
         )

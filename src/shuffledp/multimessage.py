@@ -17,7 +17,7 @@ chi-squares, so the bundled Gaussian parameter dominates the unbundled one;
 import math
 from dataclasses import dataclass
 
-from .channels import Channel, Support, score_stats
+from .channels import Channel, score_stats
 from .errors import ValidationError
 from .exact_dist import (
     DEFAULT_ATOM_CAP,
@@ -121,31 +121,20 @@ def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
     algebraic lower bound floor 1 + (m-1) chi2 / 2 >= ... >= 1, with
     equality of bound and ratio at m = 2.
     """
+    from .simplex_linalg import _require_full  # here, so the m-message atoms do not load it
+
     m = _check_count("m", m)
-    if channel.support is not Support.FULL:
-        raise ValidationError(
-            f"bundled comparison needs a FULL channel; support is {channel.support.value}"
-        )
+    _require_full(channel, "bundled comparison")
     chi2 = score_stats(channel).chi2
     unbundled = m * chi2
     bundled = (1.0 + chi2) ** m - 1.0
-    if chi2 == 0.0:
-        return MmComparison(
-            m=m,
-            chi2=0.0,
-            unbundled_mu2n=0.0,
-            bundled_mu2n=0.0,
-            ratio=1.0,
-            ratio_lower_bound=1.0,
-            degenerate=True,
-        )
+    # a degenerate channel (chi2 = 0) takes the limiting ratio 1
     return MmComparison(
         m=m,
         chi2=chi2,
         unbundled_mu2n=unbundled,
         bundled_mu2n=bundled,
-        ratio=bundled / unbundled,
+        ratio=bundled / unbundled if chi2 > 0.0 else 1.0,
         ratio_lower_bound=1.0 + 0.5 * (m - 1) * chi2,
-        degenerate=False,
+        degenerate=chi2 == 0.0,
     )
-

@@ -1,4 +1,5 @@
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -170,6 +171,23 @@ def test_gdp_delta_deep_tail_against_mpmath(eps, mu):
     exact = mpmath.ncdf(-e / m + m / 2) - mpmath.exp(e) * mpmath.ncdf(-e / m - m / 2)
     assert exact < 1e-30
     assert float(abs(gdp_delta(eps, mu) - exact) / exact) <= 1e-11
+
+
+def test_gdp_delta_up_to_and_beyond_the_exp_range():
+    # e^eps overflows a double above eps = log(DBL_MAX) ~ 709.78; below it
+    # the formula keeps its accuracy, above it gdp_delta refuses the eps
+    # (Phi(a) alone would give 0.5 at eps = 800, mu = 40, where delta = 0.49003)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    e, m = mpmath.mpf(709), mpmath.mpf(40)
+    exact = mpmath.ncdf(-e / m + m / 2) - mpmath.exp(e) * mpmath.ncdf(-e / m - m / 2)
+    assert float(abs(gdp_delta(709.0, 40.0) - exact) / exact) <= 1e-14
+    assert gdp_delta(np.array([709.0]), 40.0).tolist() == [gdp_delta(709.0, 40.0)]
+    limit = "gdp_delta needs eps <= 709.782712893384 (the log of the largest double)"
+    for eps in (710.0, 800.0, np.array([1.0, 800.0])):
+        with pytest.raises(ValidationError, match=re.escape(limit)):
+            gdp_delta(eps, 40.0)
+    assert gdp_delta(800.0, 0.0) == 0.0  # the degenerate pair takes no e^eps
 
 
 def test_gdp_mu_values_and_sources():

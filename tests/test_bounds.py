@@ -226,6 +226,21 @@ def test_hoeffding_dominates_exact_unbundled_curve():
         assert unbundled_hoeffding_delta(RR3, 3, 2, e) >= x - 1e-12
 
 
+def test_bounds_are_zero_where_e_to_the_eps_overflows():
+    # above eps = log(DBL_MAX) ~ 709.78 tau = e^eps - 1 is infinite: it
+    # exceeds max r, the Chernoff rule that makes the exact curve zero, and
+    # the Hoeffding exponent is -inf; at 709 tau is finite and the same holds
+    for eps in (709.0, 710.0, 800.0):
+        evaluation = chernoff_delta(RR3, 100, eps)
+        assert (evaluation.bound, evaluation.log_bound) == (0.0, -math.inf)
+        assert math.isnan(evaluation.lam)
+        assert evaluation.tau == (math.expm1(eps) if eps < 709.5 else math.inf)
+        assert unbundled_hoeffding_delta(RR3, 100, 2, eps) == 0.0
+    curve = chernoff_curve(RR3, 100, [1.0, 709.0, 710.0, 800.0])
+    assert curve.delta[0] == chernoff_delta(RR3, 100, 1.0).bound > 0.0
+    assert curve.delta[1:].tolist() == [0.0, 0.0, 0.0]
+
+
 def test_hoeffding_validation():
     with pytest.raises(ValidationError):
         unbundled_hoeffding_delta(RR3, 0, 1, 0.5)

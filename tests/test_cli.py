@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -159,6 +162,33 @@ def test_exit_codes(rr3_file, tmp_path, capsys):
     assert main(["curve", "--channel", str(bad), "--n", "2"]) == 2
     assert main(["curve", "--channel", rr3_file, "--n", "200", "--cap", "10"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("engine, code", [("exact", 0), ("binomial", 0), ("gdp", 2), ("chernoff", 0)])
+def test_curve_beyond_the_exp_range(engine, code, rr3_file):
+    # e^eps overflows a double above eps = log(DBL_MAX) ~ 709.78: the exact
+    # and Chernoff curves are exactly 0 there, with no warning, and the
+    # Gaussian curve, whose two terms cannot be formed, is refused (exit 2)
+    argv = ["curve", "--channel", rr3_file, "--n", "100", "--engine", engine, "--eps", "1,800"]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "shuffledp.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
+        timeout=120,
+    )
+    assert out.returncode == code
+    if engine == "gdp":
+        assert (out.stdout, out.stderr) == (
+            "",
+            "error: gdp_delta needs eps <= 709.782712893384 (the log of the largest double), got 800.0\n",
+        )
+    else:
+        assert out.stderr == ""
+        _, table = parse_csv(out.stdout)
+        assert table[:, 0].tolist() == [1.0, 800.0]
+        assert table[0, 1] > 0.0 and table[1, 1] == 0.0
 
 
 # ---------------------------------------------------------------------------

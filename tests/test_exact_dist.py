@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -533,6 +534,17 @@ def test_lr_atoms_memory_is_linear_in_cells():
     assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 20))) < bound
 
 
+def test_lr_atoms_merge_peak_holds_no_unsorted_ratios():
+    # k > 0 at d = 3: the peak is the merge's, once the dense law is freed:
+    # the joined kept masses (16 bytes a cell), the sort order (8) and the
+    # sorted ratios and masses (24).  The merge holds the only reference to
+    # the unsorted ratios and frees them once sorted; holding them too was
+    # 56 bytes a cell (4.60 MB here)
+    ch, n = full_channel(np.random.default_rng(7), 3), 400
+    cells = math.comb(n + 2, 2)
+    assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 133))) < 48 * cells + 200_000
+
+
 def test_histogram_law_memory_is_the_dense_fold():
     # the law is one dense array, folded in place, with no per-histogram
     # objects: the peak is that array and the block scratch
@@ -718,6 +730,23 @@ def test_curve_delta_zero_equals_tv():
     atoms = lr_atoms(RR3, Composition(5, 0))
     tv = divergences(atoms).tv
     assert privacy_curve(atoms, [0.0]).delta[0] == pytest.approx(tv, rel=1e-12)
+
+
+def test_curve_beyond_the_exp_range_is_the_singular_mass_without_a_warning():
+    # above eps = log(DBL_MAX) ~ 709.78 the threshold e^eps is infinite: no
+    # atom lies above it, and delta is the alt-singular mass (0 forward; the
+    # zero-ratio atom's null mass in reverse)
+    atoms = lr_atoms(validate_channel([0.5, 0.5], [0.0, 1.0]), Composition(6, 0))
+    eps = [709.0, 710.0, 800.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forward = privacy_curve(atoms, eps).delta
+        reverse = privacy_curve(atoms, eps, Sidedness.REVERSE).delta
+        two_sided = privacy_curve(atoms, eps, Sidedness.TWO_SIDED).delta
+    assert forward.tolist() == [0.0, 0.0, 0.0]
+    singular = reverse_atomization(atoms).alt_singular_mass
+    assert singular == pytest.approx(1 / 64, rel=1e-12)
+    assert reverse.tolist() == two_sided.tolist() == [singular] * 3
 
 
 def test_curve_monotone_and_bounded():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,5 +222,7 @@ def test_mm_compare_degenerate_channel():
 def test_mm_compare_validation():
     with pytest.raises(ValidationError):
         mm_gdp_compare(RR3, 0)
-    with pytest.raises(ValidationError):
+    # the FULL-channel check and its message are simplex_linalg's, as for simulate
+    message = "bundled comparison needs a FULL channel (all symbol masses positive); support is null_support"
+    with pytest.raises(ValidationError, match=re.escape(message)):
         mm_gdp_compare(validate_channel([0.5, 0.5], [0.0, 1.0]), 2)
