@@ -93,7 +93,6 @@ _EXPORTS = {
         "MmComparison",
         "unbundled_lr",
         "unbundled_lr_atoms",
-        "unbundled_exact_curve",
         "mm_gdp_compare",
     ),
     "montecarlo": (

@@ -192,6 +192,7 @@ def unbundled_hoeffding_delta(channel: Channel, n: int, m: int, eps: float) -> f
             stacklevel=2,
         )
         return 1.0
-    tau = _tau(eps)
-    log_bound = m * math.log(w_max) - 2.0 * n * tau * tau / w_max ** (2 * m)
+    # tau^2 / w_max^(2m) in logs: 0 gives the exact vacuous 1; past e^700 the bound is 0
+    decay = math.exp(min(2.0 * math.log(_tau(eps)) - 2.0 * m * math.log(w_max), 700.0))
+    log_bound = m * math.log(w_max) - 2.0 * n * decay
     return min(1.0, math.exp(min(log_bound, 0.0)))

@@ -8,12 +8,12 @@ ratio, privacy curve, trade-off curve and divergences are computed here,
 exactly, atom by atom.
 
 Conventions: the "null" hypothesis is T_{n,k} (k ones), the "alt" hypothesis
-is T_{n,k+1} (one more one).  For k = 0 the null law is the multinomial
-Mult(n, W0), built in closed form from conditional binomial masses, and the
-likelihood ratio is affine in the histogram: L(N) = (1/n) sum_y N_y w(y)
-with w = W1/W0.  Every other pair is folded one message at a time, in
-place in one array per law (`_fold`), and every atomization ends in
-`_atomize`.
+is T_{n,k+1} (one more one).  For k = 0, with m messages per user, the null
+law is the multinomial Mult(nm, W0), built in closed form from conditional
+binomial masses along with the ratio, affine in the histogram at m = 1:
+L(N) = (1/n) sum_y N_y w(y) with w = W1/W0.  Every pair with k > 0 is folded
+one message at a time, in place in one array (`_fold`), and every
+atomization ends in `_atomize`.
 """
 
 import enum
@@ -389,26 +389,19 @@ def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
         )
 
 
-def _pair_blocks(channel: Channel, zeros: int, ones: int, m: int, cap: int):
-    """The pair base + m W0- against base + m W1-messages, one block of the last message at a time.
+def _pair_blocks(channel: Channel, zeros: int, ones: int, cap: int):
+    """The pair base + one W0- against base + one W1-message, one block of the last message at a time.
 
-    The first m-1 messages of each law are folded in place, into the base
-    law's array (null) and one copy of it (alt; for m = 1 both read the
-    base law).  The last message, and no other fold of it, runs over the
-    boxes of `_blocks`, yielding (null array, box, null block, alt block)
-    (`_fold_block`; the blocks are scratch, overwritten by the next ones).
-    A reader may write the null block into `null[box]`, as `_fold` does.
+    The last message, and no other fold of it, runs over the boxes of
+    `_blocks`, yielding (null array, box, null block, alt block) (`_fold_block`;
+    scratch, overwritten by the next blocks).  A reader may write the null
+    block into `null[box]`, as `_fold` does.
     """
     W0, W1 = channel.W0, channel.W1
-    null = _base_law(channel, zeros, ones, m, cap)[0]
-    alt = null
-    if m > 1:
-        alt = null.copy()
-        _fold(alt, zeros + ones, [W1] * (m - 1))
-        _fold(null, zeros + ones, [W0] * (m - 1))
+    null = _base_law(channel, zeros, ones, 1, cap)[0]
     null_out, alt_out, product = _block_buffers(null, 3)
-    for box in _blocks(null, zeros + ones + m - 1):
-        yield null, box, _fold_block(null, W0, box, null_out, product), _fold_block(alt, W1, box, alt_out, product)
+    for box in _blocks(null, zeros + ones):
+        yield null, box, _fold_block(null, W0, box, null_out, product), _fold_block(null, W1, box, alt_out, product)
 
 
 def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +415,7 @@ def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndar
     """
     _check_pair(channel, comp, "pair ratio")
     ratio = None
-    for null, box, p_null, p_alt in _pair_blocks(channel, comp.n - 1 - comp.k, comp.k, 1, cap):
+    for null, box, p_null, p_alt in _pair_blocks(channel, comp.n - 1 - comp.k, comp.k, cap):
         if ratio is None:
             ratio = np.full(null.shape, np.nan)
         null[box] = p_null
@@ -454,14 +447,12 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
     return atoms
 
 
-def _fold_atoms(channel: Channel, comp: Composition, m: int, cap: int) -> LrAtomization:
-    """Atoms of the m-message pair at (n, k): base (n-1-k) m W0- and k m W1-messages.
-
-    The cells enter `_atomize` in descending lexicographic order (reversed
-    C order), and the dense laws are freed before they are merged.
-    """
+def _fold_atoms(channel: Channel, comp: Composition, cap: int) -> LrAtomization:
+    """Atoms of the pair at (n, k) from the dense fold of its base T_{n-1,k}; the
+    cells enter `_atomize` in descending lexicographic order (reversed C
+    order), and the dense law is freed before they are merged."""
     n, k = comp.n, comp.k
-    blocks = _pair_blocks(channel, (n - 1 - k) * m, k * m, m, cap)
+    blocks = _pair_blocks(channel, n - 1 - k, k, cap)
     return _atomize(n, k, ((p_null.ravel()[::-1], p_alt.ravel()[::-1]) for _, _, p_null, p_alt in blocks))
 
 
@@ -482,7 +473,7 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
     """
     _check_pair(channel, comp, "likelihood-ratio atoms")
     if comp.k > 0:
-        return _fold_atoms(channel, comp, 1, cap)
+        return _fold_atoms(channel, comp, cap)
     p_null, lr = _canonical_cells(channel, comp.n, cap)
     return _atomize(comp.n, 0, [(p_null, lr * p_null, lr)])
 
@@ -587,32 +578,54 @@ def _binomial_window(n: int, p0: float) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=np.float64)
 
 
-def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Null masses and ratios L(N) = (1/n) sum_y N_y w(y) of the k=0 pair.
+def _add_symbol(parent: np.ndarray, row, count: np.ndarray, w: float, steps: np.ndarray, low: int = 1) -> np.ndarray:
+    """Degrees low..m of 1 + sum_j parent[j - 1, row] t^j times sum_i C(count, i) (w t / lam)^i, with
+    steps[u] = (u + 1) lam; that factor's coefficients are running products of ((count - u) / steps[u]) w,
+    so a parent without rows costs O(m).  With `row` a slice the result is parent[low - 1:] itself, updated
+    in place: no later term reads those rows."""
+    m = steps.size
+    out = parent[low - 1 :, row] if parent.size else np.zeros((m, count.size))
+    power = 1.0
+    for i in range(1, m + 1):
+        power = power * (((count - (i - 1)) / steps[i - 1]) * w)
+        for j in range(max(i, low), min(m, i + parent.shape[0]) + 1):
+            out[j - low] += parent[j - i - 1][row] * power if j > i else power
+    return out
 
-    With the symbols relabelled by decreasing W0, the null law Mult(n, W0)
+
+def _canonical_cells(channel: Channel, n: int, cap: int, m: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Null masses and ratios L(N) = [t^m] prod_y (1 + w(y) t)^{N_y} / C(nm, m) of the k=0 pair, m messages per user.
+
+    With the symbols relabelled by decreasing W0, the null law Mult(nm, W0)
     is a product of conditional binomials,
-    P(N) = prod_{j=d-1..1} Bin(N_j; n - sum_{i>j} N_i, W0_j / sum_{i<=j} W0_i),
+    P(N) = prod_{j=d-1..1} Bin(N_j; nm - sum_{i>j} N_i, W0_j / sum_{i<=j} W0_i),
     with N_0 what remains; every share is at most 1/2, so 1 - p does not
     cancel.  Each factor is `_binom_pmf`, vectorized over the cells built so
-    far.  N_j runs only over the window of its marginal Bin(n, W0_j)
+    far.  N_j runs only over the window of its marginal Bin(nm, W0_j)
     (`_binomial_window`), outside of which Hoeffding's inequality puts
     mass < e^-800, far below the smallest subnormal double.  Each level's
     cells are counted from the window lengths before its masses are
     evaluated, and EnumerationCapError is raised once they exceed `cap`.
+    Each level also carries its cells' nonnegative coefficients of degree 1..m
+    of prod (1 + w(y) t / lam)^{N_y} (`_add_symbol`; the last, degree m only);
+    lam^m ~ C(nm, m) keeps them on the scale of L, the degree-m one times
+    lam^m / C(nm, m).  At m = 1 lam = n and L = (1/n) sum_y N_y w(y).
     """
     order = np.argsort(-channel.W0, kind="stable")
-    d, W0, w = channel.d, channel.W0[order], score_stats(channel).w[order]
-    windows = [_binomial_window(n, float(W0[j])) for j in range(d - 1, 0, -1)]
-    what = f"k=0 law for n={n}, d={d}"
+    d, W0, w, N = channel.d, channel.W0[order], score_stats(channel).w[order], n * m
+    windows = [_binomial_window(N, float(W0[j])) for j in range(d - 1, 0, -1)]
+    what = f"k=0 law for n={n}, d={d}" if m == 1 else f"k=0 law for n={n}, m={m}, d={d}"
     share = W0 / np.cumsum(W0)
+    # lam on a 2^-20 grid: each step (u + 1) lam below 2^33 is exact, and lam^m / C(nm, m) takes one rounding
+    lam = round(N * math.exp((math.log(math.comb(N, m)) - m * math.log(N)) / m) * 2**20)
+    steps = np.arange(1, m + 1) * (lam / 2**20)
     K = windows[0]
     _check_cap(K.size, what, cap)
-    # at d >= 3 the cells far outnumber the n + 1 values stirlerr is taken at
-    table = _stirlerr(np.arange(n + 1.0)) if d > 2 else None
-    p_null = _binom_pmf(K, n, float(W0[d - 1]), table)
-    lr = (K / n) * w[d - 1]
-    rest = n - K
+    # at d >= 3 the cells far outnumber the nm + 1 values stirlerr is taken at
+    table = _stirlerr(np.arange(N + 1.0)) if d > 2 else None
+    p_null = _binom_pmf(K, N, float(W0[d - 1]), table)
+    coef = _add_symbol(np.empty((0, 1)), slice(None), K, w[d - 1], steps)
+    rest = N - K
     for j, window in zip(range(d - 2, 0, -1), windows[1:]):
         # each cell so far spawns the window counts that fit in what remains
         lo = window[0]
@@ -622,9 +635,9 @@ def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np
         K = lo + (np.arange(row.size) - np.repeat(np.cumsum(length) - length, length))
         rest = rest[row]
         p_null = p_null[row] * _binom_pmf(K, rest, float(share[j]), table)
-        lr = lr[row] + (K / n) * w[j]
+        coef = _add_symbol(coef, row, K, w[j], steps)
         rest -= K
-    return p_null, (rest / n) * w[0] + lr
+    return p_null, _add_symbol(coef, slice(None), rest, w[0], steps, m)[0] * (lam**m / (math.comb(N, m) << 20 * m))
 
 
 def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:

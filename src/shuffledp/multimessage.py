@@ -8,7 +8,7 @@ elementary symmetric function of the ratios w(y):
     L(N) = [t^m] prod_y (1 + w(y) t)^{N_y}  /  C(nm, m),
 
 computed below exactly for the double ratios w, in integers, with one
-rounding at the end; the atoms divide the two exact histogram laws instead.
+rounding at the end; the atoms take it from the closed-form k = 0 chain.
 Bundling the m messages into one super-symbol instead multiplies
 chi-squares, so the bundled Gaussian parameter dominates the unbundled one;
 `mm_gdp_compare` quantifies the gap.
@@ -23,13 +23,11 @@ from .exact_dist import (
     DEFAULT_ATOM_CAP,
     Composition,
     LrAtomization,
-    PrivacyCurve,
-    Sidedness,
+    _atomize,
+    _canonical_cells,
     _check_count,
     _check_histogram,
     _check_pair,
-    _fold_atoms,
-    privacy_curve,
 )
 
 @dataclass(frozen=True)
@@ -93,23 +91,14 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
 def unbundled_lr_atoms(
     channel: Channel, n: int, m: int, cap: int = DEFAULT_ATOM_CAP
 ) -> LrAtomization:
-    """Atomize the m-message pair over the exact nm-message histogram laws.
+    """Atomize the m-message pair: nm W0-messages against (n-1)m W0- and m W1-messages.
 
-    Both laws share (n-1)m W0-messages; the null law adds m more W0-messages,
-    the alt law the changed user's m W1-messages.  Their quotient is the
-    ratio `unbundled_lr` computes one histogram at a time.
+    The null law and `unbundled_lr`'s ratio come from the closed-form k = 0
+    chain, as in `lr_atoms`; `cap` bounds the windowed cells of each level.
     """
     _check_pair(channel, Composition(n, 0), "unbundled atoms")
-    m = _check_count("m", m)
-    return _fold_atoms(channel, Composition(n, 0), m, cap)
-
-
-def unbundled_exact_curve(
-    channel: Channel, n: int, m: int, eps, cap: int = DEFAULT_ATOM_CAP
-) -> PrivacyCurve:
-    """Exact forward privacy curve of the m-message pair on an eps grid."""
-    atoms = unbundled_lr_atoms(channel, n, m, cap=cap)
-    return privacy_curve(atoms, eps, Sidedness.FORWARD)
+    p_null, lr = _canonical_cells(channel, n, cap, _check_count("m", m))
+    return _atomize(n, 0, [(p_null, lr * p_null, lr)])
 
 
 def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
@@ -117,7 +106,8 @@ def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
 
     Unbundled: n mu^2 = m chi2.  Bundled (one super-symbol of m messages):
     n mu^2 = (1 + chi2)^m - 1, by multiplicativity of 1 + chi2 under
-    products.  For m >= 2 and chi2 > 0 the ratio strictly exceeds its
+    products (ValidationError, naming the largest m, beyond the double
+    range).  For m >= 2 and chi2 > 0 the ratio strictly exceeds its
     algebraic lower bound floor 1 + (m-1) chi2 / 2 >= ... >= 1, with
     equality of bound and ratio at m = 2.
     """
@@ -127,7 +117,11 @@ def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
     _require_full(channel, "bundled comparison")
     chi2 = score_stats(channel).chi2
     unbundled = m * chi2
-    bundled = (1.0 + chi2) ** m - 1.0
+    try:
+        bundled = (1.0 + chi2) ** m - 1.0
+    except OverflowError:  # log(2^1024) rounds to log(DBL_MAX)
+        largest = int(1024 * math.log(2.0) / math.log(1.0 + chi2))
+        raise ValidationError(f"bundled comparison: (1 + chi2)^m overflows above m = {largest}, got m={m}") from None
     # a degenerate channel (chi2 = 0) takes the limiting ratio 1
     return MmComparison(
         m=m,

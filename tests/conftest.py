@@ -28,7 +28,7 @@ def fold_atoms(channel: Channel, comp: Composition) -> LrAtomization:
     The fold derives both laws from T_{n-1,k}; at k = 0 it is an oracle for
     `lr_atoms`, which builds that pair in closed form instead.
     """
-    return _fold_atoms(channel, comp, 1, DEFAULT_ATOM_CAP)
+    return _fold_atoms(channel, comp, DEFAULT_ATOM_CAP)
 
 
 def brute_force_lr(channel: Channel, n: int, m: int, histogram) -> float:

@@ -15,8 +15,8 @@ from shuffledp import (
     lr_atoms,
     privacy_curve,
     rr_channel,
-    unbundled_exact_curve,
     unbundled_hoeffding_delta,
+    unbundled_lr_atoms,
 )
 from shuffledp.bounds import _EXP_ARG_CAP, _GOLDEN_WIDTH, _INV_PHI
 from shuffledp.channels import score_stats
@@ -221,7 +221,7 @@ def test_hoeffding_monotone_in_eps():
 
 def test_hoeffding_dominates_exact_unbundled_curve():
     eps = np.linspace(0.1, 1.5, 8)
-    exact = unbundled_exact_curve(RR3, 3, 2, eps).delta
+    exact = privacy_curve(unbundled_lr_atoms(RR3, 3, 2), eps).delta
     for e, x in zip(eps, exact):
         assert unbundled_hoeffding_delta(RR3, 3, 2, e) >= x - 1e-12
 
@@ -239,6 +239,24 @@ def test_bounds_are_zero_where_e_to_the_eps_overflows():
     curve = chernoff_curve(RR3, 100, [1.0, 709.0, 710.0, 800.0])
     assert curve.delta[0] == chernoff_delta(RR3, 100, 1.0).bound > 0.0
     assert curve.delta[1:].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_hoeffding_exponent_under_and_overflow():
+    # w_max^(2m) = 3^800 and tau^2 (eps in (354.9, 709.78]) exceed the double
+    # range: the decay term underflows to the vacuous 1, or the bound is 0
+    assert unbundled_hoeffding_delta(RR3, 100, 400, 1.0) == 1.0
+    for eps in (355.0, 400.0, 709.0):
+        assert unbundled_hoeffding_delta(RR3, 100, 2, eps) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps0=st.sampled_from([0.0, 0.1, math.log(3.0), 8.0]),
+    m=st.integers(1, 10**9),
+    eps=st.floats(1e-300, 1e4),
+)
+def test_hoeffding_never_raises(eps0, m, eps):
+    assert 0.0 <= unbundled_hoeffding_delta(rr_channel(eps0), 100, m, eps) <= 1.0
 
 
 def test_hoeffding_validation():

@@ -195,6 +195,23 @@ def test_curve_beyond_the_exp_range(engine, code, rr3_file):
 # report
 
 
+def test_report_refuses_m_beyond_the_double_range(tmp_path):
+    # the bundled comparison's (1 + chi2)^m overflows a double at m = 2000 on
+    # rr 1.1: exit 2 and one error line, not an OverflowError traceback
+    path = tmp_path / "rr.json"
+    path.write_text(channel_to_json(rr_channel(1.1)))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "shuffledp.cli", "report", "--channel", str(path), "--n", "100", "--m", "2000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
+        timeout=120,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: bundled comparison: (1 + chi2)^m overflows above m = 836, got m=2000\n"
+
+
 def test_report_contents(rr3_file, capsys):
     assert main(
         ["report", "--channel", rr3_file, "--n", "100", "--pi", "0.5", "--m", "2"]

@@ -35,6 +35,7 @@ from shuffledp import (
     rr_channel,
     score_stats,
     tradeoff_curve,
+    unbundled_lr,
     unbundled_lr_atoms,
     validate_channel,
 )
@@ -311,13 +312,25 @@ def test_block_boundaries_keep_the_dict_fold_bits(monkeypatch, d, n, k, skewed):
     "d, n, m, skewed",
     [(2, 13, 2, False), (2, 9, 3, False), (2, 15, 2, True), (3, 7, 2, False), (3, 5, 3, False), (4, 4, 3, False), (5, 3, 2, False)],
 )
-def test_block_boundaries_keep_the_unbundled_dict_fold_bits(monkeypatch, d, n, m, skewed):
+def test_unbundled_atoms_are_the_exact_ratios_on_the_dict_fold_cells(d, n, m, skewed):
+    # the closed-form chain keeps the dict fold's cells: the same atoms and
+    # dropped cells, masses to rounding, and each ratio within 2e-15 of the
+    # exact per-histogram ratio.  A dropped cell's alt mass is its null mass,
+    # a subnormal (4.06e-321 in the skewed case, about 3 digits), times L
     ch = _skewed_channel(d) if skewed else full_channel(np.random.default_rng(300 + d), d)
-    reference = _dict_atoms(*_dict_laws(ch, (n - 1) * m, 0, m)[1:])
-    assert (reference[1] > 0.0) == skewed
-    for block in BLOCK_SIZES:
-        monkeypatch.setattr(exact_dist, "_FOLD_BLOCK", block)
-        _assert_atoms_equal(unbundled_lr_atoms(ch, n, m), reference)
+    _, null, alt = _dict_laws(ch, (n - 1) * m, 0, m)
+    (lr, p_null, p_alt), dropped_null, dropped_alt = _dict_atoms(null, alt)
+    assert (dropped_null > 0.0) == skewed
+    atoms = unbundled_lr_atoms(ch, n, m)
+    assert atoms.lr.size == lr.size
+    np.testing.assert_allclose(atoms.p_null, p_null, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(atoms.p_alt, p_alt, rtol=1e-12, atol=0.0)
+    assert atoms.dropped_null_mass == pytest.approx(dropped_null, rel=1e-12, abs=0.0)
+    assert atoms.dropped_alt_mass == pytest.approx(dropped_alt, rel=1e-3, abs=0.0)
+    kept = [h for h, p in null.items() if p >= MIN_NULL_MASS]
+    exact = [unbundled_lr(ch, n, m, h) for h in kept]
+    want = _merge_atoms(exact, [null[h] for h in kept], [alt[h] for h in kept])[0]
+    np.testing.assert_allclose(atoms.lr, want, rtol=2e-15, atol=0.0)
 
 
 def _merge_atoms_reference(lr, p_null, p_alt, rel_tol=MERGE_REL_TOL):
@@ -560,13 +573,13 @@ def test_ratio_table_memory_is_two_dense_arrays():
     assert peak < 2 * 8 * (n + 1) ** 3 + BLOCK_SCRATCH + 500_000
 
 
-def test_unbundled_memory_is_two_dense_arrays():
-    # m > 1: the null and alt laws of the first m - 1 messages, each in one
-    # array; the last message is streamed as for lr_atoms
-    ch, n, m = full_channel(np.random.default_rng(7), 4), 15, 3
-    size, cells = n * m + 1, math.comb(n * m + 3, 3)
-    peak = _peak_bytes(lambda: unbundled_lr_atoms(ch, n, m))
-    assert peak < 2 * 8 * size**3 + 32 * cells + BLOCK_SCRATCH + 500_000
+def test_unbundled_memory_is_linear_in_cells():
+    # the m-message chain over nm = 400 messages builds every one of the
+    # C(402, 2) = 80,601 cells; each holds its m + 1 coefficients only while
+    # its level is built, and the peak is about lr_atoms' at k = 0 on as many
+    # cells (108 B a cell; the dense fold it replaced peaked at 54 B)
+    ch, n, m = full_channel(np.random.default_rng(7), 3), 100, 4
+    assert _peak_bytes(lambda: unbundled_lr_atoms(ch, n, m)) < 160 * math.comb(n * m + 2, 2)
 
 
 def test_atomization_check_rejects_nan():

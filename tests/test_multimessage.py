@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from shuffledp import (
     ValidationError,
     lr_atoms,
     mm_gdp_compare,
+    privacy_curve,
     rr_channel,
     score_stats,
-    unbundled_exact_curve,
     unbundled_lr,
     unbundled_lr_atoms,
     validate_channel,
@@ -125,29 +126,70 @@ def test_unbundled_atoms_are_a_valid_atomization():
     assert np.all(np.diff(atoms.lr) > 0)
 
 
-def test_unbundled_atoms_are_the_coefficient_ratios():
-    # the quotient of the two dense laws is the per-histogram ratio.  At d = 2
-    # the cells dropped for a null mass below MIN_NULL_MASS are the extreme
-    # counts, whose ratios lie outside the atoms' range; each histogram
-    # inside it has an atom of its own.
-    for d, n, m in [(3, 4, 2), (2, 150, 4), (3, 20, 3)]:
-        ch = full_channel(np.random.default_rng(61), d)
-        atoms = unbundled_lr_atoms(ch, n, m)
-        ratios = np.array([unbundled_lr(ch, n, m, h) for h in _histograms(n * m, d)])
-        lo, hi = atoms.lr[0] * (1 - 1e-14), atoms.lr[-1] * (1 + 1e-14)
-        inside = ratios[(ratios >= lo) & (ratios <= hi)]
-        assert inside.size == atoms.lr.size, (d, n, m)
-        gap = np.abs(atoms.lr[None, :] - inside[:, None])
-        assert np.all(gap.min(axis=1) <= 1e-14 * inside), (d, n, m)
-        assert np.all(gap.min(axis=0) <= 1e-14 * atoms.lr), (d, n, m)
+@pytest.mark.parametrize(
+    "ch, n, m, rtol",
+    [
+        (full_channel(np.random.default_rng(61), 3), 4, 2, 2e-15),
+        (full_channel(np.random.default_rng(61), 2), 150, 4, 2e-15),
+        (full_channel(np.random.default_rng(61), 3), 20, 3, 2e-15),
+        # the dense fold this chain replaced was 4.2e-15 off here
+        (rr_channel(1.1), 2000, 4, 2e-15),
+    ],
+)
+def test_unbundled_atoms_are_the_coefficient_ratios(ch, n, m, rtol):
+    # each atom is the exact per-histogram ratio to rtol.  At d = 2 the cells
+    # dropped for a null mass below MIN_NULL_MASS are the extreme counts,
+    # whose ratios lie outside the atoms' range; each histogram inside it has
+    # an atom of its own.  Ratios below 1e-12 merge into one atom (the merge
+    # tolerance is absolute below 1), so only atoms above 1e-9 are compared.
+    lr = unbundled_lr_atoms(ch, n, m).lr
+    lr = lr[lr >= 1e-9]
+    ratios = np.array([unbundled_lr(ch, n, m, h) for h in _histograms(n * m, ch.d)])
+    inside = ratios[(ratios >= lr[0] * (1 - rtol)) & (ratios <= lr[-1] * (1 + rtol))]
+    assert inside.size == lr.size
+    gap = np.abs(lr[None, :] - inside[:, None])
+    assert np.all(gap.min(axis=1) <= rtol * inside)
+    assert np.all(gap.min(axis=0) <= rtol * lr)
+
+
+@pytest.mark.parametrize("n, m", [(3, 100), (2, 150)])
+def test_unbundled_ratios_hold_4e_15_up_to_150_messages(n, m):
+    # rr 1.1 at 15 counts spread over [0, nm] (the exact ratio costs O(m^2)
+    # big-integer products): each ratio inside the atoms' range above 1e-9
+    # has its atom within 4e-15
+    ch = rr_channel(1.1)
+    lr = unbundled_lr_atoms(ch, n, m).lr
+    lr = lr[lr >= 1e-9]
+    checked = 0
+    for K in np.linspace(0, n * m, 15).astype(int).tolist():
+        want = unbundled_lr(ch, n, m, (n * m - K, K))
+        if lr[0] * (1 - 4e-15) <= want <= lr[-1] * (1 + 4e-15):
+            assert np.abs(lr - want).min() <= 4e-15 * want, K
+            checked += 1
+    assert checked >= 10
 
 
 def test_unbundled_m1_atoms_match_single_message():
+    # at m = 1 both run the same closed-form chain: the same bits
     ch = full_channel(np.random.default_rng(53), 2)
-    a = unbundled_lr_atoms(ch, 6, 1)
-    b = lr_atoms(ch, Composition(6, 0))
-    assert a.lr == pytest.approx(b.lr, rel=1e-10)
-    assert a.p_null == pytest.approx(b.p_null, rel=1e-10)
+    for n in (6, 950):
+        a = unbundled_lr_atoms(ch, n, 1)
+        b = lr_atoms(ch, Composition(n, 0))
+        for name in ("lr", "p_null", "p_alt"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (n, name)
+        assert (a.dropped_null_mass, a.dropped_alt_mass) == (b.dropped_null_mass, b.dropped_alt_mass)
+
+
+def test_unbundled_atoms_at_700_messages_per_user():
+    # rr ln 3 at n = 2, m = 700, where 3^700 alone overflows a double: no
+    # intermediate overflows or is invalid, nothing warns, and the atoms are
+    # the dense fold's: 513 of them, and its dropped masses
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        atoms = unbundled_lr_atoms(RR3, 2, 700)
+    assert atoms.lr.size == 513
+    assert atoms.dropped_null_mass == pytest.approx(2.2313579461250587e-308, rel=1e-12)
+    assert atoms.dropped_alt_mass == pytest.approx(1.7525529281398147e-88, rel=1e-11)
 
 
 def test_unbundled_curve_matches_high_precision_sum():
@@ -156,7 +198,7 @@ def test_unbundled_curve_matches_high_precision_sum():
     mpmath = pytest.importorskip("mpmath")
     n, m = 200, 4
     eps = [0.0, 0.05, 0.1, 0.2, 0.3]
-    got = unbundled_exact_curve(RR3, n, m, eps).delta
+    got = privacy_curve(unbundled_lr_atoms(RR3, n, m), eps).delta
     comb = math.comb
     with mpmath.workdps(50):
         w0, w1 = (mpmath.mpf(float(x)) for x in score_stats(RR3).w)
@@ -186,8 +228,8 @@ def test_unbundled_atoms_cap():
 def test_more_messages_leak_more():
     # the m=1 view is a function of the m=2 view, so every delta grows with m
     eps = np.array([0.0, 0.25, 0.5])
-    d1 = unbundled_exact_curve(RR3, 3, 1, eps).delta
-    d2 = unbundled_exact_curve(RR3, 3, 2, eps).delta
+    d1 = privacy_curve(unbundled_lr_atoms(RR3, 3, 1), eps).delta
+    d2 = privacy_curve(unbundled_lr_atoms(RR3, 3, 2), eps).delta
     assert np.all(d2 >= d1 - 1e-12)
 
 
@@ -226,3 +268,13 @@ def test_mm_compare_validation():
     message = "bundled comparison needs a FULL channel (all symbol masses positive); support is null_support"
     with pytest.raises(ValidationError, match=re.escape(message)):
         mm_gdp_compare(validate_channel([0.5, 0.5], [0.0, 1.0]), 2)
+
+
+def test_mm_compare_refuses_m_beyond_the_double_range():
+    # rr ln 3: chi2 = 4/3 and (7/3)^837 ~ 9.9e307 still fits a double; at
+    # m = 838 and the m = 1000 that once raised OverflowError it is refused
+    assert mm_gdp_compare(RR3, 837).bundled_mu2n == pytest.approx((7.0 / 3.0) ** 837, rel=1e-12)
+    for m in (838, 1000):
+        message = f"bundled comparison: (1 + chi2)^m overflows above m = 837, got m={m}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            mm_gdp_compare(RR3, m)
