@@ -87,6 +87,8 @@ CELLS = (
     ("unbundled_lr_atoms", 2, 2000, 0, 4, None, None),
     ("unbundled_lr_atoms", 3, 100, 0, 4, None, None),
     ("unbundled_lr_atoms", 2, 2, 0, 600, None, None),
+    ("unbundled_lr_atoms", 3, 2, 0, 100, None, None),
+    ("unbundled_lr_atoms", 3, 4, 0, 200, None, None),
     ("divergences", 2, 950000, 0, 1, None, None),
     ("divergences", 3, 1000, 0, 1, None, None),
     ("conditional_score", 3, 190, 63, 1, None, None),

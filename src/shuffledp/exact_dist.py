@@ -10,8 +10,9 @@ exactly, atom by atom.
 Conventions: the "null" hypothesis is T_{n,k} (k ones), the "alt" hypothesis
 is T_{n,k+1} (one more one).  For k = 0, with m messages per user, the null
 law is the multinomial Mult(nm, W0), built in closed form from conditional
-binomial masses along with the ratio, affine in the histogram at m = 1:
-L(N) = (1/n) sum_y N_y w(y) with w = W1/W0.  Every pair with k > 0 is folded
+binomial masses (`_null_levels`); at m = 1 the ratio is affine in the
+histogram, L(N) = (1/n) sum_y N_y w(y) with w = W1/W0, and `multimessage`
+takes the degree-m ratio on the same cells.  Every pair with k > 0 is folded
 one message at a time, in place in one array (`_fold`), and every
 atomization ends in `_atomize`.
 """
@@ -468,7 +469,7 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
     Raises:
         ValidationError: SINGULAR channel or k > n-1.
         EnumerationCapError: more than `cap` built cells (for k = 0 the
-            windowed cells of any level of `_canonical_cells`, otherwise the
+            windowed cells of any level of `_null_levels`, otherwise the
             dense law's (n+1)^(d-1)).
     """
     _check_pair(channel, comp, "likelihood-ratio atoms")
@@ -530,7 +531,7 @@ def _bd0(x: np.ndarray, mean) -> np.ndarray:
     return out
 
 
-def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None) -> np.ndarray:
+def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None, log: bool = False) -> np.ndarray:
     """Binomial(n, p) masses at the integer-valued floats K in [0, n], 0 < p < 1.
 
     `n` is an int, or an array of integer-valued floats shaped like K (one
@@ -540,19 +541,20 @@ def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None) -> np.ndarray:
     - bd0(K, n p) - bd0(n - K, n q)) / sqrt(2 pi K (n - K) / n), whose terms
     are small and do not cancel, so the relative accuracy holds far into the
     tails.  The end counts are q^n and p^n.  `stirlerr_table`, if given,
-    holds `_stirlerr` at 0, 1, ..., max(n) and is indexed instead.
+    holds `_stirlerr` at 0, 1, ..., max(n) and is indexed instead.  With
+    `log`, the log masses are returned, so no tail mass underflows.
     """
     q = 1.0 - p
     out = np.empty_like(K)
     first, last = K == 0.0, K == n
     inner = ~(first | last)
+    for end, log_p in ((first, math.log1p(-p)), (last, math.log(p))):
+        if np.ndim(n):
+            out[end] = n[end] * log_p if log else np.exp(n[end] * log_p)
+        else:
+            out[end] = n * log_p if log else math.exp(n * log_p)
     if np.ndim(n):
-        out[first] = np.exp(n[first] * math.log1p(-p))
-        out[last] = np.exp(n[last] * math.log(p))
         n = n[inner]
-    else:
-        out[first] = math.exp(n * math.log1p(-p))
-        out[last] = math.exp(n * math.log(p))
     x = K[inner]
     if stirlerr_table is None:
         stirlerr = _stirlerr
@@ -566,7 +568,7 @@ def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None) -> np.ndarray:
         - _bd0(n - x, n * q)
     )
     lf = _LOG_2PI + np.log(x) + np.log1p(-x / n)
-    out[inner] = np.exp(lc - 0.5 * lf)
+    out[inner] = lc - 0.5 * lf if log else np.exp(lc - 0.5 * lf)
     return out
 
 
@@ -578,54 +580,41 @@ def _binomial_window(n: int, p0: float) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=np.float64)
 
 
-def _add_symbol(parent: np.ndarray, row, count: np.ndarray, w: float, steps: np.ndarray, low: int = 1) -> np.ndarray:
-    """Degrees low..m of 1 + sum_j parent[j - 1, row] t^j times sum_i C(count, i) (w t / lam)^i, with
-    steps[u] = (u + 1) lam; that factor's coefficients are running products of ((count - u) / steps[u]) w,
-    so a parent without rows costs O(m).  With `row` a slice the result is parent[low - 1:] itself, updated
-    in place: no later term reads those rows."""
-    m = steps.size
-    out = parent[low - 1 :, row] if parent.size else np.zeros((m, count.size))
-    power = 1.0
-    for i in range(1, m + 1):
-        power = power * (((count - (i - 1)) / steps[i - 1]) * w)
-        for j in range(max(i, low), min(m, i + parent.shape[0]) + 1):
-            out[j - low] += parent[j - i - 1][row] * power if j > i else power
-    return out
+def _relabelled_w(channel: Channel) -> np.ndarray:
+    """The ratios w = W1/W0 with the symbols relabelled by decreasing W0, as in `_null_levels`."""
+    return score_stats(channel).w[np.argsort(-channel.W0, kind="stable")]
 
 
-def _canonical_cells(channel: Channel, n: int, cap: int, m: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Null masses and ratios L(N) = [t^m] prod_y (1 + w(y) t)^{N_y} / C(nm, m) of the k=0 pair, m messages per user.
+def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = False):
+    """The cells of Mult(N, W0), one symbol at a time, with their conditional binomial masses.
 
-    With the symbols relabelled by decreasing W0, the null law Mult(nm, W0)
+    With the symbols relabelled by decreasing W0, the null law Mult(N, W0)
     is a product of conditional binomials,
-    P(N) = prod_{j=d-1..1} Bin(N_j; nm - sum_{i>j} N_i, W0_j / sum_{i<=j} W0_i),
+    P(N) = prod_{j=d-1..1} Bin(N_j; N - sum_{i>j} N_i, W0_j / sum_{i<=j} W0_i),
     with N_0 what remains; every share is at most 1/2, so 1 - p does not
     cancel.  Each factor is `_binom_pmf`, vectorized over the cells built so
-    far.  N_j runs only over the window of its marginal Bin(nm, W0_j)
+    far.  N_j runs only over the window of its marginal Bin(N, W0_j)
     (`_binomial_window`), outside of which Hoeffding's inequality puts
     mass < e^-800, far below the smallest subnormal double.  Each level's
     cells are counted from the window lengths before its masses are
     evaluated, and EnumerationCapError is raised once they exceed `cap`.
-    Each level also carries its cells' nonnegative coefficients of degree 1..m
-    of prod (1 + w(y) t / lam)^{N_y} (`_add_symbol`; the last, degree m only);
-    lam^m ~ C(nm, m) keeps them on the scale of L, the degree-m one times
-    lam^m / C(nm, m).  At m = 1 lam = n and L = (1/n) sum_y N_y w(y).
+
+    Yields (row, K, rest, mass) for j = d-1, ..., 1: each cell's parent
+    among the previous level's cells (None at the first level), its count
+    N_j, the count N - sum_{i>=j} N_i left below j (N_0 at the last level),
+    and its conditional mass (its log with `log`).
     """
     order = np.argsort(-channel.W0, kind="stable")
-    d, W0, w, N = channel.d, channel.W0[order], score_stats(channel).w[order], n * m
+    d, W0 = channel.d, channel.W0[order]
     windows = [_binomial_window(N, float(W0[j])) for j in range(d - 1, 0, -1)]
-    what = f"k=0 law for n={n}, d={d}" if m == 1 else f"k=0 law for n={n}, m={m}, d={d}"
     share = W0 / np.cumsum(W0)
-    # lam on a 2^-20 grid: each step (u + 1) lam below 2^33 is exact, and lam^m / C(nm, m) takes one rounding
-    lam = round(N * math.exp((math.log(math.comb(N, m)) - m * math.log(N)) / m) * 2**20)
-    steps = np.arange(1, m + 1) * (lam / 2**20)
     K = windows[0]
     _check_cap(K.size, what, cap)
-    # at d >= 3 the cells far outnumber the nm + 1 values stirlerr is taken at
+    # at d >= 3 the cells far outnumber the N + 1 values stirlerr is taken at
     table = _stirlerr(np.arange(N + 1.0)) if d > 2 else None
-    p_null = _binom_pmf(K, N, float(W0[d - 1]), table)
-    coef = _add_symbol(np.empty((0, 1)), slice(None), K, w[d - 1], steps)
+    mass = _binom_pmf(K, N, float(W0[d - 1]), table, log)
     rest = N - K
+    yield None, K, rest, mass
     for j, window in zip(range(d - 2, 0, -1), windows[1:]):
         # each cell so far spawns the window counts that fit in what remains
         lo = window[0]
@@ -634,10 +623,22 @@ def _canonical_cells(channel: Channel, n: int, cap: int, m: int = 1) -> tuple[np
         row = np.repeat(np.arange(rest.size), length)
         K = lo + (np.arange(row.size) - np.repeat(np.cumsum(length) - length, length))
         rest = rest[row]
-        p_null = p_null[row] * _binom_pmf(K, rest, float(share[j]), table)
-        coef = _add_symbol(coef, row, K, w[j], steps)
+        mass = _binom_pmf(K, rest, float(share[j]), table, log)
         rest -= K
-    return p_null, _add_symbol(coef, slice(None), rest, w[0], steps, m)[0] * (lam**m / (math.comb(N, m) << 20 * m))
+        yield row, K, rest, mass
+
+
+def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Null masses and ratios L(N) = (1/n) sum_y N_y w(y) of the k=0 pair,
+    on the cells of `_null_levels` in their order."""
+    d, w = channel.d, _relabelled_w(channel)
+    levels = _null_levels(channel, n, cap, f"k=0 law for n={n}, d={d}")
+    _, K, rest, p_null = next(levels)
+    lr = (K / n) * w[d - 1]
+    for j, (row, K, rest, mass) in zip(range(d - 2, 0, -1), levels):
+        p_null = p_null[row] * mass
+        lr = lr[row] + (K / n) * w[j]
+    return p_null, (rest / n) * w[0] + lr
 
 
 def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:

@@ -8,7 +8,8 @@ elementary symmetric function of the ratios w(y):
     L(N) = [t^m] prod_y (1 + w(y) t)^{N_y}  /  C(nm, m),
 
 computed below exactly for the double ratios w, in integers, with one
-rounding at the end; the atoms take it from the closed-form k = 0 chain.
+rounding at the end.  The atoms take it in floating point on the cells of
+the closed-form k = 0 chain of Mult(nm, W0) (`_mm_cells`).
 Bundling the m messages into one super-symbol instead multiplies
 chi-squares, so the bundled Gaussian parameter dominates the unbundled one;
 `mm_gdp_compare` quantifies the gap.
@@ -17,18 +18,34 @@ chi-squares, so the bundled Gaussian parameter dominates the unbundled one;
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channels import Channel, score_stats
 from .errors import ValidationError
 from .exact_dist import (
+    _LOG2,
     DEFAULT_ATOM_CAP,
+    MIN_NULL_MASS,
     Composition,
     LrAtomization,
     _atomize,
     _canonical_cells,
+    _check_cap,
     _check_count,
     _check_histogram,
     _check_pair,
+    _null_levels,
+    _relabelled_w,
 )
+
+# Coefficients held at once by one array of a d = 2 block (512 KB).
+_BLOCK_COEFFICIENTS = 1 << 16
+
+# Rows of a block of the shared two-symbol product, and factors of a running
+# product between renormalizations: a row at most doubles a coefficient, and
+# 64 mantissas in [1/2, 1) multiply to a normal double.
+_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class MmComparison:
@@ -88,17 +105,168 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     return value
 
 
+def _renormalized(mant: np.ndarray, expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of coefficients mant 2^expo rescaled by powers of two so that each column's largest is below 1."""
+    top = np.frexp(mant.max(axis=0))[1]
+    return np.ldexp(mant, -top), expo + top
+
+
+def _coefficients(count: np.ndarray, w: float, tau: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees 0..m of (1 + (w / tau) t)^count at each count, as columns mant 2^expo.
+
+    Running products of the factors ((count - u) / (u + 1)) w / tau, with
+    mantissas and binary exponents kept apart (w and tau enter as their
+    frexp parts), so no power of a large or small ratio leaves the double
+    range; mantissas below 2^-1074 of their column's largest vanish.
+    """
+    (num, a), (den, b) = (math.frexp(w), math.frexp(tau)) if w != tau else ((1.0, 0), (1.0, 0))
+    u = np.arange(float(m))[:, None]
+    factor, step = np.frexp((((count - u) / (u + 1)) * num) / den)
+    mant = np.vstack((np.ones(count.size), factor))
+    expo = np.zeros(mant.shape, dtype=np.intc)
+    np.cumsum(step + (a - b), axis=0, out=expo[1:])
+    shift = np.zeros(count.size, dtype=np.intc)
+    for i in range(0, m, _BLOCK_ROWS):
+        mant[i], carry = np.frexp(mant[i])
+        expo[i] += carry
+        shift += carry
+        np.cumprod(mant[i : i + _BLOCK_ROWS + 1], axis=0, out=mant[i : i + _BLOCK_ROWS + 1])
+        expo[i + 1 : i + _BLOCK_ROWS + 1] += shift
+    top = np.where(mant != 0.0, expo, 0).max(axis=0)
+    return np.ldexp(mant, expo - top), top
+
+
+def _times(a: np.ndarray, ea: np.ndarray, b: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees 0..m of the column-wise products of two coefficient columns, renormalized."""
+    out = np.zeros_like(b)
+    for k in range(b.shape[0]):
+        for i in range(k + 1):
+            out[k] += a[k - i] * b[i]
+    return _renormalized(out, ea + eb)
+
+
+def _last_two_symbols(A, eA, rest, row, K, w1: float, w0: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Degree m of A[:, p] 2^eA[p] (1 + (w1 / tau) t)^K1 (1 + (w0 / tau) t)^r at the last level's cells
+    (p, K1) = (row, K), r = rest[p] - K1, with w0 / tau = 1 (or w0 = 0); returned as mant 2^expo per cell.
+
+    The last two factors E(r, K1) depend on the cell only through (r, K1),
+    so they are built once on that grid, degree by degree: with
+    (1 + t)^(r+1) = (1 + t)^r (1 + t), E_s(r) = B_s + sum_{r' < r} E_{s-1}(r'),
+    B the first factor.  Each prefix sum is taken error-free as a pair
+    hi + lo (the rounding error of each partial sum, exact by TwoSum, is
+    summed apart), in blocks of _BLOCK_ROWS values of r, between which
+    each column is rescaled by a power of two.  Each cell then costs one
+    (m + 1)-term sum.
+    """
+    F, expo = np.zeros(K.size), np.empty(K.size, dtype=np.int64)
+    if K.size == 0:
+        return F, expo
+    m, lo = A.shape[0] - 1, int(K[0])
+    hi_start, eE = _coefficients(np.arange(lo, K.max() + 1.0), w1, tau, m)
+    lo_start = np.zeros_like(hi_start)
+    col, r = (K - lo).astype(np.intp), (rest[row] - K).astype(np.intp)
+    by_block = np.argsort(r // _BLOCK_ROWS, kind="stable")
+    bounds = np.searchsorted(r[by_block] // _BLOCK_ROWS, np.arange(r.max() // _BLOCK_ROWS + 2))
+    for r0, cells in zip(range(0, int(r.max()) + 1, _BLOCK_ROWS), np.split(by_block, bounds[1:-1])):
+        # a column K1 is done once r0 > max_p rest[p] - K1
+        shape = (min(_BLOCK_ROWS, int(r.max()) + 1 - r0), min(hi_start.shape[1], int(rest.max()) - lo - r0 + 1))
+        hi_start, lo_start, eE = hi_start[:, : shape[1]], lo_start[:, : shape[1]], eE[: shape[1]]
+        at, prefix, total = (r[cells] - r0) * shape[1] + col[cells], row[cells], np.zeros(cells.size)
+        # E_{s-1} and E_s as hi + lo, and scratch
+        prev_hi, prev_lo, hi_part, lo_part, x, y, err, tmp = np.zeros((8, *shape))
+        for s in range(m + 1):
+            x[0], y[0] = hi_start[s], lo_start[s]
+            x[1:], y[1:] = (prev_hi[:-1], prev_lo[:-1]) if w0 and s else (0.0, 0.0)
+            np.cumsum(x, axis=0, out=hi_part)
+            # TwoSum of each partial sum hi[i - 1] + x[i] = hi[i]: the addend as rounded, z, then the error
+            z, e = err[1:], tmp[1:]
+            np.subtract(hi_part[1:], hi_part[:-1], out=z)
+            np.subtract(hi_part[:-1], np.subtract(hi_part[1:], z, out=e), out=e)
+            y[1:] += e
+            y[1:] += np.subtract(x[1:], z, out=z)
+            np.cumsum(y, axis=0, out=lo_part)
+            total += A[m - s, prefix] * np.add(hi_part, lo_part, out=tmp).ravel()[at]
+            prev_hi, hi_part, prev_lo, lo_part = hi_part, prev_hi, lo_part, prev_lo
+            hi_start[s], lo_start[s] = prev_hi[-1], prev_lo[-1]
+        F[cells], expo[cells] = total, eA[prefix] + eE[col[cells]]
+        # the next block starts at E(r0 + rows) = E(r0 + rows - 1) (1 + t), by TwoSum, rescaled
+        up_hi, up_lo = (np.vstack((np.zeros(shape[1]), part[:-1])) * float(w0 > 0.0) for part in (hi_start, lo_start))
+        carry = hi_start + up_hi
+        z = carry - hi_start
+        hi_start, lo_start = carry, lo_start + up_lo + ((hi_start - (carry - z)) + (up_hi - z))
+        top = np.frexp(hi_start.max(axis=0))[1]
+        hi_start, lo_start, eE = np.ldexp(hi_start, -top), np.ldexp(lo_start, -top), eE + top
+    return F, expo
+
+
+def _mm_cells(channel: Channel, n: int, m: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Null masses, alt masses and ratios of the m-message k=0 pair on the cells of `_null_levels`, m >= 2.
+
+    With t scaled by tau = w(y_0) (the symbol of largest W0; 1 if W1 never
+    sends it), L(N) = tau^m F(N) / C(nm, m) with F the degree-m coefficient
+    of prod_y (1 + (w(y) / tau) t)^{N_y}.  The prefix symbols y_{d-1}..y_2
+    carry each cell's coefficients of degree <= m as mantissas with one
+    binary exponent per cell (`_coefficients`, `_times`, O(m^2) per prefix
+    cell); the last two symbols are shared by prefixes left with the same
+    count (`_last_two_symbols`), or at d = 2 summed per cell, O(m) each.
+    Their (m + 1) coefficients a count are counted against `cap` too.  Null
+    masses are carried as logs, so a dropped cell's alt mass is
+    exp(log P + log L) even where P or L leaves the double range.
+    """
+    d, N, w = channel.d, n * m, _relabelled_w(channel)
+    tau = float(w[0]) or 1.0
+    what = f"k=0 law for n={n}, m={m}, d={d}"
+    levels = _null_levels(channel, N, cap, what, log=True)
+    _, K, rest, log_null = next(levels)
+    if d == 2:
+        F, expo = np.empty(K.size), np.empty(K.size, dtype=np.int64)
+        size = max(1, _BLOCK_COEFFICIENTS // (m + 1))
+        for at in (slice(i, i + size) for i in range(0, K.size, size)):
+            (a, ea), (b, eb) = _coefficients(K[at], float(w[1]), tau, m), _coefficients(rest[at], float(w[0]), tau, m)
+            F[at], expo[at] = np.einsum("ij,ij->j", a, b[::-1]), ea + eb
+    else:
+        _check_cap((m + 1) * K.size, what + " coefficients", cap)
+        A, eA = _coefficients(K, float(w[d - 1]), tau, m)
+        for j, (row, K, level_rest, mass) in zip(range(d - 2, 0, -1), levels):
+            log_null = log_null[row] + mass
+            span = K.size if j > 1 or not K.size else int(K.max() - K[0]) + 1
+            _check_cap((m + 1) * span, what + " coefficients", cap)
+            if j > 1:
+                A, eA = _times(A[:, row], eA[row], *_coefficients(K, float(w[j]), tau, m))
+            else:
+                F, expo = _last_two_symbols(A, eA, rest, row, K, float(w[1]), float(w[0]), tau)
+            rest = level_rest
+    # tau^m / C(nm, m) = num / den, taken as a mantissa in (1/2, 2) and a power of two
+    num, den = tau.as_integer_ratio()
+    num, den = num**m, den**m * math.comb(N, m)
+    shift = num.bit_length() - den.bit_length()
+    F = F * ((num << max(-shift, 0)) / (den << max(shift, 0)))
+    expo += shift
+    p_null = np.exp(log_null)
+    kept = p_null >= MIN_NULL_MASS
+    lr = np.zeros_like(F)
+    lr[kept] = np.ldexp(F[kept], expo[kept].astype(np.intc))
+    log_alt = np.log(F, out=np.full_like(F, -np.inf), where=F > 0.0) + expo * _LOG2 + log_null
+    return p_null, np.where(kept, lr * p_null, np.exp(log_alt)), lr
+
+
 def unbundled_lr_atoms(
     channel: Channel, n: int, m: int, cap: int = DEFAULT_ATOM_CAP
 ) -> LrAtomization:
     """Atomize the m-message pair: nm W0-messages against (n-1)m W0- and m W1-messages.
 
-    The null law and `unbundled_lr`'s ratio come from the closed-form k = 0
-    chain, as in `lr_atoms`; `cap` bounds the windowed cells of each level.
+    The cells are those of the conditional-binomial chain of Mult(nm, W0),
+    as for `lr_atoms` at k = 0 (its bits at m = 1), with the ratio
+    `unbundled_lr` from `_mm_cells` at m >= 2.  `cap` bounds the windowed
+    cells of each level and, at d >= 3, the m + 1 coefficients held for each
+    prefix cell and each count of the last window.
     """
     _check_pair(channel, Composition(n, 0), "unbundled atoms")
-    p_null, lr = _canonical_cells(channel, n, cap, _check_count("m", m))
-    return _atomize(n, 0, [(p_null, lr * p_null, lr)])
+    m = _check_count("m", m)
+    if m == 1:
+        p_null, lr = _canonical_cells(channel, n, cap)
+        return _atomize(n, 0, [(p_null, lr * p_null, lr)])
+    return _atomize(n, 0, [_mm_cells(channel, n, m, cap)])
 
 
 def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:

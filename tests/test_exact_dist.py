@@ -53,6 +53,7 @@ from shuffledp.exact_dist import (
     _merge_atoms,
     _ratio_table,
 )
+from shuffledp.multimessage import _mm_cells
 from conftest import fold_atoms, full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -315,8 +316,8 @@ def test_block_boundaries_keep_the_dict_fold_bits(monkeypatch, d, n, k, skewed):
 def test_unbundled_atoms_are_the_exact_ratios_on_the_dict_fold_cells(d, n, m, skewed):
     # the closed-form chain keeps the dict fold's cells: the same atoms and
     # dropped cells, masses to rounding, and each ratio within 2e-15 of the
-    # exact per-histogram ratio.  A dropped cell's alt mass is its null mass,
-    # a subnormal (4.06e-321 in the skewed case, about 3 digits), times L
+    # exact per-histogram ratio.  A dropped cell's alt mass comes from the
+    # logs of its null mass (4.06e-321 in the skewed case) and of L
     ch = _skewed_channel(d) if skewed else full_channel(np.random.default_rng(300 + d), d)
     _, null, alt = _dict_laws(ch, (n - 1) * m, 0, m)
     (lr, p_null, p_alt), dropped_null, dropped_alt = _dict_atoms(null, alt)
@@ -326,11 +327,62 @@ def test_unbundled_atoms_are_the_exact_ratios_on_the_dict_fold_cells(d, n, m, sk
     np.testing.assert_allclose(atoms.p_null, p_null, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(atoms.p_alt, p_alt, rtol=1e-12, atol=0.0)
     assert atoms.dropped_null_mass == pytest.approx(dropped_null, rel=1e-12, abs=0.0)
-    assert atoms.dropped_alt_mass == pytest.approx(dropped_alt, rel=1e-3, abs=0.0)
+    assert atoms.dropped_alt_mass == pytest.approx(dropped_alt, rel=1e-12, abs=0.0)
     kept = [h for h, p in null.items() if p >= MIN_NULL_MASS]
     exact = [unbundled_lr(ch, n, m, h) for h in kept]
     want = _merge_atoms(exact, [null[h] for h in kept], [alt[h] for h in kept])[0]
     np.testing.assert_allclose(atoms.lr, want, rtol=2e-15, atol=0.0)
+
+
+
+@pytest.mark.parametrize("W1_1", [1e-5, 0.5])
+def test_unbundled_dropped_alt_mass_beyond_the_double_range(W1_1):
+    # W0_1 = 1e-100 at n = 2, m = 4: the cells with 4 or more symbol-1
+    # messages hold null mass below 1e-396 and ratios above 1e300 (5e99^4 /
+    # C(8, 4)).  Their alt masses come from logs, so nothing overflows or
+    # warns, and the dropped alt mass is the dict fold's: about 1e-20 with
+    # W1_1 = 1e-5, where the atoms pass their check, and 1/16 with W1_1 = 1/2,
+    # where the atomization check refuses the pair (as it does the fold's)
+    ch = validate_channel([1.0 - 1e-100, 1e-100], [1.0 - W1_1, W1_1])
+    dropped_alt = _dict_atoms(*_dict_laws(ch, 4, 0, 4)[1:])[2]
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        p_null, p_alt, _ = _mm_cells(ch, 2, 4, DEFAULT_ATOM_CAP)
+        dropped = p_null < MIN_NULL_MASS
+        assert _fsum(p_alt[dropped]) == pytest.approx(dropped_alt, rel=1e-12, abs=0.0)
+        if W1_1 < 1e-3:
+            assert unbundled_lr_atoms(ch, 2, 4).dropped_alt_mass == pytest.approx(dropped_alt, rel=1e-12, abs=0.0)
+        else:
+            assert dropped_alt == pytest.approx(1 / 16, rel=1e-12)
+            with pytest.raises(InternalInvariantError, match="alt mass"):
+                unbundled_lr_atoms(ch, 2, 4)
+
+
+
+def test_unbundled_ratios_at_d3_with_many_more_messages_than_users():
+    # d = 3, n = 2, m = 60, where an O(m^2) product per cell loses to the
+    # dense fold's O(nm): the last two symbols' factors are built once per
+    # (count left, N_1) and shared, O(m) a cell.  Sampled kept cells hold the
+    # exact ratio within 4e-15, and a dropped cell's alt mass matches L P
+    # wherever both are normal doubles
+    ch, n, m = full_channel(np.random.default_rng(5), 3), 2, 60
+    p_null, p_alt, lr = _mm_cells(ch, n, m, DEFAULT_ATOM_CAP)
+    hists = _box_cells(ch, n * m)
+    kept = np.flatnonzero(p_null >= MIN_NULL_MASS)
+    assert hists.shape[0] == p_null.size and kept.size > 5000
+    for i in np.random.default_rng(8).choice(kept, 60, replace=False).tolist():
+        assert lr[i] == pytest.approx(unbundled_lr(ch, n, m, hists[i].tolist()), rel=4e-15, abs=0.0)
+    assert np.array_equal(p_alt[kept], lr[kept] * p_null[kept])
+
+
+def test_unbundled_memory_at_many_messages_per_user_is_linear_in_cells():
+    # d = 3, n = 2, m = 100: C(202, 2) = 20,301 cells.  Only the last
+    # window's m + 1 coefficients a count and a block of 64 counts left are
+    # held besides the cells' own arrays; a coefficient array per cell, as
+    # the O(m^2) chain held, would alone take 8 (m + 1) B a cell
+    ch, n, m = full_channel(np.random.default_rng(7), 3), 2, 100
+    cells = math.comb(n * m + 2, 2)
+    assert _peak_bytes(lambda: unbundled_lr_atoms(ch, n, m)) < 200 * cells + 64 * (m + 1) * (n * m + 1)
 
 
 def _merge_atoms_reference(lr, p_null, p_alt, rel_tol=MERGE_REL_TOL):

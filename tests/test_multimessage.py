@@ -223,6 +223,11 @@ def test_unbundled_atoms_cap():
     ch = full_channel(np.random.default_rng(3), 4)
     with pytest.raises(EnumerationCapError):
         unbundled_lr_atoms(ch, 40, 3, cap=100)
+    # d = 3, n = 1, m = 100: 5,151 cells fit a cap of 6,000, but the m + 1
+    # coefficients of each of the 101 counts of a window do not
+    ch = full_channel(np.random.default_rng(3), 3)
+    with pytest.raises(EnumerationCapError, match="coefficients has 10201 cells > cap 6000"):
+        unbundled_lr_atoms(ch, 1, 100, cap=6000)
 
 
 def test_more_messages_leak_more():
