@@ -12,8 +12,10 @@ closed form, k > 0 through the dense pair), `unbundled_lr_atoms` at m
 messages per user, `divergences` of the `lr_atoms` atoms at (n, k) (built
 before the timing), `conditional_score` at one histogram (the mean
 histogram rounded down, its last count what remains), which builds the
-pair's ratio table, or `sample_privacy_loss` of `reps` draws under the alt
-law with seed 7 on `workers` threads.  For each it reports the minimum of
+pair's ratio table, `sample_privacy_loss` of `reps` draws under the alt
+law with seed 7 on `workers` threads, `chernoff_curve` on a grid of 64 eps
+from 0 to log w_max, or `chernoff_delta` at each eps of that grid, one call
+each (64 calls).  For each it reports the minimum of
 five wall times of one call and the minimum `tracemalloc` peak of five
 further calls, all after a warm-up call, so lazily imported modules and
 first-call allocations are not counted.  At two workers the peak still
@@ -37,6 +39,7 @@ two checkouts cell by cell.
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -53,11 +56,14 @@ from shuffledp import (
     Hypothesis,
     SimConfig,
     channel_to_json,
+    chernoff_curve,
+    chernoff_delta,
     conditional_score,
     divergences,
     lr_atoms,
     mean_histogram,
     sample_privacy_loss,
+    score_stats,
     unbundled_lr_atoms,
     validate_channel,
 )
@@ -94,6 +100,10 @@ CELLS = (
     ("conditional_score", 3, 190, 63, 1, None, None),
     ("conditional_score", 4, 59, 19, 1, None, None),
     ("conditional_score", 2, 20000, 6666, 1, None, None),
+    ("chernoff_curve", 2, 950000, 0, 1, None, None),
+    ("chernoff_curve", 3, 2000, 0, 1, None, None),
+    ("chernoff_delta", 2, 950000, 0, 1, None, None),
+    ("chernoff_delta", 3, 2000, 0, 1, None, None),
 ) + tuple(
     ("sample_privacy_loss", d, n, k, 1, 10_000 if n <= 1900 else 1_000, workers)
     for d in (2, 3, 4)
@@ -131,6 +141,20 @@ def _conditional_score(ch, n, k, m, reps, workers):
     return lambda: conditional_score(ch, comp, histogram.tolist())
 
 
+def _chernoff_grid(ch) -> np.ndarray:
+    return np.linspace(0.0, math.log(score_stats(ch).w_max), 64)
+
+
+def _chernoff_curve(ch, n, k, m, reps, workers):
+    eps = _chernoff_grid(ch)
+    return lambda: chernoff_curve(ch, n, eps)
+
+
+def _chernoff_delta(ch, n, k, m, reps, workers):
+    eps = _chernoff_grid(ch).tolist()
+    return lambda: [chernoff_delta(ch, n, e) for e in eps]
+
+
 # layer -> the cell's timed call; what the call reads is built before the timing
 LAYERS = {
     "lr_atoms": lambda ch, n, k, m, reps, workers: lambda: lr_atoms(ch, Composition(n, k)),
@@ -140,6 +164,8 @@ LAYERS = {
     "sample_privacy_loss": lambda ch, n, k, m, reps, workers: lambda: sample_privacy_loss(
         ch, Composition(n, k), Hypothesis.ALT, SimConfig(seed=SEED, reps=reps, workers=workers)
     ),
+    "chernoff_curve": _chernoff_curve,
+    "chernoff_delta": _chernoff_delta,
 }
 
 

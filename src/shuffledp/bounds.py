@@ -3,7 +3,8 @@
 The forward curve of the canonical pair is E[(U_n - tau)_+] with
 tau = e^eps - 1 and U_n the mean of n iid centered scores, so a Chernoff
 argument bounds it by exp(-lambda n tau) M(lambda)^(n-1) (M + M')(lambda)
-for every lambda > 0; the evaluator below minimizes the log of that bound.
+for every lambda > 0.  The log of that bound is convex in lambda, so the
+evaluator below minimizes it by a fixed-count bisection on its slope.
 A cruder Hoeffding-style bound covers the m-message (unbundled) curve.
 """
 
@@ -16,13 +17,12 @@ import numpy as np
 from .channels import Channel, score_stats
 from .exact_dist import PrivacyCurve, Sidedness, _check_count, _check_eps, _check_eps_grid
 
-# Stop expanding the bracket once lambda * max|r| would overflow exp().
+# The search brackets the minimizer by [0, lam_cap], where lam_cap * max|r| is
+# this: exp() of lam * r stays far from overflow anywhere in the bracket.
 _EXP_ARG_CAP = 700.0
 
-# Golden-section refinement runs down to this interval width.
-_GOLDEN_WIDTH = 1e-10
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# The bisection halves the bracket down to this width.
+_LAM_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,26 +42,20 @@ class ChernoffEvaluation:
     bound: float
 
 
-def _lse_rows(a: np.ndarray) -> np.ndarray:
-    """Stable log-sum-exp of each row of a 2-d array of finite entries."""
-    m = a.max(axis=1)
-    s = np.exp(a - m[:, None]).sum(axis=1)
-    return m + np.fromiter(map(math.log, s.tolist()), np.float64, s.size)
-
-
 def _chernoff_search(channel: Channel, n: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimizer lam and minimized exponent of g at every tau, in lockstep.
 
-    g(lam) = -lam n tau + (n-1) log M(lam) + log (M + M')(lam) is minimized
-    over lam > 0: the bracket doubles lam from 1 until g has increased on
-    three consecutive doublings (or the overflow guard trips), then a
-    golden-section search refines to width 1e-10.  Each tau keeps its own
-    bracket and search state and leaves the loop when its search is done,
-    so every entry takes exactly the steps a search of its own would take.
-    Entries with tau >= max_y r(y) get lam = NaN and exponent -inf.
+    g(lam) = -lam n tau + (n-1) log M(lam) + log (M + M')(lam) is convex, a
+    sum of log moment generating functions, so its slope
+    g'(lam) = -n tau + (n-1) E_0,lam[r] + E_1,lam[r] (means of r under W0
+    and W1 tilted by e^{lam r}) increases: bisecting [0, lam_cap] on the
+    sign of g' finds the minimizer, or lam_cap when g' < 0 up to there.
+    Every tau takes the same ceil(log2(lam_cap / 1e-10)) halvings, so an
+    entry's bits do not depend on the grid around it, and g is evaluated
+    once, at the last midpoint.  Entries with tau >= max_y r(y) get
+    lam = NaN and exponent -inf.
     """
-    stats = score_stats(channel)
-    r = stats.r
+    r = score_stats(channel).r
     r_max = float(r.max())
     lam = np.full(tau.size, math.nan)
     log_bound = np.full(tau.size, -math.inf)
@@ -71,56 +65,32 @@ def _chernoff_search(channel: Channel, n: int, tau: np.ndarray) -> tuple[np.ndar
 
     # Per-channel pieces of the two log moment generating functions; the
     # sum M + M' collapses to the alt-law moment sum_y W1(y) e^{lam r(y)}.
-    log_w0 = np.log(channel.W0)
     pos = channel.W1 > 0.0
-    log_w1_pos = np.log(channel.W1[pos])
-    r_pos = r[pos]
+    laws = ((np.log(channel.W0), r), (np.log(channel.W1[pos]), r[pos]))
     n_f, n1_f = float(n), float(n - 1)
 
-    def g(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        log_m = _lse_rows(log_w0 + x[:, None] * r)
-        log_m_plus = _lse_rows(log_w1_pos + x[:, None] * r_pos)
-        return -x * n_f * t + n1_f * log_m + log_m_plus
+    def tilt(x: np.ndarray, log_w: np.ndarray, rr: np.ndarray):
+        """Per entry of x: max of log_w + x r, the sum of exp of the rest, and E[r] tilted."""
+        a = log_w + x[:, None] * rr
+        top = a.max(axis=1)
+        e = np.exp(a - top[:, None])
+        s = e.sum(axis=1)
+        return top, s, (e * rr).sum(axis=1) / s  # not a matmul: one row would round differently
 
     t = tau[live]
     lam_cap = _EXP_ARG_CAP / max(float(np.max(np.abs(r))), 1e-300)
-    # Every bracket doubles the same lam from 1, so one value serves them all.
-    step = 1.0
-    hi = np.full(t.size, step)
-    going = np.arange(t.size)
-    prev = g(hi, t)
-    increases = np.zeros(t.size, dtype=np.int64)
-    while going.size and step < lam_cap:
-        step = min(2.0 * step, lam_cap)
-        cur = g(np.full(going.size, step), t[going])
-        increases = np.where(cur > prev, increases + 1, 0)
-        hi[going] = step
-        keep = increases < 3
-        going, prev, increases = going[keep], cur[keep], increases[keep]
-
-    # Golden section on [0, hi]; the state holds the entries still refining.
-    lam_star = np.empty(t.size)
-    idx, tt, a, b = np.arange(t.size), t, np.zeros(t.size), hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = g(x1, tt), g(x2, tt)
-    while True:
-        done = ~(b - a > _GOLDEN_WIDTH)
-        if done.any():
-            lam_star[idx[done]] = 0.5 * (a[done] + b[done])
-            keep = ~done
-            idx, tt, a, b, x1, x2, f1, f2 = (v[keep] for v in (idx, tt, a, b, x1, x2, f1, f2))
-            if idx.size == 0:
-                break
-        # f1 <= f2: the minimum lies in [a, x2] and x1 becomes the new x2;
-        # otherwise it lies in [x1, b] and x2 becomes the new x1
-        left = f1 <= f2
-        a, b = np.where(left, a, x1), np.where(left, x2, b)
-        probe = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        fp = g(probe, tt)
-        x1, x2 = np.where(left, probe, x2), np.where(left, x1, probe)
-        f1, f2 = np.where(left, fp, f2), np.where(left, f1, fp)
-    g_star = g(lam_star, t)
+    lo, hi = np.zeros(t.size), np.full(t.size, lam_cap)
+    for _ in range(math.ceil(math.log2(lam_cap / _LAM_WIDTH))):
+        mid = 0.5 * (lo + hi)
+        (_, _, mean0), (_, _, mean1) = (tilt(mid, *law) for law in laws)
+        rising = -n_f * t + n1_f * mean0 + mean1 > 0.0
+        lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
+    lam_star = 0.5 * (lo + hi)
+    log_m, log_m_plus = (
+        top + np.fromiter(map(math.log, s.tolist()), np.float64, s.size)
+        for top, s, _ in (tilt(lam_star, *law) for law in laws)
+    )
+    g_star = -lam_star * n_f * t + n1_f * log_m + log_m_plus
     lam[live] = lam_star
     log_bound[live] = np.where(g_star > 0.0, 0.0, g_star)  # lam -> 0+ gives the trivial bound 1
     return lam, log_bound

@@ -21,6 +21,7 @@ import enum
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,10 +196,13 @@ class ResidualSummary:
 def _check_count(name: str, value, minimum: int = 1) -> int:
     """A count must be an integer (not a bool) >= minimum; NaN and 2.5 fail.
 
-    Returns it as a Python int, so numpy integers cannot overflow later.
+    It must also convert to a double, which the bounds and asymptotics take
+    it as.  Returns it as a Python int, so numpy integers cannot overflow later.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value > sys.float_info.max:
+        raise ValidationError(f"{name} must be at most {sys.float_info.max!r}, got {value!r}")
     return int(value)
 
 
@@ -430,7 +434,8 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
     A block holds the null and alt masses of its cells and, for the
     closed-form k = 0 cells, their ratios.  The one drop rule: cells with
     null mass below MIN_NULL_MASS are left out, their positive masses summed
-    (`_fsum`).  Folded cells get alt / null after the join, so they take
+    (`_fsum`); a pair whose dropped alt mass is above _MASS_TOL is refused.
+    Folded cells get alt / null after the join, so they take
     16 B each until the merge, which holds the only reference to the ratios.
     """
     kept, dropped = [], []
@@ -442,6 +447,11 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
     p_null, p_alt, *lr = (np.concatenate(cells) for cells in zip(*kept))
     del kept
     dropped_null, dropped_alt = (_fsum(np.concatenate(masses)) for masses in zip(*dropped))
+    if not dropped_alt <= _MASS_TOL:
+        raise ValidationError(
+            f"the alt law puts mass {dropped_alt!r} (more than {_MASS_TOL}) on cells whose null"
+            " mass is below the smallest normal double, where no ratio can be computed"
+        )
     lr, p_null, p_alt = _merge_atoms(lr.pop() if lr else p_alt / p_null, p_null, p_alt)
     atoms = LrAtomization(n, k, lr, p_null, p_alt, dropped_null_mass=dropped_null, dropped_alt_mass=dropped_alt)
     _check_atomization(atoms)

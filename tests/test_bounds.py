@@ -17,27 +17,22 @@ from shuffledp import (
     rr_channel,
     unbundled_hoeffding_delta,
     unbundled_lr_atoms,
+    validate_channel,
 )
-from shuffledp.bounds import _EXP_ARG_CAP, _GOLDEN_WIDTH, _INV_PHI
+from shuffledp.bounds import _EXP_ARG_CAP, _LAM_WIDTH
 from shuffledp.channels import score_stats
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
 
 
-def _lse(a: np.ndarray) -> float:
-    m = a.max()
-    return float(m) + math.log(float(np.exp(a - m).sum()))
-
-
 def scalar_chernoff(channel, n: int, eps: float) -> tuple:
     """Reference search for one eps: (lam, log_bound, bound, hit_cap).
 
-    The one-eps-at-a-time form of the lockstep search in `bounds`: the
-    bracket doubles lam from 1 until g has increased on three consecutive
-    doublings or reaches the overflow guard, then a golden-section search
-    refines to width 1e-10.  `hit_cap` tells whether the guard cut the
-    bracket.
+    The one-eps-at-a-time form of the lockstep search in `bounds`: a
+    bisection of [0, lam_cap] on the sign of the slope of g, halved down to
+    width 1e-10, then g at the last midpoint.  `hit_cap` tells whether the
+    slope stayed negative up to the overflow guard lam_cap.
     """
     stats = score_stats(channel)
     tau = math.expm1(eps)
@@ -45,43 +40,29 @@ def scalar_chernoff(channel, n: int, eps: float) -> tuple:
     if tau >= r_max - 1e-12 * max(1.0, r_max):
         return math.nan, -math.inf, 0.0, False
     r = stats.r
-    log_w0 = np.log(channel.W0)
     pos = channel.W1 > 0.0
-    log_w1_pos = np.log(channel.W1[pos])
-    r_pos = r[pos]
+    laws = ((np.log(channel.W0), r), (np.log(channel.W1[pos]), r[pos]))
 
-    def g(lam: float) -> float:
-        log_m = _lse(log_w0 + lam * r)
-        log_m_plus = _lse(log_w1_pos + lam * r_pos)
-        return -lam * n * tau + (n - 1) * log_m + log_m_plus
+    def tilt(lam: float, log_w: np.ndarray, rr: np.ndarray) -> tuple:
+        a = log_w + lam * rr
+        top = a.max()
+        e = np.exp(a - top)
+        s = e.sum()
+        return float(top) + math.log(float(s)), float((e * rr).sum() / s)
 
     lam_cap = _EXP_ARG_CAP / max(float(np.max(np.abs(r))), 1e-300)
-    hi = 1.0
-    prev = g(hi)
-    increases = 0
-    while increases < 3 and hi < lam_cap:
-        hi = min(2.0 * hi, lam_cap)
-        cur = g(hi)
-        increases = increases + 1 if cur > prev else 0
-        prev = cur
-    hit_cap = increases < 3
-
-    a, b = 0.0, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = g(x1), g(x2)
-    while b - a > _GOLDEN_WIDTH:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = g(x1)
+    lo, hi = 0.0, lam_cap
+    for _ in range(math.ceil(math.log2(lam_cap / _LAM_WIDTH))):
+        mid = 0.5 * (lo + hi)
+        (_, mean0), (_, mean1) = (tilt(mid, *law) for law in laws)
+        if -n * tau + (n - 1) * mean0 + mean1 > 0.0:
+            hi = mid
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = g(x2)
-    lam_star = 0.5 * (a + b)
-    log_bound = min(g(lam_star), 0.0)
-    return lam_star, log_bound, min(1.0, math.exp(log_bound)), hit_cap
+            lo = mid
+    lam_star = 0.5 * (lo + hi)
+    (log_m, _), (log_m_plus, _) = (tilt(lam_star, *law) for law in laws)
+    log_bound = min(-lam_star * n * tau + (n - 1) * log_m + log_m_plus, 0.0)
+    return lam_star, log_bound, min(1.0, math.exp(log_bound)), hi == lam_cap
 
 
 def test_chernoff_trivial_at_eps_zero():
@@ -143,19 +124,31 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
+# Two nearly equal top scores: just below log w_max the minimizer of g lies
+# past the bracket's end lam_cap = 700 / max|r|
+CAPPED = validate_channel([0.4, 0.3, 0.3], [1.0 - 0.45 * (2.0 + 1e-4), 0.45, 0.45 * (1.0 + 1e-4)])
+
+
+def _near_top(ch) -> np.ndarray:
+    return math.log(score_stats(ch).w_max) * np.linspace(0.99999, 1.0 - 1e-11, 8)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_chernoff_curve_is_the_scalar_search_bit_for_bit(seed):
     # random FULL channels (d = 2, 3, 4 and 9; d >= 8 takes numpy's unrolled
     # row sum)
     # and rr channels whose lam cap is below 2 or even 1, at n from 1 to 2e6,
-    # on grids that run past log w_max and hit it exactly
+    # on grids that run past log w_max and hit it exactly; and a channel
+    # whose minimizer sits at the bracket's end just below log w_max
     rng = np.random.default_rng(500 + seed)
     cases = [(full_channel(rng, d), n) for d in (2, 3, 4, 9) for n in (1, 37, 950000)]
     cases += [(rr_channel(eps0), n) for eps0 in (0.05, 1.1, 6.0, 7.5) for n in (2, 2_000_000)]
+    grids = [np.append(np.linspace(0.0, 1.2 * top, 22), [top, top * (1.0 - 1e-13)])
+             for top in (math.log(score_stats(ch).w_max) for ch, _ in cases)]
+    cases += [(CAPPED, 5), (CAPPED, 40)]
+    grids += [_near_top(CAPPED)] * 2
     caps = zeros = 0
-    for ch, n in cases:
-        top = math.log(score_stats(ch).w_max)
-        eps = np.append(np.linspace(0.0, 1.2 * top, 22), [top, top * (1.0 - 1e-13)])
+    for (ch, n), eps in zip(cases, grids):
         ref = [scalar_chernoff(ch, n, float(e)) for e in eps]
         got = chernoff_curve(ch, n, eps)
         assert np.array_equal(_bits(got.delta), _bits([r[2] for r in ref]))
@@ -167,6 +160,19 @@ def test_chernoff_curve_is_the_scalar_search_bit_for_bit(seed):
         caps += sum(r[3] for r in ref)
         zeros += sum(r[2] == 0.0 and math.isnan(r[0]) for r in ref)
     assert caps > 0 and zeros > 0
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_chernoff_minimizer_at_the_bracket_end_dominates_exact(n):
+    # the slope of g is negative on all of [0, lam_cap]: the search ends at
+    # lam_cap, and the bound there is still above the exact curve
+    eps = _near_top(CAPPED)
+    lam_cap = _EXP_ARG_CAP / float(np.max(np.abs(score_stats(CAPPED).r)))
+    exact = privacy_curve(lr_atoms(CAPPED, Composition(n, 0)), eps).delta
+    for e, x in zip(eps, exact):
+        ev = chernoff_delta(CAPPED, n, float(e))
+        assert lam_cap - _LAM_WIDTH <= ev.lam < lam_cap
+        assert ev.bound >= x
 
 
 def test_chernoff_curve_on_a_grid_past_the_support():

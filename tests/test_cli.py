@@ -164,20 +164,35 @@ def test_exit_codes(rr3_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("engine, code", [("exact", 0), ("binomial", 0), ("gdp", 2), ("chernoff", 0)])
-def test_curve_beyond_the_exp_range(engine, code, rr3_file):
-    # e^eps overflows a double above eps = log(DBL_MAX) ~ 709.78: the exact
-    # and Chernoff curves are exactly 0 there, with no warning, and the
-    # Gaussian curve, whose two terms cannot be formed, is refused (exit 2)
-    argv = ["curve", "--channel", rr3_file, "--n", "100", "--engine", engine, "--eps", "1,800"]
+def _run_cli(*argv) -> subprocess.CompletedProcess:
+    """`python -m shuffledp.cli *argv` in a fresh process that imports this checkout's src."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "shuffledp.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
         timeout=120,
     )
+
+
+def test_curve_refuses_alt_mass_on_underflowed_cells(tmp_path):
+    # W0 = [1, 1e-308] at n = 1: the alt law puts 1/2 on the cell whose null
+    # mass is subnormal, so no ratio exists for it; an input error (exit 2)
+    path = tmp_path / "tiny.json"
+    path.write_text(channel_to_json(validate_channel([1.0, 1e-308], [0.5, 0.5])))
+    out = _run_cli("curve", "--channel", str(path), "--n", "1")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.splitlines()[-1].startswith("error: the alt law puts mass 0.4999")
+
+
+@pytest.mark.parametrize("engine, code", [("exact", 0), ("binomial", 0), ("gdp", 2), ("chernoff", 0)])
+def test_curve_beyond_the_exp_range(engine, code, rr3_file):
+    # e^eps overflows a double above eps = log(DBL_MAX) ~ 709.78: the exact
+    # and Chernoff curves are exactly 0 there, with no warning, and the
+    # Gaussian curve, whose two terms cannot be formed, is refused (exit 2)
+    argv = ["curve", "--channel", rr3_file, "--n", "100", "--engine", engine, "--eps", "1,800"]
+    out = _run_cli(*argv)
     assert out.returncode == code
     if engine == "gdp":
         assert (out.stdout, out.stderr) == (
@@ -200,16 +215,16 @@ def test_report_refuses_m_beyond_the_double_range(tmp_path):
     # rr 1.1: exit 2 and one error line, not an OverflowError traceback
     path = tmp_path / "rr.json"
     path.write_text(channel_to_json(rr_channel(1.1)))
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    out = subprocess.run(
-        [sys.executable, "-m", "shuffledp.cli", "report", "--channel", str(path), "--n", "100", "--m", "2000"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
-        timeout=120,
-    )
+    out = _run_cli("report", "--channel", str(path), "--n", "100", "--m", "2000")
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == "error: bundled comparison: (1 + chi2)^m overflows above m = 836, got m=2000\n"
+
+
+def test_report_refuses_a_count_beyond_the_double_range(rr3_file):
+    # m = 10^400 does not convert to a double: exit 2 and one error line
+    out = _run_cli("report", "--channel", rr3_file, "--n", "100", "--m", str(10**400))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"error: m must be at most 1.7976931348623157e+308, got {10**400}\n"
 
 
 def test_report_contents(rr3_file, capsys):
@@ -435,12 +450,12 @@ PINNED = {
     ),
     "curve-chernoff-csv": (
         ["curve", "--channel", "rr.json", "--n", "950000", "--engine", "chernoff"],
-        "40b090b7b11e38bea65119717357d2ef3a5d123cb9ceac6900f7ea4f7ea7ac47",
+        "1218718f4fa42cf72d0945f6ed95b13fdd828544bb92549bf1e73864800cbb72",
     ),
     "curve-chernoff-json": (
         ["curve", "--channel", "d3.json", "--n", "2000", "--engine", "chernoff", "--format",
          "json"],
-        "c3f80bdb90dd5d62fc348f06499977991a2f3cc60bf1b020690c70d231990b40",
+        "1d28e74de9bdda2b2323619ffcdf0fda49ed4693c9247b10cf45bcf44bcfda19",
     ),
     "curve-reverse-null-support": (
         ["curve", "--channel", "ns.json", "--n", "6", "--sidedness", "reverse", "--eps",
