@@ -52,6 +52,7 @@ def main(argv=None) -> int:
         }
         rows.append((n, mu, ks[Hypothesis.NULL], ks[Hypothesis.ALT]))
         print(f"{n:>8d} {mu:>12.6f} {ks[Hypothesis.NULL]:>12.3e} {ks[Hypothesis.ALT]:>12.3e}")
+        del atoms, ks  # so the next n's atoms are not built while these are held
 
     slope_null = rate_exponent([(n, v) for n, _, v, _ in rows])
     slope_alt = rate_exponent([(n, v) for n, _, _, v in rows])

@@ -10,7 +10,8 @@ Usage (from the repository root, against the checkout on PYTHONPATH):
 Each cell times one call of its layer: `lr_atoms` at (n, k) (k = 0 in
 closed form, k > 0 through the dense pair), `unbundled_lr_atoms` at m
 messages per user, `divergences` of the `lr_atoms` atoms at (n, k) (built
-before the timing), `conditional_score` at one histogram (the mean
+before the timing), `_jsd` and `kolmogorov_to_gaussian` (null hypothesis,
+mu of `gdp_mu`) of the k = 0 atoms, `conditional_score` at one histogram (the mean
 histogram rounded down, its last count what remains), which builds the
 pair's ratio table, `sample_privacy_loss` of `reps` draws under the alt
 law with seed 7 on `workers` threads, `chernoff_curve` on a grid of 64 eps
@@ -28,9 +29,12 @@ The `process` cells (left out by --smallest) time what in-process cells
 cannot: interpreter start-up, imports and exit.  Each runs one command in
 fresh interpreters, which inherit this process's environment (so the
 package on PYTHONPATH is the one they load): the bare interpreter
-(`-c pass`), `-c "import shuffledp.cli"`, and three `python -m
+(`-c pass`), `-c "import shuffledp.cli"`, three `python -m
 shuffledp.cli` jobs on the d = 3 channel: the exact `curve` at n = 190,
-k = 63, `report` at n = 190, and `curve --engine gdp` at n = 950000.  A
+k = 63, `report` at n = 190, and `curve --engine gdp` at n = 950000,
+`report` at n = 950000, m = 2 on randomized response at eps0 = 1.1, and
+`scripts/gdp_rate_study.py` at n = 110000, 300000, 950000 (the script
+beside the package on PYTHONPATH, so each side runs its own).  A
 cell reports the minimum wall time of five processes after a warm-up one,
 and the minimum of their peak RSS (`ru_maxrss`, in MiB as perfbench
 reports it) as `peak_mb`.  `scripts/bench_summary.py` joins the sweeps of
@@ -60,13 +64,17 @@ from shuffledp import (
     chernoff_delta,
     conditional_score,
     divergences,
+    gdp_mu,
+    kolmogorov_to_gaussian,
     lr_atoms,
     mean_histogram,
+    rr_channel,
     sample_privacy_loss,
     score_stats,
     unbundled_lr_atoms,
     validate_channel,
 )
+from shuffledp.exact_dist import _jsd
 
 REPEATS = 5
 SEED = 7
@@ -83,8 +91,13 @@ CELLS = (
     ("lr_atoms", 4, 59, 19, 1, None, None),
     ("lr_atoms", 4, 90, 30, 1, None, None),
     ("lr_atoms", 2, 20000, 6666, 1, None, None),
+    ("lr_atoms", 2, 110000, 0, 1, None, None),
+    ("lr_atoms", 2, 300000, 0, 1, None, None),
     ("lr_atoms", 2, 950000, 0, 1, None, None),
+    ("lr_atoms", 3, 190, 0, 1, None, None),
     ("lr_atoms", 3, 1000, 0, 1, None, None),
+    ("lr_atoms", 3, 1400, 0, 1, None, None),
+    ("lr_atoms", 4, 60, 0, 1, None, None),
     ("lr_atoms", 4, 120, 0, 1, None, None),
     ("lr_atoms", 5, 40, 0, 1, None, None),
     ("unbundled_lr_atoms", 2, 150, 0, 4, None, None),
@@ -97,6 +110,8 @@ CELLS = (
     ("unbundled_lr_atoms", 3, 4, 0, 200, None, None),
     ("divergences", 2, 950000, 0, 1, None, None),
     ("divergences", 3, 1000, 0, 1, None, None),
+    ("_jsd", 2, 950000, 0, 1, None, None),
+    ("kolmogorov_to_gaussian", 2, 950000, 0, 1, None, None),
     ("conditional_score", 3, 190, 63, 1, None, None),
     ("conditional_score", 4, 59, 19, 1, None, None),
     ("conditional_score", 2, 20000, 6666, 1, None, None),
@@ -113,7 +128,9 @@ CELLS = (
     if k == 0 or n <= MAX_TABLE_N[d]
 )
 
-# command -> interpreter arguments of the `process` cells; {channel} is the d = 3 channel file
+# command -> interpreter arguments of the `process` cells; {channel} is the d = 3
+# channel file, {rr} that of randomized response at eps0 = 1.1 and {scripts} the
+# scripts directory beside the package on PYTHONPATH (src/shuffledp/../../scripts)
 PROCESSES = {
     "python -c pass": ["-c", "pass"],
     "python -c 'import shuffledp.cli'": ["-c", "import shuffledp.cli"],
@@ -126,12 +143,28 @@ PROCESSES = {
     "python -m shuffledp.cli curve --engine gdp d=3 n=950000": [
         "-m", "shuffledp.cli", "curve", "--channel", "{channel}", "--n", "950000", "--engine", "gdp"
     ],
+    "python -m shuffledp.cli report rr d=2 n=950000 m=2": [
+        "-m", "shuffledp.cli", "report", "--channel", "{rr}", "--n", "950000", "--m", "2"
+    ],
+    "python scripts/gdp_rate_study.py --n 110000,300000,950000": [
+        "{scripts}/gdp_rate_study.py", "--n", "110000,300000,950000"
+    ],
 }
 
 
 def _divergences(ch, n, k, m, reps, workers):
     atoms = lr_atoms(ch, Composition(n, k))
     return lambda: divergences(atoms)
+
+
+def _jsd_cell(ch, n, k, m, reps, workers):
+    atoms = lr_atoms(ch, Composition(n, 0))
+    return lambda: _jsd(atoms)
+
+
+def _kolmogorov(ch, n, k, m, reps, workers):
+    atoms, mu = lr_atoms(ch, Composition(n, 0)), gdp_mu(ch, n).mu
+    return lambda: kolmogorov_to_gaussian(atoms, mu, Hypothesis.NULL)
 
 
 def _conditional_score(ch, n, k, m, reps, workers):
@@ -160,6 +193,8 @@ LAYERS = {
     "lr_atoms": lambda ch, n, k, m, reps, workers: lambda: lr_atoms(ch, Composition(n, k)),
     "unbundled_lr_atoms": lambda ch, n, k, m, reps, workers: lambda: unbundled_lr_atoms(ch, n, m),
     "divergences": _divergences,
+    "_jsd": _jsd_cell,
+    "kolmogorov_to_gaussian": _kolmogorov,
     "conditional_score": _conditional_score,
     "sample_privacy_loss": lambda ch, n, k, m, reps, workers: lambda: sample_privacy_loss(
         ch, Composition(n, k), Hypothesis.ALT, SimConfig(seed=SEED, reps=reps, workers=workers)
@@ -220,15 +255,23 @@ def measure_process(args) -> dict:
     return {"min_s": min(float(t) for t, _, _ in runs), "peak_mb": min(int(kb) for _, kb, _ in runs) / 1024.0}
 
 
+def process_files(tmp: str) -> dict:
+    """The `PROCESSES` placeholders, with the channel files written into `tmp`."""
+    files = {"scripts": os.path.join(os.path.dirname(shuffledp.__file__), os.pardir, os.pardir, "scripts")}
+    for name, ch in (("channel", channel(3)), ("rr", rr_channel(1.1))):
+        files[name] = os.path.join(tmp, f"{name}.json")
+        with open(files[name], "w") as f:
+            f.write(channel_to_json(ch))
+    return files
+
+
 def process_cells() -> list:
     cells = []
     with tempfile.TemporaryDirectory() as tmp:
-        channel_file = os.path.join(tmp, "channel.json")
-        with open(channel_file, "w") as f:
-            f.write(channel_to_json(channel(3)))
+        files = process_files(tmp)
         for command, args in PROCESSES.items():
             cell = {"layer": "process", "command": command}
-            cell.update(measure_process([a.format(channel=channel_file) for a in args]))
+            cell.update(measure_process([a.format(**files) for a in args]))
             cells.append(cell)
             print(json.dumps(cell), file=sys.stderr, flush=True)
     return cells

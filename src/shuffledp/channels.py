@@ -176,8 +176,12 @@ def score_stats(channel: Channel) -> ScoreStats:
     w = channel.W1 / channel.W0
     r = w - 1.0
     v = channel.W1 - channel.W0
-    chi2 = float(np.dot(channel.W0, r * r))
-    mu3 = float(np.dot(channel.W0, r**3))
+    # a score r above ~5.6e102 overflows its cube (above ~1.3e154 its
+    # square too): mu3 (and chi2) are then inf, which the callers' own
+    # checks report, without numpy's overflow warnings ahead of them
+    with np.errstate(over="ignore"):
+        chi2 = float(np.dot(channel.W0, r * r))
+        mu3 = float(np.dot(channel.W0, r**3))
     return ScoreStats(
         w=w,
         r=r,

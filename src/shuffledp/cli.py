@@ -22,12 +22,21 @@ if __name__ == "__main__":
 import argparse
 import dataclasses
 import enum
-import hashlib
 import json
 import math
 import sys
 
 import numpy as np
+
+# hashlib loads OpenSSL (about 3.6 MB of RSS) to hash one short JSON; the
+# interpreter's built-in SHA-256 gives the same digest, as random.py does it
+try:
+    from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256  # CPython 3.12 and later
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # Only what every subcommand needs is imported here; each subcommand imports
 # the engines it calls, so a job loads no module it does not run.
@@ -91,7 +100,14 @@ def canonical_channel_json(channel: Channel) -> str:
 
 
 def channel_fingerprint(channel: Channel) -> str:
-    return hashlib.sha256(canonical_channel_json(channel).encode("ascii")).hexdigest()
+    """SHA-256 hex digest of `canonical_channel_json`.
+
+    Taken from the interpreter's lean built-in module (`_sha256`, or
+    `_sha2` from 3.12), falling back to `hashlib`: importing `hashlib` loads
+    OpenSSL, which every CLI process would carry for one ~100-byte digest.
+    The digest is the same either way.
+    """
+    return _sha256(canonical_channel_json(channel).encode("ascii")).hexdigest()
 
 
 def parse_eps_grid(spec: str) -> np.ndarray:
@@ -455,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_ATOM_CAP,
             help="cap on the cells an exact engine builds: for k=0 the histograms "
             "inside the per-symbol count windows (at most C(n+d-1, d-1), about "
-            "(40 sqrt(n))^(d-1) at large n), else the dense histogram law's (n+1)^(d-1)",
+            "(40 sqrt(n))^(d-1) at large n; the k=0 atoms peak at about 40 bytes "
+            "per built cell), else the dense histogram law's (n+1)^(d-1)",
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (default: stdout)")

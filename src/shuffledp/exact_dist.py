@@ -228,6 +228,16 @@ def _check_histogram(channel: Channel, histogram, total: int) -> tuple[int, ...]
 # one block of axis-0 slabs at a time, so its scratch is of this size.
 _FOLD_BLOCK = 1 << 14
 
+# Cells per block of the elementwise kernels of the k = 0 chain (`_binom_pmf`,
+# the last level of `_null_levels`) and of the per-atom sums: their
+# temporaries are of this size, not of the cells'.
+_CELL_BLOCK = 1 << 12
+
+
+def _cell_blocks(size: int):
+    """Slices cutting 0..size-1 into runs of _CELL_BLOCK."""
+    return (slice(i, i + _CELL_BLOCK) for i in range(0, size, _CELL_BLOCK))
+
 
 def _fold_block(law: np.ndarray, W: np.ndarray, box: tuple, out: np.ndarray, product: np.ndarray) -> np.ndarray:
     """The cells `box` of `law` with one message drawn from W added.
@@ -351,27 +361,32 @@ def mean_histogram(channel: Channel, comp: Composition) -> np.ndarray:
 # likelihood-ratio atomizations
 
 
-def _merge_atoms(lr, p_null, p_alt):
-    """Sort by ratio value and coalesce values equal up to MERGE_REL_TOL.
+def _merge_atoms(atoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort the atoms [lr, p_null, p_alt] by ratio and coalesce ratios equal up to MERGE_REL_TOL.
 
-    The permutation and the temporaries are freed as soon as they are used.
-    When no two neighbouring sorted ratios are within the tolerance, every
-    group has one atom, and the sorted arrays are the result as they are.
+    The merge owns the list: it permutes one array at a time, replacing each
+    in the list by its sorted copy, so an input the caller holds no other
+    reference to is freed once it is sorted.  The sort then peaks at the
+    three arrays, the permutation and one sorted copy (40 B an atom), and
+    the gap test is taken _CELL_BLOCK ratios at a time.  When no two
+    neighbouring sorted ratios are within the tolerance, every group has one
+    atom, and the sorted arrays are the result as they are.
     """
-    lr = np.asarray(lr, dtype=np.float64)
-    order = np.argsort(lr, kind="stable")
-    lr = lr[order]
-    tol = np.abs(lr[1:])
-    np.maximum(tol, 1.0, out=tol)
-    tol *= MERGE_REL_TOL
-    gaps = np.diff(lr) > tol
-    del tol
-    p_null = np.asarray(p_null, dtype=np.float64)[order]
-    p_alt = np.asarray(p_alt, dtype=np.float64)[order]
+    order = np.argsort(np.asarray(atoms[0], dtype=np.float64), kind="stable")
+    for i in range(3):
+        atoms[i] = np.asarray(atoms[i], dtype=np.float64)[order]
     del order
+    lr, p_null, p_alt = atoms
+    gaps = np.empty(max(lr.size - 1, 0), dtype=bool)
+    for at in _cell_blocks(gaps.size):
+        upper = lr[1:][at]
+        tol = np.abs(upper)
+        np.maximum(tol, 1.0, out=tol)
+        tol *= MERGE_REL_TOL
+        np.greater(upper - lr[:-1][at], tol, out=gaps[at])
     if gaps.all():
         return lr, p_null, p_alt
-    starts = np.concatenate(([0], np.flatnonzero(gaps) + 1))
+    starts = np.flatnonzero(np.concatenate(([True], gaps)))
     del gaps
     mn = np.add.reduceat(p_null, starts)
     ma = np.add.reduceat(p_alt, starts)
@@ -435,24 +450,43 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
     closed-form k = 0 cells, their ratios.  The one drop rule: cells with
     null mass below MIN_NULL_MASS are left out, their positive masses summed
     (`_fsum`); a pair whose dropped alt mass is above _MASS_TOL is refused.
-    Folded cells get alt / null after the join, so they take
-    16 B each until the merge, which holds the only reference to the ratios.
+    A block of the fold holds views of scratch buffers, so its kept cells
+    are copied.  A block with ratios is a list that owns its arrays: it is
+    kept as it is when every cell is kept, else each array in it is replaced
+    by its kept cells, one at a time.  Several blocks are joined one array
+    at a time, each array's blocks freed once joined; folded cells get
+    alt / null after the join.  The merge then owns every array, so the
+    k = 0 pair peaks at the merge's sort, about 40 B a kept cell, and holds
+    no other temporary of the cells' size.
     """
     kept, dropped = [], []
     for block in blocks:
         keep = block[0] >= MIN_NULL_MASS
-        kept.append([cells[keep] for cells in block])
         dropped.append([mass[~keep & (mass > 0.0)] for mass in block[:2]])
+        if len(block) == 2:
+            block = [cells[keep] for cells in block]
+        elif not keep.all():
+            for i in range(3):
+                block[i] = block[i][keep]
+        kept.append(block)
     del block, keep  # the last block's views would keep the scratch buffers alive
-    p_null, p_alt, *lr = (np.concatenate(cells) for cells in zip(*kept))
-    del kept
     dropped_null, dropped_alt = (_fsum(np.concatenate(masses)) for masses in zip(*dropped))
+    del dropped
     if not dropped_alt <= _MASS_TOL:
         raise ValidationError(
             f"the alt law puts mass {dropped_alt!r} (more than {_MASS_TOL}) on cells whose null"
             " mass is below the smallest normal double, where no ratio can be computed"
         )
-    lr, p_null, p_alt = _merge_atoms(lr.pop() if lr else p_alt / p_null, p_null, p_alt)
+    if len(kept) == 1:
+        cells = kept.pop()
+    else:
+        columns = list(zip(*kept))
+        del kept
+        cells = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
+    if len(cells) == 2:
+        cells.append(cells[1] / cells[0])
+    cells.insert(0, cells.pop())  # [lr, p_null, p_alt], in place: the merge owns the list
+    lr, p_null, p_alt = _merge_atoms(cells)
     atoms = LrAtomization(n, k, lr, p_null, p_alt, dropped_null_mass=dropped_null, dropped_alt_mass=dropped_alt)
     _check_atomization(atoms)
     return atoms
@@ -485,8 +519,7 @@ def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -
     _check_pair(channel, comp, "likelihood-ratio atoms")
     if comp.k > 0:
         return _fold_atoms(channel, comp, cap)
-    p_null, lr = _canonical_cells(channel, comp.n, cap)
-    return _atomize(comp.n, 0, [(p_null, lr * p_null, lr)])
+    return _atomize(comp.n, 0, _canonical_cells(channel, comp.n, cap))
 
 
 # stirlerr(x) = ln x! - (x + 1/2) ln x + x - ln sqrt(2 pi), the error of
@@ -542,7 +575,7 @@ def _bd0(x: np.ndarray, mean) -> np.ndarray:
 
 
 def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None, log: bool = False) -> np.ndarray:
-    """Binomial(n, p) masses at the integer-valued floats K in [0, n], 0 < p < 1.
+    """Binomial(n, p) masses at the integer-valued floats K in [0, n] (1-d), 0 < p < 1.
 
     `n` is an int, or an array of integer-valued floats shaped like K (one
     binomial per entry).  Loader's saddle-point form (C. Loader, "Fast and
@@ -553,9 +586,22 @@ def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None, log: bool = Fals
     tails.  The end counts are q^n and p^n.  `stirlerr_table`, if given,
     holds `_stirlerr` at 0, 1, ..., max(n) and is indexed instead.  With
     `log`, the log masses are returned, so no tail mass underflows.
+
+    The entries are evaluated _CELL_BLOCK at a time, so the form's dozen
+    temporaries are of that size.  Every step is elementwise, `_bd0`'s
+    series too (its terms shrink, so a term that rounds away for an entry
+    is followed by terms that do too), which makes the bits independent of
+    the blocks.
     """
-    q = 1.0 - p
     out = np.empty_like(K)
+    for at in _cell_blocks(K.size):
+        _binom_pmf_block(K[at], n[at] if np.ndim(n) else n, p, stirlerr_table, log, out[at])
+    return out
+
+
+def _binom_pmf_block(K: np.ndarray, n, p: float, stirlerr_table, log: bool, out: np.ndarray) -> None:
+    """`_binom_pmf` of one block of entries, written into `out`."""
+    q = 1.0 - p
     first, last = K == 0.0, K == n
     inner = ~(first | last)
     for end, log_p in ((first, math.log1p(-p)), (last, math.log(p))):
@@ -579,7 +625,6 @@ def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None, log: bool = Fals
     )
     lf = _LOG_2PI + np.log(x) + np.log1p(-x / n)
     out[inner] = lc - 0.5 * lf if log else np.exp(lc - 0.5 * lf)
-    return out
 
 
 def _binomial_window(n: int, p0: float) -> np.ndarray:
@@ -595,7 +640,7 @@ def _relabelled_w(channel: Channel) -> np.ndarray:
     return score_stats(channel).w[np.argsort(-channel.W0, kind="stable")]
 
 
-def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = False):
+def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = False, in_blocks: bool = False):
     """The cells of Mult(N, W0), one symbol at a time, with their conditional binomial masses.
 
     With the symbols relabelled by decreasing W0, the null law Mult(N, W0)
@@ -609,10 +654,14 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
     cells are counted from the window lengths before its masses are
     evaluated, and EnumerationCapError is raised once they exceed `cap`.
 
-    Yields (row, K, rest, mass) for j = d-1, ..., 1: each cell's parent
+    Yields (j, row, K, rest, mass) for j = d-1, ..., 1: each cell's parent
     among the previous level's cells (None at the first level), its count
     N_j, the count N - sum_{i>=j} N_i left below j (N_0 at the last level),
-    and its conditional mass (its log with `log`).
+    and its conditional mass (its log with `log`).  With `in_blocks`, the
+    last level (j = 1) comes in consecutive blocks of about _CELL_BLOCK
+    cells, runs of whole parent cells (at d = 2, of the window), so that no
+    temporary of the level's size is held; `row` still indexes the whole
+    previous level.
     """
     order = np.argsort(-channel.W0, kind="stable")
     d, W0 = channel.d, channel.W0[order]
@@ -622,33 +671,46 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
     _check_cap(K.size, what, cap)
     # at d >= 3 the cells far outnumber the N + 1 values stirlerr is taken at
     table = _stirlerr(np.arange(N + 1.0)) if d > 2 else None
-    mass = _binom_pmf(K, N, float(W0[d - 1]), table, log)
-    rest = N - K
-    yield None, K, rest, mass
+    for at in _cell_blocks(K.size) if d == 2 and in_blocks else [slice(None)]:
+        mass = _binom_pmf(K[at], N, float(W0[d - 1]), table, log)
+        rest = N - K[at]
+        yield d - 1, None, K[at], rest, mass
     for j, window in zip(range(d - 2, 0, -1), windows[1:]):
         # each cell so far spawns the window counts that fit in what remains
         lo = window[0]
         length = np.clip(np.minimum(rest, window[-1]) - lo + 1.0, 0.0, None).astype(np.intp)
-        _check_cap(int(length.sum()), what, cap)
-        row = np.repeat(np.arange(rest.size), length)
-        K = lo + (np.arange(row.size) - np.repeat(np.cumsum(length) - length, length))
-        rest = rest[row]
-        mass = _binom_pmf(K, rest, float(share[j]), table, log)
-        rest -= K
-        yield row, K, rest, mass
+        cells = int(length.sum())
+        _check_cap(cells, what, cap)
+        parents, cuts = rest, [0, rest.size]
+        if j == 1 and in_blocks:
+            # a run ends before the parent of cell _CELL_BLOCK, 2 _CELL_BLOCK, ...
+            ends = np.searchsorted(np.cumsum(length), np.arange(_CELL_BLOCK, cells, _CELL_BLOCK), side="right")
+            cuts = np.unique(np.concatenate((cuts, ends))).tolist()
+        for run in (slice(a, b) for a, b in zip(cuts, cuts[1:])):
+            row = np.repeat(np.arange(run.start, run.stop), length[run])
+            K = lo + (np.arange(row.size) - np.repeat(np.cumsum(length[run]) - length[run], length[run]))
+            rest = parents[row]
+            mass = _binom_pmf(K, rest, float(share[j]), table, log)
+            rest -= K
+            yield j, row, K, rest, mass
 
 
-def _canonical_cells(channel: Channel, n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Null masses and ratios L(N) = (1/n) sum_y N_y w(y) of the k=0 pair,
-    on the cells of `_null_levels` in their order."""
+def _canonical_cells(channel: Channel, n: int, cap: int):
+    """The k=0 pair on the cells of `_null_levels`, in their order, as `_atomize` blocks.
+
+    One block [p_null, p_alt, lr] for each block of the last level: null
+    masses, the ratios L(N) = (1/n) sum_y N_y w(y) and p_alt = L p_null.
+    """
     d, w = channel.d, _relabelled_w(channel)
-    levels = _null_levels(channel, n, cap, f"k=0 law for n={n}, d={d}")
-    _, K, rest, p_null = next(levels)
-    lr = (K / n) * w[d - 1]
-    for j, (row, K, rest, mass) in zip(range(d - 2, 0, -1), levels):
-        p_null = p_null[row] * mass
-        lr = lr[row] + (K / n) * w[j]
-    return p_null, (rest / n) * w[0] + lr
+    for j, row, K, rest, mass in _null_levels(channel, n, cap, f"k=0 law for n={n}, d={d}", in_blocks=True):
+        lr = (K / n) * w[j]
+        if row is not None:
+            mass, lr = p_null[row] * mass, lr_so_far[row] + lr
+        if j > 1:
+            p_null, lr_so_far = mass, lr
+        else:
+            lr = (rest / n) * w[0] + lr
+            yield [mass, lr * mass, lr]
 
 
 def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
@@ -827,8 +889,16 @@ def _fsum(terms: np.ndarray) -> float:
 
 
 def _jsd(atoms: LrAtomization) -> float:
-    """Jensen-Shannon divergence of the pair, the `jsd` of `divergences`."""
-    return _fsum(atoms.p_null * _jsd_kernel(atoms.lr)) + atoms.alt_singular_mass * 0.5 * _LOG2
+    """Jensen-Shannon divergence of the pair, the `jsd` of `divergences`.
+
+    The per-atom terms go into one array, _CELL_BLOCK at a time, so the
+    kernel's temporaries are of that size; `_fsum` does not depend on the
+    blocks.
+    """
+    terms = np.empty_like(atoms.lr)
+    for at in _cell_blocks(terms.size):
+        np.multiply(atoms.p_null[at], _jsd_kernel(atoms.lr[at]), out=terms[at])
+    return _fsum(terms) + atoms.alt_singular_mass * 0.5 * _LOG2
 
 
 def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:

@@ -27,7 +27,7 @@ from .asymptotics import _ndtr
 from .channels import Channel, score_stats
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
-from .exact_dist import _check_eps, _check_pair, _ratio_table
+from .exact_dist import _cell_blocks, _check_eps, _check_pair, _ratio_table
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -273,25 +273,33 @@ def kolmogorov_to_gaussian(data, mu: float, hypothesis: Hypothesis) -> float:
         raise ValidationError(f"mu must be positive, got {mu!r}")
     shift = 0.5 * mu * mu if hypothesis is Hypothesis.NULL else -0.5 * mu * mu
     if isinstance(data, LrAtomization):
-        with np.errstate(divide="ignore"):
-            lam = np.log(data.lr)
-        # increasing ratios give nondecreasing t; alt-singular mass sits at +inf
-        t = (lam + shift) / mu
-        weights = data.p_null if hypothesis is Hypothesis.NULL else data.p_alt
+        # increasing ratios give nondecreasing t; alt-singular mass sits at
+        # ratio +inf, so at t = +inf
+        lr, weights = data.lr, data.p_null if hypothesis is Hypothesis.NULL else data.p_alt
         if hypothesis is Hypothesis.ALT and data.alt_singular_mass > 0.0:
-            t = np.append(t, np.inf)
+            lr = np.append(lr, np.inf)
             weights = np.append(weights, data.alt_singular_mass)
         cdf = np.cumsum(weights)
-        cdf = cdf / cdf[-1]
+        cdf /= cdf[-1]
+
+        def t_at(at):
+            with np.errstate(divide="ignore"):
+                return (np.log(lr[at]) + shift) / mu
     else:
         samples = np.asarray(data, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ValidationError("need a nonempty 1-d array of sampled values")
         t = np.sort((samples + shift) / mu)
         cdf = np.arange(1, samples.size + 1) / samples.size
-    gauss = _ndtr(t)
-    before = np.concatenate(([0.0], cdf[:-1]))
-    return float(np.max(np.maximum(np.abs(cdf - gauss), np.abs(before - gauss))))
+        t_at = t.__getitem__
+    # the distance at each atom, _CELL_BLOCK atoms at a time: the CDF is the
+    # only array of the atoms' size
+    worst = []
+    for at in _cell_blocks(cdf.size):
+        gauss, upper = _ndtr(t_at(at)), cdf[at]
+        before = np.concatenate(([cdf[at.start - 1] if at.start else 0.0], upper[:-1]))
+        worst.append(np.max(np.maximum(np.abs(upper - gauss), np.abs(before - gauss))))
+    return float(np.max(worst))
 
 
 def dkw_radius(reps: int, gamma: float = 0.05) -> float:

@@ -199,10 +199,10 @@ def _last_two_symbols(A, eA, rest, row, K, w1: float, w0: float, tau: float) -> 
     return F, expo
 
 
-def _mm_cells(channel: Channel, n: int, m: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Null masses, alt masses and ratios of the m-message k=0 pair on the cells of `_null_levels`, m >= 2.
+def _mm_cells(channel: Channel, n: int, m: int, cap: int) -> list:
+    """The m-message k=0 pair (m >= 2) on the cells of `_null_levels`, as one `_atomize` block.
 
-    With t scaled by tau = w(y_0) (the symbol of largest W0; 1 if W1 never
+    The block is [p_null, p_alt, lr].  With t scaled by tau = w(y_0) (the symbol of largest W0; 1 if W1 never
     sends it), L(N) = tau^m F(N) / C(nm, m) with F the degree-m coefficient
     of prod_y (1 + (w(y) / tau) t)^{N_y}.  The prefix symbols y_{d-1}..y_2
     carry each cell's coefficients of degree <= m as mantissas with one
@@ -217,7 +217,7 @@ def _mm_cells(channel: Channel, n: int, m: int, cap: int) -> tuple[np.ndarray, n
     tau = float(w[0]) or 1.0
     what = f"k=0 law for n={n}, m={m}, d={d}"
     levels = _null_levels(channel, N, cap, what, log=True)
-    _, K, rest, log_null = next(levels)
+    _, _, K, rest, log_null = next(levels)
     if d == 2:
         F, expo = np.empty(K.size), np.empty(K.size, dtype=np.int64)
         size = max(1, _BLOCK_COEFFICIENTS // (m + 1))
@@ -227,7 +227,7 @@ def _mm_cells(channel: Channel, n: int, m: int, cap: int) -> tuple[np.ndarray, n
     else:
         _check_cap((m + 1) * K.size, what + " coefficients", cap)
         A, eA = _coefficients(K, float(w[d - 1]), tau, m)
-        for j, (row, K, level_rest, mass) in zip(range(d - 2, 0, -1), levels):
+        for j, row, K, level_rest, mass in levels:
             log_null = log_null[row] + mass
             span = K.size if j > 1 or not K.size else int(K.max() - K[0]) + 1
             _check_cap((m + 1) * span, what + " coefficients", cap)
@@ -247,7 +247,7 @@ def _mm_cells(channel: Channel, n: int, m: int, cap: int) -> tuple[np.ndarray, n
     lr = np.zeros_like(F)
     lr[kept] = np.ldexp(F[kept], expo[kept].astype(np.intc))
     log_alt = np.log(F, out=np.full_like(F, -np.inf), where=F > 0.0) + expo * _LOG2 + log_null
-    return p_null, np.where(kept, lr * p_null, np.exp(log_alt)), lr
+    return [p_null, np.where(kept, lr * p_null, np.exp(log_alt)), lr]
 
 
 def unbundled_lr_atoms(
@@ -264,8 +264,7 @@ def unbundled_lr_atoms(
     _check_pair(channel, Composition(n, 0), "unbundled atoms")
     m = _check_count("m", m)
     if m == 1:
-        p_null, lr = _canonical_cells(channel, n, cap)
-        return _atomize(n, 0, [(p_null, lr * p_null, lr)])
+        return _atomize(n, 0, _canonical_cells(channel, n, cap))
     return _atomize(n, 0, [_mm_cells(channel, n, m, cap)])
 
 

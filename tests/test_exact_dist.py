@@ -16,6 +16,7 @@ from shuffledp import exact_dist
 from shuffledp import (
     Composition,
     EnumerationCapError,
+    Hypothesis,
     InternalInvariantError,
     LrAtomization,
     Sidedness,
@@ -24,7 +25,9 @@ from shuffledp import (
     binomial_lr_atoms,
     conditional_score,
     divergences,
+    gdp_mu,
     histogram_law,
+    kolmogorov_to_gaussian,
     law_to_csv,
     linearization_residual,
     lr_atoms,
@@ -49,9 +52,11 @@ from shuffledp.exact_dist import (
     _canonical_cells,
     _check_atomization,
     _fsum,
+    _jsd,
     _jsd_kernel,
     _merge_atoms,
     _ratio_table,
+    _stirlerr,
 )
 from shuffledp.multimessage import _mm_cells
 from conftest import fold_atoms, full_channel
@@ -157,7 +162,7 @@ def _dict_atoms(null, alt):
     p_alt = np.array([alt.get(h, 0.0) for h in hists])
     dropped_null = np.array([p for p in null.values() if 0.0 < p < tiny])
     dropped_alt = np.array([p for h, p in alt.items() if p > 0.0 and null.get(h, 0.0) < tiny])
-    return _merge_atoms(p_alt / p_null, p_null, p_alt), _fsum(dropped_null), _fsum(dropped_alt)
+    return _merge_atoms([p_alt / p_null, p_null, p_alt]), _fsum(dropped_null), _fsum(dropped_alt)
 
 
 def _dict_pair(ch, comp):
@@ -231,7 +236,7 @@ def test_closed_form_masses_match_mpmath_out_to_the_tails(d, n):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     ch = full_channel(np.random.default_rng(40 + d), d)
-    p_null, _ = _canonical_cells(ch, n, DEFAULT_ATOM_CAP)
+    p_null = np.concatenate([block[0] for block in _canonical_cells(ch, n, DEFAULT_ATOM_CAP)])
     hists = _box_cells(ch, n)
     assert len(hists) == p_null.size
     kept = np.flatnonzero(p_null >= 1e-280)
@@ -330,7 +335,7 @@ def test_unbundled_atoms_are_the_exact_ratios_on_the_dict_fold_cells(d, n, m, sk
     assert atoms.dropped_alt_mass == pytest.approx(dropped_alt, rel=1e-12, abs=0.0)
     kept = [h for h, p in null.items() if p >= MIN_NULL_MASS]
     exact = [unbundled_lr(ch, n, m, h) for h in kept]
-    want = _merge_atoms(exact, [null[h] for h in kept], [alt[h] for h in kept])[0]
+    want = _merge_atoms([exact, [null[h] for h in kept], [alt[h] for h in kept]])[0]
     np.testing.assert_allclose(atoms.lr, want, rtol=2e-15, atol=0.0)
 
 
@@ -417,12 +422,12 @@ def test_merge_gives_the_reference_bits():
     cases["empty"] = lr[:0]
     for name, ratios in cases.items():
         masses = p_null[: ratios.size]
-        got = _merge_atoms(ratios, masses, ratios * masses)
+        got = _merge_atoms([ratios, masses, ratios * masses])
         want = _merge_atoms_reference(ratios, masses, ratios * masses)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert _merge_atoms(lr, p_null, lr * p_null)[0].size == lr.size  # the tie-free input has no tie
-    assert _merge_atoms(ties, p_null, ties * p_null)[0].size == lr.size - 80  # 40 groups of three
+    assert _merge_atoms([lr, p_null, lr * p_null])[0].size == lr.size  # the tie-free input has no tie
+    assert _merge_atoms([ties, p_null, ties * p_null])[0].size == lr.size - 80  # 40 groups of three
 
 
 def test_composition_validation():
@@ -601,13 +606,81 @@ def test_lr_atoms_memory_is_linear_in_cells():
 
 def test_lr_atoms_merge_peak_holds_no_unsorted_ratios():
     # k > 0 at d = 3: the peak is the merge's, once the dense law is freed:
-    # the joined kept masses (16 bytes a cell), the sort order (8) and the
-    # sorted ratios and masses (24).  The merge holds the only reference to
-    # the unsorted ratios and frees them once sorted; holding them too was
-    # 56 bytes a cell (4.60 MB here)
+    # the kept masses and ratios (24 bytes a cell), the sort order (8) and
+    # one sorted copy (8).  The merge owns the three arrays and frees each
+    # unsorted one once its sorted copy is made (40 bytes a cell, 3.23 MB
+    # here); holding the unsorted masses too was 48, the ratios too 56
+    # (4.60 MB)
     ch, n = full_channel(np.random.default_rng(7), 3), 400
     cells = math.comb(n + 2, 2)
     assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 133))) < 48 * cells + 200_000
+
+
+# The k = 0 chain's and the per-atom sums' scratch: `_binom_pmf`'s
+# temporaries on one block of _CELL_BLOCK entries take about 70 B an entry.
+CELL_SCRATCH = 128 * exact_dist._CELL_BLOCK
+
+
+def _k0_case(d):
+    """The channel and n of a k = 0 byte-budget pin, and the cells its chain builds."""
+    ch, n = (rr_channel(1.1), 950_000) if d == 2 else (full_channel(np.random.default_rng(7), 3), 1000)
+    cells = sum(block[0].size for block in _canonical_cells(ch, n, DEFAULT_ATOM_CAP))
+    return ch, n, cells
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_k0_lr_atoms_peak_is_bounded_per_built_cell(d):
+    # the last level streams into `_atomize` in blocks, with no temporary of
+    # its size: the peak is the merge's sort, the kept ratios and masses, the
+    # permutation and one sorted copy (40 B a kept cell).  The cell-sized
+    # chain peaked at about 93 B a cell at d = 2 and 100 at d = 3
+    ch, n, cells = _k0_case(d)
+    assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 0))) < 48 * cells + CELL_SCRATCH
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_jsd_and_kolmogorov_hold_one_array_of_the_atoms(d):
+    # the per-atom terms, _CELL_BLOCK at a time: the JSD's terms and their
+    # sorted copy in `_fsum` (16 B an atom), the Kolmogorov distance's CDF
+    # (8 B); each took 48-64 B an atom with atoms-sized temporaries
+    ch, n, _ = _k0_case(d)
+    atoms = lr_atoms(ch, Composition(n, 0))
+    mu = gdp_mu(ch, n).mu
+    assert _peak_bytes(lambda: _jsd(atoms)) < 16 * atoms.lr.size + CELL_SCRATCH
+    assert _peak_bytes(lambda: kolmogorov_to_gaussian(atoms, mu, Hypothesis.ALT)) < 16 * atoms.lr.size + CELL_SCRATCH
+
+
+def _chain_bits():
+    """The outputs of the blocked k = 0 kernels: pmfs, k = 0 and m-message atoms, JSD and Kolmogorov distances."""
+    out = []
+    K = np.arange(602.0)
+    counts = np.floor(np.random.default_rng(9).uniform(K, 602.0))  # one binomial of >= K trials per entry
+    table = _stirlerr(np.arange(602.0))
+    for log in (False, True):
+        out += [_binom_pmf(K, 601, p, log=log) for p in (0.05, 0.5)]
+        out += [_binom_pmf(K, counts, 0.3, table, log=log), _binom_pmf(K[:0], 601, 0.3, log=log)]
+    cases = [(rr_channel(1.1), 3000), (full_channel(np.random.default_rng(7), 3), 60), (_skewed_channel(3), 30)]
+    cases.append((full_channel(np.random.default_rng(7), 4), 14))
+    for ch, n in cases:
+        atoms = lr_atoms(ch, Composition(n, 0))
+        mu = gdp_mu(ch, n).mu
+        out += [atoms.lr, atoms.p_null, atoms.p_alt, atoms.dropped_null_mass, atoms.dropped_alt_mass, _jsd(atoms)]
+        out += [kolmogorov_to_gaussian(atoms, mu, hypothesis) for hypothesis in Hypothesis]
+    for d, n, m in ((2, 40, 3), (3, 12, 1), (3, 8, 2)):
+        atoms = unbundled_lr_atoms(full_channel(np.random.default_rng(300 + d), d), n, m)
+        out += [atoms.lr, atoms.p_null, atoms.p_alt, atoms.dropped_null_mass]
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_cell_blocks_keep_the_bits(monkeypatch, block):
+    # every blocked kernel is elementwise or an order-free sum, so any block
+    # size gives the default's bits, with blocks ending inside a parent's run
+    # of cells and cells dropped within a block (the skewed channel)
+    reference = _chain_bits()
+    monkeypatch.setattr(exact_dist, "_CELL_BLOCK", block)
+    for got, want in zip(_chain_bits(), reference, strict=True):
+        assert np.array_equal(got, want), (got, want)
 
 
 def test_histogram_law_memory_is_the_dense_fold():
@@ -628,8 +701,9 @@ def test_ratio_table_memory_is_two_dense_arrays():
 def test_unbundled_memory_is_linear_in_cells():
     # the m-message chain over nm = 400 messages builds every one of the
     # C(402, 2) = 80,601 cells; each holds its m + 1 coefficients only while
-    # its level is built, and the peak is about lr_atoms' at k = 0 on as many
-    # cells (108 B a cell; the dense fold it replaced peaked at 54 B)
+    # its level is built, and the peak is about 125 B a cell, as lr_atoms' at
+    # k = 0 was before its last level was built in blocks (the dense fold it
+    # replaced peaked at 54 B)
     ch, n, m = full_channel(np.random.default_rng(7), 3), 100, 4
     assert _peak_bytes(lambda: unbundled_lr_atoms(ch, n, m)) < 160 * math.comb(n * m + 2, 2)
 

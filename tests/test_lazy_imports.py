@@ -6,6 +6,7 @@ test here starts a new Python process.
 """
 
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -44,6 +45,16 @@ def test_import_loads_neither_numpy_nor_an_engine():
     loaded = _loaded_after("import shuffledp")
     assert "numpy" not in loaded
     assert {m for m in loaded if m.startswith("shuffledp")} == {"shuffledp", "shuffledp.errors"}
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")),
+    reason="no built-in SHA-256 module: the fingerprint takes hashlib's",
+)
+def test_cli_import_loads_no_openssl():
+    # hashlib loads OpenSSL (_hashlib) at import; the channel fingerprint
+    # takes the interpreter's lean built-in SHA-256 instead
+    assert "_hashlib" not in _loaded_after("import shuffledp.cli")
 
 
 # This test process imported shuffledp, so its own environment already

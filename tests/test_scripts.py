@@ -100,11 +100,12 @@ def test_process_cells_cli_commands_are_valid_cli_calls(tmp_path, capsys):
     from shuffledp.cli import main
 
     sweep = _layer_sweep()
-    channel_file = tmp_path / "channel.json"
-    channel_file.write_text(sweep.channel_to_json(sweep.channel(3)))
+    files = sweep.process_files(str(tmp_path))
     calls = [a[2:] for a in sweep.PROCESSES.values() if a[:2] == ["-m", "shuffledp.cli"]]
-    assert sorted(args[0] for args in calls) == ["curve", "curve", "report"]
+    assert sorted(args[0] for args in calls) == ["curve", "curve", "report", "report"]
     for args in calls:
-        assert main([a.format(channel=channel_file) for a in args]) == 0
+        assert main([a.format(**files) for a in args]) == 0
         out = capsys.readouterr().out
         assert out.count("\n") > (64 if args[0] == "curve" else 10), args
+    scripts = [a[0].format(**files) for a in sweep.PROCESSES.values() if a[0].startswith("{scripts}")]
+    assert scripts and all(os.path.isfile(path) for path in scripts)
