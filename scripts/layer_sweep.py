@@ -108,8 +108,11 @@ CELLS = (
     ("unbundled_lr_atoms", 2, 2, 0, 600, None, None),
     ("unbundled_lr_atoms", 3, 2, 0, 100, None, None),
     ("unbundled_lr_atoms", 3, 4, 0, 200, None, None),
+    ("unbundled_lr_atoms", 2, 5000, 0, 3, None, None),
+    ("unbundled_lr_atoms", 2, 1000, 0, 90, None, None),
     ("divergences", 2, 950000, 0, 1, None, None),
     ("divergences", 3, 1000, 0, 1, None, None),
+    ("divergences", 4, 120, 0, 1, None, None),
     ("_jsd", 2, 950000, 0, 1, None, None),
     ("kolmogorov_to_gaussian", 2, 950000, 0, 1, None, None),
     ("conditional_score", 3, 190, 63, 1, None, None),

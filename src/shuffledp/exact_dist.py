@@ -228,9 +228,9 @@ def _check_histogram(channel: Channel, histogram, total: int) -> tuple[int, ...]
 # one block of axis-0 slabs at a time, so its scratch is of this size.
 _FOLD_BLOCK = 1 << 14
 
-# Cells per block of the elementwise kernels of the k = 0 chain (`_binom_pmf`,
-# the last level of `_null_levels`) and of the per-atom sums: their
-# temporaries are of this size, not of the cells'.
+# Cells per block of the last level of the k = 0 chain (`_null_levels`, and
+# so of `_binom_pmf` on it) and of the per-atom sums: their temporaries are
+# of this size, not of the cells'.
 _CELL_BLOCK = 1 << 12
 
 
@@ -553,7 +553,10 @@ def _bd0(x: np.ndarray, mean) -> np.ndarray:
 
     Within 10% of the mean the direct form cancels, so there it is the
     series (x - mean) v + 2 x sum_{j>=1} v^(2j+1) / (2j+1) with
-    v = (x - mean) / (x + mean), |v| < 0.1, summed until it stops changing.
+    v = (x - mean) / (x + mean), |v| < 0.1, summed to j = 9.  Term j is at
+    most 1.1 |v|^(2j-1) / (2j+1) of the sum, below half an ulp from j = 9 on,
+    and the terms shrink, so once one rounds away every later one does too:
+    the fixed count gives the bits of summing until the sum stops changing.
     """
     out = x * np.log(x / mean) + mean - x
     near = np.abs(x - mean) < 0.1 * (x + mean)
@@ -564,12 +567,9 @@ def _bd0(x: np.ndarray, mean) -> np.ndarray:
     s = (xs - mean) * v
     ej = 2.0 * xs * v
     v *= v
-    for j in range(1, 1000):  # |v| < 0.1: at most ~8 terms change a double
+    for j in range(1, 10):
         ej *= v
-        nxt = s + ej / (2 * j + 1)
-        if np.array_equal(nxt, s):
-            break
-        s = nxt
+        s += ej / (2 * j + 1)
     out[near] = s
     return out
 
@@ -587,20 +587,11 @@ def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None, log: bool = Fals
     holds `_stirlerr` at 0, 1, ..., max(n) and is indexed instead.  With
     `log`, the log masses are returned, so no tail mass underflows.
 
-    The entries are evaluated _CELL_BLOCK at a time, so the form's dozen
-    temporaries are of that size.  Every step is elementwise, `_bd0`'s
-    series too (its terms shrink, so a term that rounds away for an entry
-    is followed by terms that do too), which makes the bits independent of
-    the blocks.
+    One pass over K: every step is elementwise, so a caller that wants
+    temporaries of bounded size passes a block of its entries
+    (`_null_levels` does) and gets the same bits.
     """
     out = np.empty_like(K)
-    for at in _cell_blocks(K.size):
-        _binom_pmf_block(K[at], n[at] if np.ndim(n) else n, p, stirlerr_table, log, out[at])
-    return out
-
-
-def _binom_pmf_block(K: np.ndarray, n, p: float, stirlerr_table, log: bool, out: np.ndarray) -> None:
-    """`_binom_pmf` of one block of entries, written into `out`."""
     q = 1.0 - p
     first, last = K == 0.0, K == n
     inner = ~(first | last)
@@ -625,6 +616,7 @@ def _binom_pmf_block(K: np.ndarray, n, p: float, stirlerr_table, log: bool, out:
     )
     lf = _LOG_2PI + np.log(x) + np.log1p(-x / n)
     out[inner] = lc - 0.5 * lf if log else np.exp(lc - 0.5 * lf)
+    return out
 
 
 def _binomial_window(n: int, p0: float) -> np.ndarray:
@@ -640,7 +632,7 @@ def _relabelled_w(channel: Channel) -> np.ndarray:
     return score_stats(channel).w[np.argsort(-channel.W0, kind="stable")]
 
 
-def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = False, in_blocks: bool = False):
+def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = False):
     """The cells of Mult(N, W0), one symbol at a time, with their conditional binomial masses.
 
     With the symbols relabelled by decreasing W0, the null law Mult(N, W0)
@@ -657,11 +649,11 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
     Yields (j, row, K, rest, mass) for j = d-1, ..., 1: each cell's parent
     among the previous level's cells (None at the first level), its count
     N_j, the count N - sum_{i>=j} N_i left below j (N_0 at the last level),
-    and its conditional mass (its log with `log`).  With `in_blocks`, the
-    last level (j = 1) comes in consecutive blocks of about _CELL_BLOCK
-    cells, runs of whole parent cells (at d = 2, of the window), so that no
-    temporary of the level's size is held; `row` still indexes the whole
-    previous level.
+    and its conditional mass (its log with `log`).  The last level (j = 1)
+    comes in consecutive blocks of about _CELL_BLOCK cells, runs of the
+    window at d = 2 and of whole parent cells at d >= 3, so no temporary
+    of its size is held; `row` still indexes the whole previous level.
+    Earlier levels come whole: they hold about window^(d-2) cells at most.
     """
     order = np.argsort(-channel.W0, kind="stable")
     d, W0 = channel.d, channel.W0[order]
@@ -671,10 +663,9 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
     _check_cap(K.size, what, cap)
     # at d >= 3 the cells far outnumber the N + 1 values stirlerr is taken at
     table = _stirlerr(np.arange(N + 1.0)) if d > 2 else None
-    for at in _cell_blocks(K.size) if d == 2 and in_blocks else [slice(None)]:
-        mass = _binom_pmf(K[at], N, float(W0[d - 1]), table, log)
+    for at in _cell_blocks(K.size) if d == 2 else [slice(None)]:
         rest = N - K[at]
-        yield d - 1, None, K[at], rest, mass
+        yield d - 1, None, K[at], rest, _binom_pmf(K[at], N, float(W0[d - 1]), table, log)
     for j, window in zip(range(d - 2, 0, -1), windows[1:]):
         # each cell so far spawns the window counts that fit in what remains
         lo = window[0]
@@ -682,7 +673,7 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
         cells = int(length.sum())
         _check_cap(cells, what, cap)
         parents, cuts = rest, [0, rest.size]
-        if j == 1 and in_blocks:
+        if j == 1:
             # a run ends before the parent of cell _CELL_BLOCK, 2 _CELL_BLOCK, ...
             ends = np.searchsorted(np.cumsum(length), np.arange(_CELL_BLOCK, cells, _CELL_BLOCK), side="right")
             cuts = np.unique(np.concatenate((cuts, ends))).tolist()
@@ -702,7 +693,7 @@ def _canonical_cells(channel: Channel, n: int, cap: int):
     masses, the ratios L(N) = (1/n) sum_y N_y w(y) and p_alt = L p_null.
     """
     d, w = channel.d, _relabelled_w(channel)
-    for j, row, K, rest, mass in _null_levels(channel, n, cap, f"k=0 law for n={n}, d={d}", in_blocks=True):
+    for j, row, K, rest, mass in _null_levels(channel, n, cap, f"k=0 law for n={n}, d={d}"):
         lr = (K / n) * w[j]
         if row is not None:
             mass, lr = p_null[row] * mass, lr_so_far[row] + lr
@@ -876,29 +867,35 @@ def _jsd_kernel(t: np.ndarray) -> np.ndarray:
 def _fsum(terms: np.ndarray) -> float:
     """Exactly rounded sum, fed to `math.fsum` in decreasing magnitude per sign.
 
-    The result does not depend on the order.  The nonnegative terms go in
+    The result does not depend on the order.  The positive terms go in
     largest first, then the negative ones most negative first: terms of
     decreasing magnitude keep fsum's list of partials short, which makes it
     much faster on terms spanning hundreds of decades (the far-tail atoms of
-    a large-n binomial pair, and KL's negative terms).  One sorted copy is
-    the only temporary.
+    a large-n binomial pair, and KL's negative terms).  Zeros, which never
+    change an exact sum (fsum of none is +0.0), are skipped.  One sorted
+    copy is the only temporary.
     """
     s = np.sort(terms)
-    neg = int(np.searchsorted(s, 0.0))
-    return math.fsum(itertools.chain(s[neg:][::-1], s[:neg]))
+    neg, pos = np.searchsorted(s, 0.0, side="left"), np.searchsorted(s, 0.0, side="right")
+    return math.fsum(itertools.chain(s[pos:][::-1], s[:neg]))
 
 
-def _jsd(atoms: LrAtomization) -> float:
-    """Jensen-Shannon divergence of the pair, the `jsd` of `divergences`.
+def _atom_fsum(atoms: LrAtomization, term) -> float:
+    """`_fsum` of the per-atom terms term(lr, p_null).
 
-    The per-atom terms go into one array, _CELL_BLOCK at a time, so the
-    kernel's temporaries are of that size; `_fsum` does not depend on the
-    blocks.
+    The terms go into one array, _CELL_BLOCK atoms at a time, so the term's
+    temporaries are of that size and the sum holds 16 B an atom (the terms
+    and `_fsum`'s sorted copy); `_fsum` does not depend on the blocks.
     """
     terms = np.empty_like(atoms.lr)
     for at in _cell_blocks(terms.size):
-        np.multiply(atoms.p_null[at], _jsd_kernel(atoms.lr[at]), out=terms[at])
-    return _fsum(terms) + atoms.alt_singular_mass * 0.5 * _LOG2
+        terms[at] = term(atoms.lr[at], atoms.p_null[at])
+    return _fsum(terms)
+
+
+def _jsd(atoms: LrAtomization) -> float:
+    """Jensen-Shannon divergence of the pair, the `jsd` of `divergences`."""
+    return _atom_fsum(atoms, lambda lr, p: p * _jsd_kernel(lr)) + atoms.alt_singular_mass * 0.5 * _LOG2
 
 
 def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
@@ -908,20 +905,21 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     alt-singular mass); the chi-square and KL divergences are infinite when
     alt mass sits outside the null support.  Renyi orders must exceed 1 and
     additionally require full support in both directions.  Each is an
-    exactly rounded sum (`math.fsum`) of per-atom terms.
+    exactly rounded sum (`math.fsum`) of per-atom terms, taken by
+    `_atom_fsum` with no temporary of the atoms' size besides its own two;
+    the atoms a sum leaves out (TV's ratios up to 1, KL's zero ratios) are
+    zero terms.
     """
-    lr, p_null = atoms.lr, atoms.p_null
-    sing = atoms.alt_singular_mass
+    lr, sing = atoms.lr, atoms.alt_singular_mass
     jsd = _jsd(atoms)
-    above = lr > 1.0
-    tv = _fsum(p_null[above] * (lr[above] - 1.0)) + sing
+    tv = _atom_fsum(atoms, lambda lr, p: np.where(lr > 1.0, p * (lr - 1.0), 0.0)) + sing
     if sing > 0.0:
         chi2 = math.inf
         kl = math.inf
     else:
-        chi2 = _fsum(p_null * (lr - 1.0) ** 2)
-        pos = lr > 0.0
-        kl = _fsum(p_null[pos] * lr[pos] * np.log(lr[pos]))
+        chi2 = _atom_fsum(atoms, lambda lr, p: p * (lr - 1.0) ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0; the zero ratios' terms are 0
+            kl = _atom_fsum(atoms, lambda lr, p: np.where(lr > 0.0, p * lr * np.log(lr), 0.0))
     renyi: dict[float, float] = {}
     for alpha in renyi_orders:
         alpha = float(alpha)
@@ -931,7 +929,7 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
             raise ValidationError(
                 "Renyi divergence needs full support in both directions"
             )
-        moment = _fsum(p_null * lr**alpha)
+        moment = _atom_fsum(atoms, lambda lr, p: p * lr**alpha)
         renyi[alpha] = math.log(moment) / (alpha - 1.0)
     return DivergenceReport(jsd=jsd, tv=tv, chi2=chi2, kl=kl, renyi=renyi)
 

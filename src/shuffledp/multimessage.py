@@ -15,6 +15,7 @@ chi-squares, so the bundled Gaussian parameter dominates the unbundled one;
 `mm_gdp_compare` quantifies the gap.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -111,20 +112,21 @@ def _renormalized(mant: np.ndarray, expo: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.ldexp(mant, -top), expo + top
 
 
-def _coefficients(count: np.ndarray, w: float, tau: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees 0..m of (1 + (w / tau) t)^count at each count, as columns mant 2^expo.
+def _coefficients(count: np.ndarray, w: float, tau: float, m: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees 0..m of (1 + (w / tau) 2^-e t)^count at each count, as columns mant 2^expo.
 
-    Running products of the factors ((count - u) / (u + 1)) w / tau, with
-    mantissas and binary exponents kept apart (w and tau enter as their
-    frexp parts), so no power of a large or small ratio leaves the double
-    range; mantissas below 2^-1074 of their column's largest vanish.
+    Running products of the factors ((count - u) / (u + 1)) w / tau 2^-e,
+    with mantissas and binary exponents kept apart (w and tau enter as their
+    frexp parts, 2^-e as an exponent step), so no power of a large or small
+    ratio leaves the double range; mantissas below 2^-1074 of their column's
+    largest vanish.
     """
     (num, a), (den, b) = (math.frexp(w), math.frexp(tau)) if w != tau else ((1.0, 0), (1.0, 0))
     u = np.arange(float(m))[:, None]
     factor, step = np.frexp((((count - u) / (u + 1)) * num) / den)
     mant = np.vstack((np.ones(count.size), factor))
     expo = np.zeros(mant.shape, dtype=np.intc)
-    np.cumsum(step + (a - b), axis=0, out=expo[1:])
+    np.cumsum(step + (a - b - e), axis=0, out=expo[1:])
     shift = np.zeros(count.size, dtype=np.intc)
     for i in range(0, m, _BLOCK_ROWS):
         mant[i], carry = np.frexp(mant[i])
@@ -145,24 +147,24 @@ def _times(a: np.ndarray, ea: np.ndarray, b: np.ndarray, eb: np.ndarray) -> tupl
     return _renormalized(out, ea + eb)
 
 
-def _last_two_symbols(A, eA, rest, row, K, w1: float, w0: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Degree m of A[:, p] 2^eA[p] (1 + (w1 / tau) t)^K1 (1 + (w0 / tau) t)^r at the last level's cells
-    (p, K1) = (row, K), r = rest[p] - K1, with w0 / tau = 1 (or w0 = 0); returned as mant 2^expo per cell.
+def _last_two_symbols(A, eA, rest, row, K, w1: float, w0: float, tau: float, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree m of A[:, p] 2^eA[p] (1 + (w1 / tau) 2^-e t)^K1 (1 + (w0 / tau) 2^-e t)^r at the last level's
+    cells (p, K1) = (row, K), r = rest[p] - K1, with w0 / tau = 1 (or w0 = 0); returned as mant 2^expo per cell.
 
     The last two factors E(r, K1) depend on the cell only through (r, K1),
     so they are built once on that grid, degree by degree: with
-    (1 + t)^(r+1) = (1 + t)^r (1 + t), E_s(r) = B_s + sum_{r' < r} E_{s-1}(r'),
-    B the first factor.  Each prefix sum is taken error-free as a pair
-    hi + lo (the rounding error of each partial sum, exact by TwoSum, is
-    summed apart), in blocks of _BLOCK_ROWS values of r, between which
-    each column is rescaled by a power of two.  Each cell then costs one
-    (m + 1)-term sum.
+    (1 + c t)^(r+1) = (1 + c t)^r (1 + c t), c = 2^-e,
+    E_s(r) = B_s + c sum_{r' < r} E_{s-1}(r'), B the first factor.  Each
+    prefix sum is taken error-free as a pair hi + lo (the rounding error of
+    each partial sum, exact by TwoSum, is summed apart), in blocks of
+    _BLOCK_ROWS values of r, between which each column is rescaled by a
+    power of two.  Each cell then costs one (m + 1)-term sum.
     """
     F, expo = np.zeros(K.size), np.empty(K.size, dtype=np.int64)
     if K.size == 0:
         return F, expo
-    m, lo = A.shape[0] - 1, int(K[0])
-    hi_start, eE = _coefficients(np.arange(lo, K.max() + 1.0), w1, tau, m)
+    m, lo, c = A.shape[0] - 1, int(K[0]), 2.0**-e if w0 else 0.0
+    hi_start, eE = _coefficients(np.arange(lo, K.max() + 1.0), w1, tau, m, e)
     lo_start = np.zeros_like(hi_start)
     col, r = (K - lo).astype(np.intp), (rest[row] - K).astype(np.intp)
     by_block = np.argsort(r // _BLOCK_ROWS, kind="stable")
@@ -175,8 +177,10 @@ def _last_two_symbols(A, eA, rest, row, K, w1: float, w0: float, tau: float) -> 
         # E_{s-1} and E_s as hi + lo, and scratch
         prev_hi, prev_lo, hi_part, lo_part, x, y, err, tmp = np.zeros((8, *shape))
         for s in range(m + 1):
+            # E_{s-1} is zero at s = 0
             x[0], y[0] = hi_start[s], lo_start[s]
-            x[1:], y[1:] = (prev_hi[:-1], prev_lo[:-1]) if w0 and s else (0.0, 0.0)
+            np.multiply(prev_hi[:-1], c, out=x[1:])
+            np.multiply(prev_lo[:-1], c, out=y[1:])
             np.cumsum(x, axis=0, out=hi_part)
             # TwoSum of each partial sum hi[i - 1] + x[i] = hi[i]: the addend as rounded, z, then the error
             z, e = err[1:], tmp[1:]
@@ -189,8 +193,8 @@ def _last_two_symbols(A, eA, rest, row, K, w1: float, w0: float, tau: float) -> 
             prev_hi, hi_part, prev_lo, lo_part = hi_part, prev_hi, lo_part, prev_lo
             hi_start[s], lo_start[s] = prev_hi[-1], prev_lo[-1]
         F[cells], expo[cells] = total, eA[prefix] + eE[col[cells]]
-        # the next block starts at E(r0 + rows) = E(r0 + rows - 1) (1 + t), by TwoSum, rescaled
-        up_hi, up_lo = (np.vstack((np.zeros(shape[1]), part[:-1])) * float(w0 > 0.0) for part in (hi_start, lo_start))
+        # the next block starts at E(r0 + rows) = E(r0 + rows - 1) (1 + c t), by TwoSum, rescaled
+        up_hi, up_lo = (np.vstack((np.zeros(shape[1]), part[:-1])) * c for part in (hi_start, lo_start))
         carry = hi_start + up_hi
         z = carry - hi_start
         hi_start, lo_start = carry, lo_start + up_lo + ((hi_start - (carry - z)) + (up_hi - z))
@@ -199,55 +203,84 @@ def _last_two_symbols(A, eA, rest, row, K, w1: float, w0: float, tau: float) -> 
     return F, expo
 
 
-def _mm_cells(channel: Channel, n: int, m: int, cap: int) -> list:
-    """The m-message k=0 pair (m >= 2) on the cells of `_null_levels`, as one `_atomize` block.
+def _two_symbols(levels, w: np.ndarray, tau: float, e: int, m: int):
+    """Log null masses and degree-m coefficients mant 2^expo of each block of `levels` at d = 2.
 
-    The block is [p_null, p_alt, lr].  With t scaled by tau = w(y_0) (the symbol of largest W0; 1 if W1 never
-    sends it), L(N) = tau^m F(N) / C(nm, m) with F the degree-m coefficient
-    of prod_y (1 + (w(y) / tau) t)^{N_y}.  The prefix symbols y_{d-1}..y_2
-    carry each cell's coefficients of degree <= m as mantissas with one
-    binary exponent per cell (`_coefficients`, `_times`, O(m^2) per prefix
-    cell); the last two symbols are shared by prefixes left with the same
-    count (`_last_two_symbols`), or at d = 2 summed per cell, O(m) each.
-    Their (m + 1) coefficients a count are counted against `cap` too.  Null
-    masses are carried as logs, so a dropped cell's alt mass is
-    exp(log P + log L) even where P or L leaves the double range.
+    The coefficient of (1 + (w1 / tau) 2^-e t)^K (1 + (w0 / tau) 2^-e t)^rest
+    is summed per cell, O(m) a cell, in sub-blocks of
+    _BLOCK_COEFFICIENTS // (m + 1) cells.
+    """
+    size, w1, w0 = max(1, _BLOCK_COEFFICIENTS // (m + 1)), float(w[1]), float(w[0])
+    for _, _, K, rest, log_null in levels:
+        F, expo = np.empty(K.size), np.empty(K.size, dtype=np.int64)
+        for at in (slice(i, i + size) for i in range(0, K.size, size)):
+            (a, ea), (b, eb) = _coefficients(K[at], w1, tau, m, e), _coefficients(rest[at], w0, tau, m, e)
+            F[at], expo[at] = np.einsum("ij,ij->j", a, b[::-1]), ea + eb
+        yield log_null, F, expo
+
+
+def _many_symbols(levels, d: int, w: np.ndarray, tau: float, e: int, m: int, cap: int, what: str) -> tuple:
+    """Log null masses and degree-m coefficients mant 2^expo of the cells of `levels` at d >= 3, as one block.
+
+    The prefix symbols y_{d-1}..y_2 carry each cell's coefficients of
+    degree <= m with one binary exponent per cell (`_coefficients`,
+    `_times`, O(m^2) per prefix cell); the last level's blocks are joined
+    once, since `_last_two_symbols` shares its (r, K1) grid across the
+    level, O(m) a cell.  The (m + 1) coefficients a count are counted
+    against `cap` too.
+    """
+    _, _, K, rest, log_null = next(levels)
+    _check_cap((m + 1) * K.size, what + " coefficients", cap)
+    A, eA = _coefficients(K, float(w[d - 1]), tau, m, e)
+    for j, row, K, level_rest, mass in itertools.islice(levels, d - 3):
+        log_null = log_null[row] + mass
+        _check_cap((m + 1) * K.size, what + " coefficients", cap)
+        A, eA = _times(A[:, row], eA[row], *_coefficients(K, float(w[j]), tau, m, e))
+        rest = level_rest
+    row, K, log_last = (np.concatenate(column) for column in zip(*((row, K, mass) for _, row, K, _, mass in levels)))
+    log_last += log_null[row]
+    _check_cap((m + 1) * (int(K.max() - K[0]) + 1 if K.size else 0), what + " coefficients", cap)
+    return log_last, *_last_two_symbols(A, eA, rest, row, K, float(w[1]), float(w[0]), tau, e)
+
+
+def _mm_cells(channel: Channel, n: int, m: int, cap: int):
+    """The m-message k=0 pair (m >= 2) on the cells of `_null_levels`, in their order, as `_atomize` blocks.
+
+    Each block is [p_null, p_alt, lr]: one for each block of the level at
+    d = 2 (`_two_symbols`), one for the whole chain at d >= 3
+    (`_many_symbols`).  With t scaled by tau 2^e, where tau = w(y_0) (the
+    symbol of largest W0; 1 if W1 never sends it) and 2^e is the power of
+    two nearest n / tau (within 1..2^1022), L(N) = (tau 2^e)^m F(N) / C(nm, m)
+    with F the degree-m coefficient of prod_y (1 + (w(y) / tau) 2^-e t)^{N_y}.
+    The scaled t is near the saddle point 1/n of a typical cell, where
+    sum_y N_y w(y) t / (1 + w(y) t) = m, so the terms that carry F sit near
+    their columns' largest coefficients; scaled by tau alone they would
+    fall below 2^-1074 of them once m log10(n / tau) reaches about 300.  A
+    power of two is exact, so the scale changes no bit where no term was
+    subnormal.  Null masses are carried as logs, so a dropped cell's alt
+    mass is exp(log P + log L) even where P or L leaves the double range.
     """
     d, N, w = channel.d, n * m, _relabelled_w(channel)
     tau = float(w[0]) or 1.0
+    e = min(max(0, round(math.log2(n) - math.log2(tau))), 1022)  # 2^-e stays a normal double
     what = f"k=0 law for n={n}, m={m}, d={d}"
     levels = _null_levels(channel, N, cap, what, log=True)
-    _, _, K, rest, log_null = next(levels)
-    if d == 2:
-        F, expo = np.empty(K.size), np.empty(K.size, dtype=np.int64)
-        size = max(1, _BLOCK_COEFFICIENTS // (m + 1))
-        for at in (slice(i, i + size) for i in range(0, K.size, size)):
-            (a, ea), (b, eb) = _coefficients(K[at], float(w[1]), tau, m), _coefficients(rest[at], float(w[0]), tau, m)
-            F[at], expo[at] = np.einsum("ij,ij->j", a, b[::-1]), ea + eb
-    else:
-        _check_cap((m + 1) * K.size, what + " coefficients", cap)
-        A, eA = _coefficients(K, float(w[d - 1]), tau, m)
-        for j, row, K, level_rest, mass in levels:
-            log_null = log_null[row] + mass
-            span = K.size if j > 1 or not K.size else int(K.max() - K[0]) + 1
-            _check_cap((m + 1) * span, what + " coefficients", cap)
-            if j > 1:
-                A, eA = _times(A[:, row], eA[row], *_coefficients(K, float(w[j]), tau, m))
-            else:
-                F, expo = _last_two_symbols(A, eA, rest, row, K, float(w[1]), float(w[0]), tau)
-            rest = level_rest
-    # tau^m / C(nm, m) = num / den, taken as a mantissa in (1/2, 2) and a power of two
+    blocks = _two_symbols(levels, w, tau, e, m) if d == 2 else [_many_symbols(levels, d, w, tau, e, m, cap, what)]
+    # tau^m / C(nm, m) = num / den, taken as a mantissa in (1/2, 2) and a power of two, to which 2^(e m) adds
     num, den = tau.as_integer_ratio()
     num, den = num**m, den**m * math.comb(N, m)
     shift = num.bit_length() - den.bit_length()
-    F = F * ((num << max(-shift, 0)) / (den << max(shift, 0)))
-    expo += shift
-    p_null = np.exp(log_null)
-    kept = p_null >= MIN_NULL_MASS
-    lr = np.zeros_like(F)
-    lr[kept] = np.ldexp(F[kept], expo[kept].astype(np.intc))
-    log_alt = np.log(F, out=np.full_like(F, -np.inf), where=F > 0.0) + expo * _LOG2 + log_null
-    return [p_null, np.where(kept, lr * p_null, np.exp(log_alt)), lr]
+    scale = (num << max(-shift, 0)) / (den << max(shift, 0))
+    for log_null, F, expo in blocks:
+        F *= scale
+        expo += shift + e * m
+        p_null = np.exp(log_null)
+        kept = p_null >= MIN_NULL_MASS
+        lr = np.zeros_like(F)
+        lr[kept] = np.ldexp(F[kept], expo[kept].astype(np.intc))
+        log_alt = np.log(F, out=np.full_like(F, -np.inf), where=F > 0.0) + expo * _LOG2 + log_null
+        yield [p_null, np.where(kept, lr * p_null, np.exp(log_alt)), lr]
+        del log_null, F, expo, kept, log_alt  # before the next block is built
 
 
 def unbundled_lr_atoms(
@@ -257,15 +290,15 @@ def unbundled_lr_atoms(
 
     The cells are those of the conditional-binomial chain of Mult(nm, W0),
     as for `lr_atoms` at k = 0 (its bits at m = 1), with the ratio
-    `unbundled_lr` from `_mm_cells` at m >= 2.  `cap` bounds the windowed
-    cells of each level and, at d >= 3, the m + 1 coefficients held for each
-    prefix cell and each count of the last window.
+    `unbundled_lr` from `_mm_cells` at m >= 2; either streams its blocks
+    into `_atomize`.  `cap` bounds the windowed cells of each level and, at
+    d >= 3, the m + 1 coefficients held for each prefix cell and each count
+    of the last window.
     """
     _check_pair(channel, Composition(n, 0), "unbundled atoms")
     m = _check_count("m", m)
-    if m == 1:
-        return _atomize(n, 0, _canonical_cells(channel, n, cap))
-    return _atomize(n, 0, [_mm_cells(channel, n, m, cap)])
+    cells = _canonical_cells(channel, n, cap) if m == 1 else _mm_cells(channel, n, m, cap)
+    return _atomize(n, 0, cells)
 
 
 def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:

@@ -47,6 +47,7 @@ from shuffledp.exact_dist import (
     MERGE_REL_TOL,
     MIN_NULL_MASS,
     HistogramLaw,
+    _bd0,
     _binom_pmf,
     _binomial_window,
     _canonical_cells,
@@ -340,6 +341,11 @@ def test_unbundled_atoms_are_the_exact_ratios_on_the_dict_fold_cells(d, n, m, sk
 
 
 
+def _mm_columns(ch, n, m):
+    """p_null, p_alt and lr of the cells of `_mm_cells`, its blocks joined."""
+    return [np.concatenate(column) for column in zip(*_mm_cells(ch, n, m, DEFAULT_ATOM_CAP))]
+
+
 @pytest.mark.parametrize("W1_1", [1e-5, 0.5])
 def test_unbundled_dropped_alt_mass_beyond_the_double_range(W1_1):
     # W0_1 = 1e-100 at n = 2, m = 4: the cells with 4 or more symbol-1
@@ -352,7 +358,7 @@ def test_unbundled_dropped_alt_mass_beyond_the_double_range(W1_1):
     dropped_alt = _dict_atoms(*_dict_laws(ch, 4, 0, 4)[1:])[2]
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error")
-        p_null, p_alt, _ = _mm_cells(ch, 2, 4, DEFAULT_ATOM_CAP)
+        p_null, p_alt, _ = _mm_columns(ch, 2, 4)
         dropped = p_null < MIN_NULL_MASS
         assert _fsum(p_alt[dropped]) == pytest.approx(dropped_alt, rel=1e-12, abs=0.0)
         if W1_1 < 1e-3:
@@ -371,13 +377,44 @@ def test_unbundled_ratios_at_d3_with_many_more_messages_than_users():
     # exact ratio within 4e-15, and a dropped cell's alt mass matches L P
     # wherever both are normal doubles
     ch, n, m = full_channel(np.random.default_rng(5), 3), 2, 60
-    p_null, p_alt, lr = _mm_cells(ch, n, m, DEFAULT_ATOM_CAP)
+    p_null, p_alt, lr = _mm_columns(ch, n, m)
     hists = _box_cells(ch, n * m)
     kept = np.flatnonzero(p_null >= MIN_NULL_MASS)
     assert hists.shape[0] == p_null.size and kept.size > 5000
     for i in np.random.default_rng(8).choice(kept, 60, replace=False).tolist():
         assert lr[i] == pytest.approx(unbundled_lr(ch, n, m, hists[i].tolist()), rel=4e-15, abs=0.0)
     assert np.array_equal(p_alt[kept], lr[kept] * p_null[kept])
+
+
+@pytest.mark.parametrize(
+    "ch, n, m, few",
+    [
+        (rr_channel(1.1), 1000, 96, None),
+        (rr_channel(1.1), 1000, 150, None),
+        (validate_channel([0.6, 0.3, 0.1], [0.01, 0.3, 0.69]), 3, 150, 10),
+        (validate_channel([0.5, 0.3, 0.2], [1e-300, 0.5, 0.5]), 5, 3, None),
+        (validate_channel([0.6, 0.4], [5e-324, 1.0]), 10000, 2, None),
+    ],
+    ids=["rr-1000-96", "rr-1000-150", "d3-3-150", "d3-tiny-w0", "d2-subnormal-w0"],
+)
+def test_unbundled_ratios_hold_beyond_the_unscaled_range(ch, n, m, few):
+    # with t scaled only by tau = w(y_0), the terms that carry the degree-m
+    # coefficient sat about (n / tau)^(-m share) below their column's
+    # largest and fell below 2^-1074 of it once m log10(n / tau) reached
+    # about 300: rr 1.1 at n = 1000 was off by up to 3e-8 at m = 96 and
+    # refused at m >= 97, the d = 3 channel off by up to 6e-6 at cells with
+    # few y_0 messages, and a W1 that almost never sends y_0 was refused at
+    # d = 3.  Scaled by 2^-e ~ tau / n (2^-e kept a normal double, and n /
+    # tau not formed, since it overflows at a subnormal tau), t sits near
+    # the saddle point 1/n, and sampled kept ratios hold within 4e-15
+    p_null, _, lr = _mm_columns(ch, n, m)
+    unbundled_lr_atoms(ch, n, m)  # passes its mass checks
+    hists = _box_cells(ch, n * m)
+    kept = np.flatnonzero(p_null >= MIN_NULL_MASS)
+    if few:
+        kept = kept[hists[kept, 0] <= few]
+    for i in np.random.default_rng(8).choice(kept, 12 if few else 8, replace=False).tolist():
+        assert lr[i] == pytest.approx(unbundled_lr(ch, n, m, hists[i].tolist()), rel=4e-15, abs=0.0)
 
 
 def test_unbundled_memory_at_many_messages_per_user_is_linear_in_cells():
@@ -650,6 +687,17 @@ def test_jsd_and_kolmogorov_hold_one_array_of_the_atoms(d):
     assert _peak_bytes(lambda: kolmogorov_to_gaussian(atoms, mu, Hypothesis.ALT)) < 16 * atoms.lr.size + CELL_SCRATCH
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_divergences_hold_one_array_of_the_atoms(d):
+    # each of the five sums writes its terms _CELL_BLOCK atoms at a time into
+    # one array, which `_fsum` sorts (16 B an atom); with TV's and KL's masks
+    # and the squared and powered terms taken over all atoms at once the
+    # peak was 26 B an atom (11.1 MB at d = 3)
+    ch, n, _ = _k0_case(d)
+    atoms = lr_atoms(ch, Composition(n, 0))
+    assert _peak_bytes(lambda: divergences(atoms, renyi_orders=(2.0, 3.5))) < 16 * atoms.lr.size + CELL_SCRATCH
+
+
 def _chain_bits():
     """The outputs of the blocked k = 0 kernels: pmfs, k = 0 and m-message atoms, JSD and Kolmogorov distances."""
     out = []
@@ -666,8 +714,13 @@ def _chain_bits():
         mu = gdp_mu(ch, n).mu
         out += [atoms.lr, atoms.p_null, atoms.p_alt, atoms.dropped_null_mass, atoms.dropped_alt_mass, _jsd(atoms)]
         out += [kolmogorov_to_gaussian(atoms, mu, hypothesis) for hypothesis in Hypothesis]
-    for d, n, m in ((2, 40, 3), (3, 12, 1), (3, 8, 2)):
-        atoms = unbundled_lr_atoms(full_channel(np.random.default_rng(300 + d), d), n, m)
+    mm_cases = [
+        (full_channel(np.random.default_rng(300 + d), d), n, m) for d, n, m in ((2, 40, 3), (3, 12, 1), (3, 8, 2))
+    ]
+    # a d = 2 level of two default blocks: the window at nm = 15000 holds 4,899 cells
+    mm_cases.append((rr_channel(1.1), 5000, 3))
+    for ch, n, m in mm_cases:
+        atoms = unbundled_lr_atoms(ch, n, m)
         out += [atoms.lr, atoms.p_null, atoms.p_alt, atoms.dropped_null_mass]
     return out
 
@@ -681,6 +734,44 @@ def test_cell_blocks_keep_the_bits(monkeypatch, block):
     monkeypatch.setattr(exact_dist, "_CELL_BLOCK", block)
     for got, want in zip(_chain_bits(), reference, strict=True):
         assert np.array_equal(got, want), (got, want)
+
+
+def _bd0_until_converged(x, mean):
+    """`_bd0` as it was, summing its series until the sum stopped changing."""
+    out = x * np.log(x / mean) + mean - x
+    near = np.abs(x - mean) < 0.1 * (x + mean)
+    xs = x[near]
+    if np.ndim(mean):
+        mean = mean[near]
+    v = (xs - mean) / (xs + mean)
+    s = (xs - mean) * v
+    ej = 2.0 * xs * v
+    v *= v
+    for j in range(1, 1000):
+        ej *= v
+        nxt = s + ej / (2 * j + 1)
+        if np.array_equal(nxt, s):
+            break
+        s = nxt
+    out[near] = s
+    return out
+
+
+def test_bd0_fixed_series_has_the_converged_bits():
+    # a fixed 9 terms after the first give the bits of summing until the sum
+    # stops changing, with v = (x - mean) / (x + mean) up to just below 0.1
+    # in both signs, for scalar and array means, and on integer counts
+    v = np.concatenate((np.linspace(-0.0999999, 0.0999999, 4001), [-0.09999999999, 0.09999999999, 0.0]))
+    for mean in (0.37, 12.5, 3.3e4, 7.1e8):
+        x = mean * (1.0 + v) / (1.0 - v)
+        assert np.array_equal(_bd0(x, mean), _bd0_until_converged(x, mean))
+    means = np.random.default_rng(25).uniform(0.5, 1e6, v.size)
+    x = means * (1.0 + v) / (1.0 - v)
+    assert np.array_equal(_bd0(x, means), _bd0_until_converged(x, means))
+    K = np.arange(1.0, 2001.0)
+    for mean in (1000.3, 1500.0, 900.0):
+        assert np.array_equal(_bd0(K, mean), _bd0_until_converged(K, mean))
+    assert np.array_equal(_bd0(K, K[::-1].copy()), _bd0_until_converged(K, K[::-1].copy()))
 
 
 def test_histogram_law_memory_is_the_dense_fold():
@@ -701,11 +792,12 @@ def test_ratio_table_memory_is_two_dense_arrays():
 def test_unbundled_memory_is_linear_in_cells():
     # the m-message chain over nm = 400 messages builds every one of the
     # C(402, 2) = 80,601 cells; each holds its m + 1 coefficients only while
-    # its level is built, and the peak is about 125 B a cell, as lr_atoms' at
-    # k = 0 was before its last level was built in blocks (the dense fold it
-    # replaced peaked at 54 B)
+    # its level is built.  The last level comes in blocks, joined once into
+    # its counts, parents and log masses, and the peak is about 109 B a
+    # cell (125 B when the level came whole and its log masses were held
+    # twice; the dense fold it replaced peaked at 54 B)
     ch, n, m = full_channel(np.random.default_rng(7), 3), 100, 4
-    assert _peak_bytes(lambda: unbundled_lr_atoms(ch, n, m)) < 160 * math.comb(n * m + 2, 2)
+    assert _peak_bytes(lambda: unbundled_lr_atoms(ch, n, m)) < 120 * math.comb(n * m + 2, 2)
 
 
 def test_atomization_check_rejects_nan():
