@@ -48,7 +48,6 @@ _EXPORTS = {
         "one_hot_cov",
         "sigma_pi",
         "fisher_constant",
-        "fisher_via_mixture",
     ),
     "exact_dist": (
         "Composition",

@@ -155,7 +155,7 @@ def jsd_canonical_asymptotic(
     terms = (
         stats.chi2 / (8.0 * n),
         -stats.mu3 / (16.0 * n * n),
-        (7.0 / 64.0) * stats.chi2**2 / (n * n),
+        (7.0 / 64.0) * (stats.chi2 * stats.chi2) / (n * n),
     )
     if exact is None:
         exact = _exact_canonical_jsd(channel, n)

@@ -20,10 +20,6 @@ from .errors import ValidationError
 # and it sums to 1 within this slack; it is then renormalized exactly.
 PROB_SUM_TOL = 1e-9
 
-# Strictly positive entries below this threshold are kept but flagged, since
-# they make likelihood ratios and Fisher solves ill-conditioned.
-NEAR_ZERO_TOL = 1e-12
-
 
 class Support(enum.Enum):
     """Support relation between the two conditional laws.
@@ -49,15 +45,12 @@ class Channel:
         W0: law of one message given input 0, shape (d,), read-only.
         W1: law of one message given input 1, shape (d,), read-only.
         support: support classification, see `Support`.
-        near_zero: indices flagged as positive but below NEAR_ZERO_TOL,
-            as (vector, symbol) pairs with vector in {0, 1}.
     """
 
     d: int
     W0: np.ndarray
     W1: np.ndarray
     support: Support
-    near_zero: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         for name in ("W0", "W1"):
@@ -83,7 +76,8 @@ class ScoreStats:
     w is the symbolwise ratio W1/W0, r = w - 1 the centered score, and
     v = W1 - W0 the difference direction.  chi2 and mu3 are the second and
     third moments of r under W0; chi2 equals the chi-square divergence of
-    W1 from W0.
+    W1 from W0.  Both are taken through W0 r = v, as v . r and (v r) . r,
+    so neither squares a ratio: each is finite wherever its true value is.
     """
 
     w: np.ndarray
@@ -128,7 +122,10 @@ def validate_channel(W0, W1) -> Channel:
 
     Raises:
         ValidationError: negative or non-finite entries, a sum too far
-            from 1, alphabet shorter than 2, or mismatched lengths.
+            from 1, alphabet shorter than 2, mismatched lengths, or a
+            ratio W1[y] / W0[y] beyond the largest double at a symbol with
+            W0[y] > 0 (so the symbolwise ratio w of `score_stats` and the
+            Fisher direction v / f are finite).
     """
     a0 = _check_prob_vector(W0, "W0")
     a1 = _check_prob_vector(W1, "W1")
@@ -142,11 +139,14 @@ def validate_channel(W0, W1) -> Channel:
         support = Support.NULL_SUPPORT
     else:
         support = Support.FULL
-    flagged = []
-    for which, arr in ((0, a0), (1, a1)):
-        for y in np.nonzero((arr > 0.0) & (arr < NEAR_ZERO_TOL))[0]:
-            flagged.append((which, int(y)))
-    return Channel(d=a0.size, W0=a0, W1=a1, support=support, near_zero=tuple(flagged))
+    with np.errstate(over="ignore"):
+        w = np.divide(a1, a0, out=np.zeros_like(a1), where=a0 > 0.0)
+    for y in np.flatnonzero(np.isinf(w))[:1]:
+        raise ValidationError(
+            f"the likelihood ratio W1[{y}] / W0[{y}] = {float(a1[y])!r} / {float(a0[y])!r}"
+            " overflows a double"
+        )
+    return Channel(d=a0.size, W0=a0, W1=a1, support=support)
 
 
 def rr_channel(eps0: float) -> Channel:
@@ -176,12 +176,11 @@ def score_stats(channel: Channel) -> ScoreStats:
     w = channel.W1 / channel.W0
     r = w - 1.0
     v = channel.W1 - channel.W0
-    # a score r above ~5.6e102 overflows its cube (above ~1.3e154 its
-    # square too): mu3 (and chi2) are then inf, which the callers' own
-    # checks report, without numpy's overflow warnings ahead of them
+    # v r is finite (|v| <= 1); a sum beyond the double range is inf, as the
+    # true value is, which the callers' own checks report, with no warning
     with np.errstate(over="ignore"):
-        chi2 = float(np.dot(channel.W0, r * r))
-        mu3 = float(np.dot(channel.W0, r**3))
+        chi2 = float(np.dot(v, r))
+        mu3 = float(np.dot(v * r, r))
     return ScoreStats(
         w=w,
         r=r,

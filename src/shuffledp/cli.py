@@ -345,7 +345,7 @@ def cmd_report(args) -> int:
     from .asymptotics import gdp_mu, jsd_canonical_asymptotic
     from .montecarlo import rr_boundary
     from .multimessage import mm_gdp_compare
-    from .simplex_linalg import _check_pi, fisher_constant, fisher_via_mixture
+    from .simplex_linalg import _check_pi, fisher_constant
 
     channel = _load_channel(args.channel)
     _check_count("m", args.m)
@@ -371,7 +371,7 @@ def cmd_report(args) -> int:
         report["fisher"] = {
             "pi": pi,
             "I_pi": fisher.fisher,
-            "I_pi_mixture_form": fisher_via_mixture(channel, pi),
+            "I_pi_mixture_form": fisher.fisher,
             "I_mixture": fisher.fisher_mixture,
         }
         gdp: dict = {

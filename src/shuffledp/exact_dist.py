@@ -427,7 +427,8 @@ def _pair_blocks(channel: Channel, zeros: int, ones: int, cap: int):
 def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense null law of the pair at (n, k) and its ratio L = alt / null, the
     one table read at single histograms; L is NaN where the null mass is
-    below MIN_NULL_MASS (the cells the atoms drop).
+    below MIN_NULL_MASS (the cells the atoms drop), and the pair is refused
+    as in `_atomize` when its alt mass there is above _MASS_TOL.
 
     The null law is completed in place in the array of the base law
     T_{n-1,k}, and each block's ratio is written into one more array, so
@@ -435,12 +436,24 @@ def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndar
     """
     _check_pair(channel, comp, "pair ratio")
     ratio = None
+    dropped_alt = []
     for null, box, p_null, p_alt in _pair_blocks(channel, comp.n - 1 - comp.k, comp.k, cap):
         if ratio is None:
             ratio = np.full(null.shape, np.nan)
         null[box] = p_null
-        np.divide(p_alt, p_null, out=ratio[box], where=p_null >= MIN_NULL_MASS)
+        keep = p_null >= MIN_NULL_MASS
+        np.divide(p_alt, p_null, out=ratio[box], where=keep)
+        dropped_alt.append(p_alt[~keep & (p_alt > 0.0)])
+    _check_dropped_alt(_fsum(np.concatenate(dropped_alt)))
     return null, ratio
+
+
+def _check_dropped_alt(dropped_alt: float) -> None:
+    if not dropped_alt <= _MASS_TOL:
+        raise ValidationError(
+            f"the alt law puts mass {dropped_alt!r} (more than {_MASS_TOL}) on cells whose null"
+            " mass is below the smallest normal double, where no ratio can be computed"
+        )
 
 
 def _atomize(n: int, k: int, blocks) -> LrAtomization:
@@ -472,11 +485,7 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
     del block, keep  # the last block's views would keep the scratch buffers alive
     dropped_null, dropped_alt = (_fsum(np.concatenate(masses)) for masses in zip(*dropped))
     del dropped
-    if not dropped_alt <= _MASS_TOL:
-        raise ValidationError(
-            f"the alt law puts mass {dropped_alt!r} (more than {_MASS_TOL}) on cells whose null"
-            " mass is below the smallest normal double, where no ratio can be computed"
-        )
+    _check_dropped_alt(dropped_alt)
     if len(kept) == 1:
         cells = kept.pop()
     else:
@@ -917,7 +926,7 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
         chi2 = math.inf
         kl = math.inf
     else:
-        chi2 = _atom_fsum(atoms, lambda lr, p: p * (lr - 1.0) ** 2)
+        chi2 = _atom_fsum(atoms, lambda lr, p: p * (lr - 1.0) * (lr - 1.0))
         with np.errstate(divide="ignore", invalid="ignore"):  # log 0; the zero ratios' terms are 0
             kl = _atom_fsum(atoms, lambda lr, p: np.where(lr > 0.0, p * lr * np.log(lr), 0.0))
     renyi: dict[float, float] = {}
@@ -950,6 +959,8 @@ def tradeoff_curve(atoms: LrAtomization) -> TradeoffCurve:
         raise InternalInvariantError(
             f"trade-off sweep ended at ({alpha[-1]!r}, {beta[-1]!r}), not (1, 0)"
         )
+    # the cumulative alpha can round above 1 before the last vertex
+    np.minimum(alpha, 1.0, out=alpha)
     alpha[-1] = 1.0
     beta = np.clip(beta, 0.0, 1.0)
     beta[-1] = 0.0
@@ -970,7 +981,8 @@ def conditional_score(channel: Channel, comp: Composition, histogram, cap: int =
     Raises:
         ValidationError: a histogram of wrong shape/mass, or null mass below
             MIN_NULL_MASS at N (off the support; the atoms drop such cells);
-            in a batch the message names the row.
+            in a batch the message names the row.  A pair the atoms refuse
+            for its alt mass on such cells is refused here too.
     """
     batch = any(np.ndim(row) for row in histogram) or np.ndim(histogram) == 2
     rows = list(histogram) if batch else [histogram]

@@ -202,9 +202,10 @@ def sample_privacy_loss(
     Draw g simulates all n users (input-0 users first), builds the message
     histogram and evaluates the exact pair ratio at it: through the affine
     identity for k = 0, otherwise through the log, taken in place, of the
-    ratio table `exact_dist._ratio_table` (it inherits the enumeration cap,
-    and a draw on its NaN cells, off the support, raises
-    InternalInvariantError).  Returns `config.reps` values in draw order,
+    ratio table `exact_dist._ratio_table` (it inherits the enumeration cap
+    and refuses, with the atoms' ValidationError, a pair whose alt mass on
+    cells with no ratio is above their tolerance; a draw on its NaN cells
+    raises InternalInvariantError).  Returns `config.reps` values in draw order,
     independent of `config.workers`.
 
     User j of draw g sends the symbol searchsorted(cdf, u, side="right"),

@@ -2,10 +2,11 @@
 
 The covariance of a one-hot draw from a law f is diag(f) - f f^T.  It is
 singular with kernel spanned by the all-ones vector, so inverses are taken on
-the zero-sum subspace.  Dropping the last coordinate represents that
-quadratic form by the leading (d-1) x (d-1) principal minor: for zero-sum
-u and z,  u^T Sigma^+ z = u_-^T (Sigma_-)^{-1} z_-,  which is what the
-solvers below compute.
+the zero-sum subspace.  The fixed-composition covariance sigma_pi is that of
+the mixture f = (1-pi) W0 + pi W1 less the rank-one term pi (1-pi) v v^T,
+v = W1 - W0.  Since v sums to zero, q = v / f solves the mixture system
+exactly, and the Sherman-Morrison identity turns it into the solution of
+sigma_pi s = v: no linear solve, no cancellation.
 """
 
 from dataclasses import dataclass
@@ -14,10 +15,6 @@ import numpy as np
 
 from .channels import Channel, Support
 from .errors import ValidationError
-
-# Reject solves whose reduced minor is this ill-conditioned; the channel is
-# numerically degenerate and results would be noise.
-CONDITION_CAP = 1e12
 
 # Guard for the Sherman-Morrison denominator 1 - pi(1-pi) I_f.
 _DENOM_TOL = 1e-12
@@ -36,7 +33,6 @@ class FisherReport:
         fisher: the constant I_pi = v . s = v^T sigma^+ v.
         fisher_mixture: I_f = sum v^2 / f, the single-draw mixture
             information (always <= fisher).
-        reduced_cond: condition number of the reduced minor that was solved.
     """
 
     pi: float
@@ -46,7 +42,6 @@ class FisherReport:
     s: np.ndarray
     fisher: float
     fisher_mixture: float
-    reduced_cond: float
 
 
 def _require_full(channel: Channel, op: str) -> None:
@@ -83,70 +78,38 @@ def sigma_pi(channel: Channel, pi: float) -> np.ndarray:
 
 
 def fisher_constant(channel: Channel, pi: float) -> FisherReport:
-    """Solve sigma_pi s = v on the zero-sum subspace and report I_pi = v . s.
+    """The zero-sum solution s of sigma_pi s = v and I_pi = v . s, in closed form.
 
-    The reduced system drops the last coordinate; the solution is lifted back
-    by projecting onto zero sum.  Channels whose reduced minor has condition
-    number above CONDITION_CAP are rejected, with any near-zero symbol masses
-    named in the error.
+    With q = v / f and I_f = v . q, the mixture covariance maps q to v, so
+    sigma_pi maps q to (1 - pi(1-pi) I_f) v: s is q over that denominator,
+    projected to zero sum, and I_pi = I_f / (1 - pi(1-pi) I_f).
 
     Raises:
-        ValidationError: non-FULL channel, pi outside [0, 1], or an
-            ill-conditioned reduced minor.
+        ValidationError: non-FULL channel, pi outside [0, 1], or a
+            denominator at most _DENOM_TOL (sigma_pi numerically singular).
     """
     _require_full(channel, "fisher_constant")
     pi = _check_pi(pi)
-    d = channel.d
-    v = channel.W1 - channel.W0
-    sigma = sigma_pi(channel, pi)
-    minor = sigma[: d - 1, : d - 1]
-    cond = float(np.linalg.cond(minor))
-    if not np.isfinite(cond) or cond > CONDITION_CAP:
-        detail = ""
-        if channel.near_zero:
-            labels = [f"W{which}[{y}]" for which, y in channel.near_zero]
-            detail = f" (near-zero symbol masses: {', '.join(labels)})"
-        raise ValidationError(
-            f"reduced covariance minor has condition number {cond:.3e} "
-            f"> {CONDITION_CAP:.0e}; channel is numerically degenerate{detail}"
-        )
-    g = np.linalg.solve(minor, v[: d - 1])
-    shift = g.sum() / d
-    s = np.empty(d)
-    s[: d - 1] = g - shift
-    s[d - 1] = -shift
-    fisher = float(np.dot(v[: d - 1], g))
     f = (1.0 - pi) * channel.W0 + pi * channel.W1
-    fisher_mixture = float(np.sum(v * v / f))
+    v = channel.W1 - channel.W0
+    # q is finite at pi = 0 (validate_channel bounds W1 / W0); at pi = 1 a
+    # W0 / W1 beyond the double range makes I_f inf and the check refuse it
+    with np.errstate(over="ignore"):
+        q = v / f
+    fisher_mixture = float(np.sum(v * q))
+    denom = 1.0 - pi * (1.0 - pi) * fisher_mixture
+    if not denom > _DENOM_TOL:
+        raise ValidationError(
+            f"rank-one denominator 1 - pi(1-pi) I_f = {denom!r} (I_f = {fisher_mixture!r}) "
+            f"is not above {_DENOM_TOL}; channel is numerically degenerate at this pi"
+        )
+    s = q / denom
     return FisherReport(
         pi=pi,
         f=f,
         v=v,
-        sigma=sigma,
-        s=s,
-        fisher=fisher,
+        sigma=sigma_pi(channel, pi),
+        s=s - s.mean(),
+        fisher=fisher_mixture / denom,
         fisher_mixture=fisher_mixture,
-        reduced_cond=cond,
     )
-
-
-def fisher_via_mixture(channel: Channel, pi: float) -> float:
-    """I_pi computed from the mixture information by the rank-one identity.
-
-    The mixture covariance diag(f) - f f^T equals sigma_pi plus the rank-one
-    update pi (1-pi) v v^T, so I_pi = I_f / (1 - pi (1-pi) I_f) with
-    I_f = sum_y v(y)^2 / f(y).  Serves as an independent cross-check of
-    `fisher_constant`.
-    """
-    _require_full(channel, "fisher_via_mixture")
-    pi = _check_pi(pi)
-    f = (1.0 - pi) * channel.W0 + pi * channel.W1
-    v = channel.W1 - channel.W0
-    fisher_mixture = float(np.sum(v * v / f))
-    denom = 1.0 - pi * (1.0 - pi) * fisher_mixture
-    if denom <= _DENOM_TOL:
-        raise ValidationError(
-            f"rank-one denominator {denom!r} <= {_DENOM_TOL}; "
-            "channel is numerically degenerate at this pi"
-        )
-    return fisher_mixture / denom

@@ -4,7 +4,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from shuffledp import Channel, Composition, LrAtomization, ValidationError, score_stats, validate_channel
+from shuffledp import Channel, Composition, LrAtomization, ValidationError, score_stats, sigma_pi, validate_channel
 from shuffledp.exact_dist import DEFAULT_ATOM_CAP, _check_histogram, _fold_atoms
 
 settings.register_profile(
@@ -20,6 +20,24 @@ def full_channel(rng: np.random.Generator, d: int) -> Channel:
     W0 = 0.8 * rng.dirichlet([2.0] * d) + 0.2 / d
     W1 = 0.8 * rng.dirichlet([2.0] * d) + 0.2 / d
     return validate_channel(W0, W1)
+
+
+def fisher_by_solve(channel: Channel, pi: float) -> tuple[float, np.ndarray]:
+    """Reference (I_pi, s) from a linear solve of sigma_pi s = v on the zero-sum subspace.
+
+    Drops the symbol of largest mixture mass f, solves the (d-1) x (d-1)
+    minor left, and lifts the solution to zero sum.  On a zero-sum vector
+    the minor represents sigma_pi's pseudo-inverse whichever symbol is
+    dropped; dropping the largest keeps the diagonal f - f^2 of the minor
+    from cancelling when one mass is near 1.  An oracle for the closed form
+    of `fisher_constant`, which shares no step with it.
+    """
+    v = channel.W1 - channel.W0
+    keep = np.arange(channel.d) != np.argmax((1.0 - pi) * channel.W0 + pi * channel.W1)
+    g = np.linalg.solve(sigma_pi(channel, pi)[np.ix_(keep, keep)], v[keep])
+    s = np.zeros(channel.d)
+    s[keep] = g
+    return float(np.dot(v[keep], g)), s - s.mean()
 
 
 def fold_atoms(channel: Channel, comp: Composition) -> LrAtomization:

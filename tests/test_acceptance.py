@@ -21,7 +21,6 @@ from shuffledp import (
     chernoff_delta,
     divergences,
     fisher_constant,
-    fisher_via_mixture,
     frequency_mse,
     gdp_mu,
     jsd_canonical_asymptotic,
@@ -38,7 +37,7 @@ from shuffledp import (
 from shuffledp.channels import channel_to_json
 from shuffledp.cli import DEFAULT_EPS_SPEC, main, parse_eps_grid
 
-from conftest import brute_force_lr, fold_atoms, full_channel
+from conftest import brute_force_lr, fisher_by_solve, fold_atoms, full_channel
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -80,7 +79,7 @@ def test_criterion_02_fisher_routes_agree():
         ch = full_channel(rng, (2, 3, 4)[i % 3])
         for pi in pis:
             direct = fisher_constant(ch, pi).fisher
-            via = fisher_via_mixture(ch, pi)
+            via = fisher_by_solve(ch, pi)[0]
             assert abs(direct - via) <= 1e-9 * (1.0 + direct)
     rr3 = rr_channel(LN3)
     assert abs(fisher_constant(rr3, 0.0).fisher - 4 / 3) <= 1e-12

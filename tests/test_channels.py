@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,11 +76,17 @@ def test_support_classification():
     assert validate_channel([0.0, 1.0], [0.5, 0.5]).support is Support.SINGULAR
 
 
-def test_near_zero_flagging():
-    tiny = 1e-15
-    ch = validate_channel([1.0 - tiny, tiny], [0.5, 0.5])
-    assert (0, 1) in ch.near_zero
-    assert ch.support is Support.FULL
+def test_validate_refuses_a_ratio_beyond_the_double_range():
+    # W1/W0 = 1.05e-12 / 5e-324 overflows: refused, naming the symbol
+    with pytest.raises(ValidationError, match=r"W1\[0\] / W0\[0\] = 1.05e-12 / 5e-324 overflows"):
+        validate_channel([5e-324, 1.0], [1.05e-12, 1.0 - 1.05e-12])
+    with pytest.raises(ValidationError, match=r"W1\[1\] / W0\[1\]"):
+        validate_channel([1.0, 4.94e-318], [0.6901211876677521, 0.30987881233224784])
+    # a ratio just inside the range, a tiny mass on both sides and a zero in
+    # W0 (SINGULAR, no ratio) are accepted
+    assert validate_channel([1.0, 1e-308], [0.5, 0.5]).support is Support.FULL
+    assert validate_channel([1.0, 5e-324], [1.0, 5e-324]).support is Support.FULL
+    assert validate_channel([0.0, 1.0], [0.5, 0.5]).support is Support.SINGULAR
 
 
 def test_channel_arrays_are_read_only():
@@ -95,6 +102,18 @@ def test_score_stats_rr_ln3():
     assert st_.mu3 == pytest.approx(16 / 9, rel=1e-12)
     assert st_.w_max == pytest.approx(3.0, rel=1e-12)
     assert st_.delta_star == pytest.approx(0.25, rel=1e-12)
+
+
+def test_score_stats_moments_beyond_the_square_range():
+    # r = 2.9e223 squares beyond the double range, but chi2 = v . r does not:
+    # it is finite, and mu3, whose true value is above 1e347, is inf, with
+    # no overflow warning
+    ch = validate_channel([5e-324, 1.0], [1.45e-100, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st_ = score_stats(ch)
+    assert st_.chi2 == 4.255507375786205e123
+    assert st_.mu3 == math.inf
 
 
 def test_score_stats_rejects_singular():

@@ -176,11 +176,11 @@ def test_exit_codes(rr3_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def _run_cli(*argv) -> subprocess.CompletedProcess:
-    """`python -m shuffledp.cli *argv` in a fresh process that imports this checkout's src."""
+def _run_cli(*argv, flags=()) -> subprocess.CompletedProcess:
+    """`python *flags -m shuffledp.cli *argv` in a fresh process that imports this checkout's src."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     return subprocess.run(
-        [sys.executable, "-m", "shuffledp.cli", *argv],
+        [sys.executable, *flags, "-m", "shuffledp.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
@@ -200,6 +200,19 @@ def test_curve_refuses_alt_mass_on_underflowed_cells(tmp_path):
     assert "RuntimeWarning" not in out.stderr
     [line] = out.stderr.splitlines()
     assert line.startswith("error: the alt law puts mass 0.4999")
+
+
+def test_simulate_refuses_alt_mass_on_underflowed_cells(tmp_path):
+    # the pair (3, 1) of W0 = [1, 1e-308] puts alt mass 0.096 on a cell whose
+    # null mass is subnormal: the sampler refuses it as `curve` does (exit 2),
+    # under either law
+    path = tmp_path / "tiny.json"
+    path.write_text(channel_to_json(validate_channel([1.0, 1e-308], [0.6901211876677521, 0.30987881233224784])))
+    for argv in (["simulate", "--hypothesis", "alt"], ["simulate"], ["curve"]):
+        out = _run_cli(*argv, "--channel", str(path), "--n", "3", "--k", "1")
+        assert (out.returncode, out.stdout) == (2, "")
+        [line] = out.stderr.splitlines()
+        assert line.startswith("error: the alt law puts mass 0.0960")
 
 
 @pytest.mark.parametrize("engine, code", [("exact", 0), ("binomial", 0), ("gdp", 2), ("chernoff", 0)])
@@ -241,6 +254,31 @@ def test_report_refuses_a_count_beyond_the_double_range(rr3_file):
     out = _run_cli("report", "--channel", rr3_file, "--n", "100", "--m", str(10**400))
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == f"error: m must be at most 1.7976931348623157e+308, got {10**400}\n"
+
+
+def test_report_on_masses_far_below_one(tmp_path):
+    # W0 = [1, 1e-88, 1e-288]: I_0 = 1.0041e287 and chi2 (its value at
+    # pi = 0) are finite; mu3 and the expansion's higher terms exceed the
+    # double range.  Exit 0, with no warning
+    path = tmp_path / "far.json"
+    path.write_text(channel_to_json(validate_channel(
+        [1.0, 1e-88, 1e-288], [0.40271150782609794, 0.28041299037314577, 0.31687550180075624]
+    )))
+    out = _run_cli("report", "--channel", str(path), "--n", "1", flags=("-W", "error"))
+    assert (out.returncode, out.stderr) == (0, "")
+    payload = json.loads(out.stdout)
+    assert payload["fisher"]["I_pi"] == 1.0041008364148107e287
+    assert payload["score"]["chi2"] == 1.0041008364148107e287
+    assert payload["gdp"]["mu_canonical"] == math.sqrt(1.0041008364148107e287)
+
+
+def test_report_chi2_beyond_the_square_range(tmp_path):
+    # w = 2.9e223 squares beyond the double range; chi2 = 4.26e123 does not
+    path = tmp_path / "sq.json"
+    path.write_text(channel_to_json(validate_channel([5e-324, 1.0], [1.45e-100, 1.0])))
+    out = _run_cli("report", "--channel", str(path), "--n", "1", flags=("-W", "error"))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["score"]["chi2"] == 4.255507375786205e123
 
 
 def test_report_contents(rr3_file, capsys):
@@ -494,7 +532,7 @@ PINNED = {
     ),
     "report-d3": (
         ["report", "--channel", "d3.json", "--n", "190", "--k", "63", "--m", "4"],
-        "943bcf99373d5a2da08be73b95404cf70869c1849fa775ac575865c9a436a668",
+        "1b998450b71d7a17c7fdab4f03fe5644288ff9b55b7f98fbf416ad857184ba0e",
     ),
     "report-null-support": (
         ["report", "--channel", "ns.json", "--n", "20"],
@@ -507,7 +545,7 @@ PINNED = {
     "simulate-json": (
         ["simulate", "--channel", "d3.json", "--n", "30", "--k", "9", "--seed", "3", "--reps",
          "300", "--format", "json"],
-        "52cad30cd316c4765f6bcb4890186a7850d883740de50ced7962e00c0bf6feb0",
+        "39981b363e844fc8b8bb6b9427fb6acd9963a1f5949f5327e579393eb0d5d254",
     ),
 }
 

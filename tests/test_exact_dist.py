@@ -1167,6 +1167,16 @@ def test_chi2_contracts_exactly_like_one_over_n():
         assert divergences(atoms).chi2 == pytest.approx(chan_chi2 / n, rel=1e-12)
 
 
+def test_divergences_chi2_beyond_the_square_range():
+    # ratios up to 4.6e199 square beyond the double range, but each term
+    # p (lr - 1)^2 is finite when its mass multiplies first
+    ch = validate_channel([1e-200, 1.0], [0.4576165114985846, 0.5423834885014154])
+    atoms = lr_atoms(ch, Composition(200, 173))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert divergences(atoms).chi2 == 1.4336109135173833e139
+
+
 def test_divergences_with_support_loss():
     ch = validate_channel([0.5, 0.5], [0.0, 1.0])
     atoms = lr_atoms(ch, Composition(2, 0))
@@ -1207,6 +1217,20 @@ def test_tradeoff_is_convex():
     curve = tradeoff_curve(lr_atoms(ch, Composition(7, 2)))
     slopes = np.diff(curve.beta) / np.diff(curve.alpha)
     assert np.all(np.diff(slopes) >= -1e-9)
+
+
+def test_tradeoff_alpha_stays_monotone_when_its_sum_rounds_above_one():
+    # the cumulative null mass of this pair reaches 1 + 2 ulps before its last
+    # vertex; pinning only the last alpha to 1 made alpha step down there and
+    # beta_at(1) read 1.1e-15
+    ch = validate_channel(
+        [0.31913179660069385, 0.3654704442577032, 0.31539775914160306],
+        [0.31584039905427663, 0.3260063280713544, 0.35815327287436904],
+    )
+    curve = tradeoff_curve(lr_atoms(ch, Composition(40, 13)))
+    assert np.all(np.diff(curve.alpha) >= 0.0)
+    assert np.all(np.diff(curve.beta) <= 0.0)
+    assert curve.beta_at(1.0) == 0.0
 
 
 def test_tradeoff_singular_starts_below_one():

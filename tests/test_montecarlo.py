@@ -23,6 +23,7 @@ from shuffledp import (
     frequency_mse,
     gdp_mu,
     kolmogorov_to_gaussian,
+    lr_atoms,
     rate_exponent,
     rr_boundary,
     rr_channel,
@@ -332,6 +333,18 @@ def test_sampling_validation_and_cap():
         sample_privacy_loss(RR3, Composition(5, 5), Hypothesis.NULL, SimConfig(seed=0, reps=10))
     with pytest.raises(EnumerationCapError):
         sample_privacy_loss(RR3, Composition(300, 2), Hypothesis.NULL, SimConfig(seed=0, reps=10), cap=50)
+
+
+@pytest.mark.parametrize("hypothesis", list(Hypothesis))
+def test_sampling_refuses_alt_mass_on_underflowed_cells(hypothesis):
+    # at n = 3, k = 1 the alt law puts 0.096 on the cell (1, 2), whose null
+    # mass 6e-309 is subnormal: the pair is refused as the atoms refuse it,
+    # whichever law is sampled
+    ch = validate_channel([1.0, 1e-308], [0.6901211876677521, 0.30987881233224784])
+    with pytest.raises(ValidationError, match="the alt law puts mass 0.0960"):
+        lr_atoms(ch, Composition(3, 1))
+    with pytest.raises(ValidationError, match="the alt law puts mass 0.0960"):
+        sample_privacy_loss(ch, Composition(3, 1), hypothesis, SimConfig(seed=0, reps=50))
 
 
 def test_sampling_raises_on_a_histogram_missing_from_the_table(monkeypatch):
