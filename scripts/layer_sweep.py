@@ -29,15 +29,16 @@ The `process` cells (left out by --smallest) time what in-process cells
 cannot: interpreter start-up, imports and exit.  Each runs one command in
 fresh interpreters, which inherit this process's environment (so the
 package on PYTHONPATH is the one they load): the bare interpreter
-(`-c pass`), `-c "import shuffledp.cli"`, three `python -m
+(`-c pass`), `-c "import shuffledp.cli"`, four `python -m
 shuffledp.cli` jobs on the d = 3 channel: the exact `curve` at n = 190,
-k = 63, `report` at n = 190, and `curve --engine gdp` at n = 950000,
-`report` at n = 950000, m = 2 on randomized response at eps0 = 1.1, and
-`scripts/gdp_rate_study.py` at n = 110000, 300000, 950000 (the script
-beside the package on PYTHONPATH, so each side runs its own).  A
-cell reports the minimum wall time of five processes after a warm-up one,
-and the minimum of their peak RSS (`ru_maxrss`, in MiB as perfbench
-reports it) as `peak_mb`.  `scripts/bench_summary.py` joins the sweeps of
+k = 63, `report` at n = 190, `curve --engine gdp` at n = 950000 and
+`simulate` at n = 190, k = 63 on one worker; two on randomized response
+at eps0 = 1.1: `report` at n = 950000, m = 2 and `curve --engine
+chernoff` at n = 500000; and `scripts/gdp_rate_study.py` at n = 110000,
+300000, 950000 (the script beside the package on PYTHONPATH, so each side
+runs its own).  A cell reports the minimum wall time of five processes
+after a warm-up one, and the minimum of their peak RSS (`ru_maxrss`, in
+MiB as perfbench reports it) as `peak_mb`.  `scripts/bench_summary.py` joins the sweeps of
 two checkouts cell by cell.
 """
 
@@ -146,8 +147,14 @@ PROCESSES = {
     "python -m shuffledp.cli curve --engine gdp d=3 n=950000": [
         "-m", "shuffledp.cli", "curve", "--channel", "{channel}", "--n", "950000", "--engine", "gdp"
     ],
+    "python -m shuffledp.cli simulate d=3 n=190 k=63 --workers 1": [
+        "-m", "shuffledp.cli", "simulate", "--channel", "{channel}", "--n", "190", "--k", "63", "--workers", "1"
+    ],
     "python -m shuffledp.cli report rr d=2 n=950000 m=2": [
         "-m", "shuffledp.cli", "report", "--channel", "{rr}", "--n", "950000", "--m", "2"
+    ],
+    "python -m shuffledp.cli curve --engine chernoff rr d=2 n=500000": [
+        "-m", "shuffledp.cli", "curve", "--channel", "{rr}", "--n", "500000", "--engine", "chernoff"
     ],
     "python scripts/gdp_rate_study.py --n 110000,300000,950000": [
         "{scripts}/gdp_rate_study.py", "--n", "110000,300000,950000"

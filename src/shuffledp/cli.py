@@ -262,6 +262,23 @@ def _json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _finite_json(obj, path: str, nonfinite: dict):
+    """`obj` as plain JSON values (`_json_default` converts what is not one),
+    with each NaN or infinite number replaced by None and recorded in
+    `nonfinite` as "nan", "inf" or "-inf" under its path: keys joined by
+    ".", list indices as "[i]"."""
+    if isinstance(obj, dict):
+        return {k: _finite_json(v, f"{path}.{k}" if path else k, nonfinite) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v, f"{path}[{i}]", nonfinite) for i, v in enumerate(obj)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        nonfinite[path] = "nan" if math.isnan(obj) else "inf" if obj > 0.0 else "-inf"
+        return None
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    return _finite_json(_json_default(obj), path, nonfinite)
+
+
 def _default_pi(n: int, k: int) -> float:
     """pi = k / (n-1) of the pair (k, k+1), which needs 0 <= k <= n-1."""
     _check_count("n", n)
@@ -342,9 +359,9 @@ def cmd_curve(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # the m-message engine and the sampler module are imported only in the
+    # branches that call them, so a single-message report loads neither
     from .asymptotics import gdp_mu, jsd_canonical_asymptotic
-    from .montecarlo import rr_boundary
-    from .multimessage import mm_gdp_compare
     from .simplex_linalg import _check_pi, fisher_constant
 
     channel = _load_channel(args.channel)
@@ -374,16 +391,15 @@ def cmd_report(args) -> int:
             "I_pi_mixture_form": fisher.fisher,
             "I_mixture": fisher.fisher_mixture,
         }
-        gdp: dict = {
+        report["gdp"] = gdp = {
             "mu_canonical": gdp_mu(channel, args.n, pi=0.0).mu,
             "mu_at_pi": gdp_mu(channel, args.n, pi=pi).mu if pi > 0.0 else None,
         }
         if args.m > 1:
-            unb = gdp_mu(channel, args.n, pi=pi, m=args.m)
-            gdp["mu_unbundled"] = unb.mu
+            from .multimessage import mm_gdp_compare
+
+            gdp["mu_unbundled"] = gdp_mu(channel, args.n, pi=pi, m=args.m).mu
             gdp["m"] = args.m
-        report["gdp"] = gdp
-        if args.m > 1:
             report["multimessage"] = mm_gdp_compare(channel, args.m)
     else:
         report["fisher"] = None
@@ -391,8 +407,16 @@ def cmd_report(args) -> int:
     report["jsd_canonical"] = jsd_canonical_asymptotic(channel, args.n)
     eps0 = _is_rr(channel)
     if eps0 is not None:
+        from .montecarlo import rr_boundary
+
         report["rr_boundary"] = rr_boundary(eps0, args.n)
-    print(json.dumps(report, indent=2, default=_json_default))
+    # strict JSON: a number beyond the double range prints as null, and the
+    # "nonfinite" object names it
+    nonfinite: dict = {}
+    report = _finite_json(report, "", nonfinite)
+    if nonfinite:
+        report["nonfinite"] = nonfinite
+    print(json.dumps(report, indent=2, allow_nan=False))
     return 0
 
 

@@ -567,7 +567,13 @@ def _bd0(x: np.ndarray, mean) -> np.ndarray:
     and the terms shrink, so once one rounds away every later one does too:
     the fixed count gives the bits of summing until the sum stops changing.
     """
-    out = x * np.log(x / mean) + mean - x
+    with np.errstate(over="ignore"):
+        log_ratio = np.log(x / mean)
+    # a subnormal mean: x / mean overflows where its log does not
+    far = np.isinf(log_ratio)
+    if far.any():
+        log_ratio[far] = np.log(x[far]) - np.log(mean[far] if np.ndim(mean) else mean)
+    out = x * log_ratio + mean - x
     near = np.abs(x - mean) < 0.1 * (x + mean)
     xs = x[near]
     if np.ndim(mean):
@@ -685,7 +691,7 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
         if j == 1:
             # a run ends before the parent of cell _CELL_BLOCK, 2 _CELL_BLOCK, ...
             ends = np.searchsorted(np.cumsum(length), np.arange(_CELL_BLOCK, cells, _CELL_BLOCK), side="right")
-            cuts = np.unique(np.concatenate((cuts, ends))).tolist()
+            cuts = sorted({*cuts, *ends.tolist()})  # np.unique would load numpy.ma
         for run in (slice(a, b) for a, b in zip(cuts, cuts[1:])):
             row = np.repeat(np.arange(run.start, run.stop), length[run])
             K = lo + (np.arange(row.size) - np.repeat(np.cumsum(length[run]) - length[run], length[run]))

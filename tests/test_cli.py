@@ -256,29 +256,64 @@ def test_report_refuses_a_count_beyond_the_double_range(rr3_file):
     assert out.stderr == f"error: m must be at most 1.7976931348623157e+308, got {10**400}\n"
 
 
+def _strict_json(text: str):
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_report_on_masses_far_below_one(tmp_path):
     # W0 = [1, 1e-88, 1e-288]: I_0 = 1.0041e287 and chi2 (its value at
     # pi = 0) are finite; mu3 and the expansion's higher terms exceed the
-    # double range.  Exit 0, with no warning
+    # double range, so each prints as null and "nonfinite" names it.
+    # Exit 0, with no warning and no Infinity or NaN token
     path = tmp_path / "far.json"
     path.write_text(channel_to_json(validate_channel(
         [1.0, 1e-88, 1e-288], [0.40271150782609794, 0.28041299037314577, 0.31687550180075624]
     )))
     out = _run_cli("report", "--channel", str(path), "--n", "1", flags=("-W", "error"))
     assert (out.returncode, out.stderr) == (0, "")
-    payload = json.loads(out.stdout)
+    payload = _strict_json(out.stdout)
     assert payload["fisher"]["I_pi"] == 1.0041008364148107e287
     assert payload["score"]["chi2"] == 1.0041008364148107e287
     assert payload["gdp"]["mu_canonical"] == math.sqrt(1.0041008364148107e287)
+    assert payload["score"]["mu3"] is None
+    assert payload["jsd_canonical"]["terms"] == [1.2551260455185133e286, None, None]
+    assert list(payload)[-1] == "nonfinite"
+    assert payload["nonfinite"] == {
+        "score.mu3": "inf",
+        "jsd_canonical.terms[1]": "-inf",
+        "jsd_canonical.terms[2]": "inf",
+        "jsd_canonical.asymptotic": "nan",
+        "jsd_canonical.residual": "nan",
+    }
 
 
 def test_report_chi2_beyond_the_square_range(tmp_path):
-    # w = 2.9e223 squares beyond the double range; chi2 = 4.26e123 does not
+    # w = 2.9e223 squares beyond the double range; chi2 = 4.26e123 does not.
+    # At n = 2 the exact JSD's binomial mean is 1e-323, where x / mean
+    # overflows a double
     path = tmp_path / "sq.json"
     path.write_text(channel_to_json(validate_channel([5e-324, 1.0], [1.45e-100, 1.0])))
-    out = _run_cli("report", "--channel", str(path), "--n", "1", flags=("-W", "error"))
-    assert (out.returncode, out.stderr) == (0, "")
-    assert json.loads(out.stdout)["score"]["chi2"] == 4.255507375786205e123
+    for n in ("1", "2"):
+        out = _run_cli("report", "--channel", str(path), "--n", n, flags=("-W", "error"))
+        assert (out.returncode, out.stderr) == (0, "")
+        payload = _strict_json(out.stdout)
+        assert payload["score"]["chi2"] == 4.255507375786205e123
+        assert payload["nonfinite"] == {
+            "score.mu3": "inf",
+            "jsd_canonical.terms[1]": "-inf",
+            "jsd_canonical.asymptotic": "-inf",
+            "jsd_canonical.residual": "inf",
+        }
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_report_contents(rr3_file, capsys):

@@ -774,6 +774,21 @@ def test_bd0_fixed_series_has_the_converged_bits():
     assert np.array_equal(_bd0(K, K[::-1].copy()), _bd0_until_converged(K, K[::-1].copy()))
 
 
+def test_bd0_and_binom_pmf_at_a_subnormal_mean():
+    # n p = 1e-323: x / mean overflows a double, its log does not; no warning,
+    # and the log masses are log C(2, K) + K log p + (2 - K) log1p(-p)
+    p, log_p = 5e-324, math.log(5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _binom_pmf(np.array([0.0, 1.0, 2.0]), 2, p, log=True)
+        x, means = np.array([1.0, 2.0, 3.0]), np.array([1e-323, 1e-323, 2.5])
+        deviance = _bd0(x, means)
+    assert got[0] == 2.0 * math.log1p(-p)
+    assert got[1:] == pytest.approx([math.log(2.0) + log_p, 2.0 * log_p], rel=1e-14)
+    assert deviance[:2] == pytest.approx(x[:2] * (np.log(x[:2]) - math.log(1e-323)) - x[:2], rel=1e-14)
+    assert deviance[2] == _bd0(x[2:], 2.5)[0]
+
+
 def test_histogram_law_memory_is_the_dense_fold():
     # the law is one dense array, folded in place, with no per-histogram
     # objects: the peak is that array and the block scratch

@@ -130,13 +130,49 @@ def channel_files(tmp_path):
     return {"rr": str(rr), "d3": str(d3)}
 
 
+def _loaded_by_main(*argv) -> set:
+    return _loaded_after("import sys\nfrom shuffledp.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
+
+
 def test_exact_curve_loads_no_other_engine(channel_files, tmp_path):
-    argv = ["curve", "--channel", channel_files["d3"], "--n", "40", "--out", str(tmp_path / "c.csv")]
-    code = "import sys\nfrom shuffledp.cli import main\nassert main(sys.argv[1:]) == 0"
-    loaded = _loaded_after(code, *argv)
+    loaded = _loaded_by_main("curve", "--channel", channel_files["d3"], "--n", "40", "--out", str(tmp_path / "c.csv"))
     for module in ("montecarlo", "multimessage", "bounds", "asymptotics"):
         assert f"shuffledp.{module}" not in loaded
     assert "statistics" not in loaded
+
+
+def test_single_message_report_loads_no_engine_it_does_not_run(channel_files):
+    # the closed forms and the exact k = 0 JSD at d = 3 (report-d3's shape)
+    loaded = _loaded_by_main("report", "--channel", channel_files["d3"], "--n", "188", "--m", "1")
+    for module in ("montecarlo", "multimessage", "bounds"):
+        assert f"shuffledp.{module}" not in loaded
+    assert "numpy.ma" not in loaded
+
+
+def test_report_loads_the_m_message_engine_and_the_sampler_module_only_where_it_runs_them(channel_files):
+    rr = _loaded_by_main("report", "--channel", channel_files["rr"], "--n", "200")
+    assert "shuffledp.montecarlo" in rr  # rr_boundary
+    assert "shuffledp.multimessage" not in rr and "shuffledp.bounds" not in rr
+    d3 = _loaded_by_main("report", "--channel", channel_files["d3"], "--n", "60", "--m", "2")
+    assert "shuffledp.multimessage" in d3  # mm_gdp_compare
+    assert "shuffledp.montecarlo" not in d3 and "shuffledp.bounds" not in d3
+
+
+def test_gdp_curve_loads_no_other_engine(channel_files, tmp_path):
+    loaded = _loaded_by_main("curve", "--channel", channel_files["d3"], "--n", "1000", "--engine", "gdp",
+                             "--out", str(tmp_path / "c.csv"))
+    for module in ("montecarlo", "multimessage", "bounds"):
+        assert f"shuffledp.{module}" not in loaded
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_k0_atoms_at_d3_load_no_numpy_ma(m):
+    # np.unique imports numpy.ma (numpy 2.x): the k = 0 chain joins its block cuts without it
+    code = (
+        "from shuffledp import unbundled_lr_atoms, validate_channel\n"
+        f"unbundled_lr_atoms(validate_channel([0.5, 0.3, 0.2], [0.2, 0.3, 0.5]), 30, {m})"
+    )
+    assert "numpy.ma" not in _loaded_after(code)
 
 
 JOBS = {
