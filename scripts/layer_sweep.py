@@ -13,7 +13,10 @@ messages per user, `divergences` of the `lr_atoms` atoms at (n, k) (built
 before the timing), `_jsd` and `kolmogorov_to_gaussian` (null hypothesis,
 mu of `gdp_mu`) of the k = 0 atoms, `conditional_score` at one histogram (the mean
 histogram rounded down, its last count what remains), which builds the
-pair's ratio table, `sample_privacy_loss` of `reps` draws under the alt
+pair's ratio table, `privacy_curve` (two-sided, on the CLI's default grid
+`log:1e-3:10:64`) and `tradeoff_curve` of the `lr_atoms` atoms at (n, k)
+(built before the timing; at d = 2 of randomized response at eps0 = 1.1,
+the large-n workload's channel), `sample_privacy_loss` of `reps` draws under the alt
 law with seed 7 on `workers` threads, `chernoff_curve` on a grid of 64 eps
 from 0 to log w_max, or `chernoff_delta` at each eps of that grid, one call
 each (64 calls).  For each it reports the minimum of
@@ -59,6 +62,7 @@ import shuffledp
 from shuffledp import (
     Composition,
     Hypothesis,
+    Sidedness,
     SimConfig,
     channel_to_json,
     chernoff_curve,
@@ -69,12 +73,15 @@ from shuffledp import (
     kolmogorov_to_gaussian,
     lr_atoms,
     mean_histogram,
+    privacy_curve,
     rr_channel,
     sample_privacy_loss,
     score_stats,
+    tradeoff_curve,
     unbundled_lr_atoms,
     validate_channel,
 )
+from shuffledp.cli import DEFAULT_EPS_SPEC, parse_eps_grid
 from shuffledp.exact_dist import _jsd
 
 REPEATS = 5
@@ -119,6 +126,10 @@ CELLS = (
     ("conditional_score", 3, 190, 63, 1, None, None),
     ("conditional_score", 4, 59, 19, 1, None, None),
     ("conditional_score", 2, 20000, 6666, 1, None, None),
+    ("privacy_curve", 3, 190, 63, 1, None, None),
+    ("privacy_curve", 2, 950000, 0, 1, None, None),
+    ("tradeoff_curve", 3, 190, 63, 1, None, None),
+    ("tradeoff_curve", 2, 950000, 0, 1, None, None),
     ("chernoff_curve", 2, 950000, 0, 1, None, None),
     ("chernoff_curve", 3, 2000, 0, 1, None, None),
     ("chernoff_delta", 2, 950000, 0, 1, None, None),
@@ -184,6 +195,21 @@ def _conditional_score(ch, n, k, m, reps, workers):
     return lambda: conditional_score(ch, comp, histogram.tolist())
 
 
+def _curve_atoms(ch, n, k):
+    """The atoms a curve cell reads: at d = 2 of randomized response at eps0 = 1.1."""
+    return lr_atoms(rr_channel(1.1) if ch.d == 2 else ch, Composition(n, k))
+
+
+def _privacy_curve(ch, n, k, m, reps, workers):
+    atoms, eps = _curve_atoms(ch, n, k), parse_eps_grid(DEFAULT_EPS_SPEC)
+    return lambda: privacy_curve(atoms, eps, Sidedness.TWO_SIDED)
+
+
+def _tradeoff_curve(ch, n, k, m, reps, workers):
+    atoms = _curve_atoms(ch, n, k)
+    return lambda: tradeoff_curve(atoms)
+
+
 def _chernoff_grid(ch) -> np.ndarray:
     return np.linspace(0.0, math.log(score_stats(ch).w_max), 64)
 
@@ -206,6 +232,8 @@ LAYERS = {
     "_jsd": _jsd_cell,
     "kolmogorov_to_gaussian": _kolmogorov,
     "conditional_score": _conditional_score,
+    "privacy_curve": _privacy_curve,
+    "tradeoff_curve": _tradeoff_curve,
     "sample_privacy_loss": lambda ch, n, k, m, reps, workers: lambda: sample_privacy_loss(
         ch, Composition(n, k), Hypothesis.ALT, SimConfig(seed=SEED, reps=reps, workers=workers)
     ),

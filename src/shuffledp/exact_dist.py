@@ -409,41 +409,52 @@ def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
         )
 
 
+def _drop_rule(block: list) -> tuple[np.ndarray, list]:
+    """The one drop rule on a block [p_null, p_alt, ...]: the mask of the cells of null mass at
+    least MIN_NULL_MASS, which it keeps, and the positive null and alt masses of the others."""
+    keep = block[0] >= MIN_NULL_MASS
+    return keep, [mass[~keep & (mass > 0.0)] for mass in block[:2]]
+
+
 def _pair_blocks(channel: Channel, zeros: int, ones: int, cap: int):
     """The pair base + one W0- against base + one W1-message, one block of the last message at a time.
 
     The last message, and no other fold of it, runs over the boxes of
-    `_blocks`, yielding (null array, box, null block, alt block) (`_fold_block`;
-    scratch, overwritten by the next blocks).  A reader may write the null
-    block into `null[box]`, as `_fold` does.
+    `_blocks`, yielding (null array, box, [p_null, p_alt, lr]): the box's
+    masses under the two laws (`_fold_block`) and their ratio, NaN on the
+    cells `_drop_rule` drops, formed in the products' spent buffer; all
+    three are scratch that the next block overwrites.  A reader may write
+    the null block into `null[box]`, as `_fold` does.
     """
     W0, W1 = channel.W0, channel.W1
     null = _base_law(channel, zeros, ones, 1, cap)[0]
     null_out, alt_out, product = _block_buffers(null, 3)
     for box in _blocks(null, zeros + ones):
-        yield null, box, _fold_block(null, W0, box, null_out, product), _fold_block(null, W1, box, alt_out, product)
+        block = [_fold_block(null, W0, box, null_out, product), _fold_block(null, W1, box, alt_out, product)]
+        lr = product[: block[0].size].reshape(block[0].shape)
+        lr.fill(np.nan)
+        np.divide(block[1], block[0], out=lr, where=_drop_rule(block)[0])
+        yield null, box, block + [lr]
 
 
 def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense null law of the pair at (n, k) and its ratio L = alt / null, the
-    one table read at single histograms; L is NaN where the null mass is
-    below MIN_NULL_MASS (the cells the atoms drop), and the pair is refused
-    as in `_atomize` when its alt mass there is above _MASS_TOL.
+    one table read at single histograms; L is NaN on the cells the atoms
+    drop, and the pair is refused as in `_atomize` when its alt mass there
+    is above _MASS_TOL.
 
     The null law is completed in place in the array of the base law
-    T_{n-1,k}, and each block's ratio is written into one more array, so
+    T_{n-1,k}, and each block's ratio is copied into one more array, so
     the table holds two dense arrays and no dense alt law.
     """
     _check_pair(channel, comp, "pair ratio")
     ratio = None
     dropped_alt = []
-    for null, box, p_null, p_alt in _pair_blocks(channel, comp.n - 1 - comp.k, comp.k, cap):
+    for null, box, block in _pair_blocks(channel, comp.n - 1 - comp.k, comp.k, cap):
         if ratio is None:
             ratio = np.full(null.shape, np.nan)
-        null[box] = p_null
-        keep = p_null >= MIN_NULL_MASS
-        np.divide(p_alt, p_null, out=ratio[box], where=keep)
-        dropped_alt.append(p_alt[~keep & (p_alt > 0.0)])
+        null[box], ratio[box] = block[0], block[2]
+        dropped_alt.append(_drop_rule(block)[1][1])
     _check_dropped_alt(_fsum(np.concatenate(dropped_alt)))
     return null, ratio
 
@@ -459,30 +470,22 @@ def _check_dropped_alt(dropped_alt: float) -> None:
 def _atomize(n: int, k: int, blocks) -> LrAtomization:
     """The merged, checked atomization of the cells of `blocks`, in their order.
 
-    A block holds the null and alt masses of its cells and, for the
-    closed-form k = 0 cells, their ratios.  The one drop rule: cells with
-    null mass below MIN_NULL_MASS are left out, their positive masses summed
-    (`_fsum`); a pair whose dropped alt mass is above _MASS_TOL is refused.
-    A block of the fold holds views of scratch buffers, so its kept cells
-    are copied.  A block with ratios is a list that owns its arrays: it is
-    kept as it is when every cell is kept, else each array in it is replaced
-    by its kept cells, one at a time.  Several blocks are joined one array
-    at a time, each array's blocks freed once joined; folded cells get
-    alt / null after the join.  The merge then owns every array, so the
-    k = 0 pair peaks at the merge's sort, about 40 B a kept cell, and holds
-    no other temporary of the cells' size.
+    Each block is a list [p_null, p_alt, lr] of its cells' masses under the
+    two laws and their ratios.  `_drop_rule` leaves out the cells of null
+    mass below MIN_NULL_MASS, their positive masses summed (`_fsum`); a pair
+    whose dropped alt mass is above _MASS_TOL is refused.  Each array of a
+    block is replaced in the list by its kept cells (a copy, so no scratch
+    view outlives its block), one at a time, and blocks are joined one array
+    at a time, each array's blocks freed once joined.  The merge then owns
+    every array, so the k = 0 pair peaks at its sort, about 40 B a kept cell.
     """
     kept, dropped = [], []
     for block in blocks:
-        keep = block[0] >= MIN_NULL_MASS
-        dropped.append([mass[~keep & (mass > 0.0)] for mass in block[:2]])
-        if len(block) == 2:
-            block = [cells[keep] for cells in block]
-        elif not keep.all():
-            for i in range(3):
-                block[i] = block[i][keep]
+        keep, masses = _drop_rule(block)
+        dropped.append(masses)
+        for i in range(3):
+            block[i] = block[i][keep]
         kept.append(block)
-    del block, keep  # the last block's views would keep the scratch buffers alive
     dropped_null, dropped_alt = (_fsum(np.concatenate(masses)) for masses in zip(*dropped))
     del dropped
     _check_dropped_alt(dropped_alt)
@@ -492,8 +495,6 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
         columns = list(zip(*kept))
         del kept
         cells = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
-    if len(cells) == 2:
-        cells.append(cells[1] / cells[0])
     cells.insert(0, cells.pop())  # [lr, p_null, p_alt], in place: the merge owns the list
     lr, p_null, p_alt = _merge_atoms(cells)
     atoms = LrAtomization(n, k, lr, p_null, p_alt, dropped_null_mass=dropped_null, dropped_alt_mass=dropped_alt)
@@ -507,7 +508,7 @@ def _fold_atoms(channel: Channel, comp: Composition, cap: int) -> LrAtomization:
     order), and the dense law is freed before they are merged."""
     n, k = comp.n, comp.k
     blocks = _pair_blocks(channel, n - 1 - k, k, cap)
-    return _atomize(n, k, ((p_null.ravel()[::-1], p_alt.ravel()[::-1]) for _, _, p_null, p_alt in blocks))
+    return _atomize(n, k, ([cells.ravel()[::-1] for cells in block] for _, _, block in blocks))
 
 
 def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -> LrAtomization:
@@ -734,11 +735,20 @@ def reverse_atomization(atoms: LrAtomization) -> LrAtomization:
     direction (the reversed ratio is infinite there), and vice versa, so
     reversing twice gives back the original atomization.  The dropped
     masses swap too.
+
+    Raises:
+        ValidationError: a ratio is so small (subnormal) that its inverse
+            overflows a double.
     """
     zero = atoms.lr == 0.0
     singular = float(atoms.p_null[zero].sum())
     keep = ~zero
-    lr = 1.0 / atoms.lr[keep]
+    with np.errstate(over="ignore"):
+        lr = 1.0 / atoms.lr[keep]
+    if np.isinf(lr).any():
+        raise ValidationError(
+            f"the reversed pair's ratio 1/L overflows a double at L = {float(atoms.lr[keep][np.isinf(lr)][0])!r}"
+        )
     p_null = atoms.p_alt[keep]
     p_alt = atoms.p_null[keep]
     # the ratios increase strictly, so their inverses come in reverse order,
@@ -913,6 +923,16 @@ def _jsd(atoms: LrAtomization) -> float:
     return _atom_fsum(atoms, lambda lr, p: p * _jsd_kernel(lr)) + atoms.alt_singular_mass * 0.5 * _LOG2
 
 
+def _renyi_term(lr: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
+    """The Renyi moment's terms p L^alpha.  Where L^alpha overflows they are
+    (p^(1/alpha) L)^alpha, which is finite wherever the term is (p <= 1)."""
+    with np.errstate(over="ignore"):
+        term = p * lr**alpha
+    big = np.isinf(term)
+    term[big] = (p[big] ** (1.0 / alpha) * lr[big]) ** alpha
+    return term
+
+
 def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     """Standard divergences of the alt law from the null law.
 
@@ -923,7 +943,9 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     exactly rounded sum (`math.fsum`) of per-atom terms, taken by
     `_atom_fsum` with no temporary of the atoms' size besides its own two;
     the atoms a sum leaves out (TV's ratios up to 1, KL's zero ratios) are
-    zero terms.
+    zero terms.  KL and Renyi, whose terms take both signs, are clipped at
+    0: where the ratios round to 1 their sums can fall below it (KL
+    -1.4e-30 at W0 = [1.45e-30, 1], W1 = [2.9e-100, 1], n = 30, k = 10).
     """
     lr, sing = atoms.lr, atoms.alt_singular_mass
     jsd = _jsd(atoms)
@@ -934,7 +956,7 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     else:
         chi2 = _atom_fsum(atoms, lambda lr, p: p * (lr - 1.0) * (lr - 1.0))
         with np.errstate(divide="ignore", invalid="ignore"):  # log 0; the zero ratios' terms are 0
-            kl = _atom_fsum(atoms, lambda lr, p: np.where(lr > 0.0, p * lr * np.log(lr), 0.0))
+            kl = max(_atom_fsum(atoms, lambda lr, p: np.where(lr > 0.0, p * lr * np.log(lr), 0.0)), 0.0)
     renyi: dict[float, float] = {}
     for alpha in renyi_orders:
         alpha = float(alpha)
@@ -944,8 +966,8 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
             raise ValidationError(
                 "Renyi divergence needs full support in both directions"
             )
-        moment = _atom_fsum(atoms, lambda lr, p: p * lr**alpha)
-        renyi[alpha] = math.log(moment) / (alpha - 1.0)
+        moment = _atom_fsum(atoms, lambda lr, p: _renyi_term(lr, p, alpha))
+        renyi[alpha] = max(math.log(moment), 0.0) / (alpha - 1.0)
     return DivergenceReport(jsd=jsd, tv=tv, chi2=chi2, kl=kl, renyi=renyi)
 
 

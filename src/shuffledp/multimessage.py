@@ -249,8 +249,9 @@ def _mm_cells(channel: Channel, n: int, m: int, cap: int):
     Each block is [p_null, p_alt, lr]: one for each block of the level at
     d = 2 (`_two_symbols`), one for the whole chain at d >= 3
     (`_many_symbols`).  With t scaled by tau 2^e, where tau = w(y_0) (the
-    symbol of largest W0; 1 if W1 never sends it) and 2^e is the power of
-    two nearest n / tau (within 1..2^1022), L(N) = (tau 2^e)^m F(N) / C(nm, m)
+    symbol of largest W0; 1 if W1 never sends it) and 2^e >= 1 is the power
+    of two nearest n / tau (at d >= 3, where 2^-e must be a normal double, a
+    pair that needs 2^e above 2^1022 is refused), L(N) = (tau 2^e)^m F(N) / C(nm, m)
     with F the degree-m coefficient of prod_y (1 + (w(y) / tau) 2^-e t)^{N_y}.
     The scaled t is near the saddle point 1/n of a typical cell, where
     sum_y N_y w(y) t / (1 + w(y) t) = m, so the terms that carry F sit near
@@ -262,7 +263,9 @@ def _mm_cells(channel: Channel, n: int, m: int, cap: int):
     """
     d, N, w = channel.d, n * m, _relabelled_w(channel)
     tau = float(w[0]) or 1.0
-    e = min(max(0, round(math.log2(n) - math.log2(tau))), 1022)  # 2^-e stays a normal double
+    e = max(0, round(math.log2(n) - math.log2(tau)))
+    if d > 2 and e > 1022:  # `_last_two_symbols` steps by 2^-e, which must stay a normal double
+        raise ValidationError(f"the m-message ratio at d >= 3 needs w(y_0) = 0 or at least about n 2^-1022, got {tau!r}")
     what = f"k=0 law for n={n}, m={m}, d={d}"
     levels = _null_levels(channel, N, cap, what, log=True)
     blocks = _two_symbols(levels, w, tau, e, m) if d == 2 else [_many_symbols(levels, d, w, tau, e, m, cap, what)]

@@ -256,6 +256,25 @@ def test_report_refuses_a_count_beyond_the_double_range(rr3_file):
     assert out.stderr == f"error: m must be at most 1.7976931348623157e+308, got {10**400}\n"
 
 
+def test_reverse_curve_refuses_a_subnormal_ratio(tmp_path):
+    # W1/W0 = 2.1e-323 at symbol 0, so the reversed ratio overflows a double:
+    # reverse and two-sided curves printed delta = 1 at n = 1 and nan at
+    # n = 30, with exit 0, where the true reverse delta at n = 1 is
+    # sum_y (W0 - e^eps W1)_+ = 0.70182...; now an input error (exit 2).
+    # The forward curve is unchanged
+    path = tmp_path / "sub.json"
+    path.write_text(channel_to_json(validate_channel([0.7018249685416487, 0.29817503145835145], [1.5e-323, 1.0])))
+    for n in ("1", "30"):
+        for sidedness in ("reverse", "two-sided"):
+            out = _run_cli("curve", "--channel", str(path), "--n", n, "--sidedness", sidedness, "--eps", "0,1,10")
+            assert (out.returncode, out.stdout) == (2, ""), (n, sidedness)
+            [line] = out.stderr.splitlines()
+            assert line.startswith("error: the reversed pair's ratio 1/L overflows a double")
+    out = _run_cli("curve", "--channel", str(path), "--n", "1", "--eps", "0,1,10")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.endswith("epsilon,delta\n0,0.70182496854164844\n1,0.18947623028655916\n10,0\n")
+
+
 def _strict_json(text: str):
     def refuse(token):
         raise AssertionError(f"{token} is not JSON")

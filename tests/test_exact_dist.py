@@ -571,6 +571,19 @@ def test_reverse_twice_is_identity():
     assert back.alt_singular_mass == atoms.alt_singular_mass
 
 
+def test_reverse_refuses_a_ratio_whose_inverse_overflows():
+    # W1/W0 = 2.1e-323 at symbol 0: 1/L overflows a double, where the reverse
+    # curve read delta = 1 (n = 1) or nan (n = 30); the forward curve stands
+    ch = validate_channel([0.7018249685416487, 0.29817503145835145], [1.5e-323, 1.0])
+    for n in (1, 30):
+        atoms = lr_atoms(ch, Composition(n, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="1/L overflows a double"):
+                reverse_atomization(atoms)
+    assert privacy_curve(lr_atoms(ch, Composition(1, 0)), [0.0]).delta[0] == 0.70182496854164844
+
+
 def _sorted_reversal(atoms):
     """Arrays of `reverse_atomization` as a sort of the reversed atoms orders them."""
     keep = atoms.lr != 0.0
@@ -1190,6 +1203,27 @@ def test_divergences_chi2_beyond_the_square_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert divergences(atoms).chi2 == 1.4336109135173833e139
+
+
+def test_renyi_moment_where_the_ratio_power_overflows():
+    # the top ratio L = 2.0e199 squares beyond the double range, but its term
+    # p L^2 = 2.0e199 does not; 50-digit mpmath over the same atoms gives
+    # 458.92265623719494 (the direct L^2 made it inf, with an overflow warning)
+    ch = validate_channel([1.231296895499659e-200, 1.0], [1.0, 2.0963634922239936e-300])
+    atoms = lr_atoms(ch, Composition(7, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        renyi = divergences(atoms, renyi_orders=(2.0,)).renyi[2.0]
+    assert renyi == pytest.approx(458.92265623719494, rel=1e-12)
+
+
+def test_kl_is_clipped_at_zero_where_the_ratios_round_to_one():
+    # the ratios near 1 round to 1 (1 - 1.45e-30 is 1 in a double), so only
+    # the atoms below 1 keep a KL term, and the sum read -1.4e-30
+    ch = validate_channel([1.4529865522842032e-30, 1.0], [2.882070142324612e-100, 1.0])
+    report = divergences(lr_atoms(ch, Composition(30, 10)), renyi_orders=(2.0,))
+    assert (report.kl, report.renyi[2.0]) == (0.0, 0.0)
+    assert report.chi2 > 0.0
 
 
 def test_divergences_with_support_loss():

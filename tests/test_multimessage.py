@@ -230,6 +230,23 @@ def test_unbundled_atoms_cap():
         unbundled_lr_atoms(ch, 1, 100, cap=6000)
 
 
+def test_unbundled_atoms_refuse_an_unscalable_subnormal_w0_at_d3():
+    # w(y_0) = 1.7e-323 at the symbol of largest W0: scaling t to the saddle
+    # point needs 2^-e below 2^-1022, which the d >= 3 recursion cannot step
+    # by.  With e held at 1022, m = 20 lost 7.5e-9 of alt mass and raised
+    # InternalInvariantError; now an input error.  At d = 2, whose
+    # coefficients keep 2^-e as an exponent, a subnormal w(y_0) stays exact
+    ch = validate_channel([0.5926060406577905, 0.2772124253296227, 0.1301815340125867], [1e-323, 0.8215420572056783, 0.17845794279432176])
+    for m in (2, 20):
+        with pytest.raises(ValidationError, match="at least about n 2\\^-1022"):
+            unbundled_lr_atoms(ch, 7, m)
+    ch = validate_channel([0.6, 0.4], [5e-324, 1.0])
+    atoms = unbundled_lr_atoms(ch, 7, 20)
+    for h in ((14, 126), (0, 140)):
+        L = float(atoms.lr[np.argmin(np.abs(atoms.lr - unbundled_lr(ch, 7, 20, h)))])
+        assert L == pytest.approx(unbundled_lr(ch, 7, 20, h), rel=4e-15)
+
+
 def test_more_messages_leak_more():
     # the m=1 view is a function of the m=2 view, so every delta grows with m
     eps = np.array([0.0, 0.25, 0.5])
