@@ -32,10 +32,11 @@ The `process` cells (left out by --smallest) time what in-process cells
 cannot: interpreter start-up, imports and exit.  Each runs one command in
 fresh interpreters, which inherit this process's environment (so the
 package on PYTHONPATH is the one they load): the bare interpreter
-(`-c pass`), `-c "import shuffledp.cli"`, four `python -m
+(`-c pass`), `-c "import shuffledp.cli"`, six `python -m
 shuffledp.cli` jobs on the d = 3 channel: the exact `curve` at n = 190,
-k = 63, `report` at n = 190, `curve --engine gdp` at n = 950000 and
-`simulate` at n = 190, k = 63 on one worker; two on randomized response
+k = 63, `report` at n = 190, `curve --engine gdp` at n = 950000,
+`simulate` at n = 190, k = 63 on one worker, and the same `curve` and
+`simulate` (10,000 draws) with `--format json`; two on randomized response
 at eps0 = 1.1: `report` at n = 950000, m = 2 and `curve --engine
 chernoff` at n = 500000; and `scripts/gdp_rate_study.py` at n = 110000,
 300000, 950000 (the script beside the package on PYTHONPATH, so each side
@@ -160,6 +161,13 @@ PROCESSES = {
     ],
     "python -m shuffledp.cli simulate d=3 n=190 k=63 --workers 1": [
         "-m", "shuffledp.cli", "simulate", "--channel", "{channel}", "--n", "190", "--k", "63", "--workers", "1"
+    ],
+    "python -m shuffledp.cli curve --format json d=3 n=190 k=63": [
+        "-m", "shuffledp.cli", "curve", "--channel", "{channel}", "--n", "190", "--k", "63", "--format", "json"
+    ],
+    "python -m shuffledp.cli simulate --format json d=3 n=190 k=63 --reps 10000 --workers 1": [
+        "-m", "shuffledp.cli", "simulate", "--channel", "{channel}", "--n", "190", "--k", "63", "--reps", "10000",
+        "--workers", "1", "--format", "json"
     ],
     "python -m shuffledp.cli report rr d=2 n=950000 m=2": [
         "-m", "shuffledp.cli", "report", "--channel", "{rr}", "--n", "950000", "--m", "2"

@@ -157,12 +157,21 @@ def jsd_canonical_asymptotic(
         -stats.mu3 / (16.0 * n * n),
         (7.0 / 64.0) * (stats.chi2 * stats.chi2) / (n * n),
     )
+    asymptotic = sum(terms)
+    if math.isnan(asymptotic):
+        # mu3 and chi2^2 are both beyond the double range (-inf + inf): the
+        # sum taken with r scaled by s = 2^-k <= 1 / w_max, then divided by
+        # s^2, is the true sum, or its signed infinity if that is beyond too
+        s = 2.0 ** -math.frexp(stats.w_max)[1]
+        rs = stats.r * s
+        chi2_s = float(np.dot(stats.v, rs))
+        mu3_s2 = float(np.dot(stats.v * rs, rs))
+        scaled = chi2_s * s / (8.0 * n) - mu3_s2 / (16.0 * n * n) + (7.0 / 64.0) * (chi2_s * chi2_s) / (n * n)
+        asymptotic = scaled / s / s
     if exact is None:
         exact = _exact_canonical_jsd(channel, n)
-    residual = None if exact is None else exact - sum(terms)
-    return ExpansionReport(
-        n=n, terms=terms, asymptotic=sum(terms), exact=exact, residual=residual
-    )
+    residual = None if exact is None else exact - asymptotic
+    return ExpansionReport(n=n, terms=terms, asymptotic=asymptotic, exact=exact, residual=residual)
 
 
 # Cells the automatic exact JSD may build (`lr_atoms`'s cap at k = 0).

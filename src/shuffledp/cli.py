@@ -49,6 +49,7 @@ from .exact_dist import (
     PrivacyCurve,
     Sidedness,
     _check_count,
+    _check_eps_grid,
     _fmt,
     _table_to_csv,
     lr_atoms,
@@ -56,13 +57,6 @@ from .exact_dist import (
 )
 
 DEFAULT_EPS_SPEC = "log:1e-3:10:64"
-
-_SIDEDNESS = {
-    "forward": Sidedness.FORWARD,
-    "reverse": Sidedness.REVERSE,
-    "two-sided": Sidedness.TWO_SIDED,
-}
-
 
 # manifest keys the CSV header spells differently from the JSON manifest
 _CSV_KEYS = {"version": "shuffledp-version", "channel_sha256": "channel-sha256"}
@@ -73,8 +67,8 @@ def _manifest(args, channel: Channel, *keys: str) -> list:
 
     `keys` name the result-determining arguments of the command.  The worker
     count and the clock change bytes run to run, so they are recorded only
-    with --stamp.  A CSV file carries the pairs as `# key: value` lines
-    (`_header_lines`), a JSON file as its "manifest" object.
+    with --stamp.  A CSV file carries the pairs as `# key: value` lines, a
+    JSON file as its "manifest" object (`_write_table`).
     """
     fields = [
         ("version", __version__),
@@ -87,10 +81,6 @@ def _manifest(args, channel: Channel, *keys: str) -> list:
             fields.append(("workers", args.workers))
         fields.append(("timestamp", _now()))
     return fields
-
-
-def _header_lines(manifest: list) -> list:
-    return [f"{_CSV_KEYS.get(key, key)}: {value}" for key, value in manifest]
 
 
 def canonical_channel_json(channel: Channel) -> str:
@@ -112,36 +102,29 @@ def channel_fingerprint(channel: Channel) -> str:
 
 def parse_eps_grid(spec: str) -> np.ndarray:
     """Parse an epsilon-grid spec: 'log:lo:hi:count', 'lin:lo:hi:count', or
-    a comma-separated list (sorted ascending)."""
+    a comma-separated list (sorted ascending).  `_check_eps_grid` refuses an
+    empty grid and any entry that is not finite and nonnegative."""
     spec = spec.strip()
-    if spec.startswith(("log:", "lin:")):
-        parts = spec.split(":")
-        if len(parts) != 4:
-            raise ValidationError(f"grid spec needs kind:lo:hi:count, got {spec!r}")
+    kind, *bounds = spec.split(":")
+    if kind not in ("log", "lin"):
         try:
-            lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+            values = [float(tok) for tok in spec.split(",") if tok.strip()]
         except ValueError as exc:
-            raise ValidationError(f"bad grid spec {spec!r}: {exc}") from None
-        if count < 1:
-            raise ValidationError(f"grid count must be >= 1, got {count}")
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-            raise ValidationError(f"grid needs finite lo <= hi, got {spec!r}")
-        if parts[0] == "log":
-            if lo <= 0.0:
-                raise ValidationError("log grid needs lo > 0")
-            return np.geomspace(lo, hi, count) if count > 1 else np.array([lo])
-        if lo < 0.0:
-            raise ValidationError("epsilon grid must be nonnegative")
-        return np.linspace(lo, hi, count)
+            raise ValidationError(f"bad epsilon list {spec!r}: {exc}") from None
+        return _check_eps_grid(np.sort(values))
+    if len(bounds) != 3:
+        raise ValidationError(f"grid spec needs kind:lo:hi:count, got {spec!r}")
     try:
-        values = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
+        lo, hi, count = float(bounds[0]), float(bounds[1]), int(bounds[2])
     except ValueError as exc:
-        raise ValidationError(f"bad epsilon list {spec!r}: {exc}") from None
-    if values.size == 0:
-        raise ValidationError("empty epsilon grid")
-    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-        raise ValidationError("epsilons must be finite and nonnegative")
-    return np.sort(values)
+        raise ValidationError(f"bad grid spec {spec!r}: {exc}") from None
+    if count < 0 or hi < lo:
+        raise ValidationError(f"grid needs count >= 0 and lo <= hi, got {spec!r}")
+    if kind == "log" and not lo > 0.0:
+        raise ValidationError("log grid needs lo > 0")
+    # an infinite bound makes NaN entries, which the check refuses
+    with np.errstate(all="ignore"):
+        return _check_eps_grid((np.geomspace if kind == "log" else np.linspace)(lo, hi, count))
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +224,13 @@ def _load_channel(path: str) -> Channel:
     return channel_from_json(text)
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _json_default(obj):
-    """`json.dumps` hook for the engines' results: an enum gives its value, a
-    numpy array or scalar its `tolist()`, a result record its fields in
-    declaration order."""
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _finite_json(obj, path: str, nonfinite: dict):
-    """`obj` as plain JSON values (`_json_default` converts what is not one),
-    with each NaN or infinite number replaced by None and recorded in
-    `nonfinite` as "nan", "inf" or "-inf" under its path: keys joined by
-    ".", list indices as "[i]"."""
+    """`obj` as plain JSON values, with each NaN or infinite number replaced
+    by None and recorded in `nonfinite` as "nan", "inf" or "-inf" under its
+    path: keys joined by ".", list indices as "[i]".  An enum gives its
+    value, a numpy array or scalar its `tolist()` (an all-finite array in
+    one call, with no walk over its entries), a result record its fields in
+    declaration order."""
     if isinstance(obj, dict):
         return {k: _finite_json(v, f"{path}.{k}" if path else k, nonfinite) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -276,7 +240,48 @@ def _finite_json(obj, path: str, nonfinite: dict):
         return None
     if obj is None or isinstance(obj, (str, int, float)):
         return obj
-    return _finite_json(_json_default(obj), path, nonfinite)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        values = obj.tolist()
+        return values if np.isfinite(obj).all() else _finite_json(values, path, nonfinite)
+    if isinstance(obj, enum.Enum):
+        return _finite_json(obj.value, path, nonfinite)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _finite_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, path, nonfinite)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _strict_json(obj: dict, **dumps_args) -> str:
+    """`obj` as strict JSON text, as the CLI writes every JSON: a number
+    beyond the double range prints as null, and a top-level "nonfinite"
+    object, present only when needed, names it."""
+    nonfinite: dict = {}
+    obj = _finite_json(obj, "", nonfinite)
+    if nonfinite:
+        obj["nonfinite"] = nonfinite
+    return json.dumps(obj, allow_nan=False, **dumps_args)
+
+
+def _write_table(args, manifest: list, columns: dict, extra: list | None = None, **tail) -> None:
+    """Write named columns of equal length to `args.out` (or stdout).
+
+    CSV: the manifest and `extra` as '#' lines, the table, then each `tail`
+    value that is not None as a '# key {strict JSON}' line.  JSON: one
+    object of the manifest, "extra" (when given), the columns and `tail`.
+    """
+    if args.format == "csv":
+        header = [f"{_CSV_KEYS.get(key, key)}: {value}" for key, value in manifest] + (extra or [])
+        text = _table_to_csv(tuple(columns), np.column_stack(tuple(columns.values())), header)
+        for key, value in tail.items():
+            if value is not None:
+                text += f"# {key} {_strict_json(value, separators=(',', ':'))}\n"
+    else:
+        payload = {"manifest": dict(manifest)} | ({} if extra is None else {"extra": extra})
+        text = _strict_json(payload | columns | tail, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def _default_pi(n: int, k: int) -> float:
@@ -307,7 +312,7 @@ def cmd_curve(args) -> int:
     channel = _load_channel(args.channel)
     comp = Composition(args.n, args.k)
     eps = parse_eps_grid(args.eps)
-    sidedness = _SIDEDNESS[args.sidedness]
+    sidedness = Sidedness(args.sidedness)
     extra: list = []
     if args.engine != "exact" and sidedness is not Sidedness.FORWARD:
         raise ValidationError(f"engine={args.engine} computes the forward curve only")
@@ -331,19 +336,7 @@ def cmd_curve(args) -> int:
         raise ValidationError(f"unknown engine {args.engine!r}")
 
     manifest = _manifest(args, channel, "channel", "n", "k", "engine", "sidedness", "eps")
-    if args.format == "csv":
-        text = curve.to_csv(header_lines=_header_lines(manifest) + extra)
-    else:
-        text = json.dumps(
-            {
-                "manifest": dict(manifest),
-                "extra": extra,
-                "epsilon": curve.eps.tolist(),
-                "delta": curve.delta.tolist(),
-            },
-            indent=2,
-        ) + "\n"
-    _write_output(text, args.out)
+    _write_table(args, manifest, {"epsilon": curve.eps, "delta": curve.delta}, extra)
     if args.engine == "gdp" and args.out is not None:
         print(f"gdp_mu = {_fmt(params.mu)} ({params.source.value})")
     if args.svg is not None:
@@ -410,13 +403,7 @@ def cmd_report(args) -> int:
         from .montecarlo import rr_boundary
 
         report["rr_boundary"] = rr_boundary(eps0, args.n)
-    # strict JSON: a number beyond the double range prints as null, and the
-    # "nonfinite" object names it
-    nonfinite: dict = {}
-    report = _finite_json(report, "", nonfinite)
-    if nonfinite:
-        report["nonfinite"] = nonfinite
-    print(json.dumps(report, indent=2, allow_nan=False))
+    print(_strict_json(report, indent=2))
     return 0
 
 
@@ -452,18 +439,9 @@ def cmd_simulate(args) -> int:
             "kolmogorov_to_gaussian": kolmogorov_to_gaussian(lam, params.mu, hypothesis),
             "dkw_radius_95": dkw_radius(args.reps),
         }
-    if args.format == "csv":
-        text = _table_to_csv(("lambda",), lam.reshape(-1, 1), _header_lines(manifest))
-        if summary is not None:
-            text += "# summary " + json.dumps(summary, separators=(",", ":")) + "\n"
-    else:
-        text = json.dumps(
-            {"manifest": dict(manifest), "lambda": lam.tolist(), "summary": summary},
-            indent=2,
-        ) + "\n"
-    _write_output(text, args.out)
+    _write_table(args, manifest, {"lambda": lam}, summary=summary)
     if args.out is not None and summary is not None:
-        print(json.dumps(summary, indent=2))
+        print(_strict_json(summary, indent=2))
     return 0
 
 
@@ -517,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid spec: log:lo:hi:count, lin:lo:hi:count, or comma list",
     )
     p_curve.add_argument(
-        "--sidedness", choices=tuple(_SIDEDNESS), default="forward"
+        "--sidedness", choices=[side.value for side in Sidedness], default="forward"
     )
     p_curve.add_argument("--svg", default=None, help="also render the curve to this SVG file")
     p_curve.add_argument(

@@ -354,11 +354,20 @@ def rr_boundary(
             f"need 0 < sub_threshold < super_threshold, got {sub_threshold!r}, {super_threshold!r}"
         )
     e = math.exp(eps0)
+    x = e - 1.0
     q = 1.0 / (1.0 + e)
     a_n = e / n
-    sigma2 = (e - 1.0) ** 2 / e
-    rho3 = (e - 1.0) ** 3 * (1.0 + e**-2) / (1.0 + e)
-    lyapunov = rho3 / (sigma2**1.5 * math.sqrt(n)) if sigma2 > 0.0 else 0.0
+    try:
+        sigma2 = x**2 / e
+        rho3 = x**3 * (1.0 + e**-2) / (1.0 + e)
+        lyapunov = rho3 / (sigma2**1.5 * math.sqrt(n)) if sigma2 > 0.0 else 0.0
+    except OverflowError:
+        # x^3 is beyond the double range (e above ~5.6e102): the same moments
+        # as products of ratios near 1, so rho3 is inf only where its true
+        # value is, and the ratio rho3 / sigma^3 cancels x^3 in closed form
+        sigma2 = x * (x / e)
+        rho3 = x * (x * (x / (1.0 + e))) * (1.0 + e**-2)
+        lyapunov = (1.0 + e**-2) * (e / (1.0 + e)) * math.sqrt(e / n)
     if a_n < sub_threshold:
         regime = Regime.SUB_CRITICAL
     elif a_n > super_threshold:
@@ -370,7 +379,7 @@ def rr_boundary(
         n=n,
         q=q,
         a_n=a_n,
-        x_plus=e - 1.0,
+        x_plus=x,
         x_minus=1.0 / e - 1.0,
         sigma2=sigma2,
         rho3=rho3,

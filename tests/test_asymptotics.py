@@ -21,6 +21,7 @@ from shuffledp import (
     lr_atoms,
     rr_channel,
     score_stats,
+    validate_channel,
 )
 from shuffledp.asymptotics import _ndtr
 from conftest import full_channel
@@ -249,6 +250,23 @@ def test_jsd_expansion_remainder_is_third_order_up_to_a_million():
     ]
     assert all(-0.026 < c < -0.023 for c in coeffs), coeffs
     assert max(coeffs) - min(coeffs) < 0.01 * abs(coeffs[0]), coeffs
+
+
+def test_jsd_expansion_sums_terms_beyond_the_double_range():
+    # chi2 = 8.1e199, so mu3 and chi2^2 overflow and the terms are
+    # [1.45e198, -inf, inf]; with 60 digits they are [1.4502711e198,
+    # -8.4131449e396, 1.4723004e397], whose sum 6.3098587e396 is beyond the
+    # range too, so the expansion is +inf and its residual -inf
+    ch = validate_channel([1.231296895499659e-200, 1.0], [1.0, 2.0963634922239936e-300])
+    report = jsd_canonical_asymptotic(ch, 7)
+    assert report.terms[0] == pytest.approx(1.4502711e198, rel=1e-7)
+    assert report.terms[1:] == (-math.inf, math.inf)
+    assert report.asymptotic == math.inf and report.residual == -math.inf
+    # at n = 1e50 the same two terms still overflow but their sum does not:
+    # 3.0918307472623864e298 with 60 digits
+    report = jsd_canonical_asymptotic(ch, 10**50, exact=0.0)
+    assert report.terms[1:] == (-math.inf, math.inf)
+    assert report.asymptotic == pytest.approx(3.0918307472623864e298, rel=1e-12)
 
 
 def test_leading_divergence_forms():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -285,8 +286,9 @@ def _strict_json(text: str):
 def test_report_on_masses_far_below_one(tmp_path):
     # W0 = [1, 1e-88, 1e-288]: I_0 = 1.0041e287 and chi2 (its value at
     # pi = 0) are finite; mu3 and the expansion's higher terms exceed the
-    # double range, so each prints as null and "nonfinite" names it.
-    # Exit 0, with no warning and no Infinity or NaN token
+    # double range, and so does their sum, -8.858545e572 with 60 digits, so
+    # each prints as null and "nonfinite" names it.  Exit 0, with no warning
+    # and no Infinity or NaN token
     path = tmp_path / "far.json"
     path.write_text(channel_to_json(validate_channel(
         [1.0, 1e-88, 1e-288], [0.40271150782609794, 0.28041299037314577, 0.31687550180075624]
@@ -304,8 +306,8 @@ def test_report_on_masses_far_below_one(tmp_path):
         "score.mu3": "inf",
         "jsd_canonical.terms[1]": "-inf",
         "jsd_canonical.terms[2]": "inf",
-        "jsd_canonical.asymptotic": "nan",
-        "jsd_canonical.residual": "nan",
+        "jsd_canonical.asymptotic": "-inf",
+        "jsd_canonical.residual": "inf",
     }
 
 
@@ -326,13 +328,6 @@ def test_report_chi2_beyond_the_square_range(tmp_path):
             "jsd_canonical.asymptotic": "-inf",
             "jsd_canonical.residual": "inf",
         }
-
-
-def _strict_json(text: str):
-    def refuse(token):
-        raise AssertionError(f"{token} is not JSON")
-
-    return json.loads(text, parse_constant=refuse)
 
 
 def test_report_contents(rr3_file, capsys):
@@ -481,10 +476,10 @@ def test_stamped_csv_header_and_json_manifest_list_the_same_fields(rr3_file, tmp
 
 
 def test_json_default_refuses_unknown_objects():
-    from shuffledp.cli import _json_default
+    from shuffledp import cli
 
     with pytest.raises(TypeError, match="not JSON serializable"):
-        json.dumps({"x": object()}, default=_json_default)
+        cli._strict_json({"x": object()})
 
 
 def test_simulate_requires_full_channel(tmp_path, capsys):
@@ -502,6 +497,60 @@ def test_simulate_json_format(rr3_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["lambda"]) == 50
     assert payload["summary"]["reps"] == 50
+
+
+# ---------------------------------------------------------------------------
+# strict JSON on channels with values beyond the double range
+
+# rr460: `report` takes it for randomized response at eps0 = 460.3, where
+# rho3 and two JSD terms are beyond the double range; alt-underflow: 12 of
+# the 64 sampled histograms have an alt mass that underflows to 0, so their
+# log ratio is -inf (ROADMAP item 3's lost alt mass)
+EXTREME_CHANNELS = {
+    "rr460.json": ([1.231296895499659e-200, 1.0], [1.0, 2.0963634922239936e-300]),
+    "alt-underflow.json": (
+        [0.10236762542866434, 1.3251385367679741e-100, 0.8976323745713357],
+        [0.7832185554972343, 0.2167814445027657, 1e-323],
+    ),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(EXTREME_CHANNELS))
+def test_every_json_output_is_strict(channel, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / channel).write_text(channel_to_json(validate_channel(*EXTREME_CHANNELS[channel])))
+    base = ["--channel", channel, "--n", "30", "--k", "10"]
+    sample = ["simulate", *base, "--reps", "64", "--seed", "10"]
+    nonfinite = {}
+    for argv in (
+        ["report", "--channel", channel, "--n", "7"],
+        ["curve", *base, "--sidedness", "two-sided", "--format", "json"],
+        sample + ["--format", "json"],
+        sample + ["--out", "lam.csv"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 2), argv
+        if code == 0:
+            nonfinite[argv[0] + argv[-1]] = _strict_json(out).get("nonfinite")
+        if code == 0 and "--out" in argv:
+            summary = (tmp_path / "lam.csv").read_text().splitlines()[-1]
+            assert _strict_json(summary.removeprefix("# summary ")) == _strict_json(out)
+    if channel == "rr460.json":
+        assert nonfinite["report7"] == {
+            "score.mu3": "inf",
+            "jsd_canonical.terms[1]": "-inf",
+            "jsd_canonical.terms[2]": "inf",
+            "jsd_canonical.asymptotic": "inf",
+            "jsd_canonical.residual": "-inf",
+            "rr_boundary.rho3": "inf",
+        }
+    else:
+        assert set(nonfinite["simulatejson"].values()) == {"-inf"}
+        assert len(nonfinite["simulatejson"]) == 12
+        assert nonfinite["simulatelam.csv"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -461,6 +461,20 @@ def test_rr_boundary_inequalities():
             assert b.lyapunov_ratio * math.sqrt(n) <= b.skew_bound + 1e-12
 
 
+def test_rr_boundary_beyond_the_cube_range():
+    # eps0 = 460.3 (the rr channel W0 = [1.231296895499659e-200, 1] read by
+    # `report`): (e^eps0 - 1)^3 is beyond the double range and so is rho3,
+    # about 6.6e399, while sigma2 and the Lyapunov ratio are finite (50 digits)
+    b = rr_boundary(460.3089505983148, 7)
+    assert b.sigma2 == pytest.approx(8.1215180810976474e199, rel=1e-12)
+    assert b.lyapunov_ratio == pytest.approx(3.4061956325616932e99, rel=1e-12)
+    assert b.rho3 == math.inf
+    # below e^eps0 ~ 1.3e154 only the cube overflows, and rho3 is finite
+    b = rr_boundary(300.0, 3)
+    assert b.rho3 == pytest.approx(3.7730203009299398e260, rel=1e-12)
+    assert b.lyapunov_ratio == pytest.approx(8.0465860156989476e64, rel=1e-12)
+
+
 def test_rr_boundary_degenerate_and_validation():
     b = rr_boundary(0.0, 50)
     assert b.sigma2 == 0.0 and b.lyapunov_ratio == 0.0
