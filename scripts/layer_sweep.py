@@ -26,7 +26,12 @@ first-call allocations are not counted.  At two workers the peak still
 depends on how the threads' per-block temporaries overlap: repeats of the
 minimum spread by a few percent (2.56-2.65 MB at d=2 n=47 k=15), so only a
 one-worker peak can show a small change.  Channels are fixed: FULL channels
-drawn from seeded Dirichlet laws, the same for every run of the script.
+drawn from seeded Dirichlet laws, the same for every run of the script.  A
+cell with an eighth field runs instead on the channel `FIXED_CHANNELS`
+gives that name, and reports it as `channel`: "d3-ties" is W0 = [0.5, 0.3,
+0.2], W1 = [0.2, 0.35, 0.45], whose k = 0 cells share few mathematical
+ratios, each split by rounding into several doubles (168,815 atoms of
+485,195 cells at n = 1000).
 
 The `process` cells (left out by --smallest) time what in-process cells
 cannot: interpreter start-up, imports and exit.  Each runs one command in
@@ -89,7 +94,9 @@ REPEATS = 5
 SEED = 7
 # the sampler's k > 0 table is folded only up to these n, so a cell takes seconds
 MAX_TABLE_N = {2: 20000, 3: 190, 4: 47}
-# (layer, d, n, k, m, reps, workers), the smallest first; reps and workers are the sampler's
+# channels a cell may name in an eighth field, in place of `channel(d)`
+FIXED_CHANNELS = {"d3-ties": validate_channel([0.5, 0.3, 0.2], [0.2, 0.35, 0.45])}
+# (layer, d, n, k, m, reps, workers[, channel]), the smallest first; reps and workers are the sampler's
 CELLS = (
     ("lr_atoms", 2, 190, 63, 1, None, None),
     ("lr_atoms", 2, 1900, 633, 1, None, None),
@@ -109,6 +116,7 @@ CELLS = (
     ("lr_atoms", 4, 60, 0, 1, None, None),
     ("lr_atoms", 4, 120, 0, 1, None, None),
     ("lr_atoms", 5, 40, 0, 1, None, None),
+    ("lr_atoms", 3, 1000, 0, 1, None, None, "d3-ties"),
     ("unbundled_lr_atoms", 2, 150, 0, 4, None, None),
     ("unbundled_lr_atoms", 3, 20, 0, 3, None, None),
     ("unbundled_lr_atoms", 4, 8, 0, 3, None, None),
@@ -129,6 +137,7 @@ CELLS = (
     ("conditional_score", 2, 20000, 6666, 1, None, None),
     ("privacy_curve", 3, 190, 63, 1, None, None),
     ("privacy_curve", 2, 950000, 0, 1, None, None),
+    ("privacy_curve", 3, 1000, 0, 1, None, None, "d3-ties"),
     ("tradeoff_curve", 3, 190, 63, 1, None, None),
     ("tradeoff_curve", 2, 950000, 0, 1, None, None),
     ("chernoff_curve", 2, 950000, 0, 1, None, None),
@@ -328,9 +337,12 @@ def main(argv=None) -> int:
     ap.add_argument("--smallest", action="store_true", help="measure only the first (smallest) cell")
     args = ap.parse_args(argv)
     cells = []
-    for layer, d, n, k, m, reps, workers in CELLS[:1] if args.smallest else CELLS:
+    for layer, d, n, k, m, reps, workers, *fixed in CELLS[:1] if args.smallest else CELLS:
         cell = {"layer": layer, "d": d, "n": n, "k": k, "m": m, "reps": reps, "workers": workers}
-        cell.update(measure(LAYERS[layer](channel(d), n, k, m, reps, workers)))
+        if fixed:
+            cell["channel"] = fixed[0]
+        ch = FIXED_CHANNELS[fixed[0]] if fixed else channel(d)
+        cell.update(measure(LAYERS[layer](ch, n, k, m, reps, workers)))
         cells.append(cell)
         print(json.dumps(cell), file=sys.stderr, flush=True)
     if not args.smallest:

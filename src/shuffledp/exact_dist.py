@@ -32,10 +32,6 @@ from .errors import EnumerationCapError, InternalInvariantError, ValidationError
 # Refuse exact enumeration beyond this many dense histogram-law cells.
 DEFAULT_ATOM_CAP = 30_000_000
 
-# Atoms whose likelihood ratios agree within this relative tolerance are
-# merged into one.
-MERGE_REL_TOL = 1e-12
-
 # A ratio within this relative distance above a threshold e^eps counts as a
 # tie and adds nothing to delta(eps).  Computed ratios carry a few ulps of
 # rounding (a quotient of two folded sums, or W1/W0 of the channel), so the
@@ -44,8 +40,7 @@ MERGE_REL_TOL = 1e-12
 TIE_REL_TOL = 16 * np.finfo(np.float64).eps
 
 # Cells whose null mass is below the smallest normal double are dropped: their
-# ratio p_alt / p_null, or a merged atom's null-weighted mean ratio, is a
-# quotient of subnormals (or 0/0) and off by O(1).
+# ratio p_alt / p_null is a quotient of subnormals (or 0/0) and off by O(1).
 MIN_NULL_MASS = np.finfo(np.float64).tiny
 
 # Atomization totals (and the trade-off sweep's end) must be 1 within this.
@@ -361,42 +356,30 @@ def mean_histogram(channel: Channel, comp: Composition) -> np.ndarray:
 # likelihood-ratio atomizations
 
 
-def _merge_atoms(atoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort the atoms [lr, p_null, p_alt] by ratio and coalesce ratios equal up to MERGE_REL_TOL.
+def _sort_atoms(atoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort the atoms [lr, p_null, p_alt] by ratio and join the ones whose ratios are the same double.
 
-    The merge owns the list: it permutes one array at a time, replacing each
+    The sort owns the list: it permutes one array at a time, replacing each
     in the list by its sorted copy, so an input the caller holds no other
     reference to is freed once it is sorted.  The sort then peaks at the
-    three arrays, the permutation and one sorted copy (40 B an atom), and
-    the gap test is taken _CELL_BLOCK ratios at a time.  When no two
-    neighbouring sorted ratios are within the tolerance, every group has one
-    atom, and the sorted arrays are the result as they are.
+    three arrays, the permutation and one sorted copy (40 B an atom).  An
+    atom keeps its computed ratio: cells join only where their ratios are
+    equal, their masses summed in the stable sort's order, so no ratio
+    moves and the sorted arrays are the result when all ratios differ.
     """
     order = np.argsort(np.asarray(atoms[0], dtype=np.float64), kind="stable")
     for i in range(3):
         atoms[i] = np.asarray(atoms[i], dtype=np.float64)[order]
     del order
-    lr, p_null, p_alt = atoms
-    gaps = np.empty(max(lr.size - 1, 0), dtype=bool)
-    for at in _cell_blocks(gaps.size):
-        upper = lr[1:][at]
-        tol = np.abs(upper)
-        np.maximum(tol, 1.0, out=tol)
-        tol *= MERGE_REL_TOL
-        np.greater(upper - lr[:-1][at], tol, out=gaps[at])
-    if gaps.all():
-        return lr, p_null, p_alt
-    starts = np.flatnonzero(np.concatenate(([True], gaps)))
-    del gaps
-    mn = np.add.reduceat(p_null, starts)
-    ma = np.add.reduceat(p_alt, starts)
-    weighted = np.add.reduceat(lr * p_null, starts)
-    # null-mass-weighted representative; a group of one keeps its ratio
-    # (the quotient (lr p) / p is off by an ulp for about 1 in 8), and so
-    # does an (unreachable) group without null mass
-    own = (np.diff(np.append(starts, lr.size)) == 1) | (mn <= 0.0)
-    rep = np.where(own, lr[starts], weighted / np.where(own, 1.0, mn))
-    return rep, mn, ma
+    new = atoms[0][1:] != atoms[0][:-1]
+    if new.all():
+        return tuple(atoms)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    del new
+    atoms[0] = atoms[0][starts]
+    for i in (1, 2):
+        atoms[i] = np.add.reduceat(atoms[i], starts)
+    return tuple(atoms)
 
 
 def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
@@ -468,7 +451,7 @@ def _check_dropped_alt(dropped_alt: float) -> None:
 
 
 def _atomize(n: int, k: int, blocks) -> LrAtomization:
-    """The merged, checked atomization of the cells of `blocks`, in their order.
+    """The sorted, checked atomization of the cells of `blocks`, in their order.
 
     Each block is a list [p_null, p_alt, lr] of its cells' masses under the
     two laws and their ratios.  `_drop_rule` leaves out the cells of null
@@ -476,7 +459,7 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
     whose dropped alt mass is above _MASS_TOL is refused.  Each array of a
     block is replaced in the list by its kept cells (a copy, so no scratch
     view outlives its block), one at a time, and blocks are joined one array
-    at a time, each array's blocks freed once joined.  The merge then owns
+    at a time, each array's blocks freed once joined.  `_sort_atoms` then owns
     every array, so the k = 0 pair peaks at its sort, about 40 B a kept cell.
     """
     kept, dropped = [], []
@@ -495,8 +478,8 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
         columns = list(zip(*kept))
         del kept
         cells = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
-    cells.insert(0, cells.pop())  # [lr, p_null, p_alt], in place: the merge owns the list
-    lr, p_null, p_alt = _merge_atoms(cells)
+    cells.insert(0, cells.pop())  # [lr, p_null, p_alt], in place: the sort owns the list
+    lr, p_null, p_alt = _sort_atoms(cells)
     atoms = LrAtomization(n, k, lr, p_null, p_alt, dropped_null_mass=dropped_null, dropped_alt_mass=dropped_alt)
     _check_atomization(atoms)
     return atoms
@@ -505,7 +488,7 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
 def _fold_atoms(channel: Channel, comp: Composition, cap: int) -> LrAtomization:
     """Atoms of the pair at (n, k) from the dense fold of its base T_{n-1,k}; the
     cells enter `_atomize` in descending lexicographic order (reversed C
-    order), and the dense law is freed before they are merged."""
+    order), and the dense law is freed before they are sorted."""
     n, k = comp.n, comp.k
     blocks = _pair_blocks(channel, n - 1 - k, k, cap)
     return _atomize(n, k, ([cells.ravel()[::-1] for cells in block] for _, _, block in blocks))
@@ -635,12 +618,26 @@ def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None, log: bool = Fals
     return out
 
 
-def _binomial_window(n: int, p0: float) -> np.ndarray:
-    """The counts K in [n p0 - sqrt(400 n), n p0 + sqrt(400 n)] and [0, n], as floats."""
-    half = math.sqrt(400.0 * n)
-    lo = max(0, math.floor(n * p0 - half))
-    hi = min(n, math.ceil(n * p0 + half))
-    return np.arange(lo, hi + 1, dtype=np.float64)
+def _window_ends(n: int, p0: float) -> tuple[int, int]:
+    """The first and last count K in [n p0 - sqrt(400 n), n p0 + sqrt(400 n)] and [0, n].
+
+    Above n = 2^53 the double n p0 can be off by more than the half width,
+    so the window is taken in integers, widened by one count at each end.
+    """
+    if n <= 1 << 53:
+        half = math.sqrt(400.0 * n)
+        return max(0, math.floor(n * p0 - half)), min(n, math.ceil(n * p0 + half))
+    num, den = p0.as_integer_ratio()
+    half = math.isqrt(400 * n) + 1
+    return max(0, n * num // den - half), min(n, -(-n * num // den) + half)
+
+
+def _spawned_cells(a: int, b: int, lo: int, hi: int) -> int:
+    """The cells that parents with a, a+1, ..., b counts left spawn from the window lo..hi:
+    a parent with r left spawns the counts lo..min(r, hi), none where r < lo."""
+    s, t = max(a, lo), min(b, hi)
+    ramp = (t - s + 1) * (s + t + 2 - 2 * lo) // 2 if s <= t else 0
+    return ramp + (hi + 1 - lo) * max(0, b + 1 - max(a, hi + 1))
 
 
 def _relabelled_w(channel: Channel) -> np.ndarray:
@@ -657,10 +654,12 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
     with N_0 what remains; every share is at most 1/2, so 1 - p does not
     cancel.  Each factor is `_binom_pmf`, vectorized over the cells built so
     far.  N_j runs only over the window of its marginal Bin(N, W0_j)
-    (`_binomial_window`), outside of which Hoeffding's inequality puts
+    (`_window_ends`), outside of which Hoeffding's inequality puts
     mass < e^-800, far below the smallest subnormal double.  Each level's
     cells are counted from the window lengths before its masses are
-    evaluated, and EnumerationCapError is raised once they exceed `cap`.
+    evaluated, and EnumerationCapError is raised once they exceed `cap`;
+    the first two levels are counted in closed form before any array is
+    built, so a refused N allocates nothing of its size.
 
     Yields (j, row, K, rest, mass) for j = d-1, ..., 1: each cell's parent
     among the previous level's cells (None at the first level), its count
@@ -673,19 +672,22 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
     """
     order = np.argsort(-channel.W0, kind="stable")
     d, W0 = channel.d, channel.W0[order]
-    windows = [_binomial_window(N, float(W0[j])) for j in range(d - 1, 0, -1)]
+    ends = [_window_ends(N, float(W0[j])) for j in range(d - 1, 0, -1)]
     share = W0 / np.cumsum(W0)
-    K = windows[0]
-    _check_cap(K.size, what, cap)
+    lo, hi = ends[0]
+    _check_cap(hi + 1 - lo, what, cap)
+    if d > 2:
+        _check_cap(_spawned_cells(N - hi, N - lo, *ends[1]), what, cap)
+    K = np.arange(lo, hi + 1, dtype=np.float64)
     # at d >= 3 the cells far outnumber the N + 1 values stirlerr is taken at
     table = _stirlerr(np.arange(N + 1.0)) if d > 2 else None
     for at in _cell_blocks(K.size) if d == 2 else [slice(None)]:
         rest = N - K[at]
         yield d - 1, None, K[at], rest, _binom_pmf(K[at], N, float(W0[d - 1]), table, log)
-    for j, window in zip(range(d - 2, 0, -1), windows[1:]):
+    for j, (lo, hi) in zip(range(d - 2, 0, -1), ends[1:]):
         # each cell so far spawns the window counts that fit in what remains
-        lo = window[0]
-        length = np.clip(np.minimum(rest, window[-1]) - lo + 1.0, 0.0, None).astype(np.intp)
+        lo = float(lo)
+        length = np.clip(np.minimum(rest, float(hi)) - lo + 1.0, 0.0, None).astype(np.intp)
         cells = int(length.sum())
         _check_cap(cells, what, cap)
         parents, cuts = rest, [0, rest.size]
@@ -937,17 +939,17 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     """Standard divergences of the alt law from the null law.
 
     JSD and TV tolerate one-sided support loss (zero-ratio atoms and
-    alt-singular mass); the chi-square and KL divergences are infinite when
-    alt mass sits outside the null support.  Renyi orders must exceed 1 and
-    additionally require full support in both directions.  Each is an
-    exactly rounded sum (`math.fsum`) of per-atom terms, taken by
-    `_atom_fsum` with no temporary of the atoms' size besides its own two;
-    the atoms a sum leaves out (TV's ratios up to 1, KL's zero ratios) are
-    zero terms.  KL and Renyi, whose terms take both signs, are clipped at
+    alt-singular mass); the chi-square, KL and Renyi divergences are
+    infinite when alt mass sits outside the null support.  Renyi orders
+    must exceed 1.  Each is an exactly rounded sum (`math.fsum`) of
+    per-atom terms, taken by `_atom_fsum` with no temporary of the atoms'
+    size besides its own two; the atoms a sum leaves out (TV's ratios up to
+    1, KL's zero ratios) are zero terms, and a zero ratio's Renyi term is
+    0^alpha = 0.  KL and Renyi, whose terms take both signs, are clipped at
     0: where the ratios round to 1 their sums can fall below it (KL
     -1.4e-30 at W0 = [1.45e-30, 1], W1 = [2.9e-100, 1], n = 30, k = 10).
     """
-    lr, sing = atoms.lr, atoms.alt_singular_mass
+    sing = atoms.alt_singular_mass
     jsd = _jsd(atoms)
     tv = _atom_fsum(atoms, lambda lr, p: np.where(lr > 1.0, p * (lr - 1.0), 0.0)) + sing
     if sing > 0.0:
@@ -962,11 +964,7 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
         alpha = float(alpha)
         if not (1.0 < alpha < math.inf):
             raise ValidationError(f"Renyi order must be finite and exceed 1, got {alpha}")
-        if sing > 0.0 or np.any(lr == 0.0):
-            raise ValidationError(
-                "Renyi divergence needs full support in both directions"
-            )
-        moment = _atom_fsum(atoms, lambda lr, p: _renyi_term(lr, p, alpha))
+        moment = math.inf if sing > 0.0 else _atom_fsum(atoms, lambda lr, p: _renyi_term(lr, p, alpha))
         renyi[alpha] = max(math.log(moment), 0.0) / (alpha - 1.0)
     return DivergenceReport(jsd=jsd, tv=tv, chi2=chi2, kl=kl, renyi=renyi)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _ndtr
+from .asymptotics import _MAX_EPS, _ndtr
 from .channels import Channel, score_stats
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
@@ -345,9 +345,12 @@ def rr_boundary(
     The centered score takes the two values x_plus = e^{eps0} - 1 and
     x_minus = e^{-eps0} - 1; sigma2 and rho3 are its second and third
     absolute moments under the input-0 law.  The regime is decided by
-    a_n = e^{eps0}/n against the supplied thresholds.
+    a_n = e^{eps0}/n against the supplied thresholds.  An eps0 above
+    log(DBL_MAX) ~ 709.78, where e^{eps0} overflows, raises ValidationError.
     """
     _check_eps(eps0, "eps0")
+    if eps0 > _MAX_EPS:
+        raise ValidationError(f"rr_boundary needs eps0 <= {_MAX_EPS!r} (the log of the largest double), got {eps0!r}")
     n = _check_count("n", n)
     if not 0.0 < sub_threshold < super_threshold:
         raise ValidationError(

@@ -226,6 +226,14 @@ def test_jsd_expansion_auto_exact_path_selection():
         assert jsd_canonical_asymptotic(ch, n).exact is not None
     big = jsd_canonical_asymptotic(ch, 5000)
     assert big.exact is None and big.residual is None
+    # at n = 1e50 the window of about 4e26 counts is refused before it is
+    # built.  On the last two channels numpy raised "Maximum allowed size
+    # exceeded"; on randomized response the double n p0 rounded away the
+    # half width, so the window was one count and the atoms' mass check failed
+    extreme = validate_channel([1.231296895499659e-200, 1.0], [1.0, 2.0963634922239936e-300])
+    for channel in (RR3, rr_channel(1.1), validate_channel([0.5, 0.3, 0.2], [0.2, 0.3, 0.5]), extreme):
+        huge = jsd_canonical_asymptotic(channel, 10**50)
+        assert huge.exact is None and huge.residual is None
 
 
 def test_jsd_expansion_caller_supplied_exact():

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from shuffledp import channel_to_json, parse_csv, rr_channel, validate_channel
+from shuffledp import Composition, channel_to_json, lr_atoms, parse_csv, rr_channel, validate_channel
 from shuffledp.cli import (
     DEFAULT_EPS_SPEC,
     canonical_channel_json,
@@ -350,6 +350,34 @@ def test_report_jsd_block(rr3_file, capsys):
     block = payload["jsd_canonical"]
     assert block["asymptotic"] == pytest.approx(0.0175, abs=1e-12)
     assert block["exact"] is not None and block["residual"] is not None
+
+
+def test_reverse_curve_keeps_tiny_ratios_apart(tmp_path, capsys):
+    # W1 = [3e-14, 3e-20, ...] against a uniform W0 at n = 2: the cells'
+    # ratios 9e-20, 4.5e-14 and 9e-14 are atoms of their own (a merge within
+    # an absolute 1e-12 made them one, and the curve read 0.2307..., 0, 0).
+    # The values are an enumeration of the 6 histograms in exact rationals;
+    # each must lie within 64 ulps of the reversed pair's mass above e^eps
+    path = tmp_path / "tiny.json"
+    channel = validate_channel([1 / 3] * 3, [3e-14, 3e-20, 1 - 3e-14 - 3e-20])
+    path.write_text(channel_to_json(channel))
+    args = ["curve", "--channel", str(path), "--n", "2", "--sidedness", "reverse", "--eps", "30,36.8,40"]
+    assert main(args) == 0
+    _, table = parse_csv(capsys.readouterr().out)
+    atoms = lr_atoms(channel, Composition(2, 0))
+    for (eps, delta), want in zip(table, (0.23071473908446352, 0.11101516288850798, 0.1087572584427409)):
+        scale = float(atoms.p_null[atoms.lr * math.exp(eps) < 1.0].sum())
+        assert abs(delta - want) <= 64 * np.finfo(np.float64).eps * scale, (eps, delta)
+
+
+def test_huge_n_is_refused_before_the_window_is_built(rr3_file, capsys):
+    # n = 1e29: the k = 0 chain's window of about 1.3e16 counts is counted
+    # before it is built (it was an 89.9 PiB allocation error, exit 1)
+    n = str(10**29)
+    assert main(["curve", "--channel", rr3_file, "--n", n]) == 3
+    assert "cells > cap" in capsys.readouterr().err
+    assert main(["report", "--channel", rr3_file, "--n", n]) == 0
+    assert json.loads(capsys.readouterr().out)["jsd_canonical"]["exact"] is None
 
 
 def test_report_perfect_privacy_note(tmp_path, capsys):

@@ -44,20 +44,20 @@ from shuffledp import (
 )
 from shuffledp.exact_dist import (
     DEFAULT_ATOM_CAP,
-    MERGE_REL_TOL,
     MIN_NULL_MASS,
     HistogramLaw,
     _bd0,
     _binom_pmf,
-    _binomial_window,
     _canonical_cells,
     _check_atomization,
     _fsum,
     _jsd,
     _jsd_kernel,
-    _merge_atoms,
     _ratio_table,
+    _sort_atoms,
+    _spawned_cells,
     _stirlerr,
+    _window_ends,
 )
 from shuffledp.multimessage import _mm_cells
 from conftest import fold_atoms, full_channel
@@ -127,6 +127,28 @@ def test_k0_cap_counts_the_built_cells_not_the_window_box():
         lr_atoms(ch, Composition(59, 0), cap=37_819)
 
 
+def test_spawned_cells_is_the_sum_over_the_parents():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        a, lo = rng.integers(0, 40, 2).tolist()
+        b, hi = a + int(rng.integers(0, 40)), lo + int(rng.integers(0, 40))
+        assert _spawned_cells(a, b, lo, hi) == sum(max(0, min(r, hi) - lo + 1) for r in range(a, b + 1))
+
+
+def test_k0_refusal_builds_nothing_of_the_windows_size():
+    # the first two levels are counted in closed form before any array is
+    # built: refusing n = 4e6 peaked at 197 MB (the first window, its masses
+    # and the stirlerr table over 0..n), and n = 1e29 asked numpy for 89.9 PiB
+    ch = validate_channel([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])
+
+    def refuse(n):
+        with pytest.raises(EnumerationCapError, match="cells > cap"):
+            lr_atoms(ch, Composition(n, 0))
+
+    for n in (4_000_000, 10**29):
+        assert _peak_bytes(lambda: refuse(n)) < 1_000_000
+
+
 # Reference engine: the histogram law as a dict, folded one message at a time
 # over the histograms in insertion order.
 
@@ -156,18 +178,18 @@ def _dict_laws(ch, zeros, ones, m):
 
 
 def _dict_atoms(null, alt):
-    """Merged atoms and dropped (null, alt) masses of the dict laws."""
+    """Atoms and dropped (null, alt) masses of the dict laws."""
     tiny = MIN_NULL_MASS
     hists = [h for h, p in null.items() if p >= tiny]
     p_null = np.array([null[h] for h in hists])
     p_alt = np.array([alt.get(h, 0.0) for h in hists])
     dropped_null = np.array([p for p in null.values() if 0.0 < p < tiny])
     dropped_alt = np.array([p for h, p in alt.items() if p > 0.0 and null.get(h, 0.0) < tiny])
-    return _merge_atoms([p_alt / p_null, p_null, p_alt]), _fsum(dropped_null), _fsum(dropped_alt)
+    return _sort_atoms([p_alt / p_null, p_null, p_alt]), _fsum(dropped_null), _fsum(dropped_alt)
 
 
 def _dict_pair(ch, comp):
-    """Renormalized base law T_{n-1,k} and the merged atoms of the pair."""
+    """Renormalized base law T_{n-1,k} and the atoms of the pair."""
     base, null, alt = _dict_laws(ch, comp.n - 1 - comp.k, comp.k, 1)
     return base, _dict_atoms(null, alt)[0]
 
@@ -221,7 +243,8 @@ def _box_cells(channel, n):
     order = np.argsort(-channel.W0, kind="stable")
     cells = np.zeros((1, 0), dtype=np.int64)
     for y in order[:0:-1]:
-        window = _binomial_window(n, float(channel.W0[y])).astype(np.int64)
+        lo, hi = _window_ends(n, float(channel.W0[y]))
+        window = np.arange(lo, hi + 1, dtype=np.int64)
         cells = np.column_stack(
             (np.repeat(cells, window.size, axis=0), np.tile(window, len(cells)))
         )
@@ -336,7 +359,7 @@ def test_unbundled_atoms_are_the_exact_ratios_on_the_dict_fold_cells(d, n, m, sk
     assert atoms.dropped_alt_mass == pytest.approx(dropped_alt, rel=1e-12, abs=0.0)
     kept = [h for h, p in null.items() if p >= MIN_NULL_MASS]
     exact = [unbundled_lr(ch, n, m, h) for h in kept]
-    want = _merge_atoms([exact, [null[h] for h in kept], [alt[h] for h in kept]])[0]
+    want = _sort_atoms([exact, [null[h] for h in kept], [alt[h] for h in kept]])[0]
     np.testing.assert_allclose(atoms.lr, want, rtol=2e-15, atol=0.0)
 
 
@@ -427,44 +450,32 @@ def test_unbundled_memory_at_many_messages_per_user_is_linear_in_cells():
     assert _peak_bytes(lambda: unbundled_lr_atoms(ch, n, m)) < 200 * cells + 64 * (m + 1) * (n * m + 1)
 
 
-def _merge_atoms_reference(lr, p_null, p_alt, rel_tol=MERGE_REL_TOL):
-    """`_merge_atoms` before its tie-free exit, kept as the reference."""
-    lr = np.asarray(lr, dtype=np.float64)
-    p_null = np.asarray(p_null, dtype=np.float64)
-    p_alt = np.asarray(p_alt, dtype=np.float64)
-    order = np.argsort(lr, kind="stable")
-    lr, p_null, p_alt = lr[order], p_null[order], p_alt[order]
-    if lr.size == 0:
-        return lr, p_null, p_alt
-    gaps = np.diff(lr) > rel_tol * np.maximum(1.0, np.abs(lr[1:]))
-    starts = np.concatenate(([0], np.nonzero(gaps)[0] + 1))
-    mn = np.add.reduceat(p_null, starts)
-    ma = np.add.reduceat(p_alt, starts)
-    weighted = np.add.reduceat(lr * p_null, starts)
-    own = (np.diff(np.append(starts, lr.size)) == 1) | (mn <= 0.0)
-    rep = np.where(own, lr[starts], weighted / np.where(own, 1.0, mn))
-    return rep, mn, ma
-
-
-def test_merge_gives_the_reference_bits():
+def test_sort_joins_only_equal_ratios():
+    # cells whose ratios are one double become one atom, their masses
+    # summed; ratios 3 ulps apart stay apart, below and above 1 and at the
+    # tiny ratios (9e-20 to 9e-14) that a merge within an absolute 1e-12
+    # made one atom
     rng = np.random.default_rng(17)
-    lr = rng.uniform(0.05, 20.0, 3000)  # ratios below and above 1, where the tolerance is absolute and relative
-    p_null = rng.dirichlet(np.ones(lr.size))
-    cases = {"tie-free": lr}
-    ties = lr.copy()
-    picks = rng.choice(lr.size, 120, replace=False)
-    ties[picks[:40]] = lr[picks[40:80]] + MERGE_REL_TOL * np.maximum(1.0, lr[picks[40:80]])  # at the tolerance
-    ties[picks[80:]] = lr[picks[40:80]] * (1.0 + 0.5 * MERGE_REL_TOL)  # just inside
-    cases["ties"] = ties
-    cases["empty"] = lr[:0]
-    for name, ratios in cases.items():
-        masses = p_null[: ratios.size]
-        got = _merge_atoms([ratios, masses, ratios * masses])
-        want = _merge_atoms_reference(ratios, masses, ratios * masses)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert _merge_atoms([lr, p_null, lr * p_null])[0].size == lr.size  # the tie-free input has no tie
-    assert _merge_atoms([ties, p_null, ties * p_null])[0].size == lr.size - 80  # 40 groups of three
+    base = np.concatenate((np.exp(rng.uniform(-3.0, 3.0, 1000)), [9e-20, 4.5e-14, 9e-14]))
+    apart = np.nextafter(np.nextafter(np.nextafter(base, np.inf), np.inf), np.inf)
+    ratios = np.concatenate((base, base, apart))
+    masses = rng.dirichlet(np.ones(ratios.size))
+    order = rng.permutation(ratios.size)
+    lr, p_null, p_alt = _sort_atoms([ratios[order], masses[order], (ratios * masses)[order]])
+    want = {}
+    for r, p in zip(ratios.tolist(), masses.tolist()):
+        null, alt = want.get(r, (0.0, 0.0))
+        want[r] = (null + p, alt + r * p)
+    keys = sorted(want)
+    assert len(keys) == 2 * base.size and lr.tolist() == keys
+    assert p_null.tolist() == [want[r][0] for r in keys]
+    assert p_alt.tolist() == [want[r][1] for r in keys]
+    assert (lr < 1.0).sum() > 100 and (lr > 1.0).sum() > 100
+    # all ratios distinct: the sorted arrays as they are; no cells: no atoms
+    distinct = sorted(base.tolist())
+    got = _sort_atoms([rng.permutation(base)] * 3)
+    assert [a.tolist() for a in got] == [distinct] * 3
+    assert all(a.size == 0 for a in _sort_atoms([ratios[:0], masses[:0], ratios[:0]]))
 
 
 def test_composition_validation():
@@ -536,7 +547,7 @@ def test_lr_atoms_martingale_general_k():
     assert float(atoms.p_null.sum()) == pytest.approx(1.0, abs=1e-9)
     assert float(atoms.p_alt.sum()) == pytest.approx(1.0, abs=1e-9)
     assert float(np.dot(atoms.lr, atoms.p_null)) == pytest.approx(1.0, abs=1e-9)
-    assert np.all(np.diff(atoms.lr) > 0)  # merged atoms are strictly sorted
+    assert np.all(np.diff(atoms.lr) > 0)  # atoms are strictly sorted
 
 
 def test_lr_atoms_rejects_k_equal_n():
@@ -646,7 +657,7 @@ def test_lr_atoms_memory_is_linear_in_cells():
     assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 0))) < 100 * (n + 1) ** 2
     # k > 0: one float64 array of the dense cells (the base law, from which
     # the last message is folded block by block), 32 bytes for each of the
-    # C(n+3, 3) cells that can hold mass (the kept masses, and the merge's
+    # C(n+3, 3) cells that can hold mass (the kept masses, and the sort's
     # copies once the dense array is freed) and the block scratch
     ch, n = full_channel(np.random.default_rng(7), 4), 59
     cells = math.comb(n + 3, 3)
@@ -655,9 +666,9 @@ def test_lr_atoms_memory_is_linear_in_cells():
 
 
 def test_lr_atoms_merge_peak_holds_no_unsorted_ratios():
-    # k > 0 at d = 3: the peak is the merge's, once the dense law is freed:
+    # k > 0 at d = 3: the peak is the sort's, once the dense law is freed:
     # the kept masses and ratios (24 bytes a cell), the sort order (8) and
-    # one sorted copy (8).  The merge owns the three arrays and frees each
+    # one sorted copy (8).  The sort owns the three arrays and frees each
     # unsorted one once its sorted copy is made (40 bytes a cell, 3.23 MB
     # here); holding the unsorted masses too was 48, the ratios too 56
     # (4.60 MB)
@@ -671,24 +682,35 @@ def test_lr_atoms_merge_peak_holds_no_unsorted_ratios():
 CELL_SCRATCH = 128 * exact_dist._CELL_BLOCK
 
 
-def _k0_case(d):
+# The k = 0 byte-budget pins: channel and n by case.  On "d3-ties" many
+# cells share one mathematical ratio, which rounding splits into distinct
+# doubles: its 485,195 built cells hold 168,815 atoms, where joining ratios
+# within 1e-12 left 86,768.
+K0_CASES = {
+    2: (rr_channel(1.1), 950_000),
+    3: (full_channel(np.random.default_rng(7), 3), 1000),
+    "d3-ties": (validate_channel([0.5, 0.3, 0.2], [0.2, 0.35, 0.45]), 1000),
+}
+
+
+def _k0_case(case):
     """The channel and n of a k = 0 byte-budget pin, and the cells its chain builds."""
-    ch, n = (rr_channel(1.1), 950_000) if d == 2 else (full_channel(np.random.default_rng(7), 3), 1000)
+    ch, n = K0_CASES[case]
     cells = sum(block[0].size for block in _canonical_cells(ch, n, DEFAULT_ATOM_CAP))
     return ch, n, cells
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", list(K0_CASES))
 def test_k0_lr_atoms_peak_is_bounded_per_built_cell(d):
     # the last level streams into `_atomize` in blocks, with no temporary of
-    # its size: the peak is the merge's sort, the kept ratios and masses, the
+    # its size: the peak is the sort, the kept ratios and masses, the
     # permutation and one sorted copy (40 B a kept cell).  The cell-sized
     # chain peaked at about 93 B a cell at d = 2 and 100 at d = 3
     ch, n, cells = _k0_case(d)
     assert _peak_bytes(lambda: lr_atoms(ch, Composition(n, 0))) < 48 * cells + CELL_SCRATCH
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", list(K0_CASES))
 def test_jsd_and_kolmogorov_hold_one_array_of_the_atoms(d):
     # the per-atom terms, _CELL_BLOCK at a time: the JSD's terms and their
     # sorted copy in `_fsum` (16 B an atom), the Kolmogorov distance's CDF
@@ -871,7 +893,8 @@ PMF_N = [1, 2, 57, 2001, 950_000, 2_000_000]
 
 def _kept_window(eps0, n):
     p0 = float(rr_channel(eps0).W0[1])
-    K = _binomial_window(n, p0)
+    lo, hi = _window_ends(n, p0)
+    K = np.arange(lo, hi + 1, dtype=np.float64)
     return p0, K, _binom_pmf(K, n, p0)
 
 
@@ -1230,12 +1253,15 @@ def test_divergences_with_support_loss():
     ch = validate_channel([0.5, 0.5], [0.0, 1.0])
     atoms = lr_atoms(ch, Composition(2, 0))
     rev = reverse_atomization(atoms)
-    report = divergences(rev)
+    report = divergences(rev, renyi_orders=(2.0,))
     assert math.isinf(report.chi2)
     assert math.isinf(report.kl)
+    assert report.renyi[2.0] == math.inf
     assert report.tv <= 1.0
-    with pytest.raises(ValidationError, match="full support"):
-        divergences(atoms, renyi_orders=(2.0,))
+    # forward, L is the count of symbol 1 ~ Bin(2, 1/2): the zero ratio adds
+    # 0^2 = 0 to the moment 0/4 + 1/2 + 4/4 = 1.5
+    assert atoms.lr.tolist() == [0.0, 1.0, 2.0]
+    assert divergences(atoms, renyi_orders=(2.0,)).renyi[2.0] == math.log(1.5)
 
 
 def test_renyi_order_validation():

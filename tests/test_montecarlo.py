@@ -475,6 +475,16 @@ def test_rr_boundary_beyond_the_cube_range():
     assert b.lyapunov_ratio == pytest.approx(8.0465860156989476e64, rel=1e-12)
 
 
+def test_rr_boundary_refuses_eps0_beyond_the_double_range():
+    # e^eps0 overflows above log(DBL_MAX) ~ 709.78, as in `gdp_delta`; at
+    # 720 it was an uncaught OverflowError from math.exp
+    top = math.log(np.finfo(np.float64).max)
+    assert rr_boundary(top, 10).a_n == pytest.approx(np.finfo(np.float64).max / 10, rel=1e-12)
+    for eps0 in (math.nextafter(top, math.inf), 720.0):
+        with pytest.raises(ValidationError, match="largest double"):
+            rr_boundary(eps0, 10)
+
+
 def test_rr_boundary_degenerate_and_validation():
     b = rr_boundary(0.0, 50)
     assert b.sigma2 == 0.0 and b.lyapunov_ratio == 0.0

@@ -9,6 +9,7 @@ import pytest
 from shuffledp import (
     Composition,
     EnumerationCapError,
+    Sidedness,
     ValidationError,
     lr_atoms,
     mm_gdp_compare,
@@ -19,6 +20,8 @@ from shuffledp import (
     unbundled_lr_atoms,
     validate_channel,
 )
+from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS
+from shuffledp.multimessage import _mm_cells
 from conftest import brute_force_lr, full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -140,10 +143,8 @@ def test_unbundled_atoms_are_the_coefficient_ratios(ch, n, m, rtol):
     # each atom is the exact per-histogram ratio to rtol.  At d = 2 the cells
     # dropped for a null mass below MIN_NULL_MASS are the extreme counts,
     # whose ratios lie outside the atoms' range; each histogram inside it has
-    # an atom of its own.  Ratios below 1e-12 merge into one atom (the merge
-    # tolerance is absolute below 1), so only atoms above 1e-9 are compared.
+    # an atom of its own, the tiny ratios too.
     lr = unbundled_lr_atoms(ch, n, m).lr
-    lr = lr[lr >= 1e-9]
     ratios = np.array([unbundled_lr(ch, n, m, h) for h in _histograms(n * m, ch.d)])
     inside = ratios[(ratios >= lr[0] * (1 - rtol)) & (ratios <= lr[-1] * (1 + rtol))]
     assert inside.size == lr.size
@@ -155,11 +156,10 @@ def test_unbundled_atoms_are_the_coefficient_ratios(ch, n, m, rtol):
 @pytest.mark.parametrize("n, m", [(3, 100), (2, 150)])
 def test_unbundled_ratios_hold_4e_15_up_to_150_messages(n, m):
     # rr 1.1 at 15 counts spread over [0, nm] (the exact ratio costs O(m^2)
-    # big-integer products): each ratio inside the atoms' range above 1e-9
-    # has its atom within 4e-15
+    # big-integer products): each ratio inside the atoms' range has its atom
+    # within 4e-15
     ch = rr_channel(1.1)
     lr = unbundled_lr_atoms(ch, n, m).lr
-    lr = lr[lr >= 1e-9]
     checked = 0
     for K in np.linspace(0, n * m, 15).astype(int).tolist():
         want = unbundled_lr(ch, n, m, (n * m - K, K))
@@ -182,12 +182,24 @@ def test_unbundled_m1_atoms_match_single_message():
 
 def test_unbundled_atoms_at_700_messages_per_user():
     # rr ln 3 at n = 2, m = 700, where 3^700 alone overflows a double: no
-    # intermediate overflows or is invalid, nothing warns, and the atoms are
-    # the dense fold's: 513 of them, and its dropped masses
+    # intermediate overflows or is invalid, nothing warns, and the atoms and
+    # dropped masses are the dense fold's
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error")
         atoms = unbundled_lr_atoms(RR3, 2, 700)
-    assert atoms.lr.size == 513
+    # at d = 2 the ratio increases strictly with the count of symbol 1, so
+    # the atoms are the kept cells, less the duplicates among the ratios
+    # that underflow to 0.0: 1020 - 15 + 1 = 1006
+    p_null, _, lr = (np.concatenate(column) for column in zip(*_mm_cells(RR3, 2, 700, DEFAULT_ATOM_CAP)))
+    kept = lr[p_null >= MIN_NULL_MASS]
+    zeros = int((kept == 0.0).sum())
+    assert (kept.size, zeros) == (1020, 15)
+    assert atoms.lr.size == kept.size - zeros + 1 == 1006
+    # 23 kept ratios are subnormal, so the reversed pair's 1/L overflows and
+    # a reverse curve is refused (where merging ratios within 1e-12 made one
+    # atom of them, it read 0 at eps = 100 for a true 0.99999999929)
+    with pytest.raises(ValidationError, match="overflows a double"):
+        privacy_curve(atoms, [100.0], Sidedness.REVERSE)
     assert atoms.dropped_null_mass == pytest.approx(2.2313579461250587e-308, rel=1e-12)
     assert atoms.dropped_alt_mass == pytest.approx(1.7525529281398147e-88, rel=1e-11)
 
