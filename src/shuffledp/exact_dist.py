@@ -733,6 +733,8 @@ def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
 def reverse_atomization(atoms: LrAtomization) -> LrAtomization:
     """Swap the roles of the two laws: ratios invert, masses exchange.
 
+    Not on the curve path (`privacy_curve` sums REVERSE from the atoms as
+    they are); the divergences of the reversed pair are `divergences` of this.
     Null mass on zero-ratio atoms becomes singular mass of the reversed
     direction (the reversed ratio is infinite there), and vice versa, so
     reversing twice gives back the original atomization.  The dropped
@@ -808,27 +810,29 @@ def _check_eps_grid(eps) -> np.ndarray:
     return arr
 
 
-def _hockey_stick(lr, weights, singular: float, eps: np.ndarray) -> np.ndarray:
-    """delta(eps) = sum weights * (lr - e^eps)_+ + singular, clipped to [0,1].
-
-    `lr` must be sorted increasing.  With tail masses P_i = sum_{j>=i} w_j
-    and D_i = sum_{l>i} (lr_l - lr_{l-1}) P_l, the sum over atoms above a
-    threshold t is D_i + (lr_i - t) P_i at the first atom i with lr_i > t.
-    Every term is nonnegative, so far-tail values keep full relative
-    accuracy, and the cost is O(atoms + grid) time and memory.  Atoms with
-    lr <= t * (1 + TIE_REL_TOL) are ties and contribute nothing.
-    """
-    delta = np.full(eps.size, float(singular))
-    if lr.size:
-        tail = np.cumsum(weights[::-1])[::-1]
-        steps = np.diff(lr) * tail[1:]
-        above = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
+def _hockey_stick(atoms: LrAtomization, eps: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """One direction of `privacy_curve`, clipped to [0, 1]: FORWARD's sum from
+    the top of the atoms, or REVERSE's, times u, from the bottom."""
+    if reverse:  # the threshold is u = e^-eps, at least the least positive double so
+        # that zero ratios always count; it and the ratios below 1 are scaled by
+        # 2^1000 (exactly), so that no step between subnormal ratios underflows
+        below = np.searchsorted(atoms.lr, 1.0)
+        x, mass = np.ldexp(atoms.lr[:below], 1000), np.cumsum(atoms.p_null[:below])
+        t = np.ldexp(np.maximum(np.exp(-eps), math.ulp(0.0)), 1000)
+        i = np.searchsorted(x, t / (1.0 + TIE_REL_TOL)) - 1
+    else:
+        x, mass = atoms.lr[::-1], np.cumsum(atoms.p_null[::-1])
         with np.errstate(over="ignore"):  # t = inf above eps ~ 709.78: no atom lies above it
             t = np.exp(eps)
-        first = np.searchsorted(lr, t * (1.0 + TIE_REL_TOL), side="right")
-        hit = first < lr.size
-        i = first[hit]
-        delta[hit] += above[i] + (lr[i] - t[hit]) * tail[i]
+        i = x.size - 1 - np.searchsorted(atoms.lr, t * (1.0 + TIE_REL_TOL), side="right")
+    delta, hit = np.full(eps.size, 0.0 if reverse else atoms.alt_singular_mass), i >= 0
+    if hit.any():  # the sums of the steps before each atom (D or B), then delta
+        steps = np.abs(np.diff(x, prepend=x[0]))
+        steps[1:] *= mass[:-1]
+        np.cumsum(steps, out=steps)
+        i, t = i[hit], t[hit]
+        sums = steps[i] + np.abs(x[i] - t) * mass[i]
+        delta[hit] += sums / t if reverse else sums
     return np.clip(delta, 0.0, 1.0)
 
 
@@ -837,24 +841,30 @@ def privacy_curve(
 ) -> PrivacyCurve:
     """Evaluate the hockey-stick divergence of the atomized pair on a grid.
 
-    FORWARD is E_null[(L - e^eps)_+] plus any alt-singular mass; REVERSE
-    applies the same formula to the reversed atomization; TWO_SIDED is their
-    pointwise maximum.  Values are clipped into [0, 1].  This is the one
-    place curves are summed: the binomial and m-message curves are this
-    function on their atoms.
+    With t = e^eps, u = e^-eps and the ratios L_i ascending, FORWARD is
+    E_null[(L - t)_+] plus any alt-singular mass: D_i + (L_i - t) P_i at the
+    first atom i with L_i > t (1 + TIE_REL_TOL), where P_i = sum_{j>=i} p_null_j
+    and D_i = sum_{l>i} (L_l - L_{l-1}) P_l.  REVERSE, the reversed pair's
+    E_alt[(1/L - t)_+] = E_null[(1 - L/u)_+], is (B_i + (u - L_i) H_i) / u at
+    the last atom i with L_i (1 + TIE_REL_TOL) < u, where H_i = sum_{j<=i}
+    p_null_j and B_i = sum_{l<i} (L_{l+1} - L_l) H_l: zero ratios add their
+    null mass and no ratio is inverted.  TWO_SIDED is their pointwise
+    maximum.  Every term is nonnegative, so far-tail values keep full
+    relative accuracy, at O(atoms + grid) time and memory.  Above
+    eps ~ 709.78 FORWARD is the alt-singular mass.  REVERSE is the null mass
+    of the zero ratios above eps ~ 744.44, where no positive double is below
+    u, and from eps ~ 708.40, where u is subnormal, holds to about
+    e^eps 2^-1074 of the mass it counts.  Values are clipped into [0, 1].
+    This is the one place curves are summed: the binomial and m-message
+    curves are this function on their atoms.
     """
     grid = _check_eps_grid(eps)
     if sidedness is Sidedness.FORWARD:
-        delta = _hockey_stick(atoms.lr, atoms.p_null, atoms.alt_singular_mass, grid)
+        delta = _hockey_stick(atoms, grid)
     elif sidedness is Sidedness.REVERSE:
-        rev = reverse_atomization(atoms)
-        delta = _hockey_stick(rev.lr, rev.p_null, rev.alt_singular_mass, grid)
+        delta = _hockey_stick(atoms, grid, reverse=True)
     elif sidedness is Sidedness.TWO_SIDED:
-        rev = reverse_atomization(atoms)
-        delta = np.maximum(
-            _hockey_stick(atoms.lr, atoms.p_null, atoms.alt_singular_mass, grid),
-            _hockey_stick(rev.lr, rev.p_null, rev.alt_singular_mass, grid),
-        )
+        delta = np.maximum(_hockey_stick(atoms, grid), _hockey_stick(atoms, grid, reverse=True))
     else:  # pragma: no cover - exhaustive enum
         raise ValidationError(f"unknown sidedness {sidedness!r}")
     return PrivacyCurve(eps=grid, delta=delta, sidedness=sidedness)

@@ -19,6 +19,7 @@ from shuffledp.cli import (
     parse_eps_grid,
     svg_line_chart,
 )
+from conftest import mp_hockey_stick, mp_pair_masses
 
 LN3 = math.log(3.0)
 
@@ -257,20 +258,35 @@ def test_report_refuses_a_count_beyond_the_double_range(rr3_file):
     assert out.stderr == f"error: m must be at most 1.7976931348623157e+308, got {10**400}\n"
 
 
-def test_reverse_curve_refuses_a_subnormal_ratio(tmp_path):
-    # W1/W0 = 2.1e-323 at symbol 0, so the reversed ratio overflows a double:
-    # reverse and two-sided curves printed delta = 1 at n = 1 and nan at
-    # n = 30, with exit 0, where the true reverse delta at n = 1 is
-    # sum_y (W0 - e^eps W1)_+ = 0.70182...; now an input error (exit 2).
-    # The forward curve is unchanged
+def test_reverse_curve_on_a_subnormal_ratio_matches_the_oracle(tmp_path):
+    # W1/W0 = 2.1e-323 at symbol 0, where the reversed ratio 1/L overflows a
+    # double.  Reverse and two-sided curves printed delta = 1 at n = 1 and nan
+    # at n = 30, with exit 0; inverting the ratios then refused them (exit 2).
+    # Read from the bottom of the atoms, no ratio is inverted: exit 0, and
+    # every delta within 64 ulps of S of the 50-digit oracle (two-sided: of
+    # the larger side).  Past eps = 709.78, where e^eps overflows, the ratio
+    # 2.1e-323 still lies below e^-eps (up to eps ~ 744.44).  That ratio, and
+    # e^-eps from eps ~ 708.40, are subnormal, held to 2^-1074 rather than
+    # to an ulp, which allows e^eps 2^-1074 of S more (2.6e-11 at 720).  The
+    # forward curve is unchanged
     path = tmp_path / "sub.json"
-    path.write_text(channel_to_json(validate_channel([0.7018249685416487, 0.29817503145835145], [1.5e-323, 1.0])))
-    for n in ("1", "30"):
+    channel = validate_channel([0.7018249685416487, 0.29817503145835145], [1.5e-323, 1.0])
+    path.write_text(channel_to_json(channel))
+    eps = [0.0, 1.0, 10.0, 710.0, 720.0]
+    for n in (1, 30):
+        null, alt = mp_pair_masses(channel, Composition(n, 0))
+        forward, reverse = mp_hockey_stick(null, alt, eps), mp_hockey_stick(alt, null, eps)
         for sidedness in ("reverse", "two-sided"):
-            out = _run_cli("curve", "--channel", str(path), "--n", n, "--sidedness", sidedness, "--eps", "0,1,10")
-            assert (out.returncode, out.stdout) == (2, ""), (n, sidedness)
-            [line] = out.stderr.splitlines()
-            assert line.startswith("error: the reversed pair's ratio 1/L overflows a double")
+            out = _run_cli("curve", "--channel", str(path), "--n", str(n), "--sidedness", sidedness, "--eps",
+                           ",".join(map(str, eps)))
+            assert (out.returncode, out.stderr) == (0, ""), (n, sidedness)
+            _, table = parse_csv(out.stdout)
+            for i, value in enumerate(table[:, 1]):
+                sides = [reverse[i]] if sidedness == "reverse" else [forward[i], reverse[i]]
+                delta, tie, scale = max(sides, key=lambda side: side[0])
+                assert tie == 0
+                slack = (64 * np.finfo(np.float64).eps + math.exp(eps[i] - 1074 * math.log(2))) * float(scale)
+                assert abs(value - float(delta)) <= slack, (n, sidedness, i)
     out = _run_cli("curve", "--channel", str(path), "--n", "1", "--eps", "0,1,10")
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.endswith("epsilon,delta\n0,0.70182496854164844\n1,0.18947623028655916\n10,0\n")
@@ -645,12 +661,12 @@ PINNED = {
     "curve-reverse-null-support": (
         ["curve", "--channel", "ns.json", "--n", "6", "--sidedness", "reverse", "--eps",
          "lin:0:3:13"],
-        "e06010fb822081195349207bf385958ee49935e4b971b4a5e3a413c74ea8279d",
+        "af7dcdcae5c0ec3fe4f26ae1b8413f26dc55907d4f38ae032f2dd65418972984",
     ),
     "curve-two-sided-d3": (
         ["curve", "--channel", "d3.json", "--n", "40", "--k", "7", "--sidedness", "two-sided",
          "--format", "json"],
-        "a1e48e8456cd411a998767363bb7d4c0b7eaeccde5f23b304e8a3b298fdbf203",
+        "7621e3fd252460a061f249b84d0792b49526baf8e4a52d74bd0d1efa58464a64",
     ),
     "curve-svg": (
         ["curve", "--channel", "rr.json", "--n", "200", "--out", "c.csv", "--svg", "c.svg",

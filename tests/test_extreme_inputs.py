@@ -96,10 +96,10 @@ def _finite(*values, low=-math.inf, high=math.inf):
 
 
 def _curves(atoms):
+    # atoms the library built are never refused on a valid grid, in either
+    # direction and past eps = log(DBL_MAX)
     for sidedness in Sidedness:
-        curve = _refused_or(privacy_curve, atoms, EPS, sidedness)
-        if curve is not None:
-            _finite(curve.delta, low=0.0, high=1.0)
+        _finite(privacy_curve(atoms, EPS, sidedness).delta, low=0.0, high=1.0)
     curve = tradeoff_curve(atoms)
     _finite(curve.alpha, curve.beta, low=0.0, high=1.0)
     report = divergences(atoms)

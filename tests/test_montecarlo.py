@@ -32,7 +32,7 @@ from shuffledp import (
 )
 from shuffledp.channels import score_stats
 from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, _base_law, _fold
-from shuffledp.montecarlo import _BLOCK, _below
+from shuffledp.montecarlo import _BLOCK, _below, _run_blocks
 
 from conftest import full_channel
 
@@ -286,6 +286,21 @@ def test_samples_independent_of_workers_when_a_worker_gets_one_draw():
             for w in (1, 2, 3)
         ]
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2]), seed
+
+
+def test_a_worker_exception_reaches_the_caller():
+    # ranges 3..5 and 6..9 both raise on their pool threads: every range runs
+    # to its end, and the caller gets the first error in range order
+    seen = []
+
+    def block(start, stop):
+        seen.append((start, stop))
+        if start > 0:
+            raise ValueError(f"range from {start}")
+
+    with pytest.raises(ValueError, match="range from 3"):
+        _run_blocks(10, 3, block)
+    assert sorted(seen) == [(0, 3), (3, 6), (6, 10)]
 
 
 def test_samples_are_draw_indexed():

@@ -20,7 +20,7 @@ from shuffledp import (
     unbundled_lr_atoms,
     validate_channel,
 )
-from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS
+from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, TIE_REL_TOL
 from shuffledp.multimessage import _mm_cells
 from conftest import brute_force_lr, full_channel
 
@@ -195,11 +195,26 @@ def test_unbundled_atoms_at_700_messages_per_user():
     zeros = int((kept == 0.0).sum())
     assert (kept.size, zeros) == (1020, 15)
     assert atoms.lr.size == kept.size - zeros + 1 == 1006
-    # 23 kept ratios are subnormal, so the reversed pair's 1/L overflows and
-    # a reverse curve is refused (where merging ratios within 1e-12 made one
-    # atom of them, it read 0 at eps = 100 for a true 0.99999999929)
-    with pytest.raises(ValidationError, match="overflows a double"):
-        privacy_curve(atoms, [100.0], Sidedness.REVERSE)
+    # 23 kept ratios are subnormal, where the reversed pair's 1/L overflows
+    # (inverting them refused the reverse curve, and merging ratios within
+    # 1e-12 made one atom of them, which read 0): read from the bottom of the
+    # atoms, the reverse curve at eps = 100 is 30-digit mpmath's 0.99999999929
+    assert privacy_curve(atoms, [100.0], Sidedness.REVERSE).delta[0] == pytest.approx(0.99999999929, rel=1e-11)
+    # far out, the reverse curve is the subnormal ratios below u = e^-eps.
+    # Against a 50-digit sum over these atoms it holds to 1e-12, plus the
+    # e^eps 2^-1074 that u's own rounding costs where u is subnormal
+    # (from eps ~ 708.40; 2.6e-11 at eps = 720).  Summed unscaled, a step
+    # between subnormal ratios times its mass underflows, and eps = 700
+    # read 1.47e-114 for 1.88e-114
+    mpmath = pytest.importorskip("mpmath")
+    eps = [700.0, 709.0, 710.0, 720.0]
+    got = privacy_curve(atoms, eps, Sidedness.REVERSE).delta
+    with mpmath.workdps(50):
+        for e, value in zip(eps, got):
+            u = mpmath.exp(-e)
+            terms = [mpmath.mpf(p) * (1 - mpmath.mpf(lr) / u) for lr, p in zip(atoms.lr, atoms.p_null)
+                     if lr * (1 + TIE_REL_TOL) < u]
+            assert value == pytest.approx(float(mpmath.fsum(terms)), rel=1e-12 + math.exp(e - 1074 * math.log(2))), e
     assert atoms.dropped_null_mass == pytest.approx(2.2313579461250587e-308, rel=1e-12)
     assert atoms.dropped_alt_mass == pytest.approx(1.7525529281398147e-88, rel=1e-11)
 
@@ -208,9 +223,15 @@ def test_unbundled_curve_matches_high_precision_sum():
     # d = 2: the count K of symbol 1 is Binomial(nm, W0[1]) under the null,
     # and L(K) = sum_j C(nm-K, j) C(K, m-j) w0^j w1^(m-j) / C(nm, m)
     mpmath = pytest.importorskip("mpmath")
+    # REVERSE is sum p (1 - e^eps L)_+ over the same terms, on a grid up to
+    # the reversed pair's top ratio 1/L(0) = 3^m, where the tie rule leaves
+    # out the atom at it
     n, m = 200, 4
     eps = [0.0, 0.05, 0.1, 0.2, 0.3]
-    got = privacy_curve(unbundled_lr_atoms(RR3, n, m), eps).delta
+    atoms = unbundled_lr_atoms(RR3, n, m)
+    got = privacy_curve(atoms, eps).delta
+    eps_rev = np.linspace(0.0, m * math.log(3.0), 9)
+    got_rev = privacy_curve(atoms, eps_rev, Sidedness.REVERSE).delta
     comb = math.comb
     with mpmath.workdps(50):
         w0, w1 = (mpmath.mpf(float(x)) for x in score_stats(RR3).w)
@@ -228,7 +249,12 @@ def test_unbundled_curve_matches_high_precision_sum():
         for e in eps:
             t = mpmath.exp(e)
             want.append(float(mpmath.fsum(p * (L - t) for L, p in terms if L > t)))
+        want_rev = []
+        for e in eps_rev:
+            t = mpmath.exp(float(e))
+            want_rev.append(float(mpmath.fsum(p * (1 - t * L) for L, p in terms if t * L * (1 + TIE_REL_TOL) < 1)))
     np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(got_rev, want_rev, rtol=1e-11, atol=0.0)
 
 
 def test_unbundled_atoms_cap():
