@@ -1,101 +1,82 @@
 #!/usr/bin/env python3
-"""In-process sweep of the exact engines and the sampler: seconds and peak traced memory.
+"""Paired in-process sweep of the exact engines and the sampler: seconds and peak traced memory.
 
-Usage (from the repository root, against the checkout on PYTHONPATH):
+Usage (from the repository root; the change is the package on PYTHONPATH):
 
-    PYTHONPATH=src python3 scripts/layer_sweep.py > sweep.json
-    PYTHONPATH=src python3 scripts/layer_sweep.py --smallest   # one cell only
-    PYTHONPATH=/path/to/parent/src python3 scripts/layer_sweep.py > parent.json
+    PYTHONPATH=src python3 scripts/layer_sweep.py --parent /path/to/parent/src > sweep.json
+    PYTHONPATH=src python3 scripts/layer_sweep.py > sweep.json   # one tree
+    PYTHONPATH=src python3 scripts/layer_sweep.py --smallest     # the first cell only
+
+The parent tree is a checkout of the parent commit (`git worktree add` or
+`git archive`), whose `shuffledp` is imported as the package PARENT (every
+import inside the package is relative); the sweep refuses to run when a
+module of one side loads from outside its tree or holds a name of the
+other side's package.  Each side builds its inputs (channel, `Composition`,
+`SimConfig`, `Hypothesis`) from its own package.
 
 Each cell times one call of its layer: `lr_atoms` at (n, k) (k = 0 in
 closed form, k > 0 through the dense pair), `unbundled_lr_atoms` at m
-messages per user, `divergences` of the `lr_atoms` atoms at (n, k) (built
-before the timing), `_jsd` and `kolmogorov_to_gaussian` (null hypothesis,
-mu of `gdp_mu`) of the k = 0 atoms, `conditional_score` at one histogram (the mean
-histogram rounded down, its last count what remains), which builds the
-pair's ratio table, `privacy_curve` (two-sided, on the CLI's default grid
-`log:1e-3:10:64`) and `tradeoff_curve` of the `lr_atoms` atoms at (n, k)
-(built before the timing; at d = 2 of randomized response at eps0 = 1.1,
-the large-n workload's channel), `sample_privacy_loss` of `reps` draws under the alt
-law with seed 7 on `workers` threads, `chernoff_curve` on a grid of 64 eps
-from 0 to log w_max, or `chernoff_delta` at each eps of that grid, one call
-each (64 calls).  For each it reports the minimum of
-five wall times of one call and the minimum `tracemalloc` peak of five
-further calls, all after a warm-up call, so lazily imported modules and
-first-call allocations are not counted.  At two workers the peak still
-depends on how the threads' per-block temporaries overlap: repeats of the
-minimum spread by a few percent (2.56-2.65 MB at d=2 n=47 k=15), so only a
-one-worker peak can show a small change.  Channels are fixed: FULL channels
-drawn from seeded Dirichlet laws, the same for every run of the script.  A
-cell with an eighth field runs instead on the channel `FIXED_CHANNELS`
-gives that name, and reports it as `channel`: "d3-ties" is W0 = [0.5, 0.3,
-0.2], W1 = [0.2, 0.35, 0.45], whose k = 0 cells share few mathematical
-ratios, each split by rounding into several doubles (168,815 atoms of
-485,195 cells at n = 1000).
+messages per user, `divergences` of the atoms at (n, k), `_jsd` and
+`kolmogorov_to_gaussian` (null hypothesis, mu of `gdp_mu`) of the k = 0
+atoms, `conditional_score` at the mean histogram rounded down (its last
+count what remains), `privacy_curve` (two-sided, the CLI's default grid)
+and `tradeoff_curve` of the atoms at (n, k) (at d = 2 of randomized
+response at eps0 = 1.1), `sample_privacy_loss` of `reps` alt-law draws
+with seed 7 on `workers` threads, and `chernoff_curve` on 64 eps from 0 to
+log w_max, or `chernoff_delta` at each of them.  Channels are seeded FULL
+channels, or the one `FIXED_CHANNELS` names in a cell's eighth field
+("d3-ties" has few mathematical ratios, each split by rounding into several
+doubles: 168,815 atoms of 485,195 cells at n = 1000).  The `process` cells
+(left out by --smallest) time interpreter start-up, imports and exit: fresh
+interpreters run each of `PROCESSES` with the side's `src` on PYTHONPATH,
+and report wall time, peak RSS (`ru_maxrss`, in MiB as perfbench reports
+it) and stdout.
 
-The `process` cells (left out by --smallest) time what in-process cells
-cannot: interpreter start-up, imports and exit.  Each runs one command in
-fresh interpreters, which inherit this process's environment (so the
-package on PYTHONPATH is the one they load): the bare interpreter
-(`-c pass`), `-c "import shuffledp.cli"`, six `python -m
-shuffledp.cli` jobs on the d = 3 channel: the exact `curve` at n = 190,
-k = 63, `report` at n = 190, `curve --engine gdp` at n = 950000,
-`simulate` at n = 190, k = 63 on one worker, and the same `curve` and
-`simulate` (10,000 draws) with `--format json`; two on randomized response
-at eps0 = 1.1: `report` at n = 950000, m = 2 and `curve --engine
-chernoff` at n = 500000; and `scripts/gdp_rate_study.py` at n = 110000,
-300000, 950000 (the script beside the package on PYTHONPATH, so each side
-runs its own).  A cell reports the minimum wall time of five processes
-after a warm-up one, and the minimum of their peak RSS (`ru_maxrss`, in
-MiB as perfbench reports it) as `peak_mb`.  `scripts/bench_summary.py` joins the sweeps of
-two checkouts cell by cell.
+A cell calls each side once to warm up, keeping its output's `digest`,
+then runs the sides in ABBA order (parent, change, change, parent, ...)
+for ROUNDS rounds: a round times one call of each side, the two calls
+next to each other, then traces one more of each (`tracemalloc`, or a
+process's RSS).  Per side it reports the minimum time `min_s` and the minimum
+and maximum peak, `peak_mb` and `peak_mb_max` (two sampler workers'
+temporaries overlap differently from round to round); with --parent, the
+median and quartiles of the per-round change/parent time `ratio`, and
+`same_output`.  `scripts/bench_summary.py --sweep` embeds the output in
+`BENCH_<pr>.json`.
 """
 
 import argparse
+import dataclasses
+import enum
+import hashlib
+import importlib.util
 import json
 import math
 import os
+import pkgutil
 import platform
+import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+import types
+from functools import partial
+
+# shuffledp before numpy: importing it first caps numpy's BLAS pool at one
+# thread, as in every CLI job
+import shuffledp
 
 import numpy as np
 
-import shuffledp
-from shuffledp import (
-    Composition,
-    Hypothesis,
-    Sidedness,
-    SimConfig,
-    channel_to_json,
-    chernoff_curve,
-    chernoff_delta,
-    conditional_score,
-    divergences,
-    gdp_mu,
-    kolmogorov_to_gaussian,
-    lr_atoms,
-    mean_histogram,
-    privacy_curve,
-    rr_channel,
-    sample_privacy_loss,
-    score_stats,
-    tradeoff_curve,
-    unbundled_lr_atoms,
-    validate_channel,
-)
-from shuffledp.cli import DEFAULT_EPS_SPEC, parse_eps_grid
-from shuffledp.exact_dist import _jsd
-
-REPEATS = 5
+ROUNDS = 11
 SEED = 7
+PARENT = "parent_shuffledp"
 # the sampler's k > 0 table is folded only up to these n, so a cell takes seconds
 MAX_TABLE_N = {2: 20000, 3: 190, 4: 47}
-# channels a cell may name in an eighth field, in place of `channel(d)`
-FIXED_CHANNELS = {"d3-ties": validate_channel([0.5, 0.3, 0.2], [0.2, 0.35, 0.45])}
+# channels a cell may name in an eighth field, in place of a seeded FULL channel
+FIXED_CHANNELS = {"d3-ties": ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45])}
 # (layer, d, n, k, m, reps, workers[, channel]), the smallest first; reps and workers are the sampler's
 CELLS = (
     ("lr_atoms", 2, 190, 63, 1, None, None),
@@ -153,213 +134,265 @@ CELLS = (
     if k == 0 or n <= MAX_TABLE_N[d]
 )
 
-# command -> interpreter arguments of the `process` cells; {channel} is the d = 3
-# channel file, {rr} that of randomized response at eps0 = 1.1 and {scripts} the
-# scripts directory beside the package on PYTHONPATH (src/shuffledp/../../scripts)
-PROCESSES = {
-    "python -c pass": ["-c", "pass"],
-    "python -c 'import shuffledp.cli'": ["-c", "import shuffledp.cli"],
-    "python -m shuffledp.cli curve d=3 n=190 k=63": [
-        "-m", "shuffledp.cli", "curve", "--channel", "{channel}", "--n", "190", "--k", "63"
-    ],
-    "python -m shuffledp.cli report d=3 n=190": [
-        "-m", "shuffledp.cli", "report", "--channel", "{channel}", "--n", "190"
-    ],
-    "python -m shuffledp.cli curve --engine gdp d=3 n=950000": [
-        "-m", "shuffledp.cli", "curve", "--channel", "{channel}", "--n", "950000", "--engine", "gdp"
-    ],
-    "python -m shuffledp.cli simulate d=3 n=190 k=63 --workers 1": [
-        "-m", "shuffledp.cli", "simulate", "--channel", "{channel}", "--n", "190", "--k", "63", "--workers", "1"
-    ],
-    "python -m shuffledp.cli curve --format json d=3 n=190 k=63": [
-        "-m", "shuffledp.cli", "curve", "--channel", "{channel}", "--n", "190", "--k", "63", "--format", "json"
-    ],
-    "python -m shuffledp.cli simulate --format json d=3 n=190 k=63 --reps 10000 --workers 1": [
-        "-m", "shuffledp.cli", "simulate", "--channel", "{channel}", "--n", "190", "--k", "63", "--reps", "10000",
-        "--workers", "1", "--format", "json"
-    ],
-    "python -m shuffledp.cli report rr d=2 n=950000 m=2": [
-        "-m", "shuffledp.cli", "report", "--channel", "{rr}", "--n", "950000", "--m", "2"
-    ],
-    "python -m shuffledp.cli curve --engine chernoff rr d=2 n=500000": [
-        "-m", "shuffledp.cli", "curve", "--channel", "{rr}", "--n", "500000", "--engine", "chernoff"
-    ],
-    "python scripts/gdp_rate_study.py --n 110000,300000,950000": [
-        "{scripts}/gdp_rate_study.py", "--n", "110000,300000,950000"
-    ],
-}
+# the `process` cells' interpreter arguments: {channel} is the d = 3 channel
+# file, {rr} that of randomized response at eps0 = 1.1 and {scripts} the
+# scripts directory beside the side's package (src/shuffledp/../../scripts)
+PROCESSES = (
+    "-c pass",
+    "-c 'import shuffledp.cli'",
+    "-m shuffledp.cli curve --channel {channel} --n 190 --k 63",
+    "-m shuffledp.cli report --channel {channel} --n 190",
+    "-m shuffledp.cli curve --channel {channel} --n 950000 --engine gdp",
+    "-m shuffledp.cli simulate --channel {channel} --n 190 --k 63 --workers 1",
+    "-m shuffledp.cli curve --channel {channel} --n 190 --k 63 --format json",
+    "-m shuffledp.cli simulate --channel {channel} --n 190 --k 63 --reps 10000 --workers 1 --format json",
+    "-m shuffledp.cli report --channel {rr} --n 950000 --m 2",
+    "-m shuffledp.cli curve --channel {rr} --n 500000 --engine chernoff",
+    "{scripts}/gdp_rate_study.py --n 110000,300000,950000",
+)
 
 
-def _divergences(ch, n, k, m, reps, workers):
-    atoms = lr_atoms(ch, Composition(n, k))
-    return lambda: divergences(atoms)
-
-
-def _jsd_cell(ch, n, k, m, reps, workers):
-    atoms = lr_atoms(ch, Composition(n, 0))
-    return lambda: _jsd(atoms)
-
-
-def _kolmogorov(ch, n, k, m, reps, workers):
-    atoms, mu = lr_atoms(ch, Composition(n, 0)), gdp_mu(ch, n).mu
-    return lambda: kolmogorov_to_gaussian(atoms, mu, Hypothesis.NULL)
-
-
-def _conditional_score(ch, n, k, m, reps, workers):
-    comp = Composition(n, k)
-    histogram = np.floor(mean_histogram(ch, comp)).astype(int)
-    histogram[-1] = n - histogram[:-1].sum()
-    return lambda: conditional_score(ch, comp, histogram.tolist())
-
-
-def _curve_atoms(ch, n, k):
+def _curve_atoms(pkg, ch, n, k):
     """The atoms a curve cell reads: at d = 2 of randomized response at eps0 = 1.1."""
-    return lr_atoms(rr_channel(1.1) if ch.d == 2 else ch, Composition(n, k))
+    return pkg.lr_atoms(pkg.rr_channel(1.1) if ch.d == 2 else ch, pkg.Composition(n, k))
 
 
-def _privacy_curve(ch, n, k, m, reps, workers):
-    atoms, eps = _curve_atoms(ch, n, k), parse_eps_grid(DEFAULT_EPS_SPEC)
-    return lambda: privacy_curve(atoms, eps, Sidedness.TWO_SIDED)
+def _chernoff_grid(pkg, ch) -> np.ndarray:
+    return np.linspace(0.0, math.log(pkg.score_stats(ch).w_max), 64)
 
 
-def _tradeoff_curve(ch, n, k, m, reps, workers):
-    atoms = _curve_atoms(ch, n, k)
-    return lambda: tradeoff_curve(atoms)
+def _conditional_score(pkg, ch, n, k, m, reps, workers):
+    comp = pkg.Composition(n, k)
+    histogram = np.floor(pkg.mean_histogram(ch, comp)).astype(int)
+    histogram[-1] = n - histogram[:-1].sum()
+    return partial(pkg.conditional_score, ch, comp, histogram.tolist())
 
 
-def _chernoff_grid(ch) -> np.ndarray:
-    return np.linspace(0.0, math.log(score_stats(ch).w_max), 64)
+def _chernoff_delta(pkg, ch, n, k, m, reps, workers):
+    eps = _chernoff_grid(pkg, ch).tolist()
+    return lambda: [pkg.chernoff_delta(ch, n, e) for e in eps]
 
 
-def _chernoff_curve(ch, n, k, m, reps, workers):
-    eps = _chernoff_grid(ch)
-    return lambda: chernoff_curve(ch, n, eps)
-
-
-def _chernoff_delta(ch, n, k, m, reps, workers):
-    eps = _chernoff_grid(ch).tolist()
-    return lambda: [chernoff_delta(ch, n, e) for e in eps]
-
-
-# layer -> the cell's timed call; what the call reads is built before the timing
+# layer -> the cell's timed call, built from one side's package; what the call
+# reads is built before the timing
 LAYERS = {
-    "lr_atoms": lambda ch, n, k, m, reps, workers: lambda: lr_atoms(ch, Composition(n, k)),
-    "unbundled_lr_atoms": lambda ch, n, k, m, reps, workers: lambda: unbundled_lr_atoms(ch, n, m),
-    "divergences": _divergences,
-    "_jsd": _jsd_cell,
-    "kolmogorov_to_gaussian": _kolmogorov,
-    "conditional_score": _conditional_score,
-    "privacy_curve": _privacy_curve,
-    "tradeoff_curve": _tradeoff_curve,
-    "sample_privacy_loss": lambda ch, n, k, m, reps, workers: lambda: sample_privacy_loss(
-        ch, Composition(n, k), Hypothesis.ALT, SimConfig(seed=SEED, reps=reps, workers=workers)
+    "lr_atoms": lambda pkg, ch, n, k, m, reps, workers: partial(pkg.lr_atoms, ch, pkg.Composition(n, k)),
+    "unbundled_lr_atoms": lambda pkg, ch, n, k, m, reps, workers: partial(pkg.unbundled_lr_atoms, ch, n, m),
+    "divergences": lambda pkg, ch, n, k, m, reps, workers: partial(
+        pkg.divergences, pkg.lr_atoms(ch, pkg.Composition(n, k))
     ),
-    "chernoff_curve": _chernoff_curve,
+    "_jsd": lambda pkg, ch, n, k, m, reps, workers: partial(
+        pkg.exact_dist._jsd, pkg.lr_atoms(ch, pkg.Composition(n, 0))
+    ),
+    "kolmogorov_to_gaussian": lambda pkg, ch, n, k, m, reps, workers: partial(
+        pkg.kolmogorov_to_gaussian, pkg.lr_atoms(ch, pkg.Composition(n, 0)), pkg.gdp_mu(ch, n).mu, pkg.Hypothesis.NULL
+    ),
+    "conditional_score": _conditional_score,
+    "privacy_curve": lambda pkg, ch, n, k, m, reps, workers: partial(
+        pkg.privacy_curve,
+        _curve_atoms(pkg, ch, n, k),
+        pkg.cli.parse_eps_grid(pkg.cli.DEFAULT_EPS_SPEC),
+        pkg.Sidedness.TWO_SIDED,
+    ),
+    "tradeoff_curve": lambda pkg, ch, n, k, m, reps, workers: partial(pkg.tradeoff_curve, _curve_atoms(pkg, ch, n, k)),
+    "sample_privacy_loss": lambda pkg, ch, n, k, m, reps, workers: partial(
+        pkg.sample_privacy_loss,
+        ch,
+        pkg.Composition(n, k),
+        pkg.Hypothesis.ALT,
+        pkg.SimConfig(seed=SEED, reps=reps, workers=workers),
+    ),
+    "chernoff_curve": lambda pkg, ch, n, k, m, reps, workers: partial(
+        pkg.chernoff_curve, ch, n, _chernoff_grid(pkg, ch)
+    ),
     "chernoff_delta": _chernoff_delta,
 }
 
 
-def channel(d: int):
+def channel(pkg, d: int, name=None):
+    """The cell's channel, built by `pkg`: FIXED_CHANNELS[name], or a FULL channel from a seeded Dirichlet law."""
     rng = np.random.default_rng(1000 + d)
-    return validate_channel(
-        0.8 * rng.dirichlet([2.0] * d) + 0.2 / d, 0.8 * rng.dirichlet([2.0] * d) + 0.2 / d
-    )
+    w0, w1 = FIXED_CHANNELS[name] if name else (0.8 * rng.dirichlet([2.0] * d) + 0.2 / d for _ in range(2))
+    return pkg.validate_channel(w0, w1)
 
 
-def measure(call) -> dict:
-    call()
-    times = []
-    for _ in range(REPEATS):
+def load_parent(src: str):
+    """The package `src`/shuffledp, imported as PARENT beside the change's `shuffledp`."""
+    init = os.path.join(src, "shuffledp", "__init__.py")
+    spec = importlib.util.spec_from_file_location(PARENT, init, submodule_search_locations=[os.path.dirname(init)])
+    sys.modules[PARENT] = pkg = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def _src(pkg) -> str:
+    return os.path.dirname(os.path.dirname(os.path.realpath(pkg.__file__)))
+
+
+def check_trees(sides: dict) -> dict:
+    """Each side's `src` and `exact_dist` file, with every module of each side loaded (so `pkg.cli` names it).
+
+    Exits when both sides are one tree, or a side's module loads from
+    outside its tree or holds a module or name of the other side's package.
+    """
+    modules = {}
+    for side, pkg in sides.items():
+        for info in pkgutil.iter_modules(pkg.__path__):
+            importlib.import_module(f"{pkg.__name__}.{info.name}")
+        modules[side] = {n: m for n, m in sys.modules.items() if n.partition(".")[0] == pkg.__name__}
+    if len({_src(pkg) for pkg in sides.values()}) < len(sides):
+        raise SystemExit(f"the parent and the change are both {_src(shuffledp)}")
+    for side, pkg in sides.items():
+        others = {n for other in modules if other != side for n in modules[other]}
+        for name, module in modules[side].items():
+            if not os.path.realpath(module.__file__).startswith(_src(pkg) + os.sep):
+                raise SystemExit(f"{side} module {name} loads from {module.__file__}, outside {_src(pkg)}")
+            for value in vars(module).values():
+                owner = value.__name__ if isinstance(value, types.ModuleType) else getattr(value, "__module__", None)
+                if owner in others:
+                    raise SystemExit(f"{side} module {name} holds a name of {owner}")
+    return {side: {"src": _src(pkg), "exact_dist": pkg.exact_dist.__file__} for side, pkg in sides.items()}
+
+
+def digest(out) -> str:
+    """SHA-256 of an output's bits: of bytes, arrays, containers' and dataclasses' items, enums' values, reprs."""
+    h = hashlib.sha256()
+
+    def feed(x):
+        if isinstance(x, (bytes, np.ndarray)):
+            h.update(np.ascontiguousarray(x) if isinstance(x, np.ndarray) else x)
+        elif isinstance(x, (list, tuple, dict)) or dataclasses.is_dataclass(x):
+            for item in x.items() if isinstance(x, dict) else x if isinstance(x, (list, tuple)) else vars(x).values():
+                feed(item)
+        else:
+            h.update(repr(x.value if isinstance(x, enum.Enum) else x).encode())
+
+    feed(out)
+    return h.hexdigest()
+
+
+def in_process(call):
+    """An in-process cell's side: a timed call, giving its seconds and output, and a traced one, giving its peak MB."""
+
+    def timed():
         start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    peaks = []
-    for _ in range(REPEATS):
+        out = call()
+        return time.perf_counter() - start, out
+
+    def traced():
         tracemalloc.start()
         try:
             call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            return tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
-    return {"min_s": min(times), "peak_mb": min(peaks) / 1e6}
+
+    return timed, traced
 
 
-# Runs the `process` cells' commands.  A child's ru_maxrss counts the memory of
-# the process that spawned it, so they are spawned from this bare interpreter
-# (-S: no site, about 9 MB; a bare `python -c pass` peaks at about 13 MB), not
-# from the sweep.  Prints wall seconds, peak RSS in KiB and exit code per run.
+# Runs one `process` cell command, its stdout into the file argv[1], and prints
+# wall seconds, peak RSS in KiB and the exit code.  A child's ru_maxrss counts the
+# memory of the process that spawned it, so it is spawned from this bare
+# interpreter (-S: about 9 MB; `python -c pass` peaks at about 13 MB).
 _LAUNCHER = """
 import os, sys, time
-runs, argv = int(sys.argv[1]), sys.argv[2:]
-quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-for _ in range(runs):
-    start = time.perf_counter()
-    pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=quiet)
-    _, status, usage = os.wait4(pid, 0)
-    print(time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+out = [(os.POSIX_SPAWN_OPEN, 1, sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)]
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ, file_actions=out)
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
 """
 
 
-def measure_process(args) -> dict:
-    """Minimum wall seconds and peak RSS of fresh `python *args` processes, after a warm-up."""
-    cmd = [sys.executable, "-S", "-c", _LAUNCHER, str(1 + REPEATS), sys.executable, *args]
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True)
-    runs = [line.split() for line in out.stdout.splitlines()[1:]]
-    if any(rc != "0" for _, _, rc in runs):
-        raise RuntimeError(f"python {' '.join(args)} failed: {out.stderr}")
-    return {"min_s": min(float(t) for t, _, _ in runs), "peak_mb": min(int(kb) for _, kb, _ in runs) / 1024.0}
+def in_fresh_process(args, src: str, tmp: str):
+    """A `process` cell's side as `in_process` gives it, each call one `python *args` in `tmp` with `src` on
+    PYTHONPATH: the timed one gives its wall seconds and stdout, the traced one its peak RSS in MiB."""
+    stdout, env = os.path.join(tmp, "stdout"), {**os.environ, "PYTHONPATH": src}
+
+    def spawn():
+        cmd = [sys.executable, "-S", "-c", _LAUNCHER, stdout, sys.executable, *args]
+        done = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env, cwd=tmp)
+        seconds, kb, rc = done.stdout.split()
+        if rc != "0":
+            raise RuntimeError(f"python {shlex.join(args)} failed: {done.stderr}")
+        with open(stdout, "rb") as f:
+            return float(seconds), int(kb) / 1024.0, f.read()
+
+    return (lambda: spawn()[::2]), (lambda: spawn()[1])
+
+
+def measure(runs: dict) -> dict:
+    """Each side's (timed, traced) calls `runs[side]`: once to warm up, then ROUNDS rounds in ABBA order,
+    the sides' timed calls next to each other and then their traced ones."""
+    sides, cell = list(runs), {}
+    for side, (timed, traced) in runs.items():
+        traced()
+        cell[side] = {"digest": digest(timed()[1])}
+    seconds, peaks = ({side: [] for side in sides} for _ in range(2))
+    for r in range(ROUNDS):
+        order = sides[:: -1 if r % 2 else 1]
+        for side in order:
+            seconds[side].append(runs[side][0]()[0])
+        for side in order:
+            peaks[side].append(runs[side][1]())
+    for side in sides:
+        cell[side].update(min_s=min(seconds[side]), peak_mb=min(peaks[side]), peak_mb_max=max(peaks[side]))
+    if len(sides) == 2:
+        ratios = [c / p for p, c in zip(seconds["parent"], seconds["change"])]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        cell["ratio"] = {"median": median, "q1": q1, "q3": q3}
+        cell["same_output"] = cell["parent"]["digest"] == cell["change"]["digest"]
+    return cell
 
 
 def process_files(tmp: str) -> dict:
-    """The `PROCESSES` placeholders, with the channel files written into `tmp`."""
-    files = {"scripts": os.path.join(os.path.dirname(shuffledp.__file__), os.pardir, os.pardir, "scripts")}
-    for name, ch in (("channel", channel(3)), ("rr", rr_channel(1.1))):
+    """The `PROCESSES` channel placeholders, with the channel files written into `tmp`."""
+    files = {"channel": channel(shuffledp, 3), "rr": shuffledp.rr_channel(1.1)}
+    for name, ch in files.items():
         files[name] = os.path.join(tmp, f"{name}.json")
         with open(files[name], "w") as f:
-            f.write(channel_to_json(ch))
+            f.write(shuffledp.channel_to_json(ch))
     return files
 
 
-def process_cells() -> list:
-    cells = []
-    with tempfile.TemporaryDirectory() as tmp:
-        files = process_files(tmp)
-        for command, args in PROCESSES.items():
-            cell = {"layer": "process", "command": command}
-            cell.update(measure_process([a.format(**files) for a in args]))
-            cells.append(cell)
-            print(json.dumps(cell), file=sys.stderr, flush=True)
-    return cells
+def plan(sides: dict, smallest: bool, tmp: str):
+    """Each cell's fields and each side's round, built one cell at a time."""
+    for layer, d, n, k, m, reps, workers, *fixed in CELLS[:1] if smallest else CELLS:
+        cell = {"layer": layer, "d": d, "n": n, "k": k, "m": m, "reps": reps, "workers": workers}
+        if fixed:
+            cell["channel"] = fixed[0]
+        runs = {}
+        for side, pkg in sides.items():
+            runs[side] = in_process(LAYERS[layer](pkg, channel(pkg, d, *fixed), n, k, m, reps, workers))
+        yield cell, runs
+    if smallest:
+        return
+    files = process_files(tmp)
+    for command in PROCESSES:
+        runs = {}
+        for side, pkg in sides.items():
+            fill = dict(files, scripts=os.path.join(_src(pkg), os.pardir, "scripts"))
+            runs[side] = in_fresh_process([a.format(**fill) for a in shlex.split(command)], _src(pkg), tmp)
+        yield {"layer": "process", "command": f"python {command}"}, runs
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", metavar="SRC", help="the parent tree's src directory, measured beside the change")
     ap.add_argument("--smallest", action="store_true", help="measure only the first (smallest) cell")
     args = ap.parse_args(argv)
-    cells = []
-    for layer, d, n, k, m, reps, workers, *fixed in CELLS[:1] if args.smallest else CELLS:
-        cell = {"layer": layer, "d": d, "n": n, "k": k, "m": m, "reps": reps, "workers": workers}
-        if fixed:
-            cell["channel"] = fixed[0]
-        ch = FIXED_CHANNELS[fixed[0]] if fixed else channel(d)
-        cell.update(measure(LAYERS[layer](ch, n, k, m, reps, workers)))
-        cells.append(cell)
-        print(json.dumps(cell), file=sys.stderr, flush=True)
-    if not args.smallest:
-        cells += process_cells()
-    print(
-        json.dumps(
-            {
-                "package": shuffledp.__file__,
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "machine": platform.machine(),
-                "repeats": REPEATS,
-                "cells": cells,
-            },
-            indent=1,
-        )
-    )
+    started = time.perf_counter()
+    sides = {"parent": load_parent(args.parent)} if args.parent else {}
+    sides["change"] = shuffledp
+    out = {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine()}
+    out.update(rounds=ROUNDS, trees=check_trees(sides), cells=[])
+    with tempfile.TemporaryDirectory() as tmp:
+        for cell, runs in plan(sides, args.smallest, tmp):
+            cell.update(measure(runs))
+            out["cells"].append(cell)
+            print(json.dumps(cell), file=sys.stderr, flush=True)
+    out["run_s"] = time.perf_counter() - started
+    print(json.dumps(out, indent=1))
     return 0
 
 

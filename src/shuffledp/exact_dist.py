@@ -909,20 +909,21 @@ def _fsum(terms: np.ndarray) -> float:
     decreasing magnitude keep fsum's list of partials short, which makes it
     much faster on terms spanning hundreds of decades (the far-tail atoms of
     a large-n binomial pair, and KL's negative terms).  Zeros, which never
-    change an exact sum (fsum of none is +0.0), are skipped.  One sorted
-    copy is the only temporary.
+    change an exact sum (fsum of none is +0.0), are skipped.  `terms` is
+    sorted in place, so the sum takes no temporary of its size: every
+    caller passes an array it owns.
     """
-    s = np.sort(terms)
-    neg, pos = np.searchsorted(s, 0.0, side="left"), np.searchsorted(s, 0.0, side="right")
-    return math.fsum(itertools.chain(s[pos:][::-1], s[:neg]))
+    terms.sort()
+    neg, pos = np.searchsorted(terms, 0.0, side="left"), np.searchsorted(terms, 0.0, side="right")
+    return math.fsum(itertools.chain(terms[pos:][::-1], terms[:neg]))
 
 
 def _atom_fsum(atoms: LrAtomization, term) -> float:
     """`_fsum` of the per-atom terms term(lr, p_null).
 
     The terms go into one array, _CELL_BLOCK atoms at a time, so the term's
-    temporaries are of that size and the sum holds 16 B an atom (the terms
-    and `_fsum`'s sorted copy); `_fsum` does not depend on the blocks.
+    temporaries are of that size and the sum holds 8 B an atom (the terms,
+    which `_fsum` sorts in place); `_fsum` does not depend on the blocks.
     """
     terms = np.empty_like(atoms.lr)
     for at in _cell_blocks(terms.size):
@@ -953,7 +954,7 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
     infinite when alt mass sits outside the null support.  Renyi orders
     must exceed 1.  Each is an exactly rounded sum (`math.fsum`) of
     per-atom terms, taken by `_atom_fsum` with no temporary of the atoms'
-    size besides its own two; the atoms a sum leaves out (TV's ratios up to
+    size besides its own one; the atoms a sum leaves out (TV's ratios up to
     1, KL's zero ratios) are zero terms, and a zero ratio's Renyi term is
     0^alpha = 0.  KL and Renyi, whose terms take both signs, are clipped at
     0: where the ratios round to 1 their sums can fall below it (KL

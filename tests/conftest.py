@@ -107,22 +107,25 @@ def _mp_convolve(a: dict, b: dict) -> dict:
     return out
 
 
-def mp_pair_masses(channel: Channel, comp: Composition) -> tuple[list, list]:
-    """ORACLE_DPS-digit null and alt masses of the pair (T_{n,k}, T_{n,k+1}).
+def mp_pair_masses(channel: Channel, comp: Composition, m: int = 1) -> tuple[list, list]:
+    """ORACLE_DPS-digit null and alt masses of the pair (T_{n,k}, T_{n,k+1}), m messages a user.
 
-    The null law is the histogram of n - k draws from W0 and k from W1, the
-    alt law of n - k - 1 and k + 1: each the convolution of two multinomial
-    laws (at d = 2, of two binomials), with W0 and W1 taken exactly from
-    their doubles.  Returns the two masses on each histogram, in one order.
-    An oracle for `lr_atoms` that shares no step with it; its cost grows as
-    n^(2(d-1)), so it serves d = 2 up to a few hundred users and d = 3 up
-    to about 40.
+    The null law is the histogram of (n - k) m messages from W0 and k m
+    from W1, the alt law of (n - k - 1) m and (k + 1) m: each the
+    convolution of two multinomial laws (at d = 2, of two binomials, a sum
+    over the count of symbol 1), with W0 and W1 taken exactly from their
+    doubles.  Returns the two masses on each histogram, in one order.  An
+    oracle for `lr_atoms` (m = 1) and `unbundled_lr_atoms` (k = 0) that
+    shares no step with them; its cost grows as (nm)^(2(d-1)), so it serves
+    d = 2 up to a few hundred messages and d = 3 up to about 40.
     """
     n, k = comp.n, comp.k
-    base = n + 1
+    base = n * m + 1
     with mpmath.workdps(ORACLE_DPS):
-        null = _mp_convolve(_mp_multinomial(n - k, channel.W0, base), _mp_multinomial(k, channel.W1, base))
-        alt = _mp_convolve(_mp_multinomial(n - k - 1, channel.W0, base), _mp_multinomial(k + 1, channel.W1, base))
+        null = _mp_convolve(_mp_multinomial((n - k) * m, channel.W0, base), _mp_multinomial(k * m, channel.W1, base))
+        alt = _mp_convolve(
+            _mp_multinomial((n - k - 1) * m, channel.W0, base), _mp_multinomial((k + 1) * m, channel.W1, base)
+        )
     keys = sorted(null)
     return [null[key] for key in keys], [alt[key] for key in keys]
 

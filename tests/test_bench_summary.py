@@ -1,6 +1,7 @@
-"""scripts/bench_summary.py on small synthetic pairs and sweeps."""
+"""scripts/bench_summary.py on small synthetic pairs and a sweep."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -44,61 +45,38 @@ def test_summarize_pairs_medians_wins_and_failures():
     assert job["change_wins"] == 3
     assert job["median_gap"] == 1.0 and job["parent_iqr"] == 2.0
     assert job["relative_change"] == pytest.approx(-1 / 3)
+    # the parent's spread, 2/3 of its median, is wider than the 0.25 bound
+    assert not job["resolved"]
     rate = entry["metrics"]["jobs_per_s"]
     # higher is better: seeds 2, 4 and 5 win, seed 3 loses, seed 1 ties
     assert rate["change_wins"] == 3
     assert rate["median_gap"] == 1.0
 
 
-def _sweep(cells, repeats=5):
-    return {"package": "src", "python": "3", "repeats": repeats, "cells": cells}
+def test_a_metric_is_resolved_by_a_narrow_parent_spread_or_a_clean_win():
+    # the parent's quartile spread is 0.1 of the median for job_s, within the
+    # 0.25 bound, and 0.5 for jobs_per_s, resolved only while every change
+    # run beats every parent run
+    parent = [(1, 10.0, 1.0), (2, 9.0, 2.0), (3, 11.0, 3.0), (4, 9.5, 1.5), (5, 10.5, 2.5)]
+    lines = [_line("parent", s, t, r) for s, t, r in parent]
+    lines += [_line("change", s, t + 5.0, r + 2.5) for s, t, r in parent]
+    metrics = bench_summary.summarize_pairs(lines, METRICS)["w"]["metrics"]
+    assert metrics["job_s"]["resolved"] and metrics["jobs_per_s"]["resolved"]
+    lines[-1] = _line("change", 5, 10.5, 3.0)  # ties the parent's best rate
+    metrics = bench_summary.summarize_pairs(lines, METRICS)["w"]["metrics"]
+    assert metrics["job_s"]["resolved"] and not metrics["jobs_per_s"]["resolved"]
 
 
-SAMPLER = {"layer": "sample_privacy_loss", "d": 2, "n": 47, "k": 15, "m": 1, "reps": 100, "workers": 1}
-ATOMS = {**SAMPLER, "layer": "lr_atoms"}  # only the layer tells the two apart
-PROCESS = {"layer": "process", "command": "python -c pass"}  # layer_sweep's fresh-process cells
-
-
-def test_min_sweeps_keeps_each_cells_minimum():
-    runs = [
-        _sweep([{**SAMPLER, "min_s": 2.0, "peak_mb": 1.0}, {**ATOMS, "min_s": 0.5, "peak_mb": 3.0}]),
-        _sweep([{**SAMPLER, "min_s": 1.0, "peak_mb": 1.5}, {**ATOMS, "min_s": 0.7, "peak_mb": 2.0}]),
-    ]
-    sweep = bench_summary.min_sweeps(runs)
-    assert sweep["repeats"] == 10 and sweep["runs"] == 2
-    assert sweep["cells"] == [
-        {**SAMPLER, "min_s": 1.0, "peak_mb": 1.0},
-        {**ATOMS, "min_s": 0.5, "peak_mb": 2.0},
-    ]
-
-
-def test_join_sweeps_matches_cells_on_every_unmeasured_field():
-    before = _sweep([{**ATOMS, "min_s": 0.5, "peak_mb": 3.0}, {**SAMPLER, "min_s": 2.0, "peak_mb": 1.0}])
-    after = _sweep([{**SAMPLER, "min_s": 1.0, "peak_mb": 1.5}, {**ATOMS, "min_s": 0.7, "peak_mb": 2.0}])
-    joined = bench_summary.join_sweeps(before, after)
-    assert "package" not in joined and joined["repeats"] == 5
-    assert joined["cells"] == [
-        {**SAMPLER, "parent_min_s": 2.0, "change_min_s": 1.0, "parent_peak_mb": 1.0, "change_peak_mb": 1.5},
-        {**ATOMS, "parent_min_s": 0.5, "change_min_s": 0.7, "parent_peak_mb": 3.0, "change_peak_mb": 2.0},
-    ]
-
-
-def test_one_sided_sweep_is_an_argparse_error(tmp_path, capsys):
-    argv = ["--pairs", "pairs.jsonl", "--sweep-before", "a.json", "--out", str(tmp_path / "out.json")]
-    with pytest.raises(SystemExit) as exit_info:
-        bench_summary.main(argv)
-    assert exit_info.value.code == 2
-    assert "give both --sweep-before and --sweep-after, or neither" in capsys.readouterr().err
-
-
-def test_process_cells_join_and_min_like_any_cell():
-    runs = [
-        _sweep([{**ATOMS, "min_s": 0.5, "peak_mb": 3.0}, {**PROCESS, "min_s": 0.06, "peak_mb": 13.5}]),
-        _sweep([{**ATOMS, "min_s": 0.4, "peak_mb": 3.1}, {**PROCESS, "min_s": 0.05, "peak_mb": 13.6}]),
-    ]
-    after = _sweep([{**PROCESS, "min_s": 0.04, "peak_mb": 13.4}, {**ATOMS, "min_s": 0.3, "peak_mb": 2.9}])
-    joined = bench_summary.join_sweeps(bench_summary.min_sweeps(runs), after)
-    assert joined["cells"] == [
-        {**PROCESS, "parent_min_s": 0.05, "change_min_s": 0.04, "parent_peak_mb": 13.5, "change_peak_mb": 13.4},
-        {**ATOMS, "parent_min_s": 0.4, "change_min_s": 0.3, "parent_peak_mb": 3.0, "change_peak_mb": 2.9},
-    ]
+def test_main_embeds_the_sweep_as_it_is(tmp_path):
+    pairs, sweep, out = tmp_path / "pairs.jsonl", tmp_path / "sweep.json", tmp_path / "out.json"
+    lines = [_line(side, s, 1.0 + s, 2.0 + s) for s in range(1, 4) for side in ("parent", "change")]
+    pairs.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    cell = {"layer": "lr_atoms", "d": 2, "parent": {"min_s": 0.5}, "change": {"min_s": 0.4}, "same_output": True}
+    sweep.write_text(json.dumps({"rounds": 11, "cells": [cell]}))
+    benchmark = tmp_path / "benchmark.json"
+    benchmark.write_text(json.dumps({"end_to_end": METRICS}))
+    argv = ["--pairs", str(pairs), "--sweep", str(sweep), "--benchmark", str(benchmark), "--out", str(out)]
+    assert bench_summary.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["layer_sweep"] == {"rounds": 11, "cells": [cell]}
+    assert report["benchmark"]["workloads"]["w"]["pairs"] == 3

@@ -713,25 +713,27 @@ def test_k0_lr_atoms_peak_is_bounded_per_built_cell(d):
 
 @pytest.mark.parametrize("d", list(K0_CASES))
 def test_jsd_and_kolmogorov_hold_one_array_of_the_atoms(d):
-    # the per-atom terms, _CELL_BLOCK at a time: the JSD's terms and their
-    # sorted copy in `_fsum` (16 B an atom), the Kolmogorov distance's CDF
-    # (8 B); each took 48-64 B an atom with atoms-sized temporaries
+    # the per-atom terms, _CELL_BLOCK at a time: the JSD's terms, which
+    # `_fsum` sorts in place (8 B an atom; 16 B with a sorted copy), the
+    # Kolmogorov distance's CDF (8 B); each took 48-64 B an atom with
+    # atoms-sized temporaries
     ch, n, _ = _k0_case(d)
     atoms = lr_atoms(ch, Composition(n, 0))
     mu = gdp_mu(ch, n).mu
-    assert _peak_bytes(lambda: _jsd(atoms)) < 16 * atoms.lr.size + CELL_SCRATCH
+    assert _peak_bytes(lambda: _jsd(atoms)) < 8 * atoms.lr.size + CELL_SCRATCH
     assert _peak_bytes(lambda: kolmogorov_to_gaussian(atoms, mu, Hypothesis.ALT)) < 16 * atoms.lr.size + CELL_SCRATCH
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_divergences_hold_one_array_of_the_atoms(d):
     # each of the five sums writes its terms _CELL_BLOCK atoms at a time into
-    # one array, which `_fsum` sorts (16 B an atom); with TV's and KL's masks
-    # and the squared and powered terms taken over all atoms at once the
-    # peak was 26 B an atom (11.1 MB at d = 3)
+    # one array, which `_fsum` sorts in place (8 B an atom; 16 B with a
+    # sorted copy); with TV's and KL's masks and the squared and powered
+    # terms taken over all atoms at once the peak was 26 B an atom (11.1 MB
+    # at d = 3)
     ch, n, _ = _k0_case(d)
     atoms = lr_atoms(ch, Composition(n, 0))
-    assert _peak_bytes(lambda: divergences(atoms, renyi_orders=(2.0, 3.5))) < 16 * atoms.lr.size + CELL_SCRATCH
+    assert _peak_bytes(lambda: divergences(atoms, renyi_orders=(2.0, 3.5))) < 8 * atoms.lr.size + CELL_SCRATCH
 
 
 def _chain_bits():

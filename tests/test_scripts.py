@@ -2,7 +2,11 @@
 
 import hashlib
 import importlib.util
+import json
+import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -75,7 +79,6 @@ def test_bound_gap_table_stdout_is_pinned(args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-
 def _layer_sweep():
     spec = importlib.util.spec_from_file_location("layer_sweep", ROOT / "scripts" / "layer_sweep.py")
     module = importlib.util.module_from_spec(spec)
@@ -83,17 +86,19 @@ def _layer_sweep():
     return module
 
 
-def test_process_cell_times_fresh_interpreters_and_reads_their_own_peak():
-    cell = _layer_sweep().measure_process(["-c", "pass"])
-    assert set(cell) == {"min_s", "peak_mb"}
-    assert 0.0 < cell["min_s"] < 60.0
+def test_process_cell_times_fresh_interpreters_and_reads_their_own_peak(tmp_path):
+    timed, traced = _layer_sweep().in_fresh_process(["-c", "print(7)"], str(ROOT / "src"), str(tmp_path))
+    seconds, stdout = timed()
+    assert 0.0 < seconds < 60.0 and stdout == b"7\n"
     # this test process holds numpy; a child spawned from it would report that peak
-    assert 1.0 < cell["peak_mb"] < 30.0
+    assert 1.0 < traced() < 30.0
 
 
-def test_process_cell_raises_on_a_failing_command():
-    with pytest.raises(RuntimeError, match="failed"):
-        _layer_sweep().measure_process(["-c", "raise SystemExit(3)"])
+def test_process_cell_raises_on_a_failing_command(tmp_path):
+    timed, traced = _layer_sweep().in_fresh_process(["-c", "raise SystemExit(3)"], str(ROOT / "src"), str(tmp_path))
+    for call in (timed, traced):
+        with pytest.raises(RuntimeError, match="failed"):
+            call()
 
 
 def test_process_cells_cli_commands_are_valid_cli_calls(tmp_path, capsys):
@@ -101,7 +106,8 @@ def test_process_cells_cli_commands_are_valid_cli_calls(tmp_path, capsys):
 
     sweep = _layer_sweep()
     files = sweep.process_files(str(tmp_path))
-    calls = [a[2:] for a in sweep.PROCESSES.values() if a[:2] == ["-m", "shuffledp.cli"]]
+    commands = [shlex.split(c) for c in sweep.PROCESSES]
+    calls = [args[2:] for args in commands if args[:2] == ["-m", "shuffledp.cli"]]
     # every subcommand the benchmark's workloads run has a start-up cell, and
     # curve and simulate one more each for their JSON output
     assert sorted(args[0] for args in calls) == ["curve"] * 4 + ["report"] * 2 + ["simulate"] * 2
@@ -109,5 +115,48 @@ def test_process_cells_cli_commands_are_valid_cli_calls(tmp_path, capsys):
         assert main([a.format(**files) for a in args]) == 0
         out = capsys.readouterr().out
         assert out.count("\n") > (64 if args[0] == "curve" else 10), args
-    scripts = [a[0].format(**files) for a in sweep.PROCESSES.values() if a[0].startswith("{scripts}")]
+    scripts = [args[0].format(scripts=ROOT / "scripts") for args in commands if args[0].startswith("{scripts}")]
     assert scripts and all(os.path.isfile(path) for path in scripts)
+
+
+def test_layer_sweep_runs_a_copied_parent_beside_the_change(tmp_path):
+    parent = tmp_path / "src"
+    shutil.copytree(ROOT / "src", parent, ignore=shutil.ignore_patterns("__pycache__"))
+    sweep = json.loads(_run_script("layer_sweep.py", "--smallest", "--parent", str(parent)))
+    for side, src in (("parent", parent), ("change", ROOT / "src")):
+        assert sweep["trees"][side]["src"] == os.path.realpath(src)
+        assert sweep["trees"][side]["exact_dist"] == str(src / "shuffledp" / "exact_dist.py")
+    [cell] = sweep["cells"]
+    for side in ("parent", "change"):
+        assert set(cell[side]) == {"digest", "min_s", "peak_mb", "peak_mb_max"}
+        assert 0.0 < cell[side]["min_s"] and 0.0 < cell[side]["peak_mb"] <= cell[side]["peak_mb_max"]
+    assert cell["same_output"] and cell["parent"]["digest"] == cell["change"]["digest"]
+    assert all(math.isfinite(cell["ratio"][q]) and cell["ratio"][q] > 0.0 for q in ("q1", "median", "q3"))
+    assert sweep["rounds"] == _layer_sweep().ROUNDS
+
+
+def test_layer_sweep_refuses_a_parent_that_is_the_change():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "layer_sweep.py"), "--smallest", "--parent", str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert out.returncode == 1 and "the parent and the change are both" in out.stderr
+    assert out.stdout == ""
+
+
+def test_layer_sweep_runs_with_one_blas_thread_as_the_jobs_do():
+    # importing shuffledp before numpy sets OPENBLAS_NUM_THREADS=1; numpy
+    # first would start a BLAS pool of one thread per core
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task")
+    script = str(ROOT / "scripts" / "layer_sweep.py")
+    code = f"import os, runpy; runpy.run_path({script!r}); print(len(os.listdir('/proc/self/task')))"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": str(ROOT / "src")}
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1"]
