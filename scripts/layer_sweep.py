@@ -229,6 +229,21 @@ def _src(pkg) -> str:
     return os.path.dirname(os.path.dirname(os.path.realpath(pkg.__file__)))
 
 
+def _scripts(pkg) -> str:
+    """The scripts directory beside the package's tree, which `PROCESSES` names {scripts}."""
+    return os.path.join(_src(pkg), os.pardir, "scripts")
+
+
+def check_scripts(sides: dict) -> None:
+    """Exits naming the first {scripts} file of `PROCESSES` that a side's tree lacks,
+    before any cell is measured (the `process` cells run last)."""
+    for side, pkg in sides.items():
+        for arg in (a for command in PROCESSES for a in shlex.split(command) if "{scripts}" in a):
+            path = os.path.normpath(arg.format(scripts=_scripts(pkg)))
+            if not os.path.isfile(path):
+                raise SystemExit(f"the {side} tree has no {path}, which a process cell runs")
+
+
 def check_trees(sides: dict) -> dict:
     """Each side's `src` and `exact_dist` file, with every module of each side loaded (so `pkg.cli` names it).
 
@@ -371,7 +386,7 @@ def plan(sides: dict, smallest: bool, tmp: str):
     for command in PROCESSES:
         runs = {}
         for side, pkg in sides.items():
-            fill = dict(files, scripts=os.path.join(_src(pkg), os.pardir, "scripts"))
+            fill = dict(files, scripts=_scripts(pkg))
             runs[side] = in_fresh_process([a.format(**fill) for a in shlex.split(command)], _src(pkg), tmp)
         yield {"layer": "process", "command": f"python {command}"}, runs
 
@@ -386,6 +401,8 @@ def main(argv=None) -> int:
     sides["change"] = shuffledp
     out = {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine()}
     out.update(rounds=ROUNDS, trees=check_trees(sides), cells=[])
+    if not args.smallest:
+        check_scripts(sides)
     with tempfile.TemporaryDirectory() as tmp:
         for cell, runs in plan(sides, args.smallest, tmp):
             cell.update(measure(runs))

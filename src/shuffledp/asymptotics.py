@@ -14,16 +14,13 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import Channel, score_stats
+from .channels import Channel, _check_eps, score_stats
 from .errors import EnumerationCapError, ValidationError
-from .exact_dist import Composition, _check_count, _check_eps, _check_eps_grid, _jsd, lr_atoms
+from .exact_dist import Composition, _check_count, _check_eps_grid, _jsd, lr_atoms
 from .simplex_linalg import fisher_constant
 
 
 _SQRT_HALF = math.sqrt(0.5)
-
-# e^eps overflows above the log of the largest double, ~709.78.
-_MAX_EPS = math.log(np.finfo(np.float64).max)
 
 
 def _ndtr(x: np.ndarray) -> np.ndarray:
@@ -105,13 +102,11 @@ def gdp_delta(eps, mu: float):
     if mu == 0.0:
         delta = np.zeros(e.size)
     else:
-        if e.max() > _MAX_EPS:
-            raise ValidationError(
-                f"gdp_delta needs eps <= {_MAX_EPS!r} (the log of the largest double), got {float(e.max())!r}"
-            )
+        _check_eps(float(e.max()), caller="gdp_delta")
         # libm's exp per eps, as a scalar call gets: numpy's SIMD exp can differ in the last bit
         growth = np.fromiter(map(math.exp, e.tolist()), np.float64, e.size)
-        delta = np.clip(_ndtr(-e / mu + mu / 2.0) - growth * _ndtr(-e / mu - mu / 2.0), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # e / mu = inf at a subnormal mu, where Phi(-inf) = 0 is the limit
+            delta = np.clip(_ndtr(-e / mu + mu / 2.0) - growth * _ndtr(-e / mu - mu / 2.0), 0.0, 1.0)
     return float(delta[0]) if scalar else delta.reshape(np.shape(eps))
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, score_stats
-from .exact_dist import PrivacyCurve, Sidedness, _check_count, _check_eps, _check_eps_grid
+from .channels import Channel, _check_eps, score_stats
+from .exact_dist import PrivacyCurve, Sidedness, _check_count, _check_eps_grid
 
 # The search brackets the minimizer by [0, lam_cap], where lam_cap * max|r| is
 # this: exp() of lam * r stays far from overflow anywhere in the bracket.

@@ -20,6 +20,18 @@ from .errors import ValidationError
 # and it sums to 1 within this slack; it is then renormalized exactly.
 PROB_SUM_TOL = 1e-9
 
+# e^eps overflows above the log of the largest double, ~709.78.
+_MAX_EPS = math.log(np.finfo(np.float64).max)
+
+
+def _check_eps(eps, name: str = "eps", caller: str | None = None) -> None:
+    """One privacy level must be a finite real >= 0 (NaN fails the test), and
+    at most _MAX_EPS for a `caller` that takes e^eps (named in the error)."""
+    if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps >= 0.0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {eps!r}")
+    if caller is not None and eps > _MAX_EPS:
+        raise ValidationError(f"{caller} needs {name} <= {_MAX_EPS!r} (the log of the largest double), got {eps!r}")
+
 
 class Support(enum.Enum):
     """Support relation between the two conditional laws.
@@ -154,11 +166,9 @@ def rr_channel(eps0: float) -> Channel:
 
     Input b is reported faithfully with probability exp(eps0)/(1+exp(eps0)),
     flipped otherwise; eps0 = 0 gives the uniform (fully private) channel.
+    eps0 must lie in [0, log(DBL_MAX) ~ 709.78], where e^eps0 is a double.
     """
-    if not (isinstance(eps0, numbers.Real) and math.isfinite(eps0)):
-        raise ValidationError(f"eps0 must be finite, got {eps0!r}")
-    if eps0 < 0:
-        raise ValidationError(f"eps0 must be nonnegative, got {eps0!r}")
+    _check_eps(eps0, "eps0", "rr_channel")
     q = 1.0 / (1.0 + math.exp(eps0))
     return validate_channel([1.0 - q, q], [q, 1.0 - q])
 

@@ -295,18 +295,6 @@ def _fold(law: np.ndarray, N: int, messages) -> None:
             law[box] = _fold_block(law, W, box, out, product)
 
 
-def _law_sum(law: np.ndarray) -> float:
-    """Exactly rounded sum of the cells of `law`, read _FOLD_BLOCK cells at a time.
-
-    Each block's positive cells go to one `math.fsum` in decreasing order,
-    which keeps its partials short (see `_fsum`); the sum does not depend on
-    the order, and no temporary is larger than a block.
-    """
-    flat = law.ravel()
-    blocks = (flat[i : i + _FOLD_BLOCK] for i in range(0, flat.size, _FOLD_BLOCK))
-    return math.fsum(itertools.chain.from_iterable(np.sort(b[b > 0.0])[::-1] for b in blocks))
-
-
 def _base_law(channel: Channel, zeros: int, ones: int, room: int, cap: int) -> tuple[np.ndarray, float]:
     """Renormalized dense law of `zeros` W0- then `ones` W1-messages and its factor.
 
@@ -319,7 +307,7 @@ def _base_law(channel: Channel, zeros: int, ones: int, room: int, cap: int) -> t
     law = np.zeros((n + 1,) * (d - 1))
     law[(0,) * (d - 1)] = 1.0
     _fold(law, 0, [channel.W0] * zeros + [channel.W1] * ones)
-    factor = 1.0 / _law_sum(law)
+    factor = 1.0 / _fsum(law[law > 0.0])
     law *= factor
     return law, factor
 
@@ -619,14 +607,8 @@ def _binom_pmf(K: np.ndarray, n, p: float, stirlerr_table=None, log: bool = Fals
 
 
 def _window_ends(n: int, p0: float) -> tuple[int, int]:
-    """The first and last count K in [n p0 - sqrt(400 n), n p0 + sqrt(400 n)] and [0, n].
-
-    Above n = 2^53 the double n p0 can be off by more than the half width,
-    so the window is taken in integers, widened by one count at each end.
-    """
-    if n <= 1 << 53:
-        half = math.sqrt(400.0 * n)
-        return max(0, math.floor(n * p0 - half)), min(n, math.ceil(n * p0 + half))
+    """The first and last count of [floor(n p0) - isqrt(400 n) - 1, ceil(n p0) + isqrt(400 n) + 1] in [0, n],
+    in integers at every n: it holds n p0 +- sqrt(400 n) (`_null_levels`); the counts it adds have mass 0.0."""
     num, den = p0.as_integer_ratio()
     half = math.isqrt(400 * n) + 1
     return max(0, n * num // den - half), min(n, -(-n * num // den) + half)
@@ -793,12 +775,6 @@ def _check_atomization(atoms: LrAtomization) -> None:
 
 # ---------------------------------------------------------------------------
 # privacy curves
-
-
-def _check_eps(eps, name: str = "eps") -> None:
-    """One privacy level must be a finite real >= 0 (NaN fails the test)."""
-    if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps >= 0.0):
-        raise ValidationError(f"{name} must be finite and >= 0, got {eps!r}")
 
 
 def _check_eps_grid(eps) -> np.ndarray:

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _MAX_EPS, _ndtr
-from .channels import Channel, score_stats
+from .asymptotics import _ndtr
+from .channels import Channel, _check_eps, score_stats
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
-from .exact_dist import _cell_blocks, _check_eps, _check_pair, _ratio_table
+from .exact_dist import _cell_blocks, _check_pair, _ratio_table
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -268,11 +268,13 @@ def kolmogorov_to_gaussian(data, mu: float, hypothesis: Hypothesis) -> float:
     Under the null law (Lambda + mu^2/2)/mu is compared against a standard
     normal, under the alt law (Lambda - mu^2/2)/mu.  `data` is either an
     array of sampled Lambda values (empirical CDF) or an `LrAtomization`
-    (exact atom masses under the requested hypothesis).
+    (exact atom masses under the requested hypothesis).  mu^2/2 must be a
+    double, so that an infinite Lambda (a sampled log 0 = -inf, or the
+    alt-singular mass) has t = Lambda, and a sample must not be NaN.
     """
-    if not (mu > 0.0):
-        raise ValidationError(f"mu must be positive, got {mu!r}")
     shift = 0.5 * mu * mu if hypothesis is Hypothesis.NULL else -0.5 * mu * mu
+    if not (mu > 0.0 and math.isfinite(shift)):
+        raise ValidationError(f"mu must be positive with mu^2/2 finite, got {mu!r}")
     if isinstance(data, LrAtomization):
         # increasing ratios give nondecreasing t; alt-singular mass sits at
         # ratio +inf, so at t = +inf
@@ -284,13 +286,14 @@ def kolmogorov_to_gaussian(data, mu: float, hypothesis: Hypothesis) -> float:
         cdf /= cdf[-1]
 
         def t_at(at):
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):  # log 0; t = +-inf at a subnormal mu
                 return (np.log(lr[at]) + shift) / mu
     else:
         samples = np.asarray(data, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValidationError("need a nonempty 1-d array of sampled values")
-        t = np.sort((samples + shift) / mu)
+        if samples.ndim != 1 or samples.size == 0 or np.isnan(samples).any():
+            raise ValidationError("need a nonempty 1-d array of sampled values, none NaN")
+        with np.errstate(over="ignore"):
+            t = np.sort((samples + shift) / mu)
         cdf = np.arange(1, samples.size + 1) / samples.size
         t_at = t.__getitem__
     # the distance at each atom, _CELL_BLOCK atoms at a time: the CDF is the
@@ -348,9 +351,7 @@ def rr_boundary(
     a_n = e^{eps0}/n against the supplied thresholds.  An eps0 above
     log(DBL_MAX) ~ 709.78, where e^{eps0} overflows, raises ValidationError.
     """
-    _check_eps(eps0, "eps0")
-    if eps0 > _MAX_EPS:
-        raise ValidationError(f"rr_boundary needs eps0 <= {_MAX_EPS!r} (the log of the largest double), got {eps0!r}")
+    _check_eps(eps0, "eps0", "rr_boundary")
     n = _check_count("n", n)
     if not 0.0 < sub_threshold < super_threshold:
         raise ValidationError(
@@ -404,11 +405,14 @@ def frequency_mse(eps0: float, n: int, p_true: float, config: SimConfig) -> Freq
     with probability q = 1/(1 + e^{eps0}), counts the reported ones K and
     estimates p_hat = (K/n - q)/(1 - 2q).  Errors are taken against the
     realized frequency, and the worst-case variance bound
-    1/(4 n (1 - 2q)^2) is reported alongside.
+    1/(4 n (1 - 2q)^2) is reported alongside.  eps0 must lie in
+    (0, log(DBL_MAX) ~ 709.78], and 1 - 2q must not round to 0.
     """
-    _check_eps(eps0, "eps0")
-    if eps0 == 0.0:
-        raise ValidationError("eps0 must be > 0: at eps0 = 0 the estimator divides by 1 - 2q = 0")
+    _check_eps(eps0, "eps0", "frequency_mse")
+    q = 1.0 / (1.0 + math.exp(eps0))
+    denom = 1.0 - 2.0 * q
+    if denom == 0.0:
+        raise ValidationError(f"the estimator divides by 1 - 2q, which is 0 at eps0 = {eps0!r}")
     n = _check_count("n", n)
     if not 0.0 <= p_true <= 1.0:
         raise ValidationError(f"p_true must lie in [0, 1], got {p_true!r}")
@@ -416,8 +420,6 @@ def frequency_mse(eps0: float, n: int, p_true: float, config: SimConfig) -> Freq
         raise ValidationError("frequency study needs reps >= 1")
     n_ones = int(math.floor(p_true * n + 0.5))
     p_realized = n_ones / n
-    q = 1.0 / (1.0 + math.exp(eps0))
-    denom = 1.0 - 2.0 * q
     errors = np.empty(config.reps, dtype=np.float64)
     zeros = n - n_ones
     flip = _below(q)  # a bit flips where u < q; q < 1/2, so never None

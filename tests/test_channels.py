@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -41,6 +42,16 @@ def test_rr_channel_zero_is_uniform(zero):
 def test_rr_channel_rejects(bad):
     with pytest.raises(ValidationError):
         rr_channel(bad)
+
+
+def test_rr_channel_holds_up_to_the_log_of_the_largest_double():
+    # at eps0 = 710 math.exp raised a bare OverflowError
+    top = math.log(sys.float_info.max)
+    ch = rr_channel(top)
+    assert ch.support is Support.FULL and ch.W0[1] == ch.W1[0] == pytest.approx(1.0 / sys.float_info.max, rel=1e-15)
+    for eps0 in (math.nextafter(top, math.inf), 710.0):
+        with pytest.raises(ValidationError, match="rr_channel needs eps0 <= .* \\(the log of the largest double\\)"):
+            rr_channel(eps0)
 
 
 def test_validate_renormalizes_within_tolerance():

@@ -937,6 +937,28 @@ def test_boost_pmf_is_binom_pmf_on_the_window_and_zero_outside(eps0, n):
     assert not np.any(full[outside])
 
 
+@pytest.mark.parametrize(
+    "W0",
+    [rr_channel(eps0).W0 for eps0 in PMF_EPS0] + [[0.7, 0.2, 0.1], [0.05, 0.15, 0.8], [1e-20, 0.5, 0.5]],
+    ids=[f"rr{eps0}" for eps0 in PMF_EPS0] + ["d3-skew", "d3-skew-low", "d3-tiny-share"],
+)
+def test_window_is_the_integer_rule_and_its_extra_counts_have_zero_mass(W0):
+    # the window is [floor(n p0) - isqrt(400 n) - 1, ceil(n p0) + isqrt(400 n) + 1]
+    # in [0, n] at every n: it holds Hoeffding's [n p0 - sqrt(400 n), n p0 +
+    # sqrt(400 n)], and the counts it adds past that have mass exactly 0.0,
+    # so the drop rule removes them with nothing dropped
+    for p0 in map(float, W0):
+        for n in (1, 2, 57, 400, 401, 2001, 100_000, 950_000, 3_000_000):
+            exact, half = n * Fraction(p0), math.isqrt(400 * n) + 1
+            lo, hi = _window_ends(n, p0)
+            assert (lo, hi) == (max(0, math.floor(exact) - half), min(n, math.ceil(exact) + half))
+            wide = math.sqrt(400.0 * n)
+            inner_lo, inner_hi = max(0, math.floor(n * p0 - wide)), min(n, math.ceil(n * p0 + wide))
+            assert lo <= inner_lo <= inner_hi <= hi
+            added = np.array([*range(lo, inner_lo), *range(inner_hi + 1, hi + 1)], dtype=np.float64)
+            assert not np.any(_binom_pmf(added, n, p0)), (p0, n)
+
+
 def test_binomial_atoms_drop_subnormal_null_mass():
     # at rr eps0=3, n=30000 the far tail holds ~70 counts of subnormal null
     # mass; merged, their ratios came out as 0.0, 1/6, 2.125, ... instead of

@@ -39,9 +39,11 @@ from shuffledp import (
     ValidationError,
     channel_to_json,
     chernoff_curve,
+    chernoff_delta,
     conditional_score,
     divergences,
     fisher_constant,
+    frequency_mse,
     gdp_delta,
     gdp_mu,
     jsd_canonical_asymptotic,
@@ -50,6 +52,8 @@ from shuffledp import (
     mean_histogram,
     mm_gdp_compare,
     privacy_curve,
+    rr_boundary,
+    rr_channel,
     sample_privacy_loss,
     score_stats,
     tradeoff_curve,
@@ -58,6 +62,13 @@ from shuffledp import (
     validate_channel,
 )
 from shuffledp.exact_dist import _MASS_TOL
+
+# eps0 and eps: with the largest eps whose e^eps is a double, and its neighbours
+_LOG_MAX = math.log(sys.float_info.max)
+SCALARS = (0.0, 5e-324, 1.0, math.nextafter(_LOG_MAX, 0.0), _LOG_MAX, math.nextafter(_LOG_MAX, math.inf))
+SCALARS += (720.0, math.inf, math.nan)
+# mu
+SHIFTS = (5e-324, 1e-300, 1.0, 1e300, math.inf)
 
 EXTREMES = (5e-324, 1e-300, 1e-200, 1e-100, 1e-30, 1e-6, 0.0)
 SIZES = (1, 2, 3, 7, 30, 200)
@@ -202,6 +213,61 @@ def test_entry_points_on_extreme_inputs(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _entry_points(channel, n, k, m)
+
+
+def _scalar_entry_points(eps0, eps, mu, hypothesis):
+    channel = _refused_or(rr_channel, eps0)
+    boundary = _refused_or(rr_boundary, eps0, 7)
+    if boundary is not None:
+        _finite(boundary.q, low=0.0, high=0.5)
+        _finite(boundary.a_n, boundary.x_plus, boundary.sigma2, boundary.lyapunov_ratio, low=0.0)
+        _finite(boundary.x_minus, low=-1.0, high=0.0)
+        _finite(boundary.skew_bound, boundary.lyapunov_bound, low=0.0)
+        # e^{2 eps0} / (1 + e^{eps0}) is beyond the double range above eps0 ~ 354.9
+        assert boundary.rho3 >= 0.0
+    report = _refused_or(frequency_mse, eps0, 10, 0.5, SimConfig(seed=1, reps=3))
+    if report is not None:
+        _finite(report.mse_estimate, report.mse_bound, report.bias_se, low=0.0)
+        _finite(report.bias, report.p_realized)
+    for value in (_refused_or(gdp_delta, eps, mu), _refused_or(gdp_delta, np.array([1.0, eps]), mu)):
+        if value is not None:
+            _finite(value, low=0.0, high=1.0)
+    if channel is not None:
+        _finite(channel.W0, channel.W1, low=0.0, high=1.0)
+        if eps == 0.0:
+            with pytest.warns(RuntimeWarning, match="vacuous"):
+                assert unbundled_hoeffding_delta(channel, 7, 2, eps) == 1.0
+        else:
+            bound = _refused_or(unbundled_hoeffding_delta, channel, 7, 2, eps)
+            if bound is not None:
+                _finite(bound, low=0.0, high=1.0)
+        chernoff = _refused_or(chernoff_delta, channel, 7, eps)
+        if chernoff is not None:
+            _finite(chernoff.bound, low=0.0, high=1.0)
+            assert chernoff.log_bound <= 0.0 and chernoff.tau >= 0.0
+            if math.isnan(chernoff.lam):  # documented: the bound is exactly 0, as tau >= max r
+                assert chernoff.bound == 0.0 and chernoff.log_bound == -math.inf
+            else:
+                _finite(chernoff.lam, low=0.0)
+    # a sampled log 0 = -inf is a documented draw; a NaN sample is refused
+    losses = [np.array([0.0, -math.inf, eps0, -eps])]
+    if channel is not None:
+        losses.append(lr_atoms(channel, Composition(7, 0)))
+    for data in losses:
+        distance = _refused_or(kolmogorov_to_gaussian, data, mu, hypothesis)
+        if distance is not None:
+            _finite(distance, low=0.0, high=1.0)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SCALARS), st.sampled_from(SCALARS), st.sampled_from(SHIFTS), st.sampled_from(list(Hypothesis)))
+@example(710.0, 1.0, 1.0, Hypothesis.NULL)
+def test_scalar_entry_points_on_extreme_inputs(eps0, eps, mu, hypothesis):
+    # every scalar parameter at the edges of the double range, warnings as
+    # errors: finite numbers in range, or ValidationError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _scalar_entry_points(eps0, eps, mu, hypothesis)
 
 
 def _run_cli(*argv) -> subprocess.CompletedProcess:

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -421,6 +423,33 @@ def test_kolmogorov_validation():
         kolmogorov_to_gaussian(np.array([]), 1.0, Hypothesis.NULL)
 
 
+def test_kolmogorov_refuses_an_infinite_shift_and_nan_samples():
+    # mu = inf passed the mu > 0 test and gave NaN (with a RuntimeWarning) on
+    # samples and on atoms alike, as did mu = 1e300 (mu^2/2 = inf) on a
+    # sampled log 0 = -inf; a NaN sample gave NaN too
+    atoms = binomial_lr_atoms(rr_channel(1.0), 50)
+    for data in (np.array([-math.inf, 0.0, 1.0]), atoms):
+        for hypothesis in Hypothesis:
+            for mu in (math.inf, 1e300):
+                with pytest.raises(ValidationError, match="mu must be positive with mu\\^2/2 finite"):
+                    kolmogorov_to_gaussian(data, mu, hypothesis)
+    with pytest.raises(ValidationError, match="NaN"):
+        kolmogorov_to_gaussian(np.array([0.0, math.nan, 1.0]), 1.0, Hypothesis.NULL)
+
+
+def test_kolmogorov_keeps_the_sampled_log_zero():
+    # a ratio of 0 samples log 0 = -inf, which has t = -inf
+    samples = np.array([-math.inf, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # t = -inf, 0.5, 1.5: the largest gap is Phi(0.5) - 1/3, below t = 0.5
+        assert kolmogorov_to_gaussian(samples, 1.0, Hypothesis.NULL) == pytest.approx(
+            NormalDist().cdf(0.5) - 1.0 / 3.0, rel=1e-12
+        )
+        # t = -inf, 0, inf: a subnormal mu sends each nonzero loss to +-inf
+        assert kolmogorov_to_gaussian(samples, 5e-324, Hypothesis.ALT) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
 def test_dkw_radius():
     assert dkw_radius(2000, 0.05) == pytest.approx(
         math.sqrt(math.log(40.0) / 4000.0), rel=1e-12
@@ -500,6 +529,15 @@ def test_rr_boundary_refuses_eps0_beyond_the_double_range():
             rr_boundary(eps0, 10)
 
 
+def test_frequency_mse_refuses_eps0_beyond_the_double_range():
+    # at eps0 = 710 math.exp raised a bare OverflowError
+    top = math.log(sys.float_info.max)
+    assert frequency_mse(top, 10, 0.5, SimConfig(1, 10)).mse_bound == pytest.approx(0.025, rel=1e-15)
+    for eps0 in (math.nextafter(top, math.inf), 710.0):
+        with pytest.raises(ValidationError, match="frequency_mse needs eps0 <= .* \\(the log of the largest double\\)"):
+            frequency_mse(eps0, 10, 0.5, SimConfig(1, 10))
+
+
 def test_rr_boundary_degenerate_and_validation():
     b = rr_boundary(0.0, 50)
     assert b.sigma2 == 0.0 and b.lyapunov_ratio == 0.0
@@ -529,8 +567,9 @@ def test_frequency_mse_rounding_and_endpoints():
 
 def test_frequency_mse_validation():
     cfg = SimConfig(seed=0, reps=100)
-    with pytest.raises(ValidationError):
-        frequency_mse(0.0, 100, 0.5, cfg)  # estimator divides by 1 - 2q = 0
+    for eps0 in (0.0, 5e-324, 1e-17):  # e^eps0 rounds to 1: the estimator divides by 1 - 2q = 0
+        with pytest.raises(ValidationError, match="1 - 2q"):
+            frequency_mse(eps0, 100, 0.5, cfg)
     with pytest.raises(ValidationError):
         frequency_mse(1.0, 100, 1.5, cfg)
     with pytest.raises(ValidationError):

@@ -147,6 +147,23 @@ def test_layer_sweep_refuses_a_parent_that_is_the_change():
     assert out.stdout == ""
 
 
+def test_layer_sweep_refuses_a_parent_without_its_scripts_before_any_cell(tmp_path):
+    # a copy of `src` alone has no scripts/gdp_rate_study.py for the last
+    # `process` cell: the full sweep exits at once, not after every other cell
+    parent = tmp_path / "src"
+    shutil.copytree(ROOT / "src", parent, ignore=shutil.ignore_patterns("__pycache__"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "layer_sweep.py"), "--parent", str(parent)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=30,  # the cells alone take about 15 minutes
+    )
+    missing = os.path.join(os.path.realpath(tmp_path), "scripts", "gdp_rate_study.py")
+    assert out.returncode == 1 and f"the parent tree has no {missing}" in out.stderr, out.stderr
+    assert out.stdout == "" and '"layer"' not in out.stderr
+
+
 def test_layer_sweep_runs_with_one_blas_thread_as_the_jobs_do():
     # importing shuffledp before numpy sets OPENBLAS_NUM_THREADS=1; numpy
     # first would start a BLAS pool of one thread per core
