@@ -113,6 +113,7 @@ CELLS = (
     ("divergences", 4, 120, 0, 1, None, None),
     ("_jsd", 2, 950000, 0, 1, None, None),
     ("kolmogorov_to_gaussian", 2, 950000, 0, 1, None, None),
+    ("conditional_score", 3, 190, 0, 1, None, None),
     ("conditional_score", 3, 190, 63, 1, None, None),
     ("conditional_score", 4, 59, 19, 1, None, None),
     ("conditional_score", 2, 20000, 6666, 1, None, None),
@@ -132,7 +133,7 @@ CELLS = (
     for k in (0, n // 3)
     for workers in (1, 2)
     if k == 0 or n <= MAX_TABLE_N[d]
-)
+) + tuple(("sample_privacy_loss", 4, 30, 0, 1, 100_000, workers) for workers in (1, 2))
 
 # the `process` cells' interpreter arguments: {channel} is the d = 3 channel
 # file, {rr} that of randomized response at eps0 = 1.1 and {scripts} the

@@ -412,7 +412,8 @@ def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndar
     """Dense null law of the pair at (n, k) and its ratio L = alt / null, the
     one table read at single histograms; L is NaN on the cells the atoms
     drop, and the pair is refused as in `_atomize` when its alt mass there
-    is above _MASS_TOL.
+    is above _MASS_TOL.  At k = 0 a kept cell's ratio is `_affine_lr` at its
+    histogram, the double of its atom, in place of the fold's quotient.
 
     The null law is completed in place in the array of the base law
     T_{n-1,k}, and each block's ratio is copied into one more array, so
@@ -425,7 +426,11 @@ def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndar
         if ratio is None:
             ratio = np.full(null.shape, np.nan)
         null[box], ratio[box] = block[0], block[2]
-        dropped_alt.append(_drop_rule(block)[1][1])
+        keep, dropped = _drop_rule(block)
+        if comp.k == 0:
+            grid = np.ogrid[box]
+            np.copyto(ratio[box], _affine_lr(channel, (*grid, comp.n - sum(grid)), comp.n), where=keep)
+        dropped_alt.append(dropped[1])
     _check_dropped_alt(_fsum(np.concatenate(dropped_alt)))
     return null, ratio
 
@@ -702,6 +707,19 @@ def _canonical_cells(channel: Channel, n: int, cap: int):
         else:
             lr = (rest / n) * w[0] + lr
             yield [mass, lr * mass, lr]
+
+
+def _affine_lr(channel: Channel, counts, n: int) -> np.ndarray:
+    """The k=0 ratio L(N) = (1/n) sum_y N_y w(y) at the histograms `counts`, the one rule
+    for it at single histograms; counts[y] holds the counts of symbol y (rows of a (d, r)
+    array, or open grids that broadcast).  The terms (N_y / n) w(y) are added in the order
+    of `_canonical_cells` (symbols relabelled by decreasing W0, the last first), so each
+    ratio is the double of the atom at its histogram."""
+    order, w = np.argsort(-channel.W0, kind="stable")[::-1], score_stats(channel).w
+    lr = (counts[order[0]] / n) * w[order[0]]
+    for y in order[1:]:
+        lr = lr + (counts[y] / n) * w[y]
+    return lr
 
 
 def binomial_lr_atoms(channel: Channel, n: int) -> LrAtomization:
@@ -989,7 +1007,8 @@ def conditional_score(channel: Channel, comp: Composition, histogram, cap: int =
 
     One count vector gives a float; a sequence of them, such as an (r, d)
     array, gives an array of r scores.  All are read from one `_ratio_table`,
-    the ratio the atoms and the sampler use.
+    the ratio the atoms and the sampler use; at k = 0 each is the double of
+    the atom at its histogram (`_affine_lr`).
 
     Raises:
         ValidationError: a histogram of wrong shape/mass, or null mass below

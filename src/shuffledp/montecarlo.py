@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _ndtr
-from .channels import Channel, _check_eps, score_stats
+from .channels import Channel, _check_eps
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
-from .exact_dist import _cell_blocks, _check_pair, _ratio_table
+from .exact_dist import _affine_lr, _cell_blocks, _check_pair, _ratio_table
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -200,12 +200,15 @@ def sample_privacy_loss(
     """Sample the log likelihood ratio log L_{n,k}(N) under either law.
 
     Draw g simulates all n users (input-0 users first), builds the message
-    histogram and evaluates the exact pair ratio at it: through the affine
-    identity for k = 0, otherwise through the log, taken in place, of the
-    ratio table `exact_dist._ratio_table` (it inherits the enumeration cap
-    and refuses, with the atoms' ValidationError, a pair whose alt mass on
-    cells with no ratio is above their tolerance; a draw on its NaN cells
-    raises InternalInvariantError).  Returns `config.reps` values in draw order,
+    histogram and evaluates the exact pair ratio at it.  For k = 0 that is
+    `exact_dist._affine_lr` over all draws' counts at once, the atoms' own
+    sum, so every value is the log of an atom's ratio; the sum is
+    elementwise, so no blocking or worker count changes a bit.  Otherwise it
+    is the log, taken in place, of the ratio table `exact_dist._ratio_table`
+    (it inherits the enumeration cap and refuses, with the atoms'
+    ValidationError, a pair whose alt mass on cells with no ratio is above
+    their tolerance).  A NaN value, a draw on the table's NaN cells, raises
+    InternalInvariantError.  Returns `config.reps` values in draw order,
     independent of `config.workers`.
 
     User j of draw g sends the symbol searchsorted(cdf, u, side="right"),
@@ -213,7 +216,7 @@ def sample_privacy_loss(
     input; so "symbol <= y" is u < cdf[y], which `_below` turns into one
     integer compare on the hash word.  A k = 0 draw whose histogram has
     zero probability under the alt law (a symbol W1 never sends) has ratio
-    0 and returns -inf by design; a NaN raises InternalInvariantError.
+    0 and returns -inf by design.
     """
     _check_pair(channel, comp, "privacy-loss sampling")
     n, k, d = comp.n, comp.k, channel.d
@@ -226,35 +229,31 @@ def sample_privacy_loss(
         (_below(c0), _below(c1))
         for c0, c1 in zip(np.cumsum(channel.W0)[:-1], np.cumsum(channel.W1)[:-1])
     ]
-    counts = np.empty((config.reps, d), dtype=np.int64)
+    # symbol-major: counts[y] holds every draw's count of symbol y
+    counts = np.empty((d, config.reps), dtype=np.int64)
 
     def block(start: int, stop: int) -> None:
         for lo, hi, h, mask in _hash_blocks(config.seed, n, start, stop):
-            c = counts[lo:hi]
-            # c[:, y] counts the users whose symbol is <= y
+            c = counts[:, lo:hi]
+            # c[y] counts the users whose symbol is <= y
             for y, (limit0, limit1) in enumerate(limits):
                 for cols, limit in ((np.s_[:, :zeros], limit0), (np.s_[:, zeros:], limit1)):
                     if limit is None:
                         mask[cols] = True
                     else:
                         np.less(h[cols], limit, out=mask[cols])
-                mask.sum(axis=1, out=c[:, y])
-            c[:, -1] = n
-            c[:, 1:] = np.diff(c, axis=1)
+                mask.sum(axis=1, out=c[y])
+            c[-1] = n
+            c[1:] = np.diff(c, axis=0)
 
     _run_blocks(config.reps, config.workers, block)
-    if k == 0:
-        # one product over all draws: numpy rounds a one-row matmul
-        # differently from a multi-row one, so per-block products would make
-        # values depend on the blocking
-        with np.errstate(divide="ignore"):
-            out = np.log(counts @ score_stats(channel).w / n)
-        if np.isnan(out).any():
-            raise InternalInvariantError("sampled a NaN affine likelihood ratio")
+    if k > 0:
+        out = lam[tuple(counts[:-1])]
     else:
-        out = lam[tuple(counts[:, :-1].T)]
-        if np.isnan(out).any():
-            raise InternalInvariantError("sampled a histogram whose null mass underflowed")
+        with np.errstate(divide="ignore"):
+            out = np.log(_affine_lr(channel, counts, n))
+    if np.isnan(out).any():
+        raise InternalInvariantError("sampled a histogram whose null mass underflowed")
     return out
 
 

@@ -140,10 +140,10 @@ def _coefficients(count: np.ndarray, w: float, tau: float, m: int, e: int) -> tu
 
 def _times(a: np.ndarray, ea: np.ndarray, b: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Degrees 0..m of the column-wise products of two coefficient columns, renormalized."""
-    out = np.zeros_like(b)
-    for k in range(b.shape[0]):
-        for i in range(k + 1):
-            out[k] += a[k - i] * b[i]
+    out, m = np.zeros_like(b), b.shape[0] - 1
+    # degree k takes its terms a[k - i] b[i] in the order i = 0..k
+    for i in range(m + 1):
+        out[i:] += a[: m + 1 - i] * b[i]
     return _renormalized(out, ea + eb)
 
 

@@ -47,6 +47,7 @@ from shuffledp.exact_dist import (
     DEFAULT_ATOM_CAP,
     MIN_NULL_MASS,
     HistogramLaw,
+    _affine_lr,
     _bd0,
     _binom_pmf,
     _canonical_cells,
@@ -273,6 +274,48 @@ def test_closed_form_masses_match_mpmath_out_to_the_tails(d, n):
             W[y] ** c / mpmath.factorial(c) for y, c in enumerate(hists[i].tolist())
         )
         assert float(abs(p_null[i] - exact) / exact) <= 1e-11, (hists[i], p_null[i], exact)
+
+
+# k = 0 channels for the one ratio rule: seeded FULL channels, W0 with ties
+# (the stable relabelling decides the order) and a skewed W0 whose tail cells
+# the drop rule removes
+AFFINE_CASES = [
+    ("random", 2, 1000), ("random", 3, 100), ("random", 4, 30), ("random", 5, 12),
+    ("ties", 4, 30), ("skewed", 3, 30),
+]
+
+
+def _affine_channel(name, d):
+    if name == "ties":
+        return validate_channel([0.3, 0.2, 0.3, 0.2], [0.1, 0.4, 0.2, 0.3])
+    if name == "skewed":
+        return _skewed_channel(d)
+    return full_channel(np.random.default_rng(60 + d), d)
+
+
+@pytest.mark.parametrize("name, d, n", AFFINE_CASES)
+def test_affine_lr_is_the_chain_sum_on_every_cell(name, d, n):
+    # the one k = 0 rule gives the chain's level-by-level sum bit for bit, at
+    # the histograms of `_canonical_cells` rebuilt apart from the chain
+    ch = _affine_channel(name, d)
+    lr = np.concatenate([block[2] for block in _canonical_cells(ch, n, DEFAULT_ATOM_CAP)])
+    hists = _box_cells(ch, n)
+    assert len(hists) == lr.size
+    assert np.array_equal(_affine_lr(ch, hists.T, n).view(np.uint64), lr.view(np.uint64))
+
+
+@pytest.mark.parametrize("name, d, n", AFFINE_CASES)
+def test_k0_ratio_table_cells_are_the_atoms(name, d, n):
+    # every kept k = 0 cell of the table is `_affine_lr` of its counts, so a
+    # ratio of the atoms; the cells the drop rule removes stay NaN
+    ch = _affine_channel(name, d)
+    null, ratio = _ratio_table(ch, Composition(n, 0), DEFAULT_ATOM_CAP)
+    kept = ~np.isnan(ratio)
+    assert np.array_equal(kept, null >= MIN_NULL_MASS)
+    head = np.nonzero(kept)
+    counts = np.vstack(head + (n - sum(head),))
+    assert np.array_equal(ratio[kept].view(np.uint64), _affine_lr(ch, counts, n).view(np.uint64))
+    assert np.isin(ratio[kept], lr_atoms(ch, Composition(n, 0)).lr).all()
 
 
 def test_dense_engine_matches_dict_fold_on_null_support_channel():

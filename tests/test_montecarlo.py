@@ -83,8 +83,12 @@ def _ref_sample(channel, comp, hypothesis, seed, reps):
     n, k = comp.n, comp.k
     counts = _ref_histograms(channel, comp, hypothesis, seed, reps)
     if k == 0:
+        # the atoms' sum: symbols by decreasing W0 (stable), the last added first
+        w, lr = score_stats(channel).w, np.zeros(reps)
+        for y in np.argsort(-channel.W0, kind="stable")[::-1]:
+            lr = lr + (counts[:, y] / n) * w[y]
         with np.errstate(divide="ignore"):
-            return np.log(counts @ score_stats(channel).w / n)
+            return np.log(lr)
     null = _base_law(channel, n - 1 - k, k, 1, DEFAULT_ATOM_CAP)[0]
     alt = null.copy()
     _fold(alt, n - 1, [channel.W1])
@@ -207,16 +211,18 @@ def test_sampler_working_set_is_bounded(channel, comp):
 
 
 def test_k0_sampling_raises_on_a_nan_ratio(monkeypatch):
-    from shuffledp import montecarlo
+    # the k = 0 ratio is the atoms' rule in exact_dist; a NaN there meets the
+    # sampler's one check
+    from shuffledp import exact_dist
 
-    real = montecarlo.score_stats
+    real = exact_dist.score_stats
 
     def nan_ratio(channel):
         stats = real(channel)
         return dataclasses.replace(stats, w=np.append(np.nan, stats.w[1:]))
 
-    monkeypatch.setattr(montecarlo, "score_stats", nan_ratio)
-    with pytest.raises(InternalInvariantError, match="NaN"):
+    monkeypatch.setattr(exact_dist, "score_stats", nan_ratio)
+    with pytest.raises(InternalInvariantError, match="null mass underflowed"):
         sample_privacy_loss(RR3, Composition(8, 0), Hypothesis.NULL, SimConfig(seed=0, reps=200))
 
 
@@ -334,12 +340,17 @@ def test_inverse_martingale_under_alt():
     assert inv.mean() == pytest.approx(1.0, abs=4 * se)
 
 
-def test_sampled_values_live_on_the_atom_set():
-    # k = 0 samples must reproduce atoms of the exact binomial atomization
-    atoms = binomial_lr_atoms(RR3, 30)
-    lam = sample_privacy_loss(RR3, Composition(30, 0), Hypothesis.NULL, SimConfig(seed=17, reps=2000))
-    dist = np.abs(np.exp(lam)[:, None] - atoms.lr[None, :]).min(axis=1)
-    assert dist.max() < 1e-10
+@pytest.mark.parametrize("hypothesis", list(Hypothesis))
+@pytest.mark.parametrize("d, n", [(2, 47), (3, 30), (4, 20), (5, 12)])
+def test_sampled_values_live_on_the_atom_set(d, n, hypothesis):
+    # every k = 0 sample is the log of one of the atoms' ratios, exactly,
+    # at any worker count
+    for seed in range(3):
+        channel = full_channel(np.random.default_rng(300 + 10 * d + seed), d)
+        atoms = np.log(lr_atoms(channel, Composition(n, 0)).lr)
+        for workers in (1, 3):
+            lam = sample_privacy_loss(channel, Composition(n, 0), hypothesis, SimConfig(seed=17, reps=3000, workers=workers))
+            assert np.isin(lam, atoms).all(), (seed, workers)
 
 
 def test_sampling_validation_and_cap():

@@ -21,7 +21,7 @@ from shuffledp import (
     validate_channel,
 )
 from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, TIE_REL_TOL
-from shuffledp.multimessage import _mm_cells
+from shuffledp.multimessage import _mm_cells, _renormalized, _times
 from conftest import brute_force_lr, full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -33,6 +33,23 @@ def _histograms(total, d):
         for y in combo:
             h[y] += 1
         yield tuple(h)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 65, 200])
+def test_coefficient_product_is_the_nested_sum_bit_for_bit(m):
+    # degree k of the product adds a[k - i] b[i] in the order i = 0..k, as the
+    # nested loop does; the columns span many binades, and some coefficients are 0
+    rng = np.random.default_rng(m)
+    a, b = (rng.random((m + 1, 40)) * 2.0 ** rng.integers(-60, 60, (m + 1, 40)) for _ in range(2))
+    a[rng.random(a.shape) < 0.1] = 0.0
+    ea, eb = rng.integers(-50, 50, 40), rng.integers(-50, 50, 40)
+    nested = np.zeros_like(b)
+    for k in range(m + 1):
+        for i in range(k + 1):
+            nested[k] += a[k - i] * b[i]
+    got, want = _times(a, ea, b, eb), _renormalized(nested, ea + eb)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
 
 
 def test_unbundled_anchors():
