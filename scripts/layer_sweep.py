@@ -113,7 +113,9 @@ CELLS = (
     ("divergences", 4, 120, 0, 1, None, None),
     ("_jsd", 2, 950000, 0, 1, None, None),
     ("kolmogorov_to_gaussian", 2, 950000, 0, 1, None, None),
+    ("conditional_score", 2, 1900, 0, 1, None, None),
     ("conditional_score", 3, 190, 0, 1, None, None),
+    ("conditional_score", 4, 59, 0, 1, None, None),
     ("conditional_score", 3, 190, 63, 1, None, None),
     ("conditional_score", 4, 59, 19, 1, None, None),
     ("conditional_score", 2, 20000, 6666, 1, None, None),

@@ -295,6 +295,12 @@ def _fold(law: np.ndarray, N: int, messages) -> None:
             law[box] = _fold_block(law, W, box, out, product)
 
 
+def _dense_shape(n: int, d: int, cap: int) -> tuple:
+    """The shape (n+1,)*(d-1) of a dense law of n messages, refused beyond `cap` cells."""
+    _check_cap((n + 1) ** (d - 1), f"dense histogram law for {n} messages, d={d}", cap)
+    return (n + 1,) * (d - 1)
+
+
 def _base_law(channel: Channel, zeros: int, ones: int, room: int, cap: int) -> tuple[np.ndarray, float]:
     """Renormalized dense law of `zeros` W0- then `ones` W1-messages and its factor.
 
@@ -302,10 +308,8 @@ def _base_law(channel: Channel, zeros: int, ones: int, room: int, cap: int) -> t
     they can be folded in place.  Raises EnumerationCapError when that array
     has more than `cap` cells.
     """
-    n, d = zeros + ones + room, channel.d
-    _check_cap((n + 1) ** (d - 1), f"dense histogram law for {n} messages, d={d}", cap)
-    law = np.zeros((n + 1,) * (d - 1))
-    law[(0,) * (d - 1)] = 1.0
+    law = np.zeros(_dense_shape(zeros + ones + room, channel.d, cap))
+    law[(0,) * (channel.d - 1)] = 1.0
     _fold(law, 0, [channel.W0] * zeros + [channel.W1] * ones)
     factor = 1.0 / _fsum(law[law > 0.0])
     law *= factor
@@ -392,10 +396,10 @@ def _pair_blocks(channel: Channel, zeros: int, ones: int, cap: int):
 
     The last message, and no other fold of it, runs over the boxes of
     `_blocks`, yielding (null array, box, [p_null, p_alt, lr]): the box's
-    masses under the two laws (`_fold_block`) and their ratio, NaN on the
-    cells `_drop_rule` drops, formed in the products' spent buffer; all
-    three are scratch that the next block overwrites.  A reader may write
-    the null block into `null[box]`, as `_fold` does.
+    masses under the two laws (`_fold_block`) and their ratio on the cells
+    `_drop_rule` keeps (its readers read no other), formed in the products'
+    spent buffer; all three are scratch that the next block overwrites.  A
+    reader may write the null block into `null[box]`, as `_fold` does.
     """
     W0, W1 = channel.W0, channel.W1
     null = _base_law(channel, zeros, ones, 1, cap)[0]
@@ -403,33 +407,27 @@ def _pair_blocks(channel: Channel, zeros: int, ones: int, cap: int):
     for box in _blocks(null, zeros + ones):
         block = [_fold_block(null, W0, box, null_out, product), _fold_block(null, W1, box, alt_out, product)]
         lr = product[: block[0].size].reshape(block[0].shape)
-        lr.fill(np.nan)
         np.divide(block[1], block[0], out=lr, where=_drop_rule(block)[0])
         yield null, box, block + [lr]
 
 
 def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense null law of the pair at (n, k) and its ratio L = alt / null, the
-    one table read at single histograms; L is NaN on the cells the atoms
-    drop, and the pair is refused as in `_atomize` when its alt mass there
-    is above _MASS_TOL.  At k = 0 a kept cell's ratio is `_affine_lr` at its
-    histogram, the double of its atom, in place of the fold's quotient.
-
-    The null law is completed in place in the array of the base law
-    T_{n-1,k}, and each block's ratio is copied into one more array, so
-    the table holds two dense arrays and no dense alt law.
+    """Dense null law of the pair at (n, k) and its ratio L = alt / null, the one table read at
+    single histograms: two dense arrays, no alt law.  L is NaN on the cells the atoms drop, and
+    the pair is refused as in `_atomize` when its alt mass there is above _MASS_TOL.  After the
+    dense cap check, k = 0 scatters the atoms' cells (`_canonical_cells`) by their histograms
+    (other cells hold mass 0), and k > 0 completes the null law in the array of T_{n-1,k}.
     """
     _check_pair(channel, comp, "pair ratio")
-    ratio = None
-    dropped_alt = []
-    for null, box, block in _pair_blocks(channel, comp.n - 1 - comp.k, comp.k, cap):
-        if ratio is None:
-            ratio = np.full(null.shape, np.nan)
-        null[box], ratio[box] = block[0], block[2]
+    ratio, dropped_alt = np.full(_dense_shape(comp.n, channel.d, cap), np.nan), []
+    if comp.k == 0:
+        null = np.zeros(ratio.shape)
+        blocks = ((null, tuple(c.astype(np.intp) for c in b[3][:-1]), b) for b in _canonical_cells(channel, comp.n, cap))
+    else:
+        blocks = _pair_blocks(channel, comp.n - 1 - comp.k, comp.k, cap)
+    for null, at, block in blocks:
         keep, dropped = _drop_rule(block)
-        if comp.k == 0:
-            grid = np.ogrid[box]
-            np.copyto(ratio[box], _affine_lr(channel, (*grid, comp.n - sum(grid)), comp.n), where=keep)
+        null[at], ratio[at] = block[0], np.where(keep, block[2], np.nan)
         dropped_alt.append(dropped[1])
     _check_dropped_alt(_fsum(np.concatenate(dropped_alt)))
     return null, ratio
@@ -446,14 +444,14 @@ def _check_dropped_alt(dropped_alt: float) -> None:
 def _atomize(n: int, k: int, blocks) -> LrAtomization:
     """The sorted, checked atomization of the cells of `blocks`, in their order.
 
-    Each block is a list [p_null, p_alt, lr] of its cells' masses under the
-    two laws and their ratios.  `_drop_rule` leaves out the cells of null
-    mass below MIN_NULL_MASS, their positive masses summed (`_fsum`); a pair
-    whose dropped alt mass is above _MASS_TOL is refused.  Each array of a
-    block is replaced in the list by its kept cells (a copy, so no scratch
-    view outlives its block), one at a time, and blocks are joined one array
-    at a time, each array's blocks freed once joined.  `_sort_atoms` then owns
-    every array, so the k = 0 pair peaks at its sort, about 40 B a kept cell.
+    Each block is a list [p_null, p_alt, lr, ...] of its cells' masses under
+    the two laws and their ratios (no more is read).  `_drop_rule` leaves out
+    the cells of null mass below MIN_NULL_MASS, their positive masses summed
+    (`_fsum`); a pair whose dropped alt mass is above _MASS_TOL is refused.
+    Each of those arrays is replaced in the list by its kept cells (a copy, so
+    no scratch view outlives its block), one at a time, and blocks are joined
+    one array at a time, each array's blocks freed once joined.  `_sort_atoms`
+    then owns every array, so the k = 0 pair peaks at its sort, about 40 B a kept cell.
     """
     kept, dropped = [], []
     for block in blocks:
@@ -461,7 +459,7 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
         dropped.append(masses)
         for i in range(3):
             block[i] = block[i][keep]
-        kept.append(block)
+        kept.append(block[:3])
     dropped_null, dropped_alt = (_fsum(np.concatenate(masses)) for masses in zip(*dropped))
     del dropped
     _check_dropped_alt(dropped_alt)
@@ -627,16 +625,17 @@ def _spawned_cells(a: int, b: int, lo: int, hi: int) -> int:
     return ramp + (hi + 1 - lo) * max(0, b + 1 - max(a, hi + 1))
 
 
-def _relabelled_w(channel: Channel) -> np.ndarray:
-    """The ratios w = W1/W0 with the symbols relabelled by decreasing W0, as in `_null_levels`."""
-    return score_stats(channel).w[np.argsort(-channel.W0, kind="stable")]
+def _relabelling(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """The k = 0 chain's symbol order, a stable argsort of -W0, and w = W1/W0 in that order."""
+    order = np.argsort(-channel.W0, kind="stable")
+    return order, score_stats(channel).w[order]
 
 
-def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = False):
+def _null_levels(W0: np.ndarray, N: int, cap: int, what: str, log: bool = False):
     """The cells of Mult(N, W0), one symbol at a time, with their conditional binomial masses.
 
-    With the symbols relabelled by decreasing W0, the null law Mult(N, W0)
-    is a product of conditional binomials,
+    With W0 given in the order of `_relabelling` (decreasing), the null law
+    Mult(N, W0) is a product of conditional binomials,
     P(N) = prod_{j=d-1..1} Bin(N_j; N - sum_{i>j} N_i, W0_j / sum_{i<=j} W0_i),
     with N_0 what remains; every share is at most 1/2, so 1 - p does not
     cancel.  Each factor is `_binom_pmf`, vectorized over the cells built so
@@ -657,8 +656,7 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
     of its size is held; `row` still indexes the whole previous level.
     Earlier levels come whole: they hold about window^(d-2) cells at most.
     """
-    order = np.argsort(-channel.W0, kind="stable")
-    d, W0 = channel.d, channel.W0[order]
+    d = W0.size
     ends = [_window_ends(N, float(W0[j])) for j in range(d - 1, 0, -1)]
     share = W0 / np.cumsum(W0)
     lo, hi = ends[0]
@@ -694,31 +692,31 @@ def _null_levels(channel: Channel, N: int, cap: int, what: str, log: bool = Fals
 def _canonical_cells(channel: Channel, n: int, cap: int):
     """The k=0 pair on the cells of `_null_levels`, in their order, as `_atomize` blocks.
 
-    One block [p_null, p_alt, lr] for each block of the last level: null
-    masses, the ratios L(N) = (1/n) sum_y N_y w(y) and p_alt = L p_null.
+    One block [p_null, p_alt, lr, counts] for each block of the last level: null masses, the
+    ratios `_affine_lr` and p_alt = L p_null at the histograms `counts` (counts[y] those of
+    symbol y), which each level gathers from its parent cells' by `row`.
     """
-    d, w = channel.d, _relabelled_w(channel)
-    for j, row, K, rest, mass in _null_levels(channel, n, cap, f"k=0 law for n={n}, d={d}"):
-        lr = (K / n) * w[j]
-        if row is not None:
-            mass, lr = p_null[row] * mass, lr_so_far[row] + lr
+    order, w = _relabelling(channel)
+    p_null, held = None, [None] * channel.d
+    for j, row, K, rest, mass in _null_levels(channel.W0[order], n, cap, f"k=0 law for n={n}, d={channel.d}"):
+        counts = [c if c is None else c[row] for c in held]
+        counts[order[j]], mass = K, mass if row is None else p_null[row] * mass
         if j > 1:
-            p_null, lr_so_far = mass, lr
+            p_null, held = mass, counts
         else:
-            lr = (rest / n) * w[0] + lr
-            yield [mass, lr * mass, lr]
+            counts[order[0]] = rest
+            lr = _affine_lr(counts, n, order, w)
+            yield [mass, lr * mass, lr, counts]
 
 
-def _affine_lr(channel: Channel, counts, n: int) -> np.ndarray:
-    """The k=0 ratio L(N) = (1/n) sum_y N_y w(y) at the histograms `counts`, the one rule
-    for it at single histograms; counts[y] holds the counts of symbol y (rows of a (d, r)
-    array, or open grids that broadcast).  The terms (N_y / n) w(y) are added in the order
-    of `_canonical_cells` (symbols relabelled by decreasing W0, the last first), so each
-    ratio is the double of the atom at its histogram."""
-    order, w = np.argsort(-channel.W0, kind="stable")[::-1], score_stats(channel).w
-    lr = (counts[order[0]] / n) * w[order[0]]
-    for y in order[1:]:
-        lr = lr + (counts[y] / n) * w[y]
+def _affine_lr(counts, n: int, order: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The k=0 ratio L(N) = (1/n) sum_y N_y w(y) at the histograms `counts` (counts[y] those of
+    symbol y: rows of a (d, r) array, or a list of d arrays), with the `_relabelling` (order, w):
+    the package's one k = 0 ratio code, read by the atoms, the sampler and the table.  Its terms
+    (N_y / n) w(y) are added in the chain's order, the symbol of least W0 first."""
+    lr = (counts[order[-1]] / n) * w[-1]
+    for j in range(order.size - 2, -1, -1):
+        lr += (counts[order[j]] / n) * w[j]
     return lr
 
 
@@ -1006,9 +1004,9 @@ def conditional_score(channel: Channel, comp: Composition, histogram, cap: int =
     """Conditional mean score U(N) = L_{n,k}(N) - 1 at one histogram or a batch.
 
     One count vector gives a float; a sequence of them, such as an (r, d)
-    array, gives an array of r scores.  All are read from one `_ratio_table`,
-    the ratio the atoms and the sampler use; at k = 0 each is the double of
-    the atom at its histogram (`_affine_lr`).
+    array, gives an array of r scores.  All are read from one `_ratio_table`;
+    at k = 0 it folds no message (the atoms' chain): each score is its atom's
+    ratio (`_affine_lr`) minus 1, and at k > 0 the fold's quotient minus 1.
 
     Raises:
         ValidationError: a histogram of wrong shape/mass, or null mass below

@@ -27,7 +27,7 @@ from .asymptotics import _ndtr
 from .channels import Channel, _check_eps
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
-from .exact_dist import _affine_lr, _cell_blocks, _check_pair, _ratio_table
+from .exact_dist import _affine_lr, _cell_blocks, _check_pair, _ratio_table, _relabelling
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -251,7 +251,7 @@ def sample_privacy_loss(
         out = lam[tuple(counts[:-1])]
     else:
         with np.errstate(divide="ignore"):
-            out = np.log(_affine_lr(channel, counts, n))
+            out = np.log(_affine_lr(counts, n, *_relabelling(channel)))
     if np.isnan(out).any():
         raise InternalInvariantError("sampled a histogram whose null mass underflowed")
     return out

@@ -36,7 +36,7 @@ from .exact_dist import (
     _check_histogram,
     _check_pair,
     _null_levels,
-    _relabelled_w,
+    _relabelling,
 )
 
 # Coefficients held at once by one array of a d = 2 block (512 KB).
@@ -81,7 +81,9 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     integer [t^m] prod_y (1 + A_y t)^{N_y}, a truncated product of the rows
     C(N_y, j) A_y^j.  One correctly rounded integer division gives the
     ratio: 0.0 for a symbol W1 never sends, the rounded subnormal or 0.0 on
-    underflow, and a ValidationError when it exceeds the double range.
+    underflow, and a ValidationError when it exceeds the double range.  At m = 1 it is the
+    correctly rounded reference of `exact_dist._affine_lr`, the package's k = 0 ratio (the
+    atoms, the sampler and the table), whose rounded sum it differs from by < d + 2 ulps.
     """
     _check_pair(channel, Composition(n, 0), "unbundled ratio")
     m = _check_count("m", m)
@@ -261,13 +263,13 @@ def _mm_cells(channel: Channel, n: int, m: int, cap: int):
     subnormal.  Null masses are carried as logs, so a dropped cell's alt
     mass is exp(log P + log L) even where P or L leaves the double range.
     """
-    d, N, w = channel.d, n * m, _relabelled_w(channel)
+    (order, w), d, N = _relabelling(channel), channel.d, n * m
     tau = float(w[0]) or 1.0
     e = max(0, round(math.log2(n) - math.log2(tau)))
     if d > 2 and e > 1022:  # `_last_two_symbols` steps by 2^-e, which must stay a normal double
         raise ValidationError(f"the m-message ratio at d >= 3 needs w(y_0) = 0 or at least about n 2^-1022, got {tau!r}")
     what = f"k=0 law for n={n}, m={m}, d={d}"
-    levels = _null_levels(channel, N, cap, what, log=True)
+    levels = _null_levels(channel.W0[order], N, cap, what, log=True)
     blocks = _two_symbols(levels, w, tau, e, m) if d == 2 else [_many_symbols(levels, d, w, tau, e, m, cap, what)]
     # tau^m / C(nm, m) = num / den, taken as a mantissa in (1/2, 2) and a power of two, to which 2^(e m) adds
     num, den = tau.as_integer_ratio()

@@ -56,6 +56,7 @@ from shuffledp.exact_dist import (
     _jsd,
     _jsd_kernel,
     _ratio_table,
+    _relabelling,
     _sort_atoms,
     _spawned_cells,
     _stirlerr,
@@ -293,29 +294,104 @@ def _affine_channel(name, d):
     return full_channel(np.random.default_rng(60 + d), d)
 
 
+def _chain_sum(channel, hists, n):
+    """L(N) = (1/n) sum_y N_y w(y) summed as the package's rule states it, apart from
+    `_affine_lr`: symbols by a stable argsort of -W0, the last added first."""
+    order, w = np.argsort(-channel.W0, kind="stable"), score_stats(channel).w
+    lr = (hists[:, order[-1]] / n) * w[order[-1]]
+    for y in order[-2::-1]:
+        lr = lr + (hists[:, y] / n) * w[y]
+    return lr
+
+
 @pytest.mark.parametrize("name, d, n", AFFINE_CASES)
 def test_affine_lr_is_the_chain_sum_on_every_cell(name, d, n):
-    # the one k = 0 rule gives the chain's level-by-level sum bit for bit, at
-    # the histograms of `_canonical_cells` rebuilt apart from the chain
+    # the chain carries each cell's histogram through its levels, and its
+    # ratio there is the one k = 0 rule bit for bit, at the histograms of
+    # `_canonical_cells` rebuilt apart from the chain
     ch = _affine_channel(name, d)
-    lr = np.concatenate([block[2] for block in _canonical_cells(ch, n, DEFAULT_ATOM_CAP)])
+    blocks = list(_canonical_cells(ch, n, DEFAULT_ATOM_CAP))
     hists = _box_cells(ch, n)
-    assert len(hists) == lr.size
-    assert np.array_equal(_affine_lr(ch, hists.T, n).view(np.uint64), lr.view(np.uint64))
+    counts = np.concatenate([np.column_stack(block[3]) for block in blocks])
+    assert np.array_equal(counts, hists)
+    lr = np.concatenate([block[2] for block in blocks])
+    assert np.array_equal(_chain_sum(ch, hists, n).view(np.uint64), lr.view(np.uint64))
+    assert np.array_equal(_affine_lr(hists.T, n, *_relabelling(ch)).view(np.uint64), lr.view(np.uint64))
 
 
 @pytest.mark.parametrize("name, d, n", AFFINE_CASES)
 def test_k0_ratio_table_cells_are_the_atoms(name, d, n):
-    # every kept k = 0 cell of the table is `_affine_lr` of its counts, so a
-    # ratio of the atoms; the cells the drop rule removes stay NaN
+    # the k = 0 table is the atoms' cells: every built cell holds the chain's
+    # null mass bit for bit, every kept cell the ratio `_affine_lr` gives its
+    # counts, so a ratio of the atoms; the cells the drop rule removes stay
+    # NaN, and the cells the chain does not build hold mass 0
     ch = _affine_channel(name, d)
     null, ratio = _ratio_table(ch, Composition(n, 0), DEFAULT_ATOM_CAP)
     kept = ~np.isnan(ratio)
     assert np.array_equal(kept, null >= MIN_NULL_MASS)
     head = np.nonzero(kept)
     counts = np.vstack(head + (n - sum(head),))
-    assert np.array_equal(ratio[kept].view(np.uint64), _affine_lr(ch, counts, n).view(np.uint64))
+    assert np.array_equal(ratio[kept].view(np.uint64), _affine_lr(counts, n, *_relabelling(ch)).view(np.uint64))
     assert np.isin(ratio[kept], lr_atoms(ch, Composition(n, 0)).lr).all()
+    p_null = np.concatenate([block[0] for block in _canonical_cells(ch, n, DEFAULT_ATOM_CAP)])
+    cell = tuple(_box_cells(ch, n).T[:-1])
+    assert np.array_equal(null[cell].view(np.uint64), p_null.view(np.uint64))
+    built = np.zeros(null.shape, dtype=bool)
+    built[cell] = True
+    assert not null[~built].any()
+
+
+def test_k0_conditional_score_reads_no_fold(monkeypatch):
+    # at k = 0 the table is the closed-form chain: no message is folded for
+    # the score or the residual, and each score is its atom's ratio minus 1;
+    # at k = 1 the fold runs
+    def no_fold(*args):
+        raise AssertionError("the k = 0 table folded a message")
+
+    monkeypatch.setattr(exact_dist, "_fold_block", no_fold)
+    for d, n in ((2, 300), (3, 40), (4, 12), (5, 8)):
+        ch = full_channel(np.random.default_rng(80 + d), d)
+        comp = Composition(n, 0)
+        mean = np.floor(mean_histogram(ch, comp)).astype(int)
+        mean[-1] = n - mean[:-1].sum()
+        assert conditional_score(ch, comp, mean.tolist()) == _affine_lr(mean[:, None], n, *_relabelling(ch))[0] - 1.0
+        linearization_residual(ch, comp)
+    with pytest.raises(AssertionError, match="folded"):
+        conditional_score(ch, Composition(n, 1), mean.tolist())
+
+
+def test_k0_ratio_table_refuses_exactly_when_the_atoms_do():
+    # k = 0 pairs on either side of the drop rule's refusal: the cells with a
+    # symbol-1 count hold null mass below MIN_NULL_MASS at W0[1] = 1e-310, and
+    # alt mass about W1[1] there, so W1[1] = 1e-9 sits on the tolerance
+    # (refused at n = 5 and 30 for 1.00000000000005e-9, kept at n = 2)
+    outcomes = set()
+    for tiny, a in ((1e-155, 0.5), (1e-310, 1e-12), (1e-310, 1e-9), (1e-310, 1e-3), (5e-324, 1e-300)):
+        ch = validate_channel([1.0 - tiny, tiny], [1.0 - a, a])
+        for n in (2, 5, 30):
+            said = []
+            for build in (lr_atoms, lambda ch, comp: _ratio_table(ch, comp, DEFAULT_ATOM_CAP)):
+                try:
+                    build(ch, Composition(n, 0))
+                    said.append(None)
+                except ValidationError as exc:
+                    said.append(str(exc))
+            assert said[0] == said[1], (tiny, a, n)
+            outcomes.add(said[0] is None)
+    assert outcomes == {True, False}
+
+
+def test_k0_ratio_table_checks_the_dense_cap_before_any_chain_level(monkeypatch):
+    # the cap that refuses the dense table refuses it before a level is built
+    def no_levels(*args, **kwargs):
+        raise AssertionError("a chain level was built")
+
+    monkeypatch.setattr(exact_dist, "_null_levels", no_levels)
+    ch = full_channel(np.random.default_rng(3), 3)
+    with pytest.raises(EnumerationCapError, match=r"dense histogram law for 200 messages, d=3 has 40401 cells > cap 40400"):
+        _ratio_table(ch, Composition(200, 0), 40400)
+    with pytest.raises(AssertionError, match="chain level"):
+        _ratio_table(ch, Composition(200, 0), 40401)
 
 
 def test_dense_engine_matches_dict_fold_on_null_support_channel():
