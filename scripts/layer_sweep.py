@@ -19,7 +19,8 @@ closed form, k > 0 through the dense pair), `unbundled_lr_atoms` at m
 messages per user, `divergences` of the atoms at (n, k), `_jsd` and
 `kolmogorov_to_gaussian` (null hypothesis, mu of `gdp_mu`) of the k = 0
 atoms, `conditional_score` at the mean histogram rounded down (its last
-count what remains), `privacy_curve` (two-sided, the CLI's default grid)
+count what remains), `linearization_residual` at (n, k) with its default
+window and pi, `privacy_curve` (two-sided, the CLI's default grid)
 and `tradeoff_curve` of the atoms at (n, k) (at d = 2 of randomized
 response at eps0 = 1.1), `sample_privacy_loss` of `reps` alt-law draws
 with seed 7 on `workers` threads, and `chernoff_curve` on 64 eps from 0 to
@@ -119,6 +120,9 @@ CELLS = (
     ("conditional_score", 3, 190, 63, 1, None, None),
     ("conditional_score", 4, 59, 19, 1, None, None),
     ("conditional_score", 2, 20000, 6666, 1, None, None),
+    ("linearization_residual", 3, 190, 0, 1, None, None),
+    ("linearization_residual", 4, 59, 0, 1, None, None),
+    ("linearization_residual", 3, 190, 63, 1, None, None),
     ("privacy_curve", 3, 190, 63, 1, None, None),
     ("privacy_curve", 2, 950000, 0, 1, None, None),
     ("privacy_curve", 3, 1000, 0, 1, None, None, "d3-ties"),
@@ -191,6 +195,9 @@ LAYERS = {
         pkg.kolmogorov_to_gaussian, pkg.lr_atoms(ch, pkg.Composition(n, 0)), pkg.gdp_mu(ch, n).mu, pkg.Hypothesis.NULL
     ),
     "conditional_score": _conditional_score,
+    "linearization_residual": lambda pkg, ch, n, k, m, reps, workers: partial(
+        pkg.linearization_residual, ch, pkg.Composition(n, k)
+    ),
     "privacy_curve": lambda pkg, ch, n, k, m, reps, workers: partial(
         pkg.privacy_curve,
         _curve_atoms(pkg, ch, n, k),

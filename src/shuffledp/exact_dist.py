@@ -204,9 +204,7 @@ def _check_count(name: str, value, minimum: int = 1) -> int:
 def _check_cap(cells: int, what: str, cap: int) -> None:
     """Refuse to enumerate `what`, which has `cells` cells, beyond `cap` cells."""
     if cells > cap:
-        raise EnumerationCapError(
-            f"{what} has {cells} cells > cap {cap}; use montecarlo.sample_privacy_loss instead"
-        )
+        raise EnumerationCapError(f"{what} has {cells} cells > cap {cap}")
 
 
 def _check_histogram(channel: Channel, histogram, total: int) -> tuple[int, ...]:
@@ -384,85 +382,69 @@ def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
         )
 
 
-def _drop_rule(block: list) -> tuple[np.ndarray, list]:
-    """The one drop rule on a block [p_null, p_alt, ...]: the mask of the cells of null mass at
-    least MIN_NULL_MASS, which it keeps, and the positive null and alt masses of the others."""
-    keep = block[0] >= MIN_NULL_MASS
-    return keep, [mass[~keep & (mass > 0.0)] for mass in block[:2]]
+def _kept_cells(blocks, dropped: list | None = None):
+    """The one drop rule over the pair's cells, a stream of blocks [p_null, p_alt, ...], and its refusal.
+
+    Yields (keep, block), keep the mask of the cells of null mass at least MIN_NULL_MASS, the only
+    ratios read.  At the stream's end the others' positive null and alt masses are summed (`_fsum`,
+    into `dropped` if given) and a pair dropping alt mass above _MASS_TOL is refused.  Single
+    histograms are no pair: their reader takes one block (`next`), so no refusal.
+    """
+    masses = []
+    for block in blocks:
+        keep = block[0] >= MIN_NULL_MASS
+        masses.append([mass[~keep & (mass > 0.0)] for mass in block[:2]])
+        yield keep, block
+    sums = [_fsum(np.concatenate(column)) for column in zip(*masses)]
+    if not sums[1] <= _MASS_TOL:
+        raise ValidationError(f"the alt law puts mass {sums[1]!r} (more than {_MASS_TOL}) on cells whose null"
+                              " mass is below the smallest normal double, where no ratio can be computed")
+    if dropped is not None:
+        dropped += sums
 
 
-def _pair_blocks(channel: Channel, zeros: int, ones: int, cap: int):
-    """The pair base + one W0- against base + one W1-message, one block of the last message at a time.
+def _pair_blocks(channel: Channel, null: np.ndarray):
+    """The pair `null` + one W0- against `null` + one W1-message, one block of the last message at a time.
 
-    The last message, and no other fold of it, runs over the boxes of
-    `_blocks`, yielding (null array, box, [p_null, p_alt, lr]): the box's
-    masses under the two laws (`_fold_block`) and their ratio on the cells
-    `_drop_rule` keeps (its readers read no other), formed in the products'
-    spent buffer; all three are scratch that the next block overwrites.  A
-    reader may write the null block into `null[box]`, as `_fold` does.
+    `null` is a `_base_law` array with room for the last message, which alone runs over the boxes
+    of `_blocks`, yielding [p_null, p_alt, lr, box]: the box's masses under the two laws
+    (`_fold_block`) and their quotient, read only where `_kept_cells` keeps, all scratch that the
+    next block overwrites.  A reader may write the null block into `null[box]`, as `_fold` does.
     """
     W0, W1 = channel.W0, channel.W1
-    null = _base_law(channel, zeros, ones, 1, cap)[0]
     null_out, alt_out, product = _block_buffers(null, 3)
-    for box in _blocks(null, zeros + ones):
-        block = [_fold_block(null, W0, box, null_out, product), _fold_block(null, W1, box, alt_out, product)]
-        lr = product[: block[0].size].reshape(block[0].shape)
-        np.divide(block[1], block[0], out=lr, where=_drop_rule(block)[0])
-        yield null, box, block + [lr]
+    for box in _blocks(null, null.shape[0] - 2):
+        p_null, p_alt = _fold_block(null, W0, box, null_out, product), _fold_block(null, W1, box, alt_out, product)
+        with np.errstate(all="ignore"):  # 0/0, x/0 and overflow, on cells no reader reads
+            lr = np.divide(p_alt, p_null, out=product[: p_null.size].reshape(p_null.shape))
+        yield [p_null, p_alt, lr, box]
 
 
 def _ratio_table(channel: Channel, comp: Composition, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense null law of the pair at (n, k) and its ratio L = alt / null, the one table read at
-    single histograms: two dense arrays, no alt law.  L is NaN on the cells the atoms drop, and
-    the pair is refused as in `_atomize` when its alt mass there is above _MASS_TOL.  After the
-    dense cap check, k = 0 scatters the atoms' cells (`_canonical_cells`) by their histograms
-    (other cells hold mass 0), and k > 0 completes the null law in the array of T_{n-1,k}.
-    """
-    _check_pair(channel, comp, "pair ratio")
-    ratio, dropped_alt = np.full(_dense_shape(comp.n, channel.d, cap), np.nan), []
-    if comp.k == 0:
-        null = np.zeros(ratio.shape)
-        blocks = ((null, tuple(c.astype(np.intp) for c in b[3][:-1]), b) for b in _canonical_cells(channel, comp.n, cap))
-    else:
-        blocks = _pair_blocks(channel, comp.n - 1 - comp.k, comp.k, cap)
-    for null, at, block in blocks:
-        keep, dropped = _drop_rule(block)
-        null[at], ratio[at] = block[0], np.where(keep, block[2], np.nan)
-        dropped_alt.append(dropped[1])
-    _check_dropped_alt(_fsum(np.concatenate(dropped_alt)))
+    """Dense null law of a k > 0 pair, checked by its readers (the sampler, the score and the residual),
+    and its ratio L = alt / null: two dense arrays, no alt law.  The null law is completed in the
+    capped array of T_{n-1,k}; L is NaN where `_kept_cells` drops, which refuses as the atoms do."""
+    null = _base_law(channel, comp.n - 1 - comp.k, comp.k, 1, cap)[0]
+    ratio = np.full(null.shape, np.nan)
+    for keep, (p_null, _, lr, box) in _kept_cells(_pair_blocks(channel, null)):
+        null[box], ratio[box] = p_null, np.where(keep, lr, np.nan)
     return null, ratio
-
-
-def _check_dropped_alt(dropped_alt: float) -> None:
-    if not dropped_alt <= _MASS_TOL:
-        raise ValidationError(
-            f"the alt law puts mass {dropped_alt!r} (more than {_MASS_TOL}) on cells whose null"
-            " mass is below the smallest normal double, where no ratio can be computed"
-        )
 
 
 def _atomize(n: int, k: int, blocks) -> LrAtomization:
     """The sorted, checked atomization of the cells of `blocks`, in their order.
 
-    Each block is a list [p_null, p_alt, lr, ...] of its cells' masses under
-    the two laws and their ratios (no more is read).  `_drop_rule` leaves out
-    the cells of null mass below MIN_NULL_MASS, their positive masses summed
-    (`_fsum`); a pair whose dropped alt mass is above _MASS_TOL is refused.
-    Each of those arrays is replaced in the list by its kept cells (a copy, so
-    no scratch view outlives its block), one at a time, and blocks are joined
-    one array at a time, each array's blocks freed once joined.  `_sort_atoms`
-    then owns every array, so the k = 0 pair peaks at its sort, about 40 B a kept cell.
+    Each block is a list [p_null, p_alt, lr, ...] (no more is read), whose cells `_kept_cells`
+    filters, summing the dropped masses.  Each of those arrays is replaced in the list by its kept
+    cells (a copy, so no scratch view outlives its block), one at a time, and blocks are joined one
+    array at a time, each array's blocks freed once joined.  `_sort_atoms` then owns every array,
+    so the k = 0 pair peaks at its sort, about 40 B a kept cell.
     """
     kept, dropped = [], []
-    for block in blocks:
-        keep, masses = _drop_rule(block)
-        dropped.append(masses)
+    for keep, block in _kept_cells(blocks, dropped):
         for i in range(3):
             block[i] = block[i][keep]
         kept.append(block[:3])
-    dropped_null, dropped_alt = (_fsum(np.concatenate(masses)) for masses in zip(*dropped))
-    del dropped
-    _check_dropped_alt(dropped_alt)
     if len(kept) == 1:
         cells = kept.pop()
     else:
@@ -471,7 +453,7 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
         cells = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
     cells.insert(0, cells.pop())  # [lr, p_null, p_alt], in place: the sort owns the list
     lr, p_null, p_alt = _sort_atoms(cells)
-    atoms = LrAtomization(n, k, lr, p_null, p_alt, dropped_null_mass=dropped_null, dropped_alt_mass=dropped_alt)
+    atoms = LrAtomization(n, k, lr, p_null, p_alt, dropped_null_mass=dropped[0], dropped_alt_mass=dropped[1])
     _check_atomization(atoms)
     return atoms
 
@@ -481,8 +463,8 @@ def _fold_atoms(channel: Channel, comp: Composition, cap: int) -> LrAtomization:
     cells enter `_atomize` in descending lexicographic order (reversed C
     order), and the dense law is freed before they are sorted."""
     n, k = comp.n, comp.k
-    blocks = _pair_blocks(channel, n - 1 - k, k, cap)
-    return _atomize(n, k, ([cells.ravel()[::-1] for cells in block] for _, _, block in blocks))
+    blocks = _pair_blocks(channel, _base_law(channel, n - 1 - k, k, 1, cap)[0])
+    return _atomize(n, k, ([cells.ravel()[::-1] for cells in block[:3]] for block in blocks))
 
 
 def lr_atoms(channel: Channel, comp: Composition, cap: int = DEFAULT_ATOM_CAP) -> LrAtomization:
@@ -712,7 +694,7 @@ def _canonical_cells(channel: Channel, n: int, cap: int):
 def _affine_lr(counts, n: int, order: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The k=0 ratio L(N) = (1/n) sum_y N_y w(y) at the histograms `counts` (counts[y] those of
     symbol y: rows of a (d, r) array, or a list of d arrays), with the `_relabelling` (order, w):
-    the package's one k = 0 ratio code, read by the atoms, the sampler and the table.  Its terms
+    the package's one k = 0 ratio code, read by the atoms, the sampler and the score.  Its terms
     (N_y / n) w(y) are added in the chain's order, the symbol of least W0 first."""
     lr = (counts[order[-1]] / n) * w[-1]
     for j in range(order.size - 2, -1, -1):
@@ -1000,13 +982,37 @@ def tradeoff_curve(atoms: LrAtomization) -> TradeoffCurve:
 # conditional score and its linearization
 
 
+def _k0_rows(channel: Channel, n: int, rows: list, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Null masses and ratios of the k = 0 pair at the histograms `rows`, with no law.
+
+    A mass is the product of `_null_levels`' conditional binomials at the row (its table only caches
+    `_stirlerr`): a built cell's bits, else 0.0 (below e^-800).  A ratio is `_affine_lr`, NaN where
+    `_kept_cells` drops the row.  The atoms drop < w_max MIN_NULL_MASS of alt mass a cell on at most
+    (n+1)^(d-1) cells: only where twice that exceeds _MASS_TOL (compared exactly) is the chain
+    built, under `cap`, to refuse as they do.
+    """
+    order, w = _relabelling(channel)
+    if (n + 1) ** (channel.d - 1) > _MASS_TOL / (2.0 * float(w.max()) * MIN_NULL_MASS):
+        for _ in _kept_cells(_canonical_cells(channel, n, cap)):
+            pass
+    counts = np.array(rows, dtype=np.float64).reshape(len(rows), channel.d).T.copy()
+    share = channel.W0[order] / np.cumsum(channel.W0[order])
+    mass, rest = _binom_pmf(counts[order[-1]], n, float(channel.W0[order[-1]])), n - counts[order[-1]]
+    for j in range(channel.d - 2, 0, -1):
+        mass = mass * _binom_pmf(counts[order[j]], rest, float(share[j]))
+        rest = rest - counts[order[j]]
+    lr = _affine_lr(counts, n, order, w)
+    keep = next(_kept_cells([[mass, lr * mass]]))[0]
+    return mass, np.where(keep, lr, np.nan)
+
+
 def conditional_score(channel: Channel, comp: Composition, histogram, cap: int = DEFAULT_ATOM_CAP):
     """Conditional mean score U(N) = L_{n,k}(N) - 1 at one histogram or a batch.
 
     One count vector gives a float; a sequence of them, such as an (r, d)
-    array, gives an array of r scores.  All are read from one `_ratio_table`;
-    at k = 0 it folds no message (the atoms' chain): each score is its atom's
-    ratio (`_affine_lr`) minus 1, and at k > 0 the fold's quotient minus 1.
+    array, gives an array of r scores.  At k = 0 each is `_affine_lr` minus 1
+    (`_k0_rows`, in closed form; `cap` acts only where its refusal bound builds
+    the chain), at k > 0 one `_ratio_table`'s quotient minus 1.
 
     Raises:
         ValidationError: a histogram of wrong shape/mass, or null mass below
@@ -1021,12 +1027,17 @@ def conditional_score(channel: Channel, comp: Composition, histogram, cap: int =
             rows[i] = _check_histogram(channel, row, comp.n)
         except ValidationError as exc:
             raise ValidationError(f"batch row {i}: {exc}") if batch else exc
-    null, ratio = _ratio_table(channel, comp, cap)
-    cell = tuple(np.array(rows, dtype=np.intp).reshape(len(rows), channel.d)[:, :-1].T)
-    score = ratio[cell] - 1.0
+    _check_pair(channel, comp, "pair ratio")
+    if comp.k == 0:
+        p_null, ratio = _k0_rows(channel, comp.n, rows, cap)
+    else:
+        null, ratio = _ratio_table(channel, comp, cap)
+        cell = tuple(np.array(rows, dtype=np.intp).reshape(len(rows), channel.d)[:, :-1].T)
+        p_null, ratio = null[cell], ratio[cell]
+    score = ratio - 1.0
     for i in np.flatnonzero(np.isnan(score))[:1]:
         where = f"batch row {i}: " if batch else ""
-        raise ValidationError(f"{where}histogram {rows[i]} has null mass {float(null[cell][i])!r} below MIN_NULL_MASS")
+        raise ValidationError(f"{where}histogram {rows[i]} has null mass {float(p_null[i])!r} below MIN_NULL_MASS")
     return score if batch else float(score[0])
 
 
@@ -1043,7 +1054,9 @@ def linearization_residual(
     fixed-composition covariance system at pi = k/(n-1) (the appended user's
     point of view; pass pi_convention="k_over_n" for the plain fraction).
     Histograms with ||N - E[N]||_inf beyond window_mult * sqrt(n log n) are
-    skipped and their null mass reported as `outside_mass`.
+    skipped and their null mass reported as `outside_mass`.  The cells are the
+    kept ones of `_ratio_table`, or at k = 0 of the chain (`_canonical_cells`),
+    where the prediction, with s = w - 1, is U(N) exactly: its residual is rounding.
     """
     if comp.n < 2:
         raise ValidationError("linearization needs n >= 2")
@@ -1058,9 +1071,16 @@ def linearization_residual(
     from .simplex_linalg import fisher_constant
 
     s = fisher_constant(channel, pi).s
-    null, ratio = _ratio_table(channel, comp, cap)
-    pos, counts = _descending_cells(~np.isnan(ratio))
-    p_null, U = null.ravel()[pos], ratio.ravel()[pos] - 1.0
+    _check_pair(channel, comp, "pair ratio")
+    if comp.k == 0:
+        blocks = _kept_cells(_canonical_cells(channel, comp.n, cap))
+        cells = [[block[0][keep], block[2][keep], np.column_stack(block[3])[keep]] for keep, block in blocks]
+        p_null, ratio, counts = (np.concatenate(column) for column in zip(*cells))
+    else:
+        null, ratio = _ratio_table(channel, comp, cap)
+        pos, counts = _descending_cells(~np.isnan(ratio))
+        p_null, ratio = null.ravel()[pos], ratio.ravel()[pos]
+    U = ratio - 1.0
     center = mean_histogram(channel, comp)
     dev = counts - center
     half = window_mult * math.sqrt(comp.n * math.log(comp.n))

@@ -83,7 +83,7 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     ratio: 0.0 for a symbol W1 never sends, the rounded subnormal or 0.0 on
     underflow, and a ValidationError when it exceeds the double range.  At m = 1 it is the
     correctly rounded reference of `exact_dist._affine_lr`, the package's k = 0 ratio (the
-    atoms, the sampler and the table), whose rounded sum it differs from by < d + 2 ulps.
+    atoms, the sampler and the score), whose rounded sum it differs from by < d + 2 ulps.
     """
     _check_pair(channel, Composition(n, 0), "unbundled ratio")
     m = _check_count("m", m)

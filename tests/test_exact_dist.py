@@ -55,6 +55,7 @@ from shuffledp.exact_dist import (
     _fsum,
     _jsd,
     _jsd_kernel,
+    _k0_rows,
     _ratio_table,
     _relabelling,
     _sort_atoms,
@@ -112,9 +113,9 @@ def test_enumeration_cap_trips():
         histogram_law(ch, Composition(100, 0), cap=1000)
     # one check, naming the cells it counts: the built k = 0 cells or the dense law
     ch = full_channel(np.random.default_rng(9), 3)
-    with pytest.raises(EnumerationCapError, match=r"k=0 law for n=100, d=3 has \d+ cells > cap 50;"):
+    with pytest.raises(EnumerationCapError, match=r"k=0 law for n=100, d=3 has \d+ cells > cap 50$"):
         lr_atoms(ch, Composition(100, 0), cap=50)
-    with pytest.raises(EnumerationCapError, match="dense histogram law for 100 messages, d=3 has 10201 cells > cap 50;"):
+    with pytest.raises(EnumerationCapError, match="dense histogram law for 100 messages, d=3 has 10201 cells > cap 50$"):
         lr_atoms(ch, Composition(100, 4), cap=50)
 
 
@@ -126,7 +127,7 @@ def test_k0_cap_counts_the_built_cells_not_the_window_box():
     full = lr_atoms(ch, Composition(59, 0))
     for name in ("lr", "p_null", "p_alt"):
         np.testing.assert_array_equal(getattr(capped, name), getattr(full, name))
-    with pytest.raises(EnumerationCapError, match="k=0 law for n=59, d=4 has 37820 cells > cap 37819;"):
+    with pytest.raises(EnumerationCapError, match="k=0 law for n=59, d=4 has 37820 cells > cap 37819$"):
         lr_atoms(ch, Composition(59, 0), cap=37_819)
 
 
@@ -320,25 +321,21 @@ def test_affine_lr_is_the_chain_sum_on_every_cell(name, d, n):
 
 
 @pytest.mark.parametrize("name, d, n", AFFINE_CASES)
-def test_k0_ratio_table_cells_are_the_atoms(name, d, n):
-    # the k = 0 table is the atoms' cells: every built cell holds the chain's
-    # null mass bit for bit, every kept cell the ratio `_affine_lr` gives its
-    # counts, so a ratio of the atoms; the cells the drop rule removes stay
-    # NaN, and the cells the chain does not build hold mass 0
+def test_k0_rows_are_the_chain_cells_bit_for_bit(name, d, n):
+    # the closed-form rows at every histogram the chain builds: its null mass
+    # and ratio bit for bit, NaN exactly where the drop rule drops the cell,
+    # and a score of that ratio minus 1 wherever it keeps it
     ch = _affine_channel(name, d)
-    null, ratio = _ratio_table(ch, Composition(n, 0), DEFAULT_ATOM_CAP)
-    kept = ~np.isnan(ratio)
-    assert np.array_equal(kept, null >= MIN_NULL_MASS)
-    head = np.nonzero(kept)
-    counts = np.vstack(head + (n - sum(head),))
-    assert np.array_equal(ratio[kept].view(np.uint64), _affine_lr(counts, n, *_relabelling(ch)).view(np.uint64))
-    assert np.isin(ratio[kept], lr_atoms(ch, Composition(n, 0)).lr).all()
-    p_null = np.concatenate([block[0] for block in _canonical_cells(ch, n, DEFAULT_ATOM_CAP)])
-    cell = tuple(_box_cells(ch, n).T[:-1])
-    assert np.array_equal(null[cell].view(np.uint64), p_null.view(np.uint64))
-    built = np.zeros(null.shape, dtype=bool)
-    built[cell] = True
-    assert not null[~built].any()
+    blocks = list(_canonical_cells(ch, n, DEFAULT_ATOM_CAP))
+    hists = np.concatenate([np.column_stack(block[3]) for block in blocks]).astype(np.int64)
+    p_null, lr = (np.concatenate([block[i] for block in blocks]) for i in (0, 2))
+    mass, ratio = _k0_rows(ch, n, hists.tolist(), DEFAULT_ATOM_CAP)
+    assert np.array_equal(mass.view(np.uint64), p_null.view(np.uint64))
+    kept = p_null >= MIN_NULL_MASS
+    assert np.array_equal(np.isnan(ratio), ~kept) and (name != "skewed" or not kept.all())
+    assert np.array_equal(ratio[kept].view(np.uint64), lr[kept].view(np.uint64))
+    score = conditional_score(ch, Composition(n, 0), hists[kept])
+    assert np.array_equal(score.view(np.uint64), (lr[kept] - 1.0).view(np.uint64))
 
 
 def test_k0_conditional_score_reads_no_fold(monkeypatch):
@@ -360,38 +357,69 @@ def test_k0_conditional_score_reads_no_fold(monkeypatch):
         conditional_score(ch, Composition(n, 1), mean.tolist())
 
 
-def test_k0_ratio_table_refuses_exactly_when_the_atoms_do():
+def test_k0_score_and_residual_refuse_exactly_when_the_atoms_do(monkeypatch):
     # k = 0 pairs on either side of the drop rule's refusal: the cells with a
     # symbol-1 count hold null mass below MIN_NULL_MASS at W0[1] = 1e-310, and
     # alt mass about W1[1] there, so W1[1] = 1e-9 sits on the tolerance
     # (refused at n = 5 and 30 for 1.00000000000005e-9, kept at n = 2)
+    chains = []
+    real = exact_dist._canonical_cells
+    monkeypatch.setattr(exact_dist, "_canonical_cells", lambda *args: chains.append(args) or real(*args))
     outcomes = set()
     for tiny, a in ((1e-155, 0.5), (1e-310, 1e-12), (1e-310, 1e-9), (1e-310, 1e-3), (5e-324, 1e-300)):
         ch = validate_channel([1.0 - tiny, tiny], [1.0 - a, a])
         for n in (2, 5, 30):
             said = []
-            for build in (lr_atoms, lambda ch, comp: _ratio_table(ch, comp, DEFAULT_ATOM_CAP)):
+            for build in (lr_atoms, lambda ch, comp: conditional_score(ch, comp, (comp.n, 0)), linearization_residual):
                 try:
                     build(ch, Composition(n, 0))
                     said.append(None)
                 except ValidationError as exc:
                     said.append(str(exc))
-            assert said[0] == said[1], (tiny, a, n)
+            assert said[0] == said[1] == said[2], (tiny, a, n)
             outcomes.add(said[0] is None)
     assert outcomes == {True, False}
+    # the score builds the chain only where its bound cannot rule the refusal
+    # out: w_max = 5e154 at W0[1] = 1e-155 keeps 2 w_max MIN_NULL_MASS (n+1)
+    # far below _MASS_TOL, and w_max = 1e298 at W0[1] = 1e-310 does not
+    for tiny, a, built in ((1e-155, 0.5, False), (1e-310, 1e-12, True)):
+        chains.clear()
+        conditional_score(validate_channel([1.0 - tiny, tiny], [1.0 - a, a]), Composition(30, 0), (30, 0))
+        assert bool(chains) == built, tiny
 
 
-def test_k0_ratio_table_checks_the_dense_cap_before_any_chain_level(monkeypatch):
-    # the cap that refuses the dense table refuses it before a level is built
-    def no_levels(*args, **kwargs):
-        raise AssertionError("a chain level was built")
+def test_k0_score_reads_no_law_at_any_n(monkeypatch):
+    # a k = 0 score builds neither the chain nor a dense array: at d = 3,
+    # n = 20000 a dense table would hold 400,040,001 cells, and at d = 5,
+    # n = 10^12 even one chain level would be refused
+    def no_law(*args, **kwargs):
+        raise AssertionError("a law was built")
 
-    monkeypatch.setattr(exact_dist, "_null_levels", no_levels)
+    monkeypatch.setattr(exact_dist, "_null_levels", no_law)
+    monkeypatch.setattr(exact_dist, "_dense_shape", no_law)
+    for d, n in ((3, 20000), (5, 10**12)):
+        ch = full_channel(np.random.default_rng(90 + d), d)
+        comp = Composition(n, 0)
+        mean = np.floor(mean_histogram(ch, comp)).astype(np.int64)
+        mean[-1] = n - mean[:-1].sum()
+        score = conditional_score(ch, comp, mean.tolist())
+        assert math.isfinite(score) and score == _affine_lr(mean[:, None], n, *_relabelling(ch))[0] - 1.0
+    with pytest.raises(AssertionError, match="a law was built"):
+        lr_atoms(ch, Composition(20, 0))
+
+
+def test_ratio_table_checks_the_dense_cap_before_any_fold(monkeypatch):
+    # the k > 0 table is refused by the cap on its dense array before a
+    # message is folded
+    def no_fold(*args):
+        raise AssertionError("a message was folded")
+
+    monkeypatch.setattr(exact_dist, "_fold", no_fold)
     ch = full_channel(np.random.default_rng(3), 3)
-    with pytest.raises(EnumerationCapError, match=r"dense histogram law for 200 messages, d=3 has 40401 cells > cap 40400"):
-        _ratio_table(ch, Composition(200, 0), 40400)
-    with pytest.raises(AssertionError, match="chain level"):
-        _ratio_table(ch, Composition(200, 0), 40401)
+    with pytest.raises(EnumerationCapError, match=r"^dense histogram law for 200 messages, d=3 has 40401 cells > cap 40400$"):
+        _ratio_table(ch, Composition(200, 5), 40400)
+    with pytest.raises(AssertionError, match="folded"):
+        _ratio_table(ch, Composition(200, 5), 40401)
 
 
 def test_dense_engine_matches_dict_fold_on_null_support_channel():
@@ -1506,6 +1534,7 @@ def test_conditional_score_batch_is_bit_identical_to_single_calls():
     # a list of tuples is a batch too, and an empty batch scores nothing
     assert np.array_equal(conditional_score(ch, comp, list(map(tuple, counts.tolist()))), batch)
     assert conditional_score(ch, comp, np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+    assert conditional_score(ch, Composition(12, 0), np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
 def test_conditional_score_validation():

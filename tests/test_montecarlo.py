@@ -375,6 +375,15 @@ def test_sampling_refuses_alt_mass_on_underflowed_cells(hypothesis):
         sample_privacy_loss(ch, Composition(3, 1), hypothesis, SimConfig(seed=0, reps=50))
 
 
+def test_sampler_cap_refusal_does_not_name_the_sampler():
+    # the k > 0 sampler reads the capped dense table, so its refusal cannot
+    # send the caller to the sampler
+    ch = full_channel(np.random.default_rng(3), 3)
+    with pytest.raises(EnumerationCapError) as refused:
+        sample_privacy_loss(ch, Composition(200, 5), Hypothesis.ALT, SimConfig(seed=0, reps=10), cap=40400)
+    assert str(refused.value) == "dense histogram law for 200 messages, d=3 has 40401 cells > cap 40400"
+
+
 def test_sampling_raises_on_a_histogram_missing_from_the_table(monkeypatch):
     from shuffledp import montecarlo
 
@@ -390,11 +399,14 @@ def test_sampling_raises_on_a_histogram_missing_from_the_table(monkeypatch):
         sample_privacy_loss(RR3, Composition(8, 3), Hypothesis.NULL, SimConfig(seed=0, reps=200))
 
 
-@pytest.mark.parametrize("d, n, k", [(2, 60, 20), (3, 30, 11), (4, 14, 5), (3, 190, 70)])
+@pytest.mark.parametrize(
+    "d, n, k", [(2, 60, 20), (3, 30, 11), (4, 14, 5), (3, 190, 70), (2, 60, 0), (3, 30, 0), (4, 14, 0)]
+)
 @pytest.mark.parametrize("hypothesis", list(Hypothesis))
 def test_sampled_losses_are_the_log_of_the_conditional_score(d, n, k, hypothesis):
-    # the sampler's table and conditional_score read the same pair ratio, at
-    # every histogram drawn (the reference sampler recovers the histograms)
+    # the sampler and conditional_score read the same pair ratio, at every
+    # histogram drawn (the reference sampler recovers the histograms): at
+    # k > 0 both from the table, at k = 0 both from `_affine_lr`
     ch = full_channel(np.random.default_rng(200 + d), d)
     comp = Composition(n, k)
     lam = sample_privacy_loss(ch, comp, hypothesis, SimConfig(seed=41, reps=300))
