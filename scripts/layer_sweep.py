@@ -6,6 +6,7 @@ Usage (from the repository root; the change is the package on PYTHONPATH):
     PYTHONPATH=src python3 scripts/layer_sweep.py --parent /path/to/parent/src > sweep.json
     PYTHONPATH=src python3 scripts/layer_sweep.py > sweep.json   # one tree
     PYTHONPATH=src python3 scripts/layer_sweep.py --smallest     # the first cell only
+    PYTHONPATH=src python3 scripts/layer_sweep.py --parent /path/to/parent/src --processes   # start-up only
 
 The parent tree is a checkout of the parent commit (`git worktree add` or
 `git archive`), whose `shuffledp` is imported as the package PARENT (every
@@ -31,7 +32,8 @@ doubles: 168,815 atoms of 485,195 cells at n = 1000).  The `process` cells
 (left out by --smallest) time interpreter start-up, imports and exit: fresh
 interpreters run each of `PROCESSES` with the side's `src` on PYTHONPATH,
 and report wall time, peak RSS (`ru_maxrss`, in MiB as perfbench reports
-it) and stdout.
+it) and stdout; --processes measures only these cells, for a change to
+start-up that needs no in-process cell.
 
 A cell calls each side once to warm up, keeping its output's `digest`,
 then runs the sides in ABBA order (parent, change, change, parent, ...)
@@ -147,6 +149,9 @@ CELLS = (
 PROCESSES = (
     "-c pass",
     "-c 'import shuffledp.cli'",
+    # the CLI and every engine module: the cost of defining the package's records
+    "-c 'import shuffledp.cli, shuffledp.asymptotics, shuffledp.bounds, shuffledp.montecarlo, "
+    "shuffledp.multimessage, shuffledp.simplex_linalg'",
     "-m shuffledp.cli curve --channel {channel} --n 190 --k 63",
     "-m shuffledp.cli report --channel {channel} --n 190",
     "-m shuffledp.cli curve --channel {channel} --n 950000 --engine gdp",
@@ -380,9 +385,9 @@ def process_files(tmp: str) -> dict:
     return files
 
 
-def plan(sides: dict, smallest: bool, tmp: str):
+def plan(sides: dict, smallest: bool, processes: bool, tmp: str):
     """Each cell's fields and each side's round, built one cell at a time."""
-    for layer, d, n, k, m, reps, workers, *fixed in CELLS[:1] if smallest else CELLS:
+    for layer, d, n, k, m, reps, workers, *fixed in () if processes else CELLS[:1] if smallest else CELLS:
         cell = {"layer": layer, "d": d, "n": n, "k": k, "m": m, "reps": reps, "workers": workers}
         if fixed:
             cell["channel"] = fixed[0]
@@ -404,7 +409,9 @@ def plan(sides: dict, smallest: bool, tmp: str):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", metavar="SRC", help="the parent tree's src directory, measured beside the change")
-    ap.add_argument("--smallest", action="store_true", help="measure only the first (smallest) cell")
+    only = ap.add_mutually_exclusive_group()
+    only.add_argument("--smallest", action="store_true", help="measure only the first (smallest) cell")
+    only.add_argument("--processes", action="store_true", help="measure only the `process` cells")
     args = ap.parse_args(argv)
     started = time.perf_counter()
     sides = {"parent": load_parent(args.parent)} if args.parent else {}
@@ -414,7 +421,7 @@ def main(argv=None) -> int:
     if not args.smallest:
         check_scripts(sides)
     with tempfile.TemporaryDirectory() as tmp:
-        for cell, runs in plan(sides, args.smallest, tmp):
+        for cell, runs in plan(sides, args.smallest, args.processes, tmp):
             cell.update(measure(runs))
             out["cells"].append(cell)
             print(json.dumps(cell), file=sys.stderr, flush=True)

@@ -81,6 +81,11 @@ _EXPORTS = {
         "gaussian_tradeoff",
         "jsd_canonical_asymptotic",
         "leading_divergence",
+        "MmComparison",
+        "mm_gdp_compare",
+        "Regime",
+        "RrBoundary",
+        "rr_boundary",
     ),
     "bounds": (
         "ChernoffEvaluation",
@@ -89,22 +94,17 @@ _EXPORTS = {
         "unbundled_hoeffding_delta",
     ),
     "multimessage": (
-        "MmComparison",
         "unbundled_lr",
         "unbundled_lr_atoms",
-        "mm_gdp_compare",
     ),
     "montecarlo": (
         "FrequencyMseReport",
         "Hypothesis",
-        "Regime",
-        "RrBoundary",
         "SimConfig",
         "sample_privacy_loss",
         "kolmogorov_to_gaussian",
         "dkw_radius",
         "rate_exponent",
-        "rr_boundary",
         "frequency_mse",
     ),
 }

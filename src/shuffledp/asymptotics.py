@@ -5,19 +5,20 @@ against N(mu, 1) with mu^2 = I_pi / n (times the message count m when each
 user contributes m independent messages).  This module evaluates that
 Gaussian limit — curve, trade-off, effective mu — and the matching
 divergence expansions whose leading constants are I_pi / n times a
-functional-specific factor.
+functional-specific factor, next to the other closed forms `report` prints:
+the bundled-versus-unbundled comparison of m messages per user and the
+normal-approximation diagnostics of randomized response.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channels import Channel, _check_eps, score_stats
+from .channels import Channel, _check_eps, _Record, score_stats
 from .errors import EnumerationCapError, ValidationError
 from .exact_dist import Composition, _check_count, _check_eps_grid, _jsd, lr_atoms
-from .simplex_linalg import fisher_constant
+from .simplex_linalg import _require_full, fisher_constant
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -42,8 +43,9 @@ class GdpSource(Enum):
     UNBUNDLED = "unbundled"        # m messages per user: mu^2 = m I_pi / n
 
 
-@dataclass(frozen=True)
-class GdpParams:
+class GdpParams(_Record, frozen=True):
+    """Gaussian shift mu of the pair at n users, composition pi and m messages per user, and its recipe."""
+
     mu: float
     n: int
     pi: float
@@ -51,8 +53,7 @@ class GdpParams:
     source: GdpSource
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(_Record, frozen=True):
     """Truncated divergence expansion next to its exact value (if computed).
 
     `terms` are the successive expansion orders; `asymptotic` is their sum,
@@ -64,6 +65,54 @@ class ExpansionReport:
     asymptotic: float
     exact: float | None = None
     residual: float | None = None
+
+
+class RrBoundary(_Record, frozen=True):
+    """Normal-approximation diagnostics of randomized response at (eps0, n).
+
+    a_n = e^{eps0}/n is the boundary parameter separating the regimes;
+    sigma2 and rho3 are the variance and absolute third moment of the
+    centered score, `lyapunov_ratio` the scaled ratio rho3/(sigma^3 sqrt n),
+    and the *_bound fields its closed-form envelopes.
+    """
+
+    eps0: float
+    n: int
+    q: float
+    a_n: float
+    x_plus: float
+    x_minus: float
+    sigma2: float
+    rho3: float
+    lyapunov_ratio: float
+    skew_bound: float
+    lyapunov_bound: float
+    regime: "Regime"
+
+
+class Regime(Enum):
+    SUB_CRITICAL = "sub-critical"
+    CRITICAL = "critical"
+    SUPER_CRITICAL = "super-critical"
+
+
+class MmComparison(_Record, frozen=True):
+    """Bundled versus unbundled Gaussian accounting at message count m.
+
+    Scaled so n drops out: `unbundled_mu2n` is m chi2 and `bundled_mu2n`
+    is (1 + chi2)^m - 1 (the chi-square of the m-fold product channel).
+    `ratio` = bundled/unbundled > 1 strictly for m >= 2 unless the channel
+    is degenerate (chi2 = 0), in which case `degenerate` is set and the
+    ratios take their limiting value 1.
+    """
+
+    m: int
+    chi2: float
+    unbundled_mu2n: float
+    bundled_mu2n: float
+    ratio: float
+    ratio_lower_bound: float
+    degenerate: bool
 
 
 def gdp_mu(channel: Channel, n: int, pi: float = 0.0, m: int = 1) -> GdpParams:
@@ -208,3 +257,91 @@ def leading_divergence(
             raise ValidationError("kind='renyi' needs a finite order >= 1")
         return order * fisher / (2.0 * n)
     raise ValidationError(f"unknown divergence kind {kind!r}")
+
+
+def rr_boundary(
+    eps0: float,
+    n: int,
+    sub_threshold: float = 0.1,
+    super_threshold: float = 10.0,
+) -> RrBoundary:
+    """Score moments and regime classification for randomized response.
+
+    The centered score takes the two values x_plus = e^{eps0} - 1 and
+    x_minus = e^{-eps0} - 1; sigma2 and rho3 are its second and third
+    absolute moments under the input-0 law.  The regime is decided by
+    a_n = e^{eps0}/n against the supplied thresholds.  An eps0 above
+    log(DBL_MAX) ~ 709.78, where e^{eps0} overflows, raises ValidationError.
+    """
+    _check_eps(eps0, "eps0", "rr_boundary")
+    n = _check_count("n", n)
+    if not 0.0 < sub_threshold < super_threshold:
+        raise ValidationError(
+            f"need 0 < sub_threshold < super_threshold, got {sub_threshold!r}, {super_threshold!r}"
+        )
+    e = math.exp(eps0)
+    x = e - 1.0
+    q = 1.0 / (1.0 + e)
+    a_n = e / n
+    try:
+        sigma2 = x**2 / e
+        rho3 = x**3 * (1.0 + e**-2) / (1.0 + e)
+        lyapunov = rho3 / (sigma2**1.5 * math.sqrt(n)) if sigma2 > 0.0 else 0.0
+    except OverflowError:
+        # x^3 is beyond the double range (e above ~5.6e102): the same moments
+        # as products of ratios near 1, so rho3 is inf only where its true
+        # value is, and the ratio rho3 / sigma^3 cancels x^3 in closed form
+        sigma2 = x * (x / e)
+        rho3 = x * (x * (x / (1.0 + e))) * (1.0 + e**-2)
+        lyapunov = (1.0 + e**-2) * (e / (1.0 + e)) * math.sqrt(e / n)
+    if a_n < sub_threshold:
+        regime = Regime.SUB_CRITICAL
+    elif a_n > super_threshold:
+        regime = Regime.SUPER_CRITICAL
+    else:
+        regime = Regime.CRITICAL
+    return RrBoundary(
+        eps0=eps0,
+        n=n,
+        q=q,
+        a_n=a_n,
+        x_plus=x,
+        x_minus=1.0 / e - 1.0,
+        sigma2=sigma2,
+        rho3=rho3,
+        lyapunov_ratio=lyapunov,
+        skew_bound=2.0 * math.exp(eps0 / 2.0),
+        lyapunov_bound=2.0 * math.sqrt(a_n),
+        regime=regime,
+    )
+
+
+def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
+    """Bundled vs unbundled Gaussian parameters at message count m.
+
+    Unbundled: n mu^2 = m chi2.  Bundled (one super-symbol of m messages):
+    n mu^2 = (1 + chi2)^m - 1, by multiplicativity of 1 + chi2 under
+    products (ValidationError, naming the largest m, beyond the double
+    range).  For m >= 2 and chi2 > 0 the ratio strictly exceeds its
+    algebraic lower bound floor 1 + (m-1) chi2 / 2 >= ... >= 1, with
+    equality of bound and ratio at m = 2.
+    """
+    m = _check_count("m", m)
+    _require_full(channel, "bundled comparison")
+    chi2 = score_stats(channel).chi2
+    unbundled = m * chi2
+    try:
+        bundled = (1.0 + chi2) ** m - 1.0
+    except OverflowError:  # log(2^1024) rounds to log(DBL_MAX)
+        largest = int(1024 * math.log(2.0) / math.log(1.0 + chi2))
+        raise ValidationError(f"bundled comparison: (1 + chi2)^m overflows above m = {largest}, got m={m}") from None
+    # a degenerate channel (chi2 = 0) takes the limiting ratio 1
+    return MmComparison(
+        m=m,
+        chi2=chi2,
+        unbundled_mu2n=unbundled,
+        bundled_mu2n=bundled,
+        ratio=bundled / unbundled if chi2 > 0.0 else 1.0,
+        ratio_lower_bound=1.0 + 0.5 * (m - 1) * chi2,
+        degenerate=chi2 == 0.0,
+    )

@@ -10,11 +10,10 @@ A cruder Hoeffding-style bound covers the m-message (unbundled) curve.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _check_eps, score_stats
+from .channels import Channel, _check_eps, _Record, score_stats
 from .exact_dist import PrivacyCurve, Sidedness, _check_count, _check_eps_grid
 
 # The search brackets the minimizer by [0, lam_cap], where lam_cap * max|r| is
@@ -25,8 +24,7 @@ _EXP_ARG_CAP = 700.0
 _LAM_WIDTH = 1e-10
 
 
-@dataclass(frozen=True)
-class ChernoffEvaluation:
+class ChernoffEvaluation(_Record, frozen=True):
     """One optimized Chernoff bound evaluation.
 
     `log_bound` is the raw minimized exponent (kept even when the reported

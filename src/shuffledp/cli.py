@@ -352,9 +352,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    # the m-message engine and the sampler module are imported only in the
-    # branches that call them, so a single-message report loads neither
-    from .asymptotics import gdp_mu, jsd_canonical_asymptotic
+    # every closed form is in asymptotics: no report loads the m-message engine or the sampler module
+    from .asymptotics import gdp_mu, jsd_canonical_asymptotic, mm_gdp_compare, rr_boundary
     from .simplex_linalg import _check_pi, fisher_constant
 
     channel = _load_channel(args.channel)
@@ -389,8 +388,6 @@ def cmd_report(args) -> int:
             "mu_at_pi": gdp_mu(channel, args.n, pi=pi).mu if pi > 0.0 else None,
         }
         if args.m > 1:
-            from .multimessage import mm_gdp_compare
-
             gdp["mu_unbundled"] = gdp_mu(channel, args.n, pi=pi, m=args.m).mu
             gdp["m"] = args.m
             report["multimessage"] = mm_gdp_compare(channel, args.m)
@@ -400,8 +397,6 @@ def cmd_report(args) -> int:
     report["jsd_canonical"] = jsd_canonical_asymptotic(channel, args.n)
     eps0 = _is_rr(channel)
     if eps0 is not None:
-        from .montecarlo import rr_boundary
-
         report["rr_boundary"] = rr_boundary(eps0, args.n)
     print(_strict_json(report, indent=2))
     return 0

@@ -22,11 +22,11 @@ import itertools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
-from .channels import Channel, Support, score_stats
+from .channels import Channel, Support, _Record, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
 
 # Refuse exact enumeration beyond this many dense histogram-law cells.
@@ -49,8 +49,7 @@ _MASS_TOL = 1e-9
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Record, frozen=True):
     """Number of users n and number of ones k in the (fixed) input dataset."""
 
     n: int
@@ -63,8 +62,7 @@ class Composition:
             raise ValidationError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
 
 
-@dataclass
-class HistogramLaw:
+class HistogramLaw(_Record):
     """Exact law of the message histogram, as a dense array.
 
     `mass[h_0, ..., h_{d-2}]` is the mass of the histogram whose last count
@@ -95,8 +93,7 @@ class Sidedness(enum.Enum):
     TWO_SIDED = "two-sided"
 
 
-@dataclass
-class LrAtomization:
+class LrAtomization(_Record):
     """The likelihood-ratio atoms of the pair (T_{n,k}, T_{n,k+1}).
 
     Parallel arrays: `lr` holds the distinct ratio values (sorted
@@ -122,8 +119,7 @@ class LrAtomization:
     dropped_alt_mass: float = 0.0
 
 
-@dataclass
-class PrivacyCurve:
+class PrivacyCurve(_Record):
     """A hockey-stick curve delta(eps) evaluated on a grid."""
 
     eps: np.ndarray
@@ -134,8 +130,7 @@ class PrivacyCurve:
         return _table_to_csv(("epsilon", "delta"), np.column_stack((self.eps, self.delta)), header_lines)
 
 
-@dataclass
-class TradeoffCurve:
+class TradeoffCurve(_Record):
     """Vertices (alpha_i, beta_i) of the optimal-test trade-off polyline.
 
     alpha is the probability of rejecting under the null law, beta the
@@ -156,8 +151,7 @@ class TradeoffCurve:
         return _table_to_csv(("alpha", "beta"), np.column_stack((self.alpha, self.beta)), header_lines)
 
 
-@dataclass
-class DivergenceReport:
+class DivergenceReport(_Record):
     """Divergences of the alt law from the null law, computed from atoms."""
 
     jsd: float
@@ -167,8 +161,7 @@ class DivergenceReport:
     renyi: dict[float, float] = field(default_factory=dict)
 
 
-@dataclass
-class ResidualSummary:
+class ResidualSummary(_Record):
     """How far the conditional score sits from its linear prediction.
 
     Collected over histograms within the window
@@ -382,17 +375,21 @@ def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
         )
 
 
+def _kept(p_null: np.ndarray) -> np.ndarray:
+    """The drop rule: the mask of the cells of null mass at least MIN_NULL_MASS, the only ratios read."""
+    return p_null >= MIN_NULL_MASS
+
+
 def _kept_cells(blocks, dropped: list | None = None):
     """The one drop rule over the pair's cells, a stream of blocks [p_null, p_alt, ...], and its refusal.
 
-    Yields (keep, block), keep the mask of the cells of null mass at least MIN_NULL_MASS, the only
-    ratios read.  At the stream's end the others' positive null and alt masses are summed (`_fsum`,
-    into `dropped` if given) and a pair dropping alt mass above _MASS_TOL is refused.  Single
-    histograms are no pair: their reader takes one block (`next`), so no refusal.
+    Yields (keep, block), keep the mask `_kept` of the block's null masses.  At the stream's end the
+    others' positive null and alt masses are summed (`_fsum`, into `dropped` if given) and a pair
+    dropping alt mass above _MASS_TOL is refused.  Single histograms are no pair: their reader takes one block (`next`), so no refusal.
     """
     masses = []
     for block in blocks:
-        keep = block[0] >= MIN_NULL_MASS
+        keep = _kept(block[0])
         masses.append([mass[~keep & (mass > 0.0)] for mass in block[:2]])
         yield keep, block
     sums = [_fsum(np.concatenate(column)) for column in zip(*masses)]

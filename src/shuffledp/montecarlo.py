@@ -12,19 +12,18 @@ set is O(max(n, 2^16)) words; only the d counts and the value of each draw
 are kept per draw.
 
 On top of the sampler sit empirical/exact Kolmogorov distances to the
-Gaussian limit, log-log rate fitting, the randomized-response boundary
-diagnostics, and the frequency-estimation error study.
+Gaussian limit, log-log rate fitting and the frequency-estimation error
+study.
 """
 
 import enum
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import _ndtr
-from .channels import Channel, _check_eps
+from .channels import Channel, _check_eps, _Record
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
 from .exact_dist import _affine_lr, _cell_blocks, _check_pair, _ratio_table, _relabelling
@@ -49,8 +48,7 @@ class Hypothesis(enum.Enum):
     ALT = "alt"    # T_{n,k+1}
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record, frozen=True):
     """Simulation determinism contract.
 
     Equal (seed, reps) produce bit-identical sample streams; `workers` only
@@ -70,38 +68,7 @@ class SimConfig:
         object.__setattr__(self, "workers", _check_count("workers", self.workers, 1))
 
 
-@dataclass(frozen=True)
-class RrBoundary:
-    """Normal-approximation diagnostics of randomized response at (eps0, n).
-
-    a_n = e^{eps0}/n is the boundary parameter separating the regimes;
-    sigma2 and rho3 are the variance and absolute third moment of the
-    centered score, `lyapunov_ratio` the scaled ratio rho3/(sigma^3 sqrt n),
-    and the *_bound fields its closed-form envelopes.
-    """
-
-    eps0: float
-    n: int
-    q: float
-    a_n: float
-    x_plus: float
-    x_minus: float
-    sigma2: float
-    rho3: float
-    lyapunov_ratio: float
-    skew_bound: float
-    lyapunov_bound: float
-    regime: "Regime"
-
-
-class Regime(enum.Enum):
-    SUB_CRITICAL = "sub-critical"
-    CRITICAL = "critical"
-    SUPER_CRITICAL = "super-critical"
-
-
-@dataclass(frozen=True)
-class FrequencyMseReport:
+class FrequencyMseReport(_Record, frozen=True):
     """Monte Carlo error of the debiased frequency estimator."""
 
     mse_estimate: float
@@ -330,67 +297,6 @@ def rate_exponent(points) -> float:
         raise ValidationError("rate fit needs positive finite n and values")
     slope, _ = np.polyfit(np.log(ns), np.log(vs), 1)
     return float(slope)
-
-
-# ---------------------------------------------------------------------------
-# randomized-response boundary diagnostics
-
-
-def rr_boundary(
-    eps0: float,
-    n: int,
-    sub_threshold: float = 0.1,
-    super_threshold: float = 10.0,
-) -> RrBoundary:
-    """Score moments and regime classification for randomized response.
-
-    The centered score takes the two values x_plus = e^{eps0} - 1 and
-    x_minus = e^{-eps0} - 1; sigma2 and rho3 are its second and third
-    absolute moments under the input-0 law.  The regime is decided by
-    a_n = e^{eps0}/n against the supplied thresholds.  An eps0 above
-    log(DBL_MAX) ~ 709.78, where e^{eps0} overflows, raises ValidationError.
-    """
-    _check_eps(eps0, "eps0", "rr_boundary")
-    n = _check_count("n", n)
-    if not 0.0 < sub_threshold < super_threshold:
-        raise ValidationError(
-            f"need 0 < sub_threshold < super_threshold, got {sub_threshold!r}, {super_threshold!r}"
-        )
-    e = math.exp(eps0)
-    x = e - 1.0
-    q = 1.0 / (1.0 + e)
-    a_n = e / n
-    try:
-        sigma2 = x**2 / e
-        rho3 = x**3 * (1.0 + e**-2) / (1.0 + e)
-        lyapunov = rho3 / (sigma2**1.5 * math.sqrt(n)) if sigma2 > 0.0 else 0.0
-    except OverflowError:
-        # x^3 is beyond the double range (e above ~5.6e102): the same moments
-        # as products of ratios near 1, so rho3 is inf only where its true
-        # value is, and the ratio rho3 / sigma^3 cancels x^3 in closed form
-        sigma2 = x * (x / e)
-        rho3 = x * (x * (x / (1.0 + e))) * (1.0 + e**-2)
-        lyapunov = (1.0 + e**-2) * (e / (1.0 + e)) * math.sqrt(e / n)
-    if a_n < sub_threshold:
-        regime = Regime.SUB_CRITICAL
-    elif a_n > super_threshold:
-        regime = Regime.SUPER_CRITICAL
-    else:
-        regime = Regime.CRITICAL
-    return RrBoundary(
-        eps0=eps0,
-        n=n,
-        q=q,
-        a_n=a_n,
-        x_plus=x,
-        x_minus=1.0 / e - 1.0,
-        sigma2=sigma2,
-        rho3=rho3,
-        lyapunov_ratio=lyapunov,
-        skew_bound=2.0 * math.exp(eps0 / 2.0),
-        lyapunov_bound=2.0 * math.sqrt(a_n),
-        regime=regime,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ rounding at the end.  The atoms take it in floating point on the cells of
 the closed-form k = 0 chain of Mult(nm, W0) (`_mm_cells`).
 Bundling the m messages into one super-symbol instead multiplies
 chi-squares, so the bundled Gaussian parameter dominates the unbundled one;
-`mm_gdp_compare` quantifies the gap.
+`asymptotics.mm_gdp_compare` quantifies the gap.  This module still answers
+to that name and to `MmComparison`, looking them up in `asymptotics` on
+first access (PEP 562 module `__getattr__`), so the m-message atoms load
+neither `asymptotics` nor `simplex_linalg`.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .errors import ValidationError
 from .exact_dist import (
     _LOG2,
     DEFAULT_ATOM_CAP,
-    MIN_NULL_MASS,
     Composition,
     LrAtomization,
     _atomize,
@@ -35,6 +36,7 @@ from .exact_dist import (
     _check_count,
     _check_histogram,
     _check_pair,
+    _kept,
     _null_levels,
     _relabelling,
 )
@@ -46,26 +48,6 @@ _BLOCK_COEFFICIENTS = 1 << 16
 # product between renormalizations: a row at most doubles a coefficient, and
 # 64 mantissas in [1/2, 1) multiply to a normal double.
 _BLOCK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class MmComparison:
-    """Bundled versus unbundled Gaussian accounting at message count m.
-
-    Scaled so n drops out: `unbundled_mu2n` is m chi2 and `bundled_mu2n`
-    is (1 + chi2)^m - 1 (the chi-square of the m-fold product channel).
-    `ratio` = bundled/unbundled > 1 strictly for m >= 2 unless the channel
-    is degenerate (chi2 = 0), in which case `degenerate` is set and the
-    ratios take their limiting value 1.
-    """
-
-    m: int
-    chi2: float
-    unbundled_mu2n: float
-    bundled_mu2n: float
-    ratio: float
-    ratio_lower_bound: float
-    degenerate: bool
 
 
 def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
@@ -280,7 +262,7 @@ def _mm_cells(channel: Channel, n: int, m: int, cap: int):
         F *= scale
         expo += shift + e * m
         p_null = np.exp(log_null)
-        kept = p_null >= MIN_NULL_MASS
+        kept = _kept(p_null)
         lr = np.zeros_like(F)
         lr[kept] = np.ldexp(F[kept], expo[kept].astype(np.intc))
         log_alt = np.log(F, out=np.full_like(F, -np.inf), where=F > 0.0) + expo * _LOG2 + log_null
@@ -306,34 +288,9 @@ def unbundled_lr_atoms(
     return _atomize(n, 0, cells)
 
 
-def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
-    """Bundled vs unbundled Gaussian parameters at message count m.
+def __getattr__(name: str):
+    if name in ("MmComparison", "mm_gdp_compare"):
+        from . import asymptotics
 
-    Unbundled: n mu^2 = m chi2.  Bundled (one super-symbol of m messages):
-    n mu^2 = (1 + chi2)^m - 1, by multiplicativity of 1 + chi2 under
-    products (ValidationError, naming the largest m, beyond the double
-    range).  For m >= 2 and chi2 > 0 the ratio strictly exceeds its
-    algebraic lower bound floor 1 + (m-1) chi2 / 2 >= ... >= 1, with
-    equality of bound and ratio at m = 2.
-    """
-    from .simplex_linalg import _require_full  # here, so the m-message atoms do not load it
-
-    m = _check_count("m", m)
-    _require_full(channel, "bundled comparison")
-    chi2 = score_stats(channel).chi2
-    unbundled = m * chi2
-    try:
-        bundled = (1.0 + chi2) ** m - 1.0
-    except OverflowError:  # log(2^1024) rounds to log(DBL_MAX)
-        largest = int(1024 * math.log(2.0) / math.log(1.0 + chi2))
-        raise ValidationError(f"bundled comparison: (1 + chi2)^m overflows above m = {largest}, got m={m}") from None
-    # a degenerate channel (chi2 = 0) takes the limiting ratio 1
-    return MmComparison(
-        m=m,
-        chi2=chi2,
-        unbundled_mu2n=unbundled,
-        bundled_mu2n=bundled,
-        ratio=bundled / unbundled if chi2 > 0.0 else 1.0,
-        ratio_lower_bound=1.0 + 0.5 * (m - 1) * chi2,
-        degenerate=chi2 == 0.0,
-    )
+        return getattr(asymptotics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,19 +9,16 @@ exactly, and the Sherman-Morrison identity turns it into the solution of
 sigma_pi s = v: no linear solve, no cancellation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channels import Channel, Support
+from .channels import Channel, Support, _Record
 from .errors import ValidationError
 
 # Guard for the Sherman-Morrison denominator 1 - pi(1-pi) I_f.
 _DENOM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FisherReport:
+class FisherReport(_Record, frozen=True):
     """Fisher information of the histogram statistic at composition pi.
 
     Attributes:

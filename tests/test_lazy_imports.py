@@ -149,13 +149,37 @@ def test_single_message_report_loads_no_engine_it_does_not_run(channel_files):
     assert "numpy.ma" not in loaded
 
 
-def test_report_loads_the_m_message_engine_and_the_sampler_module_only_where_it_runs_them(channel_files):
+def test_report_loads_neither_the_m_message_engine_nor_the_sampler_module(channel_files):
+    # rr_boundary (randomized response) and mm_gdp_compare (m >= 2) are closed forms in asymptotics
     rr = _loaded_by_main("report", "--channel", channel_files["rr"], "--n", "200")
-    assert "shuffledp.montecarlo" in rr  # rr_boundary
-    assert "shuffledp.multimessage" not in rr and "shuffledp.bounds" not in rr
     d3 = _loaded_by_main("report", "--channel", channel_files["d3"], "--n", "60", "--m", "2")
-    assert "shuffledp.multimessage" in d3  # mm_gdp_compare
-    assert "shuffledp.montecarlo" not in d3 and "shuffledp.bounds" not in d3
+    for loaded in (rr, d3):
+        for module in ("montecarlo", "multimessage", "bounds"):
+            assert f"shuffledp.{module}" not in loaded
+
+
+def test_m_message_atoms_load_neither_asymptotics_nor_the_fisher_algebra():
+    code = "from shuffledp import unbundled_lr_atoms, rr_channel\nunbundled_lr_atoms(rr_channel(1.1), 30, 2)"
+    loaded = _loaded_after(code)
+    assert "shuffledp.multimessage" in loaded
+    assert "shuffledp.asymptotics" not in loaded and "shuffledp.simplex_linalg" not in loaded
+
+
+def test_the_m_message_module_answers_to_the_bundled_comparison_by_its_old_names():
+    # a lookup by module and name, as a tracer of `multimessage.mm_gdp_compare` makes
+    code = """
+import shuffledp.multimessage as mm
+import shuffledp.asymptotics as asy
+assert mm.mm_gdp_compare is asy.mm_gdp_compare and mm.MmComparison is asy.MmComparison
+try:
+    mm.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown name resolved")
+"""
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
 
 
 def test_gdp_curve_loads_no_other_engine(channel_files, tmp_path):

@@ -177,3 +177,10 @@ def test_layer_sweep_runs_with_one_blas_thread_as_the_jobs_do():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1"]
+
+
+def test_layer_sweep_processes_plans_only_the_process_cells(tmp_path):
+    sweep = _layer_sweep()
+    cells = [cell for cell, _ in sweep.plan({"change": sweep.shuffledp}, False, True, str(tmp_path))]
+    assert [cell["command"] for cell in cells] == [f"python {command}" for command in sweep.PROCESSES]
+    assert any("shuffledp.multimessage" in command for command in sweep.PROCESSES)
