@@ -59,16 +59,12 @@ class _Record:
                 (d for d in (f.default, f.default_factory) if d is not dataclasses.MISSING), inspect.Parameter.empty))
             for f in cls._record_fields
         ])
-        params = cls.__signature__.parameters
-        cls._names, cls._required = frozenset(params), frozenset(n for n, p in params.items() if p.default is p.empty)
         cls.__hash__ = cls._hash if frozen else None
         if frozen:
             cls.__setattr__, cls.__delattr__ = cls._assign, cls._delete
 
     def __init__(self, *args, **kwargs):
-        given = dict(zip(self.__match_args__, args), **kwargs)
-        if len(given) < len(args) + len(kwargs) or not self._required <= given.keys() <= self._names:
-            self.__signature__.bind(*args, **kwargs)  # raises the TypeError of a bad call
+        given = self.__signature__.bind(*args, **kwargs).arguments
         vars(self).update({
             f.name: given[f.name] if f.name in given else f.default_factory() if f.default is dataclasses.MISSING
             else f.default for f in self._record_fields

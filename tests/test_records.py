@@ -187,19 +187,32 @@ def test_post_init_still_validates_and_converts():
     assert channel.W0.dtype.kind == "f" and not channel.W0.flags.writeable
 
 
-# A fresh interpreter with numpy loaded counts the `exec` calls of code
-# compiled from a string (what `@dataclass` runs for each method it builds)
-# while the CLI and every engine module import.
+# A fresh interpreter with numpy loaded counts the record methods defined by
+# code compiled from a string (what `@dataclass` builds for each class) while
+# the CLI and every engine module import.  The methods are counted, not the
+# `exec` calls: from Python 3.13 `dataclasses` runs one `exec` a class even
+# when it generates no method.
 EXEC_PROBE = """
 import sys
 import numpy
 
-execs = []
-sys.addaudithook(lambda event, args: event == "exec" and getattr(args[0], "co_filename", None) == "<string>"
-                 and execs.append(args[0].co_name))
+METHODS = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
+methods = []
+
+def defined(code):
+    for const in code.co_consts:
+        if hasattr(const, "co_consts"):
+            yield const.co_name
+            yield from defined(const)
+
+def hook(event, args):
+    if event == "exec" and getattr(args[0], "co_filename", None) == "<string>":
+        methods.extend(name for name in defined(args[0]) if name in METHODS)
+
+sys.addaudithook(hook)
 import shuffledp.cli, shuffledp.asymptotics, shuffledp.bounds, shuffledp.montecarlo, shuffledp.multimessage
 import shuffledp.simplex_linalg
-print(len(execs), execs[:6])
+print(len(methods), methods[:6])
 """
 
 
