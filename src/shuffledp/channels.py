@@ -47,7 +47,9 @@ class _Record:
     arguments by position or keyword, defaults and `default_factory`, then
     `__post_init__`; `Name(a=..., b=...)`; equality of the field tuples of
     one class; a frozen record hashes its field tuple and refuses assignment
-    and deletion (`FrozenInstanceError`), the others are unhashable.
+    and deletion (`FrozenInstanceError`), the others are unhashable.  In
+    those tuples an array field is keyed by its dtype, shape and bytes, so
+    records holding arrays compare and a frozen one hashes.
     `__signature__` lists the fields, for `inspect` and `help`.
     """
 
@@ -73,7 +75,8 @@ class _Record:
             self.__post_init__()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in self._record_fields)
+        values = (getattr(self, f.name) for f in self._record_fields)
+        return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{f.name}={getattr(self, f.name)!r}' for f in self._record_fields)})"

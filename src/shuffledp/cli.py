@@ -51,6 +51,7 @@ from .exact_dist import (
     _check_count,
     _check_eps_grid,
     _fmt,
+    _pair_pi,
     _table_to_csv,
     lr_atoms,
     privacy_curve,
@@ -284,22 +285,12 @@ def _write_table(args, manifest: list, columns: dict, extra: list | None = None,
             fh.write(text)
 
 
-def _default_pi(n: int, k: int) -> float:
-    """pi = k / (n-1) of the pair (k, k+1), which needs 0 <= k <= n-1."""
-    _check_count("n", n)
-    if not 0 <= k <= n - 1:
-        raise ValidationError(f"the pair (k, k+1) needs k <= n-1; got k={k}, n={n}")
-    return k / (n - 1) if n > 1 else 0.0
-
-
 def _is_rr(channel: Channel) -> float | None:
-    """Return eps0 if the channel is (numerically) a randomized-response
-    channel, else None."""
+    """Return eps0 if the channel, which is not SINGULAR, is (numerically) a
+    randomized-response channel, else None."""
     if channel.d != 2:
         return None
     if abs(channel.W0[0] - channel.W1[1]) > 1e-12 or abs(channel.W0[1] - channel.W1[0]) > 1e-12:
-        return None
-    if channel.W0[0] <= 0.0 or channel.W0[1] <= 0.0:
         return None
     return abs(math.log(channel.W0[0] / channel.W0[1]))
 
@@ -325,7 +316,7 @@ def cmd_curve(args) -> int:
     elif args.engine == "gdp":
         from .asymptotics import gdp_delta, gdp_mu
 
-        params = gdp_mu(channel, args.n, pi=_default_pi(args.n, args.k))
+        params = gdp_mu(channel, args.n, pi=_pair_pi(_check_count("n", args.n), args.k))
         curve = PrivacyCurve(eps, gdp_delta(eps, params.mu), Sidedness.FORWARD)
         extra = [f"gdp-mu: {_fmt(params.mu)}", f"gdp-source: {params.source.value}"]
     elif args.engine == "chernoff":
@@ -360,7 +351,7 @@ def cmd_report(args) -> int:
     _check_count("m", args.m)
     if args.k is not None and args.pi is not None:
         raise ValidationError("give at most one of --k / --pi")
-    pi = _check_pi(args.pi if args.pi is not None else _default_pi(args.n, args.k or 0))
+    pi = _pair_pi(_check_count("n", args.n), args.k or 0) if args.pi is None else _check_pi(args.pi)
     stats = score_stats(channel)
     report: dict = {
         "version": __version__,
@@ -422,7 +413,7 @@ def cmd_simulate(args) -> int:
     manifest = _manifest(args, channel, "channel", "n", "k", "hypothesis", "seed", "reps")
     summary = None
     if args.reps > 0:
-        params = gdp_mu(channel, args.n, pi=_default_pi(args.n, args.k))
+        params = gdp_mu(channel, args.n, pi=_pair_pi(args.n, args.k))
         exp_lam = np.exp(lam)
         summary = {
             "reps": args.reps,

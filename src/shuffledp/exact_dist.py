@@ -365,14 +365,19 @@ def _sort_atoms(atoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(atoms)
 
 
+def _pair_pi(n: int, k: int) -> float:
+    """The pair (k, k+1) of n users: its range 0 <= k <= n-1, refused otherwise, and its
+    composition pi = k/(n-1), the appended user's share of ones among the others (0 at n = 1)."""
+    if not 0 <= k <= n - 1:
+        raise ValidationError(f"the pair (k, k+1) needs k <= n-1; got k={k}, n={n}")
+    return k / (n - 1) if n > 1 else 0.0
+
+
 def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
     """Preconditions of the adjacent pair (T_{n,k}, T_{n,k+1})."""
     if channel.support is Support.SINGULAR:
         raise ValidationError(f"{what} needs min(W0) > 0; channel is SINGULAR")
-    if comp.k > comp.n - 1:
-        raise ValidationError(
-            f"the pair (k, k+1) needs k <= n-1; got k={comp.k}, n={comp.n}"
-        )
+    _pair_pi(comp.n, comp.k)
 
 
 def _kept(p_null: np.ndarray) -> np.ndarray:
@@ -385,7 +390,7 @@ def _kept_cells(blocks, dropped: list | None = None):
 
     Yields (keep, block), keep the mask `_kept` of the block's null masses.  At the stream's end the
     others' positive null and alt masses are summed (`_fsum`, into `dropped` if given) and a pair
-    dropping alt mass above _MASS_TOL is refused.  Single histograms are no pair: their reader takes one block (`next`), so no refusal.
+    dropping alt mass above _MASS_TOL is refused.
     """
     masses = []
     for block in blocks:
@@ -442,12 +447,9 @@ def _atomize(n: int, k: int, blocks) -> LrAtomization:
         for i in range(3):
             block[i] = block[i][keep]
         kept.append(block[:3])
-    if len(kept) == 1:
-        cells = kept.pop()
-    else:
-        columns = list(zip(*kept))
-        del kept
-        cells = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
+    columns = list(zip(*kept))
+    del kept
+    cells = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
     cells.insert(0, cells.pop())  # [lr, p_null, p_alt], in place: the sort owns the list
     lr, p_null, p_alt = _sort_atoms(cells)
     atoms = LrAtomization(n, k, lr, p_null, p_alt, dropped_null_mass=dropped[0], dropped_alt_mass=dropped[1])
@@ -610,6 +612,13 @@ def _relabelling(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
     return order, score_stats(channel).w[order]
 
 
+def _chain_shares(W0: np.ndarray) -> list:
+    """The chain's binomial probabilities for j = d-1, ..., 1, W0 in `_relabelling`'s order: the
+    marginal W0_{d-1}, then W0_j / sum_{i<=j} W0_i (`_null_levels`)."""
+    share = W0 / np.cumsum(W0)
+    return [float(W0[-1])] + [float(share[j]) for j in range(W0.size - 2, 0, -1)]
+
+
 def _null_levels(W0: np.ndarray, N: int, cap: int, what: str, log: bool = False):
     """The cells of Mult(N, W0), one symbol at a time, with their conditional binomial masses.
 
@@ -637,7 +646,7 @@ def _null_levels(W0: np.ndarray, N: int, cap: int, what: str, log: bool = False)
     """
     d = W0.size
     ends = [_window_ends(N, float(W0[j])) for j in range(d - 1, 0, -1)]
-    share = W0 / np.cumsum(W0)
+    shares = _chain_shares(W0)
     lo, hi = ends[0]
     _check_cap(hi + 1 - lo, what, cap)
     if d > 2:
@@ -647,8 +656,8 @@ def _null_levels(W0: np.ndarray, N: int, cap: int, what: str, log: bool = False)
     table = _stirlerr(np.arange(N + 1.0)) if d > 2 else None
     for at in _cell_blocks(K.size) if d == 2 else [slice(None)]:
         rest = N - K[at]
-        yield d - 1, None, K[at], rest, _binom_pmf(K[at], N, float(W0[d - 1]), table, log)
-    for j, (lo, hi) in zip(range(d - 2, 0, -1), ends[1:]):
+        yield d - 1, None, K[at], rest, _binom_pmf(K[at], N, shares[0], table, log)
+    for j, (lo, hi), p in zip(range(d - 2, 0, -1), ends[1:], shares[1:]):
         # each cell so far spawns the window counts that fit in what remains
         lo = float(lo)
         length = np.clip(np.minimum(rest, float(hi)) - lo + 1.0, 0.0, None).astype(np.intp)
@@ -663,7 +672,7 @@ def _null_levels(W0: np.ndarray, N: int, cap: int, what: str, log: bool = False)
             row = np.repeat(np.arange(run.start, run.stop), length[run])
             K = lo + (np.arange(row.size) - np.repeat(np.cumsum(length[run]) - length[run], length[run]))
             rest = parents[row]
-            mass = _binom_pmf(K, rest, float(share[j]), table, log)
+            mass = _binom_pmf(K, rest, p, table, log)
             rest -= K
             yield j, row, K, rest, mass
 
@@ -825,7 +834,9 @@ def privacy_curve(
     eps ~ 709.78 FORWARD is the alt-singular mass.  REVERSE is the null mass
     of the zero ratios above eps ~ 744.44, where no positive double is below
     u, and from eps ~ 708.40, where u is subnormal, holds to about
-    e^eps 2^-1074 of the mass it counts.  Values are clipped into [0, 1].
+    e^eps 2^-1074 of the mass it counts.  Values are clipped into [0, 1].  delta is accurate to
+    a few ulps of S, the alt mass on the atoms above e^eps, not of delta: where delta << S that is
+    many ulps of delta (rr 1.1, n = 3000, k = 0: over 1000 against 60-digit mpmath).
     This is the one place curves are summed: the binomial and m-message
     curves are this function on their atoms.
     """
@@ -836,7 +847,7 @@ def privacy_curve(
         delta = _hockey_stick(atoms, grid, reverse=True)
     elif sidedness is Sidedness.TWO_SIDED:
         delta = np.maximum(_hockey_stick(atoms, grid), _hockey_stick(atoms, grid, reverse=True))
-    else:  # pragma: no cover - exhaustive enum
+    else:  # not a Sidedness, such as its value "forward"
         raise ValidationError(f"unknown sidedness {sidedness!r}")
     return PrivacyCurve(eps=grid, delta=delta, sidedness=sidedness)
 
@@ -982,25 +993,22 @@ def tradeoff_curve(atoms: LrAtomization) -> TradeoffCurve:
 def _k0_rows(channel: Channel, n: int, rows: list, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Null masses and ratios of the k = 0 pair at the histograms `rows`, with no law.
 
-    A mass is the product of `_null_levels`' conditional binomials at the row (its table only caches
-    `_stirlerr`): a built cell's bits, else 0.0 (below e^-800).  A ratio is `_affine_lr`, NaN where
-    `_kept_cells` drops the row.  The atoms drop < w_max MIN_NULL_MASS of alt mass a cell on at most
-    (n+1)^(d-1) cells: only where twice that exceeds _MASS_TOL (compared exactly) is the chain
-    built, under `cap`, to refuse as they do.
+    A mass is the product of `_null_levels`' conditional binomials at the row, with its probabilities
+    `_chain_shares` (its table only caches `_stirlerr`): a built cell's bits, else 0.0 (below
+    e^-800).  A ratio is `_affine_lr`, NaN where the drop rule `_kept` drops the row.  The atoms
+    drop < w_max MIN_NULL_MASS of alt mass a cell on at most (n+1)^(d-1) cells: only where twice
+    that exceeds _MASS_TOL (compared exactly) is the chain built, under `cap`, to refuse as they do.
     """
     order, w = _relabelling(channel)
     if (n + 1) ** (channel.d - 1) > _MASS_TOL / (2.0 * float(w.max()) * MIN_NULL_MASS):
         for _ in _kept_cells(_canonical_cells(channel, n, cap)):
             pass
     counts = np.array(rows, dtype=np.float64).reshape(len(rows), channel.d).T.copy()
-    share = channel.W0[order] / np.cumsum(channel.W0[order])
-    mass, rest = _binom_pmf(counts[order[-1]], n, float(channel.W0[order[-1]])), n - counts[order[-1]]
-    for j in range(channel.d - 2, 0, -1):
-        mass = mass * _binom_pmf(counts[order[j]], rest, float(share[j]))
+    mass, rest = 1.0, n
+    for j, p in zip(range(channel.d - 1, 0, -1), _chain_shares(channel.W0[order])):
+        mass = mass * _binom_pmf(counts[order[j]], rest, p)
         rest = rest - counts[order[j]]
-    lr = _affine_lr(counts, n, order, w)
-    keep = next(_kept_cells([[mass, lr * mass]]))[0]
-    return mass, np.where(keep, lr, np.nan)
+    return mass, np.where(_kept(mass), _affine_lr(counts, n, order, w), np.nan)
 
 
 def conditional_score(channel: Channel, comp: Composition, histogram, cap: int = DEFAULT_ATOM_CAP):
@@ -1042,31 +1050,28 @@ def linearization_residual(
     channel: Channel,
     comp: Composition,
     window_mult: float = 3.0,
-    pi_convention: str = "k_over_n_minus_1",
+    pi: float | None = None,
     cap: int = DEFAULT_ATOM_CAP,
 ) -> ResidualSummary:
     """Residual of U(N) against its linear prediction, over a window.
 
     The prediction is (1/n) s . (N - E[N]) where s solves the
-    fixed-composition covariance system at pi = k/(n-1) (the appended user's
-    point of view; pass pi_convention="k_over_n" for the plain fraction).
+    fixed-composition covariance system at `pi`: by default (None) the
+    pair's pi = k/(n-1), the appended user's point of view; a value in
+    [0, 1], such as the plain fraction k/n, is used as given.
     Histograms with ||N - E[N]||_inf beyond window_mult * sqrt(n log n) are
     skipped and their null mass reported as `outside_mass`.  The cells are the
     kept ones of `_ratio_table`, or at k = 0 of the chain (`_canonical_cells`),
-    where the prediction, with s = w - 1, is U(N) exactly: its residual is rounding.
+    where at the default pi = 0 the prediction, with s = w - 1, is U(N) exactly:
+    its residual is rounding.
     """
     if comp.n < 2:
         raise ValidationError("linearization needs n >= 2")
-    if pi_convention == "k_over_n_minus_1":
-        pi = comp.k / (comp.n - 1)
-    elif pi_convention == "k_over_n":
-        pi = comp.k / comp.n
-    else:
-        raise ValidationError(f"unknown pi convention {pi_convention!r}")
+    from .simplex_linalg import _check_pi, fisher_constant
+
+    pi = _pair_pi(comp.n, comp.k) if pi is None else _check_pi(pi)
     if not (window_mult > 0.0):
         raise ValidationError(f"window_mult must be positive, got {window_mult!r}")
-    from .simplex_linalg import fisher_constant
-
     s = fisher_constant(channel, pi).s
     _check_pair(channel, comp, "pair ratio")
     if comp.k == 0:

@@ -145,8 +145,6 @@ def _last_two_symbols(A, eA, rest, row, K, w1: float, w0: float, tau: float, e: 
     power of two.  Each cell then costs one (m + 1)-term sum.
     """
     F, expo = np.zeros(K.size), np.empty(K.size, dtype=np.int64)
-    if K.size == 0:
-        return F, expo
     m, lo, c = A.shape[0] - 1, int(K[0]), 2.0**-e if w0 else 0.0
     hi_start, eE = _coefficients(np.arange(lo, K.max() + 1.0), w1, tau, m, e)
     lo_start = np.zeros_like(hi_start)
@@ -223,7 +221,7 @@ def _many_symbols(levels, d: int, w: np.ndarray, tau: float, e: int, m: int, cap
         rest = level_rest
     row, K, log_last = (np.concatenate(column) for column in zip(*((row, K, mass) for _, row, K, _, mass in levels)))
     log_last += log_null[row]
-    _check_cap((m + 1) * (int(K.max() - K[0]) + 1 if K.size else 0), what + " coefficients", cap)
+    _check_cap((m + 1) * (int(K.max() - K[0]) + 1), what + " coefficients", cap)
     return log_last, *_last_two_symbols(A, eA, rest, row, K, float(w[1]), float(w[0]), tau, e)
 
 
@@ -280,7 +278,8 @@ def unbundled_lr_atoms(
     `unbundled_lr` from `_mm_cells` at m >= 2; either streams its blocks
     into `_atomize`.  `cap` bounds the windowed cells of each level and, at
     d >= 3, the m + 1 coefficients held for each prefix cell and each count
-    of the last window.
+    of the last window.  At d >= 3 the last level is joined whole (`_many_symbols`):
+    about 109 B a built cell (d = 3, n = 100, m = 4), pinned below 120 B.
     """
     _check_pair(channel, Composition(n, 0), "unbundled atoms")
     m = _check_count("m", m)

@@ -72,6 +72,11 @@ def test_validate_rejects_negative_and_nonfinite():
         validate_channel([math.nan, 1.0], [0.5, 0.5])
 
 
+def test_validate_rejects_a_2d_array():
+    with pytest.raises(ValidationError, match="W0 must be a 1-d probability vector"):
+        validate_channel([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
+
+
 def test_validate_rejects_short_or_mismatched():
     with pytest.raises(ValidationError):
         validate_channel([1.0], [1.0])

@@ -58,6 +58,22 @@ def test_parse_eps_grid_rejects(spec):
         parse_eps_grid(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("log:a:1:3", "bad grid spec 'log:a:1:3'"),
+        ("lin:0:1:2.5", "bad grid spec 'lin:0:1:2.5'"),
+        ("lin:2:1:3", "grid needs count >= 0 and lo <= hi, got 'lin:2:1:3'"),
+        ("log:1:2:-1", "grid needs count >= 0 and lo <= hi, got 'log:1:2:-1'"),
+    ],
+)
+def test_parse_eps_grid_names_a_bad_bound_or_count(spec, message):
+    from shuffledp import ValidationError
+
+    with pytest.raises(ValidationError, match=message):
+        parse_eps_grid(spec)
+
+
 # ---------------------------------------------------------------------------
 # curve
 
@@ -491,6 +507,13 @@ def test_simulate_zero_reps(rr3_file, capsys):
     out = capsys.readouterr().out
     assert out.rstrip().endswith("lambda")
     assert "summary" not in out
+
+
+def test_simulate_one_rep_has_no_standard_error(rr3_file, capsys):
+    assert main(["simulate", "--channel", rr3_file, "--n", "10", "--reps", "1", "--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["reps"] == 1 and summary["se_exp_lambda"] is None
+    assert math.isfinite(summary["mean_exp_lambda"])
 
 
 def test_simulate_stamp_adds_metadata(rr3_file, tmp_path):

@@ -1219,6 +1219,12 @@ def test_curve_rejects_bad_grid():
         privacy_curve(atoms, [])
 
 
+def test_curve_refuses_a_sidedness_that_is_not_a_sidedness():
+    atoms = lr_atoms(RR3, Composition(2, 0))
+    with pytest.raises(ValidationError, match="unknown sidedness 'forward'"):
+        privacy_curve(atoms, [0.5], "forward")
+
+
 def test_binomial_curve_matches_exact_enumeration():
     # at n=600 the generic enumeration drops underflowed cells
     ch = full_channel(np.random.default_rng(31), 2)
@@ -1573,8 +1579,9 @@ def test_linearization_residual_shrinks():
 def test_linearization_residual_validation():
     with pytest.raises(ValidationError, match="n >= 2"):
         linearization_residual(RR3, Composition(1, 0))
-    with pytest.raises(ValidationError, match="convention"):
-        linearization_residual(RR3, Composition(8, 4), pi_convention="half")
+    for pi in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValidationError, match=r"pi must lie in \[0, 1\]"):
+            linearization_residual(RR3, Composition(8, 4), pi=pi)
     with pytest.raises(ValidationError, match="window"):
         # k=3 keeps the mean histogram off the integer lattice, so a tiny
         # window really is empty (at k=4 the mean (4,4) is itself an atom)
@@ -1584,11 +1591,11 @@ def test_linearization_residual_validation():
             linearization_residual(RR3, Composition(8, 4), window_mult=window_mult)
 
 
-def test_linearization_pi_conventions_differ():
-    a = linearization_residual(RR3, Composition(9, 4), pi_convention="k_over_n_minus_1")
-    b = linearization_residual(RR3, Composition(9, 4), pi_convention="k_over_n")
-    assert a.pi == pytest.approx(0.5)
-    assert b.pi == pytest.approx(4 / 9)
+def test_linearization_pi_defaults_to_the_pairs_and_takes_a_value():
+    a = linearization_residual(RR3, Composition(9, 4))
+    b = linearization_residual(RR3, Composition(9, 4), pi=4 / 9)
+    assert a.pi == 0.5 and a == linearization_residual(RR3, Composition(9, 4), pi=0.5)
+    assert b.pi == 4 / 9 and b != a
 
 
 # ---------------------------------------------------------------------------
@@ -1602,6 +1609,14 @@ def test_curve_csv_round_trip():
     assert cols == ["epsilon", "delta"]
     np.testing.assert_array_equal(vals[:, 0], curve.eps)
     np.testing.assert_array_equal(vals[:, 1], curve.delta)
+
+
+def test_tradeoff_csv_round_trip():
+    curve = tradeoff_curve(lr_atoms(RR3, Composition(4, 1)))
+    cols, vals = parse_csv(curve.to_csv(header_lines=("# a comment",)))
+    assert cols == ["alpha", "beta"]
+    np.testing.assert_array_equal(vals[:, 0], curve.alpha)
+    np.testing.assert_array_equal(vals[:, 1], curve.beta)
 
 
 def test_law_csv_round_trip():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -27,6 +28,7 @@ from shuffledp import (
     kolmogorov_to_gaussian,
     lr_atoms,
     rate_exponent,
+    reverse_atomization,
     rr_boundary,
     rr_channel,
     sample_privacy_loss,
@@ -414,6 +416,19 @@ def test_sampled_losses_are_the_log_of_the_conditional_score(d, n, k, hypothesis
     scores = conditional_score(ch, comp, hists)
     eps = np.finfo(np.float64).eps
     np.testing.assert_allclose(lam, np.log1p(scores), rtol=4 * eps, atol=4 * eps)
+
+
+def test_kolmogorov_alt_puts_the_singular_mass_at_infinity():
+    # the reversed NULL_SUPPORT pair: its alt law is Bin(6, 1/2) on the count N_1 of symbol 1, with
+    # ratio 3 / N_1, and the all-zeros histogram (N_1 = 0) is alt-singular, at ratio +inf
+    rev = reverse_atomization(lr_atoms(validate_channel([0.5, 0.5], [0.0, 1.0]), Composition(6, 0)))
+    assert rev.alt_singular_mass == pytest.approx(1 / 64, rel=1e-12)
+    mu, gauss = 0.8, NormalDist().cdf
+    cdf = list(itertools.accumulate(math.comb(6, j) / 64 for j in range(6, -1, -1)))
+    t = [(math.log(3 / j) - mu * mu / 2) / mu for j in range(6, 0, -1)] + [math.inf]
+    expected = max(max(abs(c - gauss(x)), abs(before - gauss(x))) for c, before, x in zip(cdf, [0.0] + cdf, t))
+    assert expected >= 1 / 64
+    assert kolmogorov_to_gaussian(rev, mu, Hypothesis.ALT) == pytest.approx(expected, rel=1e-12)
 
 
 def test_kolmogorov_exact_atoms_oracle():

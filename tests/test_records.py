@@ -1,8 +1,8 @@
 """The package's records keep the contract `@dataclass` gave them, built with no generated code.
 
 Every record derives from `channels._Record`.  Each test below runs on all
-of them, with field values chosen so that equality and hashing are defined
-(one-element arrays where a record converts its fields to arrays).
+of them.  Array fields compare and hash by their dtype, shape and bytes, so
+records holding arrays compare and frozen ones hash, unlike `@dataclass`'s.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shuffledp
@@ -21,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # name: (fields in order, a record's field values, one field changed: (field, value))
 RECORDS = {
-    "Channel": (("d", "W0", "W1", "support"), (1, [0.5], [0.25], Support.FULL), ("d", 2)),
+    "Channel": (("d", "W0", "W1", "support"), (2, [0.5, 0.5], [0.25, 0.75], Support.FULL), ("d", 3)),
     "ScoreStats": (
         ("w", "r", "v", "chi2", "mu3", "w_max", "delta_star", "delta_full"),
         (1.5, 0.5, 0.25, 0.125, 0.0625, 1.5, 0.5, 0.25),
@@ -113,11 +114,7 @@ def test_equality_hash_and_repr(name):
     assert record != changed and not record == changed
     assert record.__eq__(tuple(values)) is NotImplemented and record != tuple(values)
     if name in FROZEN:
-        if name == "Channel":  # its fields are arrays, which do not hash
-            with pytest.raises(TypeError, match="unhashable"):
-                hash(record)
-        else:
-            assert hash(record) == hash(cls(*values)) == hash(tuple(getattr(record, n) for n in names))
+        assert hash(record) == hash(cls(*values))
     else:
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
@@ -169,6 +166,19 @@ def test_signature_lists_the_fields_and_their_defaults(name):
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params.values())
     # a written docstring: `@dataclass` made one from the signature for a class without
     assert cls.__doc__ and not cls.__doc__.startswith(f"{name}(")
+
+
+def test_records_holding_arrays_compare_and_hash_by_dtype_shape_and_bytes():
+    a, b = shuffledp.rr_channel(1.0), shuffledp.rr_channel(1.0)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != shuffledp.rr_channel(1.1)
+    mass = np.array([0.25, 0.25, 0.5, 0.0])
+    law = shuffledp.HistogramLaw(3, 2, mass)
+    assert law == shuffledp.HistogramLaw(3, 2, mass.copy())
+    assert law != shuffledp.HistogramLaw(3, 2, mass.reshape(2, 2))  # same bytes, another shape
+    assert law != shuffledp.HistogramLaw(3, 2, mass.astype(np.float32))
+    assert law != shuffledp.HistogramLaw(3, 2, mass.view(np.int64))  # same bytes, another dtype
 
 
 def test_default_factory_gives_each_record_its_own_value():
