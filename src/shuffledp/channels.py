@@ -48,8 +48,9 @@ class _Record:
     `__post_init__`; `Name(a=..., b=...)`; equality of the field tuples of
     one class; a frozen record hashes its field tuple and refuses assignment
     and deletion (`FrozenInstanceError`), the others are unhashable.  In
-    those tuples an array field is keyed by its dtype, shape and bytes, so
-    records holding arrays compare and a frozen one hashes.
+    those tuples an array field is keyed by its dtype, shape and bytes (so
+    NaN equals NaN and -0.0 differs from 0.0 there), and a frozen record
+    holds read-only views of its arrays, so its hash cannot change.
     `__signature__` lists the fields, for `inspect` and `help`.
     """
 
@@ -73,6 +74,10 @@ class _Record:
         })
         if hasattr(self, "__post_init__"):
             self.__post_init__()
+        if self.__hash__ is not None:  # read-only views keep a frozen record's hash fixed
+            for name in (f.name for f in self._record_fields if isinstance(getattr(self, f.name), np.ndarray)):
+                vars(self)[name] = getattr(self, name).view()
+                vars(self)[name].setflags(write=False)
 
     def _values(self) -> tuple:
         values = (getattr(self, f.name) for f in self._record_fields)
@@ -126,9 +131,7 @@ class Channel(_Record, frozen=True):
 
     def __post_init__(self):
         for name in ("W0", "W1"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
 
     @property
     def delta_star(self) -> float:
@@ -174,9 +177,7 @@ def _check_prob_vector(vec, name: str) -> np.ndarray:
         raise ValidationError(f"{name}[{bad}] = {arr[bad]!r} is negative")
     total = float(arr.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(
-            f"{name} sums to {total!r}; outside tolerance {PROB_SUM_TOL} of 1"
-        )
+        raise ValidationError(f"{name} sums to {total!r}; outside tolerance {PROB_SUM_TOL} of 1")
     return arr / total
 
 
@@ -201,9 +202,7 @@ def validate_channel(W0, W1) -> Channel:
     a0 = _check_prob_vector(W0, "W0")
     a1 = _check_prob_vector(W1, "W1")
     if a0.size != a1.size:
-        raise ValidationError(
-            f"alphabet mismatch: len(W0)={a0.size} but len(W1)={a1.size}"
-        )
+        raise ValidationError(f"alphabet mismatch: len(W0)={a0.size} but len(W1)={a1.size}")
     if a0.min() == 0.0:
         support = Support.SINGULAR
     elif a1.min() == 0.0:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -49,28 +50,19 @@ def test_parse_eps_grid_lin_and_list():
 
 
 @pytest.mark.parametrize(
-    "spec", ["log:0:1:5", "log:1:2", "log:1:2:0", "lin:-1:1:3", "", "a,b", "1,-2"]
-)
-def test_parse_eps_grid_rejects(spec):
-    from shuffledp import ValidationError
-
-    with pytest.raises(ValidationError):
-        parse_eps_grid(spec)
-
-
-@pytest.mark.parametrize(
     "spec, message",
     [
+        *((spec, None) for spec in ["log:0:1:5", "log:1:2", "log:1:2:0", "lin:-1:1:3", "", "a,b", "1,-2"]),
         ("log:a:1:3", "bad grid spec 'log:a:1:3'"),
         ("lin:0:1:2.5", "bad grid spec 'lin:0:1:2.5'"),
         ("lin:2:1:3", "grid needs count >= 0 and lo <= hi, got 'lin:2:1:3'"),
         ("log:1:2:-1", "grid needs count >= 0 and lo <= hi, got 'log:1:2:-1'"),
     ],
 )
-def test_parse_eps_grid_names_a_bad_bound_or_count(spec, message):
+def test_parse_eps_grid_rejects(spec, message):
     from shuffledp import ValidationError
 
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=message and re.escape(message)):
         parse_eps_grid(spec)
 
 

@@ -114,7 +114,10 @@ def test_equality_hash_and_repr(name):
     assert record != changed and not record == changed
     assert record.__eq__(tuple(values)) is NotImplemented and record != tuple(values)
     if name in FROZEN:
-        assert hash(record) == hash(cls(*values))
+        key = tuple(getattr(record, n) for n in names)
+        if name == "Channel":  # an array field hashes as its dtype, shape and bytes
+            key = (2, *((a.dtype.str, a.shape, a.tobytes()) for a in (record.W0, record.W1)), Support.FULL)
+        assert hash(record) == hash(cls(*values)) == hash(key)
     else:
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
@@ -179,6 +182,17 @@ def test_records_holding_arrays_compare_and_hash_by_dtype_shape_and_bytes():
     assert law != shuffledp.HistogramLaw(3, 2, mass.reshape(2, 2))  # same bytes, another shape
     assert law != shuffledp.HistogramLaw(3, 2, mass.astype(np.float32))
     assert law != shuffledp.HistogramLaw(3, 2, mass.view(np.int64))  # same bytes, another dtype
+
+
+def test_frozen_records_hold_read_only_views_of_their_arrays():
+    w = np.array([0.5, 2.0])
+    stats = shuffledp.ScoreStats(w, w - 1.0, w, 1.0, 1.0, 2.0, 0.5, 0.5)
+    assert w.flags.writeable and not any(a.flags.writeable for a in (stats.w, stats.r, stats.v))
+    with pytest.raises(ValueError, match="read-only"):
+        stats.w[0] = 1.0
+    report = shuffledp.fisher_constant(shuffledp.rr_channel(1.0), 0.5)
+    assert not any(a.flags.writeable for a in (report.f, report.v, report.sigma, report.s))
+    assert shuffledp.HistogramLaw(3, 2, w).mass.flags.writeable  # a record that does not hash keeps them writable
 
 
 def test_default_factory_gives_each_record_its_own_value():
