@@ -144,8 +144,9 @@ CELLS = (
 ) + tuple(("sample_privacy_loss", 4, 30, 0, 1, 100_000, workers) for workers in (1, 2))
 
 # the `process` cells' interpreter arguments: {channel} is the d = 3 channel
-# file, {rr} that of randomized response at eps0 = 1.1 and {scripts} the
-# scripts directory beside the side's package (src/shuffledp/../../scripts)
+# file, {rr} that of randomized response at eps0 = 1.1, {svg} a chart file
+# and {scripts} the scripts directory beside the side's package
+# (src/shuffledp/../../scripts)
 PROCESSES = (
     "-c pass",
     "-c 'import shuffledp.cli'",
@@ -160,6 +161,9 @@ PROCESSES = (
     "-m shuffledp.cli simulate --channel {channel} --n 190 --k 63 --reps 10000 --workers 1 --format json",
     "-m shuffledp.cli report --channel {rr} --n 950000 --m 2",
     "-m shuffledp.cli curve --channel {rr} --n 500000 --engine chernoff",
+    # the large-n workload's binomial job, which every cycle runs
+    "-m shuffledp.cli curve --channel {rr} --n 950000 --engine binomial --eps log:1e-3:3:256",
+    "-m shuffledp.cli curve --channel {rr} --n 1000 --svg {svg}",
     "{scripts}/gdp_rate_study.py --n 110000,300000,950000",
 )
 
@@ -376,12 +380,13 @@ def measure(runs: dict) -> dict:
 
 
 def process_files(tmp: str) -> dict:
-    """The `PROCESSES` channel placeholders, with the channel files written into `tmp`."""
+    """The `PROCESSES` file placeholders, with the channel files written into `tmp`."""
     files = {"channel": channel(shuffledp, 3), "rr": shuffledp.rr_channel(1.1)}
     for name, ch in files.items():
         files[name] = os.path.join(tmp, f"{name}.json")
         with open(files[name], "w") as f:
             f.write(shuffledp.channel_to_json(ch))
+    files["svg"] = os.path.join(tmp, "curve.svg")
     return files
 
 

@@ -51,26 +51,30 @@ _EXPORTS = {
     ),
     "exact_dist": (
         "Composition",
-        "HistogramLaw",
         "LrAtomization",
         "PrivacyCurve",
-        "TradeoffCurve",
-        "DivergenceReport",
-        "ResidualSummary",
         "Sidedness",
-        "histogram_law",
-        "mean_histogram",
         "lr_atoms",
         "binomial_lr_atoms",
         "binomial_curve",
-        "reverse_atomization",
         "privacy_curve",
+        "parse_csv",
+    ),
+    "fold": (
+        "HistogramLaw",
+        "histogram_law",
+        "mean_histogram",
+        "law_to_csv",
+    ),
+    "diagnostics": (
+        "TradeoffCurve",
+        "DivergenceReport",
+        "ResidualSummary",
+        "reverse_atomization",
         "tradeoff_curve",
         "divergences",
         "conditional_score",
         "linearization_residual",
-        "law_to_csv",
-        "parse_csv",
     ),
     "asymptotics": (
         "ExpansionReport",

@@ -26,7 +26,8 @@ from .asymptotics import _ndtr
 from .channels import Channel, _check_eps, _Record
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
-from .exact_dist import _affine_lr, _cell_blocks, _check_pair, _ratio_table, _relabelling
+from .exact_dist import _affine_lr, _cell_blocks, _check_pair, _relabelling
+from .fold import _ratio_table
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -171,7 +172,7 @@ def sample_privacy_loss(
     `exact_dist._affine_lr` over all draws' counts at once, the atoms' own
     sum, so every value is the log of an atom's ratio; the sum is
     elementwise, so no blocking or worker count changes a bit.  Otherwise it
-    is the log, taken in place, of the ratio table `exact_dist._ratio_table`
+    is the log, taken in place, of the ratio table `fold._ratio_table`
     (it inherits the enumeration cap and refuses, with the atoms'
     ValidationError, a pair whose alt mass on cells with no ratio is above
     their tolerance).  A NaN value, a draw on the table's NaN cells, raises

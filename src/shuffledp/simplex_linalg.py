@@ -9,6 +9,8 @@ exactly, and the Sherman-Morrison identity turns it into the solution of
 sigma_pi s = v: no linear solve, no cancellation.
 """
 
+import numbers
+
 import numpy as np
 
 from .channels import Channel, Support, _Record
@@ -50,8 +52,8 @@ def _require_full(channel: Channel, op: str) -> None:
 
 
 def _check_pi(pi: float) -> float:
-    pi = float(pi)
-    if not (0.0 <= pi <= 1.0):
+    """pi must be a real number in [0, 1] (NaN fails); returns it as a float."""
+    if not (isinstance(pi, numbers.Real) and 0.0 <= (pi := float(pi)) <= 1.0):
         raise ValidationError(f"pi must lie in [0, 1], got {pi!r}")
     return pi
 

@@ -206,6 +206,8 @@ def test_gdp_mu_validation():
         gdp_mu(RR3, 0)
     with pytest.raises(ValidationError):
         gdp_mu(RR3, 10, m=0)
+    with pytest.raises(ValidationError, match=r"pi must lie in \[0, 1\], got 'x'"):
+        gdp_mu(RR3, 100, pi="x")
 
 
 def test_jsd_expansion_rr3_n10():

@@ -18,8 +18,8 @@ from shuffledp.cli import (
     channel_fingerprint,
     main,
     parse_eps_grid,
-    svg_line_chart,
 )
+from shuffledp.svg import svg_line_chart
 from conftest import mp_hockey_stick, mp_pair_masses
 
 LN3 = math.log(3.0)

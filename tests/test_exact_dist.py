@@ -1,3 +1,5 @@
+import ast
+import importlib
 import math
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shuffledp
-from shuffledp import exact_dist
+from shuffledp import diagnostics, exact_dist, fold
 from shuffledp import (
     Composition,
     EnumerationCapError,
@@ -46,7 +49,6 @@ from shuffledp.cli import DEFAULT_EPS_SPEC, parse_eps_grid
 from shuffledp.exact_dist import (
     DEFAULT_ATOM_CAP,
     MIN_NULL_MASS,
-    HistogramLaw,
     _affine_lr,
     _bd0,
     _binom_pmf,
@@ -55,14 +57,14 @@ from shuffledp.exact_dist import (
     _fsum,
     _jsd,
     _jsd_kernel,
-    _k0_rows,
-    _ratio_table,
     _relabelling,
     _sort_atoms,
     _spawned_cells,
     _stirlerr,
     _window_ends,
 )
+from shuffledp.diagnostics import _k0_rows
+from shuffledp.fold import HistogramLaw, _ratio_table
 from shuffledp.multimessage import _mm_cells
 from conftest import fold_atoms, full_channel
 
@@ -345,7 +347,7 @@ def test_k0_conditional_score_reads_no_fold(monkeypatch):
     def no_fold(*args):
         raise AssertionError("the k = 0 table folded a message")
 
-    monkeypatch.setattr(exact_dist, "_fold_block", no_fold)
+    monkeypatch.setattr(fold, "_fold_block", no_fold)
     for d, n in ((2, 300), (3, 40), (4, 12), (5, 8)):
         ch = full_channel(np.random.default_rng(80 + d), d)
         comp = Composition(n, 0)
@@ -363,8 +365,8 @@ def test_k0_score_and_residual_refuse_exactly_when_the_atoms_do(monkeypatch):
     # alt mass about W1[1] there, so W1[1] = 1e-9 sits on the tolerance
     # (refused at n = 5 and 30 for 1.00000000000005e-9, kept at n = 2)
     chains = []
-    real = exact_dist._canonical_cells
-    monkeypatch.setattr(exact_dist, "_canonical_cells", lambda *args: chains.append(args) or real(*args))
+    real = diagnostics._canonical_cells
+    monkeypatch.setattr(diagnostics, "_canonical_cells", lambda *args: chains.append(args) or real(*args))
     outcomes = set()
     for tiny, a in ((1e-155, 0.5), (1e-310, 1e-12), (1e-310, 1e-9), (1e-310, 1e-3), (5e-324, 1e-300)):
         ch = validate_channel([1.0 - tiny, tiny], [1.0 - a, a])
@@ -396,7 +398,7 @@ def test_k0_score_reads_no_law_at_any_n(monkeypatch):
         raise AssertionError("a law was built")
 
     monkeypatch.setattr(exact_dist, "_null_levels", no_law)
-    monkeypatch.setattr(exact_dist, "_dense_shape", no_law)
+    monkeypatch.setattr(fold, "_dense_shape", no_law)
     for d, n in ((3, 20000), (5, 10**12)):
         ch = full_channel(np.random.default_rng(90 + d), d)
         comp = Composition(n, 0)
@@ -414,12 +416,43 @@ def test_ratio_table_checks_the_dense_cap_before_any_fold(monkeypatch):
     def no_fold(*args):
         raise AssertionError("a message was folded")
 
-    monkeypatch.setattr(exact_dist, "_fold", no_fold)
+    monkeypatch.setattr(fold, "_fold", no_fold)
     ch = full_channel(np.random.default_rng(3), 3)
     with pytest.raises(EnumerationCapError, match=r"^dense histogram law for 200 messages, d=3 has 40401 cells > cap 40400$"):
         _ratio_table(ch, Composition(200, 5), 40400)
     with pytest.raises(AssertionError, match="folded"):
         _ratio_table(ch, Composition(200, 5), 40401)
+
+
+def _code_objects(module):
+    """The code of every function and method that `module` defines, nested code (lambdas, comprehensions) too."""
+    stack = []
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        members = vars(value).values() if isinstance(value, type) else [value]
+        stack += [member.__code__ for member in members if hasattr(member, "__code__")]
+    while stack:
+        code = stack.pop()
+        yield code
+        stack += [const for const in code.co_consts if hasattr(const, "co_names")]
+
+
+def test_every_monkeypatch_of_a_package_module_is_read_by_that_module():
+    # a patch on a module whose code no longer reads the name (it moved to
+    # another module) would pass vacuously: each `monkeypatch.setattr(module,
+    # "name", ...)` in the tests needs a function of that module reading `name`
+    patches = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "setattr" and getattr(node.func.value, "id", None) == "monkeypatch"
+                    and isinstance(node.args[0], ast.Name) and isinstance(node.args[1], ast.Constant)):
+                patches.add((path.name, node.args[0].id, node.args[1].value))
+    assert len(patches) >= 9
+    for where, target, name in sorted(patches):
+        module = importlib.import_module(f"shuffledp.{target}")
+        assert any(name in code.co_names for code in _code_objects(module)), (where, target, name)
 
 
 def test_dense_engine_matches_dict_fold_on_null_support_channel():
@@ -439,7 +472,7 @@ def test_dense_engine_matches_dict_fold_on_null_support_channel():
 
 # Block sizes that put block boundaries everywhere: one cell (every block one
 # axis-0 slab), odd sizes that split the slabs unevenly, and the default.
-BLOCK_SIZES = (1, 7, 100, 1009, exact_dist._FOLD_BLOCK)
+BLOCK_SIZES = (1, 7, 100, 1009, fold._FOLD_BLOCK)
 
 
 def _skewed_channel(d):
@@ -475,7 +508,7 @@ def test_block_boundaries_keep_the_dict_fold_bits(monkeypatch, d, n, k, skewed):
     assert (reference[1] > 0.0) == skewed
     comp = Composition(n, k)
     for block in BLOCK_SIZES:
-        monkeypatch.setattr(exact_dist, "_FOLD_BLOCK", block)
+        monkeypatch.setattr(fold, "_FOLD_BLOCK", block)
         law = _law_dict(histogram_law(ch, Composition(n - 1, k)))
         assert list(law.items()) == [(h, m) for h, m in base.items() if m > 0.0], block
         _assert_atoms_equal(lr_atoms(ch, comp), reference)
@@ -796,7 +829,7 @@ def _peak_bytes(fn) -> int:
 
 # The fold's scratch: at most three flat buffers of _FOLD_BLOCK float64 cells
 # (at these sizes no axis-0 slab is larger).
-BLOCK_SCRATCH = 3 * 8 * exact_dist._FOLD_BLOCK
+BLOCK_SCRATCH = 3 * 8 * fold._FOLD_BLOCK
 
 
 def test_lr_atoms_memory_is_linear_in_cells():
@@ -1579,7 +1612,7 @@ def test_linearization_residual_shrinks():
 def test_linearization_residual_validation():
     with pytest.raises(ValidationError, match="n >= 2"):
         linearization_residual(RR3, Composition(1, 0))
-    for pi in (1.5, -0.1, float("nan")):
+    for pi in (1.5, -0.1, float("nan"), "half"):
         with pytest.raises(ValidationError, match=r"pi must lie in \[0, 1\]"):
             linearization_residual(RR3, Composition(8, 4), pi=pi)
     with pytest.raises(ValidationError, match="window"):

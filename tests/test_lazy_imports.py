@@ -199,6 +199,79 @@ def test_k0_atoms_at_d3_load_no_numpy_ma(m):
     assert "numpy.ma" not in _loaded_after(code)
 
 
+
+# The dense k > 0 fold, the readers no engine path calls and the SVG renderer
+# are modules of their own, so a job compiles only the pieces it runs; a name
+# of each piece shows that its code is not loaded under another module's name.
+PIECES = {"shuffledp.fold", "shuffledp.diagnostics", "shuffledp.svg"}
+PIECE_NAMES = {"_fold_block", "conditional_score", "svg_line_chart"}
+K0_JOBS = {
+    "curve-exact": ["curve", "--channel", "d3", "--n", "40", "--sidedness", "two-sided"],
+    "curve-binomial": ["curve", "--channel", "rr", "--n", "5000", "--engine", "binomial"],
+    "curve-gdp": ["curve", "--channel", "d3", "--n", "1000", "--engine", "gdp"],
+    "curve-chernoff": ["curve", "--channel", "rr", "--n", "1000", "--engine", "chernoff"],
+    "report-d3": ["report", "--channel", "d3", "--n", "60"],
+    "report-rr-m2": ["report", "--channel", "rr", "--n", "200", "--k", "20", "--m", "2"],
+}
+
+
+def _after_main(*argv) -> tuple[set, set]:
+    """The modules loaded once `main(argv)` has run, and the names the package's loaded modules define."""
+    code = (
+        "import json, sys\nfrom shuffledp.cli import main\nassert main(sys.argv[1:]) == 0\n"
+        "package = [mod for name, mod in sys.modules.items() if name.startswith('shuffledp')]\n"
+        "print(json.dumps([sorted(sys.modules), sorted({name for mod in package for name in vars(mod)})]))"
+    )
+    out = _python("-c", code, *argv)
+    assert out.returncode == 0, out.stderr
+    modules, names = json.loads(out.stdout.splitlines()[-1])
+    return set(modules), set(names)
+
+
+@pytest.mark.parametrize("job", sorted(K0_JOBS))
+def test_k0_curves_and_report_load_neither_the_fold_nor_the_diagnostics_nor_the_renderer(job, channel_files, tmp_path):
+    argv = [channel_files.get(a, a) for a in K0_JOBS[job]]
+    loaded, names = _after_main(*argv, *(["--out", str(tmp_path / "c.csv")] if argv[0] == "curve" else []))
+    assert "shuffledp.exact_dist" in loaded
+    assert not loaded & PIECES and not names & PIECE_NAMES
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--n", "40", "--k", "7"],
+    ["simulate", "--n", "30", "--k", "9", "--reps", "200"],
+])
+def test_k_positive_jobs_load_the_fold_but_not_the_diagnostics(argv, channel_files, tmp_path):
+    loaded, names = _after_main(*argv, "--channel", channel_files["d3"], "--out", str(tmp_path / "out.csv"))
+    assert "shuffledp.fold" in loaded and "_fold_block" in names
+    assert not loaded & {"shuffledp.diagnostics", "shuffledp.svg"} and not names & {"conditional_score", "svg_line_chart"}
+
+
+def test_curve_svg_loads_the_renderer(channel_files, tmp_path):
+    loaded = _loaded_by_main("curve", "--channel", channel_files["rr"], "--n", "100", "--out", str(tmp_path / "c.csv"),
+                             "--svg", str(tmp_path / "c.svg"))
+    assert "shuffledp.svg" in loaded and (tmp_path / "c.svg").read_text().startswith("<svg")
+
+
+def test_the_exact_module_answers_to_the_names_the_tracer_looks_up():
+    # perfbench's tracer looks these three up as exact_dist.<name>
+    code = """
+import shuffledp
+import shuffledp.exact_dist as ed
+assert ed.histogram_law is shuffledp.fold.histogram_law is shuffledp.histogram_law
+for name in ("reverse_atomization", "divergences"):
+    assert getattr(ed, name) is getattr(shuffledp.diagnostics, name) is getattr(shuffledp, name), name
+assert not {"histogram_law", "reverse_atomization", "divergences"} & set(vars(ed))
+try:
+    ed.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown name resolved")
+"""
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+
+
 JOBS = {
     "curve-exact": ["curve", "--channel", "d3", "--n", "40", "--k", "7", "--sidedness", "two-sided"],
     "curve-binomial": ["curve", "--channel", "rr", "--n", "5000", "--engine", "binomial"],

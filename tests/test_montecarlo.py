@@ -35,7 +35,8 @@ from shuffledp import (
     validate_channel,
 )
 from shuffledp.channels import score_stats
-from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, _base_law, _fold
+from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS
+from shuffledp.fold import _base_law, _fold
 from shuffledp.montecarlo import _BLOCK, _below, _run_blocks
 
 from conftest import full_channel

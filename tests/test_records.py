@@ -235,7 +235,7 @@ def hook(event, args):
 
 sys.addaudithook(hook)
 import shuffledp.cli, shuffledp.asymptotics, shuffledp.bounds, shuffledp.montecarlo, shuffledp.multimessage
-import shuffledp.simplex_linalg
+import shuffledp.simplex_linalg, shuffledp.fold, shuffledp.diagnostics
 print(len(methods), methods[:6])
 """
 

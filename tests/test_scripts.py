@@ -109,8 +109,9 @@ def test_process_cells_cli_commands_are_valid_cli_calls(tmp_path, capsys):
     commands = [shlex.split(c) for c in sweep.PROCESSES]
     calls = [args[2:] for args in commands if args[:2] == ["-m", "shuffledp.cli"]]
     # every subcommand the benchmark's workloads run has a start-up cell, and
-    # curve and simulate one more each for their JSON output
-    assert sorted(args[0] for args in calls) == ["curve"] * 4 + ["report"] * 2 + ["simulate"] * 2
+    # curve and simulate one more each for their JSON output; curve also the
+    # large-n workload's most frequent job and one with --svg
+    assert sorted(args[0] for args in calls) == ["curve"] * 6 + ["report"] * 2 + ["simulate"] * 2
     for args in calls:
         assert main([a.format(**files) for a in args]) == 0
         out = capsys.readouterr().out

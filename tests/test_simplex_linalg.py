@@ -87,6 +87,10 @@ def test_fisher_rejects_bad_inputs():
         fisher_constant(ch, -0.1)
     with pytest.raises(ValidationError):
         fisher_constant(ch, 1.1)
+    with pytest.raises(ValidationError, match=r"pi must lie in \[0, 1\], got None"):
+        fisher_constant(ch, None)
+    with pytest.raises(ValidationError, match=r"pi must lie in \[0, 1\], got \[0.5\]"):
+        sigma_pi(ch, [0.5])
     singular = validate_channel([0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValidationError, match="FULL"):
         fisher_constant(singular, 0.5)
