@@ -11,11 +11,12 @@ normal-approximation diagnostics of randomized response.
 """
 
 import math
+import operator
 from enum import Enum
 
 import numpy as np
 
-from .channels import Channel, _check_eps, _Record, score_stats
+from .channels import Channel, _check_eps, _fdot, _Record, score_stats
 from .errors import EnumerationCapError, ValidationError
 from .exact_dist import Composition, _check_count, _check_eps_grid, _jsd, lr_atoms
 from .simplex_linalg import _require_full, fisher_constant
@@ -207,9 +208,9 @@ def jsd_canonical_asymptotic(
         # sum taken with r scaled by s = 2^-k <= 1 / w_max, then divided by
         # s^2, is the true sum, or its signed infinity if that is beyond too
         s = 2.0 ** -math.frexp(stats.w_max)[1]
-        rs = stats.r * s
-        chi2_s = float(np.dot(stats.v, rs))
-        mu3_s2 = float(np.dot(stats.v * rs, rs))
+        v, rs = stats.v.tolist(), (stats.r * s).tolist()
+        chi2_s = _fdot(v, rs)
+        mu3_s2 = _fdot(list(map(operator.mul, v, rs)), rs)
         scaled = chi2_s * s / (8.0 * n) - mu3_s2 / (16.0 * n * n) + (7.0 / 64.0) * (chi2_s * chi2_s) / (n * n)
         asymptotic = scaled / s / s
     if exact is None:

@@ -12,6 +12,7 @@ import inspect
 import json
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -32,6 +33,18 @@ def _check_eps(eps, name: str = "eps", caller: str | None = None) -> None:
         raise ValidationError(f"{name} must be finite and >= 0, got {eps!r}")
     if caller is not None and eps > _MAX_EPS:
         raise ValidationError(f"{caller} needs {name} <= {_MAX_EPS!r} (the log of the largest double), got {eps!r}")
+
+
+def _fdot(a, b) -> float:
+    """sum_i a_i b_i, exactly rounded: `math.fsum` of the products, so no BLAS
+    kernel's summation order shows.  A sum beyond the double range is +-inf, as
+    its true value is (fsum refuses a partial sum there; the terms scaled by
+    2^-64 sum to it, and scaling back rounds it)."""
+    terms = list(map(operator.mul, a, b))
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.fsum(t * 2.0**-64 for t in terms) * 2.0**64
 
 
 class _Record:
@@ -246,9 +259,7 @@ def score_stats(channel: Channel) -> ScoreStats:
     v = channel.W1 - channel.W0
     # v r is finite (|v| <= 1); a sum beyond the double range is inf, as the
     # true value is, which the callers' own checks report, with no warning
-    with np.errstate(over="ignore"):
-        chi2 = float(np.dot(v, r))
-        mu3 = float(np.dot(v * r, r))
+    chi2, mu3 = _fdot(v.tolist(), r.tolist()), _fdot((v * r).tolist(), r.tolist())
     return ScoreStats(
         w=w,
         r=r,

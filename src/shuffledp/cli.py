@@ -101,10 +101,26 @@ def channel_fingerprint(channel: Channel) -> str:
     return _sha256(canonical_channel_json(channel).encode("ascii")).hexdigest()
 
 
+def _linspace(lo: float, hi: float, count: int) -> list:
+    """`count` evenly spaced floats from lo to hi, the bits of `np.linspace`: i step + lo with
+    step = (hi - lo) / (count - 1) (i / (count - 1) (hi - lo) + lo where that step underflows to 0),
+    the last point hi."""
+    delta, div = hi - lo, count - 1
+    if div <= 0:
+        return [lo] * count
+    step = delta / div
+    inner = [i / div * delta + lo for i in range(div)] if step == 0.0 else [i * step + lo for i in range(div)]
+    return inner + [hi]
+
+
 def parse_eps_grid(spec: str) -> np.ndarray:
     """Parse an epsilon-grid spec: 'log:lo:hi:count', 'lin:lo:hi:count', or
     a comma-separated list (sorted ascending).  `_check_eps_grid` refuses an
-    empty grid and any entry that is not finite and nonnegative."""
+    empty grid and any entry that is not finite and nonnegative.
+
+    Each point is computed in Python floats, so the grid does not depend on
+    numpy's SIMD kernels: a lin grid is `_linspace` (np.linspace's bits), a
+    log grid e^x over the `_linspace` of the logs, its ends lo and hi."""
     spec = spec.strip()
     kind, *bounds = spec.split(":")
     if kind not in ("log", "lin"):
@@ -112,7 +128,7 @@ def parse_eps_grid(spec: str) -> np.ndarray:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
         except ValueError as exc:
             raise ValidationError(f"bad epsilon list {spec!r}: {exc}") from None
-        return _check_eps_grid(np.sort(values))
+        return _check_eps_grid(sorted(values))
     if len(bounds) != 3:
         raise ValidationError(f"grid spec needs kind:lo:hi:count, got {spec!r}")
     try:
@@ -121,11 +137,15 @@ def parse_eps_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"bad grid spec {spec!r}: {exc}") from None
     if count < 0 or hi < lo:
         raise ValidationError(f"grid needs count >= 0 and lo <= hi, got {spec!r}")
-    if kind == "log" and not lo > 0.0:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"grid bounds must be finite, got {spec!r}")
+    if kind == "lin":
+        return _check_eps_grid(_linspace(lo, hi, count))
+    if not lo > 0.0:
         raise ValidationError("log grid needs lo > 0")
-    # an infinite bound makes NaN entries, which the check refuses
-    with np.errstate(all="ignore"):
-        return _check_eps_grid((np.geomspace if kind == "log" else np.linspace)(lo, hi, count))
+    # the inner points lie below log(hi) by about a step, so no e^x overflows
+    inner = [math.exp(x) for x in _linspace(math.log(lo), math.log(hi), count)[1:-1]]
+    return _check_eps_grid(([lo] + inner + [hi])[:count])
 
 
 # ---------------------------------------------------------------------------

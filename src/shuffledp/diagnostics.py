@@ -27,6 +27,7 @@ from .exact_dist import (
     _chain_shares,
     _check_histogram,
     _check_pair,
+    _fsum,
     _jsd,
     _kept,
     _kept_cells,
@@ -306,7 +307,7 @@ def linearization_residual(
     mass_in = float(p_null[inside].sum())
     if mass_in <= 0.0:
         raise ValidationError("window excludes the entire support; widen window_mult")
-    rms = math.sqrt(float(np.dot(p_null[inside], residual[inside] ** 2)) / mass_in)
+    rms = math.sqrt(_fsum(p_null[inside] * residual[inside] ** 2) / mass_in)
     return ResidualSummary(
         max_abs=float(residual[inside].max()),
         rms=rms,

@@ -510,7 +510,8 @@ def _check_atomization(atoms: LrAtomization) -> None:
         raise InternalInvariantError("atomization ratios are not strictly increasing")
     total_null = float(atoms.p_null.sum())
     total_alt = float(atoms.p_alt.sum()) + atoms.alt_singular_mass
-    mean_lr = float(np.dot(atoms.lr, atoms.p_null)) + atoms.alt_singular_mass
+    # numpy's pairwise sums, in an order fixed by its source on every SIMD target (np.dot's is the BLAS kernel's)
+    mean_lr = float((atoms.lr * atoms.p_null).sum()) + atoms.alt_singular_mass
     for label, value in (("null", total_null), ("alt", total_alt), ("E_null[L]", mean_lr)):
         if not (abs(value - 1.0) <= _MASS_TOL):
             raise InternalInvariantError(

@@ -66,6 +66,43 @@ def test_parse_eps_grid_rejects(spec, message):
         parse_eps_grid(spec)
 
 
+@pytest.mark.parametrize("spec", ["lin:0:inf:8", "lin:0:inf:1", "log:1e-3:inf:8", "log:1:inf:1", "lin:nan:1:3"])
+def test_parse_eps_grid_refuses_an_infinite_bound(spec):
+    from shuffledp import ValidationError
+
+    with pytest.raises(ValidationError, match=re.escape(f"grid bounds must be finite, got {spec!r}")):
+        parse_eps_grid(spec)
+
+
+def test_a_log_grid_up_to_the_largest_double_parses_and_gdp_refuses_it(rr3_file, capsys):
+    # no e^x is taken at the ends, so an end at DBL_MAX overflows nothing; the
+    # Gaussian curve then refuses the eps beyond log(DBL_MAX) with its message
+    spec = "log:1e-3:1.7976931348623157e308:8"
+    grid = parse_eps_grid(spec)
+    assert grid[0] == 1e-3 and grid[-1] == sys.float_info.max and np.all(np.diff(grid) > 0)
+    assert main(["curve", "--channel", rr3_file, "--n", "100", "--engine", "gdp", "--eps", spec]) == 2
+    assert "error: gdp_delta needs eps <= 709.782712893384" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["lin:0:12:40", "lin:0:3:13", "lin:0:1:5", "lin:0.25:0.25:4", "lin:0:1:1",
+                                  "lin:1e-3:3:256", "lin:0:1e-320:7", "lin:0:1.7976931348623157e308:9"])
+def test_a_lin_grid_is_np_linspace_bit_for_bit(spec):
+    _, lo, hi, count = spec.split(":")
+    want = np.linspace(float(lo), float(hi), int(count))
+    assert parse_eps_grid(spec).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["log:1e-3:10:64", "log:1e-3:3:256", "log:0.5:0.5:3", "log:2:5:1", "log:2:5:2"])
+def test_a_log_grid_is_e_to_a_lin_grid_of_the_logs_with_exact_ends(spec):
+    _, lo, hi, count = spec.split(":")
+    lo, hi, count = float(lo), float(hi), int(count)
+    grid = parse_eps_grid(spec).tolist()
+    assert len(grid) == count and grid[0] == lo and (count == 1 or grid[-1] == hi)
+    logs = np.linspace(math.log(lo), math.log(hi), count).tolist()
+    assert grid[1:-1] == [math.exp(x) for x in logs[1:-1]]
+    assert grid == pytest.approx(np.geomspace(lo, hi, count).tolist(), rel=4e-15)
+
+
 # ---------------------------------------------------------------------------
 # curve
 
@@ -636,24 +673,24 @@ PINNED_CHANNELS = {
 PINNED = {
     "curve-exact-csv": (
         ["curve", "--channel", "rr.json", "--n", "2000"],
-        "1e161afa4400179ba5802bec17761a6907227459490cb3ca90844d46f25daad8",
+        "22259b3797933806e2677e8f0079dfa2a492d32471bed16b2adf58a6d77227e0",
     ),
     "curve-exact-json": (
         ["curve", "--channel", "rr.json", "--n", "2000", "--format", "json"],
-        "cdc8ff2a9189aa536b3fbffbd46afc60cd4e1d26718a78ceed1b36596d8760cb",
+        "27b36b0705a41b929490b964521a1d4596d509a2d4803a0608f5f781b4173307",
     ),
     "curve-binomial-csv": (
         ["curve", "--channel", "rr.json", "--n", "950000", "--engine", "binomial"],
-        "37577620902691b1a8374816e600f55c1733d84f0256f3c2401b1db01d2cc904",
+        "b5c0cbc076523ed1b10dbfc5759fd7709cf21ec9d035bb70dcb76e4e04b40e31",
     ),
     "curve-binomial-json": (
         ["curve", "--channel", "rr.json", "--n", "2000", "--engine", "binomial", "--format",
          "json"],
-        "9b57a6973290c09715e04bf7d000d7b8e245d446224d87130deccc3fff7009f3",
+        "fd6dcc7ff938d3ced36ccfe0583f95a0d296c09053ccf5c88cc121d1c0595734",
     ),
     "curve-gdp-csv": (
         ["curve", "--channel", "d3.json", "--n", "950000", "--engine", "gdp"],
-        "e8a6e40e4a962ae8b029dc71c68c2a8bcfe1a0d485f3b5946071c3d90509acd4",
+        "55ac7f80736727118eff311282077832bf7cf9b7cf36f1a5e14b485b26964db0",
     ),
     "curve-gdp-json": (
         ["curve", "--channel", "rr.json", "--n", "2000", "--k", "600", "--engine", "gdp",
@@ -662,16 +699,16 @@ PINNED = {
     ),
     "curve-gdp-out": (
         ["curve", "--channel", "rr.json", "--n", "2000", "--engine", "gdp", "--out", "gdp.csv"],
-        "38f102f47292aa2a39e40aaa19757a2a25820e369b05853b5d5cbfebb5b67b7b",
+        "b329aee6315f9ec903ed150175d918792201255f137e974003b09ca684a19a31",
     ),
     "curve-chernoff-csv": (
         ["curve", "--channel", "rr.json", "--n", "950000", "--engine", "chernoff"],
-        "1218718f4fa42cf72d0945f6ed95b13fdd828544bb92549bf1e73864800cbb72",
+        "348199c7675d6462306eadba1e6fb94c2939e68a7215cd163fb67d4d387fa6a6",
     ),
     "curve-chernoff-json": (
         ["curve", "--channel", "d3.json", "--n", "2000", "--engine", "chernoff", "--format",
          "json"],
-        "1d28e74de9bdda2b2323619ffcdf0fda49ed4693c9247b10cf45bcf44bcfda19",
+        "1024acf8f1e13cc4281340bc382d1d1455b86a65caff6837519f0698def32a03",
     ),
     "curve-reverse-null-support": (
         ["curve", "--channel", "ns.json", "--n", "6", "--sidedness", "reverse", "--eps",
@@ -681,12 +718,12 @@ PINNED = {
     "curve-two-sided-d3": (
         ["curve", "--channel", "d3.json", "--n", "40", "--k", "7", "--sidedness", "two-sided",
          "--format", "json"],
-        "7621e3fd252460a061f249b84d0792b49526baf8e4a52d74bd0d1efa58464a64",
+        "987e16737e903628bfe1578932624d7cace0e697e73fb1e67ff107975d0324ee",
     ),
     "curve-svg": (
         ["curve", "--channel", "rr.json", "--n", "200", "--out", "c.csv", "--svg", "c.svg",
          "--svg-log", "xy"],
-        "799deeb0085e4bcad7f5ced4e7e0b792a11306d7518431269936623811f9d6e6",
+        "8b31b108e1282b7a3f33065ffb3d9ce1f4c9ba3c145143a9dbebe433e5b74857",
     ),
     "report-rr": (
         ["report", "--channel", "rr.json", "--n", "100", "--pi", "0.5", "--m", "2"],
