@@ -49,16 +49,18 @@ _EXPORTS = {
         "sigma_pi",
         "fisher_constant",
     ),
-    "exact_dist": (
+    "records": (
         "Composition",
-        "LrAtomization",
         "PrivacyCurve",
         "Sidedness",
+        "parse_csv",
+    ),
+    "exact_dist": (
+        "LrAtomization",
         "lr_atoms",
         "binomial_lr_atoms",
         "binomial_curve",
         "privacy_curve",
-        "parse_csv",
     ),
     "fold": (
         "HistogramLaw",

@@ -8,32 +8,41 @@ divergence expansions whose leading constants are I_pi / n times a
 functional-specific factor, next to the other closed forms `report` prints:
 the bundled-versus-unbundled comparison of m messages per user and the
 normal-approximation diagnostics of randomized response.
+
+The closed forms run on Python floats, so `gdp_mu` and the Gaussian curve
+load no numpy; numpy is imported only where an array is returned.
 """
 
 import math
+import numbers
 import operator
 from enum import Enum
 
-import numpy as np
-
-from .channels import Channel, _check_eps, _fdot, _Record, score_stats
+from .channels import Channel, _check_eps, _fdot, _Record, _score
 from .errors import EnumerationCapError, ValidationError
-from .exact_dist import Composition, _check_count, _check_eps_grid, _jsd, lr_atoms
-from .simplex_linalg import _require_full, fisher_constant
+from .records import Composition, _check_count, _check_eps_grid
+from .simplex_linalg import _fisher, _require_full
 
 
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _ndtr(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF over a 1-d array, as 0.5 erfc(-x / sqrt 2).
+def _phi(x: float) -> float:
+    """Standard normal CDF, as 0.5 erfc(-x / sqrt 2).
 
     The complementary error function keeps full relative accuracy in the
     lower tail, where 0.5 (1 + erf(x / sqrt 2)) cancels to 0 (below
     x ~ -8.3) and the Gaussian curve's second term needs values down to
     ~1e-300.
     """
-    return 0.5 * np.fromiter(map(math.erfc, (-x * _SQRT_HALF).tolist()), np.float64, x.size)
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _ndtr(x: "np.ndarray") -> "np.ndarray":
+    """`_phi` over a 1-d array."""
+    import numpy as np
+
+    return np.fromiter(map(_phi, x.tolist()), np.float64, x.size)
 
 
 class GdpSource(Enum):
@@ -124,7 +133,7 @@ def gdp_mu(channel: Channel, n: int, pi: float = 0.0, m: int = 1) -> GdpParams:
     """
     n = _check_count("n", n)
     m = _check_count("m", m)
-    fisher = fisher_constant(channel, pi).fisher
+    fisher = _fisher(channel, pi)[-1]
     mu = math.sqrt(m * fisher / n)
     if m > 1:
         source = GdpSource.UNBUNDLED
@@ -135,6 +144,18 @@ def gdp_mu(channel: Channel, n: int, pi: float = 0.0, m: int = 1) -> GdpParams:
     return GdpParams(mu=mu, n=n, pi=float(pi), m=m, source=source)
 
 
+def _gdp_curve(eps, mu: float) -> tuple[list, list]:
+    """The float kernel of `gdp_delta`: the checked grid of `eps` and delta at each of its entries."""
+    if not (mu >= 0.0):
+        raise ValidationError(f"mu must be >= 0, got {mu!r}")
+    grid = _check_eps_grid(eps)
+    if mu == 0.0:
+        return grid, [0.0] * len(grid)
+    _check_eps(max(grid), caller="gdp_delta")
+    # e / mu = inf at a subnormal mu, where Phi(-inf) = 0 is the limit
+    return grid, [min(1.0, max(0.0, _phi(-e / mu + mu / 2.0) - math.exp(e) * _phi(-e / mu - mu / 2.0))) for e in grid]
+
+
 def gdp_delta(eps, mu: float):
     """Privacy curve of the unit-variance Gaussian pair at shift mu.
 
@@ -142,22 +163,18 @@ def gdp_delta(eps, mu: float):
     degenerate mu = 0 pair is perfectly private (delta = 0).  Takes one eps
     (float out) or an eps grid (array out).  For mu > 0 an eps above
     log(DBL_MAX) ~ 709.78, where e^eps overflows, raises ValidationError.
+    Each entry is `_gdp_curve`'s float, so a grid's entries are the values
+    at each of its eps, bit for bit.
     """
-    if not (mu >= 0.0):
-        raise ValidationError(f"mu must be >= 0, got {mu!r}")
-    scalar = np.isscalar(eps)
-    if scalar:
+    if isinstance(eps, numbers.Real):
+        if not (mu >= 0.0):
+            raise ValidationError(f"mu must be >= 0, got {mu!r}")
         _check_eps(eps)  # the scalar error message
-    e = _check_eps_grid(eps).ravel()
-    if mu == 0.0:
-        delta = np.zeros(e.size)
-    else:
-        _check_eps(float(e.max()), caller="gdp_delta")
-        # libm's exp per eps, as a scalar call gets: numpy's SIMD exp can differ in the last bit
-        growth = np.fromiter(map(math.exp, e.tolist()), np.float64, e.size)
-        with np.errstate(over="ignore"):  # e / mu = inf at a subnormal mu, where Phi(-inf) = 0 is the limit
-            delta = np.clip(_ndtr(-e / mu + mu / 2.0) - growth * _ndtr(-e / mu - mu / 2.0), 0.0, 1.0)
-    return float(delta[0]) if scalar else delta.reshape(np.shape(eps))
+        return _gdp_curve(eps, mu)[1][0]
+    import numpy as np
+
+    eps = np.asarray(eps, dtype=np.float64)
+    return np.array(_gdp_curve(eps, mu)[1]).reshape(eps.shape)
 
 
 def gaussian_tradeoff(mu: float, alpha):
@@ -166,6 +183,8 @@ def gaussian_tradeoff(mu: float, alpha):
     Vectorized over alpha; endpoints map to beta(0) = 1 and beta(1) = 0.
     """
     from statistics import NormalDist  # also loads fractions, decimal and random
+
+    import numpy as np
 
     if not (mu >= 0.0):
         raise ValidationError(f"mu must be >= 0, got {mu!r}")
@@ -196,19 +215,19 @@ def jsd_canonical_asymptotic(
     by the caller.
     """
     n = _check_count("n", n)
-    stats = score_stats(channel)
+    w, r, v, chi2, mu3 = _score(channel)
     terms = (
-        stats.chi2 / (8.0 * n),
-        -stats.mu3 / (16.0 * n * n),
-        (7.0 / 64.0) * (stats.chi2 * stats.chi2) / (n * n),
+        chi2 / (8.0 * n),
+        -mu3 / (16.0 * n * n),
+        (7.0 / 64.0) * (chi2 * chi2) / (n * n),
     )
     asymptotic = sum(terms)
     if math.isnan(asymptotic):
         # mu3 and chi2^2 are both beyond the double range (-inf + inf): the
         # sum taken with r scaled by s = 2^-k <= 1 / w_max, then divided by
         # s^2, is the true sum, or its signed infinity if that is beyond too
-        s = 2.0 ** -math.frexp(stats.w_max)[1]
-        v, rs = stats.v.tolist(), (stats.r * s).tolist()
+        s = 2.0 ** -math.frexp(max(w))[1]
+        rs = [x * s for x in r]
         chi2_s = _fdot(v, rs)
         mu3_s2 = _fdot(list(map(operator.mul, v, rs)), rs)
         scaled = chi2_s * s / (8.0 * n) - mu3_s2 / (16.0 * n * n) + (7.0 / 64.0) * (chi2_s * chi2_s) / (n * n)
@@ -224,6 +243,8 @@ _AUTO_EXACT_CAP = 1_000_000
 
 
 def _exact_canonical_jsd(channel: Channel, n: int) -> float | None:
+    from .exact_dist import _jsd, lr_atoms
+
     try:
         return _jsd(lr_atoms(channel, Composition(n, 0), cap=_AUTO_EXACT_CAP))
     except EnumerationCapError:
@@ -246,7 +267,7 @@ def leading_divergence(
     order * I_pi / (2n).
     """
     n = _check_count("n", n)
-    fisher = fisher_constant(channel, pi).fisher
+    fisher = _fisher(channel, pi)[-1]
     if kind == "jsd":
         return fisher / (8.0 * n)
     if kind == "f":
@@ -329,7 +350,7 @@ def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
     """
     m = _check_count("m", m)
     _require_full(channel, "bundled comparison")
-    chi2 = score_stats(channel).chi2
+    chi2 = _score(channel)[3]
     unbundled = m * chi2
     try:
         bundled = (1.0 + chi2) ** m - 1.0

@@ -11,10 +11,8 @@ A cruder Hoeffding-style bound covers the m-message (unbundled) curve.
 import math
 import warnings
 
-import numpy as np
-
-from .channels import Channel, _check_eps, _Record, score_stats
-from .exact_dist import PrivacyCurve, Sidedness, _check_count, _check_eps_grid
+from .channels import Channel, _check_eps, _Record, _score
+from .records import PrivacyCurve, Sidedness, _check_count, _check_eps_grid
 
 # The search brackets the minimizer by [0, lam_cap], where lam_cap * max|r| is
 # this: exp() of lam * r stays far from overflow anywhere in the bracket.
@@ -40,58 +38,61 @@ class ChernoffEvaluation(_Record, frozen=True):
     bound: float
 
 
-def _chernoff_search(channel: Channel, n: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimizer lam and minimized exponent of g at every tau, in lockstep.
+def _chernoff_search(channel: Channel, n: int):
+    """The search of the channel at n users: a function of tau giving the minimizer lam and the
+    minimized exponent of g, in Python floats.
 
     g(lam) = -lam n tau + (n-1) log M(lam) + log (M + M')(lam) is convex, a
     sum of log moment generating functions, so its slope
     g'(lam) = -n tau + (n-1) E_0,lam[r] + E_1,lam[r] (means of r under W0
     and W1 tilted by e^{lam r}) increases: bisecting [0, lam_cap] on the
     sign of g' finds the minimizer, or lam_cap when g' < 0 up to there.
-    Every tau takes the same ceil(log2(lam_cap / 1e-10)) halvings, so an
-    entry's bits do not depend on the grid around it, and g is evaluated
-    once, at the last midpoint.  Entries with tau >= max_y r(y) get
-    lam = NaN and exponent -inf.
+    Every tau takes the same ceil(log2(lam_cap / 1e-10)) halvings, so a
+    value does not depend on the grid around it, and g is evaluated once,
+    at the last midpoint.  A tau >= max_y r(y) gets lam = NaN and
+    exponent -inf.  Each tilt sums its d terms in symbol order, with libm's
+    `exp` and `log`, so no value depends on a SIMD kernel.
     """
-    r = score_stats(channel).r
-    r_max = float(r.max())
-    lam = np.full(tau.size, math.nan)
-    log_bound = np.full(tau.size, -math.inf)
-    live = np.flatnonzero(tau < r_max - 1e-12 * max(1.0, r_max))
-    if live.size == 0:
-        return lam, log_bound
-
+    r = _score(channel)[1]
+    r_max = max(r)
+    top_tau = r_max - 1e-12 * max(1.0, r_max)
+    lam_cap = _EXP_ARG_CAP / max(max(map(abs, r)), 1e-300)
+    # no tau >= 0 is below top_tau when r_max ~ 0, where lam_cap / 1e-10 may overflow
+    steps = math.ceil(math.log2(lam_cap / _LAM_WIDTH)) if top_tau > 0.0 else 0
     # Per-channel pieces of the two log moment generating functions; the
     # sum M + M' collapses to the alt-law moment sum_y W1(y) e^{lam r(y)}.
-    pos = channel.W1 > 0.0
-    laws = ((np.log(channel.W0), r), (np.log(channel.W1[pos]), r[pos]))
+    W0, W1 = channel._laws
+    null = [(math.log(p), ry) for p, ry in zip(W0, r)]
+    alt = [(math.log(p), ry) for p, ry in zip(W1, r) if p > 0.0]
     n_f, n1_f = float(n), float(n - 1)
 
-    def tilt(x: np.ndarray, log_w: np.ndarray, rr: np.ndarray):
-        """Per entry of x: max of log_w + x r, the sum of exp of the rest, and E[r] tilted."""
-        a = log_w + x[:, None] * rr
-        top = a.max(axis=1)
-        e = np.exp(a - top[:, None])
-        s = e.sum(axis=1)
-        return top, s, (e * rr).sum(axis=1) / s  # not a matmul: one row would round differently
+    def tilt(x: float, law: list) -> tuple:
+        """Max of log_w + x r, the sum of exp of the rest, and E[r] tilted."""
+        a = [log_w + x * ry for log_w, ry in law]
+        top = max(a)
+        s = m = 0.0
+        for ay, (_, ry) in zip(a, law):
+            e = math.exp(ay - top)
+            s += e
+            m += e * ry
+        return top, s, m / s
 
-    t = tau[live]
-    lam_cap = _EXP_ARG_CAP / max(float(np.max(np.abs(r))), 1e-300)
-    lo, hi = np.zeros(t.size), np.full(t.size, lam_cap)
-    for _ in range(math.ceil(math.log2(lam_cap / _LAM_WIDTH))):
-        mid = 0.5 * (lo + hi)
-        (_, _, mean0), (_, _, mean1) = (tilt(mid, *law) for law in laws)
-        rising = -n_f * t + n1_f * mean0 + mean1 > 0.0
-        lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
-    lam_star = 0.5 * (lo + hi)
-    log_m, log_m_plus = (
-        top + np.fromiter(map(math.log, s.tolist()), np.float64, s.size)
-        for top, s, _ in (tilt(lam_star, *law) for law in laws)
-    )
-    g_star = -lam_star * n_f * t + n1_f * log_m + log_m_plus
-    lam[live] = lam_star
-    log_bound[live] = np.where(g_star > 0.0, 0.0, g_star)  # lam -> 0+ gives the trivial bound 1
-    return lam, log_bound
+    def search(tau: float) -> tuple:
+        if not tau < top_tau:
+            return math.nan, -math.inf
+        lo, hi = 0.0, lam_cap
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if -n_f * tau + n1_f * tilt(mid, null)[2] + tilt(mid, alt)[2] > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        lam = 0.5 * (lo + hi)
+        (top0, s0, _), (top1, s1, _) = tilt(lam, null), tilt(lam, alt)
+        g = -lam * n_f * tau + n1_f * (top0 + math.log(s0)) + (top1 + math.log(s1))
+        return lam, 0.0 if g > 0.0 else g  # lam -> 0+ gives the trivial bound 1
+
+    return search
 
 
 def _tau(eps: float) -> float:
@@ -102,16 +103,24 @@ def _tau(eps: float) -> float:
         return math.inf
 
 
-def _bounds(log_bound: np.ndarray) -> list:
-    """exp of each exponent, clamped at 1."""
-    return [min(1.0, math.exp(v)) for v in log_bound.tolist()]
+def _bound(log_bound: float) -> float:
+    """exp of an exponent, clamped at 1."""
+    return min(1.0, math.exp(log_bound))
+
+
+def _chernoff_curve(channel: Channel, n: int, eps) -> tuple[list, list]:
+    """The float kernel of `chernoff_curve`: the checked grid of `eps` and the bound at each of its entries."""
+    n = _check_count("n", n)
+    grid = _check_eps_grid(eps)
+    search = _chernoff_search(channel, n)
+    return grid, [_bound(search(_tau(e))[1]) for e in grid]
 
 
 def chernoff_curve(channel: Channel, n: int, eps) -> PrivacyCurve:
     """Optimized Chernoff bound on the forward curve of the canonical pair.
 
     At each eps of the grid this is `chernoff_delta(channel, n, eps).bound`,
-    bit for bit: both come from one lockstep search over the grid.  When
+    bit for bit: both are `_chernoff_search` at that eps alone.  When
     tau = e^eps - 1 >= max_y r(y) the exact curve is zero (the averaged score
     cannot exceed max r) and zero is returned directly; that comparison
     carries a 1e-12 relative slack so the equality case eps = log w_max is
@@ -119,11 +128,10 @@ def chernoff_curve(channel: Channel, n: int, eps) -> PrivacyCurve:
     floating-point paths (the bound stays valid to within 1e-12 absolute).
     Values are clamped into [0, 1].
     """
-    n = _check_count("n", n)
-    grid = _check_eps_grid(eps)
-    tau = np.array([_tau(e) for e in grid.tolist()])
-    _, log_bound = _chernoff_search(channel, n, tau)
-    return PrivacyCurve(eps=grid, delta=np.array(_bounds(log_bound)), sidedness=Sidedness.FORWARD)
+    import numpy as np
+
+    grid, delta = _chernoff_curve(channel, n, eps)
+    return PrivacyCurve(eps=np.array(grid), delta=np.array(delta), sidedness=Sidedness.FORWARD)
 
 
 def chernoff_delta(channel: Channel, n: int, eps: float) -> ChernoffEvaluation:
@@ -131,15 +139,8 @@ def chernoff_delta(channel: Channel, n: int, eps: float) -> ChernoffEvaluation:
     n = _check_count("n", n)
     _check_eps(eps)
     tau = _tau(eps)
-    lam, log_bound = _chernoff_search(channel, n, np.array([tau]))
-    return ChernoffEvaluation(
-        eps=eps,
-        n=n,
-        tau=tau,
-        lam=float(lam[0]),
-        log_bound=float(log_bound[0]),
-        bound=_bounds(log_bound)[0],
-    )
+    lam, log_bound = _chernoff_search(channel, n)(tau)
+    return ChernoffEvaluation(eps=eps, n=n, tau=tau, lam=lam, log_bound=log_bound, bound=_bound(log_bound))
 
 
 def unbundled_hoeffding_delta(channel: Channel, n: int, m: int, eps: float) -> float:
@@ -152,7 +153,7 @@ def unbundled_hoeffding_delta(channel: Channel, n: int, m: int, eps: float) -> f
     n = _check_count("n", n)
     m = _check_count("m", m)
     _check_eps(eps)
-    w_max = score_stats(channel).w_max
+    w_max = max(_score(channel)[0])
     if eps == 0.0:
         warnings.warn(
             "unbundled Hoeffding bound is vacuous at eps = 0 (clamped to 1)",

@@ -4,17 +4,21 @@ A channel is a pair of conditional laws (W0, W1) on the alphabet
 {0, ..., d-1}: the law of a single user's message given input bit 0 or 1.
 Everything downstream (exact histogram laws, Fisher constants, tail bounds)
 consumes the validated `Channel` produced here.
+
+The module loads no numpy: validation and the score statistics run on
+Python floats, which the closed forms (`gdp_mu`, `gdp_delta`, the Chernoff
+bound) read, and numpy is imported only where an array is returned.
 """
 
 import dataclasses
 import enum
+import functools
 import inspect
 import json
 import math
 import numbers
 import operator
-
-import numpy as np
+import sys
 
 from .errors import ValidationError
 
@@ -23,7 +27,7 @@ from .errors import ValidationError
 PROB_SUM_TOL = 1e-9
 
 # e^eps overflows above the log of the largest double, ~709.78.
-_MAX_EPS = math.log(np.finfo(np.float64).max)
+_MAX_EPS = math.log(sys.float_info.max)
 
 
 def _check_eps(eps, name: str = "eps", caller: str | None = None) -> None:
@@ -47,6 +51,11 @@ def _fdot(a, b) -> float:
         return math.fsum(t * 2.0**-64 for t in terms) * 2.0**64
 
 
+def _ndarray() -> type | tuple:
+    """numpy's array type, or () while numpy is not loaded, when no value can be an array."""
+    return getattr(sys.modules.get("numpy"), "ndarray", ())
+
+
 class _Record:
     """Base of the package's records: a dataclass whose methods are not generated code.
 
@@ -63,7 +72,8 @@ class _Record:
     and deletion (`FrozenInstanceError`), the others are unhashable.  In
     those tuples an array field is keyed by its dtype, shape and bytes (so
     NaN equals NaN and -0.0 differs from 0.0 there), and a frozen record
-    holds read-only views of its arrays, so its hash cannot change.
+    holds read-only views of its arrays, so its hash cannot change.  Arrays
+    are told by `_ndarray`, so the base loads no numpy.
     `__signature__` lists the fields, for `inspect` and `help`.
     """
 
@@ -88,13 +98,13 @@ class _Record:
         if hasattr(self, "__post_init__"):
             self.__post_init__()
         if self.__hash__ is not None:  # read-only views keep a frozen record's hash fixed
-            for name in (f.name for f in self._record_fields if isinstance(getattr(self, f.name), np.ndarray)):
-                vars(self)[name] = getattr(self, name).view()
+            for name in (f.name for f in self._record_fields if isinstance(vars(self).get(f.name), _ndarray())):
+                vars(self)[name] = vars(self)[name].view()
                 vars(self)[name].setflags(write=False)
 
     def _values(self) -> tuple:
-        values = (getattr(self, f.name) for f in self._record_fields)
-        return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
+        values = [getattr(self, f.name) for f in self._record_fields]  # a read may build an array
+        return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, _ndarray()) else v for v in values)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{f.name}={getattr(self, f.name)!r}' for f in self._record_fields)})"
@@ -127,6 +137,26 @@ class Support(enum.Enum):
     SINGULAR = "singular"
 
 
+class _LawArray:
+    """`Channel.W0` and `.W1`: the instance holds each law as the tuple of floats that the closed
+    forms read (`Channel._laws`); a read returns it as a new read-only float64 array."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, channel, owner=None):
+        if channel is None:  # no class-level value, so the field has no default
+            raise AttributeError(self.name)
+        import numpy as np
+
+        array = np.array(vars(channel)[self.name])
+        array.setflags(write=False)
+        return array
+
+    def __set__(self, channel, value):  # a data descriptor, so a read never returns the tuple
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {self.name!r}")
+
+
 class Channel(_Record, frozen=True):
     """A validated binary-input channel.
 
@@ -135,26 +165,34 @@ class Channel(_Record, frozen=True):
         W0: law of one message given input 0, shape (d,), read-only.
         W1: law of one message given input 1, shape (d,), read-only.
         support: support classification, see `Support`.
+
+    The laws are held as tuples of floats, `_laws`, which the closed forms
+    read; W0 and W1 are float64 arrays built from them on each read.
     """
 
     d: int
-    W0: np.ndarray
-    W1: np.ndarray
+    W0: "np.ndarray" = _LawArray("W0")
+    W1: "np.ndarray" = _LawArray("W1")
     support: Support
 
     def __post_init__(self):
         for name in ("W0", "W1"):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
+            vars(self)[name] = tuple(map(float, vars(self)[name]))
+
+    @property
+    def _laws(self) -> tuple:
+        """(W0, W1) as tuples of floats."""
+        return vars(self)["W0"], vars(self)["W1"]
 
     @property
     def delta_star(self) -> float:
         """Smallest mass under input 0 (0 iff the channel is SINGULAR)."""
-        return float(self.W0.min())
+        return min(self._laws[0])
 
     @property
     def delta_full(self) -> float:
         """Smallest mass under either input (0 unless support is FULL)."""
-        return float(min(self.W0.min(), self.W1.min()))
+        return min(map(min, self._laws))
 
 
 class ScoreStats(_Record, frozen=True):
@@ -167,9 +205,9 @@ class ScoreStats(_Record, frozen=True):
     so neither squares a ratio: each is finite wherever its true value is.
     """
 
-    w: np.ndarray
-    r: np.ndarray
-    v: np.ndarray
+    w: "np.ndarray"
+    r: "np.ndarray"
+    v: "np.ndarray"
     chi2: float
     mu3: float
     w_max: float
@@ -177,21 +215,27 @@ class ScoreStats(_Record, frozen=True):
     delta_full: float
 
 
-def _check_prob_vector(vec, name: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-d probability vector")
-    if arr.size < 2:
-        raise ValidationError(f"{name} needs an alphabet of size >= 2, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
+def _check_prob_vector(vec, name: str) -> tuple:
+    """A probability vector (a sequence or a 1-d array of reals) as a tuple of floats, renormalized
+    by its total summed in order, as numpy's `sum` takes fewer than 8 terms."""
+    not_a_vector = ValidationError(f"{name} must be a 1-d probability vector")
+    if getattr(vec, "ndim", 1) != 1:
+        raise not_a_vector
+    try:
+        values = [float(x) for x in vec]
+    except (TypeError, ValueError):
+        raise not_a_vector from None
+    if len(values) < 2:
+        raise ValidationError(f"{name} needs an alphabet of size >= 2, got {len(values)}")
+    if not all(map(math.isfinite, values)):
         raise ValidationError(f"{name} contains non-finite entries")
-    if np.any(arr < 0.0):
-        bad = int(np.argmin(arr))
-        raise ValidationError(f"{name}[{bad}] = {arr[bad]!r} is negative")
-    total = float(arr.sum())
+    if min(values) < 0.0:
+        bad = values.index(min(values))
+        raise ValidationError(f"{name}[{bad}] = {values[bad]!r} is negative")
+    total = functools.reduce(operator.add, values, -0.0)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"{name} sums to {total!r}; outside tolerance {PROB_SUM_TOL} of 1")
-    return arr / total
+    return tuple(x / total for x in values)
 
 
 def validate_channel(W0, W1) -> Channel:
@@ -214,22 +258,18 @@ def validate_channel(W0, W1) -> Channel:
     """
     a0 = _check_prob_vector(W0, "W0")
     a1 = _check_prob_vector(W1, "W1")
-    if a0.size != a1.size:
-        raise ValidationError(f"alphabet mismatch: len(W0)={a0.size} but len(W1)={a1.size}")
-    if a0.min() == 0.0:
+    if len(a0) != len(a1):
+        raise ValidationError(f"alphabet mismatch: len(W0)={len(a0)} but len(W1)={len(a1)}")
+    if min(a0) == 0.0:
         support = Support.SINGULAR
-    elif a1.min() == 0.0:
+    elif min(a1) == 0.0:
         support = Support.NULL_SUPPORT
     else:
         support = Support.FULL
-    with np.errstate(over="ignore"):
-        w = np.divide(a1, a0, out=np.zeros_like(a1), where=a0 > 0.0)
-    for y in np.flatnonzero(np.isinf(w))[:1]:
-        raise ValidationError(
-            f"the likelihood ratio W1[{y}] / W0[{y}] = {float(a1[y])!r} / {float(a0[y])!r}"
-            " overflows a double"
-        )
-    return Channel(d=a0.size, W0=a0, W1=a1, support=support)
+    for y, (p0, p1) in enumerate(zip(a0, a1)):
+        if p0 > 0.0 and p1 / p0 == math.inf:
+            raise ValidationError(f"the likelihood ratio W1[{y}] / W0[{y}] = {p1!r} / {p0!r} overflows a double")
+    return Channel(d=len(a0), W0=a0, W1=a1, support=support)
 
 
 def rr_channel(eps0: float) -> Channel:
@@ -244,29 +284,36 @@ def rr_channel(eps0: float) -> Channel:
     return validate_channel([1.0 - q, q], [q, 1.0 - q])
 
 
-def score_stats(channel: Channel) -> ScoreStats:
-    """Symbolwise score statistics w, r, v and the moments chi2, mu3.
-
-    Requires delta_star > 0 (SINGULAR channels have no bounded ratio
-    against input 0).
-    """
+def _score(channel: Channel) -> tuple:
+    """The float kernel of `score_stats`: w, r and v as tuples of floats, then chi2 and mu3."""
     if channel.support is Support.SINGULAR:
         raise ValidationError(
             "score statistics need min(W0) > 0; channel is SINGULAR"
         )
-    w = channel.W1 / channel.W0
-    r = w - 1.0
-    v = channel.W1 - channel.W0
+    w = tuple(p1 / p0 for p0, p1 in zip(*channel._laws))
+    r = tuple(x - 1.0 for x in w)
+    v = tuple(p1 - p0 for p0, p1 in zip(*channel._laws))
     # v r is finite (|v| <= 1); a sum beyond the double range is inf, as the
     # true value is, which the callers' own checks report, with no warning
-    chi2, mu3 = _fdot(v.tolist(), r.tolist()), _fdot((v * r).tolist(), r.tolist())
+    return w, r, v, _fdot(v, r), _fdot(list(map(operator.mul, v, r)), r)
+
+
+def score_stats(channel: Channel) -> ScoreStats:
+    """Symbolwise score statistics w, r, v and the moments chi2, mu3.
+
+    Requires delta_star > 0 (SINGULAR channels have no bounded ratio
+    against input 0).  The arrays are those of `_score`'s floats.
+    """
+    import numpy as np
+
+    w, r, v, chi2, mu3 = _score(channel)
     return ScoreStats(
-        w=w,
-        r=r,
-        v=v,
+        w=np.array(w),
+        r=np.array(r),
+        v=np.array(v),
         chi2=chi2,
         mu3=mu3,
-        w_max=float(w.max()),
+        w_max=max(w),
         delta_star=channel.delta_star,
         delta_full=channel.delta_full,
     )
@@ -276,8 +323,8 @@ def channel_to_json(channel: Channel) -> str:
     """Serialize a channel to the {"d", "W0", "W1"} JSON schema."""
     payload = {
         "d": channel.d,
-        "W0": [float(x) for x in channel.W0],
-        "W1": [float(x) for x in channel.W1],
+        "W0": list(channel._laws[0]),
+        "W1": list(channel._laws[1]),
     }
     return json.dumps(payload, indent=2)
 

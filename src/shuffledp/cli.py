@@ -10,6 +10,12 @@ record them anyway).
 Run as a program, the module imports with the cyclic garbage collector off
 and freezes the import heap (`gc.freeze`) before the command runs; importing
 it, or calling `main(argv)`, leaves the collector as it is.
+
+The module loads no numpy, and neither do the modules it imports at its top:
+`curve --engine gdp|chernoff` reads the channel, builds the grid, evaluates
+its closed form and writes its table in Python floats, so that job never
+imports numpy and no SIMD kernel can show in its output.  The other engines
+and subcommands import numpy with the engines they call.
 """
 
 import gc
@@ -26,8 +32,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 # hashlib loads OpenSSL (about 3.6 MB of RSS) to hash one short JSON; the
 # interpreter's built-in SHA-256 gives the same digest, as random.py does it
 try:
@@ -43,19 +47,7 @@ except ImportError:
 from . import __version__
 from .channels import Channel, Support, channel_from_json, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
-from .exact_dist import (
-    DEFAULT_ATOM_CAP,
-    Composition,
-    PrivacyCurve,
-    Sidedness,
-    _check_count,
-    _check_eps_grid,
-    _fmt,
-    _pair_pi,
-    _table_to_csv,
-    lr_atoms,
-    privacy_curve,
-)
+from .records import DEFAULT_ATOM_CAP, Composition, Sidedness, _check_count, _check_eps_grid, _fmt, _pair_pi, _table_to_csv
 
 DEFAULT_EPS_SPEC = "log:1e-3:10:64"
 
@@ -86,7 +78,8 @@ def _manifest(args, channel: Channel, *keys: str) -> list:
 
 def canonical_channel_json(channel: Channel) -> str:
     """Whitespace-free channel JSON; the fingerprint hashes exactly this."""
-    payload = {"d": channel.d, "W0": channel.W0.tolist(), "W1": channel.W1.tolist()}
+    W0, W1 = channel._laws
+    payload = {"d": channel.d, "W0": list(W0), "W1": list(W1)}
     return json.dumps(payload, separators=(",", ":"))
 
 
@@ -102,18 +95,15 @@ def channel_fingerprint(channel: Channel) -> str:
 
 
 def _linspace(lo: float, hi: float, count: int) -> list:
-    """`count` evenly spaced floats from lo to hi, the bits of `np.linspace`: i step + lo with
-    step = (hi - lo) / (count - 1) (i / (count - 1) (hi - lo) + lo where that step underflows to 0),
-    the last point hi."""
-    delta, div = hi - lo, count - 1
-    if div <= 0:
+    """`count` evenly spaced floats from lo to hi: i step + lo with step = (hi - lo) / (count - 1),
+    the last point hi, the bits of `np.linspace` (unless the step underflows to 0)."""
+    if count <= 1:
         return [lo] * count
-    step = delta / div
-    inner = [i / div * delta + lo for i in range(div)] if step == 0.0 else [i * step + lo for i in range(div)]
-    return inner + [hi]
+    step = (hi - lo) / (count - 1)
+    return [i * step + lo for i in range(count - 1)] + [hi]
 
 
-def parse_eps_grid(spec: str) -> np.ndarray:
+def _eps_grid(spec: str) -> list:
     """Parse an epsilon-grid spec: 'log:lo:hi:count', 'lin:lo:hi:count', or
     a comma-separated list (sorted ascending).  `_check_eps_grid` refuses an
     empty grid and any entry that is not finite and nonnegative.
@@ -148,6 +138,13 @@ def parse_eps_grid(spec: str) -> np.ndarray:
     return _check_eps_grid(([lo] + inner + [hi])[:count])
 
 
+def parse_eps_grid(spec: str) -> "np.ndarray":
+    """The grid of `_eps_grid` as a float64 array."""
+    import numpy as np
+
+    return np.array(_eps_grid(spec))
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -167,7 +164,7 @@ def _finite_json(obj, path: str, nonfinite: dict):
     path: keys joined by ".", list indices as "[i]".  An enum gives its
     value, a numpy array or scalar its `tolist()` (an all-finite array in
     one call, with no walk over its entries), a result record its fields in
-    declaration order."""
+    declaration order.  While numpy is not loaded no value is an array."""
     if isinstance(obj, dict):
         return {k: _finite_json(v, f"{path}.{k}" if path else k, nonfinite) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -177,7 +174,8 @@ def _finite_json(obj, path: str, nonfinite: dict):
         return None
     if obj is None or isinstance(obj, (str, int, float)):
         return obj
-    if isinstance(obj, (np.ndarray, np.generic)):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         values = obj.tolist()
         return values if np.isfinite(obj).all() else _finite_json(values, path, nonfinite)
     if isinstance(obj, enum.Enum):
@@ -204,10 +202,11 @@ def _write_table(args, manifest: list, columns: dict, extra: list | None = None,
     CSV: the manifest and `extra` as '#' lines, the table, then each `tail`
     value that is not None as a '# key {strict JSON}' line.  JSON: one
     object of the manifest, "extra" (when given), the columns and `tail`.
+    A column is a list of floats or a 1-d array.
     """
     if args.format == "csv":
         header = [f"{_CSV_KEYS.get(key, key)}: {value}" for key, value in manifest] + (extra or [])
-        text = _table_to_csv(tuple(columns), np.column_stack(tuple(columns.values())), header)
+        text = _table_to_csv(tuple(columns), list(zip(*columns.values())), header)
         for key, value in tail.items():
             if value is not None:
                 text += f"# {key} {_strict_json(value, separators=(',', ':'))}\n"
@@ -226,9 +225,10 @@ def _is_rr(channel: Channel) -> float | None:
     randomized-response channel, else None."""
     if channel.d != 2:
         return None
-    if abs(channel.W0[0] - channel.W1[1]) > 1e-12 or abs(channel.W0[1] - channel.W1[0]) > 1e-12:
+    (a, b), (c, e) = channel._laws
+    if abs(a - e) > 1e-12 or abs(b - c) > 1e-12:
         return None
-    return abs(math.log(channel.W0[0] / channel.W0[1]))
+    return abs(math.log(a / b))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +237,8 @@ def _is_rr(channel: Channel) -> float | None:
 
 def cmd_curve(args) -> int:
     channel = _load_channel(args.channel)
-    comp = Composition(args.n, args.k)
-    eps = parse_eps_grid(args.eps)
+    pi = _pair_pi(args.n, args.k)  # every engine refuses a pair out of range with this one message
+    eps = _eps_grid(args.eps)
     sidedness = Sidedness(args.sidedness)
     extra: list = []
     if args.engine != "exact" and sidedness is not Sidedness.FORWARD:
@@ -247,31 +247,34 @@ def cmd_curve(args) -> int:
         raise ValidationError(f"engine={args.engine} handles the canonical pair k=0 only")
     if args.engine == "binomial" and channel.d != 2:
         raise ValidationError(f"engine=binomial needs d=2, got d={channel.d}")
+    # the closed forms run on floats; only the exact engines load numpy
     if args.engine in ("exact", "binomial"):
-        curve = privacy_curve(lr_atoms(channel, comp, cap=args.cap), eps, sidedness)
-    elif args.engine == "gdp":
-        from .asymptotics import gdp_delta, gdp_mu
+        from .exact_dist import lr_atoms, privacy_curve
 
-        params = gdp_mu(channel, args.n, pi=_pair_pi(_check_count("n", args.n), args.k))
-        curve = PrivacyCurve(eps, gdp_delta(eps, params.mu), Sidedness.FORWARD)
+        delta = privacy_curve(lr_atoms(channel, Composition(args.n, args.k), cap=args.cap), eps, sidedness).delta
+    elif args.engine == "gdp":
+        from .asymptotics import _gdp_curve, gdp_mu
+
+        params = gdp_mu(channel, args.n, pi=pi)
+        eps, delta = _gdp_curve(eps, params.mu)
         extra = [f"gdp-mu: {_fmt(params.mu)}", f"gdp-source: {params.source.value}"]
     elif args.engine == "chernoff":
-        from .bounds import chernoff_curve
+        from .bounds import _chernoff_curve
 
-        curve = chernoff_curve(channel, args.n, eps)
+        eps, delta = _chernoff_curve(channel, args.n, eps)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown engine {args.engine!r}")
 
     manifest = _manifest(args, channel, "channel", "n", "k", "engine", "sidedness", "eps")
-    _write_table(args, manifest, {"epsilon": curve.eps, "delta": curve.delta}, extra)
+    _write_table(args, manifest, {"epsilon": eps, "delta": delta}, extra)
     if args.engine == "gdp" and args.out is not None:
         print(f"gdp_mu = {_fmt(params.mu)} ({params.source.value})")
     if args.svg is not None:
         from .svg import svg_line_chart
 
         chart = svg_line_chart(
-            curve.eps,
-            curve.delta,
+            eps,
+            delta,
             log_x="x" in args.svg_log,
             log_y="y" in args.svg_log,
         )
@@ -289,7 +292,9 @@ def cmd_report(args) -> int:
     _check_count("m", args.m)
     if args.k is not None and args.pi is not None:
         raise ValidationError("give at most one of --k / --pi")
-    pi = _pair_pi(_check_count("n", args.n), args.k or 0) if args.pi is None else _check_pi(args.pi)
+    pi = _pair_pi(args.n, args.k or 0)  # the pair's range is checked with --pi too
+    if args.pi is not None:
+        pi = _check_pi(args.pi)
     stats = score_stats(channel)
     report: dict = {
         "version": __version__,
@@ -302,7 +307,7 @@ def cmd_report(args) -> int:
         },
         "score": {"chi2": stats.chi2, "mu3": stats.mu3, "w_max": stats.w_max},
     }
-    if not np.any(stats.v):
+    if not stats.v.any():
         report["note"] = "perfect privacy: v = 0"
     if channel.support is Support.FULL:
         fisher = fisher_constant(channel, pi)
@@ -332,6 +337,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
     from .asymptotics import gdp_mu
     from .montecarlo import (
         Hypothesis,
@@ -344,6 +351,7 @@ def cmd_simulate(args) -> int:
 
     channel = _load_channel(args.channel)
     _require_full(channel, "simulate")
+    pi = _pair_pi(args.n, args.k)
     comp = Composition(args.n, args.k)
     hypothesis = Hypothesis.NULL if args.hypothesis == "null" else Hypothesis.ALT
     config = SimConfig(seed=args.seed, reps=args.reps, workers=args.workers)
@@ -351,7 +359,7 @@ def cmd_simulate(args) -> int:
     manifest = _manifest(args, channel, "channel", "n", "k", "hypothesis", "seed", "reps")
     summary = None
     if args.reps > 0:
-        params = gdp_mu(channel, args.n, pi=_pair_pi(args.n, args.k))
+        params = gdp_mu(channel, args.n, pi=pi)
         exp_lam = np.exp(lam)
         summary = {
             "reps": args.reps,
@@ -451,8 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _run(build_parser().parse_args(argv))
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -467,11 +477,18 @@ def main(argv=None) -> int:
 
 
 def console_entry() -> None:
-    """Program entry: move the import heap out of all later collections
-    (shutdown's included), then run the command with the collector on."""
+    """Program entry: with the collector off, parse the command line and
+    import numpy and the exact engine, which every command but a closed-form
+    curve (`curve --engine gdp|chernoff` without --svg) loads; move that
+    import heap out of all later collections (shutdown's included), then run
+    the command with the collector on."""
+    gc.disable()
+    args = build_parser().parse_args()
+    if not (args.command == "curve" and args.engine in ("gdp", "chernoff") and args.svg is None):
+        from . import exact_dist  # noqa: F401 - and numpy with it
     gc.freeze()
     gc.enable()
-    sys.exit(main())
+    sys.exit(_run(args))
 
 
 if __name__ == "__main__":

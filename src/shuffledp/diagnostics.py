@@ -16,9 +16,7 @@ from .channels import Channel, _Record
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import (
     _MASS_TOL,
-    DEFAULT_ATOM_CAP,
     MIN_NULL_MASS,
-    Composition,
     LrAtomization,
     _affine_lr,
     _atom_fsum,
@@ -31,11 +29,10 @@ from .exact_dist import (
     _jsd,
     _kept,
     _kept_cells,
-    _pair_pi,
     _relabelling,
-    _table_to_csv,
 )
 from .fold import _descending_cells, _ratio_table, mean_histogram
+from .records import DEFAULT_ATOM_CAP, Composition, _pair_pi, _table_to_csv
 
 
 class TradeoffCurve(_Record):

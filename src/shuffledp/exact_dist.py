@@ -13,66 +13,38 @@ binomial masses (`_null_levels`); at m = 1 the ratio is affine in the
 histogram, L(N) = (1/n) sum_y N_y w(y) with w = W1/W0, and `multimessage`
 takes the degree-m ratio on the same cells.  Every pair with k > 0 is folded
 one message at a time in the dense engine of `fold`, which `lr_atoms`
-imports only then, and every atomization ends in `_atomize`.  The checks,
-the drop rule, the exact sums and the CSV format are shared with those
-modules; the divergences, the trade-off curve and the conditional score
-are in `diagnostics`.
+imports only then, and every atomization ends in `_atomize`.  The pair's
+checks, the drop rule and the exact sums are shared with those modules;
+the divergences, the trade-off curve and the conditional score are in
+`diagnostics`; the records, the checks and the CSV format that every
+subcommand shares, the closed forms without numpy, are in `records`.
 """
 
-import enum
 import itertools
 import math
-import numbers
 import sys
 
 import numpy as np
 
 from .channels import Channel, Support, _Record, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
-
-# Refuse exact enumeration beyond this many dense histogram-law cells.
-DEFAULT_ATOM_CAP = 30_000_000
+from .records import DEFAULT_ATOM_CAP, Composition, PrivacyCurve, Sidedness, _check_count, _check_eps_grid, _pair_pi
 
 # A ratio within this relative distance above a threshold e^eps counts as a
 # tie and adds nothing to delta(eps).  Computed ratios carry a few ulps of
 # rounding (a quotient of two folded sums, or W1/W0 of the channel), so the
 # excess of such an atom is rounding noise: at the largest ratio of shuffled
 # randomized response, e^eps0, delta(eps0) is exactly 0, not ~1e-17.
-TIE_REL_TOL = 16 * np.finfo(np.float64).eps
+TIE_REL_TOL = 16 * sys.float_info.epsilon
 
 # Cells whose null mass is below the smallest normal double are dropped: their
 # ratio p_alt / p_null is a quotient of subnormals (or 0/0) and off by O(1).
-MIN_NULL_MASS = np.finfo(np.float64).tiny
+MIN_NULL_MASS = sys.float_info.min
 
 # Atomization totals (and the trade-off sweep's end) must be 1 within this.
 _MASS_TOL = 1e-9
 
 _LOG2 = math.log(2.0)
-
-
-class Composition(_Record, frozen=True):
-    """Number of users n and number of ones k in the (fixed) input dataset."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        for name in ("n", "k"):
-            object.__setattr__(self, name, _check_count(name, getattr(self, name), 0))
-        if self.k > self.n:
-            raise ValidationError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
-
-
-class Sidedness(enum.Enum):
-    """Direction of a privacy curve between the null and alt histogram laws.
-
-    FORWARD measures how much the alt law (one more one) can exceed the
-    null law; REVERSE the opposite; TWO_SIDED takes the pointwise maximum.
-    """
-
-    FORWARD = "forward"
-    REVERSE = "reverse"
-    TWO_SIDED = "two-sided"
 
 
 class LrAtomization(_Record):
@@ -101,32 +73,8 @@ class LrAtomization(_Record):
     dropped_alt_mass: float = 0.0
 
 
-class PrivacyCurve(_Record):
-    """A hockey-stick curve delta(eps) evaluated on a grid."""
-
-    eps: np.ndarray
-    delta: np.ndarray
-    sidedness: Sidedness
-
-    def to_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        return _table_to_csv(("epsilon", "delta"), np.column_stack((self.eps, self.delta)), header_lines)
-
-
 # ---------------------------------------------------------------------------
 # checks
-
-
-def _check_count(name: str, value, minimum: int = 1) -> int:
-    """A count must be an integer (not a bool) >= minimum; NaN and 2.5 fail.
-
-    It must also convert to a double, which the bounds and asymptotics take
-    it as.  Returns it as a Python int, so numpy integers cannot overflow later.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    if value > sys.float_info.max:
-        raise ValidationError(f"{name} must be at most {sys.float_info.max!r}, got {value!r}")
-    return int(value)
 
 
 def _check_cap(cells: int, what: str, cap: int) -> None:
@@ -184,14 +132,6 @@ def _sort_atoms(atoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for i in (1, 2):
         atoms[i] = np.add.reduceat(atoms[i], starts)
     return tuple(atoms)
-
-
-def _pair_pi(n: int, k: int) -> float:
-    """The pair (k, k+1) of n users: its range 0 <= k <= n-1, refused otherwise, and its
-    composition pi = k/(n-1), the appended user's share of ones among the others (0 at n = 1)."""
-    if not 0 <= k <= n - 1:
-        raise ValidationError(f"the pair (k, k+1) needs k <= n-1; got k={k}, n={n}")
-    return k / (n - 1) if n > 1 else 0.0
 
 
 def _check_pair(channel: Channel, comp: Composition, what: str) -> None:
@@ -523,15 +463,6 @@ def _check_atomization(atoms: LrAtomization) -> None:
 # privacy curves
 
 
-def _check_eps_grid(eps) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    if arr.size == 0:
-        raise ValidationError("epsilon grid is empty")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValidationError("epsilon grid entries must be finite and >= 0")
-    return arr
-
-
 def _hockey_stick(atoms: LrAtomization, eps: np.ndarray, reverse: bool = False) -> np.ndarray:
     """One direction of `privacy_curve`, clipped to [0, 1]: FORWARD's sum from
     the top of the atoms, or REVERSE's, times u, from the bottom."""
@@ -582,7 +513,7 @@ def privacy_curve(
     This is the one place curves are summed: the binomial and m-message
     curves are this function on their atoms.
     """
-    grid = _check_eps_grid(eps)
+    grid = np.array(_check_eps_grid(eps))
     if sidedness is Sidedness.FORWARD:
         delta = _hockey_stick(atoms, grid)
     elif sidedness is Sidedness.REVERSE:
@@ -658,47 +589,6 @@ def _atom_fsum(atoms: LrAtomization, term) -> float:
 def _jsd(atoms: LrAtomization) -> float:
     """Jensen-Shannon divergence of the pair, the `jsd` of `divergences`."""
     return _atom_fsum(atoms, lambda lr, p: p * _jsd_kernel(lr)) + atoms.alt_singular_mass * 0.5 * _LOG2
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization (17 significant digits; round-trips exactly)
-
-
-_FLOAT_FORMAT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return _FLOAT_FORMAT % float(x)
-
-
-def _table_to_csv(columns, table, header_lines=()) -> str:
-    """CSV of a 2-D array with one column per name; each value as `_fmt` writes it.
-
-    One `%` formats every row from one flat list of floats, which is faster
-    and holds fewer temporaries than a string per cell or per row.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    lines = [line if line.startswith("#") else f"# {line}" for line in header_lines]
-    lines.append(",".join(columns))
-    row = "\n" + ",".join([_FLOAT_FORMAT] * len(columns))
-    return "\n".join(lines) + (row * len(table)) % tuple(table.ravel().tolist()) + "\n"
-
-
-def parse_csv(text: str) -> tuple[list[str], np.ndarray]:
-    """Read back a CSV written by this module: (column names, value array)."""
-    rows = []
-    columns: list[str] | None = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if columns is None:
-            columns = line.split(",")
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    if columns is None:
-        raise ValidationError("CSV has no header row")
-    return columns, np.array(rows, dtype=np.float64)
 
 
 # perfbench's tracer looks these up here by module and name (ROADMAP items 1

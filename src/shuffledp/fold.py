@@ -14,16 +14,8 @@ never folds: it is the closed-form chain of `exact_dist`.
 import numpy as np
 
 from .channels import Channel, _Record
-from .exact_dist import (
-    DEFAULT_ATOM_CAP,
-    Composition,
-    LrAtomization,
-    _atomize,
-    _check_cap,
-    _fsum,
-    _kept_cells,
-    _table_to_csv,
-)
+from .exact_dist import LrAtomization, _atomize, _check_cap, _fsum, _kept_cells
+from .records import DEFAULT_ATOM_CAP, Composition, _table_to_csv
 
 
 class HistogramLaw(_Record):

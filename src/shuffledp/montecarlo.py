@@ -25,9 +25,8 @@ import numpy as np
 from .asymptotics import _ndtr
 from .channels import Channel, _check_eps, _Record
 from .errors import InternalInvariantError, ValidationError
-from .exact_dist import DEFAULT_ATOM_CAP, Composition, LrAtomization, _check_count
-from .exact_dist import _affine_lr, _cell_blocks, _check_pair, _relabelling
-from .fold import _ratio_table
+from .exact_dist import LrAtomization, _affine_lr, _cell_blocks, _check_pair, _relabelling
+from .records import DEFAULT_ATOM_CAP, Composition, _check_count
 
 _MASK64 = (1 << 64) - 1
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -190,6 +189,8 @@ def sample_privacy_loss(
     n, k, d = comp.n, comp.k, channel.d
     zeros = n - k - (1 if hypothesis is Hypothesis.ALT else 0)
     if k > 0:
+        from .fold import _ratio_table  # a k = 0 sampler never folds: only k > 0 loads the fold
+
         lam = _ratio_table(channel, comp, cap)[1]
         with np.errstate(divide="ignore"):
             np.log(lam, out=lam)

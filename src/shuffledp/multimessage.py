@@ -27,19 +27,17 @@ from .channels import Channel, score_stats
 from .errors import ValidationError
 from .exact_dist import (
     _LOG2,
-    DEFAULT_ATOM_CAP,
-    Composition,
     LrAtomization,
     _atomize,
     _canonical_cells,
     _check_cap,
-    _check_count,
     _check_histogram,
     _check_pair,
     _kept,
     _null_levels,
     _relabelling,
 )
+from .records import DEFAULT_ATOM_CAP, Composition, _check_count
 
 # Coefficients held at once by one array of a d = 2 block (512 KB).
 _BLOCK_COEFFICIENTS = 1 << 16

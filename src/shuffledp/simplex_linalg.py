@@ -7,11 +7,14 @@ the mixture f = (1-pi) W0 + pi W1 less the rank-one term pi (1-pi) v v^T,
 v = W1 - W0.  Since v sums to zero, q = v / f solves the mixture system
 exactly, and the Sherman-Morrison identity turns it into the solution of
 sigma_pi s = v: no linear solve, no cancellation.
+
+The scalars run on Python floats (`_fisher`), so `gdp_mu` loads no numpy;
+numpy is imported only where an array is returned.
 """
 
+import functools
 import numbers
-
-import numpy as np
+import operator
 
 from .channels import Channel, Support, _Record
 from .errors import ValidationError
@@ -35,10 +38,10 @@ class FisherReport(_Record, frozen=True):
     """
 
     pi: float
-    f: np.ndarray
-    v: np.ndarray
-    sigma: np.ndarray
-    s: np.ndarray
+    f: "np.ndarray"
+    v: "np.ndarray"
+    sigma: "np.ndarray"
+    s: "np.ndarray"
     fisher: float
     fisher_mixture: float
 
@@ -58,13 +61,15 @@ def _check_pi(pi: float) -> float:
     return pi
 
 
-def one_hot_cov(f: np.ndarray) -> np.ndarray:
+def one_hot_cov(f: "np.ndarray") -> "np.ndarray":
     """Covariance diag(f) - f f^T of a single one-hot draw from f."""
+    import numpy as np
+
     f = np.asarray(f, dtype=np.float64)
     return np.diag(f) - np.outer(f, f)
 
 
-def sigma_pi(channel: Channel, pi: float) -> np.ndarray:
+def sigma_pi(channel: Channel, pi: float) -> "np.ndarray":
     """Fixed-composition covariance (1-pi) Sigma_0 + pi Sigma_1.
 
     Sigma_b is the one-hot covariance of W_b.  This is the covariance of the
@@ -74,6 +79,27 @@ def sigma_pi(channel: Channel, pi: float) -> np.ndarray:
     """
     pi = _check_pi(pi)
     return (1.0 - pi) * one_hot_cov(channel.W0) + pi * one_hot_cov(channel.W1)
+
+
+def _fisher(channel: Channel, pi: float) -> tuple:
+    """The float kernel of `fisher_constant`: pi as checked, f, v and q = v / f as tuples of
+    floats, the denominator 1 - pi(1-pi) I_f, I_f and I_pi, with the refusals."""
+    _require_full(channel, "fisher_constant")
+    pi = _check_pi(pi)
+    f = tuple((1.0 - pi) * p0 + pi * p1 for p0, p1 in zip(*channel._laws))
+    v = tuple(p1 - p0 for p0, p1 in zip(*channel._laws))
+    # q is finite at pi = 0 (validate_channel bounds W1 / W0); at pi = 1 a
+    # W0 / W1 beyond the double range makes I_f inf and the check refuse it
+    q = tuple(x / y for x, y in zip(v, f))
+    # summed in order, as numpy's `sum` takes fewer than 8 terms
+    fisher_mixture = functools.reduce(operator.add, map(operator.mul, v, q), -0.0)
+    denom = 1.0 - pi * (1.0 - pi) * fisher_mixture
+    if not denom > _DENOM_TOL:
+        raise ValidationError(
+            f"rank-one denominator 1 - pi(1-pi) I_f = {denom!r} (I_f = {fisher_mixture!r}) "
+            f"is not above {_DENOM_TOL}; channel is numerically degenerate at this pi"
+        )
+    return pi, f, v, q, denom, fisher_mixture, fisher_mixture / denom
 
 
 def fisher_constant(channel: Channel, pi: float) -> FisherReport:
@@ -87,28 +113,16 @@ def fisher_constant(channel: Channel, pi: float) -> FisherReport:
         ValidationError: non-FULL channel, pi outside [0, 1], or a
             denominator at most _DENOM_TOL (sigma_pi numerically singular).
     """
-    _require_full(channel, "fisher_constant")
-    pi = _check_pi(pi)
-    f = (1.0 - pi) * channel.W0 + pi * channel.W1
-    v = channel.W1 - channel.W0
-    # q is finite at pi = 0 (validate_channel bounds W1 / W0); at pi = 1 a
-    # W0 / W1 beyond the double range makes I_f inf and the check refuse it
-    with np.errstate(over="ignore"):
-        q = v / f
-    fisher_mixture = float(np.sum(v * q))
-    denom = 1.0 - pi * (1.0 - pi) * fisher_mixture
-    if not denom > _DENOM_TOL:
-        raise ValidationError(
-            f"rank-one denominator 1 - pi(1-pi) I_f = {denom!r} (I_f = {fisher_mixture!r}) "
-            f"is not above {_DENOM_TOL}; channel is numerically degenerate at this pi"
-        )
-    s = q / denom
+    import numpy as np
+
+    pi, f, v, q, denom, fisher_mixture, fisher = _fisher(channel, pi)
+    s = np.array(q) / denom
     return FisherReport(
         pi=pi,
-        f=f,
-        v=v,
+        f=np.array(f),
+        v=np.array(v),
         sigma=sigma_pi(channel, pi),
         s=s - s.mean(),
-        fisher=fisher_mixture / denom,
+        fisher=fisher,
         fisher_mixture=fisher_mixture,
     )

@@ -7,7 +7,8 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from shuffledp import Channel, Composition, LrAtomization, ValidationError, score_stats, sigma_pi, validate_channel
-from shuffledp.exact_dist import DEFAULT_ATOM_CAP, TIE_REL_TOL, _check_histogram
+from shuffledp.exact_dist import TIE_REL_TOL, _check_histogram
+from shuffledp.records import DEFAULT_ATOM_CAP
 from shuffledp.fold import _fold_atoms
 
 settings.register_profile(

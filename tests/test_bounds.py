@@ -29,38 +29,42 @@ RR3 = rr_channel(math.log(3.0))
 def scalar_chernoff(channel, n: int, eps: float) -> tuple:
     """Reference search for one eps: (lam, log_bound, bound, hit_cap).
 
-    The one-eps-at-a-time form of the lockstep search in `bounds`: a
-    bisection of [0, lam_cap] on the sign of the slope of g, halved down to
-    width 1e-10, then g at the last midpoint.  `hit_cap` tells whether the
-    slope stayed negative up to the overflow guard lam_cap.
+    The search `bounds` runs at each eps: a bisection of [0, lam_cap] on the
+    sign of the slope of g, halved down to width 1e-10, then g at the last
+    midpoint, in Python floats (libm's exp and log, each tilt's d terms
+    summed in symbol order).  `hit_cap` tells whether the slope stayed
+    negative up to the overflow guard lam_cap.
     """
     stats = score_stats(channel)
     tau = math.expm1(eps)
     r_max = float(stats.r.max())
     if tau >= r_max - 1e-12 * max(1.0, r_max):
         return math.nan, -math.inf, 0.0, False
-    r = stats.r
-    pos = channel.W1 > 0.0
-    laws = ((np.log(channel.W0), r), (np.log(channel.W1[pos]), r[pos]))
+    r = stats.r.tolist()
+    laws = ([(math.log(p), x) for p, x in zip(channel.W0.tolist(), r)],
+            [(math.log(p), x) for p, x in zip(channel.W1.tolist(), r) if p > 0.0])
 
-    def tilt(lam: float, log_w: np.ndarray, rr: np.ndarray) -> tuple:
-        a = log_w + lam * rr
-        top = a.max()
-        e = np.exp(a - top)
-        s = e.sum()
-        return float(top) + math.log(float(s)), float((e * rr).sum() / s)
+    def tilt(lam: float, law: list) -> tuple:
+        a = [log_w + lam * x for log_w, x in law]
+        top = max(a)
+        e = [math.exp(v - top) for v in a]
+        s = m = 0.0
+        for ey, (_, x) in zip(e, law):
+            s += ey
+            m += ey * x
+        return top + math.log(s), m / s
 
-    lam_cap = _EXP_ARG_CAP / max(float(np.max(np.abs(r))), 1e-300)
+    lam_cap = _EXP_ARG_CAP / max(max(map(abs, r)), 1e-300)
     lo, hi = 0.0, lam_cap
     for _ in range(math.ceil(math.log2(lam_cap / _LAM_WIDTH))):
         mid = 0.5 * (lo + hi)
-        (_, mean0), (_, mean1) = (tilt(mid, *law) for law in laws)
+        (_, mean0), (_, mean1) = (tilt(mid, law) for law in laws)
         if -n * tau + (n - 1) * mean0 + mean1 > 0.0:
             hi = mid
         else:
             lo = mid
     lam_star = 0.5 * (lo + hi)
-    (log_m, _), (log_m_plus, _) = (tilt(lam_star, *law) for law in laws)
+    (log_m, _), (log_m_plus, _) = (tilt(lam_star, law) for law in laws)
     log_bound = min(-lam_star * n * tau + (n - 1) * log_m + log_m_plus, 0.0)
     return lam_star, log_bound, min(1.0, math.exp(log_bound)), hi == lam_cap
 
@@ -135,9 +139,7 @@ def _near_top(ch) -> np.ndarray:
 
 @pytest.mark.parametrize("seed", range(2))
 def test_chernoff_curve_is_the_scalar_search_bit_for_bit(seed):
-    # random FULL channels (d = 2, 3, 4 and 9; d >= 8 takes numpy's unrolled
-    # row sum)
-    # and rr channels whose lam cap is below 2 or even 1, at n from 1 to 2e6,
+    # random FULL channels (d = 2, 3, 4 and 9) and rr channels whose lam cap is below 2 or even 1, at n from 1 to 2e6,
     # on grids that run past log w_max and hit it exactly; and a channel
     # whose minimizer sits at the bracket's end just below log w_max
     rng = np.random.default_rng(500 + seed)

@@ -470,7 +470,12 @@ def test_report_rejects_both_k_and_pi(rr3_file, capsys):
         (["curve", "--engine", "gdp", "--n", "100", "--k", "100"], "the pair (k, k+1) needs k <= n-1; got k=100, n=100"),
         (["report", "--n", "100", "--k", "100"], "the pair (k, k+1) needs k <= n-1; got k=100, n=100"),
         (["report", "--n", "100", "--k", "-1"], "the pair (k, k+1) needs k <= n-1; got k=-1, n=100"),
-        (["report", "--n", "0"], "n must be an integer >= 1, got 0"),
+        (["report", "--n", "0"], "the pair (k, k+1) needs k <= n-1; got k=0, n=0"),
+        # every subcommand refuses the pair at n = 0 with the one message of `_pair_pi`
+        *((["curve", "--engine", engine, "--n", "0"], "the pair (k, k+1) needs k <= n-1; got k=0, n=0")
+          for engine in ("exact", "binomial", "gdp", "chernoff")),
+        (["report", "--n", "0", "--pi", "0.5"], "the pair (k, k+1) needs k <= n-1; got k=0, n=0"),
+        (["simulate", "--n", "0"], "the pair (k, k+1) needs k <= n-1; got k=0, n=0"),
         (["report", "--n", "10", "--m", "0"], "m must be an integer >= 1, got 0"),
         (["report", "--n", "10", "--m", "-3"], "m must be an integer >= 1, got -3"),
     ],
@@ -703,12 +708,12 @@ PINNED = {
     ),
     "curve-chernoff-csv": (
         ["curve", "--channel", "rr.json", "--n", "950000", "--engine", "chernoff"],
-        "348199c7675d6462306eadba1e6fb94c2939e68a7215cd163fb67d4d387fa6a6",
+        "3238d39911d9d48a53bcb69b21215eb783631636b0c2bfbccf67385a48fced37",
     ),
     "curve-chernoff-json": (
         ["curve", "--channel", "d3.json", "--n", "2000", "--engine", "chernoff", "--format",
          "json"],
-        "1024acf8f1e13cc4281340bc382d1d1455b86a65caff6837519f0698def32a03",
+        "9f07e0254384386e7e65c06e09ce98465cc824a0ef2d0b5d2f00c09c542e65da",
     ),
     "curve-reverse-null-support": (
         ["curve", "--channel", "ns.json", "--n", "6", "--sidedness", "reverse", "--eps",
@@ -761,3 +766,84 @@ def test_cli_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     blob = f"{code}\0{captured.out}\0{captured.err}".encode()
     blob += b"".join(b"\0" + (tmp_path / f).read_bytes() for f in written)
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# The closed-form curves run on Python floats and load no numpy, so their
+# pins cannot depend on numpy's SIMD dispatch or on the BLAS kernel: each is
+# rerun in a fresh interpreter told to use other kernels, which asserts that
+# numpy stays unloaded and prints the digest the pin test takes.
+PIN_PROBE = """
+import contextlib, hashlib, io, json, sys
+from shuffledp.cli import main
+argv = json.loads(sys.argv[1])
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(argv)
+written = [a for flag, a in zip(argv, argv[1:]) if flag in ("--out", "--svg")]
+blob = f"{code}\\0{out.getvalue()}\\0{err.getvalue()}".encode()
+blob += b"".join(b"\\0" + open(f, "rb").read() for f in written)
+assert "numpy" not in sys.modules
+print(hashlib.sha256(blob).hexdigest())
+"""
+OTHER_KERNELS = {
+    "avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+
+
+@pytest.mark.parametrize("kernels", sorted(OTHER_KERNELS))
+@pytest.mark.parametrize("name", sorted(n for n in PINNED if "-gdp-" in n or "-chernoff-" in n))
+def test_closed_form_pins_hold_under_other_simd_and_blas_kernels(name, kernels, tmp_path):
+    for file, (w0, w1) in PINNED_CHANNELS.items():
+        (tmp_path / file).write_text(channel_to_json(validate_channel(w0, w1)))
+    argv, digest = PINNED[name]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, **OTHER_KERNELS[kernels], "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", PIN_PROBE, json.dumps(argv)], capture_output=True, text=True,
+                         cwd=tmp_path, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == digest
+
+
+# ---------------------------------------------------------------------------
+# one spelling per closed form: the array APIs and the CLI read the same floats
+
+
+CLOSED_FORM_CHANNELS = {"rr": ([0.75, 0.25], [0.25, 0.75]), "d3": ([0.5, 0.3, 0.2], [0.22, 0.33, 0.45])}
+
+
+def _cli_delta(tmp_path, capsys, channel: str, *args) -> tuple:
+    path = tmp_path / f"{channel}.json"
+    path.write_text(channel_to_json(validate_channel(*CLOSED_FORM_CHANNELS[channel])))
+    assert main(["curve", "--channel", str(path), *args]) == 0
+    _, table = parse_csv(capsys.readouterr().out)
+    return table[:, 0], table[:, 1]
+
+
+@pytest.mark.parametrize("channel, n, spec", [("rr", 950000, DEFAULT_EPS_SPEC), ("d3", 2000, "lin:0:0.9:31"),
+                                              ("rr", 3, "0,0.3,1.0986122886681098,2")])
+def test_chernoff_curve_delta_and_cli_agree_bit_for_bit(channel, n, spec, tmp_path, capsys):
+    from shuffledp import chernoff_curve, chernoff_delta
+
+    ch = validate_channel(*CLOSED_FORM_CHANNELS[channel])
+    grid = parse_eps_grid(spec)
+    curve = chernoff_curve(ch, n, grid).delta
+    one = np.array([chernoff_delta(ch, n, e).bound for e in grid.tolist()])
+    eps, cli = _cli_delta(tmp_path, capsys, channel, "--n", str(n), "--engine", "chernoff", "--eps", spec)
+    assert eps.tobytes() == grid.tobytes()
+    assert curve.tobytes() == one.tobytes() == cli.tobytes()
+
+
+@pytest.mark.parametrize("channel, n, k, spec", [("d3", 950000, 0, DEFAULT_EPS_SPEC), ("rr", 2000, 600, "lin:0:12:40"),
+                                                 ("rr", 1, 0, "0,0.5,700")])
+def test_gdp_delta_on_a_grid_on_each_eps_and_the_cli_agree_bit_for_bit(channel, n, k, spec, tmp_path, capsys):
+    from shuffledp import gdp_delta, gdp_mu
+
+    ch = validate_channel(*CLOSED_FORM_CHANNELS[channel])
+    grid = parse_eps_grid(spec)
+    mu = gdp_mu(ch, n, pi=k / (n - 1) if n > 1 else 0.0).mu
+    on_grid = gdp_delta(grid, mu)
+    one = np.array([gdp_delta(e, mu) for e in grid.tolist()])
+    eps, cli = _cli_delta(tmp_path, capsys, channel, "--n", str(n), "--k", str(k), "--engine", "gdp", "--eps", spec)
+    assert eps.tobytes() == grid.tobytes()
+    assert on_grid.tobytes() == one.tobytes() == cli.tobytes()

@@ -1,7 +1,9 @@
 import ast
+import dis
 import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -47,7 +49,6 @@ from shuffledp import (
 )
 from shuffledp.cli import DEFAULT_EPS_SPEC, parse_eps_grid
 from shuffledp.exact_dist import (
-    DEFAULT_ATOM_CAP,
     MIN_NULL_MASS,
     _affine_lr,
     _bd0,
@@ -64,6 +65,7 @@ from shuffledp.exact_dist import (
     _window_ends,
 )
 from shuffledp.diagnostics import _k0_rows
+from shuffledp.records import DEFAULT_ATOM_CAP
 from shuffledp.fold import HistogramLaw, _ratio_table
 from shuffledp.multimessage import _mm_cells
 from conftest import fold_atoms, full_channel
@@ -438,10 +440,23 @@ def _code_objects(module):
         stack += [const for const in code.co_consts if hasattr(const, "co_names")]
 
 
+def _imports_at_call_time(code, target: str, name: str) -> bool:
+    """Whether `code` runs `from .<target> import <name>`, which reads the attribute when it runs."""
+    module = None
+    for op in dis.get_instructions(code):
+        if op.opname == "IMPORT_NAME":
+            module = op.argval
+        elif op.opname == "IMPORT_FROM" and module in (target, f"shuffledp.{target}") and op.argval == name:
+            return True
+    return False
+
+
 def test_every_monkeypatch_of_a_package_module_is_read_by_that_module():
     # a patch on a module whose code no longer reads the name (it moved to
     # another module) would pass vacuously: each `monkeypatch.setattr(module,
-    # "name", ...)` in the tests needs a function of that module reading `name`
+    # "name", ...)` in the tests needs a function of that module reading `name`,
+    # or a function of the package importing `name` from that module when it runs
+    readers = [importlib.import_module(f"shuffledp.{info.name}") for info in pkgutil.iter_modules(shuffledp.__path__)]
     patches = set()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -452,7 +467,9 @@ def test_every_monkeypatch_of_a_package_module_is_read_by_that_module():
     assert len(patches) >= 9
     for where, target, name in sorted(patches):
         module = importlib.import_module(f"shuffledp.{target}")
-        assert any(name in code.co_names for code in _code_objects(module)), (where, target, name)
+        read = any(name in code.co_names for code in _code_objects(module))
+        imported = any(_imports_at_call_time(code, target, name) for reader in readers for code in _code_objects(reader))
+        assert read or imported, (where, target, name)
 
 
 def test_dense_engine_matches_dict_fold_on_null_support_channel():

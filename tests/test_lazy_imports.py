@@ -75,9 +75,10 @@ def test_import_caps_blas_at_one_thread_and_loads_no_numpy():
     assert out.stdout.split() == ["1", "False"]
 
 
+# the CLI module loads no numpy; an engine module loads it, after the package
 @needs_threads
 def test_cli_import_runs_in_one_thread():
-    out = _python("-c", "import shuffledp.cli\n" + SHOW_BLAS, env=NO_BLAS_THREADS)
+    out = _python("-c", "import shuffledp.cli, shuffledp.exact_dist\n" + SHOW_BLAS, env=NO_BLAS_THREADS)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1", "1"]
 
@@ -85,7 +86,7 @@ def test_cli_import_runs_in_one_thread():
 @needs_threads
 def test_a_blas_thread_count_set_by_the_caller_is_kept():
     env = {**NO_BLAS_THREADS, "OPENBLAS_NUM_THREADS": "2"}
-    out = _python("-c", "import shuffledp.cli\n" + SHOW_BLAS, env=env)
+    out = _python("-c", "import shuffledp.cli, shuffledp.exact_dist\n" + SHOW_BLAS, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["2", "2"]
 
@@ -213,6 +214,7 @@ K0_JOBS = {
     "report-d3": ["report", "--channel", "d3", "--n", "60"],
     "report-rr-m2": ["report", "--channel", "rr", "--n", "200", "--k", "20", "--m", "2"],
 }
+CLOSED_FORM_JOBS = {"curve-gdp", "curve-chernoff"}
 
 
 def _after_main(*argv) -> tuple[set, set]:
@@ -232,7 +234,8 @@ def _after_main(*argv) -> tuple[set, set]:
 def test_k0_curves_and_report_load_neither_the_fold_nor_the_diagnostics_nor_the_renderer(job, channel_files, tmp_path):
     argv = [channel_files.get(a, a) for a in K0_JOBS[job]]
     loaded, names = _after_main(*argv, *(["--out", str(tmp_path / "c.csv")] if argv[0] == "curve" else []))
-    assert "shuffledp.exact_dist" in loaded
+    # the closed-form curves read the shared records alone, not the exact engine
+    assert "shuffledp.records" in loaded and ("shuffledp.exact_dist" in loaded) == (job not in CLOSED_FORM_JOBS)
     assert not loaded & PIECES and not names & PIECE_NAMES
 
 
@@ -244,6 +247,44 @@ def test_k_positive_jobs_load_the_fold_but_not_the_diagnostics(argv, channel_fil
     loaded, names = _after_main(*argv, "--channel", channel_files["d3"], "--out", str(tmp_path / "out.csv"))
     assert "shuffledp.fold" in loaded and "_fold_block" in names
     assert not loaded & {"shuffledp.diagnostics", "shuffledp.svg"} and not names & {"conditional_score", "svg_line_chart"}
+
+
+def test_k0_simulate_loads_no_fold(channel_files, tmp_path):
+    # the k = 0 sampler reads the chain's affine ratio; only k > 0 imports the fold's ratio table
+    loaded, names = _after_main("simulate", "--channel", channel_files["d3"], "--n", "30", "--k", "0", "--reps", "200",
+                                "--out", str(tmp_path / "out.csv"))
+    assert "shuffledp.montecarlo" in loaded and "shuffledp.fold" not in loaded and "_fold_block" not in names
+
+
+def _imported_by_the_program(*argv) -> set:
+    """The modules `python -m shuffledp.cli ...` imports, as `-X importtime` lists them."""
+    out = _python("-X", "importtime", "-m", "shuffledp.cli", *argv)
+    assert out.returncode == 0, out.stderr
+    lines = [line.split("|")[-1] for line in out.stderr.splitlines() if line.startswith("import time:")]
+    return {line.strip() for line in lines[1:]}  # the first line is the header
+
+
+@pytest.mark.parametrize("engine", ["gdp", "chernoff"])
+@pytest.mark.parametrize("grid, output", [
+    ("log:1e-3:10:64", ["--format", "csv"]),
+    ("lin:0:3:40", ["--format", "json"]),
+    ("0.1,0.5,2", ["--format", "csv", "--out", "{out}"]),
+    ("log:1e-3:3:64", ["--format", "json", "--out", "{out}"]),
+])
+def test_closed_form_curves_load_no_numpy(engine, grid, output, channel_files, tmp_path):
+    # the channel, the grid, the closed form and the table run on Python floats
+    out = str(tmp_path / "c.out")
+    imported = _imported_by_the_program("curve", "--channel", channel_files["d3"], "--n", "950000", "--engine", engine,
+                                        "--eps", grid, *(a.format(out=out) for a in output))
+    assert "shuffledp.bounds" in imported or "shuffledp.asymptotics" in imported
+    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+    assert "shuffledp.exact_dist" not in imported
+
+
+def test_closed_form_curve_with_a_chart_loads_numpy_for_the_renderer(channel_files, tmp_path):
+    imported = _imported_by_the_program("curve", "--channel", channel_files["rr"], "--n", "1000", "--engine", "chernoff",
+                                        "--out", str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg"))
+    assert {"shuffledp.svg", "numpy"} <= imported and (tmp_path / "c.svg").read_text().startswith("<svg")
 
 
 def test_curve_svg_loads_the_renderer(channel_files, tmp_path):

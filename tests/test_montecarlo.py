@@ -35,7 +35,8 @@ from shuffledp import (
     validate_channel,
 )
 from shuffledp.channels import score_stats
-from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS
+from shuffledp.exact_dist import MIN_NULL_MASS
+from shuffledp.records import DEFAULT_ATOM_CAP
 from shuffledp.fold import _base_law, _fold
 from shuffledp.montecarlo import _BLOCK, _below, _run_blocks
 
@@ -388,16 +389,16 @@ def test_sampler_cap_refusal_does_not_name_the_sampler():
 
 
 def test_sampling_raises_on_a_histogram_missing_from_the_table(monkeypatch):
-    from shuffledp import montecarlo
+    from shuffledp import fold
 
-    real = montecarlo._ratio_table
+    real = fold._ratio_table
 
     def without_modal_cell(*args):
         null, ratio = real(*args)
         ratio.ravel()[np.argmax(null)] = np.nan
         return null, ratio
 
-    monkeypatch.setattr(montecarlo, "_ratio_table", without_modal_cell)
+    monkeypatch.setattr(fold, "_ratio_table", without_modal_cell)
     with pytest.raises(InternalInvariantError, match="underflowed"):
         sample_privacy_loss(RR3, Composition(8, 3), Hypothesis.NULL, SimConfig(seed=0, reps=200))
 

@@ -20,7 +20,8 @@ from shuffledp import (
     unbundled_lr_atoms,
     validate_channel,
 )
-from shuffledp.exact_dist import DEFAULT_ATOM_CAP, MIN_NULL_MASS, TIE_REL_TOL, _affine_lr, _relabelling
+from shuffledp.exact_dist import MIN_NULL_MASS, TIE_REL_TOL, _affine_lr, _relabelling
+from shuffledp.records import DEFAULT_ATOM_CAP
 from shuffledp.multimessage import _mm_cells, _renormalized, _times
 from conftest import brute_force_lr, full_channel
 
