@@ -39,10 +39,11 @@ def _phi(x: float) -> float:
 
 
 def _ndtr(x: "np.ndarray") -> "np.ndarray":
-    """`_phi` over a 1-d array."""
+    """`_phi` at each entry of a 1-d array, bit for bit: numpy scales the
+    entries as `_phi` scales one, and erfc is mapped in C, not per call."""
     import numpy as np
 
-    return np.fromiter(map(_phi, x.tolist()), np.float64, x.size)
+    return 0.5 * np.fromiter(map(math.erfc, (-x * _SQRT_HALF).tolist()), np.float64, x.size)
 
 
 class GdpSource(Enum):
@@ -167,8 +168,6 @@ def gdp_delta(eps, mu: float):
     at each of its eps, bit for bit.
     """
     if isinstance(eps, numbers.Real):
-        if not (mu >= 0.0):
-            raise ValidationError(f"mu must be >= 0, got {mu!r}")
         _check_eps(eps)  # the scalar error message
         return _gdp_curve(eps, mu)[1][0]
     import numpy as np

@@ -23,7 +23,7 @@ from shuffledp import (
     score_stats,
     validate_channel,
 )
-from shuffledp.asymptotics import _ndtr
+from shuffledp.asymptotics import _ndtr, _phi
 from conftest import full_channel
 
 RR3 = rr_channel(math.log(3.0))
@@ -131,6 +131,12 @@ def test_ndtr_matches_scipy_down_to_the_far_lower_tail():
     oracle = ndtr(x)
     assert np.all(np.abs(_ndtr(x) - oracle) <= 1e-13 * oracle)
     assert _ndtr(np.array([])).size == 0
+
+
+def test_ndtr_is_phi_at_each_entry_bit_for_bit():
+    # the array form the sampler and the trade-off read, and the float form of the Gaussian curve
+    x = np.concatenate((np.linspace(-40.0, 9.0, 4001), [0.0, -0.0, 5e-324, -1e-300, 38.0]))
+    assert _ndtr(x).tobytes() == np.array([_phi(v) for v in x.tolist()]).tobytes()
 
 
 def test_inverse_normal_cdf_matches_scipy_ndtri():
