@@ -47,7 +47,17 @@ except ImportError:
 from . import __version__
 from .channels import Channel, Support, channel_from_json, score_stats
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
-from .records import DEFAULT_ATOM_CAP, Composition, Sidedness, _check_count, _check_eps_grid, _fmt, _pair_pi, _table_to_csv
+from .records import (
+    DEFAULT_ATOM_CAP,
+    Composition,
+    Sidedness,
+    _check_count,
+    _check_eps_grid,
+    _fmt,
+    _pair_pi,
+    _rows,
+    _table_to_csv,
+)
 
 DEFAULT_EPS_SPEC = "log:1e-3:10:64"
 
@@ -206,7 +216,7 @@ def _write_table(args, manifest: list, columns: dict, extra: list | None = None,
     """
     if args.format == "csv":
         header = [f"{_CSV_KEYS.get(key, key)}: {value}" for key, value in manifest] + (extra or [])
-        text = _table_to_csv(tuple(columns), list(zip(*columns.values())), header)
+        text = _table_to_csv(tuple(columns), _rows(*columns.values()), header)
         for key, value in tail.items():
             if value is not None:
                 text += f"# {key} {_strict_json(value, separators=(',', ':'))}\n"

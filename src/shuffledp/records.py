@@ -53,7 +53,7 @@ class PrivacyCurve(_Record):
     sidedness: Sidedness
 
     def to_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        return _table_to_csv(("epsilon", "delta"), list(zip(self.eps, self.delta)), header_lines)
+        return _table_to_csv(("epsilon", "delta"), _rows(self.eps, self.delta), header_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,11 @@ _FLOAT_FORMAT = "%.17g"
 
 def _fmt(x: float) -> str:
     return _FLOAT_FORMAT % float(x)
+
+
+def _rows(*columns) -> list:
+    """The rows of equal-length columns, each a sequence of floats or a 1-d array (read by `tolist`)."""
+    return list(zip(*(column.tolist() if hasattr(column, "tolist") else column for column in columns)))
 
 
 def _table_to_csv(columns, table, header_lines=()) -> str:
