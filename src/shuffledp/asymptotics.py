@@ -49,7 +49,7 @@ def _ndtr(x: "np.ndarray") -> "np.ndarray":
 class GdpSource(Enum):
     """Which recipe produced the Gaussian parameter mu."""
 
-    CANONICAL = "canonical"        # k = 0 pair: mu^2 = chi2 / n
+    CANONICAL = "canonical"        # k = 0 pair: mu^2 = chi2 / n (I_0 is chi2, bit for bit)
     PROPORTIONAL = "proportional"  # k = pi n pair: mu^2 = I_pi / n
     UNBUNDLED = "unbundled"        # m messages per user: mu^2 = m I_pi / n
 
@@ -220,7 +220,7 @@ def jsd_canonical_asymptotic(
         -mu3 / (16.0 * n * n),
         (7.0 / 64.0) * (chi2 * chi2) / (n * n),
     )
-    asymptotic = sum(terms)
+    asymptotic = terms[0] + terms[1] + terms[2]  # left to right: the built-in sum compensates from 3.12
     if math.isnan(asymptotic):
         # mu3 and chi2^2 are both beyond the double range (-inf + inf): the
         # sum taken with r scaled by s = 2^-k <= 1 / w_max, then divided by

@@ -198,10 +198,10 @@ class Channel(_Record, frozen=True):
 class ScoreStats(_Record, frozen=True):
     """Per-symbol likelihood ratio statistics of a channel.
 
-    w is the symbolwise ratio W1/W0, r = w - 1 the centered score, and
-    v = W1 - W0 the difference direction.  chi2 and mu3 are the second and
-    third moments of r under W0; chi2 equals the chi-square divergence of
-    W1 from W0.  Both are taken through W0 r = v, as v . r and (v r) . r,
+    w is the symbolwise ratio W1/W0, v = W1 - W0 the difference direction and r = v/W0
+    the centered score (w - 1 rounded once; `fisher_constant`'s q at pi = 0).  chi2 and mu3
+    are the second and third moments of r under W0; chi2 is the chi-square divergence of W1
+    from W0, and I_0 bit for bit.  Both are `_fdot`s through W0 r = v, v . r and (v r) . r,
     so neither squares a ratio: each is finite wherever its true value is.
     """
 
@@ -285,14 +285,14 @@ def rr_channel(eps0: float) -> Channel:
 
 
 def _score(channel: Channel) -> tuple:
-    """The float kernel of `score_stats`: w, r and v as tuples of floats, then chi2 and mu3."""
+    """The float kernel of `score_stats`: w, r = v / W0 (`_fisher`'s q at pi = 0) and v as tuples, then chi2 and mu3."""
     if channel.support is Support.SINGULAR:
         raise ValidationError(
             "score statistics need min(W0) > 0; channel is SINGULAR"
         )
     w = tuple(p1 / p0 for p0, p1 in zip(*channel._laws))
-    r = tuple(x - 1.0 for x in w)
     v = tuple(p1 - p0 for p0, p1 in zip(*channel._laws))
+    r = tuple(x / p0 for x, p0 in zip(v, channel._laws[0]))
     # v r is finite (|v| <= 1); a sum beyond the double range is inf, as the
     # true value is, which the callers' own checks report, with no warning
     return w, r, v, _fdot(v, r), _fdot(list(map(operator.mul, v, r)), r)

@@ -45,7 +45,7 @@ except ImportError:
 # Only what every subcommand needs is imported here; each subcommand imports
 # the engines it calls, so a job loads no module it does not run.
 from . import __version__
-from .channels import Channel, Support, channel_from_json, score_stats
+from .channels import Channel, Support, _score, channel_from_json
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
 from .records import (
     DEFAULT_ATOM_CAP,
@@ -296,7 +296,7 @@ def cmd_curve(args) -> int:
 def cmd_report(args) -> int:
     # every closed form is in asymptotics: no report loads the m-message engine or the sampler module
     from .asymptotics import gdp_mu, jsd_canonical_asymptotic, mm_gdp_compare, rr_boundary
-    from .simplex_linalg import _check_pi, fisher_constant
+    from .simplex_linalg import _check_pi, _fisher
 
     channel = _load_channel(args.channel)
     _check_count("m", args.m)
@@ -305,27 +305,27 @@ def cmd_report(args) -> int:
     pi = _pair_pi(args.n, args.k or 0)  # the pair's range is checked with --pi too
     if args.pi is not None:
         pi = _check_pi(args.pi)
-    stats = score_stats(channel)
+    w, _, v, chi2, mu3 = _score(channel)
     report: dict = {
         "version": __version__,
         "channel": {
             "d": channel.d,
             "support": channel.support.value,
             "sha256": channel_fingerprint(channel),
-            "delta_star": stats.delta_star,
-            "delta_full": stats.delta_full,
+            "delta_star": channel.delta_star,
+            "delta_full": channel.delta_full,
         },
-        "score": {"chi2": stats.chi2, "mu3": stats.mu3, "w_max": stats.w_max},
+        "score": {"chi2": chi2, "mu3": mu3, "w_max": max(w)},
     }
-    if not stats.v.any():
+    if not any(v):
         report["note"] = "perfect privacy: v = 0"
     if channel.support is Support.FULL:
-        fisher = fisher_constant(channel, pi)
+        *_, fisher_mixture, fisher = _fisher(channel, pi)
         report["fisher"] = {
             "pi": pi,
-            "I_pi": fisher.fisher,
-            "I_pi_mixture_form": fisher.fisher,
-            "I_mixture": fisher.fisher_mixture,
+            "I_pi": fisher,
+            "I_pi_mixture_form": fisher,
+            "I_mixture": fisher_mixture,
         }
         report["gdp"] = gdp = {
             "mu_canonical": gdp_mu(channel, args.n, pi=0.0).mu,

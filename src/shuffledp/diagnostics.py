@@ -300,7 +300,8 @@ def linearization_residual(
     dev = counts - center
     half = window_mult * math.sqrt(comp.n * math.log(comp.n))
     inside = np.max(np.abs(dev), axis=1) <= half
-    residual = np.abs(U - (dev @ s) / comp.n)
+    # s . dev summed elementwise in symbol order: `dev @ s` is a BLAS dgemv, whose order is the kernel's
+    residual = np.abs(U - sum(dev[:, y] * s[y] for y in range(channel.d)) / comp.n)
     mass_in = float(p_null[inside].sum())
     if mass_in <= 0.0:
         raise ValidationError("window excludes the entire support; widen window_mult")

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .channels import Channel, Support, _Record, score_stats
+from .channels import Channel, Support, _Record, _score
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
 from .records import DEFAULT_ATOM_CAP, Composition, PrivacyCurve, Sidedness, _check_count, _check_eps_grid, _pair_pi
 
@@ -333,9 +333,9 @@ def _spawned_cells(a: int, b: int, lo: int, hi: int) -> int:
 
 
 def _relabelling(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """The k = 0 chain's symbol order, a stable argsort of -W0, and w = W1/W0 in that order."""
+    """The k = 0 chain's symbol order, a stable argsort of -W0, and `_score`'s w = W1/W0 in that order."""
     order = np.argsort(-channel.W0, kind="stable")
-    return order, score_stats(channel).w[order]
+    return order, np.array(_score(channel)[0])[order]
 
 
 def _chain_shares(W0: np.ndarray) -> list:

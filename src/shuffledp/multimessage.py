@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .channels import Channel, score_stats
+from .channels import Channel, _score
 from .errors import ValidationError
 from .exact_dist import (
     _LOG2,
@@ -68,8 +68,7 @@ def unbundled_lr(channel: Channel, n: int, m: int, histogram) -> float:
     _check_pair(channel, Composition(n, 0), "unbundled ratio")
     m = _check_count("m", m)
     counts = _check_histogram(channel, histogram, n * m)
-    w = score_stats(channel).w
-    ratios = [x.as_integer_ratio() for x in w.tolist()]
+    ratios = [x.as_integer_ratio() for x in _score(channel)[0]]
     scale = max(den for _, den in ratios)  # 2^E
     coef = [1] + [0] * m
     for (num, den), c in zip(ratios, counts):

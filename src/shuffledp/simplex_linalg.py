@@ -12,11 +12,9 @@ The scalars run on Python floats (`_fisher`), so `gdp_mu` loads no numpy;
 numpy is imported only where an array is returned.
 """
 
-import functools
 import numbers
-import operator
 
-from .channels import Channel, Support, _Record
+from .channels import Channel, Support, _fdot, _Record
 from .errors import ValidationError
 
 # Guard for the Sherman-Morrison denominator 1 - pi(1-pi) I_f.
@@ -91,8 +89,8 @@ def _fisher(channel: Channel, pi: float) -> tuple:
     # q is finite at pi = 0 (validate_channel bounds W1 / W0); at pi = 1 a
     # W0 / W1 beyond the double range makes I_f inf and the check refuse it
     q = tuple(x / y for x, y in zip(v, f))
-    # summed in order, as numpy's `sum` takes fewer than 8 terms
-    fisher_mixture = functools.reduce(operator.add, map(operator.mul, v, q), -0.0)
+    # at pi = 0, f is W0 exactly, q is `_score`'s r and I_f its chi2, bit for bit
+    fisher_mixture = _fdot(v, q)
     denom = 1.0 - pi * (1.0 - pi) * fisher_mixture
     if not denom > _DENOM_TOL:
         raise ValidationError(

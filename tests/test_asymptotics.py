@@ -268,6 +268,17 @@ def test_jsd_expansion_remainder_is_third_order_up_to_a_million():
     assert max(coeffs) - min(coeffs) < 0.01 * abs(coeffs[0]), coeffs
 
 
+def test_jsd_expansion_adds_its_terms_left_to_right():
+    # the built-in `sum` is compensated from Python 3.12, so the expansion
+    # names one order: the terms added left to right, 3.11's sum
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        ch = full_channel(rng, int(rng.integers(2, 6)))
+        report = jsd_canonical_asymptotic(ch, int(rng.integers(1, 10**6)), exact=0.0)
+        t0, t1, t2 = report.terms
+        assert report.asymptotic == (t0 + t1) + t2
+
+
 def test_jsd_expansion_sums_terms_beyond_the_double_range():
     # chi2 = 8.1e199, so mu3 and chi2^2 overflow and the terms are
     # [1.45e198, -inf, inf]; with 60 digits they are [1.4502711e198,

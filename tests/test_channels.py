@@ -72,9 +72,21 @@ def test_validate_rejects_negative_and_nonfinite():
         validate_channel([math.nan, 1.0], [0.5, 0.5])
 
 
-def test_validate_rejects_a_2d_array():
+@pytest.mark.parametrize("W0", [[[0.5, 0.5], [0.5, 0.5]], np.full((2, 2), 0.5)], ids=["nested-list", "ndarray"])
+def test_validate_rejects_a_2d_array(W0):
     with pytest.raises(ValidationError, match="W0 must be a 1-d probability vector"):
-        validate_channel([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
+        validate_channel(W0, [0.5, 0.5])
+
+
+def test_fdot_rescales_a_partial_sum_beyond_the_double_range():
+    from shuffledp.channels import _fdot
+
+    # fsum refuses the partial sum 2e308, though the true sum is a double
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    assert _fdot([1e308, 1e308, -1e308], [1.0] * 3) == 1e308
+    assert _fdot([1e308, 1e308], [1.0, 1.0]) == math.inf
+    assert _fdot([-1e308, -1e308], [1.0, 1.0]) == -math.inf
 
 
 def test_validate_rejects_short_or_mismatched():

@@ -732,11 +732,11 @@ PINNED = {
     ),
     "report-rr": (
         ["report", "--channel", "rr.json", "--n", "100", "--pi", "0.5", "--m", "2"],
-        "9dee04b140f8ecec9b5c8eabb6002073d9909026a304abc29c0bba0a8b149242",
+        "e40c3e62b879c2517c561114e51477f1739d3031c0ec84993cd5c913cca92d57",
     ),
     "report-d3": (
         ["report", "--channel", "d3.json", "--n", "190", "--k", "63", "--m", "4"],
-        "1b998450b71d7a17c7fdab4f03fe5644288ff9b55b7f98fbf416ad857184ba0e",
+        "2bb9d48c13993a637592c6b9561ed3ab650a9dc6642c2f399f8abef114599f56",
     ),
     "report-null-support": (
         ["report", "--channel", "ns.json", "--n", "20"],
@@ -805,8 +805,64 @@ def test_closed_form_pins_hold_under_other_simd_and_blas_kernels(name, kernels, 
     assert out.stdout.strip() == digest
 
 
+# The residual's linear prediction is summed elementwise in symbol order, so its
+# bytes cannot depend on the BLAS kernel either (a dgemv's order is the kernel's).
+RESIDUAL_PROBE = """
+import json, sys
+from shuffledp import Composition, linearization_residual, validate_channel
+for w0, w1, n, k in json.loads(sys.argv[1]):
+    summary = linearization_residual(validate_channel(w0, w1), Composition(n, k))
+    print(repr(summary.rms), repr(summary.max_abs))
+"""
+RESIDUAL_CASES = [
+    (*PINNED_CHANNELS["d3.json"], 190, 0),
+    ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], 59, 19),
+    (*PINNED_CHANNELS["d3.json"], 120, 40),
+]
+
+
+@pytest.mark.parametrize("kernels", sorted(OTHER_KERNELS))
+def test_linearization_residual_holds_under_other_simd_and_blas_kernels(kernels):
+    from shuffledp import linearization_residual
+
+    here = [linearization_residual(validate_channel(w0, w1), Composition(n, k)) for w0, w1, n, k in RESIDUAL_CASES]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, **OTHER_KERNELS[kernels], "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", RESIDUAL_PROBE, json.dumps(RESIDUAL_CASES)], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"{r.rms!r} {r.max_abs!r}" for r in here]
+
+
 # ---------------------------------------------------------------------------
 # one spelling per closed form: the array APIs and the CLI read the same floats
+
+
+def _random_full_channel(rng, d: int):
+    raw = rng.uniform(0.05, 1.0, (2, d))
+    return validate_channel(*(raw / raw.sum(axis=1, keepdims=True)))
+
+
+def test_chi2_and_i0_are_one_double(tmp_path, capsys):
+    # the score's r = v / W0 is the Fisher kernel's q at pi = 0, and both dots
+    # are `_fdot`, so chi2 and I_0 cannot differ by a rounding
+    from shuffledp.channels import _score
+    from shuffledp.simplex_linalg import _fisher
+
+    rng = np.random.default_rng(42)
+    channels = [_random_full_channel(rng, d) for d in range(2, 9) for _ in range(150)]
+    differ = [ch for ch in channels if _score(ch)[3] != _fisher(ch, 0.0)[-1]]
+    assert not differ, f"{len(differ)} of {len(channels)} channels"
+    path = tmp_path / "ch.json"
+    for ch in channels[::75]:
+        n = int(rng.integers(5, 16))
+        path.write_text(channel_to_json(ch))
+        assert main(["report", "--channel", str(path), "--n", str(n), "--k", "0", "--m", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        chi2 = report["score"]["chi2"]
+        assert chi2 == report["multimessage"]["chi2"] == report["fisher"]["I_pi"]
+        assert report["gdp"]["mu_canonical"] == math.sqrt(chi2 / n)
+        assert report["jsd_canonical"]["terms"][0] == chi2 / (8.0 * n)
 
 
 CLOSED_FORM_CHANNELS = {"rr": ([0.75, 0.25], [0.25, 0.75]), "d3": ([0.5, 0.3, 0.2], [0.22, 0.33, 0.45])}
