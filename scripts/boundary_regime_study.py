@@ -38,7 +38,7 @@ def scaling_table(alpha: float, ns) -> None:
     for n in ns:
         eps0 = (1.0 - alpha) * math.log(n)
         channel = rr_channel(eps0)
-        b = rr_boundary(eps0, n)
+        b = rr_boundary(channel, n)
         ks = kolmogorov_to_gaussian(
             binomial_lr_atoms(channel, n), gdp_mu(channel, n).mu, Hypothesis.NULL
         )
@@ -55,8 +55,9 @@ def moment_grid(ns) -> None:
     print("\n# Lyapunov diagnostics: ratio = rho3 / (sigma^3 sqrt(n))")
     print(f"{'eps0':>6} {'n':>6} {'a_n':>10} {'ratio':>10} {'2*sqrt(a_n)':>12} {'regime':>14}")
     for eps0 in (0.5, math.log(3.0), 2.0, 4.0, 6.0):
+        channel = rr_channel(eps0)
         for n in ns:
-            b = rr_boundary(eps0, n)
+            b = rr_boundary(channel, n)
             print(
                 f"{eps0:>6.3f} {n:>6d} {b.a_n:>10.3e} {b.lyapunov_ratio:>10.3e} "
                 f"{b.lyapunov_bound:>12.3e} {b.regime.value:>14}"

@@ -14,10 +14,10 @@ is not cached here, so `shuffledp.f` is always what `shuffledp.<module>.f`
 holds at that moment.
 
 Importing the package before numpy caps numpy's bundled OpenBLAS at one
-thread (`OPENBLAS_NUM_THREADS=1`, unless the caller set a value).  Every
-BLAS call here is a length-d dot or a row-wise product, so a pool gains
-nothing, and its idle workers spin at `import numpy` and burn CPU in every
-short job.  Child processes inherit the variable.
+thread (`OPENBLAS_NUM_THREADS=1`, unless the caller set a value).  The
+package makes no BLAS or LAPACK call, so a pool gains nothing, but importing
+numpy starts one whose idle workers spin and burn CPU in every short job.
+Child processes inherit the variable.
 """
 
 import importlib

@@ -26,6 +26,9 @@ from .simplex_linalg import _fisher, _require_full
 
 _SQRT_HALF = math.sqrt(0.5)
 
+# `rr_boundary`'s regimes: a_n below the first value is sub-critical, above the second super-critical
+_REGIME_THRESHOLDS = (0.1, 10.0)
+
 
 def _phi(x: float) -> float:
     """Standard normal CDF, as 0.5 erfc(-x / sqrt 2).
@@ -81,10 +84,10 @@ class ExpansionReport(_Record, frozen=True):
 class RrBoundary(_Record, frozen=True):
     """Normal-approximation diagnostics of randomized response at (eps0, n).
 
-    a_n = e^{eps0}/n is the boundary parameter separating the regimes;
-    sigma2 and rho3 are the variance and absolute third moment of the
-    centered score, `lyapunov_ratio` the scaled ratio rho3/(sigma^3 sqrt n),
-    and the *_bound fields its closed-form envelopes.
+    a_n = e^{eps0}/n separates the regimes; x_plus and x_minus are the two
+    values of the centered score r = v/W0, sigma2 (chi2) and rho3 its variance
+    and absolute third moment under W0, `lyapunov_ratio` rho3/(sigma^3 sqrt n),
+    and the *_bound fields its closed-form envelopes 2 e^{eps0/2} and 2 sqrt(a_n).
     """
 
     eps0: float
@@ -280,58 +283,43 @@ def leading_divergence(
     raise ValidationError(f"unknown divergence kind {kind!r}")
 
 
-def rr_boundary(
-    eps0: float,
-    n: int,
-    sub_threshold: float = 0.1,
-    super_threshold: float = 10.0,
-) -> RrBoundary:
-    """Score moments and regime classification for randomized response.
+def _is_rr(channel: Channel) -> bool:
+    """Whether the channel is (numerically) randomized response: d = 2 and W1 is W0 swapped."""
+    return channel.d == 2 and max(abs(x - y) for x, y in zip(channel._laws[0], channel._laws[1][::-1])) <= 1e-12
 
-    The centered score takes the two values x_plus = e^{eps0} - 1 and
-    x_minus = e^{-eps0} - 1; sigma2 and rho3 are its second and third
-    absolute moments under the input-0 law.  The regime is decided by
-    a_n = e^{eps0}/n against the supplied thresholds.  An eps0 above
-    log(DBL_MAX) ~ 709.78, where e^{eps0} overflows, raises ValidationError.
+
+def rr_boundary(channel: Channel, n: int) -> RrBoundary:
+    """Score moments and regime classification for a randomized-response channel.
+
+    Every field is read from the channel's score (`_score`): eps0 = log w_max,
+    q = delta_star, a_n = w_max / n, x_plus and x_minus the two values of r,
+    sigma2 = E_0 r^2 its chi2 and rho3 = E_0 |r|^3 = |v| r . r.  The Lyapunov
+    ratio rho3 / (sigma^3 sqrt n) takes r / sigma^3 into the sum, so it is
+    finite wherever its true value is.  The regime is a_n's place against
+    _REGIME_THRESHOLDS.  Any other channel raises ValidationError.
     """
-    _check_eps(eps0, "eps0", "rr_boundary")
+    if not _is_rr(channel):
+        raise ValidationError("rr_boundary needs a randomized-response channel (d = 2, W1 = W0 swapped)")
     n = _check_count("n", n)
-    if not 0.0 < sub_threshold < super_threshold:
-        raise ValidationError(
-            f"need 0 < sub_threshold < super_threshold, got {sub_threshold!r}, {super_threshold!r}"
-        )
-    e = math.exp(eps0)
-    x = e - 1.0
-    q = 1.0 / (1.0 + e)
-    a_n = e / n
-    try:
-        sigma2 = x**2 / e
-        rho3 = x**3 * (1.0 + e**-2) / (1.0 + e)
-        lyapunov = rho3 / (sigma2**1.5 * math.sqrt(n)) if sigma2 > 0.0 else 0.0
-    except OverflowError:
-        # x^3 is beyond the double range (e above ~5.6e102): the same moments
-        # as products of ratios near 1, so rho3 is inf only where its true
-        # value is, and the ratio rho3 / sigma^3 cancels x^3 in closed form
-        sigma2 = x * (x / e)
-        rho3 = x * (x * (x / (1.0 + e))) * (1.0 + e**-2)
-        lyapunov = (1.0 + e**-2) * (e / (1.0 + e)) * math.sqrt(e / n)
-    if a_n < sub_threshold:
-        regime = Regime.SUB_CRITICAL
-    elif a_n > super_threshold:
-        regime = Regime.SUPER_CRITICAL
-    else:
-        regime = Regime.CRITICAL
+    w, r, v, chi2, _ = _score(channel)
+    w_max = max(w)
+    a_n = w_max / n
+    abs_vr = [abs(x) * y for x, y in zip(v, r)]
+    sigma = math.sqrt(chi2)
+    lyapunov = _fdot(abs_vr, [x / chi2 / sigma for x in r]) / math.sqrt(n) if chi2 > 0.0 else 0.0
+    sub, sup = _REGIME_THRESHOLDS
+    regime = Regime.SUB_CRITICAL if a_n < sub else Regime.SUPER_CRITICAL if a_n > sup else Regime.CRITICAL
     return RrBoundary(
-        eps0=eps0,
+        eps0=math.log(w_max),
         n=n,
-        q=q,
+        q=channel.delta_star,
         a_n=a_n,
-        x_plus=x,
-        x_minus=1.0 / e - 1.0,
-        sigma2=sigma2,
-        rho3=rho3,
+        x_plus=max(r),
+        x_minus=min(r),
+        sigma2=chi2,
+        rho3=_fdot(abs_vr, r),
         lyapunov_ratio=lyapunov,
-        skew_bound=2.0 * math.exp(eps0 / 2.0),
+        skew_bound=2.0 * math.sqrt(w_max),
         lyapunov_bound=2.0 * math.sqrt(a_n),
         regime=regime,
     )

@@ -230,17 +230,6 @@ def _write_table(args, manifest: list, columns: dict, extra: list | None = None,
             fh.write(text)
 
 
-def _is_rr(channel: Channel) -> float | None:
-    """Return eps0 if the channel, which is not SINGULAR, is (numerically) a
-    randomized-response channel, else None."""
-    if channel.d != 2:
-        return None
-    (a, b), (c, e) = channel._laws
-    if abs(a - e) > 1e-12 or abs(b - c) > 1e-12:
-        return None
-    return abs(math.log(a / b))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -295,7 +284,7 @@ def cmd_curve(args) -> int:
 
 def cmd_report(args) -> int:
     # every closed form is in asymptotics: no report loads the m-message engine or the sampler module
-    from .asymptotics import gdp_mu, jsd_canonical_asymptotic, mm_gdp_compare, rr_boundary
+    from .asymptotics import _is_rr, gdp_mu, jsd_canonical_asymptotic, mm_gdp_compare, rr_boundary
     from .simplex_linalg import _check_pi, _fisher
 
     channel = _load_channel(args.channel)
@@ -339,9 +328,8 @@ def cmd_report(args) -> int:
         report["fisher"] = None
         report["gdp"] = None
     report["jsd_canonical"] = jsd_canonical_asymptotic(channel, args.n)
-    eps0 = _is_rr(channel)
-    if eps0 is not None:
-        report["rr_boundary"] = rr_boundary(eps0, args.n)
+    if _is_rr(channel):
+        report["rr_boundary"] = rr_boundary(channel, args.n)
     print(_strict_json(report, indent=2))
     return 0
 

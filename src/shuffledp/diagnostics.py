@@ -7,6 +7,7 @@ k = 0 (`_k0_rows`) and from the dense ratio table of `fold` at k > 0, and
 the residual of U against its linear prediction.
 """
 
+import contextlib
 import math
 from dataclasses import field
 
@@ -22,6 +23,7 @@ from .exact_dist import (
     _atom_fsum,
     _binom_pmf,
     _canonical_cells,
+    _cell_blocks,
     _chain_shares,
     _check_histogram,
     _check_pair,
@@ -136,9 +138,20 @@ def _renyi_term(lr: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
     (p^(1/alpha) L)^alpha, which is finite wherever the term is (p <= 1)."""
     with np.errstate(over="ignore"):
         term = p * lr**alpha
-    big = np.isinf(term)
-    term[big] = (p[big] ** (1.0 / alpha) * lr[big]) ** alpha
+        big = np.isinf(term)
+        term[big] = (p[big] ** (1.0 / alpha) * lr[big]) ** alpha
     return term
+
+
+def _log_renyi_moment(atoms: LrAtomization, alpha: float) -> float:
+    """log sum p L^alpha.  Beyond the double range (a term or fsum's partial sum overflows) it is
+    alpha log u_max + log sum (u / u_max)^alpha, u = p^(1/alpha) L: the scaled terms are at most 1
+    and the largest is 1, at any order."""
+    with contextlib.suppress(OverflowError):
+        if (moment := _atom_fsum(atoms, lambda lr, p: _renyi_term(lr, p, alpha))) < math.inf:
+            return math.log(moment)
+    u_max = max(float(np.max(atoms.p_null[at] ** (1.0 / alpha) * atoms.lr[at])) for at in _cell_blocks(atoms.lr.size))
+    return alpha * math.log(u_max) + math.log(_atom_fsum(atoms, lambda lr, p: (p ** (1.0 / alpha) * lr / u_max) ** alpha))
 
 
 def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
@@ -170,8 +183,7 @@ def divergences(atoms: LrAtomization, renyi_orders=()) -> DivergenceReport:
         alpha = float(alpha)
         if not (1.0 < alpha < math.inf):
             raise ValidationError(f"Renyi order must be finite and exceed 1, got {alpha}")
-        moment = math.inf if sing > 0.0 else _atom_fsum(atoms, lambda lr, p: _renyi_term(lr, p, alpha))
-        renyi[alpha] = max(math.log(moment), 0.0) / (alpha - 1.0)
+        renyi[alpha] = math.inf if sing > 0.0 else max(_log_renyi_moment(atoms, alpha), 0.0) / (alpha - 1.0)
     return DivergenceReport(jsd=jsd, tv=tv, chi2=chi2, kl=kl, renyi=renyi)
 
 
@@ -280,12 +292,12 @@ def linearization_residual(
     """
     if comp.n < 2:
         raise ValidationError("linearization needs n >= 2")
-    from .simplex_linalg import _check_pi, fisher_constant
+    from .simplex_linalg import _check_pi, _direction
 
     pi = _pair_pi(comp.n, comp.k) if pi is None else _check_pi(pi)
     if not (window_mult > 0.0):
         raise ValidationError(f"window_mult must be positive, got {window_mult!r}")
-    s = fisher_constant(channel, pi).s
+    s = _direction(channel, pi)[-1]
     _check_pair(channel, comp, "pair ratio")
     if comp.k == 0:
         blocks = _kept_cells(_canonical_cells(channel, comp.n, cap))

@@ -19,6 +19,7 @@ study.
 import enum
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -285,20 +286,21 @@ def dkw_radius(reps: int, gamma: float = 0.05) -> float:
 def rate_exponent(points) -> float:
     """Least-squares slope of log(value) against log(n).
 
-    Needs at least three points with distinct n and positive values; exact
-    power laws are recovered exactly (up to rounding).
+    Needs at least three points with distinct n and positive values.  The
+    slope is the closed form sum dx dy / sum dx^2 of the deviations from the
+    means, in exactly rounded sums, so no least-squares kernel's rounding shows.
     """
     pts = [(float(n), float(v)) for n, v in points]
     if len(pts) < 3:
         raise ValidationError("rate fit needs at least 3 points")
-    ns = [p[0] for p in pts]
-    vs = [p[1] for p in pts]
-    if len(set(ns)) != len(ns):
-        raise ValidationError("rate fit needs distinct n values")
-    if not all(0.0 < x < math.inf for x in ns + vs):
+    if not all(0.0 < x < math.inf for pt in pts for x in pt):
         raise ValidationError("rate fit needs positive finite n and values")
-    slope, _ = np.polyfit(np.log(ns), np.log(vs), 1)
-    return float(slope)
+    xs, ys = ([math.log(pt[i]) for pt in pts] for i in (0, 1))
+    if len(set(xs)) != len(xs):  # distinct logs, so sum dx^2 > 0
+        raise ValidationError("rate fit needs distinct n values")
+    x_mean, y_mean = (math.fsum(logs) / len(logs) for logs in (xs, ys))
+    dx, dy = [x - x_mean for x in xs], [y - y_mean for y in ys]
+    return math.fsum(map(operator.mul, dx, dy)) / math.fsum(map(operator.mul, dx, dx))
 
 
 # ---------------------------------------------------------------------------

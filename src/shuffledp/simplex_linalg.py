@@ -100,6 +100,15 @@ def _fisher(channel: Channel, pi: float) -> tuple:
     return pi, f, v, q, denom, fisher_mixture, fisher_mixture / denom
 
 
+def _direction(channel: Channel, pi: float) -> tuple:
+    """`_fisher`'s values, then the score direction s: q over the denominator, projected to zero sum."""
+    import numpy as np
+
+    kernel = _fisher(channel, pi)
+    s = np.array(kernel[3]) / kernel[4]
+    return *kernel, s - s.mean()
+
+
 def fisher_constant(channel: Channel, pi: float) -> FisherReport:
     """The zero-sum solution s of sigma_pi s = v and I_pi = v . s, in closed form.
 
@@ -113,14 +122,13 @@ def fisher_constant(channel: Channel, pi: float) -> FisherReport:
     """
     import numpy as np
 
-    pi, f, v, q, denom, fisher_mixture, fisher = _fisher(channel, pi)
-    s = np.array(q) / denom
+    pi, f, v, _, _, fisher_mixture, fisher, s = _direction(channel, pi)
     return FisherReport(
         pi=pi,
         f=np.array(f),
         v=np.array(v),
         sigma=sigma_pi(channel, pi),
-        s=s - s.mean(),
+        s=s,
         fisher=fisher,
         fisher_mixture=fisher_mixture,
     )

@@ -195,7 +195,7 @@ def test_criterion_09_boundary_scaling_and_inequalities():
         assert -0.45 <= slope <= -0.10, (hyp, slope, points)
     for eps0 in np.linspace(0.0, 6.0, 13):
         for n in (10, 100, 1000):
-            b = rr_boundary(float(eps0), n)
+            b = rr_boundary(rr_channel(float(eps0)), n)
             assert b.lyapunov_ratio * math.sqrt(n) <= b.skew_bound + 1e-12
             assert b.lyapunov_ratio <= b.lyapunov_bound + 1e-12
     clock.check()

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,6 +405,9 @@ def test_report_contents(rr3_file, capsys):
     # the documented decimal renderings appear verbatim in the JSON text
     assert "1.333333" in out and "0.163299" in out and "1.666666" in out
     assert payload["rr_boundary"]["regime"] == "sub-critical"
+    # one score: the boundary block prints the channel's chi2 and r, not a second derivation
+    assert payload["rr_boundary"]["sigma2"] == payload["score"]["chi2"] == 4 / 3
+    assert (payload["rr_boundary"]["x_plus"], payload["rr_boundary"]["x_minus"]) == (2.0, -2 / 3)
 
 
 def test_report_jsd_block(rr3_file, capsys):
@@ -732,7 +737,7 @@ PINNED = {
     ),
     "report-rr": (
         ["report", "--channel", "rr.json", "--n", "100", "--pi", "0.5", "--m", "2"],
-        "e40c3e62b879c2517c561114e51477f1739d3031c0ec84993cd5c913cca92d57",
+        "2fe3e65d0d32de70baef31eabd8e69557ade02c4ef1fb882f0d36049e3b22e29",
     ),
     "report-d3": (
         ["report", "--channel", "d3.json", "--n", "190", "--k", "63", "--m", "4"],
@@ -832,6 +837,70 @@ def test_linearization_residual_holds_under_other_simd_and_blas_kernels(kernels)
                          text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [f"{r.rms!r} {r.max_abs!r}" for r in here]
+
+
+# The rate fit is a closed-form slope in exactly rounded sums, so no LAPACK
+# kernel shows: np.polyfit (dgelsd) gave each of these fits a different last
+# digit under the default kernels, the AVX2 dispatch and OpenBLAS Prescott.
+RATE_PROBE = """
+import json, sys
+from shuffledp import rate_exponent
+for points in json.loads(sys.argv[1]):
+    print(repr(rate_exponent(points)))
+"""
+RATE_FITS = [
+    [[132701, 0.7025357816695172], [297842, 0.4777530224833099], [350696, 0.631944718379331],
+     [639669, 0.4845484490616072], [800272, 0.9249291679537233], [880506, 0.04553882008767756]],
+    [[74291, 0.8933714186545587], [115142, 0.4112768052992979], [233828, 0.5131198946524727],
+     [303210, 0.8003569704001788], [383184, 0.4018315633496731], [817992, 0.3629176633771561],
+     [884333, 0.9548437325498204], [885305, 0.12713308935109227]],
+    [[43332, 0.4531994464439644], [511745, 0.38688685088197394], [527247, 0.31689961289707647],
+     [606599, 0.4396214669439343], [614869, 0.9261503957601116], [695129, 0.7470115882405789],
+     [802760, 0.05167411335025476]],
+]
+
+
+@pytest.mark.parametrize("kernels", sorted(OTHER_KERNELS))
+def test_rate_exponent_holds_under_other_simd_and_blas_kernels(kernels):
+    from shuffledp import rate_exponent
+
+    here = [repr(rate_exponent(points)) for points in RATE_FITS]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, **OTHER_KERNELS[kernels], "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", RATE_PROBE, json.dumps(RATE_FITS)], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == here
+
+
+# numpy routes these to BLAS or LAPACK, whose summation order is the kernel's;
+# the package sums its dots with math.fsum and fits its slope in closed form.
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg", "polyfit", "lstsq"}
+
+
+def _blas_calls(tree) -> list:
+    """Where a module's syntax tree uses `@`, names a BLAS or LAPACK routine as an attribute, or imports one."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            for name in modules + [alias.name for alias in node.names]:
+                found += [(node.lineno, part) for part in name.split(".") if part in BLAS_NAMES]
+    return found
+
+
+def test_the_package_makes_no_blas_or_lapack_call():
+    src = Path(__file__).resolve().parent.parent / "src" / "shuffledp"
+    found = {path.name: _blas_calls(ast.parse(path.read_text(), str(path))) for path in sorted(src.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    # the scan sees each spelling
+    probe = "a @ b\na @= b\nnp.dot(a, b)\nnp.linalg.solve(a, b)\nfrom numpy.linalg import lstsq\nfrom numpy import vdot\n"
+    assert sorted(_blas_calls(ast.parse(probe))) == [
+        (1, "@"), (2, "@"), (3, "dot"), (4, "linalg"), (5, "linalg"), (5, "lstsq"), (6, "vdot")]
 
 
 # ---------------------------------------------------------------------------

@@ -704,7 +704,7 @@ COUNT_ARGUMENTS = {
     "chernoff_delta-n": lambda v: shuffledp.chernoff_delta(RR3, v, 0.5),
     "unbundled_hoeffding_delta-n": lambda v: shuffledp.unbundled_hoeffding_delta(RR3, v, 2, 0.5),
     "unbundled_hoeffding_delta-m": lambda v: shuffledp.unbundled_hoeffding_delta(RR3, 10, v, 0.5),
-    "rr_boundary-n": lambda v: shuffledp.rr_boundary(1.0, v),
+    "rr_boundary-n": lambda v: shuffledp.rr_boundary(shuffledp.rr_channel(1.0), v),
     "frequency_mse-n": lambda v: shuffledp.frequency_mse(1.0, v, 0.5, _SMALL_RUN),
     "unbundled_lr-m": lambda v: shuffledp.unbundled_lr(RR3, 1, v, (v, 0)),
     "unbundled_lr_atoms-m": lambda v: shuffledp.unbundled_lr_atoms(RR3, 2, v),
@@ -1478,6 +1478,24 @@ def test_renyi_moment_where_the_ratio_power_overflows():
         warnings.simplefilter("error")
         renyi = divergences(atoms, renyi_orders=(2.0,)).renyi[2.0]
     assert renyi == pytest.approx(458.92265623719494, rel=1e-12)
+
+
+@pytest.mark.parametrize("w0, w1, comp, alpha, expected", [
+    # the moment is beyond the double range: at 3.062 fsum's partial sum overflowed (a bare
+    # OverflowError), from 3.064 a term did (inf, with an overflow warning); 50-digit mpmath
+    ([1e-150, 1e-150, 1 - 2e-150], [0.4, 0.39, 0.21], Composition(1, 0), 3.062, 344.34482235692463),
+    ([1e-150, 1e-150, 1 - 2e-150], [0.4, 0.39, 0.21], Composition(1, 0), 3.1, 344.34689399803422),
+    ([1e-150, 1e-150, 1 - 2e-150], [0.4, 0.39, 0.21], Composition(1, 0), 4.0, 344.38064063992174),
+    # at a large order every L^alpha above 1 overflows (50-digit mpmath over the same atoms)
+    ([0.7310585786300049, 0.2689414213699951], [0.2689414213699951, 0.7310585786300049], Composition(10, 0),
+     2000.0, 0.99393065689085442),
+])
+def test_renyi_divergence_beyond_the_moments_double_range(w0, w1, comp, alpha, expected):
+    atoms = lr_atoms(validate_channel(w0, w1), comp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        renyi = divergences(atoms, renyi_orders=(alpha,)).renyi[alpha]
+    assert renyi == pytest.approx(expected, rel=1e-12)
 
 
 def test_kl_is_clipped_at_zero_where_the_ratios_round_to_one():

@@ -217,7 +217,7 @@ def test_entry_points_on_extreme_inputs(draw):
 
 def _scalar_entry_points(eps0, eps, mu, hypothesis):
     channel = _refused_or(rr_channel, eps0)
-    boundary = _refused_or(rr_boundary, eps0, 7)
+    boundary = None if channel is None else rr_boundary(channel, 7)
     if boundary is not None:
         _finite(boundary.q, low=0.0, high=0.5)
         _finite(boundary.a_n, boundary.x_plus, boundary.sigma2, boundary.lyapunov_ratio, low=0.0)

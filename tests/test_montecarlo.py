@@ -33,7 +33,7 @@ from shuffledp import (
     sample_privacy_loss,
     validate_channel,
 )
-from shuffledp.channels import score_stats
+from shuffledp.channels import _score, score_stats
 from shuffledp.exact_dist import MIN_NULL_MASS
 from shuffledp.records import DEFAULT_ATOM_CAP
 from shuffledp.fold import _base_law, _fold
@@ -520,7 +520,7 @@ def test_rate_exponent_validation():
 
 
 def test_rr_boundary_moments_rr3():
-    b = rr_boundary(math.log(3.0), 100)
+    b = rr_boundary(rr_channel(math.log(3.0)), 100)
     assert b.q == pytest.approx(0.25, rel=1e-12)
     assert b.a_n == pytest.approx(0.03, rel=1e-12)
     assert b.sigma2 == pytest.approx(4 / 3, rel=1e-12)
@@ -530,16 +530,29 @@ def test_rr_boundary_moments_rr3():
     assert b.regime is Regime.SUB_CRITICAL
 
 
+def test_rr_boundary_reads_the_channels_score():
+    # sigma2 is the channel's chi2, x_plus and x_minus are its score's two values
+    # r = v/W0 and a_n is w_max / n, bit for bit, at eps0 up to log(DBL_MAX)
+    rng = np.random.default_rng(43)
+    for eps0, n, swap in zip(rng.uniform(0.0, 709.0, 1200), rng.integers(1, 10**6, 1200), rng.integers(0, 2, 1200)):
+        channel = rr_channel(float(eps0))
+        if swap:
+            channel = validate_channel(*channel._laws[::-1])
+        w, r, _, chi2, _ = _score(channel)
+        b = rr_boundary(channel, int(n))
+        assert (b.sigma2, b.x_plus, b.x_minus, b.a_n) == (chi2, max(r), min(r), max(w) / int(n)), eps0
+
+
 def test_rr_boundary_regimes():
-    assert rr_boundary(math.log(3.0), 1).regime is Regime.CRITICAL  # a = 3
-    assert rr_boundary(5.0, 10).regime is Regime.SUPER_CRITICAL  # a = 14.8
-    assert rr_boundary(0.5, 10000).regime is Regime.SUB_CRITICAL
+    assert rr_boundary(rr_channel(math.log(3.0)), 1).regime is Regime.CRITICAL  # a = 3
+    assert rr_boundary(rr_channel(5.0), 10).regime is Regime.SUPER_CRITICAL  # a = 14.8
+    assert rr_boundary(rr_channel(0.5), 10000).regime is Regime.SUB_CRITICAL
 
 
 def test_rr_boundary_inequalities():
     for eps0 in (0.25, 1.0, math.log(3.0), 3.0):
         for n in (10, 100, 10000):
-            b = rr_boundary(eps0, n)
+            b = rr_boundary(rr_channel(eps0), n)
             assert b.lyapunov_ratio <= b.lyapunov_bound + 1e-12
             assert b.lyapunov_ratio * math.sqrt(n) <= b.skew_bound + 1e-12
 
@@ -548,12 +561,12 @@ def test_rr_boundary_beyond_the_cube_range():
     # eps0 = 460.3 (the rr channel W0 = [1.231296895499659e-200, 1] read by
     # `report`): (e^eps0 - 1)^3 is beyond the double range and so is rho3,
     # about 6.6e399, while sigma2 and the Lyapunov ratio are finite (50 digits)
-    b = rr_boundary(460.3089505983148, 7)
+    b = rr_boundary(rr_channel(460.3089505983148), 7)
     assert b.sigma2 == pytest.approx(8.1215180810976474e199, rel=1e-12)
     assert b.lyapunov_ratio == pytest.approx(3.4061956325616932e99, rel=1e-12)
     assert b.rho3 == math.inf
     # below e^eps0 ~ 1.3e154 only the cube overflows, and rho3 is finite
-    b = rr_boundary(300.0, 3)
+    b = rr_boundary(rr_channel(300.0), 3)
     assert b.rho3 == pytest.approx(3.7730203009299398e260, rel=1e-12)
     assert b.lyapunov_ratio == pytest.approx(8.0465860156989476e64, rel=1e-12)
 
@@ -562,10 +575,10 @@ def test_rr_boundary_refuses_eps0_beyond_the_double_range():
     # e^eps0 overflows above log(DBL_MAX) ~ 709.78, as in `gdp_delta`; at
     # 720 it was an uncaught OverflowError from math.exp
     top = math.log(np.finfo(np.float64).max)
-    assert rr_boundary(top, 10).a_n == pytest.approx(np.finfo(np.float64).max / 10, rel=1e-12)
+    assert rr_boundary(rr_channel(top), 10).a_n == pytest.approx(np.finfo(np.float64).max / 10, rel=1e-12)
     for eps0 in (math.nextafter(top, math.inf), 720.0):
         with pytest.raises(ValidationError, match="largest double"):
-            rr_boundary(eps0, 10)
+            rr_boundary(rr_channel(eps0), 10)
 
 
 def test_frequency_mse_refuses_eps0_beyond_the_double_range():
@@ -578,14 +591,15 @@ def test_frequency_mse_refuses_eps0_beyond_the_double_range():
 
 
 def test_rr_boundary_degenerate_and_validation():
-    b = rr_boundary(0.0, 50)
+    b = rr_boundary(rr_channel(0.0), 50)
     assert b.sigma2 == 0.0 and b.lyapunov_ratio == 0.0
     with pytest.raises(ValidationError):
-        rr_boundary(-0.5, 10)
+        rr_boundary(rr_channel(-0.5), 10)
     with pytest.raises(ValidationError):
-        rr_boundary(1.0, 0)
-    with pytest.raises(ValidationError):
-        rr_boundary(1.0, 10, sub_threshold=5.0, super_threshold=1.0)
+        rr_boundary(rr_channel(1.0), 0)
+    for channel in (validate_channel([0.6, 0.4], [0.3, 0.7]), validate_channel([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])):
+        with pytest.raises(ValidationError, match="randomized-response"):
+            rr_boundary(channel, 10)
 
 
 def test_frequency_mse_within_bound():
