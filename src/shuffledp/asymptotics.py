@@ -18,7 +18,7 @@ import numbers
 import operator
 from enum import Enum
 
-from .channels import Channel, _check_eps, _fdot, _Record, _score
+from .channels import _MAX_EPS, Channel, _check_eps, _fdot, _Record, _score
 from .errors import EnumerationCapError, ValidationError
 from .records import Composition, _check_count, _check_eps_grid
 from .simplex_linalg import _fisher, _require_full
@@ -117,7 +117,8 @@ class MmComparison(_Record, frozen=True):
     is (1 + chi2)^m - 1 (the chi-square of the m-fold product channel).
     `ratio` = bundled/unbundled > 1 strictly for m >= 2 unless the channel
     is degenerate (chi2 = 0), in which case `degenerate` is set and the
-    ratios take their limiting value 1.
+    ratios take their limiting value 1.  At m = 2 `ratio` equals
+    `ratio_lower_bound` in exact arithmetic only: the two are rounded apart.
     """
 
     m: int
@@ -284,8 +285,10 @@ def leading_divergence(
 
 
 def _is_rr(channel: Channel) -> bool:
-    """Whether the channel is (numerically) randomized response: d = 2 and W1 is W0 swapped."""
-    return channel.d == 2 and max(abs(x - y) for x, y in zip(channel._laws[0], channel._laws[1][::-1])) <= 1e-12
+    """Whether the channel is (numerically) randomized response: d = 2 and W1 is W0 swapped, each
+    mass within 1e-12 relative of its partner, so a tiny mass is not matched by a tinier one."""
+    pairs = zip(channel._laws[0], channel._laws[1][::-1])
+    return channel.d == 2 and all(abs(x - y) <= 1e-12 * max(x, y) for x, y in pairs)
 
 
 def rr_boundary(channel: Channel, n: int) -> RrBoundary:
@@ -331,18 +334,19 @@ def mm_gdp_compare(channel: Channel, m: int) -> MmComparison:
     Unbundled: n mu^2 = m chi2.  Bundled (one super-symbol of m messages):
     n mu^2 = (1 + chi2)^m - 1, by multiplicativity of 1 + chi2 under
     products (ValidationError, naming the largest m, beyond the double
-    range).  For m >= 2 and chi2 > 0 the ratio strictly exceeds its
-    algebraic lower bound floor 1 + (m-1) chi2 / 2 >= ... >= 1, with
-    equality of bound and ratio at m = 2.
+    range), taken as expm1(m log1p(chi2)) below chi2 = 1.  For m >= 2 and
+    chi2 > 0 the ratio strictly exceeds its algebraic lower bound floor
+    1 + (m-1) chi2 / 2 >= ... >= 1, with equality of bound and ratio at
+    m = 2 in exact arithmetic only.
     """
     m = _check_count("m", m)
     _require_full(channel, "bundled comparison")
     chi2 = _score(channel)[3]
     unbundled = m * chi2
-    try:
-        bundled = (1.0 + chi2) ** m - 1.0
-    except OverflowError:  # log(2^1024) rounds to log(DBL_MAX)
-        largest = int(1024 * math.log(2.0) / math.log(1.0 + chi2))
+    try:  # below 1, 1 + chi2 would round away chi2's low bits; from 1 up, the power is closer
+        bundled = math.expm1(m * math.log1p(chi2)) if chi2 < 1.0 else (1.0 + chi2) ** m - 1.0
+    except OverflowError:
+        largest = int(_MAX_EPS / math.log1p(chi2))
         raise ValidationError(f"bundled comparison: (1 + chi2)^m overflows above m = {largest}, got m={m}") from None
     # a degenerate channel (chi2 = 0) takes the limiting ratio 1
     return MmComparison(

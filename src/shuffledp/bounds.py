@@ -11,7 +11,7 @@ A cruder Hoeffding-style bound covers the m-message (unbundled) curve.
 import math
 import warnings
 
-from .channels import Channel, _check_eps, _Record, _score
+from .channels import _MAX_EPS, Channel, _check_eps, _Record, _score
 from .records import PrivacyCurve, Sidedness, _check_count, _check_eps_grid
 
 # The search brackets the minimizer by [0, lam_cap], where lam_cap * max|r| is
@@ -96,11 +96,8 @@ def _chernoff_search(channel: Channel, n: int):
 
 
 def _tau(eps: float) -> float:
-    """e^eps - 1, or inf above eps = log(DBL_MAX) ~ 709.78, where every bound here is 0."""
-    try:
-        return math.expm1(eps)
-    except OverflowError:
-        return math.inf
+    """e^eps - 1, or inf above eps = _MAX_EPS = log(DBL_MAX) ~ 709.78, where every bound here is 0."""
+    return math.expm1(eps) if eps <= _MAX_EPS else math.inf
 
 
 def _bound(log_bound: float) -> float:
@@ -161,7 +158,7 @@ def unbundled_hoeffding_delta(channel: Channel, n: int, m: int, eps: float) -> f
             stacklevel=2,
         )
         return 1.0
-    # tau^2 / w_max^(2m) in logs: 0 gives the exact vacuous 1; past e^700 the bound is 0
-    decay = math.exp(min(2.0 * math.log(_tau(eps)) - 2.0 * m * math.log(w_max), 700.0))
+    # tau^2 / w_max^(2m) in logs: 0 gives the exact vacuous 1; past e^_MAX_EPS the bound is 0
+    decay = math.exp(min(2.0 * math.log(_tau(eps)) - 2.0 * m * math.log(w_max), _MAX_EPS))
     log_bound = m * math.log(w_max) - 2.0 * n * decay
     return min(1.0, math.exp(min(log_bound, 0.0)))

@@ -14,6 +14,7 @@ import dataclasses
 import enum
 import functools
 import inspect
+import itertools
 import json
 import math
 import numbers
@@ -39,16 +40,20 @@ def _check_eps(eps, name: str = "eps", caller: str | None = None) -> None:
         raise ValidationError(f"{caller} needs {name} <= {_MAX_EPS!r} (the log of the largest double), got {eps!r}")
 
 
-def _fdot(a, b) -> float:
-    """sum_i a_i b_i, exactly rounded: `math.fsum` of the products, so no BLAS
-    kernel's summation order shows.  A sum beyond the double range is +-inf, as
-    its true value is (fsum refuses a partial sum there; the terms scaled by
-    2^-64 sum to it, and scaling back rounds it)."""
-    terms = list(map(operator.mul, a, b))
+def _exact_sum(*parts) -> float:
+    """`math.fsum` of the terms of `parts` (lists or arrays: they may be read twice).  A sum beyond
+    the double range is its signed infinity, as its true value is: fsum refuses a partial sum there,
+    the terms scaled by 2^-64 sum to it and scaling back rounds it.  The scale is exact for terms
+    above 2^-958; a smaller term loses bits to it, which shows only where the large terms cancel."""
     try:
-        return math.fsum(terms)
+        return math.fsum(itertools.chain(*parts))
     except OverflowError:
-        return math.fsum(t * 2.0**-64 for t in terms) * 2.0**64
+        return math.fsum(t * 2.0**-64 for t in itertools.chain(*parts)) * 2.0**64
+
+
+def _fdot(a, b) -> float:
+    """sum_i a_i b_i, the `_exact_sum` of the products, so no BLAS kernel's summation order shows."""
+    return _exact_sum(list(map(operator.mul, a, b)))
 
 
 def _ndarray() -> type | tuple:

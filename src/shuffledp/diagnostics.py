@@ -7,7 +7,6 @@ k = 0 (`_k0_rows`) and from the dense ratio table of `fold` at k > 0, and
 the residual of U against its linear prediction.
 """
 
-import contextlib
 import math
 from dataclasses import field
 
@@ -133,23 +132,14 @@ def reverse_atomization(atoms: LrAtomization) -> LrAtomization:
 # divergences and trade-off
 
 
-def _renyi_term(lr: np.ndarray, p: np.ndarray, alpha: float) -> np.ndarray:
-    """The Renyi moment's terms p L^alpha.  Where L^alpha overflows they are
-    (p^(1/alpha) L)^alpha, which is finite wherever the term is (p <= 1)."""
-    with np.errstate(over="ignore"):
-        term = p * lr**alpha
-        big = np.isinf(term)
-        term[big] = (p[big] ** (1.0 / alpha) * lr[big]) ** alpha
-    return term
-
-
 def _log_renyi_moment(atoms: LrAtomization, alpha: float) -> float:
-    """log sum p L^alpha.  Beyond the double range (a term or fsum's partial sum overflows) it is
-    alpha log u_max + log sum (u / u_max)^alpha, u = p^(1/alpha) L: the scaled terms are at most 1
-    and the largest is 1, at any order."""
-    with contextlib.suppress(OverflowError):
-        if (moment := _atom_fsum(atoms, lambda lr, p: _renyi_term(lr, p, alpha))) < math.inf:
-            return math.log(moment)
+    """log sum p L^alpha, an `_atom_fsum`.  Where a term or the sum leaves the double range the
+    sum is inf, and the log is alpha log u_max + log sum (u / u_max)^alpha, u = p^(1/alpha) L:
+    the scaled terms are at most 1 and the largest is 1, at any order."""
+    with np.errstate(over="ignore"):
+        moment = _atom_fsum(atoms, lambda lr, p: p * lr**alpha)
+    if moment < math.inf:
+        return math.log(moment)
     u_max = max(float(np.max(atoms.p_null[at] ** (1.0 / alpha) * atoms.lr[at])) for at in _cell_blocks(atoms.lr.size))
     return alpha * math.log(u_max) + math.log(_atom_fsum(atoms, lambda lr, p: (p ** (1.0 / alpha) * lr / u_max) ** alpha))
 

@@ -20,13 +20,12 @@ the divergences, the trade-off curve and the conditional score are in
 subcommand shares, the closed forms without numpy, are in `records`.
 """
 
-import itertools
 import math
 import sys
 
 import numpy as np
 
-from .channels import Channel, Support, _Record, _score
+from .channels import Channel, Support, _exact_sum, _Record, _score
 from .errors import EnumerationCapError, InternalInvariantError, ValidationError
 from .records import DEFAULT_ATOM_CAP, Composition, PrivacyCurve, Sidedness, _check_count, _check_eps_grid, _pair_pi
 
@@ -566,11 +565,11 @@ def _fsum(terms: np.ndarray) -> float:
     a large-n binomial pair, and KL's negative terms).  Zeros, which never
     change an exact sum (fsum of none is +0.0), are skipped.  `terms` is
     sorted in place, so the sum takes no temporary of its size: every
-    caller passes an array it owns.
+    caller passes an array it owns.  A sum beyond the double range is +-inf (`_exact_sum`).
     """
     terms.sort()
     neg, pos = np.searchsorted(terms, 0.0, side="left"), np.searchsorted(terms, 0.0, side="right")
-    return math.fsum(itertools.chain(terms[pos:][::-1], terms[:neg]))
+    return _exact_sum(terms[pos:][::-1], terms[:neg])
 
 
 def _atom_fsum(atoms: LrAtomization, term) -> float:

@@ -23,8 +23,8 @@ import operator
 
 import numpy as np
 
-from .asymptotics import _ndtr
-from .channels import Channel, _check_eps, _Record
+from .asymptotics import _is_rr, _ndtr
+from .channels import Channel, _Record
 from .errors import InternalInvariantError, ValidationError
 from .exact_dist import LrAtomization, _affine_lr, _cell_blocks, _check_pair, _relabelling
 from .records import DEFAULT_ATOM_CAP, Composition, _check_count
@@ -307,21 +307,23 @@ def rate_exponent(points) -> float:
 # frequency estimation
 
 
-def frequency_mse(eps0: float, n: int, p_true: float, config: SimConfig) -> FrequencyMseReport:
+def frequency_mse(channel: Channel, n: int, p_true: float, config: SimConfig) -> FrequencyMseReport:
     """Monte Carlo MSE of the debiased randomized-response frequency estimate.
 
-    The dataset holds round(p_true * n) ones; each trial flips every bit
-    with probability q = 1/(1 + e^{eps0}), counts the reported ones K and
-    estimates p_hat = (K/n - q)/(1 - 2q).  Errors are taken against the
-    realized frequency, and the worst-case variance bound
-    1/(4 n (1 - 2q)^2) is reported alongside.  eps0 must lie in
-    (0, log(DBL_MAX) ~ 709.78], and 1 - 2q must not round to 0.
+    The channel is randomized response (`rr_channel`, either orientation)
+    with flip probability q = delta_star.  The dataset holds
+    round(p_true * n) ones; each trial flips every bit with probability q,
+    counts the reported ones K and estimates p_hat = (K/n - q)/(1 - 2q).
+    Errors are taken against the realized frequency, and the worst-case
+    variance bound 1/(4 n (1 - 2q)^2) is reported alongside.  1 - 2q must
+    not round to 0.
     """
-    _check_eps(eps0, "eps0", "frequency_mse")
-    q = 1.0 / (1.0 + math.exp(eps0))
+    if not _is_rr(channel):
+        raise ValidationError("frequency_mse needs a randomized-response channel (d = 2, W1 = W0 swapped)")
+    q = channel.delta_star
     denom = 1.0 - 2.0 * q
     if denom == 0.0:
-        raise ValidationError(f"the estimator divides by 1 - 2q, which is 0 at eps0 = {eps0!r}")
+        raise ValidationError(f"the estimator divides by 1 - 2q, which is 0 at q = {q!r}")
     n = _check_count("n", n)
     if not 0.0 <= p_true <= 1.0:
         raise ValidationError(f"p_true must lie in [0, 1], got {p_true!r}")

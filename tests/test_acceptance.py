@@ -204,7 +204,7 @@ def test_criterion_09_boundary_scaling_and_inequalities():
 def test_criterion_10_frequency_estimator_mse_and_bias():
     clock = _Clock(10.0)
     for i, p in enumerate((0.0, 0.5, 1.0)):
-        rep = frequency_mse(LN3, 100, p, SimConfig(seed=10 + i, reps=100_000))
+        rep = frequency_mse(rr_channel(LN3), 100, p, SimConfig(seed=10 + i, reps=100_000))
         assert rep.mse_bound == 0.01
         assert rep.mse_estimate <= rep.mse_bound * 1.05
         assert abs(rep.bias) <= 4.0 * rep.bias_se

@@ -608,8 +608,9 @@ def test_simulate_json_format(rr3_file, capsys):
 # ---------------------------------------------------------------------------
 # strict JSON on channels with values beyond the double range
 
-# rr460: `report` takes it for randomized response at eps0 = 460.3, where
-# rho3 and two JSD terms are beyond the double range; alt-underflow: 12 of
+# rr460: not randomized response (its ratios are 8.1e199 and 2.1e-300, not
+# w and 1/w), so `report` prints no rr_boundary block; mu3 and two JSD terms
+# are beyond the double range; alt-underflow: 12 of
 # the 64 sampled histograms have an alt mass that underflows to 0, so their
 # log ratio is -inf (ROADMAP item 3's lost alt mass)
 EXTREME_CHANNELS = {
@@ -651,7 +652,6 @@ def test_every_json_output_is_strict(channel, tmp_path, monkeypatch, capsys):
             "jsd_canonical.terms[2]": "inf",
             "jsd_canonical.asymptotic": "inf",
             "jsd_canonical.residual": "-inf",
-            "rr_boundary.rho3": "inf",
         }
     else:
         assert set(nonfinite["simulatejson"].values()) == {"-inf"}
@@ -741,7 +741,7 @@ PINNED = {
     ),
     "report-d3": (
         ["report", "--channel", "d3.json", "--n", "190", "--k", "63", "--m", "4"],
-        "2bb9d48c13993a637592c6b9561ed3ab650a9dc6642c2f399f8abef114599f56",
+        "08cf805488719ea62fc8958a1883b52c5aa911ce3381da77c6c2554c7080bb5e",
     ),
     "report-null-support": (
         ["report", "--channel", "ns.json", "--n", "20"],
@@ -901,6 +901,53 @@ def test_the_package_makes_no_blas_or_lapack_call():
     probe = "a @ b\na @= b\nnp.dot(a, b)\nnp.linalg.solve(a, b)\nfrom numpy.linalg import lstsq\nfrom numpy import vdot\n"
     assert sorted(_blas_calls(ast.parse(probe))) == [
         (1, "@"), (2, "@"), (3, "dot"), (4, "linalg"), (5, "linalg"), (5, "lstsq"), (6, "vdot")]
+
+
+def _overflow_catches(node, owner=None) -> set:
+    """The innermost functions of a syntax tree that catch OverflowError, by `except` or `suppress`."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            caught = [] if child.type is None else ast.walk(child.type)
+        elif isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", "")) == "suppress":
+            caught = child.args
+        else:
+            caught = []
+        if any(isinstance(c, ast.Name) and c.id == "OverflowError" for c in caught):
+            found.add(owner)
+        found |= _overflow_catches(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+    return found
+
+
+def _public_eps0(tree) -> list:
+    """The public functions and methods of a module that take a parameter named eps0."""
+    defs = [*tree.body, *(f for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body)]
+    return [f.name for f in defs if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            and "eps0" in [a.arg for a in (*f.args.posonlyargs, *f.args.args, *f.args.kwonlyargs)]]
+
+
+def test_one_rule_at_the_top_of_the_double_range():
+    # a sum beyond the double range is `_exact_sum`'s, e^x's limit is _MAX_EPS,
+    # and eps0 becomes a channel in `rr_channel` alone; the other two catches
+    # turn an overflow into the caller's refusal
+    src = Path(__file__).resolve().parent.parent / "src" / "shuffledp"
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    catches = {(name, func) for name, tree in trees.items() for func in _overflow_catches(tree)}
+    eps0 = {(name, func) for name, tree in trees.items() for func in _public_eps0(tree)}
+    assert (catches, eps0) == (
+        {("channels.py", "_exact_sum"), ("asymptotics.py", "mm_gdp_compare"), ("multimessage.py", "unbundled_lr")},
+        {("channels.py", "rr_channel")},
+    )
+    # the scans see each spelling
+    probe = ast.parse(
+        "def a():\n    try:\n        pass\n    except (ValueError, OverflowError):\n        pass\n"
+        "def b():\n    def c(eps0):\n        with contextlib.suppress(OverflowError):\n            pass\n"
+        "def d():\n    with suppress(OverflowError, ValueError):\n        pass\n"
+        "class E:\n    def f(self, *, eps0):\n        pass\n"
+        "def g(eps0, /):\n    try:\n        pass\n    except ValueError:\n        pass\n"
+    )
+    assert _overflow_catches(probe) == {"a", "c", "d"}
+    assert sorted(_public_eps0(probe)) == ["f", "g"]
 
 
 # ---------------------------------------------------------------------------

@@ -705,7 +705,7 @@ COUNT_ARGUMENTS = {
     "unbundled_hoeffding_delta-n": lambda v: shuffledp.unbundled_hoeffding_delta(RR3, v, 2, 0.5),
     "unbundled_hoeffding_delta-m": lambda v: shuffledp.unbundled_hoeffding_delta(RR3, 10, v, 0.5),
     "rr_boundary-n": lambda v: shuffledp.rr_boundary(shuffledp.rr_channel(1.0), v),
-    "frequency_mse-n": lambda v: shuffledp.frequency_mse(1.0, v, 0.5, _SMALL_RUN),
+    "frequency_mse-n": lambda v: shuffledp.frequency_mse(shuffledp.rr_channel(1.0), v, 0.5, _SMALL_RUN),
     "unbundled_lr-m": lambda v: shuffledp.unbundled_lr(RR3, 1, v, (v, 0)),
     "unbundled_lr_atoms-m": lambda v: shuffledp.unbundled_lr_atoms(RR3, 2, v),
     "mm_gdp_compare-m": lambda v: shuffledp.mm_gdp_compare(RR3, v),
@@ -1448,6 +1448,15 @@ def test_fsum_is_the_exact_sum_in_any_order():
     for _ in range(5):
         assert _fsum(rng.permutation(terms)) == exact
     assert _fsum(np.array([])) == 0.0
+
+
+def test_fsum_beyond_the_double_range_is_its_signed_infinity():
+    # math.fsum refuses a partial sum beyond the double range (a bare
+    # OverflowError); the rescaled sum comes back into range when the true
+    # sum does, and is +-inf when it does not
+    assert _fsum(np.array([1e308, 1e308, -1e308])) == 1e308
+    assert _fsum(np.array([1e308, 1e308])) == math.inf
+    assert _fsum(np.array([-1e308, -1e308, 1.0])) == -math.inf
 
 
 def test_chi2_contracts_exactly_like_one_over_n():

@@ -225,7 +225,7 @@ def _scalar_entry_points(eps0, eps, mu, hypothesis):
         _finite(boundary.skew_bound, boundary.lyapunov_bound, low=0.0)
         # e^{2 eps0} / (1 + e^{eps0}) is beyond the double range above eps0 ~ 354.9
         assert boundary.rho3 >= 0.0
-    report = _refused_or(frequency_mse, eps0, 10, 0.5, SimConfig(seed=1, reps=3))
+    report = None if channel is None else _refused_or(frequency_mse, channel, 10, 0.5, SimConfig(seed=1, reps=3))
     if report is not None:
         _finite(report.mse_estimate, report.mse_bound, report.bias_se, low=0.0)
         _finite(report.bias, report.p_realized)

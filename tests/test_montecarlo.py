@@ -33,6 +33,7 @@ from shuffledp import (
     sample_privacy_loss,
     validate_channel,
 )
+from shuffledp.asymptotics import _is_rr
 from shuffledp.channels import _score, score_stats
 from shuffledp.exact_dist import MIN_NULL_MASS
 from shuffledp.records import DEFAULT_ATOM_CAP
@@ -188,7 +189,7 @@ def test_reference_cases_reach_both_threshold_branches():
 def test_frequency_mse_matches_the_float_reference_bit_for_bit(eps0, n, p_true):
     want = _ref_frequency_mse(eps0, n, p_true, 31, _reps(n))
     for workers in (1, 2, 3):
-        rep = frequency_mse(eps0, n, p_true, SimConfig(seed=31, reps=_reps(n), workers=workers))
+        rep = frequency_mse(rr_channel(eps0), n, p_true, SimConfig(seed=31, reps=_reps(n), workers=workers))
         assert (rep.mse_estimate, rep.bias, rep.bias_se) == want, workers
 
 
@@ -582,12 +583,12 @@ def test_rr_boundary_refuses_eps0_beyond_the_double_range():
 
 
 def test_frequency_mse_refuses_eps0_beyond_the_double_range():
-    # at eps0 = 710 math.exp raised a bare OverflowError
+    # at eps0 = 710 math.exp raised a bare OverflowError; the channel refuses it now
     top = math.log(sys.float_info.max)
-    assert frequency_mse(top, 10, 0.5, SimConfig(1, 10)).mse_bound == pytest.approx(0.025, rel=1e-15)
+    assert frequency_mse(rr_channel(top), 10, 0.5, SimConfig(1, 10)).mse_bound == pytest.approx(0.025, rel=1e-15)
     for eps0 in (math.nextafter(top, math.inf), 710.0):
-        with pytest.raises(ValidationError, match="frequency_mse needs eps0 <= .* \\(the log of the largest double\\)"):
-            frequency_mse(eps0, 10, 0.5, SimConfig(1, 10))
+        with pytest.raises(ValidationError, match="rr_channel needs eps0 <= .* \\(the log of the largest double\\)"):
+            frequency_mse(rr_channel(eps0), 10, 0.5, SimConfig(1, 10))
 
 
 def test_rr_boundary_degenerate_and_validation():
@@ -603,7 +604,7 @@ def test_rr_boundary_degenerate_and_validation():
 
 
 def test_frequency_mse_within_bound():
-    rep = frequency_mse(math.log(3.0), 100, 0.5, SimConfig(seed=23, reps=50000))
+    rep = frequency_mse(rr_channel(math.log(3.0)), 100, 0.5, SimConfig(seed=23, reps=50000))
     assert rep.mse_bound == pytest.approx(0.01, rel=1e-12)
     assert rep.mse_estimate <= rep.mse_bound * 1.05
     assert abs(rep.bias) <= 4 * rep.bias_se
@@ -611,10 +612,10 @@ def test_frequency_mse_within_bound():
 
 
 def test_frequency_mse_rounding_and_endpoints():
-    rep = frequency_mse(math.log(3.0), 10, 0.33, SimConfig(seed=1, reps=2000))
+    rep = frequency_mse(rr_channel(math.log(3.0)), 10, 0.33, SimConfig(seed=1, reps=2000))
     assert rep.p_realized == pytest.approx(0.3)
     for p in (0.0, 1.0):
-        rep = frequency_mse(math.log(3.0), 50, p, SimConfig(seed=2, reps=5000))
+        rep = frequency_mse(rr_channel(math.log(3.0)), 50, p, SimConfig(seed=2, reps=5000))
         assert abs(rep.bias) <= 4 * rep.bias_se
 
 
@@ -622,16 +623,36 @@ def test_frequency_mse_validation():
     cfg = SimConfig(seed=0, reps=100)
     for eps0 in (0.0, 5e-324, 1e-17):  # e^eps0 rounds to 1: the estimator divides by 1 - 2q = 0
         with pytest.raises(ValidationError, match="1 - 2q"):
-            frequency_mse(eps0, 100, 0.5, cfg)
+            frequency_mse(rr_channel(eps0), 100, 0.5, cfg)
     with pytest.raises(ValidationError):
-        frequency_mse(1.0, 100, 1.5, cfg)
+        frequency_mse(rr_channel(1.0), 100, 1.5, cfg)
     with pytest.raises(ValidationError):
-        frequency_mse(1.0, 0, 0.5, cfg)
+        frequency_mse(rr_channel(1.0), 0, 0.5, cfg)
     with pytest.raises(ValidationError):
-        frequency_mse(1.0, 100, 0.5, SimConfig(seed=0, reps=0))
+        frequency_mse(rr_channel(1.0), 100, 0.5, SimConfig(seed=0, reps=0))
     for bad in (-0.1, math.inf, math.nan, "x", None):
         with pytest.raises(ValidationError):
-            frequency_mse(bad, 100, 0.5, cfg)
-    # any finite real is accepted, as by rr_boundary
+            frequency_mse(rr_channel(bad), 100, 0.5, cfg)
+    # any finite real is accepted, as by rr_channel
     eps0 = np.float32(1.1)
-    assert frequency_mse(eps0, 100, 0.5, cfg) == frequency_mse(float(eps0), 100, 0.5, cfg)
+    assert frequency_mse(rr_channel(eps0), 100, 0.5, cfg) == frequency_mse(rr_channel(float(eps0)), 100, 0.5, cfg)
+
+
+# W1 is W0 swapped to within 1e-12 absolute, but its ratios are 8.1e199 and
+# 2.1e-300, not w and 1/w: it was taken for randomized response at eps0 = 460.3
+RR460 = validate_channel([1.231296895499659e-200, 1.0], [1.0, 2.0963634922239936e-300])
+
+
+def test_frequency_mse_and_rr_boundary_refuse_channels_that_are_not_rr():
+    cfg = SimConfig(seed=0, reps=10)
+    for channel in (RR460, validate_channel([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])):
+        for call in (lambda: frequency_mse(channel, 10, 0.5, cfg), lambda: rr_boundary(channel, 10)):
+            with pytest.raises(ValidationError, match="randomized-response channel"):
+                call()
+    # randomized response in either orientation is accepted, with the same flip probability
+    rng = np.random.default_rng(43)
+    for eps0 in rng.uniform(0.0, 709.78, 1000).tolist() + (10.0 ** rng.uniform(-17.0, 2.0, 1000)).tolist():
+        channel = rr_channel(eps0)
+        assert _is_rr(channel) and _is_rr(validate_channel(channel.W1, channel.W0)), eps0
+    swapped = validate_channel(RR3.W1, RR3.W0)
+    assert frequency_mse(swapped, 50, 0.3, cfg) == frequency_mse(RR3, 50, 0.3, cfg)

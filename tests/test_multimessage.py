@@ -379,3 +379,31 @@ def test_mm_compare_refuses_m_beyond_the_double_range():
         message = f"bundled comparison: (1 + chi2)^m overflows above m = 837, got m={m}"
         with pytest.raises(ValidationError, match=re.escape(message)):
             mm_gdp_compare(RR3, m)
+
+
+def test_bundled_chi2_keeps_its_relative_accuracy():
+    # (1 + chi2)^m - 1 rounded 1 + chi2 first: at rr(1e-8), m = 2 (chi2 ~ 1e-16)
+    # it read bundled 0.0 and ratio 0.0, and ratios below 1 were common under
+    # chi2 ~ 1e-4.  Against 60-digit mpmath from the same chi2, each bundled
+    # value is within (m log1p(chi2) + 8) ulps relative, and no ratio is below 1.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(44)
+    channels = [rr_channel(10.0 ** rng.uniform(-9.0, 1.3)) for _ in range(600)]
+    for _ in range(400):
+        w0 = rng.dirichlet([2.0] * int(rng.integers(2, 7)))
+        w1 = w0 * (1.0 + 10.0 ** rng.uniform(-9.0, 0.0) * rng.uniform(-1.0, 1.0, w0.size))
+        channels.append(validate_channel(w0, w1 / w1.sum()))
+    cases = [(rr_channel(1e-8), 2)] + [(ch, int(10.0 ** rng.uniform(math.log10(2.0), 3.0))) for ch in channels]
+    checked = 0
+    for ch, m in cases:
+        try:
+            c = mm_gdp_compare(ch, m)
+        except ValidationError:  # beyond the double range
+            continue
+        with mpmath.workdps(60):
+            exact = (1 + mpmath.mpf(c.chi2)) ** m - 1
+            err = float(abs(mpmath.mpf(c.bundled_mu2n) - exact) / exact)
+        assert err <= (m * math.log1p(c.chi2) + 8.0) * 2.0**-52, (c.chi2, m)
+        assert c.ratio >= 1.0, (c.chi2, m)
+        checked += 1
+    assert checked >= 950
